@@ -92,9 +92,6 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 	if c.Hosts > 0 {
 		cfg.Load.Hosts = c.Hosts
 	}
-	if c.Shards > 0 {
-		cfg.Load.Shards = c.Shards
-	}
 	if c.Metrics {
 		cfg.Obs.Metrics = true
 	}

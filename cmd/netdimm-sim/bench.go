@@ -42,12 +42,6 @@ type benchReport struct {
 	// Engine reports the sim kernel hot path, measured with
 	// testing.Benchmark so ns/op and allocs/op match `go test -bench`.
 	Engine []engineBench `json:"engine"`
-	// Sharded compares one large-host loadsweep cell run on a conservative
-	// ShardGroup at shards=1/2/4; Speedup is wall-clock relative to
-	// shards=1. On a 1-core host the entries are informational only (the
-	// shards contend for the core), but they are always emitted so a
-	// multi-core runner's report is comparable.
-	Sharded []shardBench `json:"sharded_loadsweep"`
 	// DeterminismOK records that parallel and sequential runs produced
 	// deep-equal results during this report (the full guard lives in
 	// internal/experiments/determinism_test.go).
@@ -67,13 +61,6 @@ type engineBench struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-type shardBench struct {
-	Name    string  `json:"name"`
-	Shards  int     `json:"shards"`
-	WallMs  float64 `json:"wall_ms"`
-	Speedup float64 `json:"speedup_vs_shards1"`
 }
 
 func runBench() error {
@@ -152,16 +139,6 @@ func runBench() error {
 		engineResult("FabricForward", benchFabricForward),
 	)
 
-	fmt.Fprintf(os.Stderr, "bench: sharded loadsweep cell (%d packets, 32 hosts) ...\n", n)
-	sharded, identical, err := benchSharded(n)
-	if err != nil {
-		return err
-	}
-	if !identical {
-		rep.DeterminismOK = false
-	}
-	rep.Sharded = sharded
-
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
@@ -198,42 +175,6 @@ func engineResult(name string, fn func(b *testing.B)) engineBench {
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 	}
-}
-
-// benchSharded times the same large-host loadsweep (32 senders, one load
-// point, all three architectures run back to back with no cross-cell
-// parallelism) at shards=1, 2 and 4, and verifies along the way that the
-// three runs returned deep-equal results — the bench-time echo of
-// TestLoadSweepShardedDeterminism.
-func benchSharded(packets int) ([]shardBench, bool, error) {
-	cfg := netdimm.DefaultConfig()
-	cfg.Load.Hosts = 32
-	loads := []float64{0.14}
-	var out []shardBench
-	var ref []netdimm.LoadSweepResult
-	var base float64
-	identical := true
-	for _, s := range []int{1, 2, 4} {
-		c := cfg
-		c.Load.Shards = s
-		t0 := time.Now()
-		rows, _, err := netdimm.RunLoadSweepWithConfig(c, loads, packets, *seed, 1)
-		if err != nil {
-			return nil, false, err
-		}
-		b := shardBench{Name: "loadsweep_cell", Shards: s, WallMs: ms(time.Since(t0))}
-		if s == 1 {
-			ref = rows
-			base = b.WallMs
-		} else if !reflect.DeepEqual(rows, ref) {
-			identical = false
-		}
-		if b.WallMs > 0 {
-			b.Speedup = base / b.WallMs
-		}
-		out = append(out, b)
-	}
-	return out, identical, nil
 }
 
 func benchNop() {}

@@ -33,7 +33,6 @@ var (
 	lossRates  = flag.String("loss", "", "comma-separated frame-loss rates for faultsweep (default 0,0.001,0.01,0.05,0.1,0.2)")
 	loadRates  = flag.String("rate", "", "comma-separated offered loads (fractions of line rate) for loadsweep (default a grid bracketing each knee)")
 	hosts      = flag.Int("hosts", 0, "sender hosts for loadsweep (0 = scenario value or 8) and racksweep (0 = scenario value or 256)")
-	shards     = flag.Int("shards", 0, "engine shards per loadsweep/racksweep cell: hosts spread over shards, results identical at any count (0 = scenario value or single-engine)")
 	rackList   = flag.String("racks", "", "comma-separated rack (leaf) counts for racksweep (default 2,4,8; a scenario Fabric.Leaves pins one)")
 	outageList = flag.String("outage", "", "comma-separated spine-outage durations for failsweep, Go duration syntax (default 0,5µs,20µs,60µs; 0 is the baseline)")
 	cluster    = flag.String("cluster", "", "traffic distribution for loadsweep: database, webserver or hadoop (default scenario value or database)")
@@ -104,6 +103,15 @@ func emitObservation(ob *netdimm.Observation) error {
 		}
 	}
 	return nil
+}
+
+// emitAfter is emitObservation for a runner to defer, so the metrics print
+// after its table: the emit error becomes the runner's result unless the
+// runner already failed.
+func emitAfter(ob *netdimm.Observation, err *error) {
+	if e := emitObservation(ob); *err == nil {
+		*err = e
+	}
 }
 
 // printFaultTails prints the per-architecture cross-rate latency tails of
@@ -318,12 +326,12 @@ func runFig7(cfg netdimm.Config) error {
 	return nil
 }
 
-func runFig11(cfg netdimm.Config) error {
+func runFig11(cfg netdimm.Config) (err error) {
 	rows, ob, err := netdimm.RunFig11Observed(obsConfig(cfg), nil, *switchLat, *parallel)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	if *asCSV {
 		csvOut("size", "arch", "txCopy_ns", "rxCopy_ns", "txDMA_ns", "rxDMA_ns",
 			"wire_ns", "ioReg_ns", "txFlush_ns", "rxInvalidate_ns", "total_ns")
@@ -449,12 +457,12 @@ func runAblation(cfg netdimm.Config) error {
 	return nil
 }
 
-func runMixed(cfg netdimm.Config) error {
+func runMixed(cfg netdimm.Config) (err error) {
 	r, ob, err := netdimm.RunMixedChannelObserved(obsConfig(cfg), *packets, *seed)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	fmt.Println("Mixed channel — DDR + NetDIMM on one DDR5 channel (Sec. 2.2)")
 	fmt.Printf("  DDR reads:      %5d  mean %v\n", r.DDRReads, r.DDRMean)
 	fmt.Printf("  NetDIMM reads:  %5d  mean %v (asynchronous, non-deterministic)\n",
@@ -503,7 +511,7 @@ func parseLossRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-func runFaultSweep(cfg netdimm.Config) error {
+func runFaultSweep(cfg netdimm.Config) (err error) {
 	rates, err := parseLossRates(*lossRates)
 	if err != nil {
 		return err
@@ -512,7 +520,7 @@ func runFaultSweep(cfg netdimm.Config) error {
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	defer printFaultTails(tails)
 	if *asCSV {
 		csvOut("arch", "loss_rate", "mean_ns", "p50_ns", "p99_ns",
@@ -553,7 +561,7 @@ func parseLoadRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-func runLoadSweep(cfg netdimm.Config) error {
+func runLoadSweep(cfg netdimm.Config) (err error) {
 	rates, err := parseLoadRates(*loadRates)
 	if err != nil {
 		return err
@@ -564,14 +572,11 @@ func runLoadSweep(cfg netdimm.Config) error {
 	if *cluster != "" {
 		cfg.Load.Cluster = *cluster
 	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
 	rows, knees, ob, err := netdimm.RunLoadSweepObserved(obsConfig(cfg), rates, *packets, *seed, *parallel)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	if *asCSV {
 		csvOut("arch", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
 			"delivered", "dropped", "egress_max_depth", "egress_queue_delay_ns", "rx_max_depth", "link_util")
@@ -620,7 +625,7 @@ func parseRacks(s string) ([]int, error) {
 	return racks, nil
 }
 
-func runRackSweep(cfg netdimm.Config) error {
+func runRackSweep(cfg netdimm.Config) (err error) {
 	rates, err := parseLoadRates(*loadRates)
 	if err != nil {
 		return err
@@ -635,14 +640,11 @@ func runRackSweep(cfg netdimm.Config) error {
 	if *cluster != "" {
 		cfg.Load.Cluster = *cluster
 	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
 	rows, knees, ob, err := netdimm.RunRackSweepObserved(obsConfig(cfg), racks, rates, explicitPackets(), *seed, *parallel)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	ecnStr := func(on bool) string {
 		if on {
 			return "on"
@@ -707,7 +709,7 @@ func parseOutages(s string) ([]time.Duration, error) {
 	return outs, nil
 }
 
-func runFailSweep(cfg netdimm.Config) error {
+func runFailSweep(cfg netdimm.Config) (err error) {
 	outages, err := parseOutages(*outageList)
 	if err != nil {
 		return err
@@ -718,14 +720,11 @@ func runFailSweep(cfg netdimm.Config) error {
 	if *cluster != "" {
 		cfg.Load.Cluster = *cluster
 	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
 	rows, ob, err := netdimm.RunFailSweepObserved(obsConfig(cfg), outages, explicitPackets(), *seed, *parallel)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	if *asCSV {
 		csvOut("arch", "outage_ns", "delivered", "failed", "dropped",
 			"outage_drops", "burst_drops", "rerouted", "retransmits", "recovered",
@@ -793,7 +792,7 @@ func parseOps(s string) []string {
 	return ops
 }
 
-func runCollSweep(cfg netdimm.Config) error {
+func runCollSweep(cfg netdimm.Config) (err error) {
 	ranks, err := parseRanks(*rankList)
 	if err != nil {
 		return err
@@ -801,14 +800,11 @@ func runCollSweep(cfg netdimm.Config) error {
 	if *payload != 0 {
 		cfg.Collective.PayloadBytes = *payload
 	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
 	rows, ob, err := netdimm.RunCollSweepObserved(obsConfig(cfg), ranks, parseOps(*opsList), *seed, *parallel)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
+	defer emitAfter(ob, &err)
 	if *asCSV {
 		csvOut("arch", "op", "ranks", "payload_bytes", "steps",
 			"completion_ns", "step_skew_ns", "bytes_on_wire", "frames", "delivered",

@@ -56,7 +56,7 @@ func RunCollSweep(ranks []int, ops []string, seed uint64, parallelism int) ([]Co
 // RunCollSweepWithConfig is RunCollSweep on the system described by cfg.
 // The collective shape — operation, rank count, payload and chunk bytes —
 // comes from cfg.Collective when the axis arguments are nil/zero; port
-// buffering and sharding come from cfg.Load. A cell that drops a frame
+// buffering comes from cfg.Load. A cell that drops a frame
 // deadlocks its dependency graph and is reported as a diagnostic error
 // naming the stuck rank.
 func RunCollSweepWithConfig(cfg Config, ranks []int, ops []string, seed uint64, parallelism int) (_ []CollSweepResult, err error) {

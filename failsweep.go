@@ -69,7 +69,7 @@ func RunFailSweep(outages []time.Duration, packets int, seed uint64, parallelism
 }
 
 // RunFailSweepWithConfig is RunFailSweep on the system described by cfg.
-// The traffic shape and sharding come from cfg.Load (a zero Hosts means
+// The traffic shape comes from cfg.Load (a zero Hosts means
 // 32), the clos shape from cfg.Fabric (zero = 2 spines × 4 leaves), and
 // any background failure schedule — extra outage windows, burst loss —
 // plus the ARQ retry knobs from cfg.Fault.

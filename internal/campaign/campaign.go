@@ -79,9 +79,6 @@ type Experiment struct {
 	Outages []string
 	// Hosts overrides Load.Hosts for the sweep families (0 = scenario).
 	Hosts int
-	// Shards overrides Load.Shards (0 = scenario; results are identical
-	// at any shard count).
-	Shards int
 	// Ranks is the rank-count axis of collsweep (nil = {4,...,128}).
 	Ranks []int
 	// Ops is the operation axis of collsweep: any of "allreduce",
@@ -176,8 +173,8 @@ func (g Grid) Validate(known map[string]Schema) error {
 		if _, ok := known[e.Experiment]; !ok {
 			return fmt.Errorf("campaign: experiments[%d]: unknown experiment family %q (known: %s)", i, e.Experiment, familyList(known))
 		}
-		if e.Repeats < 0 || e.Packets < 0 || e.Hosts < 0 || e.Shards < 0 || e.SwitchNs < 0 {
-			return at("Repeats/Packets/Hosts/Shards/SwitchNs must be non-negative")
+		if e.Repeats < 0 || e.Packets < 0 || e.Hosts < 0 || e.SwitchNs < 0 {
+			return at("Repeats/Packets/Hosts/SwitchNs must be non-negative")
 		}
 		for _, s := range e.Sizes {
 			if s <= 0 {
@@ -264,7 +261,6 @@ type Cell struct {
 	Racks    []int
 	Outages  []time.Duration
 	Hosts    int
-	Shards   int
 	Ranks    []int
 	Ops      []string
 	Payload  int
@@ -326,7 +322,6 @@ func (g Grid) Plan() ([]Cell, error) {
 				Racks:      e.Racks,
 				Outages:    outages,
 				Hosts:      e.Hosts,
-				Shards:     e.Shards,
 				Ranks:      e.Ranks,
 				Ops:        e.Ops,
 				Payload:    e.Payload,

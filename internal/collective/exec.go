@@ -19,18 +19,13 @@ type SendFn func(src, dst, step, bytes int, deliver func())
 // injected transport. Each rank's machine lives on that rank's engine:
 // Launch(r) must be called there, the transport must invoke deliver
 // closures there, and all of rank r's state transitions then happen
-// single-threaded on that engine — under a sharded engine group the
-// cross-shard channel crossings are what sequence sender writes against
-// receiver reads, so the data plane needs no locks.
+// single-threaded on that engine, so the data plane needs no locks.
 type Exec struct {
 	plan Plan
 	data [][]int64
 	send SendFn
 	now  func(rank int) sim.Time
 
-	// All of the state below is sliced per rank, and rank r's slot is
-	// only ever touched from rank r's engine — a shared scalar here would
-	// be a data race across shards.
 	next     []int             // per-rank index of the current step
 	waiting  []bool            // rank is parked on next[r]'s receive
 	early    []map[int][]int64 // step -> payload that arrived before its turn

@@ -6,6 +6,7 @@ import (
 
 	"netdimm/internal/collective"
 	"netdimm/internal/ethernet"
+	"netdimm/internal/fabric"
 	"netdimm/internal/nic"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
@@ -40,7 +41,7 @@ const DefaultCollPortBuffer = 256
 
 // CollSweepConfig parameterises one collective sweep; operation, payload
 // and chunking come from the specification's Collective block, buffering
-// and sharding from its Load block.
+// from its Load block.
 type CollSweepConfig struct {
 	// EventBudget bounds each cell's engine via the watchdog (default
 	// 8,000,000).
@@ -106,9 +107,9 @@ type CollRow struct {
 // plane against the sequential reference, so a sweep that returns rows has
 // also proven the collective computed the right answer.
 //
-// Cells are deterministic: each builds its own engines, fabric, machines
-// and payloads from per-cell seeds, so results are identical sequentially,
-// in parallel, and at every Load.Shards count.
+// Cells are deterministic: each builds its own engine, fabric, machines
+// and payloads from per-cell seeds, so results are identical sequentially
+// and in parallel.
 func CollSweep(sp spec.Spec, ranks []int, ops []string, cfg CollSweepConfig, parallelism int) ([]CollRow, error) {
 	rows, _, err := CollSweepObserved(sp, ranks, ops, cfg, parallelism, obs.Spec{})
 	return rows, err
@@ -195,7 +196,6 @@ type collShape struct {
 	payload    int // bytes per rank vector
 	chunk      int // max frame payload bytes
 	portBuffer int
-	shards     int
 }
 
 func resolveColl(sp spec.Spec) (collShape, error) {
@@ -206,7 +206,6 @@ func resolveColl(sp spec.Spec) (collShape, error) {
 		payload:    sp.Collective.PayloadBytes,
 		chunk:      sp.Collective.ChunkBytes,
 		portBuffer: sp.Load.PortBuffer,
-		shards:     sp.Load.Shards,
 	}
 	if s.payload == 0 {
 		s.payload = collective.DefaultPayloadBytes
@@ -220,22 +219,20 @@ func resolveColl(sp spec.Spec) (collShape, error) {
 	return s, nil
 }
 
-// collCell runs one (arch, op, ranks) cell: the operation's full plan
-// executed over the cell's fabric. Engine layout and sharding follow the
-// rig contract (fabric plus every RX queue on shard 0, rank r's state
-// machine and TX queue on r's host shard); a step message fragments into
+// collCell runs one (arch, op, ranks) cell on one engine: the operation's
+// full plan executed over the cell's fabric. A step message fragments into
 // chunk-sized frames, each frame pays the architecture's TX cost on the
 // sender, the fabric's queueing and the RX cost at the destination, and
 // the message's delivery notification rides the echo path back to the
-// destination rank's engine — so every Exec transition for rank r happens
-// on rank r's engine and the data plane needs no locks.
+// destination rank one switch latency later.
 func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg CollSweepConfig, oc *obs.Cell) (CollRow, error) {
 	op, err := collective.ParseOp(opName)
 	if err != nil {
 		return CollRow{}, err
 	}
 	d := sp.MustDerive()
-	rig := newCellRig(shape.shards, ranks, d.ShardLookahead(), cfg.EventBudget)
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
 	link := d.Link
 
 	txs, rxs, err := rackEndpoints(d, arch, ranks, cfg.Seed)
@@ -247,13 +244,12 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	deliveredC := reg.Counter(arch + ".delivered")
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
-	ep := obs.NewEngineProbe(reg, arch+".engine")
-	probes := rig.attachProbes(ep)
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
 
-	topo := d.NewTopology(rig.placement(), ranks, shape.portBuffer)
+	topo := d.NewTopology(fabric.SingleEngine(eng), ranks, shape.portBuffer)
 
 	// Payloads: one vector per rank, contents drawn from per-rank streams
-	// so they are independent of op, architecture and sharding.
+	// so they are independent of op and architecture.
 	elems := shape.payload / 8
 	if elems < 1 {
 		elems = 1
@@ -269,36 +265,24 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 		data[r] = append([]int64(nil), before[r]...)
 	}
 
-	// Per-rank driver queues: TX on the rank's engine, RX on the fabric
-	// engine (frames already land there).
+	// Per-rank TX and RX driver queues.
 	txSrvs := make([]*serialServer, ranks)
 	rxSrvs := make([]*serialServer, ranks)
 	for r := range txSrvs {
-		txSrvs[r] = &serialServer{eng: rig.hostEngine(r)}
-		rxSrvs[r] = &serialServer{eng: rig.fabEng}
-	}
-	// Arm every rank's cross and echo channels in host order (the echo
-	// path carries message-complete notifications back to the receiving
-	// rank's engine, so it is always needed here, ECN or not).
-	for r := 0; r < ranks; r++ {
-		rig.armHost(r, true)
+		txSrvs[r] = &serialServer{eng: eng}
+		rxSrvs[r] = &serialServer{eng: eng}
 	}
 
-	// Tallies: host-engine state is per-rank (no sharing across shards);
-	// fabric-engine state is shared only among events on shard 0.
+	// seqs numbers each rank's messages for the frame IDs.
 	seqs := make([]int, ranks)
-	drops := make([]int, ranks)
-	frames := 0
-	messages := 0
+	frames, messages, dropped := 0, 0, 0
 	var bytesOnWire int64
 	var wireBusy sim.Time
 
 	// The transport: fragment the message into chunk-sized frames, pay
 	// TX serialization per frame, inject, pay RX per frame, and fire the
-	// executor's deliver on the destination rank's engine once the last
-	// frame has cleared its RX queue.
+	// executor's deliver once the last frame has cleared its RX queue.
 	send := func(src, dst, step, bytes int, deliver func()) {
-		eng := rig.hostEngine(src)
 		tx, rxSrv := txs[src], rxSrvs[dst]
 		nf := (bytes + shape.chunk - 1) / shape.chunk
 		if nf < 1 {
@@ -327,32 +311,26 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 					})
 				})
 				if !ok {
-					drops[src]++
+					dropped++
 				}
 			})
 		}
 	}
 
 	plan := collective.NewPlan(op, ranks)
-	exec := collective.NewExec(plan, data, send,
-		func(r int) sim.Time { return rig.hostEngine(r).Now() })
+	exec := collective.NewExec(plan, data, send, func(int) sim.Time { return eng.Now() })
 	for r := 0; r < ranks; r++ {
 		r := r
-		rig.hostEngine(r).At(0, func() { exec.Launch(r) })
+		eng.At(0, func() { exec.Launch(r) })
 	}
 
-	if err := rig.run(); err != nil {
+	eng.Run()
+	if err := eng.Err(); err != nil {
 		return CollRow{}, err
-	}
-	if probes != nil {
-		ep.Merge(probes...)
 	}
 
 	fstats := topo.Stats()
-	dropped := int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
-	for _, n := range drops {
-		dropped += n
-	}
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
 	if exec.DoneRanks() != ranks {
 		rank, steps := exec.Progress()
 		return CollRow{}, fmt.Errorf("collective stalled: %d/%d ranks finished, rank %d stuck after %d/%d steps with %d dropped frames (raise Load.PortBuffer above %d to absorb the step burst)",
@@ -376,8 +354,8 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	}
 
 	util := 0.0
-	if rig.now() > 0 {
-		util = float64(wireBusy) / (float64(rig.now()) * float64(ranks))
+	if eng.Now() > 0 {
+		util = float64(wireBusy) / (float64(eng.Now()) * float64(ranks))
 	}
 	deliveredC.Add(int64(messages))
 	droppedC.Add(int64(dropped))

@@ -89,34 +89,6 @@ func TestCollCellMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCollSweepShardedDeterminism pins the sweep's cross-shard contract:
-// the single-engine path and every shard count produce byte-identical
-// rows.
-func TestCollSweepShardedDeterminism(t *testing.T) {
-	base := collTestSpec()
-	var want []CollRow
-	for _, shards := range []int{0, 1, 2, 4} {
-		sp := base
-		sp.Load.Shards = shards
-		rows, err := CollSweep(sp, []int{4, 5, 8}, nil, CollSweepConfig{Seed: 7}, 4)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if want == nil {
-			want = rows
-			continue
-		}
-		if !reflect.DeepEqual(rows, want) {
-			for i := range rows {
-				if !reflect.DeepEqual(rows[i], want[i]) {
-					t.Fatalf("shards=%d row %d = %+v, want %+v", shards, i, rows[i], want[i])
-				}
-			}
-			t.Fatalf("shards=%d rows diverge", shards)
-		}
-	}
-}
-
 // TestCollSweepParallelDeterminism pins the cell-parallelism contract.
 func TestCollSweepParallelDeterminism(t *testing.T) {
 	sp := collTestSpec()

@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
-	"netdimm/internal/fault"
 	"netdimm/internal/netfunc"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
@@ -71,6 +70,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 			rows, knees, err := RackSweep(sp, []int{2}, []float64{0.1, 0.5}, cfg, p)
 			return []any{rows, knees}, err
 		}},
+		{"RackSweepECNMetrics", func(p int) (any, error) {
+			sp := spec.TableOne()
+			sp.Load.Hosts = 12
+			// Mark on any queued frame so the ECN echo path carries real
+			// load in this small configuration.
+			sp.Fabric.ECNThreshold = 1
+			cfg := DefaultRackSweepConfig()
+			cfg.Packets = 240
+			rows, knees, o, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.5}, cfg, p,
+				obs.Spec{Metrics: true})
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range rows {
+				if r.Marked > 0 {
+					return []any{rows, knees, o.MetricsCSV()}, nil
+				}
+			}
+			return nil, errors.New("no cell marked any frame; the ECN echo path is not being exercised")
+		}},
 		{"FailSweep", func(p int) (any, error) {
 			sp := spec.TableOne()
 			sp.Load.Hosts = 12
@@ -122,140 +141,5 @@ func TestHeadlineParallelMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("headline parallel(8) diverged:\nseq: %+v\npar: %+v", seq, par)
-	}
-}
-
-// TestLoadSweepShardedDeterminism is the sharded-engine contract at the
-// experiment level: the identical model partitioned across 1, 2 or 4
-// conservative shards must produce byte-identical output — rows, knees,
-// the rendered metrics table and the Chrome trace export. shards=1 is the
-// reference because it runs the full window/merge machinery with every
-// component on one shard.
-func TestLoadSweepShardedDeterminism(t *testing.T) {
-	run := func(shards int) ([]LoadRow, []LoadKnee, string, string) {
-		t.Helper()
-		sp := spec.TableOne()
-		sp.Load.Shards = shards
-		cfg := DefaultLoadSweepConfig()
-		cfg.Packets = 120
-		rows, knees, o, err := LoadSweepObserved(sp, []float64{0.05, 0.14, 0.2}, cfg, 2,
-			obs.Spec{Metrics: true, Trace: true})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var tr strings.Builder
-		if err := o.WriteTrace(&tr); err != nil {
-			t.Fatalf("shards=%d trace: %v", shards, err)
-		}
-		return rows, knees, o.MetricsCSV(), tr.String()
-	}
-	rows1, knees1, csv1, trace1 := run(1)
-	for _, shards := range []int{2, 4} {
-		rows, knees, csv, trace := run(shards)
-		if !reflect.DeepEqual(rows, rows1) {
-			t.Errorf("shards=%d rows diverged from shards=1", shards)
-		}
-		if !reflect.DeepEqual(knees, knees1) {
-			t.Errorf("shards=%d knees diverged from shards=1", shards)
-		}
-		if csv != csv1 {
-			t.Errorf("shards=%d metrics CSV diverged from shards=1", shards)
-		}
-		if trace != trace1 {
-			t.Errorf("shards=%d trace bytes diverged from shards=1", shards)
-		}
-	}
-}
-
-// TestRackSweepShardedDeterminism extends the sharded contract to the
-// clos: many-to-many traffic with ECN echo channels partitioned across 1,
-// 2 or 4 shards must still be byte-identical — the host→fabric crossings,
-// the fabric→host mark echoes and every per-host tally are confined to
-// deterministic channel windows.
-// TestFailSweepShardedDeterminism is the failure plane's determinism
-// contract: outage flips, health-aware ECMP, burst loss and ARQ
-// retransmit timers partitioned across 1, 2 or 4 shards must still be
-// byte-identical — the health view lives wholly on the fabric shard,
-// per-host link outages wholly on their host shards, and the ack echoes
-// ride the same deterministic channel windows as ECN marks.
-func TestFailSweepShardedDeterminism(t *testing.T) {
-	run := func(shards int) ([]FailRow, string) {
-		t.Helper()
-		sp := spec.TableOne()
-		sp.Load.Hosts = 12
-		sp.Load.Shards = shards
-		sp.Fault.Failure.Burst = fault.Burst{
-			GoodLossProb: 0.001, BadLossProb: 0.2, GoodToBad: 0.02, BadToGood: 0.2,
-		}
-		cfg := DefaultFailSweepConfig()
-		cfg.Packets = 240
-		rows, o, err := FailSweepObserved(sp, []sim.Time{0, 20 * sim.Microsecond}, cfg, 2,
-			obs.Spec{Metrics: true})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return rows, o.MetricsCSV()
-	}
-	rows1, csv1 := run(1)
-	rerouted := false
-	for _, r := range rows1 {
-		if r.Rerouted > 0 {
-			rerouted = true
-		}
-	}
-	if !rerouted {
-		t.Error("no cell rerouted any frame; the failover path is not being exercised")
-	}
-	for _, shards := range []int{2, 4} {
-		rows, csv := run(shards)
-		if !reflect.DeepEqual(rows, rows1) {
-			t.Errorf("shards=%d rows diverged from shards=1", shards)
-		}
-		if csv != csv1 {
-			t.Errorf("shards=%d metrics CSV diverged from shards=1", shards)
-		}
-	}
-}
-
-func TestRackSweepShardedDeterminism(t *testing.T) {
-	run := func(shards int) ([]RackRow, []RackKnee, string) {
-		t.Helper()
-		sp := spec.TableOne()
-		sp.Load.Hosts = 12
-		sp.Load.Shards = shards
-		// Mark on any queued frame so the fabric→host echo channel — the
-		// only traffic flowing against the shard partition — carries real
-		// load in this small configuration.
-		sp.Fabric.ECNThreshold = 1
-		cfg := DefaultRackSweepConfig()
-		cfg.Packets = 240
-		rows, knees, o, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.5}, cfg, 2,
-			obs.Spec{Metrics: true})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return rows, knees, o.MetricsCSV()
-	}
-	rows1, knees1, csv1 := run(1)
-	marked := false
-	for _, r := range rows1 {
-		if r.Marked > 0 {
-			marked = true
-		}
-	}
-	if !marked {
-		t.Error("no cell marked any frame; the ECN echo path is not being exercised")
-	}
-	for _, shards := range []int{2, 4} {
-		rows, knees, csv := run(shards)
-		if !reflect.DeepEqual(rows, rows1) {
-			t.Errorf("shards=%d rows diverged from shards=1", shards)
-		}
-		if !reflect.DeepEqual(knees, knees1) {
-			t.Errorf("shards=%d knees diverged from shards=1", shards)
-		}
-		if csv != csv1 {
-			t.Errorf("shards=%d metrics CSV diverged from shards=1", shards)
-		}
 	}
 }

@@ -51,8 +51,8 @@ const (
 // end-to-end tail instead.
 const defaultFailRetryBase = 30 * sim.Microsecond
 
-// FailSweepConfig parameterises one failure sweep; traffic shape,
-// buffering and sharding come from the specification's Load block, the
+// FailSweepConfig parameterises one failure sweep; traffic shape and
+// buffering come from the specification's Load block, the
 // clos shape from its Fabric block, and any background failure schedule
 // (extra outages, burst loss) from its Fault.Failure block.
 type FailSweepConfig struct {
@@ -176,7 +176,7 @@ type FailRow struct {
 //
 // Cells are deterministic: each builds its own engine, fabric, health
 // schedule and streams from per-cell seeds, so results are identical
-// sequentially, in parallel, and at every Load.Shards count.
+// sequentially and in parallel.
 func FailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int) ([]FailRow, error) {
 	rows, _, err := FailSweepObserved(sp, outages, cfg, parallelism, obs.Spec{})
 	return rows, err
@@ -260,17 +260,17 @@ func failPolicy(fs fault.Spec) fault.RetryPolicy {
 	return fs.NetPolicy()
 }
 
-// failCell runs one (arch, outage duration) cell. The engine layout and
-// sharding contract are rackCell's — many-to-many cluster-mix traffic
-// over the cell spec's clos — with two additions: the cell's failure
-// schedule (the spec's background Failure block plus the swept spine
-// window) is armed on the topology, and every sender transmits through
-// an ack-timeout ARQ whose acknowledgement rides the fabric→host echo
-// channel, so a frame eaten by the outage is retransmitted and, once
-// ECMP has failed over, delivered.
+// failCell runs one (arch, outage duration) cell. The traffic is
+// rackCell's — many-to-many cluster-mix traffic over the cell spec's
+// clos — with two additions: the cell's failure schedule (the spec's
+// background Failure block plus the swept spine window) is armed on the
+// topology, and every sender transmits through an ack-timeout ARQ whose
+// acknowledgement rides the fabric→host echo path, so a frame eaten by
+// the outage is retransmitted and, once ECMP has failed over, delivered.
 func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg FailSweepConfig, oc *obs.Cell) (FailRow, error) {
 	d := sp.MustDerive()
-	rig := newCellRig(shape.shards, shape.hosts, d.ShardLookahead(), cfg.EventBudget)
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
 
 	txs, rxs, err := rackEndpoints(d, arch, shape.hosts, cfg.Seed)
 	if err != nil {
@@ -302,10 +302,9 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 	droppedC := reg.Counter(arch + ".dropped")
 	reroutedC := reg.Counter(arch + ".rerouted")
 	outageDropsC := reg.Counter(arch + ".outage_drops")
-	ep := obs.NewEngineProbe(reg, arch+".engine")
-	probes := rig.attachProbes(ep)
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
 
-	topo := d.NewTopology(rig.placement(), shape.hosts, shape.portBuffer)
+	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
 		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
 	}
@@ -317,12 +316,12 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 
 	recvs := make([]*serialServer, shape.hosts)
 	for i := range recvs {
-		recvs[i] = &serialServer{eng: rig.fabEng}
+		recvs[i] = &serialServer{eng: eng}
 	}
 
-	// Global packet index: host-major, so the fabric-side delivery dedup
-	// (first copy wins; spurious retransmits are discarded at the NIC
-	// before the RX driver) is a flat slice on the fabric engine.
+	// Global packet index: host-major, so the delivery dedup (first copy
+	// wins; spurious retransmits are discarded at the NIC before the RX
+	// driver) is a flat slice.
 	base := make([]int, shape.hosts)
 	acc := 0
 	for h := range base {
@@ -331,37 +330,26 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 	}
 	seen := make([]bool, cfg.Packets)
 
-	// Receiver-side tallies, all written on the fabric engine.
 	var histAll, histBefore, histDuring, histAfter stats.Histogram
 	delivered, duringDelivered, recovered := 0, 0, 0
+	dropped, failedTotal, duringOffered := 0, 0, 0
 	var recoverySum sim.Time
-	// Sender-side tallies, per host so sharded cells never share a write.
-	hostDrops := make([]int, shape.hosts)
-	hostFailed := make([]int, shape.hosts)
-	hostDuring := make([]int, shape.hosts)
-	hostCtrs := make([]stats.FaultCounters, shape.hosts)
+	var ctrs stats.FaultCounters
 
 	for h := 0; h < shape.hosts; h++ {
 		count := shareCount(cfg.Packets, shape.hosts, h)
 		if count == 0 {
 			continue
 		}
-		// The echo channel is armed unconditionally: it carries the ARQ
-		// acknowledgements (and, with ECN on, the congestion echoes).
-		rig.armHost(h, true)
-		eng := rig.hostEngine(h)
 		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
 			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
 		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
 		txSrv := &serialServer{eng: eng}
-		rt := &nic.Retransmitter{Eng: eng, Policy: policy, Counters: &hostCtrs[h]}
+		rt := &nic.Retransmitter{Eng: eng, Policy: policy, Counters: &ctrs}
 		tx := txs[h]
 		src := h
 		host := uint64(h)
 		gbase := base[h]
-		drops := &hostDrops[h]
-		failed := &hostFailed[h]
-		during := &hostDuring[h]
 		var pacer *fabric.Pacer
 		if ecn {
 			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
@@ -380,7 +368,7 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 				dst := workload.SampleDest(destR, e.Locality, src, shape.hosts, topo.Leaves())
 				born := eng.Now()
 				if born >= winStart && born < winEnd {
-					*during++
+					duringOffered++
 				}
 				g := gbase + i
 				rt.SendAsync(func(attempt int, ack func()) {
@@ -392,7 +380,7 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 							}
 							seen[g] = true
 							recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
-								now := rig.fabEng.Now()
+								now := eng.Now()
 								lat := now - born
 								histAll.Observe(lat)
 								// Bucket the tails by delivery instant so a
@@ -422,12 +410,12 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 							}
 						})
 						if !ok {
-							*drops++
+							dropped++
 						}
 					})
 				}, func(attempts int, err error) {
 					if err != nil {
-						*failed++
+						failedTotal++
 					}
 				})
 			})
@@ -435,30 +423,13 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 		arm(0)
 	}
 
-	if err := rig.run(); err != nil {
+	eng.Run()
+	if err := eng.Err(); err != nil {
 		return FailRow{}, err
-	}
-	if probes != nil {
-		ep.Merge(probes...)
 	}
 
 	fstats := topo.Stats()
-	dropped := int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
-	for _, n := range hostDrops {
-		dropped += n
-	}
-	failedTotal := 0
-	for _, n := range hostFailed {
-		failedTotal += n
-	}
-	duringOffered := 0
-	for _, n := range hostDuring {
-		duringOffered += n
-	}
-	var ctrs stats.FaultCounters
-	for _, c := range hostCtrs {
-		ctrs.Merge(c)
-	}
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
 	timeToReroute := sim.Time(-1)
 	if hv := topo.Health(); hv != nil {
 		if first := hv.Stats().FirstReroute; first >= 0 {

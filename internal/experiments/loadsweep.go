@@ -75,7 +75,6 @@ type loadShape struct {
 	process    workload.ArrivalProcess
 	portBuffer int
 	kneeFactor float64
-	shards     int
 }
 
 // resolveLoad applies the sweep defaults to a validated Load block.
@@ -86,7 +85,7 @@ func resolveLoad(l workload.LoadSpec) (loadShape, error) {
 	cl, _ := workload.ParseCluster(l.Cluster)
 	proc, _ := workload.ParseProcess(l.Process)
 	sh := loadShape{hosts: l.Hosts, cluster: cl, process: proc,
-		portBuffer: l.PortBuffer, kneeFactor: l.KneeFactor, shards: l.Shards}
+		portBuffer: l.PortBuffer, kneeFactor: l.KneeFactor}
 	if sh.hosts == 0 {
 		sh.hosts = 8
 	}
@@ -311,31 +310,29 @@ func (s *serialServer) serveNext() {
 	})
 }
 
-// loadCell runs one (arch, load) cell: shape.hosts open-loop senders into
-// one receiver across the specification's fabric (the zero Fabric block
-// resolves to one leaf and no spines — exactly the original single-switch
-// incast, so the pinned goldens are unchanged). A positive Shards knob
-// routes the cell through the sharded engine when the specification offers
-// a lookahead (a zero switch latency leaves no safe window, so the
-// single-engine path is forced): the fabric and the receiver driver live
-// on shard 0, sender host h on shard 1+h%(shards-1), and the host→fabric
-// crossing — whose latency is exactly the group lookahead — rides a
-// per-host channel created in host order.
-//
-// The partition is a pure function of the host index, so shards=1 and
-// shards=N run the identical window schedule and deliver cross-shard
-// events in the identical (when, channel, seq) order: results are
-// byte-identical at every shard count. (They are NOT byte-identical to the
-// Shards=0 single-engine path, which samples the egress depth on the near
-// side of the fabric crossing; pinned goldens run Shards=0.)
+// shareCount splits `total` work items over `parts` workers: worker i gets
+// the base share plus one of the remainder's leftovers.
+func shareCount(total, parts, i int) int {
+	count := total / parts
+	if i < total%parts {
+		count++
+	}
+	return count
+}
+
+// loadCell runs one (arch, load) cell on one engine: shape.hosts open-loop
+// senders into one receiver across the specification's fabric (the zero
+// Fabric block resolves to one leaf and no spines — exactly the original
+// single-switch incast, so the pinned goldens are unchanged).
 //
 // When the Fabric block arms ECN, marked deliveries echo back to their
 // sender with one switch latency and pace its TX driver through a
 // fabric.Pacer; switch-port fault injection (Fault.PortDropProb) applies
-// at every fabric hop, drawing its stream on the fabric engine only.
+// at every fabric hop.
 func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg LoadSweepConfig, oc *obs.Cell) (LoadRow, error) {
 	d := sp.MustDerive()
-	rig := newCellRig(shape.shards, shape.hosts, d.ShardLookahead(), cfg.EventBudget)
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
 	link := d.Link
 
 	txs, rx, err := loadEndpoints(d, arch, shape.hosts, cfg.Seed)
@@ -348,24 +345,20 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 		return LoadRow{}, err
 	}
 
-	// Receiver side, on the fabric engine (shard 0 when sharded). Metric
-	// names are identical at every Shards value so observations are
-	// comparable across the knob.
 	reg := oc.Metrics()
-	recv := &serialServer{eng: rig.fabEng}
+	recv := &serialServer{eng: eng}
 	if s := reg.Series(arch + ".rx_queue_depth"); s != nil {
 		recv.onDepth = func(at sim.Time, depth int) { s.Sample(at, int64(depth)) }
 	}
 	egress := reg.Series(arch + ".egress_depth")
 	deliveredC := reg.Counter(arch + ".delivered")
 	droppedC := reg.Counter(arch + ".dropped")
-	ep := obs.NewEngineProbe(reg, arch+".engine")
-	probes := rig.attachProbes(ep)
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
 
 	// The receiver is the fabric's last endpoint; every sender's traffic
 	// funnels into its downlink (the incast bottleneck on the wire side).
 	rcv := shape.hosts
-	topo := d.NewTopology(rig.placement(), shape.hosts+1, shape.portBuffer)
+	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts+1, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
 		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
 	}
@@ -373,29 +366,20 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 		return LoadRow{}, err
 	}
 	egPort := topo.Downlink(rcv)
-	if rig.sharded() {
-		// Far side of the crossing: the depth is read on the fabric shard
-		// (the near-side read below would race with shard 0's dequeues).
-		topo.OnFabricIngress = func(int, int) { egress.Sample(rig.fabEng.Now(), int64(egPort.Depth())) }
-	} else {
-		topo.OnUplinkDeliver = func(int, int) { egress.Sample(rig.fabEng.Now(), int64(egPort.Depth())) }
+	if egress != nil {
+		topo.OnUplinkDeliver = func(int, int) { egress.Sample(eng.Now(), int64(egPort.Depth())) }
 	}
 	ecn := topo.Spec().ECNThreshold > 0
 
 	var hist stats.Histogram
-	delivered := 0
+	delivered, dropped := 0, 0
 	var wireBusy sim.Time
-	// Uplink tail-drops happen on the host shards; per-host tallies keep
-	// the counting race-free and are summed after the run.
-	hostDrops := make([]int, shape.hosts)
 
 	for h := 0; h < shape.hosts; h++ {
 		count := shareCount(cfg.Packets, shape.hosts, h)
 		if count == 0 {
 			continue
 		}
-		rig.armHost(h, ecn)
-		eng := rig.hostEngine(h)
 		// Per-host seeds are independent of the offered load, so the
 		// packet sequence is identical along the load axis.
 		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
@@ -404,7 +388,6 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 		tx := txs[h]
 		src := h
 		host := uint64(h)
-		drops := &hostDrops[h]
 		var pacer *fabric.Pacer
 		if ecn {
 			// A mark stalls the sender by occupying its TX driver for one
@@ -427,7 +410,7 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 					f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
 					ok := topo.Inject(src, rcv, f, func(fr ethernet.Frame) {
 						recv.Submit(rx.RX(p).Total(), func() {
-							hist.Observe(rig.fabEng.Now() - born)
+							hist.Observe(eng.Now() - born)
 							delivered++
 							wireBusy += link.SerializeTime(e.Size)
 						})
@@ -436,7 +419,7 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 						}
 					})
 					if !ok {
-						*drops++
+						dropped++
 					}
 				})
 			})
@@ -444,22 +427,17 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 		arm(0)
 	}
 
-	if err := rig.run(); err != nil {
+	eng.Run()
+	if err := eng.Err(); err != nil {
 		return LoadRow{}, err
-	}
-	if probes != nil {
-		ep.Merge(probes...)
 	}
 
 	fstats := topo.Stats()
 	egStats := egPort.Stats()
-	dropped := int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
-	for _, n := range hostDrops {
-		dropped += n
-	}
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
 	util := 0.0
-	if rig.now() > 0 {
-		util = float64(wireBusy) / float64(rig.now())
+	if eng.Now() > 0 {
+		util = float64(wireBusy) / float64(eng.Now())
 	}
 	deliveredC.Add(int64(delivered))
 	droppedC.Add(int64(dropped))

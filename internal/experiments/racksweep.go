@@ -41,8 +41,8 @@ var DefaultRackLoadGrid = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 // layer, not any single queue, is the contended resource.
 const DefaultRackHosts = 256
 
-// RackSweepConfig parameterises one rack sweep; traffic shape, buffering
-// and sharding come from the specification's Load block, the clos shape
+// RackSweepConfig parameterises one rack sweep; traffic shape and
+// buffering come from the specification's Load block, the clos shape
 // and ECN tuning from its Fabric block.
 type RackSweepConfig struct {
 	// Packets is the total arrival count per cell, split across all hosts
@@ -183,7 +183,7 @@ func DetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 //
 // Cells are deterministic: each builds its own engine, fabric, machines
 // and arrival/destination streams from per-cell seeds, so results are
-// identical sequentially, in parallel, and at every Load.Shards count.
+// identical sequentially and in parallel.
 func RackSweep(sp spec.Spec, racks []int, loads []float64, cfg RackSweepConfig, parallelism int) ([]RackRow, []RackKnee, error) {
 	rows, knees, _, err := RackSweepObserved(sp, racks, loads, cfg, parallelism, obs.Spec{})
 	return rows, knees, err
@@ -301,14 +301,15 @@ func onOff(b bool) string {
 }
 
 // rackCell runs one (arch, racks, ECN, load) cell: shape.hosts hosts
-// exchanging cluster-mix traffic over the cell spec's clos. The engine
-// layout, sharding contract and ECN/fault wiring are loadCell's (see its
-// doc); the differences are many-to-many traffic — every host carries a
-// TX and an RX machine, destinations ride a per-host stream through
-// workload.SampleDest — and fabric-wide tallies in the row.
+// exchanging cluster-mix traffic over the cell spec's clos. The ECN/fault
+// wiring is loadCell's (see its doc); the differences are many-to-many
+// traffic — every host carries a TX and an RX machine, destinations ride a
+// per-host stream through workload.SampleDest — and fabric-wide tallies in
+// the row.
 func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg RackSweepConfig, oc *obs.Cell) (RackRow, error) {
 	d := sp.MustDerive()
-	rig := newCellRig(shape.shards, shape.hosts, d.ShardLookahead(), cfg.EventBudget)
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
 	link := d.Link
 
 	txs, rxs, err := rackEndpoints(d, arch, shape.hosts, cfg.Seed)
@@ -327,10 +328,9 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 	deliveredC := reg.Counter(arch + ".delivered")
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
-	ep := obs.NewEngineProbe(reg, arch+".engine")
-	probes := rig.attachProbes(ep)
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
 
-	topo := d.NewTopology(rig.placement(), shape.hosts, shape.portBuffer)
+	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
 		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
 	}
@@ -339,26 +339,21 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 	}
 	ecn := topo.Spec().ECNThreshold > 0
 
-	// Every host receives: one RX driver queue per host, all on the fabric
-	// engine (deliveries already land there).
+	// Every host receives: one RX driver queue per host.
 	recvs := make([]*serialServer, shape.hosts)
 	for i := range recvs {
-		recvs[i] = &serialServer{eng: rig.fabEng}
+		recvs[i] = &serialServer{eng: eng}
 	}
 
 	var hist stats.Histogram
-	delivered := 0
+	delivered, dropped, crossRack := 0, 0, 0
 	var wireBusy sim.Time
-	hostDrops := make([]int, shape.hosts)
-	hostCross := make([]int, shape.hosts)
 
 	for h := 0; h < shape.hosts; h++ {
 		count := shareCount(cfg.Packets, shape.hosts, h)
 		if count == 0 {
 			continue
 		}
-		rig.armHost(h, ecn)
-		eng := rig.hostEngine(h)
 		// Per-host seeds are independent of the offered load, so the
 		// packet and destination sequences are identical along the load
 		// axis; the destination stream is separate from the arrival stream
@@ -370,8 +365,6 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 		tx := txs[h]
 		src := h
 		host := uint64(h)
-		drops := &hostDrops[h]
-		cross := &hostCross[h]
 		var pacer *fabric.Pacer
 		if ecn {
 			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
@@ -389,14 +382,14 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 				p := e.Packet(host<<32 | uint64(i))
 				dst := workload.SampleDest(destR, e.Locality, src, shape.hosts, topo.Leaves())
 				if topo.CrossesSpine(src, dst) {
-					*cross++
+					crossRack++
 				}
 				born := eng.Now()
 				txSrv.Submit(tx.TX(p).Total(), func() {
 					f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
 					ok := topo.Inject(src, dst, f, func(fr ethernet.Frame) {
 						recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
-							hist.Observe(rig.fabEng.Now() - born)
+							hist.Observe(eng.Now() - born)
 							delivered++
 							wireBusy += link.SerializeTime(e.Size)
 						})
@@ -405,7 +398,7 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 						}
 					})
 					if !ok {
-						*drops++
+						dropped++
 					}
 				})
 			})
@@ -413,22 +406,13 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 		arm(0)
 	}
 
-	if err := rig.run(); err != nil {
+	eng.Run()
+	if err := eng.Err(); err != nil {
 		return RackRow{}, err
-	}
-	if probes != nil {
-		ep.Merge(probes...)
 	}
 
 	fstats := topo.Stats()
-	dropped := int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
-	for _, n := range hostDrops {
-		dropped += n
-	}
-	crossRack := 0
-	for _, n := range hostCross {
-		crossRack += n
-	}
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
 	rxMax := 0
 	for _, r := range recvs {
 		if r.maxDepth > rxMax {
@@ -436,8 +420,8 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 		}
 	}
 	util := 0.0
-	if rig.now() > 0 {
-		util = float64(wireBusy) / (float64(rig.now()) * float64(shape.hosts))
+	if eng.Now() > 0 {
+		util = float64(wireBusy) / (float64(eng.Now()) * float64(shape.hosts))
 	}
 	deliveredC.Add(int64(delivered))
 	droppedC.Add(int64(dropped))

@@ -12,10 +12,7 @@
 //
 // Determinism: the only randomness is the ECMP flow hash, a pure function
 // of (src, dst, seed) — no rng stream is consumed per packet — so results
-// are byte-identical at any parallelism or shard count. For sharded cells
-// the Placement indirection keeps every switch on one "fabric" engine and
-// routes the single host→fabric crossing (and the fabric→host ECN echo)
-// through conservative channels.
+// are byte-identical at any parallelism.
 package fabric
 
 import (
@@ -127,8 +124,8 @@ func RackBounds(h, hosts, leaves int) (lo, hi int) {
 }
 
 // FlowHash is the deterministic ECMP hash: a splitmix64 finalizer over the
-// (src, dst) pair perturbed by the seed. It is stable across runs, shard
-// counts and architectures — the same flow always pins the same spine.
+// (src, dst) pair perturbed by the seed. It is stable across runs and
+// architectures — the same flow always pins the same spine.
 func FlowHash(src, dst, seed uint64) uint64 {
 	h := src<<32 ^ dst ^ seed*0x9e3779b97f4a7c15
 	h ^= h >> 30

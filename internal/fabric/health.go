@@ -11,10 +11,8 @@ import (
 // uplink falls back to a single fixed path whose frames drop until
 // recovery (degraded mode — the ARQ above keeps retrying through it).
 //
-// All state lives on the fabric engine: outage windows flip the down
-// counters as ordinary scheduled events there, and every read happens
-// while routing, also there — no cross-shard access exists, which is what
-// keeps failovers byte-identical at any shard count. Elements track a
+// Outage windows flip the down counters as ordinary scheduled events on
+// the cell's engine, and every read happens while routing. Elements track a
 // down *depth*, not a flag, so overlapping outage windows compose: an
 // element is up again only when every covering window has ended.
 type Health struct {
@@ -120,8 +118,7 @@ func (h *Health) spineFor(l, primary int, hash uint64) (s int, failover, degrade
 	return ups[hash%uint64(len(ups))], true, false
 }
 
-// route is spineFor plus accounting, called once per routed frame on the
-// fabric engine.
+// route is spineFor plus accounting, called once per routed frame.
 func (h *Health) route(l, primary int, hash uint64, now sim.Time) int {
 	s, failover, degraded := h.spineFor(l, primary, hash)
 	if failover {

@@ -8,38 +8,16 @@ import (
 	"netdimm/internal/sim"
 )
 
-// Placement maps the topology's components onto event engines. The whole
-// switching fabric (every leaf and spine port) lives on one engine; each
-// host's NIC uplink port lives on that host's engine. Cross carries the
-// single host→fabric crossing and Echo the fabric→host ECN echo; both
-// must impose at least the fabric's switch latency, which in a sharded
-// cell is exactly the conservative lookahead.
+// Placement is the engine a topology is built on. It is an opaque
+// one-engine value that exists only so the out-of-module benchmark
+// programs under bench/ keep compiling against New and
+// spec.Derived.NewTopology; SingleEngine is its only constructor.
 type Placement struct {
-	// Fabric is the engine every switch port is built on.
-	Fabric *sim.Engine
-	// Host returns host h's engine (where its uplink port is built).
-	Host func(h int) *sim.Engine
-	// Cross schedules fn on the fabric engine, delay after host h's
-	// current instant.
-	Cross func(h int, delay sim.Time, fn func())
-	// Echo schedules fn on host h's engine, delay after the fabric
-	// engine's current instant. Only used when ECN is armed; may be nil
-	// otherwise.
-	Echo func(h int, delay sim.Time, fn func())
+	eng *sim.Engine
 }
 
-// SingleEngine places everything on one engine: crossings become plain
-// schedules, which makes the degenerate one-leaf topology event-for-event
-// identical to the pre-fabric single-switch incast.
-func SingleEngine(eng *sim.Engine) Placement {
-	sched := func(_ int, delay sim.Time, fn func()) { eng.Schedule(delay, fn) }
-	return Placement{
-		Fabric: eng,
-		Host:   func(int) *sim.Engine { return eng },
-		Cross:  sched,
-		Echo:   sched,
-	}
-}
+// SingleEngine places every port of the topology on eng.
+func SingleEngine(eng *sim.Engine) Placement { return Placement{eng: eng} }
 
 // Topology is a built fabric: hosts' uplink ports, the leaf switches (one
 // block of hosts each) and the spine switches joining them. Frames enter
@@ -57,32 +35,26 @@ type Topology struct {
 	link    ethernet.Link
 	latency sim.Time
 	hosts   int
-	place   Placement
+	eng     *sim.Engine
 
 	uplinks []*ethernet.Port
 	leaves  []*ethernet.SwitchNode
 	spines  []*ethernet.SwitchNode
 
 	// Failure plane, armed by ArmFailures; all nil/empty when no schedule
-	// is armed so the default path is untouched. health and burst live on
-	// the fabric engine; the link-outage state is per host and only ever
-	// touched from that host's engine (linkOut flips by scheduled events
-	// there, linkDrops/linkFlips increments in Inject), so a sharded cell
-	// never crosses shards through it.
+	// is armed so the default path is untouched. The link-outage state is
+	// per host: linkOut flips by scheduled events, linkDrops/linkFlips
+	// count in Inject.
 	health    *Health
 	burst     *fault.GilbertElliott
 	linkOut   []bool
 	linkDrops []uint64
 	linkFlips []uint64
 
-	// OnUplinkDeliver, when set, runs on host src's engine the moment its
-	// uplink delivers a frame toward the fabric (before the switch-latency
-	// crossing). OnFabricIngress runs on the fabric engine just after the
-	// crossing, before the frame enqueues at its first switch port. The
-	// load sweep uses one or the other to sample queue depths on the side
-	// of the crossing its engine layout can reach race-free.
+	// OnUplinkDeliver, when set, runs the moment host src's uplink
+	// delivers a frame toward the fabric (before the switch latency to
+	// its leaf). The load sweep uses it to sample queue depths.
 	OnUplinkDeliver func(src, dst int)
-	OnFabricIngress func(src, dst int)
 }
 
 // New builds the topology described by s (resolved with its defaults)
@@ -94,20 +66,20 @@ func New(p Placement, link ethernet.Link, latency sim.Time, s Spec, hosts, portB
 	if hosts < 1 {
 		panic(fmt.Sprintf("fabric: topology needs hosts, got %d", hosts))
 	}
-	if p.Fabric == nil || p.Host == nil || p.Cross == nil {
-		panic("fabric: placement needs Fabric, Host and Cross")
+	if p.eng == nil {
+		panic("fabric: placement has no engine")
 	}
 	s = s.Resolved()
-	t := &Topology{spec: s, link: link, latency: latency, hosts: hosts, place: p}
+	t := &Topology{spec: s, link: link, latency: latency, hosts: hosts, eng: p.eng}
 
 	t.uplinks = make([]*ethernet.Port, hosts)
 	for h := 0; h < hosts; h++ {
-		t.uplinks[h] = ethernet.NewPort(p.Host(h), link, portBuffer)
+		t.uplinks[h] = ethernet.NewPort(t.eng, link, portBuffer)
 	}
 	t.leaves = make([]*ethernet.SwitchNode, s.Leaves)
 	for l := range t.leaves {
 		lo, hi := t.leafHostBounds(l)
-		t.leaves[l] = ethernet.NewSwitchNode(p.Fabric, link, latency, s.Spines+(hi-lo), portBuffer)
+		t.leaves[l] = ethernet.NewSwitchNode(t.eng, link, latency, s.Spines+(hi-lo), portBuffer)
 		if s.ECNThreshold > 0 {
 			t.leaves[l].SetECNThreshold(s.ECNThreshold)
 		}
@@ -115,7 +87,7 @@ func New(p Placement, link ethernet.Link, latency sim.Time, s Spec, hosts, portB
 	if s.Spines > 0 {
 		t.spines = make([]*ethernet.SwitchNode, s.Spines)
 		for sp := range t.spines {
-			t.spines[sp] = ethernet.NewSwitchNode(p.Fabric, link, latency, s.Leaves, portBuffer)
+			t.spines[sp] = ethernet.NewSwitchNode(t.eng, link, latency, s.Leaves, portBuffer)
 			if s.ECNThreshold > 0 {
 				t.spines[sp].SetECNThreshold(s.ECNThreshold)
 			}
@@ -189,14 +161,14 @@ func (t *Topology) SpineFor(src, dst int) int {
 }
 
 // routeSpine is SpineFor with failover accounting — the per-frame routing
-// decision, called on the fabric engine only.
+// decision.
 func (t *Topology) routeSpine(sl, src, dst int) int {
 	h := FlowHash(uint64(src), uint64(dst), t.spec.Seed)
 	primary := int(h % uint64(len(t.spines)))
 	if t.health == nil {
 		return primary
 	}
-	return t.health.route(sl, primary, h, t.place.Fabric.Now())
+	return t.health.route(sl, primary, h, t.eng.Now())
 }
 
 // CrossesSpine reports whether src→dst traffic leaves its leaf.
@@ -205,7 +177,7 @@ func (t *Topology) CrossesSpine(src, dst int) bool {
 }
 
 // Inject sends a frame from host src's uplink toward host dst; delivered
-// fires on the fabric engine when the frame leaves dst's downlink port
+// fires when the frame leaves dst's downlink port
 // (its ECN bit reflecting any congested queue along the way). Inject
 // returns false if src's own uplink buffer tail-dropped the frame; drops
 // deeper in the fabric are counted in the per-port stats and simply never
@@ -226,14 +198,8 @@ func (t *Topology) Inject(src, dst int, f ethernet.Frame, delivered func(etherne
 			t.OnUplinkDeliver(src, dst)
 		}
 		// The uplink's far end is the source leaf's ingress: one switch
-		// latency away, and on the fabric engine (the cross-shard crossing
-		// in a sharded cell).
-		t.place.Cross(src, t.latency, func() {
-			if t.OnFabricIngress != nil {
-				t.OnFabricIngress(src, dst)
-			}
-			t.fromLeaf(src, dst, fr, delivered)
-		})
+		// latency away.
+		t.eng.Schedule(t.latency, func() { t.fromLeaf(src, dst, fr, delivered) })
 	})
 }
 
@@ -280,20 +246,16 @@ func (t *Topology) fromLeaf(src, dst int, f ethernet.Frame, delivered func(ether
 	})
 }
 
-// EchoMark schedules fn on host src's engine one switch latency after the
-// fabric engine's current instant — the simplified return path of an ECN
-// echo (a lossless control message, not subject to the data-path queues).
+// EchoMark schedules fn one switch latency from now — the simplified
+// return path of an ECN echo toward host src (a lossless control message,
+// not subject to the data-path queues).
 func (t *Topology) EchoMark(src int, fn func()) {
-	if t.place.Echo == nil {
-		panic("fabric: placement has no Echo path")
-	}
-	t.place.Echo(src, t.latency, fn)
+	t.eng.Schedule(t.latency, fn)
 }
 
 // InjectFaults attaches the injector to every switch port — drops now
 // apply at every hop, not only the final egress. The host uplinks are
-// left clean: the injector draws from one rng stream and must only be
-// consumed from the fabric engine to stay deterministic under sharding.
+// left clean: they model the sender's NIC queue, not the fabric.
 func (t *Topology) InjectFaults(inj *fault.Injector) {
 	for _, l := range t.leaves {
 		l.InjectFaults(inj)
@@ -305,8 +267,7 @@ func (t *Topology) InjectFaults(inj *fault.Injector) {
 
 // ArmFailures arms a failure schedule on the topology: every outage
 // window becomes a pair of scheduled events flipping the element's down
-// depth at the window bounds (spine/leaf/trunk flips on the fabric
-// engine, link flips on the owning host's engine), and an enabled Burst
+// depth at the window bounds, and an enabled Burst
 // becomes a Gilbert–Elliott process consulted once per fabric-ingress
 // frame. The returned Health view is what ECMP consults from then on; it
 // is nil for a schedule with no spine/leaf/trunk outages (link outages
@@ -354,18 +315,17 @@ func (t *Topology) ArmFailures(sched fault.Schedule, seed uint64) (*Health, erro
 				t.linkDrops = make([]uint64, t.hosts)
 				t.linkFlips = make([]uint64, t.hosts)
 			}
-			eng := t.place.Host(o.Index)
-			eng.At(start, func() { t.linkOut[o.Index] = true; t.linkFlips[o.Index]++ })
-			eng.At(end, func() { t.linkOut[o.Index] = false; t.linkFlips[o.Index]++ })
+			t.eng.At(start, func() { t.linkOut[o.Index] = true; t.linkFlips[o.Index]++ })
+			t.eng.At(end, func() { t.linkOut[o.Index] = false; t.linkFlips[o.Index]++ })
 		case fault.OutageSpine:
-			t.place.Fabric.At(start, func() { t.health.shiftSpine(o.Index, 1) })
-			t.place.Fabric.At(end, func() { t.health.shiftSpine(o.Index, -1) })
+			t.eng.At(start, func() { t.health.shiftSpine(o.Index, 1) })
+			t.eng.At(end, func() { t.health.shiftSpine(o.Index, -1) })
 		case fault.OutageLeaf:
-			t.place.Fabric.At(start, func() { t.health.shiftLeaf(o.Index, 1) })
-			t.place.Fabric.At(end, func() { t.health.shiftLeaf(o.Index, -1) })
+			t.eng.At(start, func() { t.health.shiftLeaf(o.Index, 1) })
+			t.eng.At(end, func() { t.health.shiftLeaf(o.Index, -1) })
 		case fault.OutageTrunk:
-			t.place.Fabric.At(start, func() { t.health.shiftTrunk(o.Leaf, o.Index, 1) })
-			t.place.Fabric.At(end, func() { t.health.shiftTrunk(o.Leaf, o.Index, -1) })
+			t.eng.At(start, func() { t.health.shiftTrunk(o.Leaf, o.Index, 1) })
+			t.eng.At(end, func() { t.health.shiftTrunk(o.Leaf, o.Index, -1) })
 		}
 	}
 	if sched.Burst.Enabled() {

@@ -13,8 +13,7 @@ import (
 // events declaratively (timed outage windows plus a Gilbert–Elliott
 // burst-loss process), the fabric arms them as ordinary engine events at
 // absolute instants, and every random decision rides a sim.Rand stream, so
-// the failure trace is byte-identical sequentially, in parallel and at any
-// shard count.
+// the failure trace is byte-identical sequentially and in parallel.
 
 // Outage element kinds. Link outages name a host's NIC uplink (Index is
 // the host); trunk outages name one leaf↔spine cable (Leaf + Index);

@@ -128,58 +128,6 @@ func TestEngineProbeCountsKernelActivity(t *testing.T) {
 	}
 }
 
-// A sharded cell accumulates per-shard tallies locally and merges them
-// into the registry afterwards; the merged totals must match what one
-// EngineProbe attached to a single engine would have counted.
-func TestShardProbeMergeMatchesEngineProbe(t *testing.T) {
-	o := New(Spec{Metrics: true}, "cell")
-	reg := o.Cell(0).Metrics()
-	ep := NewEngineProbe(reg, "engine")
-
-	run := func(eng *sim.Engine) {
-		id := eng.Schedule(5, func() {})
-		eng.Schedule(1, func() {})
-		eng.Cancel(id)
-		eng.Run()
-	}
-	probes := make([]*ShardProbe, 3)
-	for i := range probes {
-		probes[i] = &ShardProbe{}
-		eng := sim.NewEngine()
-		probes[i].Attach(eng)
-		run(eng)
-	}
-	ep.Merge(probes...)
-
-	if got := reg.Counter("engine.scheduled").Value(); got != 6 {
-		t.Fatalf("merged scheduled = %d, want 6", got)
-	}
-	if got := reg.Counter("engine.fired").Value(); got != 3 {
-		t.Fatalf("merged fired = %d, want 3", got)
-	}
-	if got := reg.Counter("engine.cancelled").Value(); got != 3 {
-		t.Fatalf("merged cancelled = %d, want 3", got)
-	}
-}
-
-// Merge must compose with the disabled plane: a nil probe (nil registry)
-// swallows the merge, and nil shard entries are skipped.
-func TestShardProbeMergeNilSafety(t *testing.T) {
-	var nilProbe *EngineProbe
-	nilProbe.Merge(&ShardProbe{Fired: 1}) // must not panic
-
-	o := New(Spec{Metrics: true}, "cell")
-	reg := o.Cell(0).Metrics()
-	ep := NewEngineProbe(reg, "engine")
-	ep.Merge(nil, &ShardProbe{Scheduled: 2, Fired: 1}, nil)
-	if got := reg.Counter("engine.scheduled").Value(); got != 2 {
-		t.Fatalf("scheduled = %d, want 2", got)
-	}
-
-	var nilShard *ShardProbe
-	nilShard.Attach(sim.NewEngine()) // nil-safe like EngineProbe.Attach
-}
-
 // The exported trace must be valid JSON in Chrome trace-event shape, with
 // exact picosecond-resolution timestamps.
 func TestWriteTraceJSON(t *testing.T) {

@@ -45,53 +45,3 @@ func (p *EngineProbe) OnFire(sim.Time) { p.fired.Inc() }
 
 // OnCancel implements sim.Probe.
 func (p *EngineProbe) OnCancel(sim.Time) { p.cancelled.Inc() }
-
-// Merge folds per-shard tallies into the probe's registry counters. A
-// sharded cell cannot attach one EngineProbe to every shard — registry
-// counters are not safe for concurrent writers — so each shard carries a
-// private ShardProbe and the group merges them here after the run. Because
-// the EngineProbe (and therefore the metric names, in creation order) is
-// built before the run, the rendered registry is identical between the
-// single-engine and sharded paths apart from the counted volumes, and
-// those sum shard-count-invariantly. Merging into a nil probe (disabled
-// registry) is a no-op.
-func (p *EngineProbe) Merge(shards ...*ShardProbe) {
-	if p == nil {
-		return
-	}
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		p.scheduled.Add(s.Scheduled)
-		p.fired.Add(s.Fired)
-		p.cancelled.Add(s.Cancelled)
-	}
-}
-
-// ShardProbe implements sim.Probe with plain local counters: the
-// goroutine-confined accumulator one engine shard carries during a
-// sharded run, folded into the shared registry by EngineProbe.Merge once
-// the run completes. Plain increments preserve the engine hot path: no
-// atomics, no contention, no allocation.
-type ShardProbe struct {
-	Scheduled int64
-	Fired     int64
-	Cancelled int64
-}
-
-// Attach arms eng with the probe (nil-safe like EngineProbe.Attach).
-func (p *ShardProbe) Attach(eng *sim.Engine) {
-	if p != nil {
-		eng.SetProbe(p)
-	}
-}
-
-// OnSchedule implements sim.Probe.
-func (p *ShardProbe) OnSchedule(sim.Time) { p.Scheduled++ }
-
-// OnFire implements sim.Probe.
-func (p *ShardProbe) OnFire(sim.Time) { p.Fired++ }
-
-// OnCancel implements sim.Probe.
-func (p *ShardProbe) OnCancel(sim.Time) { p.Cancelled++ }

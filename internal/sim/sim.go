@@ -117,15 +117,14 @@ func makeID(slot int32, gen uint32) EventID {
 // engines on independent goroutines are fine — that is how the parallel
 // experiment runner fans out.)
 type Engine struct {
-	now       Time
-	events    []event // slot arena; grows, never shrinks
-	free      []int32 // released slots available for reuse
-	heap      []int32 // binary heap of live+dead slots by (when, seq)
-	nextSeq   uint64
-	live      int // scheduled and not cancelled
-	fired     uint64
-	lastFired Time // timestamp of the most recent fired event
-	stopped   bool
+	now     Time
+	events  []event // slot arena; grows, never shrinks
+	free    []int32 // released slots available for reuse
+	heap    []int32 // binary heap of live+dead slots by (when, seq)
+	nextSeq uint64
+	live    int // scheduled and not cancelled
+	fired   uint64
+	stopped bool
 
 	// Watchdog state (see watchdog.go). wdOn keeps the hot path to a
 	// single branch when no watchdog is armed.
@@ -153,12 +152,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// LastFired returns the timestamp of the most recent fired event (zero if
-// none fired yet). Unlike Now, it is not advanced by RunUntil's
-// clock-to-deadline jump, which makes it the makespan measure a windowed
-// (sharded) run shares with a plain Run.
-func (e *Engine) LastFired() Time { return e.lastFired }
 
 // Pending reports how many events are scheduled and not cancelled.
 func (e *Engine) Pending() int { return e.live }
@@ -267,14 +260,8 @@ func (e *Engine) step() bool {
 // Run executes events until the queue drains, Stop is called, or an armed
 // watchdog trips (see SetWatchdog; the diagnostic is then available from
 // Err).
-//
-// lastFired is reconciled once per run, not per event: inside the loop the
-// clock only moves when an event fires, so if anything fired, e.now is the
-// last fired instant when the loop exits. Keeping the bookkeeping out of
-// step keeps the hot path to the same stores as before lastFired existed.
 func (e *Engine) Run() {
 	e.stopped = false
-	fired := e.fired
 	for !e.stopped {
 		if e.wdOn && !e.wdCheck() {
 			break
@@ -282,9 +269,6 @@ func (e *Engine) Run() {
 		if !e.step() {
 			break
 		}
-	}
-	if e.fired != fired {
-		e.lastFired = e.now
 	}
 }
 
@@ -294,24 +278,15 @@ func (e *Engine) Run() {
 // run early, leaving the clock where the abort happened.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	fired := e.fired
 	for !e.stopped {
 		if e.wdOn && !e.wdCheck() {
-			// Abort without the deadline clamp, but reconcile lastFired
-			// first: the clock still sits on the last fired event.
-			if e.fired != fired {
-				e.lastFired = e.now
-			}
-			return
+			return // abort without the deadline clamp
 		}
 		when, ok := e.peekWhen()
 		if !ok || when > deadline {
 			break
 		}
 		e.step()
-	}
-	if e.fired != fired {
-		e.lastFired = e.now
 	}
 	if e.now < deadline {
 		e.now = deadline

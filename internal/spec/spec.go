@@ -303,19 +303,6 @@ func (d *Derived) ZoneBases() []int64 {
 	return bases
 }
 
-// ShardLookahead returns the conservative lookahead for sharding one
-// cell's event engine: the minimum link latency separating any two
-// communicating shards. In the load-sweep partition (each sender host a
-// shard, the switch egress plus receiver a shard) every cross-shard hop
-// crosses the switch, so the port-to-port switch latency is that minimum —
-// no host can affect the receiver shard sooner, which is exactly the
-// window width conservative synchronization needs. A zero return means
-// the specification offers no lookahead (SwitchLatNs=0) and sharding must
-// fall back to the single-engine path.
-func (d *Derived) ShardLookahead() sim.Time {
-	return d.SwitchLatency
-}
-
 // Fabric builds an analytic clos fabric over the derived link with the
 // given switch latency (use d.SwitchLatency for the specification's own
 // value).
@@ -325,8 +312,8 @@ func (d *Derived) Fabric(switchLatency sim.Time) ethernet.Fabric {
 
 // NewTopology builds the event-driven switched topology of the Fabric
 // block — hosts' uplink ports, leaf and spine switches with per-hop
-// output queues — over the derived link and switch latency, placed onto
-// engines by p.
+// output queues — over the derived link and switch latency, on the engine
+// p wraps.
 func (d *Derived) NewTopology(p fabric.Placement, hosts, portBuffer int) *fabric.Topology {
 	return fabric.New(p, d.Link, d.SwitchLatency, d.Spec.Fabric, hosts, portBuffer)
 }

@@ -129,25 +129,6 @@ func TestDeriveLinkRate(t *testing.T) {
 	}
 }
 
-func TestShardLookahead(t *testing.T) {
-	s := TableOne()
-	d, err := s.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ShardLookahead(); got != d.SwitchLatency {
-		t.Errorf("ShardLookahead = %v, want the switch latency %v", got, d.SwitchLatency)
-	}
-	s.SwitchLatNs = 0
-	d, err = s.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ShardLookahead(); got != 0 {
-		t.Errorf("ShardLookahead with SwitchLatNs=0 = %v, want 0 (no safe window)", got)
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	mut := func(f func(*Spec)) Spec {
 		s := TableOne()

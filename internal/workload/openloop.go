@@ -178,13 +178,6 @@ type LoadSpec struct {
 	// whose p99 stays within KneeFactor x the lowest swept load's p99.
 	// 0 means the default of 3.
 	KneeFactor float64
-	// Shards partitions each cell's event engine across this many
-	// conservative shards (sender hosts spread over shards 1..N-1, the
-	// switch egress and receiver on shard 0, synchronized on the switch
-	// latency lookahead). 0 keeps the single-engine path; 1 runs the
-	// sharded machinery on one shard (useful to isolate its overhead;
-	// results are identical to any other shard count).
-	Shards int
 }
 
 // Validate checks the block; the zero value always passes.
@@ -194,9 +187,6 @@ func (l LoadSpec) Validate() error {
 	}
 	if l.PortBuffer < 0 {
 		return fmt.Errorf("load: PortBuffer must not be negative, got %d", l.PortBuffer)
-	}
-	if l.Shards < 0 {
-		return fmt.Errorf("load: Shards must not be negative, got %d", l.Shards)
 	}
 	if l.KneeFactor < 0 || math.IsNaN(l.KneeFactor) || math.IsInf(l.KneeFactor, 0) {
 		return fmt.Errorf("load: KneeFactor must be finite and not negative, got %g", l.KneeFactor)

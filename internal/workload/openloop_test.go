@@ -139,7 +139,7 @@ func TestLoadSpecValidate(t *testing.T) {
 	if err := (LoadSpec{}).Validate(); err != nil {
 		t.Errorf("zero LoadSpec: %v", err)
 	}
-	good := LoadSpec{Hosts: 16, Cluster: "hadoop", Process: "fixed", PortBuffer: 32, KneeFactor: 5, Shards: 4}
+	good := LoadSpec{Hosts: 16, Cluster: "hadoop", Process: "fixed", PortBuffer: 32, KneeFactor: 5}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good LoadSpec: %v", err)
 	}
@@ -155,7 +155,6 @@ func TestLoadSpecValidate(t *testing.T) {
 		{"sub-1 knee", LoadSpec{KneeFactor: 0.5}},
 		{"bad cluster", LoadSpec{Cluster: "mainframe"}},
 		{"bad process", LoadSpec{Process: "bursty"}},
-		{"negative shards", LoadSpec{Shards: -1}},
 	} {
 		if err := tc.l.Validate(); err == nil {
 			t.Errorf("%s: no error", tc.name)

@@ -70,7 +70,7 @@ func RunRackSweep(racks []int, loads []float64, packets int, seed uint64, parall
 
 // RunRackSweepWithConfig is RunRackSweep on the system described by cfg.
 // The traffic shape — host count, cluster distribution, arrival process,
-// port buffering, knee factor, sharding — comes from cfg.Load (a zero
+// port buffering, knee factor — comes from cfg.Load (a zero
 // Hosts means 256); the clos shape and ECN tuning come from cfg.Fabric (a
 // pinned Leaves replaces the racks axis, a set ECNThreshold tunes the
 // sweep's ECN-on cells). A configuration that cannot drain is terminated
