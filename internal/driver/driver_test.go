@@ -5,6 +5,7 @@ import (
 
 	"netdimm/internal/dram"
 	"netdimm/internal/ethernet"
+	"netdimm/internal/kalloc"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/stats"
@@ -183,6 +184,48 @@ func TestNetDIMMSteadyState(t *testing.T) {
 	}
 	if nd.Stats().ClonesFPM < 190 {
 		t.Fatalf("FPM clones = %d of 200", nd.Stats().ClonesFPM)
+	}
+}
+
+// On an exhausted NET_i zone the RX path receives into the driver's own
+// app buffer. It must count the packet once and keep that buffer: freeing
+// it would let a later allocation alias the app page.
+func TestNetDIMMRXZoneExhausted(t *testing.T) {
+	nd := newND(t)
+	// Empty the allocCache, keeping one of each bucket's pages as a hint
+	// into that bucket.
+	hints := make([]int64, nd.Zone.Buckets())
+	for i, n := 0, nd.Cache.PinnedPages(); i < n; i++ {
+		p, fast, err := nd.Cache.Get(kalloc.NoHint)
+		if err != nil || !fast {
+			t.Fatalf("draining the allocCache: fast=%v err=%v", fast, err)
+		}
+		key, err := nd.Zone.SubarrayKeyOf(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hints[key] = p
+	}
+	// Exhaust the zone bucket by bucket from the highest key down. Once a
+	// bucket runs dry its hinted allocation falls back to the lowest-keyed
+	// bucket with a free page, which stays near key 0, so set-up is linear
+	// in the zone's pages rather than quadratic in its buckets.
+	for key := len(hints) - 1; nd.Zone.FreePages() > 0; {
+		p, err := nd.Zone.AllocPageHint(hints[key])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := nd.Zone.SubarrayKeyOf(p); int(got) != key {
+			key--
+		}
+	}
+
+	nd.RX(pkt(1514))
+	if free := nd.Zone.FreePages(); free != 0 {
+		t.Fatalf("FreePages = %d after an RX on an exhausted zone, want 0: the app buffer was freed", free)
+	}
+	if got := nd.Stats().ZoneExhausted; got != 1 {
+		t.Fatalf("ZoneExhausted = %d for one packet, want 1", got)
 	}
 }
 

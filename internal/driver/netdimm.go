@@ -63,9 +63,11 @@ type DriverStats struct {
 	TxCleaned uint64
 	// RingFull counts transmissions stalled on a full TX ring.
 	RingFull uint64
-	// ZoneExhausted counts packets that fell back to reusing the app
-	// buffer because the NET_i zone had no free pages — the rare event the
-	// COPY_NEEDED flag also guards (paper Sec. 4.2.2).
+	// ZoneExhausted counts received packets that found the NET_i zone
+	// without a free page for their DMA or SKB buffer, once per packet;
+	// the DMA buffer then falls back to the app buffer and the SKB buffer
+	// to the DMA buffer — the rare event the COPY_NEEDED flag also guards
+	// (paper Sec. 4.2.2).
 	ZoneExhausted uint64
 }
 
@@ -242,9 +244,9 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	// The nNIC delivers the frame into an RX DMA buffer in local DRAM; the
 	// first cacheline (the header) lands in nCache (paper Sec. 4.1).
 	rxBuf, _, err := d.Cache.Get(kalloc.NoHint)
-	if err != nil {
+	exhausted := err != nil
+	if exhausted {
 		rxBuf = d.appBuf
-		d.stats.ZoneExhausted++
 	}
 	d.add(b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.measure(func(done func()) {
 		if err := d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, done); err != nil {
@@ -275,6 +277,9 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	skbBuf, fast, err := d.Cache.Get(rxBuf)
 	if err != nil {
 		skbBuf, fast = rxBuf, false
+		exhausted = true
+	}
+	if exhausted {
 		d.stats.ZoneExhausted++
 	}
 	if fast {
@@ -334,8 +339,11 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 
 	// Buffers recycle: the DMA buffer returns to the cache's zone, the SKB
 	// buffer is handed to the application (freed later, off the critical
-	// path).
-	d.Cache.Release(rxBuf)
+	// path). On an exhausted zone the app buffer stood in for the DMA
+	// buffer; it stays the driver's.
+	if rxBuf != d.appBuf {
+		d.Cache.Release(rxBuf)
+	}
 	if skbBuf != rxBuf {
 		d.Cache.Release(skbBuf)
 	}

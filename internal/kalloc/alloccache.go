@@ -1,14 +1,20 @@
 package kalloc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AllocCache is the NetDIMM driver's pre-allocation hash table (paper
 // Sec. 4.2.2): it keeps PerSubarray pages from every distinct (rank, bank,
 // sub-array) ready, so on-demand DMA-buffer allocation returns a
 // sub-array-affine page immediately instead of walking the allocator on the
-// packet critical path. The driver refills it concurrently in the
-// background; in the simulation, Refill is invoked from a scheduled
-// maintenance event.
+// packet critical path. The paper's driver refills it in the background;
+// here only construction calls Refill, so the cache is pre-filled once.
+// Each NetDIMM receive takes two pages for good (Release returns them to
+// the zone, not the cache), so the cache drains after
+// Buckets x perSubarray / 2 receives; from then on every Get takes the
+// allocator slow path.
 type AllocCache struct {
 	zone        *Zone
 	perSubarray int
@@ -19,6 +25,10 @@ type AllocCache struct {
 	// carved out at construction, so a prefilled cache costs two
 	// allocations instead of one per bucket.
 	cache [][]int64
+	// nonEmpty has bit k set exactly while cache[k] holds a page, so the
+	// NoHint lookup skips empty buckets 64 at a time and a drained cache
+	// answers after one pass over Buckets()/64 words.
+	nonEmpty []uint64
 	// cursor is where the next NoHint lookup starts its bucket scan. A
 	// rotating cursor spreads no-affinity allocations across sub-arrays
 	// (like the kernel's per-CPU freelist rotation) and — unlike ranging
@@ -39,12 +49,14 @@ func NewAllocCache(zone *Zone, perSubarray int) (*AllocCache, error) {
 	if perSubarray <= 0 {
 		return nil, fmt.Errorf("kalloc: perSubarray must be positive, got %d", perSubarray)
 	}
+	n := zone.Buckets()
 	c := &AllocCache{
 		zone:        zone,
 		perSubarray: perSubarray,
-		cache:       make([][]int64, zone.Buckets()),
+		cache:       make([][]int64, n),
+		nonEmpty:    make([]uint64, (n+63)/64),
 	}
-	backing := make([]int64, zone.Buckets()*perSubarray)
+	backing := make([]int64, n*perSubarray)
 	for k := range c.cache {
 		c.cache[k] = backing[k*perSubarray : k*perSubarray : (k+1)*perSubarray]
 	}
@@ -75,26 +87,14 @@ func (c *AllocCache) Get(hint int64) (addr int64, fast bool, err error) {
 		if kerr != nil {
 			return 0, false, kerr
 		}
-		if pages := c.cache[key]; len(pages) > 0 {
-			addr = pages[len(pages)-1]
-			c.cache[key] = pages[:len(pages)-1]
-			c.hits++
-			return addr, true, nil
+		if len(c.cache[key]) > 0 {
+			return c.pop(int(key)), true, nil
 		}
-	} else {
+	} else if key := c.nextNonEmpty(); key >= 0 {
 		// No affinity requirement: serve from the next non-empty bucket in
 		// key order, resuming where the previous no-hint lookup left off.
-		n := c.zone.Buckets()
-		for i := 0; i < n; i++ {
-			key := (c.cursor + i) % n
-			if pages := c.cache[key]; len(pages) > 0 {
-				addr = pages[len(pages)-1]
-				c.cache[key] = pages[:len(pages)-1]
-				c.cursor = (key + 1) % n
-				c.hits++
-				return addr, true, nil
-			}
-		}
+		c.cursor = (key + 1) % len(c.cache)
+		return c.pop(key), true, nil
 	}
 	// Slow path: __alloc_netdimm_pages directly.
 	c.slow++
@@ -102,8 +102,44 @@ func (c *AllocCache) Get(hint int64) (addr int64, fast bool, err error) {
 	return addr, false, err
 }
 
-// Refill tops every bucket back up to perSubarray pages (the background
-// maintenance the driver runs off the critical path). Buckets whose
+// pop takes the last page of non-empty bucket key as a cache hit, clearing
+// the bucket's nonEmpty bit along with its last page.
+func (c *AllocCache) pop(key int) int64 {
+	pages := c.cache[key]
+	addr := pages[len(pages)-1]
+	c.cache[key] = pages[:len(pages)-1]
+	if len(pages) == 1 {
+		c.nonEmpty[key>>6] &^= 1 << uint(key&63)
+	}
+	c.hits++
+	return addr
+}
+
+// nextNonEmpty returns the first non-empty bucket at or after the cursor
+// in key order, wrapping past the last bucket, or -1 when every bucket is
+// empty: the bucket a linear scan of (cursor+i) % Buckets() stops at.
+func (c *AllocCache) nextNonEmpty() int {
+	words := c.nonEmpty
+	w := c.cursor >> 6
+	if b := words[w] >> uint(c.cursor&63); b != 0 {
+		return c.cursor + bits.TrailingZeros64(b)
+	}
+	// The other words in order, then word w again: its bits below the
+	// cursor are the last buckets the wrapped scan reaches.
+	for i := 1; i <= len(words); i++ {
+		j := w + i
+		if j >= len(words) {
+			j -= len(words)
+		}
+		if words[j] != 0 {
+			return j<<6 + bits.TrailingZeros64(words[j])
+		}
+	}
+	return -1
+}
+
+// Refill tops every bucket back up to perSubarray pages (the paper's
+// background maintenance; here only NewAllocCache calls it). Buckets whose
 // sub-array is exhausted are skipped — Get then falls back to the
 // allocator's best-effort path.
 func (c *AllocCache) Refill() error {
@@ -118,6 +154,9 @@ func (c *AllocCache) Refill() error {
 			pages = append(pages, addr)
 		}
 		c.cache[key] = pages
+		if len(pages) > 0 {
+			c.nonEmpty[key>>6] |= 1 << uint(key&63)
+		}
 	}
 	return nil
 }
