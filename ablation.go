@@ -1,9 +1,11 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
+	"netdimm/internal/stats"
 )
 
 // BandwidthResult reports the Sec. 5.2 sustained-throughput check for one
@@ -57,6 +59,28 @@ type AblationReport struct {
 	Clone       []CloneAblation
 	Alloc       []AllocAblation
 	HeaderCache []HeaderCacheAblation
+}
+
+var ablationHeader = []string{"section", "variant", "latency_ns", "rate"}
+
+// ablationCSV renders an ablation report as CSV, one record per variant,
+// section by section. Only campaign cells emit it; the CLI prints ablation
+// as a table.
+func ablationCSV(rep AblationReport) string {
+	var out [][]string
+	for _, r := range rep.Prefetch {
+		out = append(out, []string{"prefetch", fmt.Sprintf("degree-%d", r.Degree), ns(r.MeanReadLat), fixed4(r.HitRate)})
+	}
+	for _, r := range rep.Clone {
+		out = append(out, []string{"clone", r.Strategy, ns(r.PerClone), ""})
+	}
+	for _, r := range rep.Alloc {
+		out = append(out, []string{"alloc", r.Strategy, ns(r.PerAlloc), fixed4(r.FPMRate)})
+	}
+	for _, r := range rep.HeaderCache {
+		out = append(out, []string{"headercache", r.Strategy, ns(r.HeaderRead), fixed4(r.HitRate)})
+	}
+	return stats.CSV(ablationHeader, out)
 }
 
 // PrefetchAblation is payload-read behaviour at one nPrefetcher degree.

@@ -9,37 +9,25 @@ import (
 
 	"netdimm/internal/campaign"
 	"netdimm/internal/experiments"
-	"netdimm/internal/stats"
 	"netdimm/internal/workload"
 )
 
 // CampaignSchemas is the CSV contract registry of every experiment family
-// a campaign grid can name: the exact header each family emits and the
-// minimum data-row count a healthy cell produces. The campaign runner
-// validates every cell CSV against it before declaring success.
+// a campaign grid can name: the exact header each family emits (taken from
+// the family's CSV encoder) and the minimum data-row count a healthy cell
+// produces. The campaign runner validates every cell CSV against it before
+// declaring success.
 func CampaignSchemas() map[string]campaign.Schema {
 	return map[string]campaign.Schema{
-		"fig4": {Header: []string{"size", "dnic_ns", "dnic_zcpy_ns", "inic_ns", "inic_zcpy_ns",
-			"pcie_share", "pcie_share_zcpy"}, MinRows: 1},
-		"fig11": {Header: []string{"size", "arch", "txCopy_ns", "rxCopy_ns", "txDMA_ns", "rxDMA_ns",
-			"wire_ns", "ioReg_ns", "txFlush_ns", "rxInvalidate_ns", "total_ns"}, MinRows: 3},
-		"fig12a": {Header: []string{"cluster", "switch_ns", "dnic_mean_ns", "inic_mean_ns",
-			"netdimm_mean_ns", "norm_dnic", "norm_inic"}, MinRows: 3},
-		"ablation": {Header: []string{"section", "variant", "latency_ns", "rate"}, MinRows: 4},
-		"faultsweep": {Header: []string{"arch", "loss_rate", "mean_ns", "p50_ns", "p99_ns",
-			"delivered", "failed", "retransmits", "frames_dropped", "frames_corrupted", "mem_retries"}, MinRows: 3},
-		"loadsweep": {Header: []string{"arch", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
-			"delivered", "dropped", "egress_max_depth", "egress_queue_delay_ns", "rx_max_depth", "link_util"}, MinRows: 3},
-		"racksweep": {Header: []string{"arch", "racks", "ecn", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
-			"delivered", "dropped", "marked", "cross_rack",
-			"leaf_max_depth", "spine_max_depth", "rx_max_depth", "link_util"}, MinRows: 6},
-		"failsweep": {Header: []string{"arch", "outage_ns", "delivered", "failed", "dropped",
-			"outage_drops", "burst_drops", "rerouted", "retransmits", "recovered",
-			"reroute_ns", "mean_recovery_ns", "during_offered", "during_delivered",
-			"p99_before_ns", "p99_during_ns", "p99_after_ns", "p999_after_ns", "tail_inflation"}, MinRows: 3},
-		"collsweep": {Header: []string{"arch", "op", "ranks", "payload_bytes", "steps",
-			"completion_ns", "step_skew_ns", "bytes_on_wire", "frames", "delivered",
-			"dropped", "marked", "link_util"}, MinRows: 3},
+		"fig4":       {Header: fig4Header, MinRows: 1},
+		"fig11":      {Header: fig11Header, MinRows: 3},
+		"fig12a":     {Header: fig12aHeader, MinRows: 3},
+		"ablation":   {Header: ablationHeader, MinRows: 4},
+		"faultsweep": {Header: faultSweepHeader, MinRows: 3},
+		"loadsweep":  {Header: loadSweepHeader, MinRows: 3},
+		"racksweep":  {Header: rackSweepHeader, MinRows: 6},
+		"failsweep":  {Header: failSweepHeader, MinRows: 3},
+		"collsweep":  {Header: collSweepHeader, MinRows: 3},
 	}
 }
 
@@ -103,7 +91,6 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 	if c.SwitchNs > 0 {
 		switchLat = time.Duration(c.SwitchNs) * time.Nanosecond
 	}
-	schema := CampaignSchemas()[c.Experiment]
 
 	switch c.Experiment {
 	case "fig4":
@@ -111,14 +98,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{fmt.Sprint(r.Size),
-				fmt.Sprint(r.DNIC.Nanoseconds()), fmt.Sprint(r.DNICZcpy.Nanoseconds()),
-				fmt.Sprint(r.INIC.Nanoseconds()), fmt.Sprint(r.INICZcpy.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.PCIeShare), fmt.Sprintf("%.4f", r.PCIeShareZcpy)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = Fig4CSV(rows)
 		res.WantRows = lenOr(len(c.Sizes), len(experiments.PaperSizes))
 
 	case "fig11":
@@ -126,21 +106,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		emit := func(size int, arch string, b LatencyBreakdown) {
-			out = append(out, []string{fmt.Sprint(size), arch,
-				fmt.Sprint(b.TxCopy.Nanoseconds()), fmt.Sprint(b.RxCopy.Nanoseconds()),
-				fmt.Sprint(b.TxDMA.Nanoseconds()), fmt.Sprint(b.RxDMA.Nanoseconds()),
-				fmt.Sprint(b.Wire.Nanoseconds()), fmt.Sprint(b.IOReg.Nanoseconds()),
-				fmt.Sprint(b.TxFlush.Nanoseconds()), fmt.Sprint(b.RxInvalidate.Nanoseconds()),
-				fmt.Sprint(b.Total.Nanoseconds())})
-		}
-		for _, r := range rows {
-			emit(r.Size, "dNIC", r.DNIC)
-			emit(r.Size, "iNIC", r.INIC)
-			emit(r.Size, "NetDIMM", r.NetDIMM)
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = Fig11CSV(rows)
 		res.WantRows = 3 * lenOr(len(c.Sizes), len(experiments.PaperSizes))
 		res.MetricsCSV = ob.MetricsCSV()
 		res.TraceJSON = captureTrace(ob, c.Trace)
@@ -150,14 +116,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{string(r.Cluster), fmt.Sprint(r.SwitchLatency.Nanoseconds()),
-				fmt.Sprint(r.DNICMean.Nanoseconds()), fmt.Sprint(r.INICMean.Nanoseconds()),
-				fmt.Sprint(r.NetDIMMMean.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.NormVsDNIC), fmt.Sprintf("%.4f", r.NormVsINIC)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = Fig12aCSV(rows)
 		res.WantRows = len(workload.Clusters) * len(experiments.PaperSwitchLatencies)
 
 	case "ablation":
@@ -165,38 +124,14 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rep.Prefetch {
-			out = append(out, []string{"prefetch", fmt.Sprintf("degree-%d", r.Degree),
-				fmt.Sprint(r.MeanReadLat.Nanoseconds()), fmt.Sprintf("%.4f", r.HitRate)})
-		}
-		for _, r := range rep.Clone {
-			out = append(out, []string{"clone", r.Strategy, fmt.Sprint(r.PerClone.Nanoseconds()), ""})
-		}
-		for _, r := range rep.Alloc {
-			out = append(out, []string{"alloc", r.Strategy, fmt.Sprint(r.PerAlloc.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.FPMRate)})
-		}
-		for _, r := range rep.HeaderCache {
-			out = append(out, []string{"headercache", r.Strategy, fmt.Sprint(r.HeaderRead.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.HitRate)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = ablationCSV(rep)
 
 	case "faultsweep":
 		rows, _, ob, err := RunFaultSweepObserved(cfg, c.Rates, c.Packets, c.Seed, 1)
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{r.Arch, fmt.Sprintf("%g", r.LossRate),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()), fmt.Sprint(r.P99.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed),
-				fmt.Sprint(r.Counters.Retransmits), fmt.Sprint(r.Counters.FramesDropped),
-				fmt.Sprint(r.Counters.FramesCorrupted), fmt.Sprint(r.Counters.MemRetries)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = FaultSweepCSV(rows)
 		res.WantRows = 3 * lenOr(len(c.Rates), 6)
 		res.MetricsCSV = ob.MetricsCSV()
 		res.TraceJSON = captureTrace(ob, c.Trace)
@@ -206,16 +141,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{r.Arch, fmt.Sprintf("%g", r.OfferedLoad),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()),
-				fmt.Sprint(r.P99.Nanoseconds()), fmt.Sprint(r.P999.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.EgressMaxDepth), fmt.Sprint(r.EgressQueueDelay.Nanoseconds()),
-				fmt.Sprint(r.RxMaxDepth), fmt.Sprintf("%.4f", r.LinkUtilization)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = LoadSweepCSV(rows)
 		if len(c.Rates) > 0 {
 			res.WantRows = 3 * len(c.Rates)
 		}
@@ -227,17 +153,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{r.Arch, fmt.Sprint(r.Racks), ecnString(r.ECN), fmt.Sprintf("%g", r.OfferedLoad),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()),
-				fmt.Sprint(r.P99.Nanoseconds()), fmt.Sprint(r.P999.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.Marked), fmt.Sprint(r.CrossRack),
-				fmt.Sprint(r.LeafMaxDepth), fmt.Sprint(r.SpineMaxDepth),
-				fmt.Sprint(r.RxMaxDepth), fmt.Sprintf("%.4f", r.LinkUtilization)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = RackSweepCSV(rows)
 		if len(c.Racks) > 0 && len(c.Rates) > 0 {
 			res.WantRows = 3 * 2 * len(c.Racks) * len(c.Rates)
 		}
@@ -249,19 +165,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{r.Arch, fmt.Sprint(r.Outage.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.OutageDrops), fmt.Sprint(r.BurstDrops),
-				fmt.Sprint(r.Rerouted), fmt.Sprint(r.Retransmits), fmt.Sprint(r.Recovered),
-				fmt.Sprint(r.TimeToReroute.Nanoseconds()), fmt.Sprint(r.MeanRecovery.Nanoseconds()),
-				fmt.Sprint(r.DuringOffered), fmt.Sprint(r.DuringDelivered),
-				fmt.Sprint(r.P99Before.Nanoseconds()), fmt.Sprint(r.P99During.Nanoseconds()),
-				fmt.Sprint(r.P99After.Nanoseconds()), fmt.Sprint(r.P999After.Nanoseconds()),
-				fmt.Sprintf("%.3f", r.TailInflation)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = FailSweepCSV(rows)
 		res.WantRows = 3 * lenOr(len(c.Outages), 4)
 		res.MetricsCSV = ob.MetricsCSV()
 		res.TraceJSON = captureTrace(ob, c.Trace)
@@ -274,16 +178,7 @@ func runCampaignCell(c campaign.Cell) (campaign.Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var out [][]string
-		for _, r := range rows {
-			out = append(out, []string{r.Arch, r.Op, fmt.Sprint(r.Ranks),
-				fmt.Sprint(r.PayloadBytes), fmt.Sprint(r.Steps),
-				fmt.Sprint(r.Completion.Nanoseconds()), fmt.Sprint(r.StepSkew.Nanoseconds()),
-				fmt.Sprint(r.BytesOnWire), fmt.Sprint(r.Frames), fmt.Sprint(r.Delivered),
-				fmt.Sprint(r.Dropped), fmt.Sprint(r.Marked),
-				fmt.Sprintf("%.4f", r.LinkUtilization)})
-		}
-		res.CSV = stats.CSV(schema.Header, out)
+		res.CSV = CollSweepCSV(rows)
 		if len(c.Ranks) > 0 && len(c.Ops) > 0 {
 			res.WantRows = 3 * len(c.Ranks) * len(c.Ops)
 		}
@@ -325,11 +220,4 @@ func lenOr(n, def int) int {
 		return n
 	}
 	return def
-}
-
-func ecnString(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
 }

@@ -166,3 +166,46 @@ func TestLoadCampaignGridDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignCSVMatchesCLIGoldens pins the one-encoder contract: a
+// campaign cell and the CLI's -csv output of the same family, scenario and
+// seed are byte-identical. Each family sits in row 0 of its own grid so
+// the cell seed is the grid seed (base + 1000*row), the CLI default of 3.
+func TestCampaignCSVMatchesCLIGoldens(t *testing.T) {
+	cases := []struct {
+		row    campaign.Experiment
+		golden string
+		slow   bool
+	}{
+		{campaign.Experiment{Experiment: "fig4"}, "fig4-table1.csv", false},
+		{campaign.Experiment{Experiment: "fig4", Scenario: "ddr5"}, "fig4-ddr5.csv", false},
+		{campaign.Experiment{Experiment: "fig11", Scenario: "pcie-gen3"}, "fig11-pcie-gen3.csv", false},
+		{campaign.Experiment{Experiment: "loadsweep", Packets: 1000}, "loadsweep-default.csv", false},
+		{campaign.Experiment{Experiment: "failsweep"}, "failsweep-default.csv", false},
+		{campaign.Experiment{Experiment: "collsweep"}, "collsweep-default.csv", false},
+		{campaign.Experiment{Experiment: "racksweep"}, "racksweep-default.csv", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("slow golden skipped under -short")
+			}
+			grid := campaign.Grid{Seed: 3, Experiments: []campaign.Experiment{tc.row}}
+			cells, err := grid.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := runCampaignCell(cells[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("cmd", "netdimm-sim", "testdata", "golden", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CSV != string(want) {
+				t.Fatalf("campaign %s CSV differs from CLI golden %s", tc.row.Experiment, tc.golden)
+			}
+		})
+	}
+}

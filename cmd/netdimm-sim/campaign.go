@@ -6,14 +6,11 @@ import (
 	"os"
 
 	"netdimm"
-	"netdimm/internal/campaign"
 )
 
 var (
-	gridPath  = flag.String("grid", "", "campaign grid JSON file (campaign; see scenarios/campaign-default.json)")
-	outRoot   = flag.String("outdir", "campaigns", "directory campaign output directories are created under")
-	gateFlag  = flag.Bool("gate", false, "trajectory: exit non-zero when the newest bench report regresses vs best-in-history")
-	reportOut = flag.String("report", "", "trajectory: also write the markdown report to this file")
+	gridPath = flag.String("grid", "", "campaign grid JSON file (campaign; see scenarios/campaign-default.json)")
+	outRoot  = flag.String("outdir", "campaigns", "directory campaign output directories are created under")
 )
 
 // runCampaign drives the campaign harness: load + validate the grid, run
@@ -38,43 +35,4 @@ func runCampaign(netdimm.Config) error {
 		fmt.Print(rep.Summary)
 	}
 	return err
-}
-
-// runTrajectory renders the perf history across bench reports:
-//
-//	netdimm-sim trajectory [-csv] [-gate] [-report FILE] BENCH_seed.json ... BENCH_prN.json
-//
-// Reports are given oldest first; the newest is the one -gate judges. The
-// default output is the markdown report; -csv emits the flat CSV instead.
-func runTrajectory(netdimm.Config) error {
-	paths := subArgs
-	if len(paths) < 1 {
-		return fmt.Errorf("trajectory: usage: netdimm-sim trajectory [-csv] [-gate] [-report FILE] BENCH.json...")
-	}
-	entries, err := campaign.LoadBenchHistory(paths)
-	if err != nil {
-		return err
-	}
-	traj := campaign.NewTrajectory(entries)
-	if *asCSV {
-		fmt.Print(traj.CSV())
-	} else {
-		fmt.Print(traj.Markdown())
-	}
-	if *reportOut != "" {
-		if err := os.WriteFile(*reportOut, []byte(traj.Markdown()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "netdimm-sim: wrote trajectory report to %s\n", *reportOut)
-	}
-	if *gateFlag {
-		if regs := traj.Regressions(); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "trajectory gate: %s\n", r)
-			}
-			return fmt.Errorf("trajectory: %d regression(s) in %s vs best-in-history", len(regs), traj.Final)
-		}
-		fmt.Fprintf(os.Stderr, "trajectory gate: %s ok vs best-in-history\n", traj.Final)
-	}
-	return nil
 }

@@ -21,23 +21,24 @@ import (
 	"time"
 
 	"netdimm"
+	"netdimm/internal/stats"
 )
 
 var (
-	packets    = flag.Int("n", 1000, "packets per trace-replay cell (fig12a, headline)")
-	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11)")
+	packets    = flag.Int("n", 1000, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
+	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11, replay)")
 	seed       = flag.Uint64("seed", 3, "trace generator seed")
-	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables (fig4, fig5, fig7, fig11, fig12a, fig12b)")
+	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables (fig4, fig5, fig7, fig11, fig12a, fig12b, faultsweep, loadsweep, racksweep, failsweep, collsweep)")
 	parallel   = flag.Int("parallel", 0, "worker goroutines per sweep: 0 = all cores, 1 = sequential, N = at most N")
 	scenario   = flag.String("scenario", "", "system to simulate: a preset name or a JSON config file (default table1)")
 	lossRates  = flag.String("loss", "", "comma-separated frame-loss rates for faultsweep (default 0,0.001,0.01,0.05,0.1,0.2)")
-	loadRates  = flag.String("rate", "", "comma-separated offered loads (fractions of line rate) for loadsweep (default a grid bracketing each knee)")
-	hosts      = flag.Int("hosts", 0, "sender hosts for loadsweep (0 = scenario value or 8) and racksweep (0 = scenario value or 256)")
+	loadRates  = flag.String("rate", "", "comma-separated offered loads (fractions of line rate) for loadsweep and racksweep (default a grid bracketing each knee)")
+	hosts      = flag.Int("hosts", 0, "sender hosts for loadsweep (0 = scenario value or 8), racksweep (or 256) and failsweep (or 32)")
 	rackList   = flag.String("racks", "", "comma-separated rack (leaf) counts for racksweep (default 2,4,8; a scenario Fabric.Leaves pins one)")
 	outageList = flag.String("outage", "", "comma-separated spine-outage durations for failsweep, Go duration syntax (default 0,5µs,20µs,60µs; 0 is the baseline)")
-	cluster    = flag.String("cluster", "", "traffic distribution for loadsweep: database, webserver or hadoop (default scenario value or database)")
-	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (fig11, faultsweep, mixed); open in ui.perfetto.dev")
-	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output (fig11, faultsweep, mixed)")
+	cluster    = flag.String("cluster", "", "traffic distribution for loadsweep, racksweep and failsweep: database, webserver or hadoop (default scenario value or database)")
+	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (fig11, faultsweep, loadsweep, racksweep, failsweep, collsweep, mixed); open in ui.perfetto.dev")
+	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output (fig11, faultsweep, loadsweep, racksweep, failsweep, collsweep, mixed)")
 	rankList   = flag.String("ranks", "", "comma-separated rank counts for collsweep (default 4,8,16,32,64,128; a scenario Collective.Ranks pins one)")
 	opsList    = flag.String("ops", "", "comma-separated collective ops for collsweep: allreduce, broadcast, reducescatter (default all three; a scenario Collective.Op pins one)")
 	payload    = flag.Int("payload", 0, "per-rank vector bytes for collsweep (0 = scenario value or 64KiB)")
@@ -157,25 +158,8 @@ var commands = []command{
 	{"failsweep", "scheduled spine outage: ECMP failover, ARQ recovery time, tail inflation", false, runFailSweep},
 	{"collsweep", "collective completion: Ring AllReduce / tree Broadcast / Reduce-Scatter vs rank count", false, runCollSweep},
 	{"headline", "the abstract's summary numbers", true, runHeadline},
-	{"bench", "machine-readable benchmark report (JSON; see -benchn)", false, func(netdimm.Config) error { return runBench() }},
 	{"campaign", "run a grid of experiments from -grid FILE into a timestamped output dir", false, runCampaign},
-	{"trajectory", "perf history across BENCH_*.json reports, with -gate regression check", false, runTrajectory},
 }
-
-// csvOut prints one CSV record.
-func csvOut(fields ...string) {
-	for i, f := range fields {
-		if i > 0 {
-			fmt.Print(",")
-		}
-		fmt.Print(f)
-	}
-	fmt.Println()
-}
-
-// subArgs holds the positional arguments that follow a subcommand verb
-// (the bench report paths of `trajectory`), after its flags are parsed.
-var subArgs []string
 
 func main() {
 	flag.Usage = usage
@@ -186,18 +170,20 @@ func main() {
 	}
 	exp := flag.Arg(0)
 	rest := flag.Args()[1:]
-	switch exp {
-	case "campaign", "trajectory":
-		// These verbs take flags after the verb (`campaign -grid FILE`), so
-		// re-parse the remainder; what is left over is the verb's own
-		// positional arguments.
+	if exp == "campaign" {
+		// campaign takes its flags after the verb (`campaign -grid FILE`),
+		// so re-parse the remainder; it has no positional arguments.
 		flag.CommandLine.Parse(rest)
-		subArgs = flag.Args()
-	default:
-		if len(rest) > 1 {
+		rest = flag.Args()
+		if len(rest) > 0 {
+			fmt.Fprintf(os.Stderr, "netdimm-sim: campaign: unexpected argument %q\n", rest[0])
 			usage()
 			os.Exit(2)
 		}
+	}
+	if len(rest) > 1 {
+		usage()
+		os.Exit(2)
 	}
 	cfg, err := netdimm.LoadScenario(*scenario)
 	if err == nil {
@@ -256,13 +242,7 @@ func runFig4(cfg netdimm.Config) error {
 		return err
 	}
 	if *asCSV {
-		csvOut("size", "dnic_ns", "dnic_zcpy_ns", "inic_ns", "inic_zcpy_ns", "pcie_share", "pcie_share_zcpy")
-		for _, r := range rows {
-			csvOut(fmt.Sprint(r.Size),
-				fmt.Sprint(r.DNIC.Nanoseconds()), fmt.Sprint(r.DNICZcpy.Nanoseconds()),
-				fmt.Sprint(r.INIC.Nanoseconds()), fmt.Sprint(r.INICZcpy.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.PCIeShare), fmt.Sprintf("%.4f", r.PCIeShareZcpy))
-		}
+		fmt.Print(netdimm.Fig4CSV(rows))
 		return nil
 	}
 	fmt.Printf("Fig. 4 — one-way latency, baseline NICs (switch %v)\n", *switchLat)
@@ -282,11 +262,12 @@ func runFig5(cfg netdimm.Config) error {
 		return err
 	}
 	if *asCSV {
-		csvOut("inject_delay_ns", "gbps", "mem_read_ns")
+		var out [][]string
 		for _, r := range rows {
-			csvOut(fmt.Sprint(r.InjectDelay.Nanoseconds()),
-				fmt.Sprintf("%.2f", r.BandwidthGbps), fmt.Sprintf("%.1f", r.MemReadNs))
+			out = append(out, []string{fmt.Sprint(r.InjectDelay.Nanoseconds()),
+				fmt.Sprintf("%.2f", r.BandwidthGbps), fmt.Sprintf("%.1f", r.MemReadNs)})
 		}
+		fmt.Print(stats.CSV([]string{"inject_delay_ns", "gbps", "mem_read_ns"}, out))
 		return nil
 	}
 	fmt.Println("Fig. 5 — iperf bandwidth vs MLC memory pressure")
@@ -307,10 +288,11 @@ func runFig7(cfg netdimm.Config) error {
 		return err
 	}
 	if *asCSV {
-		csvOut("rel_cacheline", "rel_time_ns", "burst")
+		var out [][]string
 		for _, p := range pts {
-			csvOut(fmt.Sprint(p.RelCacheline), fmt.Sprint(p.RelTime.Nanoseconds()), fmt.Sprint(p.Burst))
+			out = append(out, []string{fmt.Sprint(p.RelCacheline), fmt.Sprint(p.RelTime.Nanoseconds()), fmt.Sprint(p.Burst)})
 		}
+		fmt.Print(stats.CSV([]string{"rel_cacheline", "rel_time_ns", "burst"}, out))
 		return nil
 	}
 	fmt.Println("Fig. 7 — DMA request trace, six 1514B receptions (rel line, rel ns, burst)")
@@ -333,21 +315,7 @@ func runFig11(cfg netdimm.Config) (err error) {
 	}
 	defer emitAfter(ob, &err)
 	if *asCSV {
-		csvOut("size", "arch", "txCopy_ns", "rxCopy_ns", "txDMA_ns", "rxDMA_ns",
-			"wire_ns", "ioReg_ns", "txFlush_ns", "rxInvalidate_ns", "total_ns")
-		emit := func(size int, arch string, b netdimm.LatencyBreakdown) {
-			csvOut(fmt.Sprint(size), arch,
-				fmt.Sprint(b.TxCopy.Nanoseconds()), fmt.Sprint(b.RxCopy.Nanoseconds()),
-				fmt.Sprint(b.TxDMA.Nanoseconds()), fmt.Sprint(b.RxDMA.Nanoseconds()),
-				fmt.Sprint(b.Wire.Nanoseconds()), fmt.Sprint(b.IOReg.Nanoseconds()),
-				fmt.Sprint(b.TxFlush.Nanoseconds()), fmt.Sprint(b.RxInvalidate.Nanoseconds()),
-				fmt.Sprint(b.Total.Nanoseconds()))
-		}
-		for _, r := range rows {
-			emit(r.Size, "dNIC", r.DNIC)
-			emit(r.Size, "iNIC", r.INIC)
-			emit(r.Size, "NetDIMM", r.NetDIMM)
-		}
+		fmt.Print(netdimm.Fig11CSV(rows))
 		return nil
 	}
 	fmt.Printf("Fig. 11 — one-way latency breakdown (switch %v)\n", *switchLat)
@@ -368,13 +336,7 @@ func runFig12a(cfg netdimm.Config) error {
 		return err
 	}
 	if *asCSV {
-		csvOut("cluster", "switch_ns", "dnic_mean_ns", "inic_mean_ns", "netdimm_mean_ns", "norm_dnic", "norm_inic")
-		for _, r := range rows {
-			csvOut(string(r.Cluster), fmt.Sprint(r.SwitchLatency.Nanoseconds()),
-				fmt.Sprint(r.DNICMean.Nanoseconds()), fmt.Sprint(r.INICMean.Nanoseconds()),
-				fmt.Sprint(r.NetDIMMMean.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.NormVsDNIC), fmt.Sprintf("%.4f", r.NormVsINIC))
-		}
+		fmt.Print(netdimm.Fig12aCSV(rows))
 		return nil
 	}
 	fmt.Printf("Fig. 12a — normalized per-packet latency, %d packets/cell\n", *packets)
@@ -393,12 +355,12 @@ func runFig12b(cfg netdimm.Config) error {
 		return err
 	}
 	if *asCSV {
-		csvOut("cluster", "nf", "inic_ns", "netdimm_ns", "norm")
+		var out [][]string
 		for _, r := range rows {
-			csvOut(string(r.Cluster), string(r.Function),
-				fmt.Sprintf("%.2f", r.INICNs), fmt.Sprintf("%.2f", r.NetDIMMNs),
-				fmt.Sprintf("%.4f", r.Norm))
+			out = append(out, []string{string(r.Cluster), string(r.Function),
+				fmt.Sprintf("%.2f", r.INICNs), fmt.Sprintf("%.2f", r.NetDIMMNs), fmt.Sprintf("%.4f", r.Norm)})
 		}
+		fmt.Print(stats.CSV([]string{"cluster", "nf", "inic_ns", "netdimm_ns", "norm"}, out))
 		return nil
 	}
 	fmt.Println("Fig. 12b — co-running app memory latency (normalized to iNIC)")
@@ -494,25 +456,8 @@ func runReplayArg(cfg netdimm.Config) error {
 	return nil
 }
 
-// parseLossRates parses the -loss flag; an empty flag selects the
-// experiment's default sweep.
-func parseLossRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("faultsweep: bad loss rate %q: %v", part, err)
-		}
-		rates = append(rates, r)
-	}
-	return rates, nil
-}
-
 func runFaultSweep(cfg netdimm.Config) (err error) {
-	rates, err := parseLossRates(*lossRates)
+	rates, err := parseFloats("-loss", *lossRates)
 	if err != nil {
 		return err
 	}
@@ -523,15 +468,7 @@ func runFaultSweep(cfg netdimm.Config) (err error) {
 	defer emitAfter(ob, &err)
 	defer printFaultTails(tails)
 	if *asCSV {
-		csvOut("arch", "loss_rate", "mean_ns", "p50_ns", "p99_ns",
-			"delivered", "failed", "retransmits", "frames_dropped", "frames_corrupted", "mem_retries")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprintf("%g", r.LossRate),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()), fmt.Sprint(r.P99.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed),
-				fmt.Sprint(r.Counters.Retransmits), fmt.Sprint(r.Counters.FramesDropped),
-				fmt.Sprint(r.Counters.FramesCorrupted), fmt.Sprint(r.Counters.MemRetries))
-		}
+		fmt.Print(netdimm.FaultSweepCSV(rows))
 		return nil
 	}
 	fmt.Println("Fault sweep — one-way latency vs injected frame loss (with recovery)")
@@ -544,25 +481,8 @@ func runFaultSweep(cfg netdimm.Config) (err error) {
 	return nil
 }
 
-// parseLoadRates parses the -rate flag; an empty flag selects the
-// experiment's default grid.
-func parseLoadRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("loadsweep: bad offered load %q: %v", part, err)
-		}
-		rates = append(rates, r)
-	}
-	return rates, nil
-}
-
 func runLoadSweep(cfg netdimm.Config) (err error) {
-	rates, err := parseLoadRates(*loadRates)
+	rates, err := parseFloats("-rate", *loadRates)
 	if err != nil {
 		return err
 	}
@@ -578,16 +498,7 @@ func runLoadSweep(cfg netdimm.Config) (err error) {
 	}
 	defer emitAfter(ob, &err)
 	if *asCSV {
-		csvOut("arch", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
-			"delivered", "dropped", "egress_max_depth", "egress_queue_delay_ns", "rx_max_depth", "link_util")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprintf("%g", r.OfferedLoad),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()),
-				fmt.Sprint(r.P99.Nanoseconds()), fmt.Sprint(r.P999.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.EgressMaxDepth), fmt.Sprint(r.EgressQueueDelay.Nanoseconds()),
-				fmt.Sprint(r.RxMaxDepth), fmt.Sprintf("%.4f", r.LinkUtilization))
-		}
+		fmt.Print(netdimm.LoadSweepCSV(rows))
 		return nil
 	}
 	fmt.Println("Load sweep — rack-scale incast: end-to-end latency vs offered load")
@@ -608,29 +519,12 @@ func runLoadSweep(cfg netdimm.Config) (err error) {
 	return nil
 }
 
-// parseRacks parses the -racks flag; an empty flag selects the default
-// grid (or the scenario's pinned leaf count).
-func parseRacks(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var racks []int
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("racksweep: bad rack count %q: %v", part, err)
-		}
-		racks = append(racks, r)
-	}
-	return racks, nil
-}
-
 func runRackSweep(cfg netdimm.Config) (err error) {
-	rates, err := parseLoadRates(*loadRates)
+	rates, err := parseFloats("-rate", *loadRates)
 	if err != nil {
 		return err
 	}
-	racks, err := parseRacks(*rackList)
+	racks, err := parseInts("-racks", *rackList)
 	if err != nil {
 		return err
 	}
@@ -652,18 +546,7 @@ func runRackSweep(cfg netdimm.Config) (err error) {
 		return "off"
 	}
 	if *asCSV {
-		csvOut("arch", "racks", "ecn", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
-			"delivered", "dropped", "marked", "cross_rack",
-			"leaf_max_depth", "spine_max_depth", "rx_max_depth", "link_util")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprint(r.Racks), ecnStr(r.ECN), fmt.Sprintf("%g", r.OfferedLoad),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()),
-				fmt.Sprint(r.P99.Nanoseconds()), fmt.Sprint(r.P999.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.Marked), fmt.Sprint(r.CrossRack),
-				fmt.Sprint(r.LeafMaxDepth), fmt.Sprint(r.SpineMaxDepth),
-				fmt.Sprint(r.RxMaxDepth), fmt.Sprintf("%.4f", r.LinkUtilization))
-		}
+		fmt.Print(netdimm.RackSweepCSV(rows))
 		return nil
 	}
 	fmt.Println("Rack sweep — leaf/spine clos: end-to-end latency vs per-host load")
@@ -687,30 +570,8 @@ func runRackSweep(cfg netdimm.Config) (err error) {
 	return nil
 }
 
-// parseOutages parses the -outage flag; an empty flag selects the default
-// duration grid. "0" is accepted alongside full duration syntax.
-func parseOutages(s string) ([]time.Duration, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var outs []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "0" {
-			outs = append(outs, 0)
-			continue
-		}
-		d, err := time.ParseDuration(part)
-		if err != nil {
-			return nil, fmt.Errorf("failsweep: bad outage duration %q: %v", part, err)
-		}
-		outs = append(outs, d)
-	}
-	return outs, nil
-}
-
 func runFailSweep(cfg netdimm.Config) (err error) {
-	outages, err := parseOutages(*outageList)
+	outages, err := parseList("-outage", *outageList, time.ParseDuration)
 	if err != nil {
 		return err
 	}
@@ -726,21 +587,7 @@ func runFailSweep(cfg netdimm.Config) (err error) {
 	}
 	defer emitAfter(ob, &err)
 	if *asCSV {
-		csvOut("arch", "outage_ns", "delivered", "failed", "dropped",
-			"outage_drops", "burst_drops", "rerouted", "retransmits", "recovered",
-			"reroute_ns", "mean_recovery_ns", "during_offered", "during_delivered",
-			"p99_before_ns", "p99_during_ns", "p99_after_ns", "p999_after_ns", "tail_inflation")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprint(r.Outage.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.OutageDrops), fmt.Sprint(r.BurstDrops),
-				fmt.Sprint(r.Rerouted), fmt.Sprint(r.Retransmits), fmt.Sprint(r.Recovered),
-				fmt.Sprint(r.TimeToReroute.Nanoseconds()), fmt.Sprint(r.MeanRecovery.Nanoseconds()),
-				fmt.Sprint(r.DuringOffered), fmt.Sprint(r.DuringDelivered),
-				fmt.Sprint(r.P99Before.Nanoseconds()), fmt.Sprint(r.P99During.Nanoseconds()),
-				fmt.Sprint(r.P99After.Nanoseconds()), fmt.Sprint(r.P999After.Nanoseconds()),
-				fmt.Sprintf("%.3f", r.TailInflation))
-		}
+		fmt.Print(netdimm.FailSweepCSV(rows))
 		return nil
 	}
 	fmt.Println("Failure sweep — scheduled spine outage: failover, recovery, tail inflation")
@@ -762,21 +609,34 @@ func runFailSweep(cfg netdimm.Config) (err error) {
 	return nil
 }
 
-// parseRanks parses the -ranks flag; an empty flag selects the default
-// grid (or the scenario's pinned Collective.Ranks).
-func parseRanks(s string) ([]int, error) {
+// parseFloats parses a comma-separated number list given to the named
+// flag; an empty list selects the experiment's default grid (nil).
+func parseFloats(name, s string) ([]float64, error) {
+	return parseList(name, s, func(t string) (float64, error) { return strconv.ParseFloat(t, 64) })
+}
+
+// parseInts parses a comma-separated integer list given to the named
+// flag; an empty list selects the experiment's default grid (or the
+// scenario's pinned value).
+func parseInts(name, s string) ([]int, error) {
+	return parseList(name, s, strconv.Atoi)
+}
+
+// parseList splits s on commas, trims each entry and parses it; an error
+// names the flag and the offending entry.
+func parseList[T any](name, s string, parse func(string) (T, error)) ([]T, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var ranks []int
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("collsweep: bad rank count %q: %v", part, err)
+			return nil, fmt.Errorf("%s: bad entry %q: %v", name, part, err)
 		}
-		ranks = append(ranks, r)
+		out = append(out, v)
 	}
-	return ranks, nil
+	return out, nil
 }
 
 // parseOps parses the -ops flag; an empty flag selects all operations (or
@@ -793,7 +653,7 @@ func parseOps(s string) []string {
 }
 
 func runCollSweep(cfg netdimm.Config) (err error) {
-	ranks, err := parseRanks(*rankList)
+	ranks, err := parseInts("-ranks", *rankList)
 	if err != nil {
 		return err
 	}
@@ -806,17 +666,7 @@ func runCollSweep(cfg netdimm.Config) (err error) {
 	}
 	defer emitAfter(ob, &err)
 	if *asCSV {
-		csvOut("arch", "op", "ranks", "payload_bytes", "steps",
-			"completion_ns", "step_skew_ns", "bytes_on_wire", "frames", "delivered",
-			"dropped", "marked", "link_util")
-		for _, r := range rows {
-			csvOut(r.Arch, r.Op, fmt.Sprint(r.Ranks),
-				fmt.Sprint(r.PayloadBytes), fmt.Sprint(r.Steps),
-				fmt.Sprint(r.Completion.Nanoseconds()), fmt.Sprint(r.StepSkew.Nanoseconds()),
-				fmt.Sprint(r.BytesOnWire), fmt.Sprint(r.Frames), fmt.Sprint(r.Delivered),
-				fmt.Sprint(r.Dropped), fmt.Sprint(r.Marked),
-				fmt.Sprintf("%.4f", r.LinkUtilization))
-		}
+		fmt.Print(netdimm.CollSweepCSV(rows))
 		return nil
 	}
 	fmt.Println("Collective sweep — completion time vs rank count (every cell verified against a sequential reference)")

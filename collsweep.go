@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
@@ -40,6 +41,22 @@ type CollSweepResult struct {
 	// LinkUtilization is delivered wire occupancy averaged over every
 	// rank's link and the collective's makespan, in [0,1].
 	LinkUtilization float64
+}
+
+var collSweepHeader = []string{"arch", "op", "ranks", "payload_bytes", "steps",
+	"completion_ns", "step_skew_ns", "bytes_on_wire", "frames", "delivered",
+	"dropped", "marked", "link_util"}
+
+// CollSweepCSV renders collective-sweep rows as plot-ready CSV, one record
+// per (architecture, operation, rank count) cell.
+func CollSweepCSV(rows []CollSweepResult) string {
+	return encodeCSV(collSweepHeader, rows, func(r CollSweepResult) []string {
+		return []string{r.Arch, r.Op, fmt.Sprint(r.Ranks),
+			fmt.Sprint(r.PayloadBytes), fmt.Sprint(r.Steps),
+			ns(r.Completion), ns(r.StepSkew),
+			fmt.Sprint(r.BytesOnWire), fmt.Sprint(r.Frames), fmt.Sprint(r.Delivered),
+			fmt.Sprint(r.Dropped), fmt.Sprint(r.Marked), fixed4(r.LinkUtilization)}
+	})
 }
 
 // RunCollSweep runs the collective sweep on the default configuration: for

@@ -7,6 +7,7 @@ import (
 	"netdimm/internal/experiments"
 	"netdimm/internal/netfunc"
 	"netdimm/internal/sim"
+	"netdimm/internal/stats"
 	"netdimm/internal/workload"
 )
 
@@ -79,6 +80,25 @@ func guard(err *error) {
 	*err = fmt.Errorf("netdimm: experiment failed: %v", r)
 }
 
+// encodeCSV renders one CSV record per result row under header. Each
+// family's CSV encoder (Fig4CSV … CollSweepCSV) is built on it and sits
+// next to its result type; the CLI's -csv output and the campaign cells
+// both call that encoder, and CampaignSchemas takes the same header, so a
+// family's columns are declared exactly once.
+func encodeCSV[R any](header []string, rows []R, record func(R) []string) string {
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		out[i] = record(r)
+	}
+	return stats.CSV(header, out)
+}
+
+// ns renders a duration in whole nanoseconds, the unit of every *_ns column.
+func ns(d time.Duration) string { return fmt.Sprint(d.Nanoseconds()) }
+
+// fixed4 renders a ratio with the four decimals the CSV columns use.
+func fixed4(x float64) string { return fmt.Sprintf("%.4f", x) }
+
 // Fig4Result is one row of the Fig. 4 motivation experiment.
 type Fig4Result struct {
 	Size          int
@@ -88,6 +108,17 @@ type Fig4Result struct {
 	INICZcpy      time.Duration
 	PCIeShare     float64
 	PCIeShareZcpy float64
+}
+
+var fig4Header = []string{"size", "dnic_ns", "dnic_zcpy_ns", "inic_ns", "inic_zcpy_ns",
+	"pcie_share", "pcie_share_zcpy"}
+
+// Fig4CSV renders Fig. 4 rows as plot-ready CSV, one record per size.
+func Fig4CSV(rows []Fig4Result) string {
+	return encodeCSV(fig4Header, rows, func(r Fig4Result) []string {
+		return []string{fmt.Sprint(r.Size), ns(r.DNIC), ns(r.DNICZcpy), ns(r.INIC), ns(r.INICZcpy),
+			fixed4(r.PCIeShare), fixed4(r.PCIeShareZcpy)}
+	})
 }
 
 // RunFig4 regenerates Fig. 4: one-way latency of the four baseline NIC
@@ -215,6 +246,27 @@ type Fig11Result struct {
 	ReductionVsINIC float64
 }
 
+var fig11Header = []string{"size", "arch", "txCopy_ns", "rxCopy_ns", "txDMA_ns", "rxDMA_ns",
+	"wire_ns", "ioReg_ns", "txFlush_ns", "rxInvalidate_ns", "total_ns"}
+
+// Fig11CSV renders Fig. 11 rows as plot-ready CSV: one breakdown record
+// per (size, architecture), dNIC then iNIC then NetDIMM.
+func Fig11CSV(rows []Fig11Result) string {
+	var out [][]string
+	for _, r := range rows {
+		for _, a := range []struct {
+			name string
+			b    LatencyBreakdown
+		}{{"dNIC", r.DNIC}, {"iNIC", r.INIC}, {"NetDIMM", r.NetDIMM}} {
+			b := a.b
+			out = append(out, []string{fmt.Sprint(r.Size), a.name,
+				ns(b.TxCopy), ns(b.RxCopy), ns(b.TxDMA), ns(b.RxDMA), ns(b.Wire),
+				ns(b.IOReg), ns(b.TxFlush), ns(b.RxInvalidate), ns(b.Total)})
+		}
+	}
+	return stats.CSV(fig11Header, out)
+}
+
 // RunFig11 regenerates Fig. 11: the one-way latency breakdown of dNIC,
 // iNIC and NetDIMM across packet sizes.
 func RunFig11(sizes []int, switchLatency time.Duration, parallelism int) ([]Fig11Result, error) {
@@ -257,6 +309,18 @@ type Fig12aResult struct {
 	NetDIMMMean   time.Duration
 	NormVsDNIC    float64
 	NormVsINIC    float64
+}
+
+var fig12aHeader = []string{"cluster", "switch_ns", "dnic_mean_ns", "inic_mean_ns",
+	"netdimm_mean_ns", "norm_dnic", "norm_inic"}
+
+// Fig12aCSV renders Fig. 12(a) rows as plot-ready CSV, one record per
+// (cluster, switch latency) cell.
+func Fig12aCSV(rows []Fig12aResult) string {
+	return encodeCSV(fig12aHeader, rows, func(r Fig12aResult) []string {
+		return []string{string(r.Cluster), ns(r.SwitchLatency), ns(r.DNICMean), ns(r.INICMean),
+			ns(r.NetDIMMMean), fixed4(r.NormVsDNIC), fixed4(r.NormVsINIC)}
+	})
 }
 
 // RunFig12a regenerates Fig. 12(a): cluster trace replay across switch

@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
@@ -54,6 +55,27 @@ type FailSweepResult struct {
 	P999After  time.Duration
 	// TailInflation is P99After / P99Before — post-recovery tail inflation.
 	TailInflation float64
+}
+
+var failSweepHeader = []string{"arch", "outage_ns", "delivered", "failed", "dropped",
+	"outage_drops", "burst_drops", "rerouted", "retransmits", "recovered",
+	"reroute_ns", "mean_recovery_ns", "during_offered", "during_delivered",
+	"p99_before_ns", "p99_during_ns", "p99_after_ns", "p999_after_ns", "tail_inflation"}
+
+// FailSweepCSV renders failure-sweep rows as plot-ready CSV, one record
+// per (architecture, outage) cell; reroute_ns is -1 when nothing was
+// rerouted.
+func FailSweepCSV(rows []FailSweepResult) string {
+	return encodeCSV(failSweepHeader, rows, func(r FailSweepResult) []string {
+		return []string{r.Arch, ns(r.Outage),
+			fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed), fmt.Sprint(r.Dropped),
+			fmt.Sprint(r.OutageDrops), fmt.Sprint(r.BurstDrops),
+			fmt.Sprint(r.Rerouted), fmt.Sprint(r.Retransmits), fmt.Sprint(r.Recovered),
+			ns(r.TimeToReroute), ns(r.MeanRecovery),
+			fmt.Sprint(r.DuringOffered), fmt.Sprint(r.DuringDelivered),
+			ns(r.P99Before), ns(r.P99During), ns(r.P99After), ns(r.P999After),
+			fmt.Sprintf("%.3f", r.TailInflation)}
+	})
 }
 
 // RunFailSweep runs the failure sweep on the default configuration: for

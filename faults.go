@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
@@ -23,6 +24,20 @@ type FaultSweepResult struct {
 	Delivered int
 	Failed    int
 	Counters  FaultCounters
+}
+
+var faultSweepHeader = []string{"arch", "loss_rate", "mean_ns", "p50_ns", "p99_ns",
+	"delivered", "failed", "retransmits", "frames_dropped", "frames_corrupted", "mem_retries"}
+
+// FaultSweepCSV renders fault-sweep rows as plot-ready CSV, one record per
+// (architecture, loss rate) cell.
+func FaultSweepCSV(rows []FaultSweepResult) string {
+	return encodeCSV(faultSweepHeader, rows, func(r FaultSweepResult) []string {
+		return []string{r.Arch, fmt.Sprintf("%g", r.LossRate), ns(r.Mean), ns(r.P50), ns(r.P99),
+			fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed),
+			fmt.Sprint(r.Counters.Retransmits), fmt.Sprint(r.Counters.FramesDropped),
+			fmt.Sprint(r.Counters.FramesCorrupted), fmt.Sprint(r.Counters.MemRetries)}
+	})
 }
 
 // RunFaultSweep measures one-way latency degradation under injected frame

@@ -9,9 +9,8 @@ import (
 	"strings"
 )
 
-// Host identifies the machine a campaign or bench report ran on. The JSON
-// field names match the BENCH_*.json host block so the two artifact
-// families stay cross-readable.
+// Host identifies the machine a campaign manifest or a bench/ report was
+// taken on; both write it under the same JSON field names.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`

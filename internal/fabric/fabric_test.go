@@ -232,3 +232,26 @@ func TestInjectFaultsEveryHop(t *testing.T) {
 		t.Fatalf("fabric drops = %d, want 1 (counted once, at the first hop)", s.Dropped)
 	}
 }
+
+// BenchmarkFabricForward measures one cross-rack traversal of the
+// leaf/spine clos per op: uplink, source leaf, ECMP-picked spine and
+// destination leaf (three switch hops), with the engine drained each round
+// so the queues stay warm but empty. It is the fabric layer's per-hop
+// cost baseline.
+func BenchmarkFabricForward(b *testing.B) {
+	eng := sim.NewEngine()
+	topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+		Spec{Leaves: 2, Spines: 2}, 8, 64)
+	src, dst := 0, 5 // host 5 sits in the other leaf: the full 3-hop path
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		delivered := false
+		topo.Inject(src, dst, ethernet.Frame{ID: uint64(i), Bytes: 1500},
+			func(ethernet.Frame) { delivered = true })
+		eng.Run()
+		if !delivered {
+			b.Fatal("frame not delivered")
+		}
+	}
+}

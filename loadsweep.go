@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
@@ -32,6 +33,21 @@ type LoadSweepResult struct {
 	// LinkUtilization is delivered wire occupancy over the cell's
 	// makespan, in [0,1].
 	LinkUtilization float64
+}
+
+var loadSweepHeader = []string{"arch", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
+	"delivered", "dropped", "egress_max_depth", "egress_queue_delay_ns", "rx_max_depth", "link_util"}
+
+// LoadSweepCSV renders load-sweep rows as plot-ready CSV, one record per
+// (architecture, offered load) cell.
+func LoadSweepCSV(rows []LoadSweepResult) string {
+	return encodeCSV(loadSweepHeader, rows, func(r LoadSweepResult) []string {
+		return []string{r.Arch, fmt.Sprintf("%g", r.OfferedLoad),
+			ns(r.Mean), ns(r.P50), ns(r.P99), ns(r.P999),
+			fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
+			fmt.Sprint(r.EgressMaxDepth), ns(r.EgressQueueDelay),
+			fmt.Sprint(r.RxMaxDepth), fixed4(r.LinkUtilization)}
+	})
 }
 
 // LoadKneeResult is one architecture's detected saturation point: the

@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
@@ -39,6 +40,28 @@ type RackSweepResult struct {
 	// LinkUtilization is delivered wire occupancy averaged over all host
 	// links and the cell's makespan, in [0,1].
 	LinkUtilization float64
+}
+
+var rackSweepHeader = []string{"arch", "racks", "ecn", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
+	"delivered", "dropped", "marked", "cross_rack",
+	"leaf_max_depth", "spine_max_depth", "rx_max_depth", "link_util"}
+
+// RackSweepCSV renders rack-sweep rows as plot-ready CSV, one record per
+// (architecture, racks, ECN, offered load) cell; the ecn column is "on" or
+// "off".
+func RackSweepCSV(rows []RackSweepResult) string {
+	return encodeCSV(rackSweepHeader, rows, func(r RackSweepResult) []string {
+		ecn := "off"
+		if r.ECN {
+			ecn = "on"
+		}
+		return []string{r.Arch, fmt.Sprint(r.Racks), ecn, fmt.Sprintf("%g", r.OfferedLoad),
+			ns(r.Mean), ns(r.P50), ns(r.P99), ns(r.P999),
+			fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
+			fmt.Sprint(r.Marked), fmt.Sprint(r.CrossRack),
+			fmt.Sprint(r.LeafMaxDepth), fmt.Sprint(r.SpineMaxDepth),
+			fmt.Sprint(r.RxMaxDepth), fixed4(r.LinkUtilization)}
+	})
 }
 
 // RackKneeResult is one (arch, racks, ECN) curve's detected saturation
