@@ -179,3 +179,31 @@ func BenchmarkOneWayPacket(b *testing.B) {
 		}
 	}
 }
+
+// TestOneWayPacketAllocs holds BenchmarkOneWayPacket's path to its
+// allocation budget: once the devices are warm, a NetDIMM→NetDIMM 1514B
+// one-way packet makes at most 20 heap allocations. The nMC recycles its
+// queue entries, a clone of never-written data creates no page and the
+// breakdown is a fixed array; what remains are the driver's per-operation
+// completion closures.
+func TestOneWayPacketAllocs(t *testing.T) {
+	tx, err := NewNetDIMM(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := NewNetDIMM(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		if _, err := OneWayLatency(tx, rx, 1514, 100*time.Nanosecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		send()
+	}
+	if avg := testing.AllocsPerRun(200, send); avg > 20 {
+		t.Fatalf("allocs per one-way packet = %v, want <= 20", avg)
+	}
+}

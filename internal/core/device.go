@@ -59,7 +59,7 @@ type Stats struct {
 	HostReads, HostWrites uint64
 	NNICReads, NNICWrites uint64
 	Prefetches            uint64
-	Clones                map[dram.CloneMode]uint64
+	Clones                [dram.NumCloneModes]uint64 // indexed by mode
 }
 
 // Device is one NetDIMM buffer device plus its local DRAM: the nController
@@ -96,7 +96,6 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		clones: dram.NewCloneEngine(cfg.Clone, cfg.LocalTiming, ranks.Ranks),
 		bus:    nic.MemChannelBus{Protocol: cfg.Protocol, Media: 15 * sim.Nanosecond},
 		mem:    membank.New(),
-		stats:  Stats{Clones: make(map[dram.CloneMode]uint64)},
 	}
 	return d
 }
@@ -127,14 +126,7 @@ func (d *Device) NCache() *NCache { return d.ncache }
 func (d *Device) NMC() *memctrl.Controller { return d.nmc }
 
 // Stats returns a copy of the device counters.
-func (d *Device) Stats() Stats {
-	s := d.stats
-	s.Clones = make(map[dram.CloneMode]uint64, len(d.stats.Clones))
-	for k, v := range d.stats.Clones {
-		s.Clones[k] = v
-	}
-	return s
-}
+func (d *Device) Stats() Stats { return d.stats }
 
 // RegisterBus returns the host's register attachment: a memory-channel
 // access via the asynchronous protocol.
@@ -168,6 +160,7 @@ func (d *Device) ReceivePacketData(bufAddr int64, size int, data []byte, done fu
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	var lastErr error
 	remaining := int(lines)
+	lineDone := countdown(&remaining, done)
 	for i := int64(0); i < lines; i++ {
 		addr := bufAddr + i*addrmap.CachelineSize
 		d.ncache.Invalidate(addr) // snoop: stale copies must die
@@ -176,12 +169,7 @@ func (d *Device) ReceivePacketData(bufAddr int64, size int, data []byte, done fu
 			Addr:  addr,
 			Write: true,
 			Bytes: addrmap.CachelineSize,
-			Done: func(memctrl.Response) {
-				remaining--
-				if remaining == 0 && done != nil {
-					done()
-				}
-			},
+			Done:  lineDone,
 		})
 		if err != nil {
 			lastErr = err
@@ -203,18 +191,14 @@ func (d *Device) TransmitFetch(bufAddr int64, size int, done func()) error {
 	}
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	remaining := int(lines)
+	lineDone := countdown(&remaining, done)
 	var lastErr error
 	for i := int64(0); i < lines; i++ {
 		d.stats.NNICReads++
 		err := d.nmc.Submit(&memctrl.Request{
 			Addr:  bufAddr + i*addrmap.CachelineSize,
 			Bytes: addrmap.CachelineSize,
-			Done: func(memctrl.Response) {
-				remaining--
-				if remaining == 0 && done != nil {
-					done()
-				}
-			},
+			Done:  lineDone,
 		})
 		if err != nil {
 			lastErr = err
@@ -222,6 +206,19 @@ func (d *Device) TransmitFetch(bufAddr int64, size int, done func()) error {
 		}
 	}
 	return lastErr
+}
+
+// countdown returns the one line-completion callback a multi-line transfer
+// shares across its cachelines: each completion decrements *remaining, and
+// the one that reaches zero fires done (if non-nil). The transfer's caller
+// also decrements *remaining for lines the nMC rejected.
+func countdown(remaining *int, done func()) func(memctrl.Response) {
+	return func(memctrl.Response) {
+		*remaining--
+		if *remaining == 0 && done != nil {
+			done()
+		}
+	}
 }
 
 // HostReadLine serves one cacheline read arriving from the global memory

@@ -22,6 +22,9 @@ const (
 	// device reads the source and writes it back, like a DMA engine close
 	// to the memory chips.
 	GCM
+
+	// NumCloneModes counts the modes above, for arrays indexed by mode.
+	NumCloneModes = int(GCM) + 1
 )
 
 func (m CloneMode) String() string {

@@ -110,9 +110,9 @@ type HWDriver struct {
 // add accumulates one named phase into breakdown component c and, when a
 // recorder is attached, lays the phase down as a span on the component's
 // track. Track sums therefore equal breakdown components by construction.
-func (d *HWDriver) add(b stats.Breakdown, c stats.Component, phase string, t sim.Time) {
+func (d *HWDriver) add(b *stats.Breakdown, c stats.Component, phase string, t sim.Time) {
 	b.Add(c, t)
-	d.Rec.Advance(string(c), phase, t)
+	d.Rec.Advance(c.String(), phase, t)
 }
 
 // Name implements Machine.
@@ -126,37 +126,37 @@ func (d *HWDriver) Name() string {
 // TX implements Machine: steps T1–T3 of Sec. 2.1 (T4's wire time belongs
 // to the fabric).
 func (d *HWDriver) TX(p nic.Packet) stats.Breakdown {
-	b := stats.Breakdown{}
+	var b stats.Breakdown
 	// T1: the transmit function checks NIC state. A polled bare-metal
 	// driver tracks the ring tail locally, so this is a cheap host-memory
 	// check; the expensive device-register traffic is the doorbell below.
-	d.add(b, stats.IOReg, "pollCheck", d.Costs.PollCheck)
+	d.add(&b, stats.IOReg, "pollCheck", d.Costs.PollCheck)
 	// T2: build the SKB, stage the data, write the descriptor, ring the
 	// doorbell.
 	if d.ZeroCopy {
-		d.add(b, stats.TxCopy, "skb+pin+desc", d.Costs.SKBAlloc+d.Costs.ZcpyPin+d.Costs.DescWrite)
+		d.add(&b, stats.TxCopy, "skb+pin+desc", d.Costs.SKBAlloc+d.Costs.ZcpyPin+d.Costs.DescWrite)
 	} else {
-		d.add(b, stats.TxCopy, "skb+copy+desc", d.Costs.SKBAlloc+d.Costs.CopyTime(p.Size)+d.Costs.DescWrite)
+		d.add(&b, stats.TxCopy, "skb+copy+desc", d.Costs.SKBAlloc+d.Costs.CopyTime(p.Size)+d.Costs.DescWrite)
 	}
-	d.add(b, stats.IOReg, "doorbell", d.Dev.Regs().WriteCost())
+	d.add(&b, stats.IOReg, "doorbell", d.Dev.Regs().WriteCost())
 	// T3: the NIC fetches the descriptor and DMAs the packet out.
-	d.add(b, stats.TxDMA, "descFetch+packetRead", d.Dev.DescriptorFetch()+d.Dev.PacketRead(p.Size))
+	d.add(&b, stats.TxDMA, "descFetch+packetRead", d.Dev.DescriptorFetch()+d.Dev.PacketRead(p.Size))
 	return b
 }
 
 // RX implements Machine: steps R1–R5 of Sec. 2.1.
 func (d *HWDriver) RX(p nic.Packet) stats.Breakdown {
-	b := stats.Breakdown{}
+	var b stats.Breakdown
 	// R1–R3: descriptor fetch, packet DMA into the host, ring update.
-	d.add(b, stats.RxDMA, "descFetch+packetWrite+wb", d.Dev.DescriptorFetch()+d.Dev.PacketWrite(p.Size)+d.Dev.DescriptorWriteback())
+	d.add(&b, stats.RxDMA, "descFetch+packetWrite+wb", d.Dev.DescriptorFetch()+d.Dev.PacketWrite(p.Size)+d.Dev.DescriptorWriteback())
 	// R4: the polling driver notices the updated descriptor in host
 	// memory.
-	d.add(b, stats.IOReg, "pollCheck", d.Costs.PollCheck)
+	d.add(&b, stats.IOReg, "pollCheck", d.Costs.PollCheck)
 	// R5: SKB creation and payload landing in the application buffer.
 	if d.ZeroCopy {
-		d.add(b, stats.RxCopy, "skb+pin", d.Costs.SKBAlloc+d.Costs.ZcpyPin)
+		d.add(&b, stats.RxCopy, "skb+pin", d.Costs.SKBAlloc+d.Costs.ZcpyPin)
 	} else {
-		d.add(b, stats.RxCopy, "skb+copy", d.Costs.SKBAlloc+d.Costs.CopyTime(p.Size))
+		d.add(&b, stats.RxCopy, "skb+copy", d.Costs.SKBAlloc+d.Costs.CopyTime(p.Size))
 	}
 	return b
 }

@@ -114,9 +114,9 @@ func (d *NetDIMMDriver) local(phys int64) int64 { return phys - d.Zone.Base }
 
 // add accumulates one named phase into breakdown component c and, when a
 // recorder is attached, records it as a lifecycle span (see HWDriver.add).
-func (d *NetDIMMDriver) add(b stats.Breakdown, c stats.Component, phase string, t sim.Time) {
+func (d *NetDIMMDriver) add(b *stats.Breakdown, c stats.Component, phase string, t sim.Time) {
 	b.Add(c, t)
-	d.Rec.Advance(string(c), phase, t)
+	d.Rec.Advance(c.String(), phase, t)
 }
 
 // TX implements Machine, following Alg. 1 lines 1–10.
@@ -129,7 +129,7 @@ func (d *NetDIMMDriver) TX(p nic.Packet) stats.Breakdown {
 // buffer contents; wire is what the nNIC fetched from local DRAM for
 // transmission.
 func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
-	b := stats.Breakdown{}
+	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
 
 	// The polling agent cleans completed TX descriptors before queueing
@@ -143,7 +143,7 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	// Line 2: txDesc[next].dma = allocCache[txSKB.data]. The lookup always
 	// runs; only the slow path consumes the page (on the fast path the
 	// descriptor points at the SKB data, which already lives in the zone).
-	d.add(b, stats.TxCopy, "skb+allocLookup+desc", d.Costs.SKBAlloc+d.Costs.AllocCacheLookup+d.Costs.DescWrite)
+	d.add(&b, stats.TxCopy, "skb+allocLookup+desc", d.Costs.SKBAlloc+d.Costs.AllocCacheLookup+d.Costs.DescWrite)
 
 	dmaBuf := d.appBuf
 	if d.CopyNeeded {
@@ -159,10 +159,10 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 			d.stats.AllocFast++
 		} else {
 			d.stats.AllocSlow++
-			d.add(b, stats.TxCopy, "slowAllocPages", d.Costs.SlowAllocPages)
+			d.add(&b, stats.TxCopy, "slowAllocPages", d.Costs.SlowAllocPages)
 		}
-		d.add(b, stats.TxCopy, "cpuCopy", d.Costs.CopyTime(p.Size))
-		d.add(b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
+		d.add(&b, stats.TxCopy, "cpuCopy", d.Costs.CopyTime(p.Size))
+		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
 		if payload != nil {
 			// The CPU copy: payload lands in the DMA buffer.
 			d.Dev.WriteData(d.local(dmaBuf), clip(payload, p.Size))
@@ -172,7 +172,7 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 		// flush its cachelines so the nNIC reads fresh data.
 		d.stats.TxFast++
 		d.stats.AllocFast++
-		d.add(b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
+		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
 		if payload != nil {
 			// The application wrote straight into its NET_i buffer.
 			d.Dev.WriteData(d.local(d.appBuf), clip(payload, p.Size))
@@ -181,12 +181,12 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	// Lines 9–10: set and flush size+flags — the 64-bit posted write that
 	// kicks off transmission, travelling the memory channel.
 	d.txRing.Push(nic.Descriptor{BufAddr: dmaBuf, Len: p.Size, Owned: true})
-	d.add(b, stats.TxFlush, "descFlush", d.Costs.FlushTime(nic.DescriptorBytes))
-	d.add(b, stats.IOReg, "sizeWrite", bus.WriteCost())
+	d.add(&b, stats.TxFlush, "descFlush", d.Costs.FlushTime(nic.DescriptorBytes))
+	d.add(&b, stats.IOReg, "sizeWrite", bus.WriteCost())
 
 	// nController fetches the packet from local DRAM into the nNIC; the
 	// nNIC then runs the same MAC pipeline as any full-blown NIC.
-	d.add(b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+d.measure(func(done func()) {
+	d.add(&b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+d.measure(func(done func()) {
 		if err := d.Dev.TransmitFetch(d.local(dmaBuf), p.Size, done); err != nil {
 			done()
 		}
@@ -237,7 +237,7 @@ func (d *NetDIMMDriver) RX(p nic.Packet) stats.Breakdown {
 // after the in-memory clone — byte-identical to payload when the data
 // plane is intact.
 func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
-	b := stats.Breakdown{}
+	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
 	d.stats.RxPackets++
 
@@ -248,7 +248,7 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	if exhausted {
 		rxBuf = d.appBuf
 	}
-	d.add(b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.measure(func(done func()) {
+	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.measure(func(done func()) {
 		if err := d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, done); err != nil {
 			done()
 		}
@@ -264,12 +264,12 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 		d.stats.PollMisses++
 	}
 	rf.AckRX()
-	d.add(b, stats.IOReg, "pollStatus", bus.ReadCost())
+	d.add(&b, stats.IOReg, "pollStatus", bus.ReadCost())
 
 	// Line 12: invalidate rxDesc to fetch fresh descriptor data, then
 	// re-read it over the channel.
-	d.add(b, stats.RxInvalidate, "descInvalidate", d.Costs.FlushTime(nic.DescriptorBytes))
-	d.add(b, stats.IOReg, "descReread", bus.ReadCost())
+	d.add(&b, stats.RxInvalidate, "descInvalidate", d.Costs.FlushTime(nic.DescriptorBytes))
+	d.add(&b, stats.IOReg, "descReread", bus.ReadCost())
 
 	// Line 13: rxSKB.data = allocCache[rxDesc.dma] — sub-array affine so
 	// the clone below runs in FPM.
@@ -288,14 +288,14 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 		d.stats.AllocSlow++
 		alloc += d.Costs.SlowAllocPages
 	}
-	d.add(b, stats.RxCopy, "skb+allocLookup", d.Costs.SKBAlloc+alloc)
+	d.add(&b, stats.RxCopy, "skb+allocLookup", d.Costs.SKBAlloc+alloc)
 
 	// Line 14: netdimmClone(rxSKB.data, rxDesc.dma, size). The CPU writes
 	// dst/src/size into the NetDIMM register file (one posted line write);
 	// the size write kicks the in-memory clone engine.
-	d.add(b, stats.IOReg, "cloneRegs", bus.WriteCost())
+	d.add(&b, stats.IOReg, "cloneRegs", bus.WriteCost())
 	var mode dram.CloneMode
-	cloneLat := d.measureVal(func(done func()) {
+	cloneLat := d.measure(func(done func()) {
 		rf.Write(core.RegCloneSrc, uint64(d.local(rxBuf)))
 		rf.Write(core.RegCloneDst, uint64(d.local(skbBuf)))
 		rf.OnCloneDone = func(m dram.CloneMode) {
@@ -313,11 +313,11 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	} else {
 		d.stats.ClonesOther++
 	}
-	d.add(b, stats.RxCopy, "clone", cloneLat)
+	d.add(&b, stats.RxCopy, "clone", cloneLat)
 
 	// Line 15: the stack processes the header — read from the DMA buffer,
 	// which hits nCache (header caching).
-	d.add(b, stats.RxCopy, "headerRead", d.measure(func(done func()) {
+	d.add(&b, stats.RxCopy, "headerRead", d.measure(func(done func()) {
 		d.Dev.HostReadLine(d.local(rxBuf), func(hit bool, lat sim.Time) {
 			if hit {
 				d.stats.HeaderCacheHits++
@@ -361,9 +361,4 @@ func (d *NetDIMMDriver) measure(op func(done func())) sim.Time {
 		end = d.Eng.Now()
 	}
 	return end - start
-}
-
-// measureVal is measure for operations whose callback carries a value.
-func (d *NetDIMMDriver) measureVal(op func(done func())) sim.Time {
-	return d.measure(op)
 }

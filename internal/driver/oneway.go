@@ -37,7 +37,7 @@ func OneWayObserved(tx, rx Machine, p nic.Packet, fabric ethernet.Fabric, c *obs
 	b := tx.TX(p)
 	wire := fabric.DirectWireTime(p.Size)
 	b.Add(stats.Wire, wire)
-	rec.Advance(string(stats.Wire), "wire", wire)
+	rec.Advance(stats.Wire.String(), "wire", wire)
 	return b.Plus(rx.RX(p))
 }
 

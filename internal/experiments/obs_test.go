@@ -41,8 +41,9 @@ func TestFig11SpanSumsMatchBreakdown(t *testing.T) {
 		for arch, b := range map[string]stats.Breakdown{
 			"dNIC": row.DNIC, "iNIC": row.INIC, "NetDIMM": row.NetDIMM,
 		} {
-			for comp, want := range b {
-				track := arch + "/" + string(comp)
+			for _, comp := range stats.Components {
+				want := b[comp]
+				track := arch + "/" + comp.String()
 				if got := sums[track]; got != want {
 					t.Errorf("size %d: track %q spans sum to %v, breakdown says %v",
 						row.Size, track, got, want)

@@ -80,17 +80,63 @@ func (s *Store) Read(addr int64, n int) ([]byte, error) {
 
 // Clone copies n bytes from src to dst — the functional effect of a
 // RowClone operation (any mode: FPM/PSM/GCM all produce the same bytes).
-// Overlapping ranges copy through an intermediate buffer, matching the
-// engine's read-then-write behaviour.
+// Overlapping ranges see a snapshot of the source taken before the copy,
+// matching the engine's read-then-write behaviour. The copy runs page to
+// page with no intermediate buffer, and a never-written source range
+// creates no destination page: it only clears the destination bytes of a
+// page that already holds data. Traffic counts n bytes read and n written,
+// as a Read followed by a Write would.
 func (s *Store) Clone(dst, src int64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("membank: negative clone length %d", n)
 	}
-	data, err := s.Read(src, n)
-	if err != nil {
-		return err
+	if src < 0 {
+		return fmt.Errorf("membank: invalid read addr=%d n=%d", src, n)
 	}
-	return s.Write(dst, data)
+	s.bytesRead += int64(n)
+	if dst < 0 {
+		return fmt.Errorf("membank: negative address %d", dst)
+	}
+	s.bytesWritten += int64(n)
+	// A destination that starts inside the source range is copied from the
+	// end backwards, so no source byte is overwritten before it is read.
+	backward := dst > src && dst < src+int64(n)
+	for left := int64(n); left > 0; {
+		var d, sa, k int64
+		if backward {
+			k = min(left, tailInPage(src+left), tailInPage(dst+left))
+			d, sa = dst+left-k, src+left-k
+		} else {
+			d, sa = dst+int64(n)-left, src+int64(n)-left
+			k = min(left, headInPage(sa), headInPage(d))
+		}
+		s.cloneSpan(d, sa, k)
+		left -= k
+	}
+	return nil
+}
+
+// headInPage returns how many bytes of addr's page lie at or after addr.
+func headInPage(addr int64) int64 { return addrmap.PageSize - addr&(addrmap.PageSize-1) }
+
+// tailInPage returns how many bytes of the page holding end-1 lie before end.
+func tailInPage(end int64) int64 { return (end-1)&(addrmap.PageSize-1) + 1 }
+
+// cloneSpan copies k bytes from src to dst; neither range crosses a page
+// boundary.
+func (s *Store) cloneSpan(dst, src, k int64) {
+	const mask = addrmap.PageSize - 1
+	doff := dst & mask
+	sp := s.page(src&^mask, false)
+	if sp == nil {
+		if dp := s.page(dst&^mask, false); dp != nil {
+			clear(dp[doff : doff+k])
+		}
+		return
+	}
+	dp := s.page(dst&^mask, true)
+	soff := src & mask
+	copy(dp[doff:doff+k], sp[soff:soff+k])
 }
 
 // Zero clears n bytes at addr (RowClone's bulk-initialisation use).

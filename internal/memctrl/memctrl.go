@@ -90,9 +90,6 @@ type Request struct {
 	// write retired to the device, but callers should usually not wait on
 	// it.
 	Done func(Response)
-
-	submitted sim.Time
-	bypassed  int
 }
 
 // Response describes a completed transaction.
@@ -158,8 +155,10 @@ type Controller struct {
 	cfg     Config
 	backend Backend
 
-	readQ    []*Request
-	writeQ   []*Request
+	readQ    []*entry
+	writeQ   []*entry
+	free     []*entry // recycled entries, each with its completion bound
+	pickFn   func()   // c.pick, bound once so scheduling it does not allocate
 	draining bool
 	// issueAt is the earliest instant the next command may issue; it tracks
 	// the backend's data-bus availability so bank preparation of the next
@@ -180,7 +179,37 @@ func New(eng *sim.Engine, cfg Config, backend Backend) *Controller {
 	if backend == nil {
 		panic("memctrl: nil backend")
 	}
-	return &Controller{eng: eng, cfg: cfg, backend: backend}
+	c := &Controller{eng: eng, cfg: cfg, backend: backend}
+	c.pickFn = c.pick
+	return c
+}
+
+// entry is one queued transaction: the controller's own copy of the
+// submitted Request plus its scheduling and completion state. Entries are
+// recycled through Controller.free, and each binds its completion method
+// value once, so a steady-state submit-issue-complete cycle allocates
+// nothing.
+type entry struct {
+	c         *Controller
+	req       Request
+	submitted sim.Time
+	bypassed  int // times FR-FCFS issued another request while this one waited
+	// completed and kind are the backend's answer, set at issue.
+	completed  sim.Time
+	kind       dram.AccessKind
+	completeFn func() // e.complete
+}
+
+// newEntry takes a recycled entry, or builds one when none is free.
+func (c *Controller) newEntry() *entry {
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free = c.free[:n-1]
+		return e
+	}
+	e := &entry{c: c}
+	e.completeFn = e.complete
+	return e
 }
 
 // Stats returns a copy of the controller statistics.
@@ -203,29 +232,37 @@ func (c *Controller) Observe(trk *obs.Track, depth *obs.Series) {
 	c.depth = depth
 }
 
-// Submit enqueues a request. It returns an error if the target queue is
-// full; the request is then dropped (callers model back-pressure).
+// Submit enqueues a copy of req. It keeps no reference to req, so the
+// caller may reuse or mutate it as soon as Submit returns; the queued
+// transaction, and the Response its Done receives, are stamped with this
+// call's instant. It returns an error if the target queue is full; the
+// request is then dropped (callers model back-pressure, possibly by
+// submitting the same Request again later).
 func (c *Controller) Submit(req *Request) error {
-	req.submitted = c.eng.Now()
-	if req.Bytes <= 0 {
-		req.Bytes = addrmap.CachelineSize
-	}
 	if req.Write {
 		if len(c.writeQ) >= c.cfg.WriteQueueCap {
 			c.stats.Rejected++
 			return fmt.Errorf("memctrl: write queue full (%d)", c.cfg.WriteQueueCap)
 		}
-		c.writeQ = append(c.writeQ, req)
+	} else if len(c.readQ) >= c.cfg.ReadQueueCap {
+		c.stats.Rejected++
+		return fmt.Errorf("memctrl: read queue full (%d)", c.cfg.ReadQueueCap)
+	}
+	e := c.newEntry()
+	e.req = *req
+	e.submitted = c.eng.Now()
+	e.bypassed = 0
+	if e.req.Bytes <= 0 {
+		e.req.Bytes = addrmap.CachelineSize
+	}
+	if e.req.Write {
+		c.writeQ = append(c.writeQ, e)
 	} else {
-		if len(c.readQ) >= c.cfg.ReadQueueCap {
-			c.stats.Rejected++
-			return fmt.Errorf("memctrl: read queue full (%d)", c.cfg.ReadQueueCap)
-		}
-		c.readQ = append(c.readQ, req)
+		c.readQ = append(c.readQ, e)
 		if d := len(c.readQ); d > c.stats.MaxReadQueueDepth {
 			c.stats.MaxReadQueueDepth = d
 		}
-		c.depth.Sample(req.submitted, int64(len(c.readQ)))
+		c.depth.Sample(e.submitted, int64(len(c.readQ)))
 	}
 	c.schedulePick()
 	return nil
@@ -240,7 +277,7 @@ func (c *Controller) schedulePick() {
 	if at < c.eng.Now() {
 		at = c.eng.Now()
 	}
-	c.eng.At(at, c.pick)
+	c.eng.At(at, c.pickFn)
 }
 
 // pick selects and issues one request per invocation (FR-FCFS with
@@ -256,7 +293,7 @@ func (c *Controller) pick() {
 	} else if len(c.writeQ) >= c.cfg.WriteHighWatermark {
 		c.draining = true
 	}
-	var q *[]*Request
+	var q *[]*entry
 	switch {
 	case c.draining && len(c.writeQ) > 0:
 		q = &c.writeQ
@@ -269,66 +306,76 @@ func (c *Controller) pick() {
 	}
 
 	idx := c.frfcfs(*q)
-	req := (*q)[idx]
+	e := (*q)[idx]
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
 
 	now := c.eng.Now()
-	if !req.Write {
+	if !e.req.Write {
 		c.depth.Sample(now, int64(len(c.readQ)))
 	}
-	done, kind := c.backend.Access(now+c.cfg.TCMD, req.Addr, req.Write, req.Bytes)
+	e.completed, e.kind = c.backend.Access(now+c.cfg.TCMD, e.req.Addr, e.req.Write, e.req.Bytes)
 	// The front end issues one command per burst slot: command processing
 	// pipelines, so a row-friendly stream is bus-bound, not tCMD+tCL-bound.
 	// Bank and bus constraints are enforced inside the backend.
 	burst := sim.Nanosecond
 	if rs, ok := c.backend.(*RankSet); ok {
-		burst = rs.Ranks[0].Timing().BurstTime(req.Bytes)
+		burst = rs.Ranks[0].Timing().BurstTime(e.req.Bytes)
 	}
 	c.issueAt = now + burst
 
-	c.eng.At(done, func() {
-		if req.Write {
-			c.stats.WritesDone++
-		} else {
-			c.stats.ReadsDone++
-			c.stats.ReadLatencySum += done - req.submitted
-		}
-		if c.trk != nil {
-			dir := "rd "
-			if req.Write {
-				dir = "wr "
-			}
-			c.trk.Span(dir+kind.String(), req.submitted, done)
-		}
-		c.stats.BytesTransferred += req.Bytes
-		if req.Done != nil {
-			req.Done(Response{
-				Addr:      req.Addr,
-				Write:     req.Write,
-				Submitted: req.submitted,
-				Completed: done,
-				Kind:      kind,
-			})
-		}
-	})
+	c.eng.At(e.completed, e.completeFn)
 
 	if len(c.readQ)+len(c.writeQ) > 0 {
 		c.schedulePick()
 	}
 }
 
+// complete retires the transaction at its completion instant: it updates
+// the statistics, recycles the entry and then invokes the request's Done,
+// which may submit new requests.
+func (e *entry) complete() {
+	c := e.c
+	req, done := e.req, e.completed
+	if req.Write {
+		c.stats.WritesDone++
+	} else {
+		c.stats.ReadsDone++
+		c.stats.ReadLatencySum += done - e.submitted
+	}
+	if c.trk != nil {
+		dir := "rd "
+		if req.Write {
+			dir = "wr "
+		}
+		c.trk.Span(dir+e.kind.String(), e.submitted, done)
+	}
+	c.stats.BytesTransferred += req.Bytes
+	resp := Response{
+		Addr:      req.Addr,
+		Write:     req.Write,
+		Submitted: e.submitted,
+		Completed: done,
+		Kind:      e.kind,
+	}
+	e.req.Done = nil // drop the caller's closure so the free list pins nothing
+	c.free = append(c.free, e)
+	if req.Done != nil {
+		req.Done(resp)
+	}
+}
+
 // frfcfs returns the index of the request to issue: the oldest request that
 // exceeded the starvation cap if any, else the oldest row hit, else the
 // oldest request. Every bypassed request's age counter increments.
-func (c *Controller) frfcfs(q []*Request) int {
-	for i, r := range q {
-		if r.bypassed >= c.cfg.StarvationCap {
+func (c *Controller) frfcfs(q []*entry) int {
+	for i, e := range q {
+		if e.bypassed >= c.cfg.StarvationCap {
 			return i
 		}
 	}
 	hit := -1
-	for i, r := range q {
-		if c.backend.WouldHit(r.Addr) {
+	for i, e := range q {
+		if c.backend.WouldHit(e.req.Addr) {
 			hit = i
 			break
 		}
@@ -337,9 +384,9 @@ func (c *Controller) frfcfs(q []*Request) int {
 	if hit >= 0 {
 		pick = hit
 	}
-	for i, r := range q {
+	for i, e := range q {
 		if i != pick {
-			r.bypassed++
+			e.bypassed++
 		}
 	}
 	return pick

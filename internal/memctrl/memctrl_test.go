@@ -251,3 +251,103 @@ func BenchmarkControllerStream(b *testing.B) {
 	}
 	eng.Run()
 }
+
+// Submit copies the request: a caller that mutates or reuses its Request
+// right after Submit does not change the transaction already queued.
+func TestSubmitCopiesRequest(t *testing.T) {
+	eng, c, _ := newCtrl(t)
+	var first, second []Response
+	req := &Request{Addr: 0x40, Done: func(r Response) { first = append(first, r) }}
+	if err := c.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	// Reuse the same Request for a different transaction before the first
+	// one has even been issued.
+	req.Addr, req.Write, req.Bytes = 0x8000, true, 4*addrmap.CachelineSize
+	req.Done = func(r Response) { second = append(second, r) }
+	if err := c.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	req.Addr, req.Done = 0x1234, nil
+	eng.Run()
+	if len(first) != 1 || first[0].Addr != 0x40 || first[0].Write {
+		t.Fatalf("first transaction completed as %+v, want one read of 0x40", first)
+	}
+	if len(second) != 1 || second[0].Addr != 0x8000 || !second[0].Write {
+		t.Fatalf("second transaction completed as %+v, want one write of 0x8000", second)
+	}
+	s := c.Stats()
+	if s.ReadsDone != 1 || s.WritesDone != 1 {
+		t.Fatalf("reads/writes done = %d/%d, want 1/1", s.ReadsDone, s.WritesDone)
+	}
+	if want := addrmap.CachelineSize + 4*addrmap.CachelineSize; s.BytesTransferred != want {
+		t.Fatalf("BytesTransferred = %d, want %d", s.BytesTransferred, want)
+	}
+}
+
+// A rejected request resubmitted later — the retry-with-backoff pattern of
+// Fig. 5's copy rig and the workload injector — completes exactly once,
+// stamped with the instant of the submit that was accepted.
+func TestRejectedResubmitCompletesOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.ReadQueueCap = 1
+	c := New(eng, cfg, NewRankSet(dram.DDR4_2400(), 1))
+	if err := c.Submit(&Request{Addr: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var resps []Response
+	req := &Request{Addr: 0x10000, Done: func(r Response) { resps = append(resps, r) }}
+	var accepted sim.Time
+	attempts := 0
+	var try func()
+	try = func() {
+		attempts++
+		if err := c.Submit(req); err != nil {
+			eng.Schedule(3*sim.Nanosecond, try)
+			return
+		}
+		accepted = eng.Now()
+	}
+	try()
+	eng.Run()
+	if attempts < 2 {
+		t.Fatalf("request accepted on attempt %d; the test needs at least one rejection", attempts)
+	}
+	if len(resps) != 1 {
+		t.Fatalf("Done fired %d times, want once", len(resps))
+	}
+	if resps[0].Submitted != accepted || accepted == 0 {
+		t.Fatalf("Submitted = %v, want the accepted submit at %v", resps[0].Submitted, accepted)
+	}
+	s := c.Stats()
+	if s.ReadsDone != 2 || s.Rejected != uint64(attempts-1) {
+		t.Fatalf("ReadsDone = %d, Rejected = %d; want 2 and %d", s.ReadsDone, s.Rejected, attempts-1)
+	}
+}
+
+// A steady-state submit, issue and completion allocates nothing: queue
+// entries are recycled, the completion and pick callbacks are bound once,
+// and the caller's Request stays on its stack.
+func TestControllerSubmitAllocs(t *testing.T) {
+	eng, c, _ := newCtrl(t)
+	var done int
+	onDone := func(Response) { done++ }
+	for i := 0; i < 64; i++ { // warm the entry pool and queue capacity
+		c.Submit(&Request{Addr: int64(i) * 64, Write: i%2 == 0, Done: onDone})
+	}
+	eng.Run()
+	i := int64(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		i++
+		c.Submit(&Request{Addr: i * 64, Done: onDone})
+		c.Submit(&Request{Addr: i*64 + 0x8000, Write: true})
+		eng.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("allocs per submit+complete = %v, want 0", avg)
+	}
+	if done != 64+1001 {
+		t.Fatalf("Done fired %d times, want %d", done, 64+1001)
+	}
+}

@@ -14,31 +14,48 @@ import (
 )
 
 // Component is one slice of the one-way network latency (paper Fig. 11).
-type Component string
+type Component uint8
 
-// The breakdown components of Fig. 11. txCopy/rxCopy are driver memory
-// copies and allocation; txDMA/rxDMA are NIC-side data movement; wire is
-// the physical layer; IOReg is CPU<->NIC register access; txFlush and
-// rxInvalidate are the NetDIMM driver's cache-coherency operations.
+// The breakdown components of Fig. 11, in presentation order. txCopy/rxCopy
+// are driver memory copies and allocation; txDMA/rxDMA are NIC-side data
+// movement; wire is the physical layer; IOReg is CPU<->NIC register access;
+// txFlush and rxInvalidate are the NetDIMM driver's cache-coherency
+// operations.
 const (
-	TxCopy       Component = "txCopy"
-	RxCopy       Component = "rxCopy"
-	TxDMA        Component = "txDMA"
-	RxDMA        Component = "rxDMA"
-	Wire         Component = "wire"
-	IOReg        Component = "I/O reg acc"
-	TxFlush      Component = "txFlush"
-	RxInvalidate Component = "rxInvalidate"
+	TxCopy Component = iota
+	RxCopy
+	TxDMA
+	RxDMA
+	Wire
+	IOReg
+	TxFlush
+	RxInvalidate
+
+	numComponents = int(RxInvalidate) + 1
 )
+
+var componentNames = [numComponents]string{
+	"txCopy", "rxCopy", "txDMA", "rxDMA", "wire", "I/O reg acc", "txFlush", "rxInvalidate",
+}
+
+// String returns the component's name as the figures and trace tracks
+// print it.
+func (c Component) String() string {
+	if int(c) < numComponents {
+		return componentNames[c]
+	}
+	return fmt.Sprintf("Component(%d)", c)
+}
 
 // Components lists every component in presentation order.
 var Components = []Component{TxCopy, RxCopy, TxDMA, RxDMA, Wire, IOReg, TxFlush, RxInvalidate}
 
-// Breakdown is a per-packet latency decomposition.
-type Breakdown map[Component]sim.Time
+// Breakdown is a per-packet latency decomposition, indexed by Component.
+// It is a plain value: copying it copies every component.
+type Breakdown [numComponents]sim.Time
 
 // Add accumulates d into component c.
-func (b Breakdown) Add(c Component, d sim.Time) { b[c] += d }
+func (b *Breakdown) Add(c Component, d sim.Time) { b[c] += d }
 
 // Total returns the summed latency.
 func (b Breakdown) Total() sim.Time {
@@ -60,36 +77,31 @@ func (b Breakdown) Share(c Component) float64 {
 
 // Plus returns the component-wise sum of two breakdowns.
 func (b Breakdown) Plus(o Breakdown) Breakdown {
-	out := Breakdown{}
-	for c, v := range b {
-		out[c] += v
-	}
 	for c, v := range o {
-		out[c] += v
+		b[c] += v
 	}
-	return out
+	return b
 }
 
 // Scale returns the breakdown divided by n (for averaging). Each component
 // divides independently with truncation, so Scale(n).Total() can undershoot
 // Total()/n by up to one unit per nonzero component.
 func (b Breakdown) Scale(n int64) Breakdown {
-	out := Breakdown{}
 	if n == 0 {
-		return out
+		return Breakdown{}
 	}
 	for c, v := range b {
-		out[c] = v / sim.Time(n)
+		b[c] = v / sim.Time(n)
 	}
-	return out
+	return b
 }
 
 // String renders the breakdown compactly in presentation order.
 func (b Breakdown) String() string {
 	var sb strings.Builder
 	for _, c := range Components {
-		v, ok := b[c]
-		if !ok || v == 0 {
+		v := b[c]
+		if v == 0 {
 			continue
 		}
 		if sb.Len() > 0 {
