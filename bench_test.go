@@ -8,6 +8,7 @@ package netdimm
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -205,5 +206,45 @@ func TestOneWayPacketAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, send); avg > 20 {
 		t.Fatalf("allocs per one-way packet = %v, want <= 20", avg)
+	}
+}
+
+// BenchmarkNewNetDIMM times building one Table 1 NetDIMM endpoint: device,
+// NET_0 zone, prefilled allocCache and driver. A rack sweep builds one per
+// host, so this is most of a sweep's set-up.
+func BenchmarkNewNetDIMM(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewNetDIMM(uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestNewNetDIMMAllocs holds BenchmarkNewNetDIMM to its budget: at most
+// 128KB in at most 100 heap allocations per endpoint. The zone and the
+// allocCache keep a few bytes per (rank, bank, sub-array) bucket and
+// nothing per page, so the prefilled 32K pages cost no host memory; the
+// device alone is about 25KB.
+func TestNewNetDIMMAllocs(t *testing.T) {
+	const runs = 20
+	build := func() {
+		if _, err := NewNetDIMM(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("NewNetDIMM: %d B, %d allocs", bytes, allocs)
+	if bytes > 128<<10 || allocs > 100 {
+		t.Fatalf("NewNetDIMM costs %d B in %d allocs, want <= %d B and <= 100 allocs", bytes, allocs, 128<<10)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // sub-array) ready, so on-demand DMA-buffer allocation returns a
 // sub-array-affine page immediately instead of walking the allocator on the
 // packet critical path. The paper's driver refills it in the background;
-// here only construction calls Refill, so the cache is pre-filled once.
+// here it is filled once, at construction.
 // Each NetDIMM receive takes two pages for good (Release returns them to
 // the zone, not the cache), so the cache drains after
 // Buckets x perSubarray / 2 receives; from then on every Get takes the
@@ -18,16 +18,19 @@ import (
 type AllocCache struct {
 	zone        *Zone
 	perSubarray int
-	// cache holds each bucket's ready pages, indexed by SubarrayKey —
-	// keys are dense in [0, zone.Buckets()), so a slice replaces the
-	// hash table the paper names (the affinity lookup is still O(1),
-	// now without hashing). All bucket slices share one backing array
-	// carved out at construction, so a prefilled cache costs two
-	// allocations instead of one per bucket.
-	cache [][]int64
-	// nonEmpty has bit k set exactly while cache[k] holds a page, so the
-	// NoHint lookup skips empty buckets 64 at a time and a drained cache
-	// answers after one pass over Buckets()/64 words.
+	// count[k] is the number of ready pages bucket k holds, indexed by
+	// SubarrayKey — keys are dense in [0, zone.Buckets()), so a slice
+	// replaces the hash table the paper names (the affinity lookup is
+	// still O(1), now without hashing). The pages Refill added are on
+	// top, in refilled. Below them lie the prefill pages, which are never
+	// stored: the prefill of a zone that has allocated nothing takes each
+	// bucket's first pages, so once refilled[k] is empty bucket k holds
+	// exactly bucketPage(k, 0 .. count[k]-1) and pop computes the address.
+	count    []uint16
+	refilled pageStacks
+	// nonEmpty has bit k set exactly while count[k] > 0, so the NoHint
+	// lookup skips empty buckets 64 at a time and a drained cache answers
+	// after one pass over Buckets()/64 words.
 	nonEmpty []uint64
 	// cursor is where the next NoHint lookup starts its bucket scan. A
 	// rotating cursor spreads no-affinity allocations across sub-arrays
@@ -41,27 +44,32 @@ type AllocCache struct {
 
 // NewAllocCache builds and pre-fills the cache with perSubarray pages per
 // bucket. With the paper's defaults (2 pages x 8K sub-arrays x 2 ranks)
-// this pins 32K pages = 128MB, 0.8% of a 16GB NetDIMM.
+// this pins 32K pages = 128MB, 0.8% of a 16GB NetDIMM. On a zone that has
+// not allocated a page yet the prefill stores no page: it sets one count
+// per bucket.
 func NewAllocCache(zone *Zone, perSubarray int) (*AllocCache, error) {
-	if zone.Kind != ZoneNetDIMM {
-		return nil, fmt.Errorf("kalloc: allocCache requires a NetDIMM zone, got %s", zone.Name)
-	}
-	if perSubarray <= 0 {
-		return nil, fmt.Errorf("kalloc: perSubarray must be positive, got %d", perSubarray)
+	if perSubarray < 1 || perSubarray > pagesPerBucket {
+		return nil, fmt.Errorf("kalloc: perSubarray %d outside [1, %d]: a (rank, bank, sub-array) bucket holds %d pages",
+			perSubarray, pagesPerBucket, pagesPerBucket)
 	}
 	n := zone.Buckets()
 	c := &AllocCache{
 		zone:        zone,
 		perSubarray: perSubarray,
-		cache:       make([][]int64, n),
-		nonEmpty:    make([]uint64, (n+63)/64),
+		count:       make([]uint16, n),
+		nonEmpty:    make([]uint64, n/64),
 	}
-	backing := make([]int64, n*perSubarray)
-	for k := range c.cache {
-		c.cache[k] = backing[k*perSubarray : k*perSubarray : (k+1)*perSubarray]
+	if zone.stats.Allocs != 0 {
+		return c, c.Refill()
 	}
-	if err := c.Refill(); err != nil {
-		return nil, err
+	zone.takeFirst(perSubarray)
+	for k := range c.count {
+		c.count[k] = uint16(perSubarray)
+	}
+	// Buckets() is a whole number of 8K-bucket ranks, so every word is
+	// full.
+	for w := range c.nonEmpty {
+		c.nonEmpty[w] = ^uint64(0)
 	}
 	return c, nil
 }
@@ -69,8 +77,8 @@ func NewAllocCache(zone *Zone, perSubarray int) (*AllocCache, error) {
 // PinnedPages returns the number of pages currently held by the cache.
 func (c *AllocCache) PinnedPages() int {
 	n := 0
-	for _, pages := range c.cache {
-		n += len(pages)
+	for _, k := range c.count {
+		n += int(k)
 	}
 	return n
 }
@@ -87,13 +95,13 @@ func (c *AllocCache) Get(hint int64) (addr int64, fast bool, err error) {
 		if kerr != nil {
 			return 0, false, kerr
 		}
-		if len(c.cache[key]) > 0 {
+		if c.count[key] > 0 {
 			return c.pop(int(key)), true, nil
 		}
 	} else if key := c.nextNonEmpty(); key >= 0 {
 		// No affinity requirement: serve from the next non-empty bucket in
 		// key order, resuming where the previous no-hint lookup left off.
-		c.cursor = (key + 1) % len(c.cache)
+		c.cursor = (key + 1) % len(c.count)
 		return c.pop(key), true, nil
 	}
 	// Slow path: __alloc_netdimm_pages directly.
@@ -102,17 +110,19 @@ func (c *AllocCache) Get(hint int64) (addr int64, fast bool, err error) {
 	return addr, false, err
 }
 
-// pop takes the last page of non-empty bucket key as a cache hit, clearing
+// pop takes the top page of non-empty bucket key as a cache hit, clearing
 // the bucket's nonEmpty bit along with its last page.
 func (c *AllocCache) pop(key int) int64 {
-	pages := c.cache[key]
-	addr := pages[len(pages)-1]
-	c.cache[key] = pages[:len(pages)-1]
-	if len(pages) == 1 {
+	c.count[key]--
+	idx, ok := c.refilled.pop(key)
+	if !ok {
+		idx = int(c.count[key])
+	}
+	if c.count[key] == 0 {
 		c.nonEmpty[key>>6] &^= 1 << uint(key&63)
 	}
 	c.hits++
-	return addr
+	return c.zone.bucketPage(key, idx)
 }
 
 // nextNonEmpty returns the first non-empty bucket at or after the cursor
@@ -139,22 +149,20 @@ func (c *AllocCache) nextNonEmpty() int {
 }
 
 // Refill tops every bucket back up to perSubarray pages (the paper's
-// background maintenance; here only NewAllocCache calls it). Buckets whose
-// sub-array is exhausted are skipped — Get then falls back to the
-// allocator's best-effort path.
+// background maintenance; here only NewAllocCache calls it, on a zone that
+// has allocated pages already). Buckets whose sub-array is exhausted are
+// skipped — Get then falls back to the allocator's best-effort path.
 func (c *AllocCache) Refill() error {
-	for key := 0; key < c.zone.Buckets(); key++ {
-		pages := c.cache[key]
-		for len(pages) < c.perSubarray {
-			addr := c.zone.allocFromBucket(key)
-			if addr < 0 {
+	for key := range c.count {
+		for int(c.count[key]) < c.perSubarray {
+			idx := c.zone.take(key)
+			if idx < 0 {
 				break
 			}
-			c.zone.markAllocated(addr)
-			pages = append(pages, addr)
+			c.refilled.push(len(c.count), key, idx)
+			c.count[key]++
 		}
-		c.cache[key] = pages
-		if len(pages) > 0 {
+		if c.count[key] > 0 {
 			c.nonEmpty[key>>6] |= 1 << uint(key&63)
 		}
 	}

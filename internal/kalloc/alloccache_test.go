@@ -9,30 +9,23 @@ import (
 )
 
 // linearGet is AllocCache.Get as it was before the nonEmpty bitmap: the
-// NoHint path scans every bucket from the cursor in key order. It ignores
-// the bitmap and is the reference the bitmap lookup must match.
+// NoHint path scans every bucket's count from the cursor in key order. It
+// ignores the bitmap and is the reference the bitmap lookup must match.
 func linearGet(c *AllocCache, hint int64) (addr int64, fast bool, err error) {
 	if hint != NoHint {
 		key, kerr := c.zone.SubarrayKeyOf(hint)
 		if kerr != nil {
 			return 0, false, kerr
 		}
-		if pages := c.cache[key]; len(pages) > 0 {
-			addr = pages[len(pages)-1]
-			c.cache[key] = pages[:len(pages)-1]
-			c.hits++
-			return addr, true, nil
+		if c.count[key] > 0 {
+			return c.pop(int(key)), true, nil
 		}
 	} else {
-		n := c.zone.Buckets()
+		n := len(c.count)
 		for i := 0; i < n; i++ {
-			key := (c.cursor + i) % n
-			if pages := c.cache[key]; len(pages) > 0 {
-				addr = pages[len(pages)-1]
-				c.cache[key] = pages[:len(pages)-1]
+			if key := (c.cursor + i) % n; c.count[key] > 0 {
 				c.cursor = (key + 1) % n
-				c.hits++
-				return addr, true, nil
+				return c.pop(key), true, nil
 			}
 		}
 	}
@@ -111,8 +104,8 @@ func (p *cachePair) keep(keep ...int) {
 	for _, k := range keep {
 		kept[k] = true
 	}
-	for key := range p.got.cache {
-		for !kept[key] && len(p.got.cache[key]) > 0 {
+	for key := range p.got.count {
+		for !kept[key] && p.got.count[key] > 0 {
 			p.get(p.hint(key))
 		}
 	}
@@ -122,9 +115,9 @@ func (p *cachePair) keep(keep ...int) {
 // holds a page.
 func (p *cachePair) checkBitmap() {
 	p.t.Helper()
-	for key, pages := range p.got.cache {
-		if set := p.got.nonEmpty[key>>6]&(1<<uint(key&63)) != 0; set != (len(pages) > 0) {
-			p.t.Fatalf("nonEmpty bit %d = %v with %d pages in the bucket", key, set, len(pages))
+	for key, n := range p.got.count {
+		if set := p.got.nonEmpty[key>>6]&(1<<uint(key&63)) != 0; set != (n > 0) {
+			p.t.Fatalf("nonEmpty bit %d = %v with %d pages in the bucket", key, set, n)
 		}
 	}
 }
@@ -249,7 +242,8 @@ func BenchmarkAllocCacheGet(b *testing.B) {
 		n := c.zone.Buckets()
 		// Each receive empties one bucket, so the cache is refilled every
 		// n receives off the clock. One untimed drain-and-refill pass first
-		// sizes every bucket's zone free list for the pages Release returns.
+		// sizes the zone's free-stack slab and the cache's refilled slab
+		// for the pages Release and Refill move between them.
 		for i := 0; i < n; i++ {
 			receive(b, c)
 		}

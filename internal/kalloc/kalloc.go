@@ -1,5 +1,5 @@
 // Package kalloc models the Linux kernel physical-page allocator as the
-// paper extends it: memory zones including the per-NetDIMM NET_i zones, the
+// paper extends it: the per-NetDIMM NET_i memory zones, the
 // __alloc_netdimm_pages(zone, hint) API that allocates a page in the same
 // bank sub-array as a hint address, and the allocCache pre-allocation hash
 // table the NetDIMM driver uses to keep DMA-buffer allocation off the
@@ -16,42 +16,24 @@ import (
 // __alloc_netdimm_pages(zone, -1).
 const NoHint int64 = -1
 
-// ZoneKind distinguishes ordinary kernel zones from NetDIMM zones.
-type ZoneKind int
-
-const (
-	// ZoneNormal models ZONE_NORMAL: regularly mapped host pages.
-	ZoneNormal ZoneKind = iota
-	// ZoneNetDIMM models a NET_i zone: the local DRAM of NetDIMM i,
-	// organised by (rank, bank, sub-array) for affine allocation.
-	ZoneNetDIMM
-)
-
-// Zone is one contiguous physical memory zone with page-granular
-// allocation.
+// Zone is a NET_i zone: the local DRAM of one NetDIMM, organised by
+// (rank, bank, sub-array) bucket for affine page allocation.
+//
+// Its state is per bucket, never per page. A bucket hands out its pages
+// in index order (index row*2 + half, see bucketPage) and recycles freed
+// ones LIFO, so a page is allocated exactly while its index is below the
+// bucket's fresh counter and it is not on the bucket's free stack.
+// Building a zone therefore costs two bytes per bucket, whatever the DIMM
+// size.
 type Zone struct {
 	Name string
-	Kind ZoneKind
 	Base int64 // first physical address
 	Size int64
 
-	// ZoneNormal bookkeeping: bump pointer + free list.
-	bump  int64
-	freed []int64
-
-	// ZoneNetDIMM bookkeeping: per-(rank,bank,sub-array) buckets. Each
-	// bucket hands out its pages lazily (fresh counter) and recycles via a
-	// free list.
-	buckets []subBucket
-	ranks   int
-
-	// allocated is a page-granular bitmap over [Base, Base+Size): bit i
-	// covers page i. One bit per 4KB page costs Size/32768 bytes — far
-	// below the hash table it replaced, and allocation tracking becomes
-	// two shifts and a mask instead of a map operation (the allocCache
-	// prefill walks every bucket at construction, so this is on the
-	// machine build path).
-	allocated  []uint64
+	// fresh[k] is the index of bucket k's next never-allocated page.
+	fresh []uint16
+	// freed holds each bucket's freed pages, reused before fresh ones.
+	freed      pageStacks
 	allocCount int64
 	stats      ZoneStats
 }
@@ -65,70 +47,22 @@ type ZoneStats struct {
 	Failures      uint64
 }
 
-type subBucket struct {
-	fresh int // next fresh page index in [0, pagesPerBucket)
-	freed []int64
-}
-
 // pagesPerBucket is the number of 4KB pages per (bank, sub-array) pair:
 // 128 rows x 2 half-row pages.
 const pagesPerBucket = addrmap.RowsPerSubarray * 2
 
-// NewNormalZone returns a ZONE_NORMAL-style zone over [base, base+size).
-func NewNormalZone(name string, base, size int64) *Zone {
-	mustPageAligned(base, size)
-	return &Zone{
-		Name: name, Kind: ZoneNormal, Base: base, Size: size,
-		allocated: make([]uint64, pageBitmapWords(size)),
-	}
-}
-
 // NewNetDIMMZone returns a NET_i zone over the NetDIMM's local memory. The
 // size must be a whole number of 8GB ranks (paper Fig. 9a geometry).
 func NewNetDIMMZone(name string, base, size int64) *Zone {
-	mustPageAligned(base, size)
+	if base%addrmap.PageSize != 0 || size <= 0 || size%addrmap.PageSize != 0 {
+		panic(fmt.Sprintf("kalloc: zone base %#x / size %#x not page aligned", base, size))
+	}
 	if size%addrmap.RankBytes != 0 {
 		panic(fmt.Sprintf("kalloc: NetDIMM zone size %d not a multiple of the 8GB rank", size))
 	}
-	ranks := int(size / addrmap.RankBytes)
 	return &Zone{
-		Name: name, Kind: ZoneNetDIMM, Base: base, Size: size,
-		buckets:   make([]subBucket, ranks*addrmap.SubarraysPerRank),
-		ranks:     ranks,
-		allocated: make([]uint64, pageBitmapWords(size)),
-	}
-}
-
-// pageBitmapWords sizes the allocation bitmap: one bit per page, rounded
-// up to whole 64-bit words.
-func pageBitmapWords(size int64) int64 {
-	return (size/addrmap.PageSize + 63) / 64
-}
-
-// pageBit locates a page's bitmap word and mask. The address must lie in
-// the zone and be page aligned (callers validate both).
-func (z *Zone) pageBit(addr int64) (word int64, mask uint64) {
-	page := (addr - z.Base) / addrmap.PageSize
-	return page / 64, 1 << uint(page%64)
-}
-
-func (z *Zone) isAllocated(addr int64) bool {
-	w, m := z.pageBit(addr)
-	return z.allocated[w]&m != 0
-}
-
-// markAllocated sets the page's bit; AllocPageHint and the allocCache
-// prefill share it so allocation accounting has one authority.
-func (z *Zone) markAllocated(addr int64) {
-	w, m := z.pageBit(addr)
-	z.allocated[w] |= m
-	z.allocCount++
-	z.stats.Allocs++
-}
-
-func mustPageAligned(base, size int64) {
-	if base%addrmap.PageSize != 0 || size <= 0 || size%addrmap.PageSize != 0 {
-		panic(fmt.Sprintf("kalloc: zone base %#x / size %#x not page aligned", base, size))
+		Name: name, Base: base, Size: size,
+		fresh: make([]uint16, size/addrmap.RankBytes*addrmap.SubarraysPerRank),
 	}
 }
 
@@ -154,92 +88,80 @@ func (z *Zone) AllocPage() (int64, error) {
 // address. The API is best effort (paper Sec. 4.2.1): when the hinted
 // sub-array has no free page, any free page in the zone is returned.
 func (z *Zone) AllocPageHint(hint int64) (int64, error) {
-	var addr int64 = -1
-	switch z.Kind {
-	case ZoneNormal:
-		addr = z.allocNormal()
-	case ZoneNetDIMM:
-		if hint != NoHint {
-			if !z.Contains(hint) {
-				return 0, fmt.Errorf("kalloc: hint %#x outside zone %s", hint, z.Name)
-			}
-			key := addrmap.SubarrayOf(hint - z.Base)
-			addr = z.allocFromBucket(int(key))
-			if addr >= 0 {
-				z.stats.HintSatisfied++
-			} else {
-				z.stats.HintFallback++
-			}
+	key, idx := 0, -1
+	if hint != NoHint {
+		if !z.Contains(hint) {
+			return 0, fmt.Errorf("kalloc: hint %#x outside zone %s", hint, z.Name)
 		}
-		if addr < 0 {
-			addr = z.allocAnyBucket()
+		key = int(addrmap.SubarrayOf(hint - z.Base))
+		if idx = z.take(key); idx >= 0 {
+			z.stats.HintSatisfied++
+		} else {
+			z.stats.HintFallback++
 		}
 	}
-	if addr < 0 {
+	for k := 0; idx < 0 && k < len(z.fresh); k++ {
+		key, idx = k, z.take(k)
+	}
+	if idx < 0 {
 		z.stats.Failures++
 		return 0, fmt.Errorf("kalloc: zone %s exhausted", z.Name)
 	}
-	z.markAllocated(addr)
-	return addr, nil
+	return z.bucketPage(key, idx), nil
 }
 
-func (z *Zone) allocNormal() int64 {
-	if n := len(z.freed); n > 0 {
-		a := z.freed[n-1]
-		z.freed = z.freed[:n-1]
-		return a
-	}
-	if z.bump >= z.Size {
-		return -1
-	}
-	a := z.Base + z.bump
-	z.bump += addrmap.PageSize
-	return a
-}
-
-// allocFromBucket returns a free page of bucket key, or -1.
-func (z *Zone) allocFromBucket(key int) int64 {
-	b := &z.buckets[key]
-	if n := len(b.freed); n > 0 {
-		a := b.freed[n-1]
-		b.freed = b.freed[:n-1]
-		return a
-	}
-	if b.fresh >= pagesPerBucket {
-		return -1
-	}
-	a := z.bucketPage(key, b.fresh)
-	b.fresh++
-	return a
-}
-
-func (z *Zone) allocAnyBucket() int64 {
-	for key := range z.buckets {
-		if a := z.allocFromBucket(key); a >= 0 {
-			return a
+// take allocates a page of bucket key, the last freed one first, and
+// returns its in-bucket index, or -1 when the bucket is exhausted.
+// AllocPageHint and the allocCache share it so allocation accounting has
+// one authority.
+func (z *Zone) take(key int) int {
+	idx, ok := z.freed.pop(key)
+	if !ok {
+		if z.fresh[key] >= pagesPerBucket {
+			return -1
 		}
+		idx = int(z.fresh[key])
+		z.fresh[key]++
 	}
-	return -1
+	z.allocCount++
+	z.stats.Allocs++
+	return idx
+}
+
+// takeFirst allocates the first n pages of every bucket of a zone that has
+// never allocated a page, as n take calls per bucket would; it is the
+// allocCache prefill.
+func (z *Zone) takeFirst(n int) {
+	for k := range z.fresh {
+		z.fresh[k] = uint16(n)
+	}
+	total := int64(n) * int64(len(z.fresh))
+	z.allocCount += total
+	z.stats.Allocs += uint64(total)
 }
 
 // bucketPage computes the physical address of page idx within bucket key,
 // inverting the SubarrayKey layout: key = (rank*16 + bank)*512 + subarray.
 func (z *Zone) bucketPage(key, idx int) int64 {
-	sub := key % addrmap.SubarraysPerBank
-	bank := (key / addrmap.SubarraysPerBank) % addrmap.BanksPerRank
-	rank := key / addrmap.SubarraysPerRank
-	loc := addrmap.Location{
-		Rank:     rank,
-		Bank:     bank,
-		Subarray: sub,
-		Row:      idx >> 1,
-		Column:   int64(idx&1) << addrmap.PageShift,
-	}
-	return z.Base + addrmap.EncodeRank(loc)
+	k, i := uint(key), uint(idx)
+	return z.Base + addrmap.EncodeRank(addrmap.Location{
+		Rank:     int(k / addrmap.SubarraysPerRank),
+		Bank:     int(k / addrmap.SubarraysPerBank % addrmap.BanksPerRank),
+		Subarray: int(k % addrmap.SubarraysPerBank),
+		Row:      int(i >> 1),
+		Column:   int64(i&1) << addrmap.PageShift,
+	})
 }
 
-// FreePage returns a page to the zone. Double frees and foreign pages are
-// reported as errors.
+// locate returns the bucket and in-bucket index of a page of the zone.
+func (z *Zone) locate(addr int64) (key, idx int) {
+	l := addrmap.DecodeRank(addr - z.Base)
+	return (l.Rank*addrmap.BanksPerRank+l.Bank)*addrmap.SubarraysPerBank + l.Subarray,
+		l.Row<<1 | int(l.Column>>addrmap.PageShift)
+}
+
+// FreePage returns a page to the zone. Double frees, foreign and unaligned
+// addresses are reported as errors.
 func (z *Zone) FreePage(addr int64) error {
 	if !z.Contains(addr) {
 		return fmt.Errorf("kalloc: freeing %#x outside zone %s", addr, z.Name)
@@ -247,30 +169,19 @@ func (z *Zone) FreePage(addr int64) error {
 	if addr%addrmap.PageSize != 0 {
 		return fmt.Errorf("kalloc: freeing unaligned address %#x", addr)
 	}
-	if !z.isAllocated(addr) {
+	key, idx := z.locate(addr)
+	if idx >= int(z.fresh[key]) || z.freed.contains(key, idx) {
 		return fmt.Errorf("kalloc: double free of %#x in zone %s", addr, z.Name)
 	}
-	w, m := z.pageBit(addr)
-	z.allocated[w] &^= m
+	z.freed.push(len(z.fresh), key, idx)
 	z.allocCount--
 	z.stats.Frees++
-	switch z.Kind {
-	case ZoneNormal:
-		z.freed = append(z.freed, addr)
-	case ZoneNetDIMM:
-		key := addrmap.SubarrayOf(addr - z.Base)
-		b := &z.buckets[key]
-		b.freed = append(b.freed, addr)
-	}
 	return nil
 }
 
 // SubarrayKeyOf returns the allocCache bucket key of a physical address in
-// a NetDIMM zone.
+// the zone.
 func (z *Zone) SubarrayKeyOf(phys int64) (addrmap.SubarrayKey, error) {
-	if z.Kind != ZoneNetDIMM {
-		return 0, fmt.Errorf("kalloc: zone %s has no sub-array structure", z.Name)
-	}
 	if !z.Contains(phys) {
 		return 0, fmt.Errorf("kalloc: %#x outside zone %s", phys, z.Name)
 	}
@@ -279,4 +190,64 @@ func (z *Zone) SubarrayKeyOf(phys int64) (addrmap.SubarrayKey, error) {
 
 // Buckets returns the number of (rank, bank, sub-array) buckets — 8K per
 // rank (paper Sec. 4.2.2).
-func (z *Zone) Buckets() int { return len(z.buckets) }
+func (z *Zone) Buckets() int { return len(z.fresh) }
+
+// pageStacks is one LIFO stack of in-bucket page indices per bucket, all
+// threaded through one shared node slab. Nothing is allocated until the
+// first push, and popped nodes are recycled, so a stack costs only the
+// pages on it.
+type pageStacks struct {
+	top  []int32    // per bucket, the slab index of its top node; 0 is empty
+	slab []pageNode // slab[0] is the nil link and holds no page
+	idle int32      // first recycled node, 0 when none
+}
+
+type pageNode struct {
+	next int32  // the node below, 0 at the bottom of the stack
+	idx  uint16 // in-bucket page index
+}
+
+// push puts page idx on bucket key's stack; buckets sizes the stacks on
+// first use.
+func (s *pageStacks) push(buckets, key, idx int) {
+	if s.top == nil {
+		s.top = make([]int32, buckets)
+		s.slab = make([]pageNode, 1)
+	}
+	n := s.idle
+	if n != 0 {
+		s.idle = s.slab[n].next
+	} else {
+		n = int32(len(s.slab))
+		s.slab = append(s.slab, pageNode{})
+	}
+	s.slab[n] = pageNode{next: s.top[key], idx: uint16(idx)}
+	s.top[key] = n
+}
+
+// pop removes and returns the top page of bucket key's stack.
+func (s *pageStacks) pop(key int) (idx int, ok bool) {
+	if s.top == nil || s.top[key] == 0 {
+		return 0, false
+	}
+	n := s.top[key]
+	node := s.slab[n]
+	s.top[key] = node.next
+	s.slab[n].next = s.idle
+	s.idle = n
+	return int(node.idx), true
+}
+
+// contains reports whether page idx is on bucket key's stack. A stack
+// never holds more than pagesPerBucket pages.
+func (s *pageStacks) contains(key, idx int) bool {
+	if s.top == nil {
+		return false
+	}
+	for n := s.top[key]; n != 0; n = s.slab[n].next {
+		if int(s.slab[n].idx) == idx {
+			return true
+		}
+	}
+	return false
+}

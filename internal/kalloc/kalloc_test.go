@@ -1,6 +1,8 @@
 package kalloc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,8 +16,12 @@ func netZone(t *testing.T) *Zone {
 	return NewNetDIMMZone("NET_0", testBase, 16<<30)
 }
 
-func TestNormalZoneAllocFree(t *testing.T) {
-	z := NewNormalZone("normal", 0, 1<<20)
+// rankZone is the smallest NetDIMM zone: one rank, SubarraysPerRank
+// buckets.
+func rankZone() *Zone { return NewNetDIMMZone("NET_0", testBase, addrmap.RankBytes) }
+
+func TestZoneAllocFree(t *testing.T) {
+	z := netZone(t)
 	a, err := z.AllocPage()
 	if err != nil {
 		t.Fatal(err)
@@ -39,29 +45,51 @@ func TestNormalZoneAllocFree(t *testing.T) {
 	}
 }
 
-func TestNormalZoneExhaustion(t *testing.T) {
-	z := NewNormalZone("tiny", 0, 3*addrmap.PageSize)
-	for i := 0; i < 3; i++ {
-		if _, err := z.AllocPage(); err != nil {
-			t.Fatal(err)
+// TestZoneExhaustion fills every page of a one-rank zone through hinted
+// allocations, then requires the unhinted allocator to fail once, and a
+// freed page to be the only one it can hand out again.
+func TestZoneExhaustion(t *testing.T) {
+	z := rankZone()
+	for key := 0; key < z.Buckets(); key++ {
+		hint := z.bucketPage(key, 0)
+		for i := 0; i < pagesPerBucket; i++ {
+			if _, err := z.AllocPageHint(hint); err != nil {
+				t.Fatalf("bucket %d page %d: %v", key, i, err)
+			}
 		}
+	}
+	if z.FreePages() != 0 {
+		t.Fatalf("FreePages = %d after filling the zone", z.FreePages())
 	}
 	if _, err := z.AllocPage(); err == nil {
 		t.Fatal("exhausted zone allocated")
 	}
-	if z.Stats().Failures != 1 {
-		t.Fatalf("Failures = %d", z.Stats().Failures)
+	if st := z.Stats(); st.Failures != 1 || st.HintFallback != 0 {
+		t.Fatalf("Failures = %d, HintFallback = %d", st.Failures, st.HintFallback)
+	}
+	last := z.bucketPage(z.Buckets()-1, pagesPerBucket-1)
+	if err := z.FreePage(last); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := z.AllocPageHint(z.bucketPage(0, 0)); err != nil || p != last {
+		t.Fatalf("refill after one free = %#x, %v; want %#x", p, err, last)
+	}
+	if z.Stats().HintFallback != 1 {
+		t.Fatalf("HintFallback = %d", z.Stats().HintFallback)
 	}
 }
 
 func TestFreeErrors(t *testing.T) {
-	z := NewNormalZone("normal", 0, 1<<20)
+	z := netZone(t)
 	a, _ := z.AllocPage()
 	if err := z.FreePage(a + 1); err == nil {
 		t.Error("unaligned free accepted")
 	}
-	if err := z.FreePage(2 << 20); err == nil {
+	if err := z.FreePage(z.Base + z.Size); err == nil {
 		t.Error("foreign free accepted")
+	}
+	if err := z.FreePage(z.bucketPage(0, 1)); err == nil {
+		t.Error("free of a never-allocated page accepted")
 	}
 	if err := z.FreePage(a); err != nil {
 		t.Error(err)
@@ -287,20 +315,37 @@ func TestAllocCacheRelease(t *testing.T) {
 	}
 }
 
-func TestAllocCacheRequiresNetDIMMZone(t *testing.T) {
-	if _, err := NewAllocCache(NewNormalZone("n", 0, 1<<20), 2); err == nil {
-		t.Fatal("normal zone accepted")
+// TestAllocCacheRejectsBadPerSubarray: a bucket holds pagesPerBucket
+// pages, so perSubarray must lie in [1, pagesPerBucket]; the bounds
+// themselves build.
+func TestAllocCacheRejectsBadPerSubarray(t *testing.T) {
+	for _, per := range []int{-1, 0, pagesPerBucket + 1, 1 << 16} {
+		_, err := NewAllocCache(rankZone(), per)
+		if err == nil {
+			t.Fatalf("perSubarray %d accepted", per)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("[1, %d]", pagesPerBucket)) {
+			t.Errorf("perSubarray %d: error %q does not name the valid range", per, err)
+		}
 	}
-	if _, err := NewAllocCache(netZone(t), 0); err == nil {
-		t.Fatal("zero perSubarray accepted")
+	for _, per := range []int{1, pagesPerBucket} {
+		z := rankZone()
+		c, err := NewAllocCache(z, per)
+		if err != nil {
+			t.Fatalf("perSubarray %d: %v", per, err)
+		}
+		if got, want := c.PinnedPages(), per*z.Buckets(); got != want {
+			t.Fatalf("perSubarray %d: PinnedPages = %d, want %d", per, got, want)
+		}
 	}
 }
 
 func TestZonePanicsOnBadGeometry(t *testing.T) {
 	cases := []func(){
-		func() { NewNormalZone("x", 1, 1<<20) },
-		func() { NewNormalZone("x", 0, 100) },
-		func() { NewNetDIMMZone("x", 0, 1<<20) }, // not a rank multiple
+		func() { NewNetDIMMZone("x", 1, addrmap.RankBytes) }, // unaligned base
+		func() { NewNetDIMMZone("x", 0, 100) },               // unaligned size
+		func() { NewNetDIMMZone("x", 0, 0) },                 // empty
+		func() { NewNetDIMMZone("x", 0, 1<<20) },             // not a rank multiple
 	}
 	for i, fn := range cases {
 		func() {
