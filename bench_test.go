@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"netdimm/internal/driver"
 )
 
 // BenchmarkTable1 exercises constructing the paper's Table 1 system
@@ -181,22 +183,19 @@ func BenchmarkOneWayPacket(b *testing.B) {
 	}
 }
 
-// TestOneWayPacketAllocs holds BenchmarkOneWayPacket's path to its
-// allocation budget: once the devices are warm, a NetDIMM→NetDIMM 1514B
-// one-way packet makes at most 20 heap allocations. The nMC recycles its
-// queue entries, a clone of never-written data creates no page and the
-// breakdown is a fixed array; what remains are the driver's per-operation
-// completion closures.
-func TestOneWayPacketAllocs(t *testing.T) {
+// warmOneWay builds a NetDIMM→NetDIMM endpoint pair and sends 200 1514B
+// packets, so the budgets below measure the steady state: recycled nMC
+// entries and transfers, and grown queues and event heaps.
+func warmOneWay(t *testing.T) (tx, rx *Machine, send func()) {
 	tx, err := NewNetDIMM(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx, err := NewNetDIMM(2)
+	rx, err = NewNetDIMM(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	send := func() {
+	send = func() {
 		if _, err := OneWayLatency(tx, rx, 1514, 100*time.Nanosecond); err != nil {
 			t.Fatal(err)
 		}
@@ -204,8 +203,40 @@ func TestOneWayPacketAllocs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		send()
 	}
-	if avg := testing.AllocsPerRun(200, send); avg > 20 {
-		t.Fatalf("allocs per one-way packet = %v, want <= 20", avg)
+	return tx, rx, send
+}
+
+// TestOneWayPacketAllocs holds BenchmarkOneWayPacket's path to its
+// allocation budget: once the devices are warm, a NetDIMM→NetDIMM 1514B
+// one-way packet makes at most 14 heap allocations. The nMC recycles its
+// queue entries and transfers, a clone of never-written data creates no
+// page and the breakdown is a fixed array; what remains are the driver's
+// per-operation completion closures.
+func TestOneWayPacketAllocs(t *testing.T) {
+	_, _, send := warmOneWay(t)
+	if avg := testing.AllocsPerRun(200, send); avg > 14 {
+		t.Fatalf("allocs per one-way packet = %v, want <= 14", avg)
+	}
+}
+
+// TestOneWayPacketEvents holds the device path to its event budget: a warm
+// 1514B NetDIMM→NetDIMM packet fires at most 26 events on the sender's
+// engine (TX) and 28 on the receiver's (RX). The nMC schedules one pick
+// per line but one completion per packet transfer, not one per line.
+// Event counts are deterministic, so the budget is exact.
+func TestOneWayPacketEvents(t *testing.T) {
+	tx, rx, send := warmOneWay(t)
+	txEng := tx.impl.(*driver.NetDIMMDriver).Eng
+	rxEng := rx.impl.(*driver.NetDIMMDriver).Eng
+	for i := 0; i < 200; i++ {
+		txFired, rxFired := txEng.Fired(), rxEng.Fired()
+		send()
+		if n := txEng.Fired() - txFired; n > 26 {
+			t.Fatalf("packet %d: %d device events on TX, want <= 26", i, n)
+		}
+		if n := rxEng.Fired() - rxFired; n > 28 {
+			t.Fatalf("packet %d: %d device events on RX, want <= 28", i, n)
+		}
 	}
 }
 

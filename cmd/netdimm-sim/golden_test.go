@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,22 +27,33 @@ func TestMain(m *testing.M) {
 }
 
 // goldenCases are the pinned CLI outputs. The -parallel cases diff against
-// the same golden as their default run: output must not depend on it.
+// the same golden as their default run: output must not depend on it. A
+// trace case pins the SHA-256 digest of the run's -trace file instead of
+// its stdout, so a large trace costs one line of testdata.
 var goldenCases = []struct {
 	args   string
 	golden string
 	slow   bool
+	trace  bool
 }{
-	{"table1", "table1.txt", false},
-	{"-csv fig4", "fig4-table1.csv", false},
-	{"-csv -scenario ddr5 fig4", "fig4-ddr5.csv", false},
-	{"-csv -scenario pcie-gen3 fig11", "fig11-pcie-gen3.csv", false},
-	{"-csv loadsweep", "loadsweep-default.csv", false},
-	{"-csv racksweep", "racksweep-default.csv", true},
-	{"-csv failsweep", "failsweep-default.csv", false},
-	{"-csv collsweep", "collsweep-default.csv", false},
-	{"-csv -parallel 4 failsweep", "failsweep-default.csv", false},
-	{"-csv -parallel 4 collsweep", "collsweep-default.csv", false},
+	{"table1", "table1.txt", false, false},
+	{"-csv fig4", "fig4-table1.csv", false, false},
+	{"-csv -scenario ddr5 fig4", "fig4-ddr5.csv", false, false},
+	{"-csv fig5", "fig5-table1.csv", true, false},
+	{"-csv fig7", "fig7-table1.csv", false, false},
+	{"-csv -scenario pcie-gen3 fig11", "fig11-pcie-gen3.csv", false, false},
+	{"-csv fig12a", "fig12a-table1.csv", false, false},
+	{"-csv fig12b", "fig12b-table1.csv", false, false},
+	{"ablation", "ablation.txt", false, false},
+	{"mixed", "mixed.txt", false, false},
+	{"mixed", "mixed-trace.sha256", false, true},
+	{"headline", "headline.txt", false, false},
+	{"-csv loadsweep", "loadsweep-default.csv", false, false},
+	{"-csv racksweep", "racksweep-default.csv", true, false},
+	{"-csv failsweep", "failsweep-default.csv", false, false},
+	{"-csv collsweep", "collsweep-default.csv", false, false},
+	{"-csv -parallel 4 failsweep", "failsweep-default.csv", false, false},
+	{"-csv -parallel 4 collsweep", "collsweep-default.csv", false, false},
 }
 
 // TestGoldens runs each golden command through the CLI and compares its
@@ -51,17 +63,33 @@ var goldenCases = []struct {
 func TestGoldens(t *testing.T) {
 	written := map[string]bool{}
 	for _, tc := range goldenCases {
-		t.Run(tc.args, func(t *testing.T) {
+		name := tc.args
+		if tc.trace {
+			name = "-trace " + name
+		}
+		t.Run(name, func(t *testing.T) {
 			if tc.slow && testing.Short() {
 				t.Skip("slow golden skipped under -short")
 			}
-			cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)
+			args := strings.Fields(tc.args)
+			traceFile := filepath.Join(t.TempDir(), "trace.json")
+			if tc.trace {
+				args = append([]string{"-trace", traceFile}, args...)
+			}
+			cmd := exec.Command(os.Args[0], args...)
 			cmd.Env = append(os.Environ(), cliEnv+"=1")
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			got, err := cmd.Output()
 			if err != nil {
 				t.Fatalf("netdimm-sim %s: %v\n%s", tc.args, err, stderr.String())
+			}
+			if tc.trace {
+				trace, err := os.ReadFile(traceFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = fmt.Appendf(nil, "%x\n", sha256.Sum256(trace))
 			}
 			path := filepath.Join("testdata", "golden", tc.golden)
 			if *updateGolden && !written[tc.golden] {

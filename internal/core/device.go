@@ -158,29 +158,16 @@ func (d *Device) ReceivePacketData(bufAddr int64, size int, data []byte, done fu
 		}
 	}
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
-	var lastErr error
-	remaining := int(lines)
-	lineDone := countdown(&remaining, done)
 	for i := int64(0); i < lines; i++ {
-		addr := bufAddr + i*addrmap.CachelineSize
-		d.ncache.Invalidate(addr) // snoop: stale copies must die
-		d.stats.NNICWrites++
-		err := d.nmc.Submit(&memctrl.Request{
-			Addr:  addr,
-			Write: true,
-			Bytes: addrmap.CachelineSize,
-			Done:  lineDone,
-		})
-		if err != nil {
-			lastErr = err
-			remaining--
-		}
+		d.ncache.Invalidate(bufAddr + i*addrmap.CachelineSize) // snoop: stale copies must die
 	}
+	d.stats.NNICWrites += uint64(lines)
+	err := d.transfer(bufAddr, lines, true, done)
 	// Cache the header line: "the nController writes the first cacheline
 	// of each received packet to nCache".
 	d.ncache.Insert(bufAddr, true, false)
 	d.Registers().noteRX()
-	return lastErr
+	return err
 }
 
 // TransmitFetch models the nController reading a TX packet out of local
@@ -190,35 +177,18 @@ func (d *Device) TransmitFetch(bufAddr int64, size int, done func()) error {
 		return fmt.Errorf("core: TransmitFetch size %d", size)
 	}
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
-	remaining := int(lines)
-	lineDone := countdown(&remaining, done)
-	var lastErr error
-	for i := int64(0); i < lines; i++ {
-		d.stats.NNICReads++
-		err := d.nmc.Submit(&memctrl.Request{
-			Addr:  bufAddr + i*addrmap.CachelineSize,
-			Bytes: addrmap.CachelineSize,
-			Done:  lineDone,
-		})
-		if err != nil {
-			lastErr = err
-			remaining--
-		}
-	}
-	return lastErr
+	d.stats.NNICReads += uint64(lines)
+	return d.transfer(bufAddr, lines, false, done)
 }
 
-// countdown returns the one line-completion callback a multi-line transfer
-// shares across its cachelines: each completion decrements *remaining, and
-// the one that reaches zero fires done (if non-nil). The transfer's caller
-// also decrements *remaining for lines the nMC rejected.
-func countdown(remaining *int, done func()) func(memctrl.Response) {
-	return func(memctrl.Response) {
-		*remaining--
-		if *remaining == 0 && done != nil {
-			done()
-		}
+// transfer submits a packet's lines to the nMC as one transfer; done
+// fires when the last accepted line completes. Lines a full queue rejects
+// are dropped, and reported as an error.
+func (d *Device) transfer(bufAddr, lines int64, write bool, done func()) error {
+	if rejected := d.nmc.SubmitLines(bufAddr, int(lines), write, done); rejected > 0 {
+		return fmt.Errorf("core: nMC queue full, %d of %d lines dropped", rejected, lines)
 	}
+	return nil
 }
 
 // HostReadLine serves one cacheline read arriving from the global memory

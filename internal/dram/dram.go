@@ -38,11 +38,11 @@ type Timing struct {
 }
 
 // TRC is the minimum activate-to-activate delay for one bank.
-func (t Timing) TRC() sim.Time { return t.TRAS + t.TRP }
+func (t *Timing) TRC() sim.Time { return t.TRAS + t.TRP }
 
 // BurstTime returns the data-bus occupancy for a transfer of n bytes,
 // rounded up to whole cachelines.
-func (t Timing) BurstTime(bytes int64) sim.Time {
+func (t *Timing) BurstTime(bytes int64) sim.Time {
 	lines := (bytes + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	if lines < 1 {
 		lines = 1
@@ -52,7 +52,7 @@ func (t Timing) BurstTime(bytes int64) sim.Time {
 
 // StreamTime returns the time to stream n bytes at peak channel bandwidth,
 // the right model for long pipelined transfers (DMA bursts).
-func (t Timing) StreamTime(bytes int64) sim.Time {
+func (t *Timing) StreamTime(bytes int64) sim.Time {
 	if bytes <= 0 {
 		return 0
 	}
@@ -205,6 +205,13 @@ func (r *Rank) WouldHit(local int64) bool {
 // rank-local address, starting no earlier than now. It returns the instant
 // the data transfer completes and the access classification.
 func (r *Rank) Access(now sim.Time, local int64, write bool, bytes int64) (done sim.Time, kind AccessKind) {
+	l := addrmap.DecodeRank(local)
+	return r.AccessRow(now, l.Bank, l.GlobalRow(), write, bytes)
+}
+
+// AccessRow is Access for an address already decoded to its bank and
+// global row (addrmap.Location.GlobalRow).
+func (r *Rank) AccessRow(now sim.Time, bankIdx, row int, write bool, bytes int64) (done sim.Time, kind AccessKind) {
 	if r.occ != nil {
 		var busy int64
 		for i := range r.banks {
@@ -214,10 +221,8 @@ func (r *Rank) Access(now sim.Time, local int64, write bool, bytes int64) (done 
 		}
 		r.occ.Sample(now, busy)
 	}
-	l := addrmap.DecodeRank(local)
-	b := &r.banks[l.Bank]
-	t := r.timing
-	row := l.GlobalRow()
+	b := &r.banks[bankIdx]
+	t := &r.timing
 
 	start := now
 	if b.readyAt > start {

@@ -1,0 +1,257 @@
+package memctrl
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"netdimm/internal/addrmap"
+	"netdimm/internal/dram"
+	"netdimm/internal/obs"
+	"netdimm/internal/sim"
+)
+
+// refEntry and refFRFCFS are the FR-FCFS picker in its direct form, kept
+// as the reference the O(1) picker must reproduce: a slice queue whose
+// entries count their own bypasses, and three passes per pick — a
+// starvation scan, a row-hit scan that decodes every address again, and a
+// pass that bumps every entry the pick leaves behind.
+type refEntry struct {
+	addr     int64
+	tag      int64
+	bypassed int
+}
+
+// refFRFCFS returns the index to issue and whether the starvation cap
+// forced it.
+func refFRFCFS(q []*refEntry, rs *RankSet, starvationCap int) (int, bool) {
+	for i, e := range q {
+		if e.bypassed >= starvationCap {
+			return i, true
+		}
+	}
+	hit := -1
+	for i, e := range q {
+		if rs.rank(addrmap.DecodeRank(e.addr)).WouldHit(e.addr) {
+			hit = i
+			break
+		}
+	}
+	pick := 0
+	if hit >= 0 {
+		pick = hit
+	}
+	for i, e := range q {
+		if i != pick {
+			e.bypassed++
+		}
+	}
+	return pick, false
+}
+
+// The O(1) picker issues the same request as the reference at every step
+// of random submit/pick sequences: random addresses over a few rows per
+// bank (so hits, misses and conflicts all occur), rows opened behind the
+// scheduler's back, starvation caps 0–20, small queue caps and both
+// queues.
+func TestFRFCFSMatchesReference(t *testing.T) {
+	var starved, hitsPastHead, picks int
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		cfg := DefaultConfig()
+		cfg.StarvationCap = rng.IntN(21)
+		cfg.ReadQueueCap = 1 + rng.IntN(24)
+		cfg.WriteQueueCap = 1 + rng.IntN(24)
+		rs := NewRankSet(dram.DDR4_2400(), 1+rng.IntN(2))
+		c := New(sim.NewEngine(), cfg, rs)
+		var ref [2][]*refEntry // read, write
+		addr := func() int64 {
+			bank := int64(rng.IntN(3))
+			row := int64(rng.IntN(3))
+			return int64(rng.IntN(2))*addrmap.RankBytes +
+				addrmap.EncodeRank(addrmap.Location{Bank: int(bank), Row: int(row)}) +
+				int64(rng.IntN(16))*addrmap.CachelineSize
+		}
+		now := sim.Time(0)
+		var tag int64
+		for step := 0; step < 500; step++ {
+			w := rng.IntN(2)
+			write := w == 1
+			switch op := rng.IntN(10); {
+			case op < 5:
+				// Bytes doubles as a unique tag: the picker never reads it.
+				tag++
+				a := addr()
+				err := c.Submit(&Request{Addr: a, Write: write, Bytes: tag})
+				full := len(ref[w]) >= c.queue(write).cap
+				if (err != nil) != full {
+					t.Fatalf("seed %d step %d: Submit err = %v with reference queue full = %v", seed, step, err, full)
+				}
+				if err == nil {
+					ref[w] = append(ref[w], &refEntry{addr: a, tag: tag})
+				}
+			case op < 9:
+				q := c.queue(write)
+				if q.n == 0 {
+					continue
+				}
+				got := q.remove(c.frfcfs(q))
+				idx, forced := refFRFCFS(ref[w], rs, cfg.StarvationCap)
+				want := ref[w][idx]
+				ref[w] = append(ref[w][:idx], ref[w][idx+1:]...)
+				if got.req.Bytes != want.tag {
+					t.Fatalf("seed %d step %d (cap %d, %v queue): picked tag %d, reference picked tag %d (index %d, starvation %v)",
+						seed, step, cfg.StarvationCap, map[bool]string{false: "read", true: "write"}[write], got.req.Bytes, want.tag, idx, forced)
+				}
+				picks++
+				if forced {
+					starved++
+				} else if idx > 0 {
+					hitsPastHead++
+				}
+				// Issue it as pick does, so its row opens.
+				now += sim.Time(rng.IntN(50)) * sim.Nanosecond
+				got.rank.AccessRow(now, got.bank, got.row, write, addrmap.CachelineSize)
+				c.retire(got)
+			default:
+				rs.Access(now, addr(), false, addrmap.CachelineSize)
+			}
+		}
+	}
+	if starved == 0 || hitsPastHead == 0 {
+		t.Fatalf("%d picks covered %d starvation picks and %d row hits past the head; want both", picks, starved, hitsPastHead)
+	}
+}
+
+// submitCountdown is a transfer as n Submit calls sharing one countdown
+// callback: the reference SubmitLines must match.
+func submitCountdown(c *Controller, addr int64, n int, write bool, done func()) (rejected int) {
+	remaining := n
+	line := func(Response) {
+		if remaining--; remaining == 0 && done != nil {
+			done()
+		}
+	}
+	for i := 0; i < n; i++ {
+		req := &Request{Addr: addr + int64(i)*addrmap.CachelineSize, Write: write, Bytes: addrmap.CachelineSize, Done: line}
+		if c.Submit(req) != nil {
+			remaining--
+			rejected++
+		}
+	}
+	return rejected
+}
+
+// transferRun is everything observable about one transfer scenario.
+type transferRun struct {
+	rejected   []int
+	doneAt     []sim.Time
+	background []sim.Time
+	stats      Stats
+	end        sim.Time
+	spans      []obs.Span
+	fired      uint64
+}
+
+// runTransfer submits background requests, an n-line transfer at 0 and a
+// second one from inside the first's done, through SubmitLines or through
+// submitCountdown.
+func runTransfer(useLines, observed bool, bgSame, bgOther, n int, write bool) transferRun {
+	eng := sim.NewEngine()
+	c := New(eng, DefaultConfig(), NewRankSet(dram.DDR4_2400(), 2))
+	var trk *obs.Track
+	if observed {
+		trk = obs.New(obs.Spec{Trace: true}, "cell").Cell(0).Track("nmc")
+		c.Observe(trk, nil)
+	}
+	var r transferRun
+	bg := func(resp Response) { r.background = append(r.background, resp.Completed) }
+	for i := 0; i < bgSame+bgOther; i++ {
+		a := int64(i%5)*addrmap.SameSubarrayPageStride + int64(i)*addrmap.CachelineSize
+		c.Submit(&Request{Addr: a, Write: write == (i < bgSame), Done: bg})
+	}
+	submit := func(addr int64, done func()) {
+		if useLines {
+			r.rejected = append(r.rejected, c.SubmitLines(addr, n, write, done))
+		} else {
+			r.rejected = append(r.rejected, submitCountdown(c, addr, n, write, done))
+		}
+	}
+	submit(0x40000, func() {
+		r.doneAt = append(r.doneAt, eng.Now())
+		submit(0x80000, func() { r.doneAt = append(r.doneAt, eng.Now()) })
+	})
+	eng.Run()
+	r.stats, r.end, r.spans, r.fired = c.Stats(), eng.Now(), trk.Spans(), eng.Fired()
+	return r
+}
+
+// SubmitLines is n Submits with a countdown, minus the per-line completion
+// events: the same lines accepted and rejected, done fired once at the
+// same instant (never when every line is rejected), other requests and
+// statistics untouched, and — with a span track attached — the same spans
+// in the same order.
+func TestSubmitLinesMatchesCountdown(t *testing.T) {
+	cases := []struct {
+		name            string
+		bgSame, bgOther int
+		n               int
+		write           bool
+		rejected        int // of the first transfer
+		fires           int
+	}{
+		{"all accepted, 1514B RX write", 8, 6, 24, true, 0, 2},
+		{"partial, 9000B TX read", 0, 4, 141, false, 77, 2},
+		{"all rejected", 64, 3, 10, false, 10, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, observed := range []bool{false, true} {
+				want := runTransfer(false, observed, tc.bgSame, tc.bgOther, tc.n, tc.write)
+				got := runTransfer(true, observed, tc.bgSame, tc.bgOther, tc.n, tc.write)
+				if got.rejected[0] != tc.rejected || len(got.doneAt) != tc.fires {
+					t.Fatalf("observed=%v: rejected %v, done fired %d times; want %d rejected first and %d fires",
+						observed, got.rejected, len(got.doneAt), tc.rejected, tc.fires)
+				}
+				wantFired, gotFired := want.fired, got.fired
+				want.fired, got.fired = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("observed=%v: SubmitLines\n %+v\nsubmit countdown\n %+v", observed, got, want)
+				}
+				switch {
+				case observed && gotFired != wantFired:
+					t.Fatalf("observed: %d events, want the per-line %d", gotFired, wantFired)
+				case !observed && tc.fires > 0 && gotFired >= wantFired:
+					t.Fatalf("unobserved: %d events, want fewer than the per-line %d", gotFired, wantFired)
+				}
+			}
+		})
+	}
+}
+
+// New rejects a Config the scheduler cannot run, and an empty rank set.
+func TestNewRejectsNonsense(t *testing.T) {
+	cases := map[string]func(*Config){
+		"read queue cap 0":         func(c *Config) { c.ReadQueueCap = 0 },
+		"write queue cap -1":       func(c *Config) { c.WriteQueueCap = -1 },
+		"negative starvation cap":  func(c *Config) { c.StarvationCap = -1 },
+		"low watermark above high": func(c *Config) { c.WriteLowWatermark = c.WriteHighWatermark + 1 },
+		"no ranks":                 nil,
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg, ranks := DefaultConfig(), NewRankSet(dram.DDR4_2400(), 1)
+			if mutate != nil {
+				mutate(&cfg)
+			} else {
+				ranks = NewRankSet(dram.DDR4_2400(), 0)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("New accepted it")
+				}
+			}()
+			New(sim.NewEngine(), cfg, ranks)
+		})
+	}
+}

@@ -17,19 +17,8 @@ import (
 	"netdimm/internal/sim"
 )
 
-// Backend is the device behind a controller: a set of DRAM ranks, or — for
-// the host-side view of a NetDIMM — a forwarder that relays requests to the
-// nMC over the NVDIMM-P protocol.
-type Backend interface {
-	// Access performs one transfer starting no earlier than now and returns
-	// the completion instant and the row-buffer outcome.
-	Access(now sim.Time, local int64, write bool, bytes int64) (sim.Time, dram.AccessKind)
-	// WouldHit reports whether an access would hit an open row right now;
-	// FR-FCFS uses it to prefer row hits.
-	WouldHit(local int64) bool
-}
-
-// RankSet is a Backend over multiple DRAM ranks with Fig. 9 rank decode.
+// RankSet is the DRAM behind a controller: one channel of ranks with
+// Fig. 9 rank decode.
 type RankSet struct {
 	Ranks []*dram.Rank
 }
@@ -47,21 +36,21 @@ func NewRankSet(t dram.Timing, n int) *RankSet {
 	return rs
 }
 
-func (rs *RankSet) rank(local int64) *dram.Rank {
-	idx := addrmap.DecodeRank(local).Rank
+// rank returns the rank a decoded address selects.
+func (rs *RankSet) rank(l addrmap.Location) *dram.Rank {
+	idx := l.Rank
 	if idx >= len(rs.Ranks) {
 		idx = idx % len(rs.Ranks)
 	}
 	return rs.Ranks[idx]
 }
 
-// Access implements Backend.
+// Access performs one transfer starting no earlier than now on the rank
+// the address decodes to, and returns the completion instant and the
+// row-buffer outcome.
 func (rs *RankSet) Access(now sim.Time, local int64, write bool, bytes int64) (sim.Time, dram.AccessKind) {
-	return rs.rank(local).Access(now, local, write, bytes)
+	return rs.rank(addrmap.DecodeRank(local)).Access(now, local, write, bytes)
 }
-
-// WouldHit implements Backend.
-func (rs *RankSet) WouldHit(local int64) bool { return rs.rank(local).WouldHit(local) }
 
 // Stats reduces all rank statistics to one.
 func (rs *RankSet) Stats() dram.Stats {
@@ -151,17 +140,18 @@ func (s Stats) AvgReadLatency() sim.Time {
 
 // Controller is an event-driven memory-channel scheduler.
 type Controller struct {
-	eng     *sim.Engine
-	cfg     Config
-	backend Backend
+	eng    *sim.Engine
+	cfg    Config
+	ranks  *RankSet
+	timing dram.Timing // the channel's: the front end issues one command per burst slot
 
-	readQ    []*entry
-	writeQ   []*entry
-	free     []*entry // recycled entries, each with its completion bound
-	pickFn   func()   // c.pick, bound once so scheduling it does not allocate
-	draining bool
+	readQ, writeQ fifo
+	free          []*entry    // recycled entries, each with its completion bound
+	xfree         []*transfer // recycled transfers, each with its done event bound
+	pickFn        func()      // c.pick, bound once so scheduling it does not allocate
+	draining      bool
 	// issueAt is the earliest instant the next command may issue; it tracks
-	// the backend's data-bus availability so bank preparation of the next
+	// the channel's data-bus availability so bank preparation of the next
 	// request overlaps the current burst.
 	issueAt    sim.Time
 	pickQueued bool
@@ -174,12 +164,17 @@ type Controller struct {
 	depth *obs.Series
 }
 
-// New returns a controller driving backend on the given engine.
-func New(eng *sim.Engine, cfg Config, backend Backend) *Controller {
-	if backend == nil {
-		panic("memctrl: nil backend")
+// New returns a controller driving ranks on the given engine. It panics
+// on a nil or empty rank set and on a Config the scheduler cannot run.
+func New(eng *sim.Engine, cfg Config, ranks *RankSet) *Controller {
+	if ranks == nil || len(ranks.Ranks) == 0 {
+		panic("memctrl: no ranks")
 	}
-	c := &Controller{eng: eng, cfg: cfg, backend: backend}
+	if cfg.ReadQueueCap < 1 || cfg.WriteQueueCap < 1 || cfg.StarvationCap < 0 || cfg.WriteLowWatermark > cfg.WriteHighWatermark {
+		panic(fmt.Sprintf("memctrl: %+v: want queue caps >= 1, StarvationCap >= 0 and WriteLowWatermark <= WriteHighWatermark", cfg))
+	}
+	c := &Controller{eng: eng, cfg: cfg, ranks: ranks, timing: ranks.Ranks[0].Timing()}
+	c.readQ.cap, c.writeQ.cap = cfg.ReadQueueCap, cfg.WriteQueueCap
 	c.pickFn = c.pick
 	return c
 }
@@ -193,8 +188,14 @@ type entry struct {
 	c         *Controller
 	req       Request
 	submitted sim.Time
-	bypassed  int // times FR-FCFS issued another request while this one waited
-	// completed and kind are the backend's answer, set at issue.
+	// rank, bank, row and burst are decoded once at submit: the target
+	// of the row-hit test and the issue, and the front end's burst slot.
+	rank      *dram.Rank
+	bank, row int
+	burst     sim.Time
+	enqPicks  uint64    // the queue's picks when the entry joined it
+	xfer      *transfer // the SubmitLines transfer the entry is a line of, or nil
+	// completed and kind are the rank's answer, set at issue.
 	completed  sim.Time
 	kind       dram.AccessKind
 	completeFn func() // e.complete
@@ -212,6 +213,89 @@ func (c *Controller) newEntry() *entry {
 	return e
 }
 
+// fifo is one scheduler queue: a ring of entries in submission order,
+// made at the queue's cap on first use. picks counts the FR-FCFS picks
+// served from the queue that bypassed every entry left behind, so an
+// entry has been bypassed picks-enqPicks times.
+type fifo struct {
+	ring    []*entry
+	head, n int
+	cap     int
+	picks   uint64
+}
+
+// slot maps queue position i (0 is the oldest) to its ring index.
+func (q *fifo) slot(i int) int {
+	if i += q.head; i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	return i
+}
+
+func (q *fifo) push(e *entry) {
+	if q.ring == nil {
+		q.ring = make([]*entry, q.cap)
+	}
+	e.enqPicks = q.picks
+	q.ring[q.slot(q.n)] = e
+	q.n++
+}
+
+// remove takes out the entry at position i and moves the older entries
+// up one slot, so the queue keeps its order. FR-FCFS picks the head or
+// the oldest row hit, so i is usually small.
+func (q *fifo) remove(i int) *entry {
+	at := q.slot(i)
+	e := q.ring[at]
+	for ; i > 0; i-- {
+		prev := q.slot(i - 1)
+		q.ring[at] = q.ring[prev]
+		at = prev
+	}
+	q.head = q.slot(1)
+	q.n--
+	return e
+}
+
+// transfer is one SubmitLines call in flight: the accepted lines not yet
+// retired and the latest completion instant of those that have. Transfers
+// are recycled through Controller.xfree.
+type transfer struct {
+	c       *Controller
+	pending int
+	last    sim.Time
+	done    func()
+	fireFn  func() // x.fire
+}
+
+// lineDone retires one line of the transfer, completing at the given
+// instant. The last line fires done at the latest completion: now if that
+// is the present, else from one event scheduled for it.
+func (x *transfer) lineDone(completed sim.Time) {
+	if completed > x.last {
+		x.last = completed
+	}
+	if x.pending--; x.pending > 0 {
+		return
+	}
+	if x.last > x.c.eng.Now() {
+		x.c.eng.At(x.last, x.fireFn)
+	} else {
+		x.fire()
+	}
+}
+
+// fire recycles the transfer and then invokes its done, which may submit
+// new requests.
+func (x *transfer) fire() {
+	done := x.done
+	x.done = nil // the free list pins no closure
+	x.c.xfree = append(x.c.xfree, x)
+	if done != nil {
+		done()
+	}
+}
+
 // Stats returns a copy of the controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
@@ -220,7 +304,7 @@ func (c *Controller) ResetStats() { c.stats = Stats{} }
 
 // QueueDepths reports the current read and write queue occupancy.
 func (c *Controller) QueueDepths() (reads, writes int) {
-	return len(c.readQ), len(c.writeQ)
+	return c.readQ.n, c.writeQ.n
 }
 
 // Observe attaches the observability plane: trk records one span per
@@ -232,6 +316,13 @@ func (c *Controller) Observe(trk *obs.Track, depth *obs.Series) {
 	c.depth = depth
 }
 
+func (c *Controller) queue(write bool) *fifo {
+	if write {
+		return &c.writeQ
+	}
+	return &c.readQ
+}
+
 // Submit enqueues a copy of req. It keeps no reference to req, so the
 // caller may reuse or mutate it as soon as Submit returns; the queued
 // transaction, and the Response its Done receives, are stamped with this
@@ -239,33 +330,75 @@ func (c *Controller) Observe(trk *obs.Track, depth *obs.Series) {
 // request is then dropped (callers model back-pressure, possibly by
 // submitting the same Request again later).
 func (c *Controller) Submit(req *Request) error {
-	if req.Write {
-		if len(c.writeQ) >= c.cfg.WriteQueueCap {
-			c.stats.Rejected++
-			return fmt.Errorf("memctrl: write queue full (%d)", c.cfg.WriteQueueCap)
-		}
-	} else if len(c.readQ) >= c.cfg.ReadQueueCap {
+	q := c.queue(req.Write)
+	if q.n >= q.cap {
 		c.stats.Rejected++
-		return fmt.Errorf("memctrl: read queue full (%d)", c.cfg.ReadQueueCap)
+		if req.Write {
+			return fmt.Errorf("memctrl: write queue full (%d)", q.cap)
+		}
+		return fmt.Errorf("memctrl: read queue full (%d)", q.cap)
 	}
 	e := c.newEntry()
 	e.req = *req
-	e.submitted = c.eng.Now()
-	e.bypassed = 0
 	if e.req.Bytes <= 0 {
 		e.req.Bytes = addrmap.CachelineSize
 	}
-	if e.req.Write {
-		c.writeQ = append(c.writeQ, e)
-	} else {
-		c.readQ = append(c.readQ, e)
-		if d := len(c.readQ); d > c.stats.MaxReadQueueDepth {
-			c.stats.MaxReadQueueDepth = d
+	c.enqueue(q, e)
+	return nil
+}
+
+// SubmitLines enqueues a transfer of n consecutive cachelines from addr,
+// accepting or rejecting each line exactly as n Submit calls would, and
+// returns how many lines a full queue rejected. done (if non-nil) fires
+// once, at the completion instant of the last accepted line, and never if
+// every line was rejected.
+//
+// A line's completion instant is known when it issues. So unless a span
+// track is attached (Observe), which records each line at its completion,
+// a line retires at issue and the transfer schedules one engine event,
+// for done, in place of one per line.
+func (c *Controller) SubmitLines(addr int64, n int, write bool, done func()) (rejected int) {
+	if n <= 0 {
+		return 0
+	}
+	q := c.queue(write)
+	accepted := min(n, q.cap-q.n)
+	if accepted > 0 {
+		var x *transfer
+		if k := len(c.xfree); k > 0 {
+			x, c.xfree = c.xfree[k-1], c.xfree[:k-1]
+		} else {
+			x = &transfer{c: c}
+			x.fireFn = x.fire
 		}
-		c.depth.Sample(e.submitted, int64(len(c.readQ)))
+		x.pending, x.last, x.done = accepted, 0, done
+		for i := 0; i < accepted; i++ {
+			e := c.newEntry()
+			e.req = Request{Addr: addr + int64(i)*addrmap.CachelineSize, Write: write, Bytes: addrmap.CachelineSize}
+			e.xfer = x
+			c.enqueue(q, e)
+		}
+	}
+	rejected = n - accepted
+	c.stats.Rejected += uint64(rejected)
+	return rejected
+}
+
+// enqueue decodes e's address, stamps e with this instant and appends it
+// to q.
+func (c *Controller) enqueue(q *fifo, e *entry) {
+	l := addrmap.DecodeRank(e.req.Addr)
+	e.rank, e.bank, e.row = c.ranks.rank(l), l.Bank, l.GlobalRow()
+	e.burst = c.timing.BurstTime(e.req.Bytes)
+	e.submitted = c.eng.Now()
+	q.push(e)
+	if !e.req.Write {
+		if q.n > c.stats.MaxReadQueueDepth {
+			c.stats.MaxReadQueueDepth = q.n
+		}
+		c.depth.Sample(e.submitted, int64(q.n))
 	}
 	c.schedulePick()
-	return nil
 }
 
 func (c *Controller) schedulePick() {
@@ -287,107 +420,110 @@ func (c *Controller) pick() {
 
 	// Decide which queue to serve.
 	if c.draining {
-		if len(c.writeQ) <= c.cfg.WriteLowWatermark {
+		if c.writeQ.n <= c.cfg.WriteLowWatermark {
 			c.draining = false
 		}
-	} else if len(c.writeQ) >= c.cfg.WriteHighWatermark {
+	} else if c.writeQ.n >= c.cfg.WriteHighWatermark {
 		c.draining = true
 	}
-	var q *[]*entry
+	var q *fifo
 	switch {
-	case c.draining && len(c.writeQ) > 0:
+	case c.draining && c.writeQ.n > 0:
 		q = &c.writeQ
-	case len(c.readQ) > 0:
+	case c.readQ.n > 0:
 		q = &c.readQ
-	case len(c.writeQ) > 0:
+	case c.writeQ.n > 0:
 		q = &c.writeQ
 	default:
 		return
 	}
 
-	idx := c.frfcfs(*q)
-	e := (*q)[idx]
-	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	e := q.remove(c.frfcfs(q))
 
 	now := c.eng.Now()
 	if !e.req.Write {
-		c.depth.Sample(now, int64(len(c.readQ)))
+		c.depth.Sample(now, int64(c.readQ.n))
 	}
-	e.completed, e.kind = c.backend.Access(now+c.cfg.TCMD, e.req.Addr, e.req.Write, e.req.Bytes)
+	e.completed, e.kind = e.rank.AccessRow(now+c.cfg.TCMD, e.bank, e.row, e.req.Write, e.req.Bytes)
 	// The front end issues one command per burst slot: command processing
 	// pipelines, so a row-friendly stream is bus-bound, not tCMD+tCL-bound.
-	// Bank and bus constraints are enforced inside the backend.
-	burst := sim.Nanosecond
-	if rs, ok := c.backend.(*RankSet); ok {
-		burst = rs.Ranks[0].Timing().BurstTime(e.req.Bytes)
+	// Bank and bus constraints are enforced inside the rank.
+	c.issueAt = now + e.burst
+
+	// A transfer's line needs no completion event of its own unless a
+	// span track records it.
+	if x := e.xfer; x != nil && c.trk == nil {
+		x.lineDone(e.completed)
+		c.retire(e)
+	} else {
+		c.eng.At(e.completed, e.completeFn)
 	}
-	c.issueAt = now + burst
 
-	c.eng.At(e.completed, e.completeFn)
-
-	if len(c.readQ)+len(c.writeQ) > 0 {
+	if c.readQ.n+c.writeQ.n > 0 {
 		c.schedulePick()
 	}
 }
 
-// complete retires the transaction at its completion instant: it updates
-// the statistics, recycles the entry and then invokes the request's Done,
-// which may submit new requests.
-func (e *entry) complete() {
-	c := e.c
-	req, done := e.req, e.completed
-	if req.Write {
+// retire accounts a transaction whose completion instant is known and
+// recycles its entry.
+func (c *Controller) retire(e *entry) {
+	if e.req.Write {
 		c.stats.WritesDone++
 	} else {
 		c.stats.ReadsDone++
-		c.stats.ReadLatencySum += done - e.submitted
+		c.stats.ReadLatencySum += e.completed - e.submitted
 	}
+	c.stats.BytesTransferred += e.req.Bytes
+	e.req.Done, e.xfer = nil, nil // the free list pins no caller state
+	c.free = append(c.free, e)
+}
+
+// complete retires the transaction at its completion instant, records its
+// span, and then invokes the request's Done (or retires the line of its
+// transfer), which may submit new requests.
+func (e *entry) complete() {
+	c := e.c
 	if c.trk != nil {
 		dir := "rd "
-		if req.Write {
+		if e.req.Write {
 			dir = "wr "
 		}
-		c.trk.Span(dir+e.kind.String(), e.submitted, done)
+		c.trk.Span(dir+e.kind.String(), e.submitted, e.completed)
 	}
-	c.stats.BytesTransferred += req.Bytes
 	resp := Response{
-		Addr:      req.Addr,
-		Write:     req.Write,
+		Addr:      e.req.Addr,
+		Write:     e.req.Write,
 		Submitted: e.submitted,
-		Completed: done,
+		Completed: e.completed,
 		Kind:      e.kind,
 	}
-	e.req.Done = nil // drop the caller's closure so the free list pins nothing
-	c.free = append(c.free, e)
-	if req.Done != nil {
-		req.Done(resp)
+	done, x := e.req.Done, e.xfer
+	c.retire(e)
+	if x != nil {
+		x.lineDone(resp.Completed)
+	} else if done != nil {
+		done(resp)
 	}
 }
 
-// frfcfs returns the index of the request to issue: the oldest request that
-// exceeded the starvation cap if any, else the oldest row hit, else the
-// oldest request. Every bypassed request's age counter increments.
-func (c *Controller) frfcfs(q []*entry) int {
-	for i, e := range q {
-		if e.bypassed >= c.cfg.StarvationCap {
+// frfcfs returns the position in q of the request to issue: the oldest
+// request if FR-FCFS has bypassed it StarvationCap times, else the oldest
+// row hit, else the oldest request. The queue is FIFO, so the oldest
+// request is also the most bypassed and the starvation test needs only
+// the head. Every pick but a starvation pick bypasses all the requests it
+// leaves queued.
+func (c *Controller) frfcfs(q *fifo) int {
+	if q.picks-q.ring[q.head].enqPicks >= uint64(c.cfg.StarvationCap) {
+		return 0
+	}
+	q.picks++
+	for i, j := 0, q.head; i < q.n; i++ {
+		if e := q.ring[j]; e.rank.OpenRow(e.bank) == e.row {
 			return i
 		}
-	}
-	hit := -1
-	for i, e := range q {
-		if c.backend.WouldHit(e.req.Addr) {
-			hit = i
-			break
+		if j++; j == len(q.ring) {
+			j = 0
 		}
 	}
-	pick := 0
-	if hit >= 0 {
-		pick = hit
-	}
-	for i, e := range q {
-		if i != pick {
-			e.bypassed++
-		}
-	}
-	return pick
+	return 0
 }
