@@ -102,11 +102,13 @@ func TestPortInjectedDrop(t *testing.T) {
 
 func TestSwitchNodeInjectFaults(t *testing.T) {
 	eng := sim.NewEngine()
-	s := NewSwitchNode(eng, LinkGbps(40), 100*sim.Nanosecond, 2, 8)
+	s := NewSwitchNode(eng, LinkGbps(40), 2, 8)
 	inj := fault.NewInjector(fault.Spec{PortDropProb: 1}, 2)
 	s.InjectFaults(inj)
 	for port := 0; port < 2; port++ {
-		s.Forward(port, Frame{ID: uint64(port), Bytes: 64}, nil)
+		if s.Port(port).Send(Frame{ID: uint64(port), Bytes: 64}, nil) {
+			t.Fatalf("port %d accepted a frame the injector must drop", port)
+		}
 	}
 	eng.Run()
 	if got := inj.Counters.PortDrops; got != 2 {

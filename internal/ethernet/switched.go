@@ -21,6 +21,11 @@ type Frame struct {
 	// mark anywhere along a multi-hop path survives to the receiver (the
 	// IP-ECN CE semantics DCTCP-style senders react to).
 	ECN bool
+	// Flight is an opaque tag for whoever routes the frame across several
+	// ports: fabric.Topology stores the index of the frame's flight record
+	// here and reads it back in each hop's continuation. Ports carry it
+	// unchanged.
+	Flight int32
 	// Enqueued is when the frame entered the current port's queue.
 	Enqueued sim.Time
 }
@@ -51,13 +56,21 @@ func (s PortStats) AvgQueueDelay() sim.Time {
 
 // Port is an output-queued switch egress port: frames serialise onto the
 // link one at a time; arrivals beyond the buffer are tail-dropped.
+//
+// A frame's trip through the port allocates nothing once the port is warm:
+// the queue is a ring whose head is the frame on the wire, the wire-done
+// event is one method value, and frames off the wire wait out the link's
+// PHY latency — the same for every frame — in a DelayLine.
 type Port struct {
 	eng      *sim.Engine
 	link     Link
 	capacity int // frames of buffering
 
-	queue []queuedFrame
-	busy  bool
+	queue  sim.FIFO[queuedFrame] // the head is on the wire
+	waited sim.Time              // the head's time in the queue
+	sentFn func()                // p.sent, bound on the first Send
+	phy    sim.DelayLine[queuedFrame]
+
 	ecnAt int // queue depth at/beyond which enqueues are ECN-marked; 0 = off
 	stats PortStats
 	inj   *fault.Injector
@@ -68,13 +81,17 @@ type queuedFrame struct {
 	deliver func(Frame)
 }
 
+func deliverFrame(q queuedFrame) { q.deliver(q.frame) }
+
 // NewPort returns a port over the given link with a buffer of capacity
 // frames.
 func NewPort(eng *sim.Engine, link Link, capacity int) *Port {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("ethernet: port capacity %d", capacity))
 	}
-	return &Port{eng: eng, link: link, capacity: capacity}
+	p := &Port{eng: eng, link: link, capacity: capacity}
+	p.phy.Init(eng, link.PHYLatency, deliverFrame)
+	return p
 }
 
 // Stats returns a copy of the port statistics.
@@ -97,13 +114,7 @@ func (p *Port) SetECNThreshold(frames int) {
 
 // Depth returns the current queue occupancy (including the frame on the
 // wire).
-func (p *Port) Depth() int {
-	n := len(p.queue)
-	if p.busy {
-		n++
-	}
-	return n
-}
+func (p *Port) Depth() int { return p.queue.Len() }
 
 // Send enqueues a frame for transmission. deliver fires when the last bit
 // leaves the wire (plus PHY latency). A full buffer tail-drops the frame
@@ -121,55 +132,58 @@ func (p *Port) Send(f Frame, deliver func(Frame)) bool {
 		f.ECN = true
 		p.stats.Marked++
 	}
-	f.Enqueued = p.eng.Now()
-	p.queue = append(p.queue, queuedFrame{frame: f, deliver: deliver})
+	q := p.queue.Tail()
+	q.frame, q.deliver = f, deliver
+	q.frame.Enqueued = p.eng.Now()
 	if d := p.Depth(); d > p.stats.MaxDepth {
 		p.stats.MaxDepth = d
 	}
-	if !p.busy {
-		p.transmitNext()
+	if p.queue.Len() == 1 { // the port was idle
+		p.transmit()
 	}
 	return true
 }
 
-func (p *Port) transmitNext() {
-	if len(p.queue) == 0 {
-		p.busy = false
-		return
+// transmit puts the queue head on the wire.
+func (p *Port) transmit() {
+	f := &p.queue.Head().frame
+	p.waited = p.eng.Now() - f.Enqueued
+	if p.sentFn == nil {
+		p.sentFn = p.sent
 	}
-	p.busy = true
-	qf := p.queue[0]
-	p.queue = p.queue[1:]
-	waited := p.eng.Now() - qf.frame.Enqueued
-	wire := p.link.SerializeTime(qf.frame.Bytes)
-	p.eng.Schedule(wire, func() {
-		p.stats.Forwarded++
-		p.stats.QueueDelaySum += waited
-		if qf.deliver != nil {
-			f := qf.frame
-			p.eng.Schedule(p.link.PHYLatency, func() { qf.deliver(f) })
-		}
-		p.transmitNext()
-	})
+	p.eng.Schedule(p.link.SerializeTime(f.Bytes), p.sentFn)
 }
 
-// SwitchNode is an event-driven switch: frames arrive, pay the switching
-// latency, and queue at the destination egress port.
+// sent runs when the head's last bit leaves the port: it counts the
+// forward, starts the PHY latency toward the receiver (if any) and puts
+// the next frame on the wire.
+func (p *Port) sent() {
+	p.stats.Forwarded++
+	p.stats.QueueDelaySum += p.waited
+	if q := p.queue.Head(); q.deliver != nil {
+		p.phy.Push(*q)
+	}
+	p.queue.Drop()
+	if p.queue.Len() > 0 {
+		p.transmit()
+	}
+}
+
+// SwitchNode is an event-driven switch's set of egress ports. The switching
+// latency in front of them belongs to the caller (fabric.Topology).
 type SwitchNode struct {
-	eng     *sim.Engine
-	latency sim.Time
-	ports   []*Port
+	ports []*Port
 }
 
 // NewSwitchNode builds a switch with n egress ports of the given buffer
 // capacity.
-func NewSwitchNode(eng *sim.Engine, link Link, latency sim.Time, n, portCapacity int) *SwitchNode {
+func NewSwitchNode(eng *sim.Engine, link Link, n, portCapacity int) *SwitchNode {
 	if n <= 0 {
 		panic("ethernet: switch needs ports")
 	}
-	s := &SwitchNode{eng: eng, latency: latency}
-	for i := 0; i < n; i++ {
-		s.ports = append(s.ports, NewPort(eng, link, portCapacity))
+	s := &SwitchNode{ports: make([]*Port, n)}
+	for i := range s.ports {
+		s.ports[i] = NewPort(eng, link, portCapacity)
 	}
 	return s
 }
@@ -192,20 +206,4 @@ func (s *SwitchNode) SetECNThreshold(frames int) {
 	for _, p := range s.ports {
 		p.SetECNThreshold(frames)
 	}
-}
-
-// Forward switches a frame to egress port dst; deliver fires at the far
-// end of that port's link. The drop decision happens after the switching
-// delay, when the frame reaches the egress buffer, and is counted in that
-// port's Dropped stat — a dropped frame simply never calls deliver. (An
-// earlier version also returned a best-effort bool read on the near side
-// of the delay, which could disagree with the real decision; drop
-// accounting now has exactly one authority, Port.Send.)
-func (s *SwitchNode) Forward(dst int, f Frame, deliver func(Frame)) {
-	if dst < 0 || dst >= len(s.ports) {
-		panic(fmt.Sprintf("ethernet: no port %d", dst))
-	}
-	s.eng.Schedule(s.latency, func() {
-		s.ports[dst].Send(f, deliver)
-	})
 }

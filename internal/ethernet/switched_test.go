@@ -79,32 +79,6 @@ func TestPortQueueDelayGrows(t *testing.T) {
 	}
 }
 
-func TestSwitchNodeForward(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitchNode(eng, Link40G(), 100*sim.Nanosecond, 4, 16)
-	var deliveredAt sim.Time
-	sw.Forward(2, Frame{ID: 1, Bytes: 64}, func(Frame) { deliveredAt = eng.Now() })
-	eng.Run()
-	want := 100*sim.Nanosecond + Link40G().SerializeTime(64) + Link40G().PHYLatency
-	if deliveredAt != want {
-		t.Fatalf("delivered at %v, want %v", deliveredAt, want)
-	}
-	if sw.Port(2).Stats().Forwarded != 1 {
-		t.Fatal("port stats missing")
-	}
-}
-
-func TestSwitchNodeBadPortPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitchNode(eng, Link40G(), 0, 2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad port accepted")
-		}
-	}()
-	sw.Forward(7, Frame{}, nil)
-}
-
 func TestPortValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -143,20 +117,20 @@ func TestAvgQueueDelayZeroBeforeFirstCompletion(t *testing.T) {
 	}
 }
 
-// Fan-in determinism: frames arriving at the switch on the same tick from
-// different ingress ports must reach the egress queue in Forward-call
-// order, every run.
+// Fan-in determinism: frames arriving at an egress port on the same tick
+// from different ingress ports must enter its queue in Send-call order,
+// every run.
 func TestSwitchFanInDeterministicOrder(t *testing.T) {
 	run := func() []uint64 {
 		eng := sim.NewEngine()
-		sw := NewSwitchNode(eng, Link40G(), 100*sim.Nanosecond, 1, 64)
+		sw := NewSwitchNode(eng, Link40G(), 1, 64)
 		var order []uint64
 		// Eight ingress callbacks all fire at the same instant; each
-		// forwards one frame to the shared egress port.
+		// sends one frame to the shared egress port.
 		for i := 0; i < 8; i++ {
 			id := uint64(i)
 			eng.At(500, func() {
-				sw.Forward(0, Frame{ID: id, Bytes: 200}, func(f Frame) {
+				sw.Port(0).Send(Frame{ID: id, Bytes: 200}, func(f Frame) {
 					order = append(order, f.ID)
 				})
 			})
@@ -179,6 +153,38 @@ func TestSwitchFanInDeterministicOrder(t *testing.T) {
 			if again[i] != first[i] {
 				t.Fatalf("run %d reordered fan-in: %v vs %v", r, again, first)
 			}
+		}
+	}
+}
+
+// Frames shorter than the PHY latency: a 64 B frame serialises in 17.6 ns
+// on 40G (with the Ethernet overhead bytes), well under the 50 ns PHY, so
+// several frames are past the wire and inside the PHY at once. Each still arrives exactly one
+// serialisation + PHY after its wire slot, in order.
+func TestPortOverlappingPHYFlights(t *testing.T) {
+	eng := sim.NewEngine()
+	link := Link40G()
+	p := NewPort(eng, link, 64)
+	ser := link.SerializeTime(64)
+	if ser >= link.PHYLatency {
+		t.Fatalf("serialisation %v not shorter than PHY %v: the test needs overlapping flights", ser, link.PHYLatency)
+	}
+	var ids []uint64
+	var at []sim.Time
+	for i := 0; i < 8; i++ {
+		p.Send(Frame{ID: uint64(i), Bytes: 64}, func(f Frame) {
+			ids = append(ids, f.ID)
+			at = append(at, eng.Now())
+		})
+	}
+	eng.Run()
+	if len(ids) != 8 {
+		t.Fatalf("delivered %d frames, want 8", len(ids))
+	}
+	for i := range ids {
+		want := sim.Time(i+1)*ser + link.PHYLatency
+		if ids[i] != uint64(i) || at[i] != want {
+			t.Fatalf("frame %d: id %d at %v, want id %d at %v", i, ids[i], at[i], i, want)
 		}
 	}
 }
@@ -238,12 +244,13 @@ func TestECNThresholdValidation(t *testing.T) {
 func TestIncastBehaviour(t *testing.T) {
 	run := func(senders int) (avg sim.Time, drops uint64) {
 		eng := sim.NewEngine()
-		sw := NewSwitchNode(eng, Link40G(), 100*sim.Nanosecond, 1, 32)
+		p := NewPort(eng, Link40G(), 32)
 		for i := 0; i < senders; i++ {
-			sw.Forward(0, Frame{ID: uint64(i), Bytes: 1514}, nil)
+			id := uint64(i)
+			eng.At(100*sim.Nanosecond, func() { p.Send(Frame{ID: id, Bytes: 1514}, nil) })
 		}
 		eng.Run()
-		s := sw.Port(0).Stats()
+		s := p.Stats()
 		return s.AvgQueueDelay(), s.Dropped
 	}
 	avg4, drops4 := run(4)

@@ -324,8 +324,7 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 		eng.At(0, func() { exec.Launch(r) })
 	}
 
-	eng.Run()
-	if err := eng.Err(); err != nil {
+	if err := runFabric(eng, topo); err != nil {
 		return CollRow{}, err
 	}
 

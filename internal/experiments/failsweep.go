@@ -423,8 +423,7 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 		arm(0)
 	}
 
-	eng.Run()
-	if err := eng.Err(); err != nil {
+	if err := runFabric(eng, topo); err != nil {
 		return FailRow{}, err
 	}
 

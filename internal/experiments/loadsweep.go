@@ -253,11 +253,13 @@ func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, paral
 
 // serialServer is a FIFO single-server queue on the cell's engine — the
 // model of one driver core draining packets one at a time. It is where
-// load above the stage's capacity turns into waiting time.
+// load above the stage's capacity turns into waiting time. The queue is a
+// ring whose head is the job in service, and every completion event is one
+// method value, so serving a job allocates nothing.
 type serialServer struct {
 	eng      *sim.Engine
-	queue    []serialJob
-	busy     bool
+	queue    sim.FIFO[serialJob]
+	finishFn func() // s.finish, bound on the first Submit
 	maxDepth int
 	// onDepth, when set, samples the queue depth after every change.
 	onDepth func(at sim.Time, depth int)
@@ -269,13 +271,7 @@ type serialJob struct {
 }
 
 // Depth returns queued jobs including the one in service.
-func (s *serialServer) Depth() int {
-	n := len(s.queue)
-	if s.busy {
-		n++
-	}
-	return n
-}
+func (s *serialServer) Depth() int { return s.queue.Len() }
 
 func (s *serialServer) sample() {
 	if d := s.Depth(); d > s.maxDepth {
@@ -288,26 +284,45 @@ func (s *serialServer) sample() {
 
 // Submit enqueues one job; done fires when its service completes.
 func (s *serialServer) Submit(service sim.Time, done func()) {
-	s.queue = append(s.queue, serialJob{service: service, done: done})
+	s.queue.Push(serialJob{service: service, done: done})
 	s.sample()
-	if !s.busy {
-		s.serveNext()
+	if s.queue.Len() == 1 { // the server was idle
+		s.serve()
 	}
 }
 
-func (s *serialServer) serveNext() {
-	if len(s.queue) == 0 {
-		s.busy = false
+// serve starts the head job's service.
+func (s *serialServer) serve() {
+	if s.finishFn == nil {
+		s.finishFn = s.finish
+	}
+	s.eng.Schedule(s.queue.Head().service, s.finishFn)
+}
+
+// finish completes the head job: its done runs while it still counts as in
+// service, then the next job starts.
+func (s *serialServer) finish() {
+	s.queue.Head().done()
+	s.queue.Drop()
+	if s.queue.Len() == 0 {
 		s.sample()
 		return
 	}
-	s.busy = true
-	job := s.queue[0]
-	s.queue = s.queue[1:]
-	s.eng.Schedule(job.service, func() {
-		job.done()
-		s.serveNext()
-	})
+	s.serve()
+}
+
+// runFabric runs a fabric cell's engine dry and checks that it ended
+// cleanly: no watchdog trip, and every injected frame delivered or
+// dropped — none left in flight.
+func runFabric(eng *sim.Engine, topo *fabric.Topology) error {
+	eng.Run()
+	if err := eng.Err(); err != nil {
+		return err
+	}
+	if n := topo.InFlight(); n != 0 {
+		return fmt.Errorf("fabric: %d frames neither delivered nor dropped after the engine drained", n)
+	}
+	return nil
 }
 
 // shareCount splits `total` work items over `parts` workers: worker i gets
@@ -427,8 +442,7 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 		arm(0)
 	}
 
-	eng.Run()
-	if err := eng.Err(); err != nil {
+	if err := runFabric(eng, topo); err != nil {
 		return LoadRow{}, err
 	}
 

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"netdimm/internal/ethernet"
+	"netdimm/internal/fabric"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
@@ -261,5 +264,56 @@ func TestLoadSweepHoldsWorkFixedAcrossLoads(t *testing.T) {
 	}
 	if rows[0].P50 >= rows[1].P50 {
 		t.Errorf("queueing did not raise the loaded median: %v vs %v", rows[0].P50, rows[1].P50)
+	}
+}
+
+// runFabric is the fabric cells' drain check: a clean drain passes, and a
+// frame still on the wire when the engine stops is an error.
+func TestRunFabricCatchesFramesInFlight(t *testing.T) {
+	build := func() (*sim.Engine, *fabric.Topology) {
+		eng := sim.NewEngine()
+		topo := fabric.New(fabric.SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+			fabric.Spec{Leaves: 2, Spines: 2}, 4, 8)
+		topo.Inject(0, 3, ethernet.Frame{ID: 1, Bytes: 1500}, func(ethernet.Frame) {})
+		return eng, topo
+	}
+	eng, topo := build()
+	if err := runFabric(eng, topo); err != nil {
+		t.Fatalf("clean drain reported %v", err)
+	}
+	// Stop the engine with the frame between its uplink and the spine:
+	// its flight record is still held.
+	eng, topo = build()
+	eng.At(200*sim.Nanosecond, eng.Stop)
+	err := runFabric(eng, topo)
+	if err == nil || !strings.Contains(err.Error(), "1 frames neither delivered nor dropped") {
+		t.Fatalf("leaked flight not reported: %v", err)
+	}
+}
+
+// serialServer serves jobs in order, one at a time, and reports its depth
+// with the job in service counted until its done has run.
+func TestSerialServerOrderAndDepth(t *testing.T) {
+	eng := sim.NewEngine()
+	s := &serialServer{eng: eng}
+	var log []string
+	var depths []int
+	s.onDepth = func(_ sim.Time, d int) { depths = append(depths, d) }
+	for i := 0; i < 3; i++ {
+		i := i
+		s.Submit(10, func() {
+			log = append(log, fmt.Sprintf("%d@%d/%d", i, eng.Now(), s.Depth()))
+			if i == 0 {
+				s.Submit(5, func() { log = append(log, fmt.Sprintf("late@%d/%d", eng.Now(), s.Depth())) })
+			}
+		})
+	}
+	eng.Run()
+	want := []string{"0@10/3", "1@20/3", "2@30/2", "late@35/1"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("served %v, want %v", log, want)
+	}
+	if fmt.Sprint(depths) != "[1 2 3 4 0]" || s.maxDepth != 4 {
+		t.Fatalf("depth samples %v (max %d), want [1 2 3 4 0] (max 4)", depths, s.maxDepth)
 	}
 }

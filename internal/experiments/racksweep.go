@@ -406,8 +406,7 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 		arm(0)
 	}
 
-	eng.Run()
-	if err := eng.Err(); err != nil {
+	if err := runFabric(eng, topo); err != nil {
 		return RackRow{}, err
 	}
 

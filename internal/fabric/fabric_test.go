@@ -233,25 +233,128 @@ func TestInjectFaultsEveryHop(t *testing.T) {
 	}
 }
 
+// fabricForwardRig is BenchmarkFabricForward's warm 3-hop path: one
+// cross-rack frame per call, its delivery callback bound once.
+type fabricForwardRig struct {
+	eng       *sim.Engine
+	topo      *Topology
+	delivered int
+	deliver   func(ethernet.Frame)
+}
+
+func newFabricForwardRig() *fabricForwardRig {
+	eng := sim.NewEngine()
+	r := &fabricForwardRig{eng: eng, topo: New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+		Spec{Leaves: 2, Spines: 2}, 8, 64)}
+	r.deliver = func(ethernet.Frame) { r.delivered++ }
+	return r
+}
+
+// forward sends one frame from host 0 to host 5, which sits in the other
+// leaf (the full uplink → leaf → spine → leaf path), and drains.
+func (r *fabricForwardRig) forward(id uint64) {
+	r.topo.Inject(0, 5, ethernet.Frame{ID: id, Bytes: 1500}, r.deliver)
+	r.eng.Run()
+}
+
 // BenchmarkFabricForward measures one cross-rack traversal of the
 // leaf/spine clos per op: uplink, source leaf, ECMP-picked spine and
 // destination leaf (three switch hops), with the engine drained each round
 // so the queues stay warm but empty. It is the fabric layer's per-hop
-// cost baseline.
+// cost baseline; CI requires 0 allocs/op.
 func BenchmarkFabricForward(b *testing.B) {
-	eng := sim.NewEngine()
-	topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
-		Spec{Leaves: 2, Spines: 2}, 8, 64)
-	src, dst := 0, 5 // host 5 sits in the other leaf: the full 3-hop path
+	r := newFabricForwardRig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		delivered := false
-		topo.Inject(src, dst, ethernet.Frame{ID: uint64(i), Bytes: 1500},
-			func(ethernet.Frame) { delivered = true })
-		eng.Run()
-		if !delivered {
-			b.Fatal("frame not delivered")
+		r.forward(uint64(i))
+	}
+	if r.delivered != b.N {
+		b.Fatalf("delivered %d of %d frames", r.delivered, b.N)
+	}
+}
+
+// TestFabricForwardAllocs holds BenchmarkFabricForward's warm path to zero
+// allocations: ports, flight records and the switch-latency line all
+// recycle their slots.
+func TestFabricForwardAllocs(t *testing.T) {
+	r := newFabricForwardRig()
+	r.forward(0) // bind the continuations and grow the rings
+	id := uint64(1)
+	if n := testing.AllocsPerRun(200, func() { r.forward(id); id++ }); n != 0 {
+		t.Fatalf("warm 3-hop forward allocates %v times, want 0", n)
+	}
+	if r.delivered != int(id) || r.topo.InFlight() != 0 {
+		t.Fatalf("delivered %d of %d, %d still in flight", r.delivered, id, r.topo.InFlight())
+	}
+}
+
+// TestNewTopologyAllocs holds construction to no more allocations than
+// the closure-per-hop fabric needed (the counts below are its figures):
+// the hop continuations and rings are made on first use, not in New.
+func TestNewTopologyAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, c := range []struct {
+		spec  Spec
+		hosts int
+		max   float64
+	}{
+		{Spec{Leaves: 2, Spines: 2}, 8, 44},
+		{Spec{}, 33, 77},
+		{Spec{Leaves: 8, Spines: 2}, 128, 358},
+		{Spec{Leaves: 4, Spines: 3, ECNThreshold: 8}, 256, 588},
+	} {
+		n := testing.AllocsPerRun(10, func() {
+			New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond, c.spec, c.hosts, 64)
+		})
+		if n > c.max {
+			t.Errorf("New(%+v, %d hosts) allocates %v times, want <= %v", c.spec, c.hosts, n, c.max)
 		}
+	}
+}
+
+// Inject to a host the topology does not have panics.
+func TestInjectBadHostPanics(t *testing.T) {
+	topo := New(SingleEngine(sim.NewEngine()), ethernet.Link40G(), 0, Spec{}, 2, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("bad host accepted")
+		}
+	}()
+	topo.Inject(0, 7, ethernet.Frame{}, func(ethernet.Frame) {})
+}
+
+// A switch's drop decision comes after its latency: an incast into a
+// 2-frame downlink decides nothing until the frames have crossed the
+// leaf, then drops the overflow once, at the egress buffer.
+func TestSwitchLatencyThenEgress(t *testing.T) {
+	link := ethernet.Link40G()
+	lat := 100 * sim.Nanosecond
+	eng := sim.NewEngine()
+	topo := New(SingleEngine(eng), link, lat, Spec{}, 9, 2)
+	var at []sim.Time
+	for src := 1; src <= 8; src++ {
+		if !topo.Inject(src, 0, ethernet.Frame{ID: uint64(src), Bytes: 64}, func(ethernet.Frame) { at = append(at, eng.Now()) }) {
+			t.Fatalf("empty uplink %d refused its frame", src)
+		}
+	}
+	arrive := link.TransferTime(64) + lat // uplink, then the leaf's latency
+	eng.RunUntil(arrive - 1)
+	if s := topo.Stats(); s.Dropped != 0 || s.Forwarded != 0 {
+		t.Fatalf("before the switch latency elapsed: %+v, want no decision yet", s)
+	}
+	eng.RunUntil(arrive)
+	if s := topo.Stats(); s.Dropped != 6 {
+		t.Fatalf("at the egress: %d dropped, want the 6 past the 2-frame buffer", s.Dropped)
+	}
+	eng.Run()
+	if s := topo.Stats(); s.Dropped != 6 || s.Forwarded != 2 {
+		t.Fatalf("drained: %+v, want 6 dropped once and 2 forwarded", s)
+	}
+	if len(at) != 2 || at[0] != arrive+link.TransferTime(64) {
+		t.Fatalf("deliveries at %v, want 2 with the first at %v", at, arrive+link.TransferTime(64))
+	}
+	if topo.InFlight() != 0 {
+		t.Fatalf("%d flights left", topo.InFlight())
 	}
 }

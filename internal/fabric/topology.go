@@ -51,6 +51,17 @@ type Topology struct {
 	linkDrops []uint64
 	linkFlips []uint64
 
+	// Flight records, one per frame between Inject and its delivery or
+	// drop, addressed by Frame.Flight; free holds released slots for
+	// reuse.
+	flights []flight
+	free    []int32
+	// hops holds frames paying a switch latency. Every such wait is the
+	// same t.latency, so one DelayLine serves all three switch layers.
+	hops sim.DelayLine[hop]
+	// The hop continuations, bound once by bind.
+	uplinkDoneFn, spineIngressFn, spineDoneFn, deliverFn func(ethernet.Frame)
+
 	// OnUplinkDeliver, when set, runs the moment host src's uplink
 	// delivers a frame toward the fabric (before the switch latency to
 	// its leaf). The load sweep uses it to sample queue depths.
@@ -79,7 +90,7 @@ func New(p Placement, link ethernet.Link, latency sim.Time, s Spec, hosts, portB
 	t.leaves = make([]*ethernet.SwitchNode, s.Leaves)
 	for l := range t.leaves {
 		lo, hi := t.leafHostBounds(l)
-		t.leaves[l] = ethernet.NewSwitchNode(t.eng, link, latency, s.Spines+(hi-lo), portBuffer)
+		t.leaves[l] = ethernet.NewSwitchNode(t.eng, link, s.Spines+(hi-lo), portBuffer)
 		if s.ECNThreshold > 0 {
 			t.leaves[l].SetECNThreshold(s.ECNThreshold)
 		}
@@ -87,7 +98,7 @@ func New(p Placement, link ethernet.Link, latency sim.Time, s Spec, hosts, portB
 	if s.Spines > 0 {
 		t.spines = make([]*ethernet.SwitchNode, s.Spines)
 		for sp := range t.spines {
-			t.spines[sp] = ethernet.NewSwitchNode(t.eng, link, latency, s.Leaves, portBuffer)
+			t.spines[sp] = ethernet.NewSwitchNode(t.eng, link, s.Leaves, portBuffer)
 			if s.ECNThreshold > 0 {
 				t.spines[sp].SetECNThreshold(s.ECNThreshold)
 			}
@@ -193,57 +204,174 @@ func (t *Topology) Inject(src, dst int, f ethernet.Frame, delivered func(etherne
 		t.linkDrops[src]++
 		return false
 	}
-	return t.uplinks[src].Send(f, func(fr ethernet.Frame) {
-		if t.OnUplinkDeliver != nil {
-			t.OnUplinkDeliver(src, dst)
-		}
-		// The uplink's far end is the source leaf's ingress: one switch
-		// latency away.
-		t.eng.Schedule(t.latency, func() { t.fromLeaf(src, dst, fr, delivered) })
-	})
+	if t.deliverFn == nil {
+		t.bind()
+	}
+	f.Flight = t.take(flight{src: src, dst: dst, delivered: delivered})
+	return t.send(t.uplinks[src], f, t.uplinkDoneFn)
+}
+
+// flight is the routing state of one frame between Inject and its delivery
+// or drop; the frame finds it through Frame.Flight.
+type flight struct {
+	src, dst  int
+	dl, sp    int // destination leaf and spine, set at the source leaf
+	delivered func(ethernet.Frame)
+}
+
+// hop is a frame paying one switch latency, tagged with the switch it is
+// crossing.
+type hop struct {
+	f  ethernet.Frame
+	at stage
+}
+
+type stage uint8
+
+const (
+	atSrcLeaf stage = iota // uplink → source leaf, then routed
+	atSpine                // source leaf → spine egress toward dl
+	atDstLeaf              // spine → destination leaf's downlink
+)
+
+// bind makes the hop continuations, once per topology, on its first
+// Inject (so building a topology allocates no more than its ports).
+func (t *Topology) bind() {
+	t.uplinkDoneFn, t.spineIngressFn, t.spineDoneFn, t.deliverFn = t.uplinkDone, t.spineIngress, t.spineDone, t.deliver
+	t.hops.Init(t.eng, t.latency, t.switched)
+}
+
+// take stores r in a free flight slot and returns the slot's index.
+func (t *Topology) take(r flight) int32 {
+	if n := len(t.free); n > 0 {
+		i := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.flights[i] = r
+		return i
+	}
+	t.flights = append(t.flights, r)
+	return int32(len(t.flights) - 1)
+}
+
+// release frees flight slot i: the frame was delivered or dropped.
+func (t *Topology) release(i int32) {
+	t.flights[i] = flight{}
+	t.free = append(t.free, i)
+}
+
+// InFlight returns how many injected frames are neither delivered nor
+// dropped. A drained engine leaves it at 0; anything else is a frame the
+// fabric lost track of.
+func (t *Topology) InFlight() int { return len(t.flights) - len(t.free) }
+
+// send queues f at port p with the continuation next, freeing its flight
+// when the port drops it. A nil next (a destination nobody listens on)
+// ends the flight once the port has taken the frame.
+func (t *Topology) send(p *ethernet.Port, f ethernet.Frame, next func(ethernet.Frame)) bool {
+	ok := p.Send(f, next)
+	if !ok || next == nil {
+		t.release(f.Flight)
+	}
+	return ok
+}
+
+// toHost queues f at the downlink port p toward its destination host.
+func (t *Topology) toHost(p *ethernet.Port, f ethernet.Frame) {
+	next := t.deliverFn
+	if t.flights[f.Flight].delivered == nil {
+		next = nil
+	}
+	t.send(p, f, next)
+}
+
+// drop ends a frame's flight at a down fabric element.
+func (t *Topology) drop(f ethernet.Frame) {
+	t.health.stats.OutageDrops++
+	t.release(f.Flight)
+}
+
+// uplinkDone runs when a frame leaves its host's uplink; the far end is
+// the source leaf's ingress, one switch latency away.
+func (t *Topology) uplinkDone(f ethernet.Frame) {
+	if t.OnUplinkDeliver != nil {
+		r := &t.flights[f.Flight]
+		t.OnUplinkDeliver(r.src, r.dst)
+	}
+	t.hops.Push(hop{f: f, at: atSrcLeaf})
+}
+
+// switched runs when a frame has paid a switch latency.
+func (t *Topology) switched(h hop) {
+	r := &t.flights[h.f.Flight]
+	switch h.at {
+	case atSrcLeaf:
+		t.fromLeaf(h.f)
+	case atSpine:
+		t.send(t.spines[r.sp].Port(r.dl), h.f, t.spineDoneFn)
+	case atDstLeaf:
+		t.toHost(t.leaves[r.dl].Port(t.downIdx(r.dl, r.dst)), h.f)
+	}
 }
 
 // fromLeaf routes a frame that has just arrived (switch latency already
-// paid) at src's leaf. Same-leaf traffic enqueues straight at the
+// paid) at its source leaf. Same-leaf traffic enqueues straight at the
 // destination downlink; cross-leaf traffic queues at the leaf's spine
 // uplink, pays the spine's latency into its leaf-facing port, then the
 // destination leaf's latency into the final downlink.
-func (t *Topology) fromLeaf(src, dst int, f ethernet.Frame, delivered func(ethernet.Frame)) {
-	sl, dl := t.LeafOf(src), t.LeafOf(dst)
+func (t *Topology) fromLeaf(f ethernet.Frame) {
+	r := &t.flights[f.Flight]
+	sl := t.LeafOf(r.src)
+	r.dl = t.LeafOf(r.dst)
 	if t.burst != nil && t.burst.Lose() {
-		return // Gilbert–Elliott ingress loss; the process keeps the tally
+		t.release(f.Flight) // Gilbert–Elliott ingress loss; the process keeps the tally
+		return
 	}
 	if t.health != nil && !t.health.LeafUp(sl) {
-		t.health.stats.OutageDrops++
+		t.drop(f)
 		return
 	}
-	if sl == dl {
-		t.leaves[sl].Port(t.downIdx(sl, dst)).Send(f, delivered)
+	if sl == r.dl {
+		t.toHost(t.leaves[sl].Port(t.downIdx(sl, r.dst)), f)
 		return
 	}
-	sp := t.routeSpine(sl, src, dst)
-	if t.health != nil && !t.health.TrunkUp(sl, sp) {
+	r.sp = t.routeSpine(sl, r.src, r.dst)
+	if t.health != nil && !t.health.TrunkUp(sl, r.sp) {
 		// Dead cable out of the leaf: only degraded-mode frames land here
 		// (failover never picks a dead trunk), and they drop at once.
-		t.health.stats.OutageDrops++
+		t.drop(f)
 		return
 	}
-	t.leaves[sl].Port(sp).Send(f, func(fr ethernet.Frame) {
-		// The frame has crossed the leaf→spine wire; a spine that is — or
-		// went, mid-flight — down eats it here. Recovering those frames is
-		// exactly what the sender's retransmit timer exists for.
-		if t.health != nil && !t.health.SpineUp(sp) {
-			t.health.stats.OutageDrops++
-			return
-		}
-		t.spines[sp].Forward(dl, fr, func(fr2 ethernet.Frame) {
-			if t.health != nil && (!t.health.LeafUp(dl) || !t.health.TrunkUp(dl, sp)) {
-				t.health.stats.OutageDrops++
-				return
-			}
-			t.leaves[dl].Forward(t.downIdx(dl, dst), fr2, delivered)
-		})
-	})
+	t.send(t.leaves[sl].Port(r.sp), f, t.spineIngressFn)
+}
+
+// spineIngress runs when a frame has crossed the leaf→spine wire; a spine
+// that is — or went, mid-flight — down eats it here. Recovering those
+// frames is exactly what the sender's retransmit timer exists for.
+func (t *Topology) spineIngress(f ethernet.Frame) {
+	if t.health != nil && !t.health.SpineUp(t.flights[f.Flight].sp) {
+		t.drop(f)
+		return
+	}
+	t.hops.Push(hop{f: f, at: atSpine})
+}
+
+// spineDone runs when a frame has crossed the spine→leaf wire into a
+// destination leaf that may have gone down, or whose trunk did.
+func (t *Topology) spineDone(f ethernet.Frame) {
+	r := &t.flights[f.Flight]
+	if t.health != nil && (!t.health.LeafUp(r.dl) || !t.health.TrunkUp(r.dl, r.sp)) {
+		t.drop(f)
+		return
+	}
+	t.hops.Push(hop{f: f, at: atDstLeaf})
+}
+
+// deliver ends a frame's flight at its destination host. The record is
+// freed first: delivered may inject again.
+func (t *Topology) deliver(f ethernet.Frame) {
+	delivered := t.flights[f.Flight].delivered
+	t.release(f.Flight)
+	delivered(f)
 }
 
 // EchoMark schedules fn one switch latency from now — the simplified
