@@ -149,8 +149,8 @@ func (g Grid) Validate(known map[string]Schema) error {
 	if len(g.Experiments) == 0 {
 		return fmt.Errorf("campaign: grid has no experiments")
 	}
-	if g.Repeats < 0 {
-		return fmt.Errorf("campaign: Repeats %d is negative", g.Repeats)
+	if g.Repeats < 0 || g.Repeats > maxRepeats {
+		return fmt.Errorf("campaign: Repeats %d is outside 0..%d", g.Repeats, maxRepeats)
 	}
 	if g.Parallelism < 0 {
 		return fmt.Errorf("campaign: Parallelism %d is negative (0 = all cores)", g.Parallelism)
@@ -167,6 +167,9 @@ func (g Grid) Validate(known map[string]Schema) error {
 		}
 		if e.Repeats < 0 || e.Packets < 0 || e.Hosts < 0 || e.SwitchNs < 0 {
 			return at("Repeats/Packets/Hosts/SwitchNs must be non-negative")
+		}
+		if e.Repeats > maxRepeats {
+			return at("Repeats %d exceeds %d: cell seeds are base + %d*row + repeat, so more repeats would reuse the next row's seeds", e.Repeats, maxRepeats, maxRepeats)
 		}
 		for _, s := range e.Sizes {
 			if s <= 0 {
@@ -207,6 +210,11 @@ func (g Grid) Validate(known map[string]Schema) error {
 	return nil
 }
 
+// maxRepeats bounds a row's repeat count: the cell seed formula
+// (base + maxRepeats*row + repeat) gives rows on one base distinct seeds
+// only while no row repeats more often.
+const maxRepeats = 1000
+
 // familyList renders the registry keys sorted for error messages.
 func familyList(known map[string]Schema) string {
 	names := make([]string, 0, len(known))
@@ -239,7 +247,9 @@ type Cell struct {
 	Scenario   string
 	// Repeat numbers the independent repeat, from 0.
 	Repeat int
-	// Seed is the cell's derived seed: base + 1000*rowIndex + repeat,
+	// Seed is the cell's derived seed: base + 1000*rowIndex + repeat
+	// (Validate caps repeats at 1000, so rows on one base never share a
+	// seed),
 	// where base is the row's Seed override or the grid Seed. The formula
 	// is part of the reproducibility contract (golden-pinned), so two
 	// plans of the same grid always agree.
@@ -294,10 +304,12 @@ func (g Grid) Plan() ([]Cell, error) {
 		for r := 0; r < reps; r++ {
 			// Two grid rows with the same family and scenario would
 			// produce colliding file stems; suffix the later row's cells
-			// with its row index so csv/ never silently overwrites.
+			// with its row index so csv/ never silently overwrites. A
+			// slug may itself end in "-x<n>", so a suffixed stem can
+			// collide too; count up from the row index until it does not.
 			name := fmt.Sprintf("%s-%s-r%d", e.Experiment, scenarioSlug(e.Scenario), r)
-			if used[name] {
-				name = fmt.Sprintf("%s-%s-x%d-r%d", e.Experiment, scenarioSlug(e.Scenario), ri, r)
+			for n := ri; used[name]; n++ {
+				name = fmt.Sprintf("%s-%s-x%d-r%d", e.Experiment, scenarioSlug(e.Scenario), n, r)
 			}
 			used[name] = true
 			c := Cell{
@@ -306,7 +318,7 @@ func (g Grid) Plan() ([]Cell, error) {
 				Experiment: e.Experiment,
 				Scenario:   e.Scenario,
 				Repeat:     r,
-				Seed:       base + uint64(1000*ri+r),
+				Seed:       base + uint64(maxRepeats*ri+r),
 				Packets:    e.Packets,
 				Sizes:      e.Sizes,
 				SwitchNs:   e.SwitchNs,

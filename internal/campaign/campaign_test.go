@@ -32,6 +32,9 @@ func TestGridValidate(t *testing.T) {
 		{"unknown family", Grid{Experiments: []Experiment{{Experiment: "fig99"}}}, `unknown experiment family "fig99"`},
 		{"missing family", Grid{Experiments: []Experiment{{}}}, "missing Experiment family"},
 		{"negative repeats", Grid{Repeats: -1, Experiments: []Experiment{{Experiment: "fig11"}}}, "Repeats -1"},
+		{"too many repeats", Grid{Repeats: 1001, Experiments: []Experiment{{Experiment: "fig11"}}}, "Repeats 1001 is outside 0..1000"},
+		{"1000 repeats ok", Grid{Repeats: 1000, Experiments: []Experiment{{Experiment: "fig11"}}}, ""},
+		{"too many row repeats", Grid{Experiments: []Experiment{{Experiment: "fig11", Repeats: 1001}}}, "reuse the next row's seeds"},
 		{"negative parallelism", Grid{Parallelism: -2, Experiments: []Experiment{{Experiment: "fig11"}}}, "Parallelism -2"},
 		{"negative packets", Grid{Experiments: []Experiment{{Experiment: "fig11", Packets: -5}}}, "non-negative"},
 		{"bad size", Grid{Experiments: []Experiment{{Experiment: "fig11", Sizes: []int{0}}}}, "packet size 0"},
@@ -101,6 +104,26 @@ func TestPlanSeedsAndNames(t *testing.T) {
 	}
 	if cells[2].Outages[1] != 20*time.Microsecond {
 		t.Errorf("outage parse: got %v, want 20µs", cells[2].Outages[1])
+	}
+}
+
+// A scenario whose slug ends in "-x<n>" can produce the stem a later
+// colliding row would take; Plan must still give every cell its own name.
+func TestPlanSuffixedStemCollision(t *testing.T) {
+	g := Grid{Experiments: []Experiment{
+		{Experiment: "fig11", Scenario: "a-x2"},
+		{Experiment: "fig11", Scenario: "a"},
+		{Experiment: "fig11", Scenario: "a"}, // suffixed stem is row 0's
+	}}
+	cells, err := g.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fig11-a-x2-r0", "fig11-a-r0", "fig11-a-x3-r0"}
+	for i, c := range cells {
+		if c.Name != want[i] {
+			t.Errorf("cell %d name = %q, want %q", i, c.Name, want[i])
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // Edge cases of the slot-arena/free-list event storage: generation-checked
-// IDs must keep stale handles away from reused slots, lazy cancellation
-// must not disturb RunUntil, and Pending must track the live count exactly.
+// IDs must keep stale handles away from reused slots, cancellation must
+// not disturb RunUntil, and Pending must track the live count exactly.
 
 func nop() {}
 
@@ -29,7 +32,7 @@ func TestRunUntilAllCancelled(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", e.Pending())
 	}
-	// The dead heap entries past the deadline are reaped on the next pass.
+	// A second pass past every cancelled instant finds nothing to fire.
 	e.RunUntil(100)
 	if e.Now() != 100 || e.Fired() != 0 {
 		t.Fatalf("Now = %v Fired = %d after second pass", e.Now(), e.Fired())
@@ -42,7 +45,7 @@ func TestRunAllCancelledDoesNotAdvanceClock(t *testing.T) {
 	e.Cancel(id)
 	e.Run()
 	if e.Now() != 0 {
-		t.Fatalf("Now = %v; reaping dead events must not advance the clock", e.Now())
+		t.Fatalf("Now = %v; cancelled events must not advance the clock", e.Now())
 	}
 }
 
@@ -54,7 +57,7 @@ func TestPoolReuseAfterCancel(t *testing.T) {
 	if !e.Cancel(stale) {
 		t.Fatal("cancel failed")
 	}
-	e.Run() // reaps the dead entry, releasing its slot
+	e.Run() // the cancelled slot is already back on the free list
 
 	fired := 0
 	for i := 0; i < 4; i++ { // at least one of these reuses the slot
@@ -149,7 +152,7 @@ func TestCancelGarbageID(t *testing.T) {
 // pointer is involved.
 func TestEngineScheduleAllocs(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 64; i++ { // warm the arena and heap capacity
+	for i := 0; i < 64; i++ { // warm the arena and free list
 		e.Schedule(Time(i), nop)
 	}
 	e.Run()
@@ -178,6 +181,24 @@ func TestEngineCancelAllocs(t *testing.T) {
 	}
 }
 
+// Every NetDIMM driver owns an engine and the rack benchmark builds 512 of
+// them, so a fresh engine's set-up cost multiplies by the device count.
+// NewEngine plus its first 64 events may allocate no more often than the
+// binary-heap engine did (19 allocations: the engine, and the growth of
+// the arena, the free list and the heap slice).
+func TestNewEngineAllocs(t *testing.T) {
+	avg := testing.AllocsPerRun(100, func() {
+		e := NewEngine()
+		for i := 0; i < 64; i++ {
+			e.Schedule(Time(i%7), nop)
+		}
+		e.Run()
+	})
+	if avg > 19 {
+		t.Fatalf("NewEngine + 64 events allocates %v times, want at most 19", avg)
+	}
+}
+
 // BenchmarkEngineSchedule measures the schedule→fire round trip on a warm
 // arena. Run with -benchmem: the target is 0 allocs/op.
 func BenchmarkEngineSchedule(b *testing.B) {
@@ -194,8 +215,10 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScheduleDepth measures scheduling against a 1k-deep queue,
-// the typical operating point of the memory-controller models.
+// BenchmarkEngineScheduleDepth measures scheduling against a 1k-deep
+// far-future backlog, about twice the deepest queue the benchmarks
+// measure (the rack workload's fabric cell engine peaks at 521 pending
+// events; the per-device NetDIMM engines stay a few events deep).
 func BenchmarkEngineScheduleDepth(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < 1024; i++ {
@@ -206,11 +229,41 @@ func BenchmarkEngineScheduleDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id := e.Schedule(Time(i%97), nop)
 		e.Cancel(id)
-		e.RunUntil(e.Now()) // reap nothing; keep clock still
+		e.RunUntil(e.Now()) // fire nothing; keep clock still
 	}
 }
 
-// BenchmarkEngineCancel measures the schedule→cancel→reap cycle. Run with
+// BenchmarkEngineHold is the hold model at a fixed queue depth: every
+// fired event reschedules itself 1-1000ps ahead, so each op pays one pop
+// from a queue of the given depth, the cost BenchmarkEngineSchedule's
+// drained queue never sees. Run with -benchmem: the target is 0 allocs/op.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, depth := range []int{16, 512, 4096} {
+		b.Run(strconv.Itoa(depth), func(b *testing.B) {
+			e := NewEngine()
+			x := uint64(0x9e3779b97f4a7c15)
+			left := 4 * depth // warm-up fires before the timed run
+			var hold func()
+			hold = func() {
+				x = x*6364136223846793005 + 1442695040888963407
+				e.Schedule(Time(1+(x>>33)%1000), hold)
+				if left--; left == 0 {
+					e.Stop()
+				}
+			}
+			for i := 0; i < depth; i++ {
+				e.Schedule(Time(1+i%1000), hold)
+			}
+			e.Run()
+			left = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}
+
+// BenchmarkEngineCancel measures the schedule→cancel→run cycle. Run with
 // -benchmem: the target is 0 allocs/op.
 func BenchmarkEngineCancel(b *testing.B) {
 	e := NewEngine()

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestPendingExactAcrossReapPaths is the regression guard for the shared
-// liveRoot reaper: cancelled slots are reaped either by step (while
-// running) or by peekWhen (while probing for the next timestamp), and
-// Pending must stay exact no matter how the two paths interleave. Before
-// the dedup, drift between the two copies of the loop could double-release
-// a slot or leak one.
+// TestPendingExactAcrossReapPaths guards Pending across the ways a pending
+// event leaves the queue: a cancel unlinks and frees its slot at once, a
+// fire pops it from bucket 0 (step-side), and a RunUntil look-ahead may
+// rebase the queue and spread a bucket without firing anything
+// (peek-side). Pending must stay exact no matter how the paths interleave;
+// a slot released twice or never would show up here.
 func TestPendingExactAcrossReapPaths(t *testing.T) {
 	e := NewEngine()
 	r := NewRand(42)
@@ -22,7 +22,7 @@ func TestPendingExactAcrossReapPaths(t *testing.T) {
 			id := e.Schedule(Time(1+r.Intn(50)), nop)
 			live[id] = struct{}{}
 			want++
-		case 2: // cancel a random live event, then force a peek-side reap
+		case 2: // cancel a random live event, then force a look-ahead
 			for id := range live {
 				if !e.Cancel(id) {
 					t.Fatalf("round %d: live event %#x refused cancellation", round, uint64(id))
@@ -31,10 +31,10 @@ func TestPendingExactAcrossReapPaths(t *testing.T) {
 				want--
 				break
 			}
-			// RunUntil on an instant before every pending event reaps
-			// dead roots via peekWhen without firing anything.
+			// RunUntil on an instant before every pending event looks
+			// ahead without firing anything.
 			e.RunUntil(e.Now())
-		case 3: // fire everything due soon via the step-side reap
+		case 3: // fire everything due soon
 			horizon := e.Now() + Time(r.Intn(20))
 			fired := e.Fired()
 			e.RunUntil(horizon)
@@ -64,9 +64,9 @@ func TestPendingExactAcrossReapPaths(t *testing.T) {
 	}
 }
 
-// TestCancelThenReapInterleavings pins the exact scenario from the issue:
-// cancel an event, reap it through one path, and check the other path
-// cannot release it again (which would corrupt the free list and Pending).
+// TestCancelThenReapInterleavings pins the cancel-then-run scenarios:
+// a cancelled event's slot is released exactly once, whether the queue
+// next looks ahead or fires, so the free list and Pending stay exact.
 func TestCancelThenReapInterleavings(t *testing.T) {
 	t.Run("peek then step", func(t *testing.T) {
 		e := NewEngine()
@@ -76,11 +76,11 @@ func TestCancelThenReapInterleavings(t *testing.T) {
 		if got := e.Pending(); got != 1 {
 			t.Fatalf("Pending after cancel = %d, want 1", got)
 		}
-		e.RunUntil(1) // peekWhen reaps the dead root
+		e.RunUntil(1) // look ahead past nothing due
 		if got := e.Pending(); got != 1 {
-			t.Fatalf("Pending after peek-reap = %d, want 1", got)
+			t.Fatalf("Pending after look-ahead = %d, want 1", got)
 		}
-		e.Run() // step must not find the reaped slot again
+		e.Run() // firing must not find the cancelled slot again
 		if e.Pending() != 0 || e.Fired() != 1 {
 			t.Fatalf("Pending = %d Fired = %d, want 0 and 1", e.Pending(), e.Fired())
 		}
@@ -93,7 +93,7 @@ func TestCancelThenReapInterleavings(t *testing.T) {
 		id := e.Schedule(5, nop)
 		e.Schedule(10, nop)
 		e.Cancel(id)
-		e.Run() // step's liveRoot reaps the dead slot on the way to the live one
+		e.Run() // fires the live event; the cancelled slot is already free
 		if e.Pending() != 0 || e.Fired() != 1 {
 			t.Fatalf("Pending = %d Fired = %d, want 0 and 1", e.Pending(), e.Fired())
 		}
@@ -173,6 +173,6 @@ func TestGenWraparoundProperty(t *testing.T) {
 		if !e.Cancel(cur) {
 			t.Fatalf("round %d: current ID refused to cancel", round)
 		}
-		e.Run() // reap the cancelled slot so the next round starts clean
+		e.Run() // the next round starts from an empty queue
 	}
 }

@@ -1,23 +1,36 @@
 // Package sim provides the discrete-event simulation kernel that every
 // architectural model in this repository runs on.
 //
-// The kernel is deliberately small: a picosecond-resolution clock, a binary
-// heap of pending events, and deterministic tie-breaking (events scheduled
-// for the same instant fire in the order they were scheduled). Determinism
+// The kernel is deliberately small: a picosecond-resolution clock, a queue
+// of pending events, and deterministic tie-breaking (events scheduled for
+// the same instant fire in the order they were scheduled). Determinism
 // matters because the experiments in internal/experiments assert quantitative
 // relationships between runs; two simulations built from the same seed must
 // produce identical event interleavings.
 //
 // Event storage is an intrusive slot arena with a free list: event structs
-// live in one slice, the heap orders int32 slot indices, and EventIDs carry
-// a per-slot generation so a stale ID can never cancel the slot's next
-// occupant. Scheduling an event therefore costs no per-event heap pointer
-// and no map insert/delete on the hot path.
+// live in one slice and EventIDs carry a per-slot generation, so a stale ID
+// can never cancel the slot's next occupant. The pending events form a
+// monotone radix queue threaded through the arena: bucket b is a
+// doubly-linked list of the events whose instant first differs from the
+// queue's base (a lower bound of every pending instant) in bit b-1, and
+// bucket 0 holds the events at the base itself. A one-word mask finds the
+// lowest non-empty bucket; popping from an empty bucket 0 rebases on that
+// bucket's earliest instant and spreads its events into lower buckets. An
+// event therefore moves down at most 63 times however deep the queue is,
+// and same-instant events stay in schedule order because every list is
+// appended in schedule order and emptied into empty buckets. Cancel
+// unlinks its event and frees the slot at once. Scheduling, firing and
+// cancelling cost no per-event heap pointer, no map operation and no sift
+// through a deep heap: on a 2-vCPU Xeon VM (go1.24) BenchmarkEngineHold
+// measures ~55/73/75ns per event at depths 16/512/4096, against
+// ~88/178/264ns for the binary heap of slot indices this queue replaced.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -90,16 +103,15 @@ func FromDuration(d time.Duration) Time {
 	return Time(ns) * Nanosecond
 }
 
-// event is one arena slot. A slot is live while it sits in the heap with
-// dead == false; cancellation is lazy (dead is set, the heap entry stays
-// until popped). gen advances every time the slot is released, invalidating
-// all previously minted EventIDs for it.
+// event is one arena slot. A slot is pending while fn != nil; next and
+// prev link it into its radix bucket (-1 ends a list). gen advances every
+// time the slot is released, invalidating all previously minted EventIDs
+// for it.
 type event struct {
-	when Time
-	seq  uint64 // tie-breaker: schedule order
-	fn   func()
-	gen  uint32
-	dead bool // cancelled, heap entry not yet reaped
+	when       Time
+	fn         func()
+	gen        uint32
+	next, prev int32
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -117,11 +129,17 @@ func makeID(slot int32, gen uint32) EventID {
 // engines on independent goroutines are fine — that is how the parallel
 // experiment runner fans out.)
 type Engine struct {
-	now     Time
-	events  []event // slot arena; grows, never shrinks
-	free    []int32 // released slots available for reuse
-	heap    []int32 // binary heap of live+dead slots by (when, seq)
-	nextSeq uint64
+	now    Time
+	events []event // slot arena; grows, never shrinks
+	free   []int32 // released slots available for reuse
+
+	// Radix queue (see the package comment). base <= now always, so a
+	// newly scheduled instant is never below it; head/tail are valid for
+	// the buckets whose mask bit is set.
+	base    Time
+	mask    uint64
+	buckets [64]bucket
+
 	live    int // scheduled and not cancelled
 	fired   uint64
 	stopped bool
@@ -142,6 +160,14 @@ type Engine struct {
 	probeOn bool
 }
 
+// bucket is one radix bucket's list ends, valid while its mask bit is set,
+// and the earliest instant linked into it since it was last empty, a lower
+// bound of its events (exact unless that event was cancelled).
+type bucket struct {
+	head, tail int32
+	low        Time
+}
+
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{}
@@ -156,16 +182,21 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are scheduled and not cancelled.
 func (e *Engine) Pending() int { return e.live }
 
-// Schedule runs fn after delay. A negative delay is an error in the caller;
-// it panics because it would corrupt causality.
+// Schedule runs fn after delay. A delay that would carry the instant past
+// MaxTime saturates there ("never"); a negative delay is an error in the
+// caller and panics because it would corrupt causality.
 func (e *Engine) Schedule(delay Time, fn func()) EventID {
-	return e.At(e.now+delay, fn)
+	when := e.now + delay
+	if when&^delay < 0 { // when < 0 <= delay: the sum overflowed
+		when = MaxTime
+	}
+	return e.At(when, fn)
 }
 
 // At runs fn at the absolute instant when. Scheduling in the past panics.
 func (e *Engine) At(when Time, fn func()) EventID {
 	if when < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", when, e.now))
+		panic(fmt.Sprintf("sim: scheduling event at %v, delay %v, before now %v", when, when-e.now, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
@@ -180,33 +211,28 @@ func (e *Engine) At(when Time, fn func()) EventID {
 	}
 	ev := &e.events[slot]
 	ev.when = when
-	ev.seq = e.nextSeq
 	ev.fn = fn
-	ev.dead = false
-	e.nextSeq++
+	e.link(ev, slot)
 	e.live++
-	e.heap = append(e.heap, slot)
-	e.up(len(e.heap) - 1)
 	if e.probeOn {
 		e.probe.OnSchedule(when)
 	}
 	return makeID(slot, ev.gen)
 }
 
-// Cancel removes a pending event. Cancelling an event that already fired or
-// was already cancelled is a no-op returning false. The heap entry is
-// reaped lazily when it reaches the root.
+// Cancel removes a pending event and frees its slot. Cancelling an event
+// that already fired or was already cancelled is a no-op returning false.
 func (e *Engine) Cancel(id EventID) bool {
 	slot := int64(id>>32) - 1
 	if slot < 0 || slot >= int64(len(e.events)) {
 		return false
 	}
 	ev := &e.events[slot]
-	if ev.gen != uint32(id) || ev.dead || ev.fn == nil {
+	if ev.gen != uint32(id) || ev.fn == nil {
 		return false
 	}
-	ev.dead = true
-	ev.fn = nil
+	e.unlink(int32(slot))
+	e.release(int32(slot))
 	e.live--
 	if e.probeOn {
 		e.probe.OnCancel(e.now)
@@ -218,31 +244,95 @@ func (e *Engine) Cancel(id EventID) bool {
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// release returns a popped slot to the free list, bumping its generation so
-// outstanding EventIDs for the old occupant can never touch the new one.
+// release returns an unlinked slot to the free list, bumping its generation
+// so outstanding EventIDs for the old occupant can never touch the new one.
 func (e *Engine) release(slot int32) {
 	ev := &e.events[slot]
 	ev.fn = nil
-	ev.dead = false
 	ev.gen++
 	e.free = append(e.free, slot)
 }
 
-// step executes the earliest event. It reports false if none remain.
-func (e *Engine) step() bool {
-	if len(e.heap) == 0 {
-		return false
+// link appends ev, the event in slot, to the tail of its bucket.
+func (e *Engine) link(ev *event, slot int32) {
+	// Instants are non-negative, so the key is at most 63; the mask only
+	// drops the bounds check.
+	b := bits.Len64(uint64(ev.when^e.base)) & 63
+	q := &e.buckets[b]
+	ev.next, ev.prev = -1, q.tail
+	if e.mask&(1<<b) == 0 {
+		e.mask |= 1 << b
+		q.head, q.low, ev.prev = slot, ev.when, -1
+	} else {
+		q.low = min(q.low, ev.when)
+		e.events[q.tail].next = slot
 	}
-	slot := e.heap[0]
+	q.tail = slot
+}
+
+// unlink removes slot from its bucket.
+func (e *Engine) unlink(slot int32) {
 	ev := &e.events[slot]
-	if ev.dead {
-		var ok bool
-		if slot, ok = e.reapRoot(); !ok {
+	b := bits.Len64(uint64(ev.when^e.base)) & 63
+	q := &e.buckets[b]
+	if ev.prev < 0 && ev.next < 0 {
+		e.mask &^= 1 << b
+		return
+	}
+	if ev.prev < 0 {
+		q.head = ev.next
+	} else {
+		e.events[ev.prev].next = ev.next
+	}
+	if ev.next < 0 {
+		q.tail = ev.prev
+	} else {
+		e.events[ev.next].prev = ev.prev
+	}
+}
+
+// step fires the earliest pending event if it is due by limit and
+// reports whether it did. While bucket 0 is empty it rebases on the
+// lowest non-empty bucket's lower bound and spreads that bucket's events
+// into lower buckets, but only if the bound is due by limit, so a RunUntil
+// look-ahead never leaves base above the clock.
+func (e *Engine) step(limit Time) bool {
+	for e.mask&1 == 0 {
+		if e.mask == 0 {
 			return false
 		}
-		ev = &e.events[slot]
+		b := bits.TrailingZeros64(e.mask)
+		q := &e.buckets[b]
+		if q.low > limit {
+			return false
+		}
+		if s := q.head; s == q.tail && e.events[s].when <= limit {
+			// A lone event moves straight to bucket 0.
+			e.base = e.events[s].when
+			e.mask ^= 1<<b | 1
+			e.buckets[0] = bucket{head: s, tail: s, low: e.base}
+			break
+		}
+		e.base = q.low
+		e.mask &^= 1 << b
+		for s := q.head; s >= 0; {
+			ev := &e.events[s]
+			next := ev.next
+			e.link(ev, s)
+			s = next
+		}
 	}
-	e.popRoot()
+	slot := e.buckets[0].head
+	ev := &e.events[slot]
+	if ev.when > limit {
+		return false
+	}
+	if ev.next < 0 {
+		e.mask &^= 1
+	} else {
+		e.buckets[0].head = ev.next
+		e.events[ev.next].prev = -1
+	}
 	fn := ev.fn
 	e.now = ev.when
 	e.fired++
@@ -266,7 +356,7 @@ func (e *Engine) Run() {
 		if e.wdOn && !e.wdCheck() {
 			break
 		}
-		if !e.step() {
+		if !e.step(MaxTime) {
 			break
 		}
 	}
@@ -282,102 +372,11 @@ func (e *Engine) RunUntil(deadline Time) {
 		if e.wdOn && !e.wdCheck() {
 			return // abort without the deadline clamp
 		}
-		when, ok := e.peekWhen()
-		if !ok || when > deadline {
+		if !e.step(deadline) {
 			break
 		}
-		e.step()
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-}
-
-// reapRoot pops dead entries off the heap root — the root is known dead on
-// entry — releasing each slot, until a live event surfaces (its slot is
-// returned) or the heap drains. It is the one copy of the dead-slot reap
-// loop, shared by step and peekWhen so the reap-and-release bookkeeping
-// (and therefore Pending's exactness) cannot drift between the two paths;
-// each caller keeps only the loop-free root-is-live check inline, which is
-// what lets the Go compiler inline the hot path.
-func (e *Engine) reapRoot() (int32, bool) {
-	for {
-		e.release(e.heap[0])
-		e.popRoot()
-		if len(e.heap) == 0 {
-			return 0, false
-		}
-		if slot := e.heap[0]; !e.events[slot].dead {
-			return slot, true
-		}
-	}
-}
-
-// peekWhen reports the timestamp of the earliest live event, reaping dead
-// heap entries encountered at the root.
-func (e *Engine) peekWhen() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	slot := e.heap[0]
-	ev := &e.events[slot]
-	if ev.dead {
-		var ok bool
-		if slot, ok = e.reapRoot(); !ok {
-			return 0, false
-		}
-		ev = &e.events[slot]
-	}
-	return ev.when, true
-}
-
-// less orders heap positions i, j by (when, seq).
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[e.heap[i]], &e.events[e.heap[j]]
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
-
-// up restores the heap invariant after appending at position i.
-func (e *Engine) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		i = parent
-	}
-}
-
-// popRoot removes the heap root and restores the invariant.
-func (e *Engine) popRoot() {
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.down(0)
-	}
-}
-
-// down sifts position i toward the leaves.
-func (e *Engine) down(i int) {
-	n := len(e.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && e.less(right, left) {
-			least = right
-		}
-		if !e.less(least, i) {
-			return
-		}
-		e.heap[i], e.heap[least] = e.heap[least], e.heap[i]
-		i = least
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,6 +165,50 @@ func TestSchedulePastPanics(t *testing.T) {
 		e.At(5, func() {})
 	})
 	e.Run()
+}
+
+// Schedule saturates an instant past MaxTime at MaxTime ("never") instead
+// of wrapping into the past, and a negative delay panics with a message
+// naming the delay.
+func TestScheduleDelayEdges(t *testing.T) {
+	cases := []struct {
+		now, delay Time
+		want       Time   // instant the event fires at
+		panic      string // substring of the panic message, if any
+	}{
+		{now: 0, delay: 0, want: 0},
+		{now: 10, delay: 5, want: 15},
+		{now: 0, delay: MaxTime, want: MaxTime},
+		{now: 10, delay: MaxTime - 11, want: MaxTime - 1},
+		{now: 10, delay: MaxTime - 10, want: MaxTime},
+		{now: 10, delay: MaxTime, want: MaxTime},
+		{now: MaxTime / 2, delay: MaxTime/2 + 2, want: MaxTime},
+		{now: MaxTime, delay: 1, want: MaxTime},
+		{now: 10, delay: -1, panic: "delay -1ps, before now 10ps"},
+		{now: 0, delay: -MaxTime, panic: "delay -9223372.036855s, before now 0ps"},
+		{now: 5, delay: math.MinInt64, panic: "delay -9223372036854775808ps, before now 5ps"},
+	}
+	for _, c := range cases {
+		e := NewEngine()
+		e.RunUntil(c.now)
+		got := Time(-1)
+		func() {
+			defer func() {
+				r := recover()
+				if (r != nil) != (c.panic != "") || !strings.Contains(fmt.Sprint(r), c.panic) {
+					t.Errorf("Schedule(%v) at %v: panic %v, want %q", c.delay, c.now, r, c.panic)
+				}
+			}()
+			e.Schedule(c.delay, func() { got = e.Now() })
+		}()
+		e.Run()
+		if c.panic == "" && got != c.want {
+			t.Errorf("Schedule(%v) at %v fired at %v, want %v", c.delay, c.now, got, c.want)
+		}
+		if c.panic != "" && (got != -1 || e.Pending() != 0) {
+			t.Errorf("Schedule(%v) at %v panicked but left an event behind", c.delay, c.now)
+		}
+	}
 }
 
 func TestScheduleNilPanics(t *testing.T) {
