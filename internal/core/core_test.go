@@ -151,15 +151,16 @@ func TestHostReadHeaderHit(t *testing.T) {
 	eng.Run()
 
 	var gotHit bool
-	var gotLat sim.Time
-	d.HostReadLine(0x10000, func(hit bool, lat sim.Time) { gotHit, gotLat = hit, lat })
+	var gotLat, at sim.Time
+	start := eng.Now()
+	d.HostReadLine(0x10000, func(hit bool, lat sim.Time) { gotHit, gotLat, at = hit, lat, eng.Now() })
 	eng.Run()
 	if !gotHit {
 		t.Fatal("header read should hit nCache")
 	}
 	want := DefaultConfig().Protocol.ReadLatency(DefaultConfig().SRAMLatency)
-	if gotLat != want {
-		t.Fatalf("header hit latency = %v, want %v", gotLat, want)
+	if gotLat != want || at-start != want {
+		t.Fatalf("header hit latency = %v, completed after %v, want %v", gotLat, at-start, want)
 	}
 	// Header access must NOT trigger prefetching (paper Sec. 4.1).
 	if d.Stats().Prefetches != 0 {

@@ -79,6 +79,20 @@ type Device struct {
 	mem     *membank.Store
 	regfile *RegisterFile
 	stats   Stats
+
+	// hits delivers nCache-hit read completions: every hit takes the same
+	// protocol read of an SRAM access, so they wait in one delay line.
+	hits sim.DelayLine[hitRead]
+	// fillFn is d.fill, the nPrefetcher's line-fill completion, bound on
+	// the first prefetch.
+	fillFn func(memctrl.Response)
+}
+
+// hitRead is one HostReadLine completion waiting out the nCache-hit
+// latency.
+type hitRead struct {
+	done    func(hit bool, latency sim.Time)
+	latency sim.Time
 }
 
 // NewDevice builds a NetDIMM device on the engine.
@@ -97,6 +111,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		bus:    nic.MemChannelBus{Protocol: cfg.Protocol, Media: 15 * sim.Nanosecond},
 		mem:    membank.New(),
 	}
+	d.hits.Init(eng, cfg.Protocol.ReadLatency(cfg.SRAMLatency), func(h hitRead) { h.done(true, h.latency) })
 	return d
 }
 
@@ -201,12 +216,11 @@ func (d *Device) HostReadLine(addr int64, done func(hit bool, latency sim.Time))
 	start := d.eng.Now()
 	hit, wasHeader := d.ncache.Read(addr)
 	if hit {
-		lat := d.cfg.Protocol.ReadLatency(d.cfg.SRAMLatency)
 		if !wasHeader {
 			d.prefetch(addr)
 		}
 		if done != nil {
-			d.eng.Schedule(lat, func() { done(true, lat) })
+			d.hits.Push(hitRead{done: done, latency: d.cfg.Protocol.ReadLatency(d.cfg.SRAMLatency)})
 		}
 		return
 	}
@@ -260,24 +274,27 @@ func (d *Device) HostWriteLine(addr int64, done func()) sim.Time {
 // prefetch arms the nPrefetcher: the next PrefetchDegree cachelines are
 // read from local DRAM into nCache (skipping lines already present).
 func (d *Device) prefetch(addr int64) {
+	if d.fillFn == nil {
+		d.fillFn = d.fill
+	}
 	for i := 1; i <= d.cfg.PrefetchDegree; i++ {
 		target := addr + int64(i)*addrmap.CachelineSize
 		if target >= d.Size() || d.ncache.Contains(target) {
 			continue
 		}
 		d.stats.Prefetches++
-		err := d.nmc.Submit(&memctrl.Request{
-			Addr:  target,
-			Bytes: addrmap.CachelineSize,
-			Done: func(memctrl.Response) {
-				d.ncache.Insert(target, false, true)
-				d.ncache.notePrefetchFill()
-			},
-		})
+		err := d.nmc.Submit(&memctrl.Request{Addr: target, Bytes: addrmap.CachelineSize, Done: d.fillFn})
 		if err != nil {
 			d.stats.Prefetches-- // dropped under pressure; prefetch is best effort
 		}
 	}
+}
+
+// fill lands a prefetched line in nCache when its local DRAM read
+// completes.
+func (d *Device) fill(r memctrl.Response) {
+	d.ncache.Insert(r.Addr, false, true)
+	d.ncache.notePrefetchFill()
 }
 
 // Clone performs netdimmClone(dst, src, size): in-memory buffer cloning
@@ -285,18 +302,24 @@ func (d *Device) prefetch(addr int64) {
 // 14). done receives the selected mode. The engine write-snoops nCache for
 // the destination range.
 func (d *Device) Clone(dst, src int64, size int, done func(dram.CloneMode)) sim.Time {
+	finish, mode := d.clone(dst, src, size)
+	if done != nil {
+		d.eng.At(finish, func() { done(mode) })
+	}
+	return finish - d.eng.Now()
+}
+
+// clone starts a clone and returns the instant it finishes and the mode
+// it runs in; the caller schedules its own completion.
+func (d *Device) clone(dst, src int64, size int) (finish sim.Time, mode dram.CloneMode) {
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	for i := int64(0); i < lines; i++ {
 		d.ncache.Invalidate(dst + i*addrmap.CachelineSize)
 	}
 	d.mem.Clone(dst, src, size)
-	finish, mode := d.clones.Clone(d.eng.Now(), src, dst, int64(size))
+	finish, mode = d.clones.Clone(d.eng.Now(), src, dst, int64(size))
 	d.stats.Clones[mode]++
-	lat := finish - d.eng.Now()
-	if done != nil {
-		d.eng.At(finish, func() { done(mode) })
-	}
-	return lat
+	return finish, mode
 }
 
 // CloneLatency predicts the cost of a clone without running it.

@@ -46,8 +46,10 @@ type RegisterFile struct {
 	cloneBusy bool
 
 	// lastCloneMode records the mode of the most recent clone for
-	// inspection.
-	lastCloneMode dram.CloneMode
+	// inspection; pendingMode is the mode of the clone in flight.
+	lastCloneMode, pendingMode dram.CloneMode
+	// cloneDoneFn is rf.cloneDone, bound on the first clone.
+	cloneDoneFn func()
 
 	// OnCloneDone, if set, fires when a register-kicked clone completes.
 	OnCloneDone func(dram.CloneMode)
@@ -97,15 +99,23 @@ func (rf *RegisterFile) Write(r Reg, v uint64) error {
 			return fmt.Errorf("core: clone size %d", size)
 		}
 		rf.cloneBusy = true
-		rf.dev.Clone(dst, src, size, func(m dram.CloneMode) {
-			rf.cloneBusy = false
-			rf.lastCloneMode = m
-			if rf.OnCloneDone != nil {
-				rf.OnCloneDone(m)
-			}
-		})
+		if rf.cloneDoneFn == nil {
+			rf.cloneDoneFn = rf.cloneDone
+		}
+		finish, mode := rf.dev.clone(dst, src, size)
+		rf.pendingMode = mode
+		rf.dev.eng.At(finish, rf.cloneDoneFn)
 	}
 	return nil
+}
+
+// cloneDone retires the register-kicked clone in flight.
+func (rf *RegisterFile) cloneDone() {
+	rf.cloneBusy = false
+	rf.lastCloneMode = rf.pendingMode
+	if rf.OnCloneDone != nil {
+		rf.OnCloneDone(rf.pendingMode)
+	}
 }
 
 // LastCloneMode reports the mode of the most recent completed clone.

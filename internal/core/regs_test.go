@@ -5,6 +5,7 @@ import (
 
 	"netdimm/internal/addrmap"
 	"netdimm/internal/dram"
+	"netdimm/internal/sim"
 )
 
 func TestRegisterFileBasics(t *testing.T) {
@@ -68,7 +69,9 @@ func TestRegisterCloneKick(t *testing.T) {
 	rf.Write(RegCloneDst, uint64(dst))
 	var mode dram.CloneMode
 	fired := false
-	rf.OnCloneDone = func(m dram.CloneMode) { mode = m; fired = true }
+	var at sim.Time
+	rf.OnCloneDone = func(m dram.CloneMode) { mode, fired, at = m, true, eng.Now() }
+	want := eng.Now() + d.CloneLatency(dst, 0, 19)
 	if err := rf.Write(RegCloneSize, 19); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +84,8 @@ func TestRegisterCloneKick(t *testing.T) {
 		t.Fatal("double kick while busy accepted")
 	}
 	eng.Run()
-	if !fired || mode != dram.FPM {
-		t.Fatalf("clone completion: fired=%v mode=%v", fired, mode)
+	if !fired || mode != dram.FPM || at != want {
+		t.Fatalf("clone completion: fired=%v mode=%v at %v, want FPM at %v", fired, mode, at, want)
 	}
 	if rf.LastCloneMode() != dram.FPM {
 		t.Fatal("LastCloneMode wrong")

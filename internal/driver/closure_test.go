@@ -1,0 +1,285 @@
+package driver
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"netdimm/internal/addrmap"
+	"netdimm/internal/core"
+	"netdimm/internal/dram"
+	"netdimm/internal/kalloc"
+	"netdimm/internal/nic"
+	"netdimm/internal/sim"
+	"netdimm/internal/stats"
+)
+
+// This file keeps the NetDIMM driver step chain that begin/wait and the
+// bound completion methods replaced — measure(op func(done func())) with
+// an op closure, a done closure and an escaping end per device operation,
+// and a fresh OnCloneDone and HostReadLine callback per packet — as the
+// reference the allocation-free chain must match event for event.
+
+// closureMeasure runs an event-driven device operation to completion on
+// the driver's engine and returns its duration.
+func closureMeasure(d *NetDIMMDriver, op func(done func())) sim.Time {
+	start := d.Eng.Now()
+	var end sim.Time
+	op(func() { end = d.Eng.Now() })
+	d.Eng.Run()
+	if end < start {
+		end = d.Eng.Now()
+	}
+	return end - start
+}
+
+func closureTXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
+	var b stats.Breakdown
+	bus := d.Dev.RegisterBus()
+	if d.txRing.Full() {
+		d.stats.RingFull++
+		d.cleanTxRing()
+	}
+	d.add(&b, stats.TxCopy, "skb+allocLookup+desc", d.Costs.SKBAlloc+d.Costs.AllocCacheLookup+d.Costs.DescWrite)
+	dmaBuf := d.appBuf
+	if d.CopyNeeded {
+		d.stats.TxSlow++
+		buf, fast, err := d.Cache.Get(kalloc.NoHint)
+		if err == nil {
+			dmaBuf = buf
+			defer d.Cache.Release(buf)
+		}
+		if fast {
+			d.stats.AllocFast++
+		} else {
+			d.stats.AllocSlow++
+			d.add(&b, stats.TxCopy, "slowAllocPages", d.Costs.SlowAllocPages)
+		}
+		d.add(&b, stats.TxCopy, "cpuCopy", d.Costs.CopyTime(p.Size))
+		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
+		if payload != nil {
+			d.Dev.WriteData(d.local(dmaBuf), clip(payload, p.Size))
+		}
+	} else {
+		d.stats.TxFast++
+		d.stats.AllocFast++
+		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
+		if payload != nil {
+			d.Dev.WriteData(d.local(d.appBuf), clip(payload, p.Size))
+		}
+	}
+	d.txRing.Push(nic.Descriptor{BufAddr: dmaBuf, Len: p.Size, Owned: true})
+	d.add(&b, stats.TxFlush, "descFlush", d.Costs.FlushTime(nic.DescriptorBytes))
+	d.add(&b, stats.IOReg, "sizeWrite", bus.WriteCost())
+	d.add(&b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+closureMeasure(d, func(done func()) {
+		if err := d.Dev.TransmitFetch(d.local(dmaBuf), p.Size, done); err != nil {
+			done()
+		}
+	}))
+	d.txRing.MarkDone()
+	if d.txRing.Len() >= d.txRing.Cap()/2 {
+		d.cleanTxRing()
+	}
+	var wire []byte
+	if payload != nil {
+		wire, _ = d.Dev.ReadData(d.local(dmaBuf), p.Size)
+	}
+	return b, wire
+}
+
+func closureRXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
+	var b stats.Breakdown
+	bus := d.Dev.RegisterBus()
+	d.stats.RxPackets++
+	rxBuf, _, err := d.Cache.Get(kalloc.NoHint)
+	exhausted := err != nil
+	if exhausted {
+		rxBuf = d.appBuf
+	}
+	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+closureMeasure(d, func(done func()) {
+		if err := d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, done); err != nil {
+			done()
+		}
+	}))
+	d.rxRing.Push(nic.Descriptor{BufAddr: rxBuf, Len: p.Size, Done: true})
+	rf := d.Dev.Registers()
+	if st, err := rf.Read(core.RegStatus); err != nil || st&0xffffffff == 0 {
+		d.stats.PollMisses++
+	}
+	rf.AckRX()
+	d.add(&b, stats.IOReg, "pollStatus", bus.ReadCost())
+	d.add(&b, stats.RxInvalidate, "descInvalidate", d.Costs.FlushTime(nic.DescriptorBytes))
+	d.add(&b, stats.IOReg, "descReread", bus.ReadCost())
+	alloc := d.Costs.AllocCacheLookup
+	skbBuf, fast, err := d.Cache.Get(rxBuf)
+	if err != nil {
+		skbBuf, fast = rxBuf, false
+		exhausted = true
+	}
+	if exhausted {
+		d.stats.ZoneExhausted++
+	}
+	if fast {
+		d.stats.AllocFast++
+	} else {
+		d.stats.AllocSlow++
+		alloc += d.Costs.SlowAllocPages
+	}
+	d.add(&b, stats.RxCopy, "skb+allocLookup", d.Costs.SKBAlloc+alloc)
+	d.add(&b, stats.IOReg, "cloneRegs", bus.WriteCost())
+	var mode dram.CloneMode
+	cloneLat := closureMeasure(d, func(done func()) {
+		rf.Write(core.RegCloneSrc, uint64(d.local(rxBuf)))
+		rf.Write(core.RegCloneDst, uint64(d.local(skbBuf)))
+		rf.OnCloneDone = func(m dram.CloneMode) {
+			mode = m
+			rf.OnCloneDone = nil
+			done()
+		}
+		if err := rf.Write(core.RegCloneSize, uint64(p.Size)); err != nil {
+			rf.OnCloneDone = nil
+			done()
+		}
+	})
+	if mode == dram.FPM {
+		d.stats.ClonesFPM++
+	} else {
+		d.stats.ClonesOther++
+	}
+	d.add(&b, stats.RxCopy, "clone", cloneLat)
+	d.add(&b, stats.RxCopy, "headerRead", closureMeasure(d, func(done func()) {
+		d.Dev.HostReadLine(d.local(rxBuf), func(hit bool, lat sim.Time) {
+			if hit {
+				d.stats.HeaderCacheHits++
+			} else {
+				d.stats.HeaderCacheMiss++
+			}
+			done()
+		})
+	}))
+	d.rxRing.Pop()
+	var delivered []byte
+	if payload != nil {
+		delivered, _ = d.Dev.ReadData(d.local(skbBuf), p.Size)
+	}
+	if rxBuf != d.appBuf {
+		d.Cache.Release(rxBuf)
+	}
+	if skbBuf != rxBuf {
+		d.Cache.Release(skbBuf)
+	}
+	return b, delivered
+}
+
+// floodNCache inserts eight lines per nCache line at the top of the
+// device, so random replacement evicts nearly every resident line —
+// among them a header that arrived but has not been read yet.
+func floodNCache(dev *core.Device) {
+	nc := dev.NCache()
+	n := 8 * int64(nc.Lines())
+	base := dev.Size() - n*addrmap.CachelineSize
+	for i := int64(0); i < n; i++ {
+		nc.Insert(base+i*addrmap.CachelineSize, false, false)
+	}
+}
+
+// endpointState is everything observable about one NetDIMM endpoint.
+type endpointState struct {
+	Driver DriverStats
+	Device core.Stats
+	NCache core.NCacheStats
+	Now    sim.Time
+	Fired  uint64
+}
+
+func stateOf(d *NetDIMMDriver) endpointState {
+	return endpointState{d.Stats(), d.Dev.Stats(), d.Dev.NCache().Stats(), d.Eng.Now(), d.Eng.Fired()}
+}
+
+// pair is one TX→RX endpoint pair.
+type pair struct{ tx, rx *NetDIMMDriver }
+
+func newPair(t *testing.T, seed uint64, exhausted bool) pair {
+	t.Helper()
+	var p pair
+	var err error
+	if p.tx, err = NewNetDIMMMachine(seed); err != nil {
+		t.Fatal(err)
+	}
+	if p.rx, err = NewNetDIMMMachine(seed + 1); err != nil {
+		t.Fatal(err)
+	}
+	if exhausted {
+		exhaustZone(t, p.tx)
+		exhaustZone(t, p.rx)
+	}
+	return p
+}
+
+// TestStepChainMatchesClosureChain drives the driver and the closure
+// reference, each on its own endpoint pair, with the same random packet
+// sequences and requires identical breakdowns, frame bytes, driver,
+// device and nCache counters, engine clocks and fired-event counts. The
+// sequences mix sizes from 64 B to 9000 B (above 4 KiB the nMC rejects
+// lines and the transfer reports an error), CopyNeeded sends, headers
+// evicted between delivery and the header read, and, in one case, zones
+// with no free page.
+func TestStepChainMatchesClosureChain(t *testing.T) {
+	var txRejected, txSlow, headerMiss, exhaustedRX uint64
+	for c := 0; c < 4; c++ {
+		exhausted := c == 3
+		t.Run(fmt.Sprintf("case%d", c), func(t *testing.T) {
+			rng := sim.NewRand(uint64(100 + c))
+			seed := uint64(10 * (c + 1))
+			got, want := newPair(t, seed, exhausted), newPair(t, seed, exhausted)
+			for i := 0; i < 150; i++ {
+				size := rng.Range(64, 9000)
+				if rng.Intn(3) == 0 {
+					size = rng.Range(64, 1514)
+				}
+				p := nic.Packet{ID: uint64(i), Size: size}
+				copyNeeded := rng.Intn(4) == 0
+				var payload []byte
+				if rng.Intn(2) == 0 {
+					payload = make([]byte, size)
+					for j := range payload {
+						payload[j] = byte(rng.Uint64())
+					}
+				}
+				evict := rng.Intn(5) == 0
+
+				got.tx.CopyNeeded, want.tx.CopyNeeded = copyNeeded, copyNeeded
+				gb, gWire := got.tx.TXData(p, payload)
+				wb, wWire := closureTXData(want.tx, p, payload)
+				if gb != wb || !bytes.Equal(gWire, wWire) {
+					t.Fatalf("packet %d (%d B): TX breakdown %v, reference %v", i, size, gb, wb)
+				}
+				if evict {
+					got.rx.Eng.Schedule(1, func() { floodNCache(got.rx.Dev) })
+					want.rx.Eng.Schedule(1, func() { floodNCache(want.rx.Dev) })
+				}
+				gb, gDel := got.rx.RXData(p, gWire)
+				wb, wDel := closureRXData(want.rx, p, wWire)
+				if gb != wb || !bytes.Equal(gDel, wDel) {
+					t.Fatalf("packet %d (%d B): RX breakdown %v, reference %v", i, size, gb, wb)
+				}
+				for side, ds := range [2][2]*NetDIMMDriver{{got.tx, want.tx}, {got.rx, want.rx}} {
+					if g, w := stateOf(ds[0]), stateOf(ds[1]); g != w {
+						t.Fatalf("packet %d (%d B), endpoint %d:\n got       %+v\n reference %+v", i, size, side, g, w)
+					}
+				}
+			}
+			txRejected += got.tx.Dev.NMC().Stats().Rejected
+			txSlow += got.tx.Stats().TxSlow
+			if !exhausted { // an exhausted receive clones onto its own header
+				headerMiss += got.rx.Stats().HeaderCacheMiss
+			}
+			exhaustedRX += got.rx.Stats().ZoneExhausted
+		})
+	}
+	// The sequences must reach every case they are meant to cover.
+	if !t.Failed() && (txRejected == 0 || txSlow == 0 || headerMiss == 0 || exhaustedRX == 0) {
+		t.Fatalf("uncovered case: nMC rejections %d, CopyNeeded sends %d, evicted-header misses %d, exhausted receives %d",
+			txRejected, txSlow, headerMiss, exhaustedRX)
+	}
+}

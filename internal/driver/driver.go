@@ -138,7 +138,7 @@ func (d *HWDriver) TX(p nic.Packet) stats.Breakdown {
 	} else {
 		d.add(&b, stats.TxCopy, "skb+copy+desc", d.Costs.SKBAlloc+d.Costs.CopyTime(p.Size)+d.Costs.DescWrite)
 	}
-	d.add(&b, stats.IOReg, "doorbell", d.Dev.Regs().WriteCost())
+	d.add(&b, stats.IOReg, "doorbell", d.Dev.DoorbellCost())
 	// T3: the NIC fetches the descriptor and DMAs the packet out.
 	d.add(&b, stats.TxDMA, "descFetch+packetRead", d.Dev.DescriptorFetch()+d.Dev.PacketRead(p.Size))
 	return b
@@ -169,7 +169,7 @@ func (d *HWDriver) PCIeShare(p nic.Packet, total sim.Time) float64 {
 	if !ok || total == 0 {
 		return 0
 	}
-	pcieTime := d.Dev.Regs().WriteCost() + // doorbell
+	pcieTime := dn.DoorbellCost() +
 		2*dn.DescriptorFetch() + // amortised batched descriptor fetches
 		dn.Link.DMARead(p.Size) + dn.Link.DMAWrite(p.Size) + // payload
 		dn.Link.PostedWrite(nic.DescriptorBytes) // ring update

@@ -192,6 +192,19 @@ func TestNetDIMMSteadyState(t *testing.T) {
 // it would let a later allocation alias the app page.
 func TestNetDIMMRXZoneExhausted(t *testing.T) {
 	nd := newND(t)
+	exhaustZone(t, nd)
+	nd.RX(pkt(1514))
+	if free := nd.Zone.FreePages(); free != 0 {
+		t.Fatalf("FreePages = %d after an RX on an exhausted zone, want 0: the app buffer was freed", free)
+	}
+	if got := nd.Stats().ZoneExhausted; got != 1 {
+		t.Fatalf("ZoneExhausted = %d for one packet, want 1", got)
+	}
+}
+
+// exhaustZone allocates every page of nd's NET_i zone.
+func exhaustZone(t *testing.T, nd *NetDIMMDriver) {
+	t.Helper()
 	// Empty the allocCache, keeping one of each bucket's pages as a hint
 	// into that bucket.
 	hints := make([]int64, nd.Zone.Buckets())
@@ -218,14 +231,6 @@ func TestNetDIMMRXZoneExhausted(t *testing.T) {
 		if got, _ := nd.Zone.SubarrayKeyOf(p); int(got) != key {
 			key--
 		}
-	}
-
-	nd.RX(pkt(1514))
-	if free := nd.Zone.FreePages(); free != 0 {
-		t.Fatalf("FreePages = %d after an RX on an exhausted zone, want 0: the app buffer was freed", free)
-	}
-	if got := nd.Stats().ZoneExhausted; got != 1 {
-		t.Fatalf("ZoneExhausted = %d for one packet, want 1", got)
 	}
 }
 

@@ -106,3 +106,22 @@ func TestNetDIMMRXSizeSlope(t *testing.T) {
 			slope, memcpySlope)
 	}
 }
+
+// TestHWDriverAllocs holds the baseline drivers to zero heap allocations
+// per packet: a dNIC, dNIC.zcpy and iNIC endpoint's TX and RX are pure
+// arithmetic over the NIC model, whose doorbell cost comes without boxing
+// a RegisterBus.
+func TestHWDriverAllocs(t *testing.T) {
+	p := pkt(1514)
+	for _, m := range []*HWDriver{NewDNICMachine(false), NewDNICMachine(true), NewINICMachine(false)} {
+		var sink stats.Breakdown
+		send := func() { sink = m.TX(p).Plus(m.RX(p)) }
+		send()
+		if avg := testing.AllocsPerRun(200, send); avg != 0 {
+			t.Errorf("%s: %v allocs per TX+RX, want 0", m.Name(), avg)
+		}
+		if sink.Total() <= 0 {
+			t.Fatalf("%s: empty breakdown", m.Name())
+		}
+	}
+}

@@ -44,6 +44,15 @@ type NetDIMMDriver struct {
 	appBuf int64
 
 	stats DriverStats
+
+	// end is the instant the device last reported the timed operation
+	// done and mode the mode of the last clone; the method values below
+	// write them, bound on the first operation (see begin).
+	end          sim.Time
+	mode         dram.CloneMode
+	doneFn       func()
+	cloneDoneFn  func(dram.CloneMode)
+	headerDoneFn func(hit bool, latency sim.Time)
 }
 
 // DriverStats counts NetDIMM driver events.
@@ -186,11 +195,11 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 
 	// nController fetches the packet from local DRAM into the nNIC; the
 	// nNIC then runs the same MAC pipeline as any full-blown NIC.
-	d.add(&b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+d.measure(func(done func()) {
-		if err := d.Dev.TransmitFetch(d.local(dmaBuf), p.Size, done); err != nil {
-			done()
-		}
-	}))
+	start := d.begin()
+	if err := d.Dev.TransmitFetch(d.local(dmaBuf), p.Size, d.doneFn); err != nil {
+		d.done()
+	}
+	d.add(&b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+d.wait(start))
 
 	// The nNIC completed the fetch: mark the descriptor done for the
 	// polling agent to reclaim lazily.
@@ -248,11 +257,11 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	if exhausted {
 		rxBuf = d.appBuf
 	}
-	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.measure(func(done func()) {
-		if err := d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, done); err != nil {
-			done()
-		}
-	}))
+	start := d.begin()
+	if err := d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, d.doneFn); err != nil {
+		d.done()
+	}
+	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.wait(start))
 	// The nController filled the next RX descriptor.
 	d.rxRing.Push(nic.Descriptor{BufAddr: rxBuf, Len: p.Size, Done: true})
 
@@ -294,21 +303,17 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	// dst/src/size into the NetDIMM register file (one posted line write);
 	// the size write kicks the in-memory clone engine.
 	d.add(&b, stats.IOReg, "cloneRegs", bus.WriteCost())
-	var mode dram.CloneMode
-	cloneLat := d.measure(func(done func()) {
-		rf.Write(core.RegCloneSrc, uint64(d.local(rxBuf)))
-		rf.Write(core.RegCloneDst, uint64(d.local(skbBuf)))
-		rf.OnCloneDone = func(m dram.CloneMode) {
-			mode = m
-			rf.OnCloneDone = nil
-			done()
-		}
-		if err := rf.Write(core.RegCloneSize, uint64(p.Size)); err != nil {
-			rf.OnCloneDone = nil
-			done()
-		}
-	})
-	if mode == dram.FPM {
+	start = d.begin()
+	d.mode = dram.FPM // a clone that never starts counts as FPM
+	rf.Write(core.RegCloneSrc, uint64(d.local(rxBuf)))
+	rf.Write(core.RegCloneDst, uint64(d.local(skbBuf)))
+	rf.OnCloneDone = d.cloneDoneFn
+	if err := rf.Write(core.RegCloneSize, uint64(p.Size)); err != nil {
+		rf.OnCloneDone = nil
+		d.done()
+	}
+	cloneLat := d.wait(start)
+	if d.mode == dram.FPM {
 		d.stats.ClonesFPM++
 	} else {
 		d.stats.ClonesOther++
@@ -317,16 +322,9 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 
 	// Line 15: the stack processes the header — read from the DMA buffer,
 	// which hits nCache (header caching).
-	d.add(&b, stats.RxCopy, "headerRead", d.measure(func(done func()) {
-		d.Dev.HostReadLine(d.local(rxBuf), func(hit bool, lat sim.Time) {
-			if hit {
-				d.stats.HeaderCacheHits++
-			} else {
-				d.stats.HeaderCacheMiss++
-			}
-			done()
-		})
-	}))
+	start = d.begin()
+	d.Dev.HostReadLine(d.local(rxBuf), d.headerDoneFn)
+	d.add(&b, stats.RxCopy, "headerRead", d.wait(start))
 
 	// The descriptor is consumed; return the slot to the ring.
 	d.rxRing.Pop()
@@ -350,15 +348,47 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	return b, delivered
 }
 
-// measure runs an event-driven device operation to completion on the
-// driver's engine and returns its duration.
-func (d *NetDIMMDriver) measure(op func(done func())) sim.Time {
-	start := d.Eng.Now()
-	var end sim.Time
-	op(func() { end = d.Eng.Now() })
-	d.Eng.Run()
-	if end < start {
-		end = d.Eng.Now()
+// begin starts timing an event-driven device operation and returns its
+// start instant for wait. The operation reports completion through the
+// driver's method values, which begin binds on the first operation.
+func (d *NetDIMMDriver) begin() sim.Time {
+	if d.doneFn == nil {
+		d.doneFn = d.done
+		d.cloneDoneFn = d.cloneDone
+		d.headerDoneFn = d.headerDone
 	}
-	return end - start
+	d.end = 0
+	return d.Eng.Now()
+}
+
+// wait runs the operation begun at start to completion on the driver's
+// engine and returns its duration: up to the device's last completion
+// report, or to the engine's final instant if that report (0 when none
+// came) is before start.
+func (d *NetDIMMDriver) wait(start sim.Time) sim.Time {
+	d.Eng.Run()
+	if d.end < start {
+		d.end = d.Eng.Now()
+	}
+	return d.end - start
+}
+
+// done records a completion report at the current instant.
+func (d *NetDIMMDriver) done() { d.end = d.Eng.Now() }
+
+// cloneDone is the register file's clone-completion callback.
+func (d *NetDIMMDriver) cloneDone(m dram.CloneMode) {
+	d.mode = m
+	d.Dev.Registers().OnCloneDone = nil
+	d.done()
+}
+
+// headerDone completes the header read, counting whether it hit nCache.
+func (d *NetDIMMDriver) headerDone(hit bool, _ sim.Time) {
+	if hit {
+		d.stats.HeaderCacheHits++
+	} else {
+		d.stats.HeaderCacheMiss++
+	}
+	d.done()
 }

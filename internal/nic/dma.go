@@ -41,8 +41,9 @@ func TraceTransfer(start sim.Time, addr, bytes int64, write bool, bytesPerSec fl
 // between the NIC and the place packets live (host memory, LLC, or NetDIMM
 // local DRAM).
 type Device interface {
-	// Regs is the register attachment (I/O reg acc component).
-	Regs() RegisterBus
+	// DoorbellCost is the driver's doorbell: one posted write to the
+	// device's registers, Regs().WriteCost() (I/O reg acc component).
+	DoorbellCost() sim.Time
 	// DescriptorFetch is the NIC-side cost of reading one descriptor.
 	DescriptorFetch() sim.Time
 	// DescriptorWriteback is the NIC-side cost of updating ring state.
@@ -86,8 +87,11 @@ func NewDNICWith(link pcie.Link) DNIC {
 	return DNIC{Link: link, HostMemLatency: 50 * sim.Nanosecond}
 }
 
-// Regs implements Device.
+// Regs returns the register attachment: the PCIe link.
 func (d DNIC) Regs() RegisterBus { return PCIeBus{Link: d.Link} }
+
+// DoorbellCost implements Device.
+func (d DNIC) DoorbellCost() sim.Time { return PCIeBus{Link: d.Link}.WriteCost() }
 
 // DescriptorFetch implements Device: a non-posted batched read, amortised
 // per descriptor.
@@ -131,8 +135,11 @@ func NewINIC() INIC {
 	}
 }
 
-// Regs implements Device.
+// Regs returns the register attachment: the on-chip bus.
 func (i INIC) Regs() RegisterBus { return i.Bus }
+
+// DoorbellCost implements Device.
+func (i INIC) DoorbellCost() sim.Time { return i.Bus.WriteCost() }
 
 // DescriptorFetch implements Device.
 func (i INIC) DescriptorFetch() sim.Time { return i.LLCLatency }
