@@ -54,6 +54,10 @@ var goldenCases = []struct {
 	{"-csv collsweep", "collsweep-default.csv", false, false},
 	{"-csv -parallel 4 failsweep", "failsweep-default.csv", false, false},
 	{"-csv -parallel 4 collsweep", "collsweep-default.csv", false, false},
+	{"-csv -parallel 4 loadsweep", "loadsweep-default.csv", false, false},
+	{"-metrics -csv loadsweep", "loadsweep-metrics.txt", false, false},
+	{"-metrics -csv -scenario ../../scenarios/clos-2x4.json -rate 0.2,0.8 racksweep", "racksweep-clos-2x4-metrics.txt", false, false},
+	{"-metrics -csv -scenario ../../scenarios/spine-fail.json failsweep", "failsweep-spine-fail-metrics.txt", false, false},
 }
 
 // TestGoldens runs each golden command through the CLI and compares its
