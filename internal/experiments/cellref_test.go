@@ -1,0 +1,665 @@
+package experiments
+
+import (
+	"fmt"
+	"math"
+
+	"netdimm/internal/driver"
+	"netdimm/internal/ethernet"
+	"netdimm/internal/fabric"
+	"netdimm/internal/fault"
+	"netdimm/internal/nic"
+	"netdimm/internal/obs"
+	"netdimm/internal/sim"
+	"netdimm/internal/spec"
+	"netdimm/internal/stats"
+	"netdimm/internal/workload"
+)
+
+// This file keeps the three open-loop cells that fabricCell replaced —
+// loadCell, rackCell and failCell, each nesting an arrival closure, a TX
+// completion, a fabric delivery and an RX completion per packet — with
+// their endpoint builders and knee detectors, as the reference the single
+// cell must match row for row and metric for metric.
+
+func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
+	if kneeFactor <= 0 {
+		kneeFactor = 3
+	}
+	byArch := make(map[string][]LoadRow)
+	for _, r := range rows {
+		byArch[r.Arch] = append(byArch[r.Arch], r)
+	}
+	var knees []LoadKnee
+	for _, arch := range LoadSweepArchs {
+		rs := byArch[arch]
+		if len(rs) == 0 {
+			continue
+		}
+		// Rows arrive in sweep order (ascending load per architecture);
+		// keep order-insensitivity for callers that re-sorted.
+		for i := 1; i < len(rs); i++ {
+			for j := i; j > 0 && rs[j-1].Load > rs[j].Load; j-- {
+				rs[j-1], rs[j] = rs[j], rs[j-1]
+			}
+		}
+		base := rs[0].P99
+		knee := LoadKnee{Arch: arch}
+		for _, r := range rs {
+			if base > 0 && float64(r.P99) > kneeFactor*float64(base) {
+				knee.Saturated = true
+				break
+			}
+			knee.Knee = r.Load
+		}
+		if !knee.Saturated {
+			// The grid never crossed the bound (or had a single row, which
+			// cannot bracket a knee): report the explicit no-knee result
+			// instead of passing the top of the grid off as a knee.
+			knee.Knee = 0
+		}
+		knees = append(knees, knee)
+	}
+	return knees
+}
+
+func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg LoadSweepConfig, oc *obs.Cell) (LoadRow, error) {
+	d := sp.MustDerive()
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	link := d.Link
+
+	txs, rx, err := refLoadEndpoints(d, arch, shape.hosts, cfg.Seed)
+	if err != nil {
+		return LoadRow{}, err
+	}
+
+	perHostGap, err := shape.cluster.MeanGapForLoad(load, shape.hosts, link.BitsPerSec/1e9)
+	if err != nil {
+		return LoadRow{}, err
+	}
+
+	reg := oc.Metrics()
+	recv := &serialServer{eng: eng}
+	if s := reg.Series(arch + ".rx_queue_depth"); s != nil {
+		recv.onDepth = func(at sim.Time, depth int) { s.Sample(at, int64(depth)) }
+	}
+	egress := reg.Series(arch + ".egress_depth")
+	deliveredC := reg.Counter(arch + ".delivered")
+	droppedC := reg.Counter(arch + ".dropped")
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+
+	// The receiver is the fabric's last endpoint; every sender's traffic
+	// funnels into its downlink (the incast bottleneck on the wire side).
+	rcv := shape.hosts
+	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts+1, shape.portBuffer)
+	if d.Spec.Fault.PortDropProb > 0 {
+		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
+	}
+	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, cfg.Seed); err != nil {
+		return LoadRow{}, err
+	}
+	egPort := topo.Downlink(rcv)
+	if egress != nil {
+		topo.OnUplinkDeliver = func(int, int) { egress.Sample(eng.Now(), int64(egPort.Depth())) }
+	}
+	ecn := topo.Spec().ECNThreshold > 0
+
+	var hist stats.Histogram
+	delivered, dropped := 0, 0
+	var wireBusy sim.Time
+
+	for h := 0; h < shape.hosts; h++ {
+		count := shareCount(cfg.Packets, shape.hosts, h)
+		if count == 0 {
+			continue
+		}
+		// Per-host seeds are independent of the offered load, so the
+		// packet sequence is identical along the load axis.
+		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
+			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
+		txSrv := &serialServer{eng: eng}
+		tx := txs[h]
+		src := h
+		host := uint64(h)
+		var pacer *fabric.Pacer
+		if ecn {
+			// A mark stalls the sender by occupying its TX driver for one
+			// backoff — queued arrivals wait behind it.
+			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
+				Stall: func(dur sim.Time, done func()) { txSrv.Submit(dur, done) }}
+		}
+
+		var arm func(i int)
+		arm = func(i int) {
+			if i >= count {
+				return
+			}
+			e := gen.Next()
+			eng.At(e.At, func() {
+				arm(i + 1)
+				p := e.Packet(host<<32 | uint64(i))
+				born := eng.Now()
+				txSrv.Submit(tx.TX(p).Total(), func() {
+					f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
+					ok := topo.Inject(src, rcv, f, func(fr ethernet.Frame) {
+						recv.Submit(rx.RX(p).Total(), func() {
+							hist.Observe(eng.Now() - born)
+							delivered++
+							wireBusy += link.SerializeTime(e.Size)
+						})
+						if pacer != nil && fr.ECN {
+							topo.EchoMark(src, pacer.OnMark)
+						}
+					})
+					if !ok {
+						dropped++
+					}
+				})
+			})
+		}
+		arm(0)
+	}
+
+	if err := runFabric(eng, topo); err != nil {
+		return LoadRow{}, err
+	}
+
+	fstats := topo.Stats()
+	egStats := egPort.Stats()
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
+	util := 0.0
+	if eng.Now() > 0 {
+		util = float64(wireBusy) / float64(eng.Now())
+	}
+	deliveredC.Add(int64(delivered))
+	droppedC.Add(int64(dropped))
+	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
+	reg.Gauge(arch + ".egress_max_depth").Set(int64(egStats.MaxDepth))
+	reg.Gauge(arch + ".rx_max_depth").Set(int64(recv.maxDepth))
+	if ecn {
+		reg.Gauge(arch + ".ecn_marked").Set(int64(fstats.Marked))
+	}
+
+	return LoadRow{
+		Arch:             arch,
+		Load:             load,
+		Mean:             hist.Mean(),
+		P50:              hist.Percentile(50),
+		P99:              hist.Percentile(99),
+		P999:             hist.Percentile(99.9),
+		Delivered:        delivered,
+		Dropped:          dropped,
+		EgressMaxDepth:   egStats.MaxDepth,
+		EgressQueueDelay: egStats.AvgQueueDelay(),
+		RxMaxDepth:       recv.maxDepth,
+		LinkUtilization:  util,
+		Hist:             &hist,
+	}, nil
+}
+
+func refLoadEndpoints(d *spec.Derived, arch string, hosts int, seed uint64) ([]driver.Machine, driver.Machine, error) {
+	txs := make([]driver.Machine, hosts)
+	switch arch {
+	case "dNIC":
+		for h := range txs {
+			txs[h] = d.NewDNIC(false)
+		}
+		return txs, d.NewDNIC(false), nil
+	case "iNIC":
+		for h := range txs {
+			txs[h] = d.NewINIC(false)
+		}
+		return txs, d.NewINIC(false), nil
+	case "NetDIMM":
+		for h := range txs {
+			nd, err := d.NewNetDIMM(seed + 2*uint64(h) + 1)
+			if err != nil {
+				return nil, nil, err
+			}
+			txs[h] = nd
+		}
+		ndRX, err := d.NewNetDIMM(seed + 2*uint64(hosts) + 2)
+		if err != nil {
+			return nil, nil, err
+		}
+		return txs, ndRX, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown architecture %q", arch)
+	}
+}
+
+func refDetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
+	if kneeFactor <= 0 {
+		kneeFactor = 3
+	}
+	type curve struct {
+		arch  string
+		racks int
+		ecn   bool
+	}
+	groups := make(map[curve][]RackRow)
+	var order []curve
+	for _, r := range rows {
+		k := curve{r.Arch, r.Racks, r.ECN}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	var knees []RackKnee
+	for _, k := range order {
+		rs := groups[k]
+		for i := 1; i < len(rs); i++ {
+			for j := i; j > 0 && rs[j-1].Load > rs[j].Load; j-- {
+				rs[j-1], rs[j] = rs[j], rs[j-1]
+			}
+		}
+		base := rs[0].P99
+		knee := RackKnee{Arch: k.arch, Racks: k.racks, ECN: k.ecn}
+		for _, r := range rs {
+			if base > 0 && float64(r.P99) > kneeFactor*float64(base) {
+				knee.Saturated = true
+				break
+			}
+			knee.Knee = r.Load
+		}
+		if !knee.Saturated {
+			// Same no-knee contract as DetectKnees: an unsaturated curve
+			// reports Knee 0 instead of the top of the grid.
+			knee.Knee = 0
+		}
+		knees = append(knees, knee)
+	}
+	return knees
+}
+
+func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg RackSweepConfig, oc *obs.Cell) (RackRow, error) {
+	d := sp.MustDerive()
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	link := d.Link
+
+	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, cfg.Seed)
+	if err != nil {
+		return RackRow{}, err
+	}
+
+	// Each host offers `load` of its OWN line rate (one source per link),
+	// unlike the incast sweep where all hosts share the receiver's link.
+	perHostGap, err := shape.cluster.MeanGapForLoad(load, 1, link.BitsPerSec/1e9)
+	if err != nil {
+		return RackRow{}, err
+	}
+
+	reg := oc.Metrics()
+	deliveredC := reg.Counter(arch + ".delivered")
+	droppedC := reg.Counter(arch + ".dropped")
+	markedC := reg.Counter(arch + ".ecn_marked")
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+
+	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
+	if d.Spec.Fault.PortDropProb > 0 {
+		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
+	}
+	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, cfg.Seed); err != nil {
+		return RackRow{}, err
+	}
+	ecn := topo.Spec().ECNThreshold > 0
+
+	// Every host receives: one RX driver queue per host.
+	recvs := make([]*serialServer, shape.hosts)
+	for i := range recvs {
+		recvs[i] = &serialServer{eng: eng}
+	}
+
+	var hist stats.Histogram
+	delivered, dropped, crossRack := 0, 0, 0
+	var wireBusy sim.Time
+
+	for h := 0; h < shape.hosts; h++ {
+		count := shareCount(cfg.Packets, shape.hosts, h)
+		if count == 0 {
+			continue
+		}
+		// Per-host seeds are independent of the offered load, so the
+		// packet and destination sequences are identical along the load
+		// axis; the destination stream is separate from the arrival stream
+		// so the fabric shape cannot perturb the traffic.
+		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
+			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
+		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
+		txSrv := &serialServer{eng: eng}
+		tx := txs[h]
+		src := h
+		host := uint64(h)
+		var pacer *fabric.Pacer
+		if ecn {
+			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
+				Stall: func(dur sim.Time, done func()) { txSrv.Submit(dur, done) }}
+		}
+
+		var arm func(i int)
+		arm = func(i int) {
+			if i >= count {
+				return
+			}
+			e := gen.Next()
+			eng.At(e.At, func() {
+				arm(i + 1)
+				p := e.Packet(host<<32 | uint64(i))
+				dst := workload.SampleDest(destR, e.Locality, src, shape.hosts, topo.Leaves())
+				if topo.CrossesSpine(src, dst) {
+					crossRack++
+				}
+				born := eng.Now()
+				txSrv.Submit(tx.TX(p).Total(), func() {
+					f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
+					ok := topo.Inject(src, dst, f, func(fr ethernet.Frame) {
+						recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
+							hist.Observe(eng.Now() - born)
+							delivered++
+							wireBusy += link.SerializeTime(e.Size)
+						})
+						if pacer != nil && fr.ECN {
+							topo.EchoMark(src, pacer.OnMark)
+						}
+					})
+					if !ok {
+						dropped++
+					}
+				})
+			})
+		}
+		arm(0)
+	}
+
+	if err := runFabric(eng, topo); err != nil {
+		return RackRow{}, err
+	}
+
+	fstats := topo.Stats()
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
+	rxMax := 0
+	for _, r := range recvs {
+		if r.maxDepth > rxMax {
+			rxMax = r.maxDepth
+		}
+	}
+	util := 0.0
+	if eng.Now() > 0 {
+		util = float64(wireBusy) / (float64(eng.Now()) * float64(shape.hosts))
+	}
+	deliveredC.Add(int64(delivered))
+	droppedC.Add(int64(dropped))
+	markedC.Add(int64(fstats.Marked))
+	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fstats.LeafMaxDepth))
+	reg.Gauge(arch + ".spine_max_depth").Set(int64(fstats.SpineMaxDepth))
+	reg.Gauge(arch + ".rx_max_depth").Set(int64(rxMax))
+	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
+
+	return RackRow{
+		Arch:            arch,
+		Racks:           topo.Leaves(),
+		ECN:             ecn,
+		Load:            load,
+		Mean:            hist.Mean(),
+		P50:             hist.Percentile(50),
+		P99:             hist.Percentile(99),
+		P999:            hist.Percentile(99.9),
+		Delivered:       delivered,
+		Dropped:         dropped,
+		Marked:          int(fstats.Marked),
+		CrossRack:       crossRack,
+		LeafMaxDepth:    fstats.LeafMaxDepth,
+		SpineMaxDepth:   fstats.SpineMaxDepth,
+		RxMaxDepth:      rxMax,
+		LinkUtilization: util,
+		Hist:            &hist,
+	}, nil
+}
+
+func refRackEndpoints(d *spec.Derived, arch string, hosts int, seed uint64) ([]driver.Machine, []driver.Machine, error) {
+	txs := make([]driver.Machine, hosts)
+	rxs := make([]driver.Machine, hosts)
+	switch arch {
+	case "dNIC":
+		for h := range txs {
+			txs[h], rxs[h] = d.NewDNIC(false), d.NewDNIC(false)
+		}
+	case "iNIC":
+		for h := range txs {
+			txs[h], rxs[h] = d.NewINIC(false), d.NewINIC(false)
+		}
+	case "NetDIMM":
+		for h := range txs {
+			nd, err := d.NewNetDIMM(seed + 2*uint64(h) + 1)
+			if err != nil {
+				return nil, nil, err
+			}
+			txs[h] = nd
+			nd, err = d.NewNetDIMM(seed + 2*uint64(h) + 2)
+			if err != nil {
+				return nil, nil, err
+			}
+			rxs[h] = nd
+		}
+	default:
+		return nil, nil, fmt.Errorf("unknown architecture %q", arch)
+	}
+	return txs, rxs, nil
+}
+
+func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg FailSweepConfig, oc *obs.Cell) (FailRow, error) {
+	d := sp.MustDerive()
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+
+	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, cfg.Seed)
+	if err != nil {
+		return FailRow{}, err
+	}
+	link := d.Link
+	perHostGap, err := shape.cluster.MeanGapForLoad(cfg.Load, 1, link.BitsPerSec/1e9)
+	if err != nil {
+		return FailRow{}, err
+	}
+
+	sched := sp.Fault.Failure
+	winStart := cfg.OutageStart
+	winEnd := winStart + dur
+	if dur > 0 {
+		outs := make([]fault.Outage, 0, len(sched.Outages)+1)
+		outs = append(outs, sched.Outages...)
+		outs = append(outs, fault.Outage{
+			Kind:    fault.OutageSpine,
+			Index:   cfg.Spine,
+			StartNs: int(winStart / sim.Nanosecond),
+			EndNs:   int(winEnd / sim.Nanosecond),
+		})
+		sched.Outages = outs
+	}
+
+	reg := oc.Metrics()
+	deliveredC := reg.Counter(arch + ".delivered")
+	droppedC := reg.Counter(arch + ".dropped")
+	reroutedC := reg.Counter(arch + ".rerouted")
+	outageDropsC := reg.Counter(arch + ".outage_drops")
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+
+	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
+	if d.Spec.Fault.PortDropProb > 0 {
+		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
+	}
+	if _, err := topo.ArmFailures(sched, cfg.Seed); err != nil {
+		return FailRow{}, err
+	}
+	ecn := topo.Spec().ECNThreshold > 0
+	policy := failPolicy(d.Spec.Fault)
+
+	recvs := make([]*serialServer, shape.hosts)
+	for i := range recvs {
+		recvs[i] = &serialServer{eng: eng}
+	}
+
+	// Global packet index: host-major, so the delivery dedup (first copy
+	// wins; spurious retransmits are discarded at the NIC before the RX
+	// driver) is a flat slice.
+	base := make([]int, shape.hosts)
+	acc := 0
+	for h := range base {
+		base[h] = acc
+		acc += shareCount(cfg.Packets, shape.hosts, h)
+	}
+	seen := make([]bool, cfg.Packets)
+
+	var histAll, histBefore, histDuring, histAfter stats.Histogram
+	delivered, duringDelivered, recovered := 0, 0, 0
+	dropped, failedTotal, duringOffered := 0, 0, 0
+	var recoverySum sim.Time
+	var ctrs stats.FaultCounters
+
+	for h := 0; h < shape.hosts; h++ {
+		count := shareCount(cfg.Packets, shape.hosts, h)
+		if count == 0 {
+			continue
+		}
+		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
+			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
+		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
+		txSrv := &serialServer{eng: eng}
+		rt := &nic.Retransmitter{Eng: eng, Policy: policy, Counters: &ctrs}
+		tx := txs[h]
+		src := h
+		host := uint64(h)
+		gbase := base[h]
+		var pacer *fabric.Pacer
+		if ecn {
+			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
+				Stall: func(dur sim.Time, done func()) { txSrv.Submit(dur, done) }}
+		}
+
+		var arm func(i int)
+		arm = func(i int) {
+			if i >= count {
+				return
+			}
+			e := gen.Next()
+			eng.At(e.At, func() {
+				arm(i + 1)
+				p := e.Packet(host<<32 | uint64(i))
+				dst := workload.SampleDest(destR, e.Locality, src, shape.hosts, topo.Leaves())
+				born := eng.Now()
+				if born >= winStart && born < winEnd {
+					duringOffered++
+				}
+				g := gbase + i
+				rt.SendAsync(func(attempt int, ack func()) {
+					txSrv.Submit(tx.TX(p).Total(), func() {
+						f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
+						ok := topo.Inject(src, dst, f, func(fr ethernet.Frame) {
+							if seen[g] {
+								return // duplicate of an already-delivered packet
+							}
+							seen[g] = true
+							recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
+								now := eng.Now()
+								lat := now - born
+								histAll.Observe(lat)
+								// Bucket the tails by delivery instant so a
+								// recovered frame's timer-dominated latency
+								// lands in the window it completed in, not
+								// the one it was born in.
+								switch {
+								case now < winStart:
+									histBefore.Observe(lat)
+								case now < winEnd:
+									histDuring.Observe(lat)
+								default:
+									histAfter.Observe(lat)
+								}
+								if born >= winStart && born < winEnd {
+									duringDelivered++
+								}
+								delivered++
+								if attempt > 0 {
+									recovered++
+									recoverySum += lat
+								}
+								topo.EchoMark(src, ack)
+							})
+							if pacer != nil && fr.ECN {
+								topo.EchoMark(src, pacer.OnMark)
+							}
+						})
+						if !ok {
+							dropped++
+						}
+					})
+				}, func(attempts int, err error) {
+					if err != nil {
+						failedTotal++
+					}
+				})
+			})
+		}
+		arm(0)
+	}
+
+	if err := runFabric(eng, topo); err != nil {
+		return FailRow{}, err
+	}
+
+	fstats := topo.Stats()
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
+	timeToReroute := sim.Time(-1)
+	if hv := topo.Health(); hv != nil {
+		if first := hv.Stats().FirstReroute; first >= 0 {
+			timeToReroute = first - winStart
+		}
+	}
+	var meanRecovery sim.Time
+	if recovered > 0 {
+		meanRecovery = recoverySum / sim.Time(recovered)
+	}
+	p99Before := histBefore.Percentile(99)
+	p99After := histAfter.Percentile(99)
+	inflation := 0.0
+	if p99Before > 0 && p99After > 0 {
+		inflation = float64(p99After) / float64(p99Before)
+	}
+
+	deliveredC.Add(int64(delivered))
+	droppedC.Add(int64(dropped))
+	reroutedC.Add(int64(fstats.Rerouted))
+	outageDropsC.Add(int64(fstats.OutageDrops))
+	fault.PublishCounters(reg, arch, ctrs)
+	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fstats.LeafMaxDepth))
+	reg.Gauge(arch + ".spine_max_depth").Set(int64(fstats.SpineMaxDepth))
+
+	return FailRow{
+		Arch:            arch,
+		Outage:          dur,
+		Delivered:       delivered,
+		Failed:          failedTotal,
+		DuringOffered:   duringOffered,
+		DuringDelivered: duringDelivered,
+		Dropped:         dropped,
+		OutageDrops:     fstats.OutageDrops,
+		BurstDrops:      fstats.BurstDrops,
+		Rerouted:        fstats.Rerouted,
+		Degraded:        fstats.Degraded,
+		Retransmits:     ctrs.Retransmits,
+		Recovered:       recovered,
+		TimeToReroute:   timeToReroute,
+		MeanRecovery:    meanRecovery,
+		P99Before:       p99Before,
+		P999Before:      histBefore.Percentile(99.9),
+		P99During:       histDuring.Percentile(99),
+		P999During:      histDuring.Percentile(99.9),
+		P99After:        p99After,
+		P999After:       histAfter.Percentile(99.9),
+		TailInflation:   inflation,
+		Hist:            &histAll,
+	}, nil
+}

@@ -158,36 +158,22 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 		return nil, nil, fmt.Errorf("collsweep: %w", err)
 	}
 
-	n := len(LoadSweepArchs) * len(ops) * len(ranks)
 	axes := func(i int) (arch, op string, rk int) {
 		arch = LoadSweepArchs[i/(len(ops)*len(ranks))]
 		i %= len(ops) * len(ranks)
 		return arch, ops[i/len(ranks)], ranks[i%len(ranks)]
 	}
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			arch, op, rk := axes(i)
-			labels[i] = fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, rk)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]CollRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	return runCells(len(LoadSweepArchs)*len(ops)*len(ranks), parallelism, ospec, func(i int) string {
+		arch, op, rk := axes(i)
+		return fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, rk)
+	}, func(i int, oc *obs.Cell) (CollRow, error) {
 		arch, opName, rk := axes(i)
-		row, err := collCell(sp, arch, opName, rk, shape, cfg, o.Cell(i))
+		row, err := collCell(sp, arch, opName, rk, shape, cfg, oc)
 		if err != nil {
-			errs[i] = fmt.Errorf("collsweep: %s op=%s ranks=%d: %w", arch, opName, rk, err)
-			return
+			return CollRow{}, fmt.Errorf("collsweep: %s op=%s ranks=%d: %w", arch, opName, rk, err)
 		}
-		rows[i] = row
+		return row, nil
 	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, err
-	}
-	return rows, o, nil
 }
 
 // collShape is the resolved per-sweep geometry from the spec's Collective
@@ -235,7 +221,7 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
 	link := d.Link
 
-	txs, rxs, err := rackEndpoints(d, arch, ranks, cfg.Seed)
+	txs, rxs, err := endpoints(d, arch, ranks, false, cfg.Seed)
 	if err != nil {
 		return CollRow{}, err
 	}

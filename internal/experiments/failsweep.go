@@ -3,15 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"netdimm/internal/ethernet"
-	"netdimm/internal/fabric"
 	"netdimm/internal/fault"
-	"netdimm/internal/nic"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
-	"netdimm/internal/workload"
 )
 
 // The failure sweep measures what the load and rack sweeps assume away:
@@ -197,15 +193,9 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 			return nil, nil, fmt.Errorf("failsweep: outage duration must not be negative, got %v", d)
 		}
 	}
-	shape, err := resolveLoad(sp.Load)
+	shape, err := resolveLoad(sp.Load, nil, DefaultFailHosts, 2)
 	if err != nil {
 		return nil, nil, fmt.Errorf("failsweep: %w", err)
-	}
-	if sp.Load.Hosts == 0 {
-		shape.hosts = DefaultFailHosts
-	}
-	if shape.hosts < 2 {
-		return nil, nil, fmt.Errorf("failsweep: need at least 2 hosts to exchange traffic, got %d", shape.hosts)
 	}
 	if sp.Fabric.Leaves == 0 {
 		sp.Fabric.Leaves = defaultFailLeaves
@@ -220,34 +210,20 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 		return nil, nil, fmt.Errorf("failsweep: offered load must be positive and finite, got %g", cfg.Load)
 	}
 
-	n := len(LoadSweepArchs) * len(outages)
-	axes := func(i int) (arch string, dur sim.Time) {
-		return LoadSweepArchs[i/len(outages)], outages[i%len(outages)]
-	}
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			arch, dur := axes(i)
-			labels[i] = fmt.Sprintf("failsweep/%s/outage=%v", arch, dur)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]FailRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	axes := func(i int) (string, sim.Time) { return LoadSweepArchs[i/len(outages)], outages[i%len(outages)] }
+	return runCells(len(LoadSweepArchs)*len(outages), parallelism, ospec, func(i int) string {
 		arch, dur := axes(i)
-		row, err := failCell(sp, arch, dur, shape, cfg, o.Cell(i))
+		return fmt.Sprintf("failsweep/%s/outage=%v", arch, dur)
+	}, func(i int, oc *obs.Cell) (FailRow, error) {
+		arch, dur := axes(i)
+		c, err := runFabricCell(sp, arch, shape, cellOpts{load: cfg.Load, packets: cfg.Packets,
+			eventBudget: cfg.EventBudget, seed: cfg.Seed,
+			outage: &outageWindow{start: cfg.OutageStart, end: cfg.OutageStart + dur, spine: cfg.Spine}}, oc)
 		if err != nil {
-			errs[i] = fmt.Errorf("failsweep: %s outage=%v: %w", arch, dur, err)
-			return
+			return FailRow{}, fmt.Errorf("failsweep: %s outage=%v: %w", arch, dur, err)
 		}
-		rows[i] = row
+		return c.failRow(dur), nil
 	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, err
-	}
-	return rows, o, nil
 }
 
 // failPolicy resolves the sweep's ARQ policy from the spec's Fault knobs,
@@ -260,223 +236,57 @@ func failPolicy(fs fault.Spec) fault.RetryPolicy {
 	return fs.NetPolicy()
 }
 
-// failCell runs one (arch, outage duration) cell. The traffic is
-// rackCell's — many-to-many cluster-mix traffic over the cell spec's
-// clos — with two additions: the cell's failure schedule (the spec's
-// background Failure block plus the swept spine window) is armed on the
-// topology, and every sender transmits through an ack-timeout ARQ whose
-// acknowledgement rides the fabric→host echo path, so a frame eaten by
-// the outage is retransmitted and, once ECMP has failed over, delivered.
-func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg FailSweepConfig, oc *obs.Cell) (FailRow, error) {
-	d := sp.MustDerive()
-	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
-
-	txs, rxs, err := rackEndpoints(d, arch, shape.hosts, cfg.Seed)
-	if err != nil {
-		return FailRow{}, err
-	}
-	link := d.Link
-	perHostGap, err := shape.cluster.MeanGapForLoad(cfg.Load, 1, link.BitsPerSec/1e9)
-	if err != nil {
-		return FailRow{}, err
-	}
-
-	sched := sp.Fault.Failure
-	winStart := cfg.OutageStart
-	winEnd := winStart + dur
-	if dur > 0 {
-		outs := make([]fault.Outage, 0, len(sched.Outages)+1)
-		outs = append(outs, sched.Outages...)
-		outs = append(outs, fault.Outage{
-			Kind:    fault.OutageSpine,
-			Index:   cfg.Spine,
-			StartNs: int(winStart / sim.Nanosecond),
-			EndNs:   int(winEnd / sim.Nanosecond),
-		})
-		sched.Outages = outs
-	}
-
-	reg := oc.Metrics()
-	deliveredC := reg.Counter(arch + ".delivered")
-	droppedC := reg.Counter(arch + ".dropped")
-	reroutedC := reg.Counter(arch + ".rerouted")
-	outageDropsC := reg.Counter(arch + ".outage_drops")
-	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
-
-	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
-	if d.Spec.Fault.PortDropProb > 0 {
-		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
-	}
-	if _, err := topo.ArmFailures(sched, cfg.Seed); err != nil {
-		return FailRow{}, err
-	}
-	ecn := topo.Spec().ECNThreshold > 0
-	policy := failPolicy(d.Spec.Fault)
-
-	recvs := make([]*serialServer, shape.hosts)
-	for i := range recvs {
-		recvs[i] = &serialServer{eng: eng}
-	}
-
-	// Global packet index: host-major, so the delivery dedup (first copy
-	// wins; spurious retransmits are discarded at the NIC before the RX
-	// driver) is a flat slice.
-	base := make([]int, shape.hosts)
-	acc := 0
-	for h := range base {
-		base[h] = acc
-		acc += shareCount(cfg.Packets, shape.hosts, h)
-	}
-	seen := make([]bool, cfg.Packets)
-
-	var histAll, histBefore, histDuring, histAfter stats.Histogram
-	delivered, duringDelivered, recovered := 0, 0, 0
-	dropped, failedTotal, duringOffered := 0, 0, 0
-	var recoverySum sim.Time
-	var ctrs stats.FaultCounters
-
-	for h := 0; h < shape.hosts; h++ {
-		count := shareCount(cfg.Packets, shape.hosts, h)
-		if count == 0 {
-			continue
-		}
-		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
-			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
-		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
-		txSrv := &serialServer{eng: eng}
-		rt := &nic.Retransmitter{Eng: eng, Policy: policy, Counters: &ctrs}
-		tx := txs[h]
-		src := h
-		host := uint64(h)
-		gbase := base[h]
-		var pacer *fabric.Pacer
-		if ecn {
-			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
-				Stall: func(dur sim.Time, done func()) { txSrv.Submit(dur, done) }}
-		}
-
-		var arm func(i int)
-		arm = func(i int) {
-			if i >= count {
-				return
-			}
-			e := gen.Next()
-			eng.At(e.At, func() {
-				arm(i + 1)
-				p := e.Packet(host<<32 | uint64(i))
-				dst := workload.SampleDest(destR, e.Locality, src, shape.hosts, topo.Leaves())
-				born := eng.Now()
-				if born >= winStart && born < winEnd {
-					duringOffered++
-				}
-				g := gbase + i
-				rt.SendAsync(func(attempt int, ack func()) {
-					txSrv.Submit(tx.TX(p).Total(), func() {
-						f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
-						ok := topo.Inject(src, dst, f, func(fr ethernet.Frame) {
-							if seen[g] {
-								return // duplicate of an already-delivered packet
-							}
-							seen[g] = true
-							recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
-								now := eng.Now()
-								lat := now - born
-								histAll.Observe(lat)
-								// Bucket the tails by delivery instant so a
-								// recovered frame's timer-dominated latency
-								// lands in the window it completed in, not
-								// the one it was born in.
-								switch {
-								case now < winStart:
-									histBefore.Observe(lat)
-								case now < winEnd:
-									histDuring.Observe(lat)
-								default:
-									histAfter.Observe(lat)
-								}
-								if born >= winStart && born < winEnd {
-									duringDelivered++
-								}
-								delivered++
-								if attempt > 0 {
-									recovered++
-									recoverySum += lat
-								}
-								topo.EchoMark(src, ack)
-							})
-							if pacer != nil && fr.ECN {
-								topo.EchoMark(src, pacer.OnMark)
-							}
-						})
-						if !ok {
-							dropped++
-						}
-					})
-				}, func(attempts int, err error) {
-					if err != nil {
-						failedTotal++
-					}
-				})
-			})
-		}
-		arm(0)
-	}
-
-	if err := runFabric(eng, topo); err != nil {
-		return FailRow{}, err
-	}
-
-	fstats := topo.Stats()
-	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
+// failRow projects an ARQ cell onto its failure sweep row and publishes
+// the row's metrics.
+func (c *fabricCell) failRow(dur sim.Time) FailRow {
+	t, fs := c.arq, c.fstats
 	timeToReroute := sim.Time(-1)
-	if hv := topo.Health(); hv != nil {
+	if hv := c.topo.Health(); hv != nil {
 		if first := hv.Stats().FirstReroute; first >= 0 {
-			timeToReroute = first - winStart
+			timeToReroute = first - t.start
 		}
 	}
 	var meanRecovery sim.Time
-	if recovered > 0 {
-		meanRecovery = recoverySum / sim.Time(recovered)
+	if t.recovered > 0 {
+		meanRecovery = t.recoverySum / sim.Time(t.recovered)
 	}
-	p99Before := histBefore.Percentile(99)
-	p99After := histAfter.Percentile(99)
+	p99Before := t.before.Percentile(99)
+	p99After := t.after.Percentile(99)
 	inflation := 0.0
 	if p99Before > 0 && p99After > 0 {
 		inflation = float64(p99After) / float64(p99Before)
 	}
 
-	deliveredC.Add(int64(delivered))
-	droppedC.Add(int64(dropped))
-	reroutedC.Add(int64(fstats.Rerouted))
-	outageDropsC.Add(int64(fstats.OutageDrops))
-	fault.PublishCounters(reg, arch, ctrs)
-	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fstats.LeafMaxDepth))
-	reg.Gauge(arch + ".spine_max_depth").Set(int64(fstats.SpineMaxDepth))
+	reg, arch := c.reg, c.arch
+	reg.Counter(arch + ".rerouted").Add(int64(fs.Rerouted))
+	reg.Counter(arch + ".outage_drops").Add(int64(fs.OutageDrops))
+	fault.PublishCounters(reg, arch, t.ctrs)
+	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fs.LeafMaxDepth))
+	reg.Gauge(arch + ".spine_max_depth").Set(int64(fs.SpineMaxDepth))
 
 	return FailRow{
 		Arch:            arch,
 		Outage:          dur,
-		Delivered:       delivered,
-		Failed:          failedTotal,
-		DuringOffered:   duringOffered,
-		DuringDelivered: duringDelivered,
-		Dropped:         dropped,
-		OutageDrops:     fstats.OutageDrops,
-		BurstDrops:      fstats.BurstDrops,
-		Rerouted:        fstats.Rerouted,
-		Degraded:        fstats.Degraded,
-		Retransmits:     ctrs.Retransmits,
-		Recovered:       recovered,
+		Delivered:       c.delivered,
+		Failed:          t.failed,
+		DuringOffered:   t.duringOffered,
+		DuringDelivered: t.duringDelivered,
+		Dropped:         c.dropped,
+		OutageDrops:     fs.OutageDrops,
+		BurstDrops:      fs.BurstDrops,
+		Rerouted:        fs.Rerouted,
+		Degraded:        fs.Degraded,
+		Retransmits:     t.ctrs.Retransmits,
+		Recovered:       t.recovered,
 		TimeToReroute:   timeToReroute,
 		MeanRecovery:    meanRecovery,
 		P99Before:       p99Before,
-		P999Before:      histBefore.Percentile(99.9),
-		P99During:       histDuring.Percentile(99),
-		P999During:      histDuring.Percentile(99.9),
+		P999Before:      t.before.Percentile(99.9),
+		P99During:       t.during.Percentile(99),
+		P999During:      t.during.Percentile(99.9),
 		P99After:        p99After,
-		P999After:       histAfter.Percentile(99.9),
+		P999After:       t.after.Percentile(99.9),
 		TailInflation:   inflation,
-		Hist:            &histAll,
-	}, nil
+		Hist:            c.hist,
+	}
 }

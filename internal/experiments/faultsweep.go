@@ -137,32 +137,18 @@ func FaultSweep(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism
 // FaultSweep behaviour.
 func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int, ospec obs.Spec) ([]FaultRow, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
-	n := len(FaultSweepArchs) * len(rates)
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			labels[i] = fmt.Sprintf("faultsweep/%s/loss=%g",
-				FaultSweepArchs[i/len(rates)], rates[i%len(rates)])
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]FaultRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
-		arch := FaultSweepArchs[i/len(rates)]
-		rate := rates[i%len(rates)]
-		row, err := faultCell(sp, arch, rate, cfg, uint64(i), o.Cell(i))
+	axes := func(i int) (string, float64) { return FaultSweepArchs[i/len(rates)], rates[i%len(rates)] }
+	return runCells(len(FaultSweepArchs)*len(rates), parallelism, ospec, func(i int) string {
+		arch, rate := axes(i)
+		return fmt.Sprintf("faultsweep/%s/loss=%g", arch, rate)
+	}, func(i int, oc *obs.Cell) (FaultRow, error) {
+		arch, rate := axes(i)
+		row, err := faultCell(sp, arch, rate, cfg, uint64(i), oc)
 		if err != nil {
-			errs[i] = fmt.Errorf("faultsweep: %s at loss %g: %w", arch, rate, err)
-			return
+			return FaultRow{}, fmt.Errorf("faultsweep: %s at loss %g: %w", arch, rate, err)
 		}
-		rows[i] = row
+		return row, nil
 	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, err
-	}
-	return rows, o, nil
 }
 
 // faultCell runs one (arch, rate) cell.

@@ -113,43 +113,28 @@ func Fig11(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int) (
 // metrics. With a zero ospec the returned observer is nil and the run is
 // identical to Fig11 — same cells, same event order, same numbers.
 func Fig11Observed(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int, ospec obs.Spec) ([]Fig11Row, *obs.Observer, error) {
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, len(sizes))
-		for i, s := range sizes {
-			labels[i] = fmt.Sprintf("fig11/size=%d", s)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]Fig11Row, len(sizes))
-	errs := make([]error, len(sizes))
-	forEachCell(len(sizes), parallelism, func(i int) {
+	return runCells(len(sizes), parallelism, ospec, func(i int) string {
+		return fmt.Sprintf("fig11/size=%d", sizes[i])
+	}, func(i int, cell *obs.Cell) (Fig11Row, error) {
 		d := sp.MustDerive()
 		fabric := d.Fabric(switchLatency)
 		size := sizes[i]
 		p := nic.Packet{Size: size}
-		cell := o.Cell(i)
 		ndTX, err := d.NewNetDIMM(uint64(2*i + 1))
 		if err != nil {
-			errs[i] = err
-			return
+			return Fig11Row{}, err
 		}
 		ndRX, err := d.NewNetDIMM(uint64(2*i + 2))
 		if err != nil {
-			errs[i] = err
-			return
+			return Fig11Row{}, err
 		}
-		rows[i] = Fig11Row{
+		return Fig11Row{
 			Size:    size,
 			DNIC:    driver.OneWayObserved(d.NewDNIC(false), d.NewDNIC(false), p, fabric, cell),
 			INIC:    driver.OneWayObserved(d.NewINIC(false), d.NewINIC(false), p, fabric, cell),
 			NetDIMM: driver.OneWayObserved(ndTX, ndRX, p, fabric, cell),
-		}
+		}, nil
 	})
-	if err := firstError(errs); err != nil {
-		return nil, nil, err
-	}
-	return rows, o, nil
 }
 
 // AverageReduction computes the mean relative reduction of NetDIMM vs the

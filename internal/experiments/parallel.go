@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"netdimm/internal/obs"
 )
 
 // Every figure in this package is a sweep over independent simulation
@@ -82,6 +84,28 @@ func forEachCell(n, parallelism int, cell func(i int)) {
 // (the campaign runner fans its grid cells out through it), with the same
 // determinism and panic-propagation contract as the in-package sweeps.
 func ForEachCell(n, parallelism int, cell func(i int)) { forEachCell(n, parallelism, cell) }
+
+// runCells runs n cells through forEachCell, handing cell i its
+// observability cell, labelled label(i), when ospec enables collection. It
+// returns the rows in cell order and the observer (nil with ospec off), or
+// the first cell's error.
+func runCells[R any](n, parallelism int, ospec obs.Spec, label func(i int) string, cell func(i int, oc *obs.Cell) (R, error)) ([]R, *obs.Observer, error) {
+	var o *obs.Observer
+	if ospec.Enabled() {
+		labels := make([]string, n)
+		for i := range labels {
+			labels[i] = label(i)
+		}
+		o = obs.New(ospec, labels...)
+	}
+	rows := make([]R, n)
+	errs := make([]error, n)
+	forEachCell(n, parallelism, func(i int) { rows[i], errs[i] = cell(i, o.Cell(i)) })
+	if err := firstError(errs); err != nil {
+		return nil, nil, err
+	}
+	return rows, o, nil
+}
 
 // firstError returns the first non-nil error of a per-cell error slice, in
 // cell order — the deterministic analogue of the sequential early return.

@@ -4,15 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"netdimm/internal/driver"
-	"netdimm/internal/ethernet"
 	"netdimm/internal/fabric"
-	"netdimm/internal/fault"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
-	"netdimm/internal/workload"
 )
 
 // The rack sweep scales the load sweep out to the fabric: many hosts
@@ -165,8 +161,9 @@ func DetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 			knee.Knee = r.Load
 		}
 		if !knee.Saturated {
-			// Same no-knee contract as DetectKnees: an unsaturated curve
-			// reports Knee 0 instead of the top of the grid.
+			// The grid never crossed the bound (or had a single row, which
+			// cannot bracket a knee): report the explicit no-knee result
+			// instead of passing the top of the grid off as a knee.
 			knee.Knee = 0
 		}
 		knees = append(knees, knee)
@@ -211,20 +208,9 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 	if len(loads) == 0 {
 		loads = DefaultRackLoadGrid
 	}
-	for _, l := range loads {
-		if l <= 0 || math.IsNaN(l) || math.IsInf(l, 0) {
-			return nil, nil, nil, fmt.Errorf("racksweep: offered load must be positive and finite, got %g", l)
-		}
-	}
-	shape, err := resolveLoad(sp.Load)
+	shape, err := resolveLoad(sp.Load, loads, DefaultRackHosts, 2)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("racksweep: %w", err)
-	}
-	if sp.Load.Hosts == 0 {
-		shape.hosts = DefaultRackHosts
-	}
-	if shape.hosts < 2 {
-		return nil, nil, nil, fmt.Errorf("racksweep: need at least 2 hosts to exchange traffic, got %d", shape.hosts)
 	}
 	// The ECN-on half of the axis: the spec's threshold, or the fabric
 	// default when the spec leaves it unset.
@@ -234,7 +220,6 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 	}
 
 	ecns := []bool{false, true}
-	n := len(LoadSweepArchs) * len(racks) * len(ecns) * len(loads)
 	axes := func(i int) (arch string, rk int, ecn bool, load float64) {
 		arch = LoadSweepArchs[i/(len(racks)*len(ecns)*len(loads))]
 		i %= len(racks) * len(ecns) * len(loads)
@@ -242,18 +227,10 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 		i %= len(ecns) * len(loads)
 		return arch, rk, ecns[i/len(loads)], loads[i%len(loads)]
 	}
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			arch, rk, ecn, load := axes(i)
-			labels[i] = fmt.Sprintf("racksweep/%s/racks=%d/ecn=%s/load=%g", arch, rk, onOff(ecn), load)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]RackRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	rows, o, err := runCells(len(LoadSweepArchs)*len(racks)*len(ecns)*len(loads), parallelism, ospec, func(i int) string {
+		arch, rk, ecn, load := axes(i)
+		return fmt.Sprintf("racksweep/%s/racks=%d/ecn=%s/load=%g", arch, rk, onOff(ecn), load)
+	}, func(i int, oc *obs.Cell) (RackRow, error) {
 		arch, rk, ecn, load := axes(i)
 		cell := sp
 		cell.Fabric.Leaves = rk
@@ -266,14 +243,14 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 			cell.Fabric.ECNThreshold = 0
 			cell.Fabric.ECNBackoffNs = 0
 		}
-		row, err := rackCell(cell, arch, load, shape, cfg, o.Cell(i))
+		c, err := runFabricCell(cell, arch, shape, cellOpts{load: load, packets: cfg.Packets,
+			eventBudget: cfg.EventBudget, seed: cfg.Seed}, oc)
 		if err != nil {
-			errs[i] = fmt.Errorf("racksweep: %s racks=%d ecn=%s at load %g: %w", arch, rk, onOff(ecn), load, err)
-			return
+			return RackRow{}, fmt.Errorf("racksweep: %s racks=%d ecn=%s at load %g: %w", arch, rk, onOff(ecn), load, err)
 		}
-		rows[i] = row
+		return c.rackRow(load), nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	return rows, DetectRackKnees(rows, shape.kneeFactor), o, nil
@@ -300,186 +277,33 @@ func onOff(b bool) string {
 	return "off"
 }
 
-// rackCell runs one (arch, racks, ECN, load) cell: shape.hosts hosts
-// exchanging cluster-mix traffic over the cell spec's clos. The ECN/fault
-// wiring is loadCell's (see its doc); the differences are many-to-many
-// traffic — every host carries a TX and an RX machine, destinations ride a
-// per-host stream through workload.SampleDest — and fabric-wide tallies in
-// the row.
-func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg RackSweepConfig, oc *obs.Cell) (RackRow, error) {
-	d := sp.MustDerive()
-	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
-	link := d.Link
-
-	txs, rxs, err := rackEndpoints(d, arch, shape.hosts, cfg.Seed)
-	if err != nil {
-		return RackRow{}, err
-	}
-
-	// Each host offers `load` of its OWN line rate (one source per link),
-	// unlike the incast sweep where all hosts share the receiver's link.
-	perHostGap, err := shape.cluster.MeanGapForLoad(load, 1, link.BitsPerSec/1e9)
-	if err != nil {
-		return RackRow{}, err
-	}
-
-	reg := oc.Metrics()
-	deliveredC := reg.Counter(arch + ".delivered")
-	droppedC := reg.Counter(arch + ".dropped")
-	markedC := reg.Counter(arch + ".ecn_marked")
-	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
-
-	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
-	if d.Spec.Fault.PortDropProb > 0 {
-		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
-	}
-	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, cfg.Seed); err != nil {
-		return RackRow{}, err
-	}
-	ecn := topo.Spec().ECNThreshold > 0
-
-	// Every host receives: one RX driver queue per host.
-	recvs := make([]*serialServer, shape.hosts)
-	for i := range recvs {
-		recvs[i] = &serialServer{eng: eng}
-	}
-
-	var hist stats.Histogram
-	delivered, dropped, crossRack := 0, 0, 0
-	var wireBusy sim.Time
-
-	for h := 0; h < shape.hosts; h++ {
-		count := shareCount(cfg.Packets, shape.hosts, h)
-		if count == 0 {
-			continue
-		}
-		// Per-host seeds are independent of the offered load, so the
-		// packet and destination sequences are identical along the load
-		// axis; the destination stream is separate from the arrival stream
-		// so the fabric shape cannot perturb the traffic.
-		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
-			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
-		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
-		txSrv := &serialServer{eng: eng}
-		tx := txs[h]
-		src := h
-		host := uint64(h)
-		var pacer *fabric.Pacer
-		if ecn {
-			pacer = &fabric.Pacer{Backoff: topo.Spec().ECNBackoff(),
-				Stall: func(dur sim.Time, done func()) { txSrv.Submit(dur, done) }}
-		}
-
-		var arm func(i int)
-		arm = func(i int) {
-			if i >= count {
-				return
-			}
-			e := gen.Next()
-			eng.At(e.At, func() {
-				arm(i + 1)
-				p := e.Packet(host<<32 | uint64(i))
-				dst := workload.SampleDest(destR, e.Locality, src, shape.hosts, topo.Leaves())
-				if topo.CrossesSpine(src, dst) {
-					crossRack++
-				}
-				born := eng.Now()
-				txSrv.Submit(tx.TX(p).Total(), func() {
-					f := ethernet.Frame{ID: p.ID, Bytes: e.Size}
-					ok := topo.Inject(src, dst, f, func(fr ethernet.Frame) {
-						recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
-							hist.Observe(eng.Now() - born)
-							delivered++
-							wireBusy += link.SerializeTime(e.Size)
-						})
-						if pacer != nil && fr.ECN {
-							topo.EchoMark(src, pacer.OnMark)
-						}
-					})
-					if !ok {
-						dropped++
-					}
-				})
-			})
-		}
-		arm(0)
-	}
-
-	if err := runFabric(eng, topo); err != nil {
-		return RackRow{}, err
-	}
-
-	fstats := topo.Stats()
-	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
-	rxMax := 0
-	for _, r := range recvs {
-		if r.maxDepth > rxMax {
-			rxMax = r.maxDepth
-		}
-	}
-	util := 0.0
-	if eng.Now() > 0 {
-		util = float64(wireBusy) / (float64(eng.Now()) * float64(shape.hosts))
-	}
-	deliveredC.Add(int64(delivered))
-	droppedC.Add(int64(dropped))
-	markedC.Add(int64(fstats.Marked))
-	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fstats.LeafMaxDepth))
-	reg.Gauge(arch + ".spine_max_depth").Set(int64(fstats.SpineMaxDepth))
-	reg.Gauge(arch + ".rx_max_depth").Set(int64(rxMax))
+// rackRow projects a many-to-many cell onto its rack sweep row and
+// publishes the row's metrics.
+func (c *fabricCell) rackRow(load float64) RackRow {
+	util := c.utilization()
+	reg, arch, fs := c.reg, c.arch, c.fstats
+	reg.Counter(arch + ".ecn_marked").Add(int64(fs.Marked))
+	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fs.LeafMaxDepth))
+	reg.Gauge(arch + ".spine_max_depth").Set(int64(fs.SpineMaxDepth))
+	reg.Gauge(arch + ".rx_max_depth").Set(int64(c.rxMax))
 	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
-
 	return RackRow{
 		Arch:            arch,
-		Racks:           topo.Leaves(),
-		ECN:             ecn,
+		Racks:           c.topo.Leaves(),
+		ECN:             c.topo.Spec().ECNThreshold > 0,
 		Load:            load,
-		Mean:            hist.Mean(),
-		P50:             hist.Percentile(50),
-		P99:             hist.Percentile(99),
-		P999:            hist.Percentile(99.9),
-		Delivered:       delivered,
-		Dropped:         dropped,
-		Marked:          int(fstats.Marked),
-		CrossRack:       crossRack,
-		LeafMaxDepth:    fstats.LeafMaxDepth,
-		SpineMaxDepth:   fstats.SpineMaxDepth,
-		RxMaxDepth:      rxMax,
+		Mean:            c.hist.Mean(),
+		P50:             c.hist.Percentile(50),
+		P99:             c.hist.Percentile(99),
+		P999:            c.hist.Percentile(99.9),
+		Delivered:       c.delivered,
+		Dropped:         c.dropped,
+		Marked:          int(fs.Marked),
+		CrossRack:       c.crossRack,
+		LeafMaxDepth:    fs.LeafMaxDepth,
+		SpineMaxDepth:   fs.SpineMaxDepth,
+		RxMaxDepth:      c.rxMax,
 		LinkUtilization: util,
-		Hist:            &hist,
-	}, nil
-}
-
-// rackEndpoints builds one TX and one RX machine per host for the given
-// architecture (every host both sends and receives in the rack sweep).
-func rackEndpoints(d *spec.Derived, arch string, hosts int, seed uint64) ([]driver.Machine, []driver.Machine, error) {
-	txs := make([]driver.Machine, hosts)
-	rxs := make([]driver.Machine, hosts)
-	switch arch {
-	case "dNIC":
-		for h := range txs {
-			txs[h], rxs[h] = d.NewDNIC(false), d.NewDNIC(false)
-		}
-	case "iNIC":
-		for h := range txs {
-			txs[h], rxs[h] = d.NewINIC(false), d.NewINIC(false)
-		}
-	case "NetDIMM":
-		for h := range txs {
-			nd, err := d.NewNetDIMM(seed + 2*uint64(h) + 1)
-			if err != nil {
-				return nil, nil, err
-			}
-			txs[h] = nd
-			nd, err = d.NewNetDIMM(seed + 2*uint64(h) + 2)
-			if err != nil {
-				return nil, nil, err
-			}
-			rxs[h] = nd
-		}
-	default:
-		return nil, nil, fmt.Errorf("unknown architecture %q", arch)
+		Hist:            c.hist,
 	}
-	return txs, rxs, nil
 }

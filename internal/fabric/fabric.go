@@ -154,9 +154,11 @@ type Pacer struct {
 	Stalls uint64
 
 	pending bool
+	clearFn func() // p.clear, bound on the first stall
 }
 
-// OnMark reacts to one echoed congestion mark.
+// OnMark reacts to one echoed congestion mark. It allocates nothing once
+// the first stall has bound the stall's completion.
 func (p *Pacer) OnMark() {
 	if p == nil || p.Stall == nil || p.Backoff <= 0 {
 		return
@@ -167,5 +169,11 @@ func (p *Pacer) OnMark() {
 	}
 	p.pending = true
 	p.Stalls++
-	p.Stall(p.Backoff, func() { p.pending = false })
+	if p.clearFn == nil {
+		p.clearFn = p.clear
+	}
+	p.Stall(p.Backoff, p.clearFn)
 }
+
+// clear ends the outstanding stall.
+func (p *Pacer) clear() { p.pending = false }

@@ -212,6 +212,27 @@ func TestPacerCollapsesMarks(t *testing.T) {
 	(&Pacer{}).OnMark()
 }
 
+// TestPacerMarkAllocs holds a warm mark to zero allocations, whether it
+// issues a stall or collapses into the outstanding one: the stall's
+// completion is bound once, and so is the caller's OnMark method value.
+func TestPacerMarkAllocs(t *testing.T) {
+	var done func()
+	p := &Pacer{Backoff: sim.Nanosecond, Stall: func(_ sim.Time, d func()) { done = d }}
+	mark := p.OnMark
+	mark() // bind the stall completion
+	done()
+	if n := testing.AllocsPerRun(100, func() {
+		mark() // stalls
+		mark() // collapses
+		done()
+	}); n != 0 {
+		t.Fatalf("warm mark allocates %v times, want 0", n)
+	}
+	if p.Marks != 1+2*101 || p.Stalls != 1+101 { // AllocsPerRun adds one warm-up run
+		t.Fatalf("marks=%d stalls=%d", p.Marks, p.Stalls)
+	}
+}
+
 // Injected faults apply at every switch hop: with PortDrop certain, a
 // cross-leaf frame dies at its first switch queue and never delivers.
 func TestInjectFaultsEveryHop(t *testing.T) {
