@@ -14,6 +14,8 @@ import (
 
 // Frame is one frame in flight through the switched fabric.
 type Frame struct {
+	// ID is the sender's tag for the frame; ports and fabric.Topology
+	// carry it unchanged and never read it.
 	ID    uint64
 	Bytes int
 	// ECN is the congestion-experienced mark. A port whose queue is at or
