@@ -37,6 +37,7 @@ var goldenCases = []struct {
 	trace  bool
 }{
 	{"table1", "table1.txt", false, false},
+	{"-scenario ddr5 table1", "table1-ddr5.txt", false, false},
 	{"-csv fig4", "fig4-table1.csv", false, false},
 	{"-csv -scenario ddr5 fig4", "fig4-ddr5.csv", false, false},
 	{"-csv fig5", "fig5-table1.csv", true, false},
@@ -48,6 +49,8 @@ var goldenCases = []struct {
 	{"mixed", "mixed.txt", false, false},
 	{"mixed", "mixed-trace.sha256", false, true},
 	{"headline", "headline.txt", false, false},
+	{"bandwidth", "bandwidth.txt", false, false},
+	{"-csv faultsweep", "faultsweep-default.csv", false, false},
 	{"-csv loadsweep", "loadsweep-default.csv", false, false},
 	{"-csv racksweep", "racksweep-default.csv", true, false},
 	{"-csv failsweep", "failsweep-default.csv", false, false},
