@@ -8,7 +8,7 @@
 // Experiments: table1, fig4, fig5, fig7, fig11, fig12a, fig12b, faultsweep,
 // loadsweep, racksweep, failsweep, collsweep, headline, all. The -scenario
 // flag selects the simulated system: a named preset (table1, ddr5,
-// pcie-gen3, multi-netdimm-4, lossy-1pct) or a JSON config file.
+// pcie-gen3, lossy-1pct) or a JSON config file.
 package main
 
 import (

@@ -55,7 +55,7 @@ func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 		t.Fatal("DropProb 1.5 accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.Cores = 0
+	cfg.CoreGHz = 0
 	if _, err := RunFaultSweepWithConfig(cfg, nil, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}

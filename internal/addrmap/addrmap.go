@@ -1,7 +1,6 @@
-// Package addrmap implements physical memory address mapping: the
-// channel/rank/bank/sub-array/row decode of a NetDIMM rank (paper Fig. 9),
-// and the system-level single-/multi-/flex-channel interleaving modes
-// (paper Sec. 2.3 and Fig. 10).
+// Package addrmap implements the address mapping of a NetDIMM rank: the
+// rank/bank/sub-array/row decode of paper Fig. 9 and the sub-array
+// geometry the allocator and RowClone build on.
 //
 // # Rank geometry (paper Fig. 9a)
 //

@@ -130,172 +130,3 @@ func TestGlobalRowUnique(t *testing.T) {
 		}
 	}
 }
-
-func mustMap(t *testing.T) *SystemMap {
-	t.Helper()
-	m, err := NewSystemMap(2, 16<<30, 256, NetDIMMSpec{Channel: 1, Size: 16 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestSystemMapLayout(t *testing.T) {
-	m := mustMap(t)
-	if m.TotalBytes() != 32<<30 {
-		t.Fatalf("TotalBytes = %d", m.TotalBytes())
-	}
-	nd, err := m.NetDIMMRegion(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nd.Base != 16<<30 || nd.Channel != 1 || nd.Index != 0 {
-		t.Fatalf("NetDIMM region = %+v", nd)
-	}
-	if _, err := m.NetDIMMRegion(1); err == nil {
-		t.Fatal("expected error for missing NetDIMM 1")
-	}
-}
-
-func TestSystemMapErrors(t *testing.T) {
-	if _, err := NewSystemMap(0, 1<<30, 256); err == nil {
-		t.Error("zero channels accepted")
-	}
-	if _, err := NewSystemMap(2, 1<<30, 100); err == nil {
-		t.Error("non-cacheline granule accepted")
-	}
-	if _, err := NewSystemMap(2, 1000, 256); err == nil {
-		t.Error("ddrBytes not multiple of granule*channels accepted")
-	}
-	if _, err := NewSystemMap(2, 1<<30, 256, NetDIMMSpec{Channel: 5, Size: 1 << 30}); err == nil {
-		t.Error("NetDIMM on invalid channel accepted")
-	}
-	if _, err := NewSystemMap(2, 1<<30, 256, NetDIMMSpec{Channel: 0, Size: 100}); err == nil {
-		t.Error("non-page NetDIMM size accepted")
-	}
-	m := mustMap(t)
-	if _, err := m.Decode(-1); err == nil {
-		t.Error("negative address decoded")
-	}
-	if _, err := m.Decode(m.TotalBytes()); err == nil {
-		t.Error("address beyond space decoded")
-	}
-}
-
-// Multi-channel mode: sequential DDR addresses interleave between channels
-// at granule boundaries (paper Sec. 2.3).
-func TestDDRInterleaving(t *testing.T) {
-	m := mustMap(t)
-	t0, err := m.Decode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := m.Decode(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := m.Decode(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t0.Channel != 0 || t1.Channel != 1 || t2.Channel != 0 {
-		t.Fatalf("channels = %d,%d,%d; want 0,1,0", t0.Channel, t1.Channel, t2.Channel)
-	}
-	if t2.Local != 256 {
-		t.Fatalf("third granule local = %d, want 256", t2.Local)
-	}
-}
-
-// Single-channel mode: the NetDIMM region is contiguous on one channel
-// (paper Sec. 4.2.1: "the host processor sees the NetDIMM physical address
-// as a continuous memory chunk").
-func TestNetDIMMSingleChannel(t *testing.T) {
-	m := mustMap(t)
-	base := int64(16 << 30)
-	for off := int64(0); off < 1<<20; off += 64 << 10 {
-		tg, err := m.Decode(base + off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tg.Channel != 1 {
-			t.Fatalf("NetDIMM address on channel %d, want 1", tg.Channel)
-		}
-		if tg.Local != off {
-			t.Fatalf("local = %d, want %d (contiguous)", tg.Local, off)
-		}
-		if tg.Region.Kind != RegionNetDIMM {
-			t.Fatalf("kind = %v", tg.Region.Kind)
-		}
-	}
-}
-
-// Property: decode/encode round-trips for both regions and every address
-// maps to exactly one region.
-func TestSystemMapRoundTripProperty(t *testing.T) {
-	m := mustMap(t)
-	f := func(raw uint64) bool {
-		phys := int64(raw % uint64(m.TotalBytes()))
-		tg, err := m.Decode(phys)
-		if err != nil {
-			return false
-		}
-		var back int64
-		if tg.Region.Kind == RegionDDR {
-			back, err = m.EncodeDDR(tg.Channel, tg.Local)
-		} else {
-			back, err = m.EncodeNetDIMM(tg.Region.Index, tg.Local)
-		}
-		return err == nil && back == phys
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEncodeErrors(t *testing.T) {
-	m := mustMap(t)
-	if _, err := m.EncodeDDR(9, 0); err == nil {
-		t.Error("invalid channel accepted")
-	}
-	if _, err := m.EncodeDDR(0, 16<<30); err == nil {
-		t.Error("beyond-region channel-local accepted")
-	}
-	if _, err := m.EncodeNetDIMM(0, 16<<30); err == nil {
-		t.Error("beyond-region NetDIMM-local accepted")
-	}
-	if _, err := m.EncodeNetDIMM(3, 0); err == nil {
-		t.Error("missing NetDIMM accepted")
-	}
-}
-
-func TestRegionOf(t *testing.T) {
-	m := mustMap(t)
-	r, err := m.RegionOf(0)
-	if err != nil || r.Kind != RegionDDR {
-		t.Fatalf("RegionOf(0) = %v, %v", r, err)
-	}
-	r, err = m.RegionOf(16 << 30)
-	if err != nil || r.Kind != RegionNetDIMM {
-		t.Fatalf("RegionOf(16GB) = %v, %v", r, err)
-	}
-}
-
-func TestMultipleNetDIMMs(t *testing.T) {
-	m, err := NewSystemMap(2, 8<<30, 256,
-		NetDIMMSpec{Channel: 0, Size: 16 << 30},
-		NetDIMMSpec{Channel: 1, Size: 16 << 30},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regions := m.NetDIMMRegions()
-	if len(regions) != 2 {
-		t.Fatalf("got %d NetDIMM regions", len(regions))
-	}
-	if regions[0].Index != 0 || regions[1].Index != 1 {
-		t.Fatal("NET_i indices out of order")
-	}
-	if regions[1].Base != regions[0].Base+regions[0].Size {
-		t.Fatal("NetDIMM regions not adjacent")
-	}
-}

@@ -53,8 +53,6 @@ type Stats struct {
 	Evictions       uint64
 	DirtyEvictions  uint64
 	DDIOEvictions   uint64 // DDIO lines evicted before first use: DMA leakage [68]
-	Flushes         uint64
-	FlushedDirty    uint64
 	Invalidations   uint64
 }
 
@@ -76,9 +74,9 @@ type Cache struct {
 	setsN int64
 	tick  uint64
 	stats Stats
-	// WritebackFn, if set, is invoked for each dirty line evicted or
-	// flushed, with the line's address; callers wire this to the memory
-	// controller so writebacks create memory traffic.
+	// WritebackFn, if set, is invoked for each dirty line evicted, with
+	// the line's address; callers wire this to the memory controller so
+	// writebacks create memory traffic.
 	WritebackFn func(addr int64)
 }
 
@@ -108,9 +106,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) locate(addr int64) (set []line, tag int64) {
 	lineIdx := addr / c.cfg.LineBytes
@@ -214,26 +209,6 @@ func (c *Cache) fill(l *line, tag, addr int64, dirty, ddio bool) {
 	l.lastUse = c.tick
 }
 
-// FlushRange writes back and evicts every cached line in [addr, addr+bytes),
-// returning the modelled CPU cost (clwb/clflush loop). Dirty lines trigger
-// WritebackFn. This is the txFlush operation of Alg. 1.
-func (c *Cache) FlushRange(addr, bytes int64) sim.Time {
-	lines := c.forEachLine(addr, bytes, func(l *line) {
-		c.stats.Flushes++
-		if l.dirty {
-			c.stats.FlushedDirty++
-			if c.WritebackFn != nil {
-				c.WritebackFn(l.addr)
-			}
-		}
-		l.valid = false
-	})
-	if lines == 0 {
-		return 0
-	}
-	return c.cfg.FlushBase + sim.Time(lines)*c.cfg.FlushPerLine
-}
-
 // InvalidateRange drops every cached line in the range without writeback —
 // the rxInvalidate operation of Alg. 1 (the descriptor must be re-fetched
 // from NetDIMM memory).
@@ -268,19 +243,6 @@ func (c *Cache) forEachLine(addr, bytes int64, fn func(*line)) int64 {
 		}
 	}
 	return last - first + 1
-}
-
-// Occupancy returns the number of valid lines (for tests and reporting).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no accesses.

@@ -132,40 +132,18 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	}
 }
 
-func TestFlushRange(t *testing.T) {
-	c := New(small())
-	var wb []int64
-	c.WritebackFn = func(a int64) { wb = append(wb, a) }
-	c.Access(0, true)
-	c.Access(64, false)
-	c.Access(128, true)
-
-	cost := c.FlushRange(0, 192)
-	want := small().FlushBase + 3*small().FlushPerLine
-	if cost != want {
-		t.Fatalf("flush cost = %v, want %v", cost, want)
-	}
-	if c.Lookup(0) || c.Lookup(64) || c.Lookup(128) {
-		t.Fatal("flushed lines still present")
-	}
-	if len(wb) != 2 {
-		t.Fatalf("writebacks = %v, want two dirty lines", wb)
-	}
-	if c.Stats().FlushedDirty != 2 {
-		t.Fatalf("FlushedDirty = %d", c.Stats().FlushedDirty)
-	}
-}
-
+// The rxInvalidate loop is priced like a flush loop: per line in the
+// range, cached or not.
 func TestFlushCostCountsUncachedLines(t *testing.T) {
 	c := New(small())
 	// Nothing cached: the cost is still paid per line in the range.
-	cost := c.FlushRange(0, 640)
+	cost := c.InvalidateRange(0, 640)
 	want := small().FlushBase + 10*small().FlushPerLine
 	if cost != want {
-		t.Fatalf("flush cost = %v, want %v", cost, want)
+		t.Fatalf("invalidate cost = %v, want %v", cost, want)
 	}
-	if c.FlushRange(0, 0) != 0 {
-		t.Fatal("empty flush should be free")
+	if c.InvalidateRange(0, 0) != 0 {
+		t.Fatal("empty invalidate should be free")
 	}
 }
 

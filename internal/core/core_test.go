@@ -207,23 +207,6 @@ func TestHostReadPayloadPrefetches(t *testing.T) {
 	}
 }
 
-func TestHostWriteSnoopsNCache(t *testing.T) {
-	eng, d := newDevice(t)
-	d.ReceivePacket(0x20000, 128, nil)
-	eng.Run()
-	if !d.NCache().Contains(0x20000) {
-		t.Fatal("header not cached")
-	}
-	lat := d.HostWriteLine(0x20000, nil)
-	if lat != DefaultConfig().Protocol.WriteOverhead() {
-		t.Fatalf("write latency = %v", lat)
-	}
-	if d.NCache().Contains(0x20000) {
-		t.Fatal("write did not snoop-invalidate nCache")
-	}
-	eng.Run()
-}
-
 func TestReceiveSnoopsStaleLines(t *testing.T) {
 	eng, d := newDevice(t)
 	d.ReceivePacket(0x30000, 256, nil)

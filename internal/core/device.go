@@ -56,7 +56,7 @@ func DefaultConfig() Config {
 
 // Stats aggregates device-level counters.
 type Stats struct {
-	HostReads, HostWrites uint64
+	HostReads             uint64
 	NNICReads, NNICWrites uint64
 	Prefetches            uint64
 	Clones                [dram.NumCloneModes]uint64 // indexed by mode
@@ -134,10 +134,10 @@ func (d *Device) Observe(c *obs.Cell, prefix string) {
 // Size returns the local DRAM capacity in bytes.
 func (d *Device) Size() int64 { return int64(d.cfg.Ranks) * addrmap.RankBytes }
 
-// NCache exposes the SRAM buffer (for tests and experiments).
+// NCache exposes the SRAM buffer for inspection.
 func (d *Device) NCache() *NCache { return d.ncache }
 
-// NMC exposes the local memory controller (for interference experiments).
+// NMC exposes the local memory controller for inspection.
 func (d *Device) NMC() *memctrl.Controller { return d.nmc }
 
 // Stats returns a copy of the device counters.
@@ -246,31 +246,6 @@ func (d *Device) HostReadLine(addr int64, done func(hit bool, latency sim.Time))
 	}
 }
 
-// HostWriteLine serves one cacheline write from the global channel: writes
-// bypass nCache (they queue directly in the nMC write queue) but snoop it
-// for coherency (paper Sec. 4.1). The returned latency is the posted-write
-// protocol overhead; done, if non-nil, fires when the write retires in
-// DRAM.
-func (d *Device) HostWriteLine(addr int64, done func()) sim.Time {
-	d.stats.HostWrites++
-	d.ncache.Invalidate(addr)
-	err := d.nmc.Submit(&memctrl.Request{
-		Addr:  addr,
-		Write: true,
-		Bytes: addrmap.CachelineSize,
-		Done: func(memctrl.Response) {
-			if done != nil {
-				done()
-			}
-		},
-	})
-	if err != nil {
-		d.eng.Schedule(d.cfg.LocalTiming.TBL, func() { d.HostWriteLine(addr, done) })
-		d.stats.HostWrites--
-	}
-	return d.cfg.Protocol.WriteOverhead()
-}
-
 // prefetch arms the nPrefetcher: the next PrefetchDegree cachelines are
 // read from local DRAM into nCache (skipping lines already present).
 func (d *Device) prefetch(addr int64) {
@@ -334,7 +309,7 @@ func (d *Device) ReadData(addr int64, n int) ([]byte, error) {
 }
 
 // WriteData stores bytes at a DIMM-local address (the functional effect of
-// host writes; the timing path is HostWriteLine).
+// host writes, with no timing side effects).
 func (d *Device) WriteData(addr int64, data []byte) error {
 	return d.mem.Write(addr, data)
 }

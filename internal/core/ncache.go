@@ -62,22 +62,6 @@ func NewNCache(lines, ways int, seed uint64) *NCache {
 // Stats returns a copy of the statistics.
 func (c *NCache) Stats() NCacheStats { return c.stats }
 
-// Lines returns the capacity in cachelines.
-func (c *NCache) Lines() int { return int(c.setsN) * c.ways }
-
-// Occupancy returns the number of valid lines.
-func (c *NCache) Occupancy() int {
-	n := 0
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].valid {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 func (c *NCache) locate(addr int64) ([]nline, int64) {
 	li := addr / addrmap.CachelineSize
 	// XOR-folded set index: RX ring slots sit at power-of-two strides, so

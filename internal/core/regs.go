@@ -15,12 +15,8 @@ type Reg int
 
 const (
 	// RegStatus: read-only status bits (RX pending count in the low bits,
-	// StatusCloneBusy and StatusTxDone flags above).
+	// the StatusCloneBusy flag above).
 	RegStatus Reg = iota
-	// RegTxTail: writing kicks transmission of descriptors up to the tail.
-	RegTxTail
-	// RegRxHead: the driver acknowledges consumed RX descriptors.
-	RegRxHead
 	// RegCloneSrc / RegCloneDst: DIMM-local clone addresses.
 	RegCloneSrc
 	RegCloneDst
@@ -29,11 +25,9 @@ const (
 	numRegs
 )
 
-// Status bits in RegStatus above the 32-bit RX pending count.
-const (
-	StatusCloneBusy uint64 = 1 << 32
-	StatusTxDone    uint64 = 1 << 33
-)
+// StatusCloneBusy is the RegStatus bit above the 32-bit RX pending count
+// that is set while a clone is in flight.
+const StatusCloneBusy uint64 = 1 << 32
 
 // RegisterFile is the NetDIMM's host-visible register space. Reads and
 // writes are functional; their channel timing is the RegisterBus cost the
@@ -118,15 +112,11 @@ func (rf *RegisterFile) cloneDone() {
 	}
 }
 
-// LastCloneMode reports the mode of the most recent completed clone.
-func (rf *RegisterFile) LastCloneMode() dram.CloneMode { return rf.lastCloneMode }
-
 // noteRX bumps the RX-pending count (called by the device on packet
 // arrival); the polling agent observes it via RegStatus.
 func (rf *RegisterFile) noteRX() { rf.rxPending++ }
 
-// AckRX clears one pending packet (the driver consumed a descriptor,
-// typically paired with a RegRxHead write).
+// AckRX clears one pending packet (the driver consumed a descriptor).
 func (rf *RegisterFile) AckRX() {
 	if rf.rxPending > 0 {
 		rf.rxPending--

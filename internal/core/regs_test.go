@@ -14,10 +14,10 @@ func TestRegisterFileBasics(t *testing.T) {
 	if rf != d.Registers() {
 		t.Fatal("Registers should be a singleton per device")
 	}
-	if err := rf.Write(RegTxTail, 7); err != nil {
+	if err := rf.Write(RegCloneSrc, 7); err != nil {
 		t.Fatal(err)
 	}
-	v, err := rf.Read(RegTxTail)
+	v, err := rf.Read(RegCloneSrc)
 	if err != nil || v != 7 {
 		t.Fatalf("Read = %d, %v", v, err)
 	}

@@ -95,7 +95,7 @@ func (p Params) Estimate(b Block) sim.Time {
 
 // DriverBlocks is the catalog of network-driver code blocks, with
 // instruction counts representative of a bare-metal polled driver (the
-// paper's Sec. 5.1 setup). These feed driver.CostsFromModel.
+// paper's Sec. 5.1 setup). These feed driver.CostsFromParams.
 var DriverBlocks = map[string]Block{
 	"skb_alloc": {
 		Name: "skb_alloc", Instrs: 180, DepFrac: 0.35, L1DMisses: 3, L2Misses: 1,

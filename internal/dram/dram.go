@@ -194,13 +194,6 @@ func (r *Rank) Timing() Timing { return r.timing }
 // OpenRow reports the open row of a bank, or -1.
 func (r *Rank) OpenRow(bankIdx int) int { return r.banks[bankIdx].openRow }
 
-// WouldHit reports whether an access to the rank-local address would be a
-// row hit right now; FR-FCFS scheduling in the memory controller uses this.
-func (r *Rank) WouldHit(local int64) bool {
-	l := addrmap.DecodeRank(local)
-	return r.banks[l.Bank].openRow == l.GlobalRow()
-}
-
 // Access performs one read or write of up to a row's worth of bytes at the
 // rank-local address, starting no earlier than now. It returns the instant
 // the data transfer completes and the access classification.
@@ -284,18 +277,4 @@ func (r *Rank) AccessRow(now sim.Time, bankIdx, row int, write bool, bytes int64
 	}
 	b.readyAt = start + t.TBL
 	return done, kind
-}
-
-// PrechargeAll closes every bank (e.g. on refresh boundaries in coarse
-// models).
-func (r *Rank) PrechargeAll(now sim.Time) {
-	for i := range r.banks {
-		b := &r.banks[i]
-		if b.openRow != -1 {
-			b.openRow = -1
-			if b.readyAt < now+r.timing.TRP {
-				b.readyAt = now + r.timing.TRP
-			}
-		}
-	}
 }

@@ -141,24 +141,6 @@ func TestWritesPipelineAtBusRate(t *testing.T) {
 	}
 }
 
-func TestPrechargeAll(t *testing.T) {
-	r := NewRank(DDR4_2400())
-	r.Access(0, 0, false, 64)
-	if r.OpenRow(0) == -1 {
-		t.Fatal("row should be open after access")
-	}
-	r.PrechargeAll(1000)
-	for i := 0; i < addrmap.BanksPerRank; i++ {
-		if r.OpenRow(i) != -1 {
-			t.Fatalf("bank %d still open after PrechargeAll", i)
-		}
-	}
-	_, kind := r.Access(r.banks[0].readyAt, 0, false, 64)
-	if kind != RowMiss {
-		t.Fatalf("post-precharge access = %v, want miss", kind)
-	}
-}
-
 func TestWouldHit(t *testing.T) {
 	r := NewRank(DDR4_2400())
 	if r.WouldHit(0) {

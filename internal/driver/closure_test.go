@@ -176,7 +176,7 @@ func closureRXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakd
 // among them a header that arrived but has not been read yet.
 func floodNCache(dev *core.Device) {
 	nc := dev.NCache()
-	n := 8 * int64(nc.Lines())
+	n := 8 * int64(core.DefaultConfig().NCacheLines)
 	base := dev.Size() - n*addrmap.CachelineSize
 	for i := int64(0); i < n; i++ {
 		nc.Insert(base+i*addrmap.CachelineSize, false, false)

@@ -1,8 +1,10 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
+	"netdimm/internal/cpu"
 	"netdimm/internal/dram"
 	"netdimm/internal/ethernet"
 	"netdimm/internal/kalloc"
@@ -194,8 +196,8 @@ func TestNetDIMMRXZoneExhausted(t *testing.T) {
 	nd := newND(t)
 	exhaustZone(t, nd)
 	nd.RX(pkt(1514))
-	if free := nd.Zone.FreePages(); free != 0 {
-		t.Fatalf("FreePages = %d after an RX on an exhausted zone, want 0: the app buffer was freed", free)
+	if p, err := nd.Zone.AllocPage(); err == nil {
+		t.Fatalf("page %#x free after an RX on an exhausted zone: the app buffer was freed", p)
 	}
 	if got := nd.Stats().ZoneExhausted; got != 1 {
 		t.Fatalf("ZoneExhausted = %d for one packet, want 1", got)
@@ -206,12 +208,15 @@ func TestNetDIMMRXZoneExhausted(t *testing.T) {
 func exhaustZone(t *testing.T, nd *NetDIMMDriver) {
 	t.Helper()
 	// Empty the allocCache, keeping one of each bucket's pages as a hint
-	// into that bucket.
+	// into that bucket. The first Get that misses the cache takes its page
+	// from the zone: the cache is then empty.
 	hints := make([]int64, nd.Zone.Buckets())
-	for i, n := 0, nd.Cache.PinnedPages(); i < n; i++ {
-		p, fast, err := nd.Cache.Get(kalloc.NoHint)
-		if err != nil || !fast {
-			t.Fatalf("draining the allocCache: fast=%v err=%v", fast, err)
+	for fast := true; fast; {
+		var p int64
+		var err error
+		p, fast, err = nd.Cache.Get(kalloc.NoHint)
+		if err != nil {
+			t.Fatalf("draining the allocCache: %v", err)
 		}
 		key, err := nd.Zone.SubarrayKeyOf(p)
 		if err != nil {
@@ -223,9 +228,12 @@ func exhaustZone(t *testing.T, nd *NetDIMMDriver) {
 	// bucket runs dry its hinted allocation falls back to the lowest-keyed
 	// bucket with a free page, which stays near key 0, so set-up is linear
 	// in the zone's pages rather than quadratic in its buckets.
-	for key := len(hints) - 1; nd.Zone.FreePages() > 0; {
+	for key := len(hints) - 1; ; {
 		p, err := nd.Zone.AllocPageHint(hints[key])
 		if err != nil {
+			if strings.Contains(err.Error(), "exhausted") {
+				return
+			}
 			t.Fatal(err)
 		}
 		if got, _ := nd.Zone.SubarrayKeyOf(p); int(got) != key {
@@ -255,7 +263,7 @@ func TestNetDIMMFlushInvalidateShare(t *testing.T) {
 	for _, size := range []int{64, 256, 1024, 1514} {
 		nd := newND(t)
 		b := OneWay(nd, newND(t), pkt(size), fabric())
-		share := b.Share(stats.TxFlush) + b.Share(stats.RxInvalidate)
+		share := float64(b[stats.TxFlush]+b[stats.RxInvalidate]) / float64(b.Total())
 		shares = append(shares, share)
 		if share < 0.02 || share > 0.25 {
 			t.Errorf("size %d: flush+invalidate share = %.1f%%, want ~10-16%%", size, share*100)
@@ -276,7 +284,7 @@ func TestNetDIMMCloneModeDependsOnAffinity(t *testing.T) {
 // The paper's qualitative result must survive swapping the calibrated
 // software costs for the ones derived from the Table 1 core model.
 func TestOrderingHoldsWithModelCosts(t *testing.T) {
-	costs := CostsFromModel()
+	costs := CostsFromParams(cpu.TableOne())
 	for _, size := range []int{64, 1514, 8000} {
 		p := pkt(size)
 		dn := &HWDriver{Dev: nic.NewDNIC(), Costs: costs}
@@ -300,5 +308,41 @@ func TestOrderingHoldsWithModelCosts(t *testing.T) {
 			t.Errorf("size %d with model costs: ND %v iNIC %v dNIC %v",
 				size, ndB.Total(), inB.Total(), dnB.Total())
 		}
+	}
+}
+
+func TestTxRingCleaning(t *testing.T) {
+	nd, err := NewNetDIMMMachine(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sustained TX far beyond the ring capacity must not wedge: the
+	// polling agent reclaims completed descriptors.
+	for i := 0; i < 1000; i++ {
+		nd.TX(pkt(256))
+	}
+	s := nd.Stats()
+	if s.TxFast != 1000 {
+		t.Fatalf("TxFast = %d", s.TxFast)
+	}
+	if s.TxCleaned == 0 {
+		t.Fatal("no TX descriptors reclaimed")
+	}
+	if s.TxCleaned+uint64(256) < 1000 {
+		t.Fatalf("cleaning fell behind: cleaned %d of 1000", s.TxCleaned)
+	}
+}
+
+func TestRxRingBalanced(t *testing.T) {
+	nd, err := NewNetDIMMMachine(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		nd.RX(pkt(512))
+	}
+	// Every RX consumed its descriptor: the ring is empty at rest.
+	if nd.rxRing.Len() != 0 {
+		t.Fatalf("rx ring holds %d stale descriptors", nd.rxRing.Len())
 	}
 }

@@ -2,13 +2,6 @@ package driver
 
 import "netdimm/internal/cpu"
 
-// CostsFromModel derives the software-stack cost set from the Table 1 core
-// model instead of the hand-calibrated DefaultCosts. The two agree within
-// a small factor (asserted by tests in internal/cpu and here); using the
-// derived set is an ablation of the calibration itself: the paper's
-// qualitative results must not depend on the exact constants.
-func CostsFromModel() Costs { return CostsFromParams(cpu.TableOne()) }
-
 // CostsFromParams derives the software-stack cost set from an arbitrary
 // core parameter set. A system configuration whose core deviates from
 // Table 1 has no hand-calibrated constants to fall back on, so its costs

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"netdimm/internal/addrmap"
 	"netdimm/internal/core"
 	"netdimm/internal/ethernet"
 	"netdimm/internal/kalloc"
@@ -77,43 +76,6 @@ func NewDNICMachine(zeroCopy bool) *HWDriver {
 // NewINICMachine returns the integrated-NIC configuration.
 func NewINICMachine(zeroCopy bool) *HWDriver {
 	return NewMachine(nic.NewINIC(), DefaultCosts(), zeroCopy)
-}
-
-// DefaultZoneBases lays out n NetDIMM regions of the given size behind
-// Table 1's 16GB of host DDR (two channels, page-granule interleave) and
-// returns their NET_i zone bases. Configurations other than Table 1 derive
-// bases from their own addrmap.SystemMap; this is the default the
-// no-config constructors below share.
-func DefaultZoneBases(n int, size int64) []int64 {
-	const channels = 2
-	specs := make([]addrmap.NetDIMMSpec, n)
-	for i := range specs {
-		specs[i] = addrmap.NetDIMMSpec{Channel: i % channels, Size: size}
-	}
-	m, err := addrmap.NewSystemMap(channels, 16<<30, addrmap.PageSize, specs...)
-	if err != nil {
-		panic(err) // unreachable: the default layout is statically valid
-	}
-	bases := make([]int64, n)
-	for i := range bases {
-		r, err := m.NetDIMMRegion(i)
-		if err != nil {
-			panic(err)
-		}
-		bases[i] = r.Base
-	}
-	return bases
-}
-
-// NewNetDIMMMachine builds a complete NetDIMM endpoint: engine, device,
-// NET_0 zone and driver, using the Table 1 configuration. The zone base
-// comes from the default flex-mode address map (the NetDIMM region starts
-// where the host DDR ends).
-func NewNetDIMMMachine(seed uint64) (*NetDIMMDriver, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	size := int64(cfg.Ranks) * addrmap.RankBytes
-	return NewNetDIMMMachineWith(cfg, DefaultZoneBases(1, size)[0], DefaultCosts())
 }
 
 // NewNetDIMMMachineWith builds a NetDIMM endpoint from an explicit device

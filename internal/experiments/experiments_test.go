@@ -69,7 +69,8 @@ func TestFig11PaperShape(t *testing.T) {
 		}
 		// NetDIMM's flush+invalidate overhead is present but bounded
 		// (paper: 9.7-15.8%% combined).
-		share := r.NetDIMM.Share(stats.TxFlush) + r.NetDIMM.Share(stats.RxInvalidate)
+		nd := r.NetDIMM
+		share := float64(nd[stats.TxFlush]+nd[stats.RxInvalidate]) / float64(nd.Total())
 		if share <= 0.01 || share > 0.25 {
 			t.Errorf("size %d: flush+invalidate share %.1f%%", r.Size, share*100)
 		}
@@ -272,11 +273,11 @@ func TestHeadlineNumbers(t *testing.T) {
 func TestNetDIMMVsIdealZeroCopy(t *testing.T) {
 	fabric := ethernet.NewFabric(100 * sim.Nanosecond)
 	for i, size := range []int{64, 256, 1514, 8000} {
-		ndTX, err := driver.NewNetDIMMMachine(uint64(60 + 2*i))
+		ndTX, err := spec.TableOne().MustDerive().NewNetDIMM(uint64(60 + 2*i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ndRX, err := driver.NewNetDIMMMachine(uint64(61 + 2*i))
+		ndRX, err := spec.TableOne().MustDerive().NewNetDIMM(uint64(61 + 2*i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,7 @@ type FailRow struct {
 	Hist *stats.Histogram
 }
 
-// FailSweep runs the failure sweep: for every (architecture, outage
+// FailSweepObserved runs the failure sweep: for every (architecture, outage
 // duration) cell, the spec's hosts (default 32 on a 2-spine/4-leaf clos)
 // exchange cluster-mix traffic at a fixed offered load while spine
 // cfg.Spine is down for [cfg.OutageStart, cfg.OutageStart+duration), and
@@ -173,16 +173,11 @@ type FailRow struct {
 // Cells are deterministic: each builds its own engine, fabric, health
 // schedule and streams from per-cell seeds, so results are identical
 // sequentially and in parallel.
-func FailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int) ([]FailRow, error) {
-	rows, _, err := FailSweepObserved(sp, outages, cfg, parallelism, obs.Spec{})
-	return rows, err
-}
-
-// FailSweepObserved is FailSweep with the observability plane: when ospec
-// enables collection, each cell gets a Cell labelled
+//
+// When ospec enables collection, each cell gets a Cell labelled
 // "failsweep/<arch>/outage=<dur>" with delivery, drop, reroute and
-// retransmit counters, the merged fault-counter block and engine probes.
-// A zero ospec yields a nil observer and the exact FailSweep behaviour.
+// retransmit counters, the merged fault-counter block and engine probes. A
+// zero ospec yields a nil observer.
 func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int, ospec obs.Spec) ([]FailRow, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	if len(outages) == 0 {

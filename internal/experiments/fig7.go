@@ -48,21 +48,3 @@ func Fig7(sp spec.Spec) []Fig7Point {
 	}
 	return out
 }
-
-// Fig7BurstSpan returns the duration of one packet's DMA burst — the
-// paper highlights a 24-cacheline burst spanning ~143ns.
-func Fig7BurstSpan(points []Fig7Point, burst int) sim.Time {
-	var first, last sim.Time
-	seen := false
-	for _, p := range points {
-		if p.Burst != burst {
-			continue
-		}
-		if !seen {
-			first = p.RelTime
-			seen = true
-		}
-		last = p.RelTime
-	}
-	return last - first
-}

@@ -14,6 +14,7 @@ import (
 	"netdimm/internal/netfunc"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
+	"netdimm/internal/spec"
 	"netdimm/internal/stats"
 )
 
@@ -30,11 +31,11 @@ func buildFrame(dst uint32, payload string, size int) []byte {
 // arrive byte-identical after DMA into local DRAM, the in-memory clone,
 // and delivery to the application.
 func TestEndToEndDataIntegrity(t *testing.T) {
-	tx, err := driver.NewNetDIMMMachine(31)
+	tx, err := spec.TableOne().MustDerive().NewNetDIMM(31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx, err := driver.NewNetDIMMMachine(32)
+	rx, err := spec.TableOne().MustDerive().NewNetDIMM(32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestEndToEndDataIntegrity(t *testing.T) {
 
 // The COPY_NEEDED slow path must also preserve data.
 func TestSlowPathDataIntegrity(t *testing.T) {
-	tx, err := driver.NewNetDIMMMachine(33)
+	tx, err := spec.TableOne().MustDerive().NewNetDIMM(33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSlowPathDataIntegrity(t *testing.T) {
 // A full forwarding pipeline: frames received on a NetDIMM, inspected by
 // the real DPI engine, and forwarded or dropped by the real LPM table.
 func TestNetDIMMForwardingPipeline(t *testing.T) {
-	rx, err := driver.NewNetDIMMMachine(34)
+	rx, err := spec.TableOne().MustDerive().NewNetDIMM(34)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,38 +132,9 @@ func TestOneWayComposition(t *testing.T) {
 	}
 }
 
-// A multi-NetDIMM system under mixed connection traffic stays consistent:
-// every connection's packets ride its own zone, data integrity holds, and
-// the allocCaches do not leak.
-func TestSystemEndToEnd(t *testing.T) {
-	s, err := driver.NewSystem(2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 50; round++ {
-		for conn := uint64(0); conn < 8; conn++ {
-			s.TX(conn, nic.Packet{Size: 256 + int(conn)*64})
-			s.RX(conn, nic.Packet{Size: 512})
-		}
-	}
-	dist := s.Distribution()
-	if dist[0] != 4 || dist[1] != 4 {
-		t.Fatalf("distribution = %v", dist)
-	}
-	if s.FirstPackets() != 8 {
-		t.Fatalf("FirstPackets = %d", s.FirstPackets())
-	}
-	for i := 0; i < 2; i++ {
-		st := s.Driver(i).Stats()
-		if st.AllocSlow > 5 {
-			t.Fatalf("NET_%d allocCache degraded: %+v", i, st)
-		}
-	}
-}
-
 // Breakdown components always sum to the total (no unaccounted time).
 func TestBreakdownAccounting(t *testing.T) {
-	nd, err := driver.NewNetDIMMMachine(41)
+	nd, err := spec.TableOne().MustDerive().NewNetDIMM(41)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	return knees
 }
 
-// LoadSweep runs the rack-scale open-loop load sweep: for every
+// LoadSweepObserved runs the rack-scale open-loop load sweep: for every
 // (architecture, offered load) cell it simulates loads[i] of the line rate
 // fanning in from the spec's Load.Hosts senders to one receiver and
 // reports the end-to-end latency distribution, then reduces the rows to
@@ -181,17 +181,11 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 // sequentially and in parallel. Along one architecture's load axis the
 // packet sequence is held fixed (only the arrival spacing scales), so the
 // latency curve isolates queueing.
-func LoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, parallelism int) ([]LoadRow, []LoadKnee, error) {
-	rows, knees, _, err := LoadSweepObserved(sp, loads, cfg, parallelism, obs.Spec{})
-	return rows, knees, err
-}
-
-// LoadSweepObserved is LoadSweep with the observability plane: when ospec
-// enables collection, each (arch, load) cell gets a Cell labelled
-// "loadsweep/<arch>/load=<load>" with receiver queue-depth and egress
-// depth series, delivery/drop counters, link utilisation and engine
-// probes. A zero ospec yields a nil observer and the exact LoadSweep
-// behaviour.
+//
+// When ospec enables collection, each (arch, load) cell gets a Cell
+// labelled "loadsweep/<arch>/load=<load>" with receiver queue-depth and
+// egress depth series, delivery/drop counters, link utilisation and engine
+// probes. A zero ospec yields a nil observer.
 func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, parallelism int, ospec obs.Spec) ([]LoadRow, []LoadKnee, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	if len(loads) == 0 {

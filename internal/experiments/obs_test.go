@@ -36,7 +36,9 @@ func TestFig11SpanSumsMatchBreakdown(t *testing.T) {
 		}
 		sums := make(map[string]sim.Time)
 		for _, tr := range cell.Tracks() {
-			sums[tr.Name()] += tr.Sum()
+			for _, sp := range tr.Spans() {
+				sums[tr.Name()] += sp.Duration()
+			}
 		}
 		for arch, b := range map[string]stats.Breakdown{
 			"dNIC": row.DNIC, "iNIC": row.INIC, "NetDIMM": row.NetDIMM,

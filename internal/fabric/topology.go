@@ -153,26 +153,11 @@ func (t *Topology) Downlink(h int) *ethernet.Port {
 	return t.leaves[l].Port(t.downIdx(l, h))
 }
 
-// SpineFor returns the spine the (src, dst) flow currently routes over:
+// routeSpine is the per-frame routing decision for a flow out of leaf sl:
 // the ECMP hash's pick, unless a failure schedule is armed and that
 // spine's path is down — then the hash re-rolls over the surviving
-// uplinks (failover), or the degraded single path when none survive. It
-// panics on a spineless fabric (no cross-leaf path exists to choose).
-func (t *Topology) SpineFor(src, dst int) int {
-	if len(t.spines) == 0 {
-		panic("fabric: no spines to hash over")
-	}
-	h := FlowHash(uint64(src), uint64(dst), t.spec.Seed)
-	primary := int(h % uint64(len(t.spines)))
-	if t.health == nil {
-		return primary
-	}
-	s, _, _ := t.health.spineFor(t.LeafOf(src), primary, h)
-	return s
-}
-
-// routeSpine is SpineFor with failover accounting — the per-frame routing
-// decision.
+// uplinks (failover, with accounting), or the degraded single path when
+// none survive.
 func (t *Topology) routeSpine(sl, src, dst int) int {
 	h := FlowHash(uint64(src), uint64(dst), t.spec.Seed)
 	primary := int(h % uint64(len(t.spines)))
@@ -465,19 +450,6 @@ func (t *Topology) ArmFailures(sched fault.Schedule, seed uint64) (*Health, erro
 // Health returns the armed failure-state view, or nil when ArmFailures
 // scheduled no outages.
 func (t *Topology) Health() *Health { return t.health }
-
-// PerSpineForwarded returns each spine's total forwarded-frame count in
-// spine order — the per-spine view of an ECMP failover: an outage shifts
-// counts off the down spine onto the survivors.
-func (t *Topology) PerSpineForwarded() []uint64 {
-	out := make([]uint64, len(t.spines))
-	for i, sp := range t.spines {
-		for p := 0; p < sp.Ports(); p++ {
-			out[i] += sp.Port(p).Stats().Forwarded
-		}
-	}
-	return out
-}
 
 // Stats aggregates the per-port counters of every switch hop.
 type Stats struct {

@@ -138,14 +138,3 @@ func (s *Store) cloneSpan(dst, src, k int64) {
 	soff := src & mask
 	copy(dp[doff:doff+k], sp[soff:soff+k])
 }
-
-// Zero clears n bytes at addr (RowClone's bulk-initialisation use).
-func (s *Store) Zero(addr int64, n int) error {
-	return s.Write(addr, make([]byte, n))
-}
-
-// PagesResident returns how many distinct pages hold data.
-func (s *Store) PagesResident() int { return len(s.pages) }
-
-// Traffic returns total bytes written and read through the store.
-func (s *Store) Traffic() (written, read int64) { return s.bytesWritten, s.bytesRead }

@@ -86,16 +86,6 @@ func TestCloneOverlapping(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	s := New()
-	s.Write(64, []byte{1, 2, 3, 4})
-	s.Zero(64, 4)
-	got, _ := s.Read(64, 4)
-	if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
-		t.Fatal("Zero did not clear")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	s := New()
 	if err := s.Write(-1, []byte{1}); err == nil {

@@ -32,7 +32,7 @@ func refFRFCFS(q []*refEntry, rs *RankSet, starvationCap int) (int, bool) {
 	}
 	hit := -1
 	for i, e := range q {
-		if rs.rank(addrmap.DecodeRank(e.addr)).WouldHit(e.addr) {
+		if l := addrmap.DecodeRank(e.addr); rs.rank(l).OpenRow(l.Bank) == l.GlobalRow() {
 			hit = i
 			break
 		}

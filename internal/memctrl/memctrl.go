@@ -124,18 +124,9 @@ func DefaultConfig() Config {
 // Stats accumulates controller-level statistics.
 type Stats struct {
 	ReadsDone, WritesDone uint64
-	ReadLatencySum        sim.Time
 	BytesTransferred      int64
 	MaxReadQueueDepth     int
 	Rejected              uint64 // requests dropped because a queue was full
-}
-
-// AvgReadLatency returns the mean read latency, or 0 if no reads completed.
-func (s Stats) AvgReadLatency() sim.Time {
-	if s.ReadsDone == 0 {
-		return 0
-	}
-	return s.ReadLatencySum / sim.Time(s.ReadsDone)
 }
 
 // Controller is an event-driven memory-channel scheduler.
@@ -298,14 +289,6 @@ func (x *transfer) fire() {
 
 // Stats returns a copy of the controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the statistics (for measurement windows after warmup).
-func (c *Controller) ResetStats() { c.stats = Stats{} }
-
-// QueueDepths reports the current read and write queue occupancy.
-func (c *Controller) QueueDepths() (reads, writes int) {
-	return c.readQ.n, c.writeQ.n
-}
 
 // Observe attaches the observability plane: trk records one span per
 // completed transaction (submit to completion, named by direction and
@@ -471,7 +454,6 @@ func (c *Controller) retire(e *entry) {
 		c.stats.WritesDone++
 	} else {
 		c.stats.ReadsDone++
-		c.stats.ReadLatencySum += e.completed - e.submitted
 	}
 	c.stats.BytesTransferred += e.req.Bytes
 	e.req.Done, e.xfer = nil, nil // the free list pins no caller state

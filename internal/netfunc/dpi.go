@@ -11,13 +11,12 @@ type Matcher struct {
 	next   [][256]int32
 	fail   []int32
 	output [][]int32
-	pats   []string
 	built  bool
 }
 
 // NewMatcher compiles the patterns. Empty patterns are rejected.
 func NewMatcher(patterns ...string) (*Matcher, error) {
-	m := &Matcher{pats: patterns}
+	m := &Matcher{}
 	m.addState() // root
 	for i, p := range patterns {
 		if p == "" {
@@ -102,9 +101,6 @@ func (m *Matcher) Contains(payload []byte) bool {
 	}
 	return false
 }
-
-// Patterns returns the compiled pattern list.
-func (m *Matcher) Patterns() []string { return m.pats }
 
 // Inspector is the DPI network function: scan the payload; packets with a
 // banned pattern are dropped, others forwarded via the L3F table.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"netdimm/internal/nic"
-	"netdimm/internal/sim"
 )
 
 // Kind selects a network function.
@@ -44,15 +43,6 @@ func (k Kind) LinesTouched(p nic.Packet) int {
 		return 1
 	}
 	return p.Cachelines()
-}
-
-// CPUCost models the per-packet compute time: a table lookup for L3F, a
-// per-byte scan for DPI.
-func (k Kind) CPUCost(p nic.Packet) sim.Time {
-	if k == L3F {
-		return 40 * sim.Nanosecond
-	}
-	return 60*sim.Nanosecond + sim.Time(p.Size)*sim.Nanosecond/4 // ~4B/ns scan
 }
 
 // IPv4 is a host-order IPv4 address.

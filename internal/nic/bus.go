@@ -71,11 +71,6 @@ type MemChannelBus struct {
 	Media sim.Time
 }
 
-// DefaultMemChannelBus returns NetDIMM register costs.
-func DefaultMemChannelBus() MemChannelBus {
-	return MemChannelBus{Protocol: nvdimmp.DefaultTiming(), Media: 15 * sim.Nanosecond}
-}
-
 // ReadCost implements RegisterBus: an asynchronous XRD/RDY/SEND read.
 func (b MemChannelBus) ReadCost() sim.Time { return b.Protocol.ReadLatency(b.Media) }
 

@@ -42,7 +42,8 @@ func TraceTransfer(start sim.Time, addr, bytes int64, write bool, bytesPerSec fl
 // local DRAM).
 type Device interface {
 	// DoorbellCost is the driver's doorbell: one posted write to the
-	// device's registers, Regs().WriteCost() (I/O reg acc component).
+	// device's registers, its register bus's WriteCost() (I/O reg acc
+	// component).
 	DoorbellCost() sim.Time
 	// DescriptorFetch is the NIC-side cost of reading one descriptor.
 	DescriptorFetch() sim.Time
@@ -86,9 +87,6 @@ func NewDNIC() DNIC { return NewDNICWith(pcie.NewLink(pcie.Gen4, 8)) }
 func NewDNICWith(link pcie.Link) DNIC {
 	return DNIC{Link: link, HostMemLatency: 50 * sim.Nanosecond}
 }
-
-// Regs returns the register attachment: the PCIe link.
-func (d DNIC) Regs() RegisterBus { return PCIeBus{Link: d.Link} }
 
 // DoorbellCost implements Device.
 func (d DNIC) DoorbellCost() sim.Time { return PCIeBus{Link: d.Link}.WriteCost() }
@@ -134,9 +132,6 @@ func NewINIC() INIC {
 		LLCBandwidth: 50e9,                // on-chip fill bandwidth
 	}
 }
-
-// Regs returns the register attachment: the on-chip bus.
-func (i INIC) Regs() RegisterBus { return i.Bus }
 
 // DoorbellCost implements Device.
 func (i INIC) DoorbellCost() sim.Time { return i.Bus.WriteCost() }

@@ -90,17 +90,6 @@ func (r *Ring) Full() bool { return r.count == len(r.slots) }
 // Empty reports whether no slot is occupied.
 func (r *Ring) Empty() bool { return r.count == 0 }
 
-// SlotAddr returns the physical address of slot i.
-func (r *Ring) SlotAddr(i int) int64 {
-	return r.Base + int64(i%len(r.slots))*DescriptorBytes
-}
-
-// HeadAddr returns the physical address of the current producer slot.
-func (r *Ring) HeadAddr() int64 { return r.SlotAddr(r.head) }
-
-// TailAddr returns the physical address of the current consumer slot.
-func (r *Ring) TailAddr() int64 { return r.SlotAddr(r.tail) }
-
 // Push enqueues a descriptor at the producer index.
 func (r *Ring) Push(d Descriptor) error {
 	if r.Full() {

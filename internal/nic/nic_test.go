@@ -61,16 +61,6 @@ func TestRingWrapAround(t *testing.T) {
 	}
 }
 
-func TestRingSlotAddr(t *testing.T) {
-	r := NewRing("tx", 0x1000, 8)
-	if r.SlotAddr(0) != 0x1000 || r.SlotAddr(1) != 0x1000+DescriptorBytes {
-		t.Fatal("slot addresses wrong")
-	}
-	if r.SlotAddr(8) != r.SlotAddr(0) {
-		t.Fatal("slot address should wrap")
-	}
-}
-
 func TestRingMarkDone(t *testing.T) {
 	r := NewRing("rx", 0, 2)
 	if err := r.MarkDone(); err == nil {

@@ -147,13 +147,6 @@ func (tr *Tracker) Issue(now sim.Time, addr int64) (*Transaction, error) {
 	return tx, nil
 }
 
-// Expired reports whether the transaction is still pending, has not raised
-// RDY, and has passed its deadline at time now.
-func (tr *Tracker) Expired(id RequestID, now sim.Time) bool {
-	tx, ok := tr.pending[id]
-	return ok && !tx.ready && now >= tx.Deadline
-}
-
 // Abort retires a transaction whose RDY never arrived (or arrived too late
 // for the MC to act on), freeing its request ID for re-issue. It is the
 // timeout path's counterpart to Complete.

@@ -181,17 +181,6 @@ func (t *Track) Spans() []Span {
 	return t.spans
 }
 
-// Sum returns the summed duration of every span on the track.
-func (t *Track) Sum() sim.Time {
-	var total sim.Time
-	if t != nil {
-		for _, s := range t.spans {
-			total += s.End - s.Start
-		}
-	}
-	return total
-}
-
 // Recorder lays spans end to end on a virtual per-packet timeline. The
 // analytic driver paths account costs as durations, not instants; the
 // recorder gives each phase a concrete [cursor, cursor+d) interval, so the
@@ -222,14 +211,6 @@ func (r *Recorder) Advance(component, name string, d sim.Time) {
 	}
 	r.cell.Track(r.prefix+"/"+component).Span(name, r.cursor, r.cursor+d)
 	r.cursor += d
-}
-
-// SetPrefix renames the tracks subsequent Advance calls target (e.g.
-// switching from the tx side to the rx side of a one-way measurement).
-func (r *Recorder) SetPrefix(p string) {
-	if r != nil {
-		r.prefix = p
-	}
 }
 
 // Now returns the virtual-timeline cursor.

@@ -53,7 +53,6 @@ func TestRecorderSumsMatch(t *testing.T) {
 	r.Advance("txCopy", "skb", 100)
 	r.Advance("txCopy", "copy", 250)
 	r.Advance("wire", "wire", 500)
-	r.SetPrefix("dNIC") // same side; prefix switch is a no-op here
 	r.Advance("rxCopy", "deliver", 70)
 	r.Advance("txCopy", "zero", 0) // dropped, cursor unchanged
 

@@ -43,7 +43,7 @@ type Time int64
 // Convenient duration units.
 const (
 	Picosecond  Time = 1
-	Nanosecond  Time = 1000
+	Nanosecond  Time = 1000 * Picosecond
 	Microsecond Time = 1000 * Nanosecond
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond

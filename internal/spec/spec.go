@@ -2,7 +2,7 @@
 // specification (the paper's Table 1, or any scenario derived from it) to
 // the parameter sets of every substrate package — software costs, NetDIMM
 // device config, memory-controller config, DRAM timing, PCIe link,
-// Ethernet fabric and the flex-mode address map with its NET_i zone bases.
+// Ethernet fabric and the NET_i zone bases.
 //
 // The root netdimm package's Config converts to Spec one-to-one; the
 // internal experiment runners consume the derived form, so every model
@@ -56,25 +56,14 @@ type CollectiveSpec = collective.Spec
 // root netdimm.Config exactly (same names, types and order), so the two
 // structs convert directly.
 type Spec struct {
-	Cores         int
 	CoreGHz       float64
 	SuperscalarW  int
 	ROBEntries    int
-	IQEntries     int
-	LQEntries     int
-	SQEntries     int
-	L1ISizeKB     int
-	L1DSizeKB     int
-	L2SizeMB      int
-	L1ILatCycles  int
 	L1DLatCycles  int
 	L2LatCycles   int
 	DRAM          string
-	DRAMSizeGB    int
-	MemChannels   int
 	NetworkGbps   int
 	SwitchLatNs   int
-	NetDIMMs      int
 	PCIe          string
 	NetDIMMSizeGB int
 	// Fault configures deterministic fault injection; the zero value
@@ -103,66 +92,36 @@ type Spec struct {
 // TableOne returns the paper's Table 1 specification.
 func TableOne() Spec {
 	return Spec{
-		Cores:         8,
 		CoreGHz:       3.4,
 		SuperscalarW:  3,
 		ROBEntries:    40,
-		IQEntries:     32,
-		LQEntries:     16,
-		SQEntries:     16,
-		L1ISizeKB:     32,
-		L1DSizeKB:     64,
-		L2SizeMB:      2,
-		L1ILatCycles:  1,
 		L1DLatCycles:  2,
 		L2LatCycles:   12,
 		DRAM:          "DDR4-2400",
-		DRAMSizeGB:    16,
-		MemChannels:   2,
 		NetworkGbps:   40,
 		SwitchLatNs:   100,
-		NetDIMMs:      1,
 		PCIe:          "x8 PCIe Gen4",
 		NetDIMMSizeGB: 16,
 	}
 }
 
-func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
-
 // Validate checks the specification for internal consistency and returns
 // an actionable error for the first violation found.
 func (s Spec) Validate() error {
 	switch {
-	case s.Cores < 1:
-		return fmt.Errorf("spec: Cores must be at least 1, got %d", s.Cores)
 	case s.CoreGHz <= 0:
 		return fmt.Errorf("spec: CoreGHz must be positive, got %g", s.CoreGHz)
 	case s.SuperscalarW < 1:
 		return fmt.Errorf("spec: SuperscalarW must be at least 1, got %d", s.SuperscalarW)
-	case s.ROBEntries < 1 || s.IQEntries < 1 || s.LQEntries < 1 || s.SQEntries < 1:
-		return fmt.Errorf("spec: ROB/IQ/LQ/SQ entries must all be at least 1, got %d/%d/%d/%d",
-			s.ROBEntries, s.IQEntries, s.LQEntries, s.SQEntries)
-	case !powerOfTwo(s.L1ISizeKB) || !powerOfTwo(s.L1DSizeKB):
-		return fmt.Errorf("spec: L1 cache sizes must be powers of two (KB), got L1I=%dKB L1D=%dKB",
-			s.L1ISizeKB, s.L1DSizeKB)
-	case !powerOfTwo(s.L2SizeMB):
-		return fmt.Errorf("spec: L2 size must be a power of two (MB), got %dMB", s.L2SizeMB)
-	case s.L1ILatCycles < 1 || s.L1DLatCycles < 1 || s.L2LatCycles < 1:
-		return fmt.Errorf("spec: cache latencies must be at least 1 cycle, got L1I=%d L1D=%d L2=%d",
-			s.L1ILatCycles, s.L1DLatCycles, s.L2LatCycles)
-	case !powerOfTwo(s.DRAMSizeGB):
-		return fmt.Errorf("spec: DRAMSizeGB must be a power of two for channel interleaving, got %d", s.DRAMSizeGB)
-	case s.MemChannels < 1:
-		return fmt.Errorf("spec: MemChannels must be at least 1, got %d", s.MemChannels)
+	case s.ROBEntries < 1:
+		return fmt.Errorf("spec: ROBEntries must be at least 1, got %d", s.ROBEntries)
+	case s.L1DLatCycles < 1 || s.L2LatCycles < 1:
+		return fmt.Errorf("spec: cache latencies must be at least 1 cycle, got L1D=%d L2=%d",
+			s.L1DLatCycles, s.L2LatCycles)
 	case s.NetworkGbps < 1:
 		return fmt.Errorf("spec: NetworkGbps must be at least 1, got %d", s.NetworkGbps)
 	case s.SwitchLatNs < 0:
 		return fmt.Errorf("spec: SwitchLatNs must not be negative, got %d", s.SwitchLatNs)
-	case s.NetDIMMs < 1:
-		return fmt.Errorf("spec: NetDIMMs must be at least 1, got %d", s.NetDIMMs)
-	case s.NetDIMMs > 2*s.MemChannels:
-		return fmt.Errorf("spec: %d NetDIMMs exceed the address map: %d channels offer %d DIMM slots (two per channel)",
-			s.NetDIMMs, s.MemChannels, 2*s.MemChannels)
 	case s.NetDIMMSizeGB < 8 || s.NetDIMMSizeGB%8 != 0:
 		return fmt.Errorf("spec: NetDIMMSizeGB must be a positive multiple of the 8GB rank size, got %d", s.NetDIMMSizeGB)
 	}
@@ -212,9 +171,6 @@ type Derived struct {
 	Link ethernet.Link
 	// SwitchLatency is the default switch port-to-port latency.
 	SwitchLatency sim.Time
-	// Map is the flex-mode physical address map: the DDR region
-	// interleaved over MemChannels, then one NET_i region per NetDIMM.
-	Map *addrmap.SystemMap
 }
 
 // Derive validates the specification and resolves it into the parameter
@@ -232,18 +188,8 @@ func (s Spec) Derive() (*Derived, error) {
 		return nil, err
 	}
 
-	ndBytes := int64(s.NetDIMMSizeGB) << 30
-	ndSpecs := make([]addrmap.NetDIMMSpec, s.NetDIMMs)
-	for i := range ndSpecs {
-		ndSpecs[i] = addrmap.NetDIMMSpec{Channel: i % s.MemChannels, Size: ndBytes}
-	}
-	m, err := addrmap.NewSystemMap(s.MemChannels, int64(s.DRAMSizeGB)<<30, addrmap.PageSize, ndSpecs...)
-	if err != nil {
-		return nil, fmt.Errorf("spec: address map: %w", err)
-	}
-
 	coreCfg := core.DefaultConfig()
-	coreCfg.Ranks = int(ndBytes / addrmap.RankBytes)
+	coreCfg.Ranks = int(int64(s.NetDIMMSizeGB) << 30 / addrmap.RankBytes)
 	coreCfg.LocalTiming = timing
 
 	return &Derived{
@@ -255,7 +201,6 @@ func (s Spec) Derive() (*Derived, error) {
 		PCIe:          link,
 		Link:          ethernet.LinkGbps(float64(s.NetworkGbps)),
 		SwitchLatency: sim.Time(s.SwitchLatNs) * sim.Nanosecond,
-		Map:           m,
 	}, nil
 }
 
@@ -285,22 +230,16 @@ func (s Spec) costs() driver.Costs {
 	return driver.CostsFromParams(p)
 }
 
-// ZoneBase returns the physical base address of NetDIMM i's NET_i zone.
-func (d *Derived) ZoneBase(i int) int64 {
-	r, err := d.Map.NetDIMMRegion(i)
-	if err != nil {
-		panic(err) // unreachable: Derive sized the map to Spec.NetDIMMs
-	}
-	return r.Base
-}
+// hostDDRBytes is Table 1's 16GB of conventional host DDR, the bottom of
+// the physical address space (paper Fig. 10); the NET_i zones are stacked
+// above it.
+const hostDDRBytes = 16 << 30
 
-// ZoneBases returns every NET_i zone base in NetDIMM order.
-func (d *Derived) ZoneBases() []int64 {
-	bases := make([]int64, d.Spec.NetDIMMs)
-	for i := range bases {
-		bases[i] = d.ZoneBase(i)
-	}
-	return bases
+// ZoneBase returns the physical base address of NetDIMM i's NET_i zone:
+// NET_i regions of NetDIMMSizeGB each, stacked in order above the host
+// DDR region.
+func (d *Derived) ZoneBase(i int) int64 {
+	return hostDDRBytes + int64(i)*int64(d.Spec.NetDIMMSizeGB)<<30
 }
 
 // Fabric builds an analytic clos fabric over the derived link with the
@@ -333,10 +272,4 @@ func (d *Derived) NewNetDIMM(seed uint64) (*driver.NetDIMMDriver, error) {
 	cfg := d.Core
 	cfg.Seed = seed
 	return driver.NewNetDIMMMachineWith(cfg, d.ZoneBase(0), d.Costs)
-}
-
-// NewSystem builds a server carrying all Spec.NetDIMMs NetDIMMs with their
-// NET_i zones placed by the derived address map.
-func (d *Derived) NewSystem(seed uint64) (*driver.System, error) {
-	return driver.NewSystemWith(d.Core, d.ZoneBases(), d.Costs, seed)
 }

@@ -96,23 +96,17 @@ func TestDeriveNonTableOneCosts(t *testing.T) {
 	}
 }
 
+// NET_i zones stack above the 16GB host DDR region, NetDIMMSizeGB each.
 func TestDeriveMultiNetDIMMZoneBases(t *testing.T) {
 	s := TableOne()
-	s.NetDIMMs = 4
-	s.MemChannels = 4
+	s.NetDIMMSizeGB = 32
 	d, err := s.Derive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := d.ZoneBases()
-	if len(bases) != 4 {
-		t.Fatalf("bases = %d", len(bases))
-	}
-	ddr := int64(s.DRAMSizeGB) << 30
-	size := int64(s.NetDIMMSizeGB) << 30
-	for i, b := range bases {
-		if want := ddr + int64(i)*size; b != want {
-			t.Errorf("base[%d] = %d, want %d", i, b, want)
+	for i := 0; i < 4; i++ {
+		if got, want := d.ZoneBase(i), int64(16+32*i)<<30; got != want {
+			t.Errorf("ZoneBase(%d) = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -140,19 +134,12 @@ func TestValidateErrors(t *testing.T) {
 		s    Spec
 		frag string
 	}{
-		{"cores", mut(func(s *Spec) { s.Cores = 0 }), "Cores"},
 		{"freq", mut(func(s *Spec) { s.CoreGHz = -1 }), "CoreGHz"},
 		{"superscalar", mut(func(s *Spec) { s.SuperscalarW = 0 }), "SuperscalarW"},
 		{"rob", mut(func(s *Spec) { s.ROBEntries = 0 }), "ROB"},
-		{"l1size", mut(func(s *Spec) { s.L1DSizeKB = 48 }), "powers of two"},
-		{"l2size", mut(func(s *Spec) { s.L2SizeMB = 3 }), "L2"},
 		{"cachelat", mut(func(s *Spec) { s.L1DLatCycles = 0 }), "cache latencies"},
-		{"dramsize", mut(func(s *Spec) { s.DRAMSizeGB = 12 }), "DRAMSizeGB"},
-		{"channels", mut(func(s *Spec) { s.MemChannels = 0 }), "MemChannels"},
 		{"network", mut(func(s *Spec) { s.NetworkGbps = 0 }), "NetworkGbps"},
 		{"switch", mut(func(s *Spec) { s.SwitchLatNs = -1 }), "SwitchLatNs"},
-		{"netdimms", mut(func(s *Spec) { s.NetDIMMs = 0 }), "NetDIMMs"},
-		{"slots", mut(func(s *Spec) { s.NetDIMMs = 5 }), "DIMM slots"},
 		{"ndsize", mut(func(s *Spec) { s.NetDIMMSizeGB = 12 }), "rank size"},
 		{"dram", mut(func(s *Spec) { s.DRAM = "DDR3-1600" }), "DDR4-2400"},
 		{"pcie", mut(func(s *Spec) { s.PCIe = "x8 AGP" }), "cannot parse"},
@@ -180,7 +167,7 @@ func TestMustDerivePanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	s := TableOne()
-	s.Cores = 0
+	s.CoreGHz = 0
 	s.MustDerive()
 }
 

@@ -66,32 +66,10 @@ func (b Breakdown) Total() sim.Time {
 	return t
 }
 
-// Share returns component c's fraction of the total, in [0,1].
-func (b Breakdown) Share(c Component) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b[c]) / float64(t)
-}
-
 // Plus returns the component-wise sum of two breakdowns.
 func (b Breakdown) Plus(o Breakdown) Breakdown {
 	for c, v := range o {
 		b[c] += v
-	}
-	return b
-}
-
-// Scale returns the breakdown divided by n (for averaging). Each component
-// divides independently with truncation, so Scale(n).Total() can undershoot
-// Total()/n by up to one unit per nonzero component.
-func (b Breakdown) Scale(n int64) Breakdown {
-	if n == 0 {
-		return Breakdown{}
-	}
-	for c, v := range b {
-		b[c] = v / sim.Time(n)
 	}
 	return b
 }
@@ -183,9 +161,6 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 	return h.samples[rank]
 }
 
-// Min returns the smallest sample.
-func (h *Histogram) Min() sim.Time { return h.Percentile(0) }
-
 // Max returns the largest sample.
 func (h *Histogram) Max() sim.Time { return h.Percentile(100) }
 
@@ -244,54 +219,6 @@ func (t *Table) String() string {
 			sb.WriteString("  ")
 		}
 		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteString("\n")
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
-// markdownCellEscaper rewrites the characters that break a markdown
-// table's structure: pipes would open a new column and raw newlines would
-// end the row mid-cell, so pipes are backslash-escaped and line breaks
-// become <br> (the only in-cell line break GitHub-flavored markdown
-// renders).
-var markdownCellEscaper = strings.NewReplacer(
-	"|", `\|`,
-	"\r\n", "<br>",
-	"\n", "<br>",
-	"\r", "<br>",
-)
-
-// Markdown renders the table as a GitHub-flavored markdown table. Pipe and
-// newline characters in cells are escaped (a scenario name containing
-// either would otherwise corrupt every row after it), and ragged rows are
-// padded (or truncated rows simply end early) against the widest row,
-// mirroring String's tolerance.
-func (t *Table) Markdown() string {
-	cols := len(t.Header)
-	for _, row := range t.Rows {
-		if len(row) > cols {
-			cols = len(row)
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		sb.WriteString("|")
-		for i := 0; i < cols; i++ {
-			c := ""
-			if i < len(cells) {
-				c = markdownCellEscaper.Replace(cells[i])
-			}
-			sb.WriteString(" " + c + " |")
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(t.Header)
-	sb.WriteString("|")
-	for i := 0; i < cols; i++ {
-		sb.WriteString(" --- |")
 	}
 	sb.WriteString("\n")
 	for _, row := range t.Rows {

@@ -52,7 +52,7 @@ func TestRunLoadSweepRejectsInvalidInput(t *testing.T) {
 		t.Fatal("unknown cluster accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.Cores = 0
+	cfg.CoreGHz = 0
 	if _, _, err := RunLoadSweepWithConfig(cfg, []float64{0.1}, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}

@@ -58,11 +58,7 @@ func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 // nCache replacement randomness; distinct endpoints should use distinct
 // seeds.
 func NewNetDIMM(seed uint64) (*Machine, error) {
-	nd, err := driver.NewNetDIMMMachine(seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{impl: nd}, nil
+	return NewNetDIMMWithConfig(DefaultConfig(), seed)
 }
 
 // NewNetDIMMWithConfig builds a NetDIMM server from a configuration: the

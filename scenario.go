@@ -19,10 +19,6 @@ func scenarioPresets() map[string]Config {
 	gen3 := DefaultConfig()
 	gen3.PCIe = "x8 PCIe Gen3"
 
-	multi := DefaultConfig()
-	multi.NetDIMMs = 4
-	multi.MemChannels = 4
-
 	lossy := DefaultConfig()
 	lossy.Fault = FaultConfig{
 		DropProb:    0.01,
@@ -32,11 +28,10 @@ func scenarioPresets() map[string]Config {
 	}
 
 	return map[string]Config{
-		"table1":          DefaultConfig(),
-		"ddr5":            ddr5,
-		"pcie-gen3":       gen3,
-		"multi-netdimm-4": multi,
-		"lossy-1pct":      lossy,
+		"table1":     DefaultConfig(),
+		"ddr5":       ddr5,
+		"pcie-gen3":  gen3,
+		"lossy-1pct": lossy,
 	}
 }
 
