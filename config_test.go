@@ -1,0 +1,92 @@
+package netdimm
+
+import (
+	"reflect"
+	"testing"
+	"time"
+)
+
+// TestEveryConfigFieldChangesOutput keeps Config to knobs that do
+// something: every top-level scalar field needs an entry below with a
+// second valid value and a cheap run whose output that value changes. A
+// new field without an entry fails, and so does an entry whose run prints
+// the same bytes as DefaultConfig. The struct blocks (Fault, Obs, Load,
+// Fabric, Collective) have their own tests.
+func TestEveryConfigFieldChangesOutput(t *testing.T) {
+	runs := map[string]func(Config) (string, error){
+		"fig11": func(cfg Config) (string, error) {
+			rows, err := RunFig11WithConfig(cfg, []int{64, 1514}, 100*time.Nanosecond, 1)
+			return Fig11CSV(rows), err
+		},
+		// The metrics name every NetDIMM rank, so they see the capacity.
+		"fig11 -metrics": func(cfg Config) (string, error) {
+			cfg.Obs.Metrics = true
+			rows, ob, err := RunFig11Observed(cfg, []int{64}, 100*time.Nanosecond, 1)
+			return Fig11CSV(rows) + ob.MetricsCSV(), err
+		},
+		"loadsweep": func(cfg Config) (string, error) {
+			rows, _, err := RunLoadSweepWithConfig(cfg, []float64{0.5}, 200, 1, 1)
+			return LoadSweepCSV(rows), err
+		},
+	}
+	knobs := map[string]struct {
+		set func(*Config)
+		run string
+	}{
+		"CoreGHz":       {func(c *Config) { c.CoreGHz = 2.0 }, "fig11"},
+		"SuperscalarW":  {func(c *Config) { c.SuperscalarW = 4 }, "fig11"},
+		"ROBEntries":    {func(c *Config) { c.ROBEntries = 80 }, "fig11"},
+		"L1DLatCycles":  {func(c *Config) { c.L1DLatCycles = 4 }, "fig11"},
+		"L2LatCycles":   {func(c *Config) { c.L2LatCycles = 20 }, "fig11"},
+		"DRAM":          {func(c *Config) { c.DRAM = "DDR5-4800" }, "fig11"},
+		"NetworkGbps":   {func(c *Config) { c.NetworkGbps = 100 }, "fig11"},
+		"PCIe":          {func(c *Config) { c.PCIe = "x8 PCIe Gen3" }, "fig11"},
+		"SwitchLatNs":   {func(c *Config) { c.SwitchLatNs = 500 }, "loadsweep"},
+		"NetDIMMSizeGB": {func(c *Config) { c.NetDIMMSizeGB = 32 }, "fig11 -metrics"},
+	}
+
+	base := map[string]string{}
+	output := func(run string, cfg Config) string {
+		t.Helper()
+		out, err := runs[run](cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", run, err)
+		}
+		return out
+	}
+	seen := map[string]bool{}
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if f.Type.Kind() == reflect.Struct {
+			continue
+		}
+		seen[f.Name] = true
+		k, ok := knobs[f.Name]
+		if !ok {
+			t.Errorf("Config.%s has no entry here: give it a value and a run it changes, or delete the field", f.Name)
+			continue
+		}
+		cfg := DefaultConfig()
+		k.set(&cfg)
+		if reflect.DeepEqual(cfg, DefaultConfig()) {
+			t.Errorf("Config.%s: the entry's value is the default", f.Name)
+			continue
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Config.%s: the entry's value is invalid: %v", f.Name, err)
+			continue
+		}
+		if _, ok := base[k.run]; !ok {
+			base[k.run] = output(k.run, DefaultConfig())
+		}
+		if output(k.run, cfg) == base[k.run] {
+			t.Errorf("Config.%s changes no %s output: it is not a knob", f.Name, k.run)
+		}
+	}
+	for name := range knobs {
+		if !seen[name] {
+			t.Errorf("entry %s names no top-level scalar Config field", name)
+		}
+	}
+}
