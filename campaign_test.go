@@ -180,6 +180,8 @@ func TestCampaignCSVMatchesCLIGoldens(t *testing.T) {
 		{campaign.Experiment{Experiment: "fig4"}, "fig4-table1.csv", false},
 		{campaign.Experiment{Experiment: "fig4", Scenario: "ddr5"}, "fig4-ddr5.csv", false},
 		{campaign.Experiment{Experiment: "fig11", Scenario: "pcie-gen3"}, "fig11-pcie-gen3.csv", false},
+		{campaign.Experiment{Experiment: "fig12a", Packets: 1000}, "fig12a-table1.csv", false},
+		{campaign.Experiment{Experiment: "faultsweep", Packets: 1000}, "faultsweep-default.csv", false},
 		{campaign.Experiment{Experiment: "loadsweep", Packets: 1000}, "loadsweep-default.csv", false},
 		{campaign.Experiment{Experiment: "failsweep"}, "failsweep-default.csv", false},
 		{campaign.Experiment{Experiment: "collsweep"}, "collsweep-default.csv", false},

@@ -61,6 +61,19 @@ var goldenCases = []struct {
 	{"-metrics -csv loadsweep", "loadsweep-metrics.txt", false, false},
 	{"-metrics -csv -scenario ../../scenarios/clos-2x4.json -rate 0.2,0.8 racksweep", "racksweep-clos-2x4-metrics.txt", false, false},
 	{"-metrics -csv -scenario ../../scenarios/spine-fail.json failsweep", "failsweep-spine-fail-metrics.txt", false, false},
+	{"fig4", "fig4-table1.txt", false, false},
+	{"fig5", "fig5-table1.txt", true, false},
+	{"fig7", "fig7-table1.txt", false, false},
+	{"fig11", "fig11-table1.txt", false, false},
+	{"fig12a", "fig12a-table1.txt", false, false},
+	{"fig12b", "fig12b-table1.txt", false, false},
+	{"faultsweep", "faultsweep-default.txt", false, false},
+	{"-metrics faultsweep", "faultsweep-metrics.txt", false, false},
+	{"-metrics -csv faultsweep", "faultsweep-metrics-csv.txt", false, false},
+	{"loadsweep", "loadsweep-default.txt", false, false},
+	{"racksweep", "racksweep-default.txt", true, false},
+	{"failsweep", "failsweep-default.txt", false, false},
+	{"collsweep", "collsweep-default.txt", false, false},
 }
 
 // TestGoldens runs each golden command through the CLI and compares its
