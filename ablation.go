@@ -1,11 +1,9 @@
 package netdimm
 
 import (
-	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
-	"netdimm/internal/stats"
 )
 
 // BandwidthResult reports the Sec. 5.2 sustained-throughput check for one
@@ -19,16 +17,11 @@ type BandwidthResult struct {
 	Sustained       bool
 }
 
-// RunBandwidth streams MTU frames at 40GbE line rate through each
-// architecture and reports whether it sustains the offered rate (paper
-// Sec. 5.2: all three do; the NetDIMM's single local channel has ample
-// headroom). parallelism follows the convention of RunFig4.
-func RunBandwidth(packets int, parallelism int) ([]BandwidthResult, error) {
-	return RunBandwidthWithConfig(DefaultConfig(), packets, parallelism)
-}
-
-// RunBandwidthWithConfig is RunBandwidth on the system described by cfg
-// (its link rate and local-channel bandwidth).
+// RunBandwidthWithConfig streams MTU frames at the line rate of the system
+// described by cfg through each architecture and reports whether it
+// sustains the offered rate (paper Sec. 5.2: at 40GbE all three do; the
+// NetDIMM's single local channel has ample headroom). parallelism follows
+// the convention of RunFig4WithConfig.
 func RunBandwidthWithConfig(cfg Config, packets int, parallelism int) (_ []BandwidthResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -61,28 +54,6 @@ type AblationReport struct {
 	HeaderCache []HeaderCacheAblation
 }
 
-var ablationHeader = []string{"section", "variant", "latency_ns", "rate"}
-
-// ablationCSV renders an ablation report as CSV, one record per variant,
-// section by section. Only campaign cells emit it; the CLI prints ablation
-// as a table.
-func ablationCSV(rep AblationReport) string {
-	var out [][]string
-	for _, r := range rep.Prefetch {
-		out = append(out, []string{"prefetch", fmt.Sprintf("degree-%d", r.Degree), ns(r.MeanReadLat), fixed4(r.HitRate)})
-	}
-	for _, r := range rep.Clone {
-		out = append(out, []string{"clone", r.Strategy, ns(r.PerClone), ""})
-	}
-	for _, r := range rep.Alloc {
-		out = append(out, []string{"alloc", r.Strategy, ns(r.PerAlloc), fixed4(r.FPMRate)})
-	}
-	for _, r := range rep.HeaderCache {
-		out = append(out, []string{"headercache", r.Strategy, ns(r.HeaderRead), fixed4(r.HitRate)})
-	}
-	return stats.CSV(ablationHeader, out)
-}
-
 // PrefetchAblation is payload-read behaviour at one nPrefetcher degree.
 type PrefetchAblation struct {
 	Degree      int
@@ -110,14 +81,10 @@ type HeaderCacheAblation struct {
 	HitRate    float64
 }
 
-// RunAblations runs all four ablation studies. parallelism follows the
-// convention of RunFig4; the clone and alloc studies are inherently
-// sequential and ignore it.
-func RunAblations(parallelism int) (AblationReport, error) {
-	return RunAblationsWithConfig(DefaultConfig(), parallelism)
-}
-
-// RunAblationsWithConfig is RunAblations on the system described by cfg.
+// RunAblationsWithConfig runs all four ablation studies on the system
+// described by cfg. parallelism follows the convention of
+// RunFig4WithConfig; the clone and alloc studies are inherently sequential
+// and ignore it.
 func RunAblationsWithConfig(cfg Config, parallelism int) (_ AblationReport, err error) {
 	defer guard(&err)
 	var rep AblationReport

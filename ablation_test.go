@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunBandwidth(t *testing.T) {
-	rows, err := RunBandwidth(200, 0)
+	rows, err := RunBandwidthWithConfig(DefaultConfig(), 200, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestRunBandwidth(t *testing.T) {
 }
 
 func TestRunAblations(t *testing.T) {
-	rep, err := RunAblations(0)
+	rep, err := RunAblationsWithConfig(DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunAblations(t *testing.T) {
 }
 
 func TestRunMixedChannel(t *testing.T) {
-	r, err := RunMixedChannel(200, 5)
+	r, err := RunMixedChannelWithConfig(DefaultConfig(), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestReplayTraceFileAPI(t *testing.T) {
 	if err := writeTraceForTest(&buf, Hadoop, 3, 100); err != nil {
 		t.Fatal(err)
 	}
-	cluster, rows, err := ReplayTraceFile(&buf, 100*time.Nanosecond, 1, 0)
+	cluster, rows, err := ReplayTraceFileWithConfig(DefaultConfig(), &buf, 100*time.Nanosecond, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,11 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rows []Fig4Result
 	for i := 0; i < b.N; i++ {
-		rows = RunFig4([]int{10, 60, 200, 500, 1000, 2000}, 100*time.Nanosecond, 1)
+		var err error
+		rows, err = RunFig4WithConfig(DefaultConfig(), []int{10, 60, 200, 500, 1000, 2000}, 100*time.Nanosecond, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	last := rows[len(rows)-1]
 	b.ReportMetric(float64(last.DNIC.Nanoseconds()), "dNIC-2000B-ns")
@@ -44,7 +48,11 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var rows []Fig5Result
 	for i := 0; i < b.N; i++ {
-		rows = RunFig5([]time.Duration{time.Second, 500 * time.Nanosecond, 5 * time.Nanosecond}, 1)
+		var err error
+		rows, err = RunFig5WithConfig(DefaultConfig(), []time.Duration{time.Second, 500 * time.Nanosecond, 5 * time.Nanosecond}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	base := rows[0].BandwidthGbps
 	worst := rows[len(rows)-1].BandwidthGbps
@@ -57,7 +65,11 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	var pts []Fig7Result
 	for i := 0; i < b.N; i++ {
-		pts = RunFig7()
+		var err error
+		pts, err = RunFig7WithConfig(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	if len(pts) == 0 {
 		b.Fatal("empty Fig7 trace")
@@ -87,7 +99,7 @@ func BenchmarkFig11(b *testing.B) {
 	var rows []Fig11Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFig11([]int{64, 256, 1024, 1514}, 100*time.Nanosecond, 1)
+		rows, err = RunFig11WithConfig(DefaultConfig(), []int{64, 256, 1024, 1514}, 100*time.Nanosecond, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +124,7 @@ func benchmarkFig12a(b *testing.B, parallelism int) {
 	var rows []Fig12aResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFig12a(200, 3, parallelism)
+		rows, err = RunFig12aWithConfig(DefaultConfig(), 200, 3, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +147,11 @@ func benchmarkFig12a(b *testing.B, parallelism int) {
 func BenchmarkFig12b(b *testing.B) {
 	var rows []Fig12bResult
 	for i := 0; i < b.N; i++ {
-		rows = RunFig12b(1)
+		var err error
+		rows, err = RunFig12bWithConfig(DefaultConfig(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	var dpiWorst, l3fBest float64
 	for _, r := range rows {
@@ -155,7 +171,7 @@ func BenchmarkHeadline(b *testing.B) {
 	var h HeadlineResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		h, err = RunHeadline(100, 1)
+		h, err = RunHeadlineWithConfig(DefaultConfig(), 100, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,17 +183,18 @@ func BenchmarkHeadline(b *testing.B) {
 // BenchmarkOneWayPacket measures the simulator's own throughput on the
 // core single-packet path (not a paper figure; a harness health metric).
 func BenchmarkOneWayPacket(b *testing.B) {
-	tx, err := NewNetDIMM(1)
+	cfg := DefaultConfig()
+	tx, err := NewNetDIMMWithConfig(cfg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rx, err := NewNetDIMM(2)
+	rx, err := NewNetDIMMWithConfig(cfg, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneWayLatency(tx, rx, 1514, 100*time.Nanosecond); err != nil {
+		if _, err := OneWayLatencyWithConfig(cfg, tx, rx, 1514, 100*time.Nanosecond); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,16 +204,17 @@ func BenchmarkOneWayPacket(b *testing.B) {
 // packets, so the budgets below measure the steady state: recycled nMC
 // entries and transfers, and grown queues and event heaps.
 func warmOneWay(t *testing.T) (tx, rx *Machine, send func()) {
-	tx, err := NewNetDIMM(1)
+	cfg := DefaultConfig()
+	tx, err := NewNetDIMMWithConfig(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx, err = NewNetDIMM(2)
+	rx, err = NewNetDIMMWithConfig(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	send = func() {
-		if _, err := OneWayLatency(tx, rx, 1514, 100*time.Nanosecond); err != nil {
+		if _, err := OneWayLatencyWithConfig(cfg, tx, rx, 1514, 100*time.Nanosecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +266,7 @@ func TestOneWayPacketEvents(t *testing.T) {
 func BenchmarkNewNetDIMM(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewNetDIMM(uint64(i)); err != nil {
+		if _, err := NewNetDIMMWithConfig(DefaultConfig(), uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +280,7 @@ func BenchmarkNewNetDIMM(b *testing.B) {
 func TestNewNetDIMMAllocs(t *testing.T) {
 	const runs = 20
 	build := func() {
-		if _, err := NewNetDIMM(1); err != nil {
+		if _, err := NewNetDIMMWithConfig(DefaultConfig(), 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package netdimm
+package main
 
 import (
 	"strings"
@@ -25,12 +25,15 @@ func FuzzCampaignGrid(f *testing.F) {
 	f.Add(`{"Experimants": []}`)
 	f.Add(`[{"Experiment": "fig11"}]`)
 	f.Add(`{"Seed": -1}`)
+	f.Add(`{"Experiments": [{"Experiment": "fig4", "Metrics": true}]}`)
+	f.Add(`{"Experiments": [{"Experiment": "ablation", "Trace": true}]}`)
+	f.Add(`{"Experiments": [{"Experiment": "fig12a", "Packets": 50, "Metrics": false, "Trace": false}, {"Experiment": "collsweep", "Trace": true}]}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		g, err := campaign.ReadGrid(strings.NewReader(data))
 		if err != nil {
 			return
 		}
-		if err := g.Validate(CampaignSchemas()); err != nil {
+		if err := g.Validate(campaignSchemas()); err != nil {
 			return
 		}
 		cells, err := g.Plan()

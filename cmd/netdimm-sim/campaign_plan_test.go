@@ -10,8 +10,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
-
-	"netdimm"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -31,7 +29,7 @@ type plannedCell struct {
 // the reproducibility contract — a change here invalidates every published
 // campaign manifest, so it must be deliberate (regenerate with -update).
 func TestCampaignDefaultPlanGolden(t *testing.T) {
-	grid, err := netdimm.LoadCampaignGrid(filepath.Join("..", "..", "scenarios", "campaign-default.json"))
+	grid, err := loadGrid(filepath.Join("..", "..", "scenarios", "campaign-default.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +40,7 @@ func TestCampaignDefaultPlanGolden(t *testing.T) {
 	var plan []plannedCell
 	for _, c := range cells {
 		plan = append(plan, plannedCell{
-			Name: c.Name, Experiment: c.Experiment, Scenario: c.Scenario,
+			Name: c.Name, Experiment: c.Row.Experiment, Scenario: c.Row.Scenario,
 			Repeat: c.Repeat, Seed: c.Seed,
 		})
 	}

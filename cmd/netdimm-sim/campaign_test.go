@@ -1,4 +1,4 @@
-package netdimm
+package main
 
 import (
 	"encoding/json"
@@ -26,7 +26,7 @@ func tinyGrid() campaign.Grid {
 
 func TestRunCampaignEndToEnd(t *testing.T) {
 	grid := tinyGrid()
-	rep, err := RunCampaign(grid, "", t.TempDir(), nil)
+	rep, err := runGrid(grid, "", t.TempDir(), nil)
 	if err != nil {
 		t.Fatalf("RunCampaign: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestRunCampaignEndToEnd(t *testing.T) {
 			t.Errorf("cell %s CSV: %v", c.Name, err)
 			continue
 		}
-		if _, err := campaign.ValidateCSV(string(data), CampaignSchemas()[c.Experiment], c.Rows); err != nil {
+		if _, err := campaign.ValidateCSV(string(data), campaignSchemas()[c.Experiment], c.Rows); err != nil {
 			t.Errorf("cell %s on-disk CSV fails validation: %v", c.Name, err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestRunCampaignDeterministic(t *testing.T) {
 	run := func(parallelism int) string {
 		g := tinyGrid()
 		g.Parallelism = parallelism
-		rep, err := RunCampaign(g, "", t.TempDir(), nil)
+		rep, err := runGrid(g, "", t.TempDir(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,14 +141,14 @@ func TestRunCampaignDeterministic(t *testing.T) {
 }
 
 func TestRunCampaignRejectsInvalidGrid(t *testing.T) {
-	_, err := RunCampaign(campaign.Grid{}, "", t.TempDir(), nil)
+	_, err := runGrid(campaign.Grid{}, "", t.TempDir(), nil)
 	if err == nil || !strings.Contains(err.Error(), "no experiments") {
 		t.Fatalf("want validation error, got %v", err)
 	}
 }
 
 func TestLoadCampaignGridDefault(t *testing.T) {
-	g, err := LoadCampaignGrid("scenarios/campaign-default.json")
+	g, err := loadGrid(filepath.Join("..", "..", "scenarios", "campaign-default.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestLoadCampaignGridDefault(t *testing.T) {
 	for _, e := range g.Experiments {
 		seen[e.Experiment]++
 	}
-	for fam := range CampaignSchemas() {
+	for fam := range campaignSchemas() {
 		if seen[fam] != 1 {
 			t.Errorf("family %s appears %d times in the default grid, want 1", fam, seen[fam])
 		}
@@ -197,11 +197,11 @@ func TestCampaignCSVMatchesCLIGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runCampaignCell(cells[0])
+			res, err := runCell(cells[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join("cmd", "netdimm-sim", "testdata", "golden", tc.golden))
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.golden))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,5 +209,22 @@ func TestCampaignCSVMatchesCLIGoldens(t *testing.T) {
 				t.Fatalf("campaign %s CSV differs from CLI golden %s", tc.row.Experiment, tc.golden)
 			}
 		})
+	}
+}
+
+// Every campaign grid shipped in scenarios/ (campaign-*.json) must load
+// and validate against the family table.
+func TestCommittedGridFiles(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "campaign-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed campaign grids found")
+	}
+	for _, path := range paths {
+		if _, err := loadGrid(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }

@@ -78,3 +78,41 @@ func TestCampaignRejectsStrayArgument(t *testing.T) {
 		t.Fatalf("stderr does not name the stray argument:\n%s", stderr.String())
 	}
 }
+
+// TestRejectsFlagsAFamilyCannotHonour: a single verb given -trace or
+// -metrics whose family records no observation, or -csv on a family with
+// no CSV form, fails before running and names the families that can.
+func TestRejectsFlagsAFamilyCannotHonour(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trace", trace, "fig4"}, "-trace: fig4 records no trace (families that do: fig11, mixed, faultsweep, loadsweep, racksweep, failsweep, collsweep)"},
+		{[]string{"-metrics", "fig12a"}, "-metrics: fig12a records no metrics (families that do: fig11, mixed,"},
+		{[]string{"-csv", "headline"}, "-csv: headline has no CSV form (families that do: fig4, fig5, fig7, fig11, fig12a, fig12b, ablation, faultsweep,"},
+		{[]string{"-csv", "table1"}, "-csv: table1 has no CSV form"},
+		{[]string{"campaign", "-grid", "g.json", "-metrics"}, "campaign: -csv, -trace and -metrics do not apply"},
+	}
+	for _, tc := range cases {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), cliEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("netdimm-sim %v: err = %v, want exit status 1", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("netdimm-sim %v: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("netdimm-sim %v printed %q before failing", tc.args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Errorf("a rejected -trace run left a trace file (stat: %v)", err)
+	}
+}

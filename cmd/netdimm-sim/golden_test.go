@@ -162,7 +162,7 @@ func TestTraceWriteErrorPropagates(t *testing.T) {
 	}
 	defer devNull.Close()
 	os.Stdout = devNull
-	if err := runFig11(netdimm.DefaultConfig()); err == nil {
-		t.Fatal("runFig11 with an uncreatable -trace path returned nil")
+	if err := run(netdimm.DefaultConfig(), "fig11"); err == nil {
+		t.Fatal("fig11 with an uncreatable -trace path returned nil")
 	}
 }

@@ -59,23 +59,17 @@ func CollSweepCSV(rows []CollSweepResult) string {
 	})
 }
 
-// RunCollSweep runs the collective sweep on the default configuration: for
-// each architecture, operation and rank count, the ranks run the collective
-// as an event-driven dependency graph over the fabric and the makespan,
-// per-step skew and wire tallies are measured. Every cell also verifies the
-// result vectors against a sequential reference reduction. ranks is the
-// rank-count axis (nil = {4, 8, 16, 32, 64, 128}), ops selects operations
-// (nil = all three).
-func RunCollSweep(ranks []int, ops []string, seed uint64, parallelism int) ([]CollSweepResult, error) {
-	return RunCollSweepWithConfig(DefaultConfig(), ranks, ops, seed, parallelism)
-}
-
-// RunCollSweepWithConfig is RunCollSweep on the system described by cfg.
-// The collective shape — operation, rank count, payload and chunk bytes —
-// comes from cfg.Collective when the axis arguments are nil/zero; port
-// buffering comes from cfg.Load. A cell that drops a frame
-// deadlocks its dependency graph and is reported as a diagnostic error
-// naming the stuck rank.
+// RunCollSweepWithConfig runs the collective sweep on the system described
+// by cfg: for each architecture, operation and rank count, the ranks run the
+// collective as an event-driven dependency graph over the fabric and the
+// makespan, per-step skew and wire tallies are measured. Every cell also
+// verifies the result vectors against a sequential reference reduction.
+// ranks is the rank-count axis (nil = {4, 8, 16, 32, 64, 128}), ops selects
+// operations (nil = all three). The collective shape — operation, rank
+// count, payload and chunk bytes — comes from cfg.Collective when the axis
+// arguments are nil/zero; port buffering comes from cfg.Load. A cell that
+// drops a frame deadlocks its dependency graph and is reported as a
+// diagnostic error naming the stuck rank.
 func RunCollSweepWithConfig(cfg Config, ranks []int, ops []string, seed uint64, parallelism int) (_ []CollSweepResult, err error) {
 	rows, _, err := RunCollSweepObserved(cfg, ranks, ops, seed, parallelism)
 	return rows, err

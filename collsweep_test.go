@@ -57,10 +57,10 @@ func TestRunCollSweepScenarioConfig(t *testing.T) {
 }
 
 func TestRunCollSweepRejectsInvalidInput(t *testing.T) {
-	if _, err := RunCollSweep([]int{1}, nil, 0, 1); err == nil {
+	if _, err := RunCollSweepWithConfig(DefaultConfig(), []int{1}, nil, 0, 1); err == nil {
 		t.Fatal("rank count below 2 accepted")
 	}
-	if _, err := RunCollSweep(nil, []string{"allgather"}, 0, 1); err == nil {
+	if _, err := RunCollSweepWithConfig(DefaultConfig(), nil, []string{"allgather"}, 0, 1); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 	cfg := DefaultConfig()

@@ -27,12 +27,19 @@
 //
 // # Quick start
 //
-//	tx, _ := netdimm.NewNetDIMM(1)
-//	rx, _ := netdimm.NewNetDIMM(2)
-//	lat, _ := netdimm.OneWayLatency(tx, rx, 256, 100*time.Nanosecond)
+//	cfg := netdimm.DefaultConfig() // Table 1, or netdimm.LoadScenario("ddr5")
+//	tx, _ := netdimm.NewNetDIMMWithConfig(cfg, 1)
+//	rx, _ := netdimm.NewNetDIMMWithConfig(cfg, 2)
+//	lat, _ := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, 256, 100*time.Nanosecond)
 //	fmt.Println(lat.Total, lat.IOReg, lat.TxFlush)
 //
-// Experiment runners (RunFig4, RunFig5, RunFig7, RunFig11, RunFig12a,
-// RunFig12b, RunHeadline) regenerate each figure of the paper's
-// evaluation; cmd/netdimm-sim wraps them on the command line.
+// Each experiment family has one entry point that takes the Config it
+// runs on: RunFig4WithConfig, RunFig5WithConfig, RunFig7WithConfig,
+// RunFig11WithConfig, RunFig12aWithConfig, RunFig12bWithConfig,
+// RunBandwidthWithConfig, RunAblationsWithConfig, RunMixedChannelWithConfig,
+// ReplayTraceFileWithConfig, RunHeadlineWithConfig and the fault, load,
+// rack, failure and collective sweeps. A family that records spans and
+// metrics has an Observed twin returning an Observation as well.
+// cmd/netdimm-sim declares every family once, in one table that drives
+// both its command-line verbs and its campaign cells.
 package netdimm

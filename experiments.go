@@ -54,14 +54,6 @@ func (k NFKind) internal() netfunc.Kind {
 
 func simT(d time.Duration) sim.Time { return sim.FromDuration(d) }
 
-// mustValid asserts that a built-in configuration validates; the default
-// runners pass DefaultConfig, which is pinned valid by the test suite.
-func mustValid(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 // guard converts a panic escaping an experiment into an error, so the
 // public WithConfig entry points never panic on caller input: a
 // configuration that passes Validate but trips a deeper invariant (an
@@ -83,8 +75,9 @@ func guard(err *error) {
 // encodeCSV renders one CSV record per result row under header. Each
 // family's CSV encoder (Fig4CSV … CollSweepCSV) is built on it and sits
 // next to its result type; the CLI's -csv output and the campaign cells
-// both call that encoder, and CampaignSchemas takes the same header, so a
-// family's columns are declared exactly once.
+// both call that encoder, and the campaign schema reads its header from
+// the encoder's zero-row output, so a family's columns are declared
+// exactly once.
 func encodeCSV[R any](header []string, rows []R, record func(R) []string) string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
@@ -121,20 +114,14 @@ func Fig4CSV(rows []Fig4Result) string {
 	})
 }
 
-// RunFig4 regenerates Fig. 4: one-way latency of the four baseline NIC
-// configurations with the PCIe overhead share.
+// RunFig4WithConfig regenerates Fig. 4 on the system described by cfg:
+// one-way latency of the four baseline NIC configurations with the PCIe
+// overhead share.
 //
 // parallelism fans the sweep's independent cells over worker goroutines:
 // <= 0 uses all cores (runtime.GOMAXPROCS), 1 runs sequentially, N uses at
 // most N workers. Results are identical for every setting. The same knob
 // appears on every Run* sweep below.
-func RunFig4(sizes []int, switchLatency time.Duration, parallelism int) []Fig4Result {
-	out, err := RunFig4WithConfig(DefaultConfig(), sizes, switchLatency, parallelism)
-	mustValid(err)
-	return out
-}
-
-// RunFig4WithConfig is RunFig4 on the system described by cfg.
 func RunFig4WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig4Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -166,17 +153,10 @@ type Fig5Result struct {
 	MemReadNs     float64
 }
 
-// RunFig5 regenerates Fig. 5: iperf bandwidth under MLC-style memory
-// pressure. A nil delay slice uses a representative sweep from idle to
-// maximum pressure.
-func RunFig5(delays []time.Duration, parallelism int) []Fig5Result {
-	out, err := RunFig5WithConfig(DefaultConfig(), delays, parallelism)
-	mustValid(err)
-	return out
-}
-
-// RunFig5WithConfig is RunFig5 on the system described by cfg (its DRAM
-// timing, memory-controller config and link rate).
+// RunFig5WithConfig regenerates Fig. 5 on the system described by cfg
+// (its DRAM timing, memory-controller config and link rate): iperf
+// bandwidth under MLC-style memory pressure. A nil delay slice uses a
+// representative sweep from idle to maximum pressure.
 func RunFig5WithConfig(cfg Config, delays []time.Duration, parallelism int) (_ []Fig5Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -213,16 +193,9 @@ type Fig7Result struct {
 	Burst        int
 }
 
-// RunFig7 regenerates Fig. 7: the per-cacheline DMA request trace of six
-// received 1514B packets.
-func RunFig7() []Fig7Result {
-	out, err := RunFig7WithConfig(DefaultConfig())
-	mustValid(err)
-	return out
-}
-
-// RunFig7WithConfig is RunFig7 on the system described by cfg (its link
-// rate and PCIe DMA bandwidth).
+// RunFig7WithConfig regenerates Fig. 7 on the system described by cfg
+// (its link rate and PCIe DMA bandwidth): the per-cacheline DMA request
+// trace of six received 1514B packets.
 func RunFig7WithConfig(cfg Config) (_ []Fig7Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -267,37 +240,12 @@ func Fig11CSV(rows []Fig11Result) string {
 	return stats.CSV(fig11Header, out)
 }
 
-// RunFig11 regenerates Fig. 11: the one-way latency breakdown of dNIC,
-// iNIC and NetDIMM across packet sizes.
-func RunFig11(sizes []int, switchLatency time.Duration, parallelism int) ([]Fig11Result, error) {
-	return RunFig11WithConfig(DefaultConfig(), sizes, switchLatency, parallelism)
-}
-
-// RunFig11WithConfig is RunFig11 on the system described by cfg.
-func RunFig11WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig11Result, err error) {
-	defer guard(&err)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(sizes) == 0 {
-		sizes = experiments.PaperSizes
-	}
-	rows, err := experiments.Fig11(cfg.spec(), sizes, simT(switchLatency), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig11Result, len(rows))
-	for i, r := range rows {
-		out[i] = Fig11Result{
-			Size:            r.Size,
-			DNIC:            fromBreakdown(r.DNIC),
-			INIC:            fromBreakdown(r.INIC),
-			NetDIMM:         fromBreakdown(r.NetDIMM),
-			ReductionVsDNIC: r.ReductionVsDNIC(),
-			ReductionVsINIC: r.ReductionVsINIC(),
-		}
-	}
-	return out, nil
+// RunFig11WithConfig regenerates Fig. 11 on the system described by cfg:
+// the one-way latency breakdown of dNIC, iNIC and NetDIMM across packet
+// sizes. It is RunFig11Observed without the observation.
+func RunFig11WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) ([]Fig11Result, error) {
+	rows, _, err := RunFig11Observed(cfg, sizes, switchLatency, parallelism)
+	return rows, err
 }
 
 // Fig12aResult is one (cluster, switch latency) cell of Fig. 12(a).
@@ -323,13 +271,9 @@ func Fig12aCSV(rows []Fig12aResult) string {
 	})
 }
 
-// RunFig12a regenerates Fig. 12(a): cluster trace replay across switch
-// latencies. packets controls the trace length per cell (0 = 1000).
-func RunFig12a(packets int, seed uint64, parallelism int) ([]Fig12aResult, error) {
-	return RunFig12aWithConfig(DefaultConfig(), packets, seed, parallelism)
-}
-
-// RunFig12aWithConfig is RunFig12a on the system described by cfg.
+// RunFig12aWithConfig regenerates Fig. 12(a) on the system described by
+// cfg: cluster trace replay across switch latencies. packets controls the
+// trace length per cell (0 = 1000).
 func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) (_ []Fig12aResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -366,15 +310,9 @@ type Fig12bResult struct {
 	Norm      float64
 }
 
-// RunFig12b regenerates Fig. 12(b): co-running application memory latency
-// under DPI and L3F, NetDIMM normalised to iNIC.
-func RunFig12b(parallelism int) []Fig12bResult {
-	out, err := RunFig12bWithConfig(DefaultConfig(), parallelism)
-	mustValid(err)
-	return out
-}
-
-// RunFig12bWithConfig is RunFig12b on the system described by cfg.
+// RunFig12bWithConfig regenerates Fig. 12(b) on the system described by
+// cfg: co-running application memory latency under DPI and L3F, NetDIMM
+// normalised to iNIC.
 func RunFig12bWithConfig(cfg Config, parallelism int) (_ []Fig12bResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -404,12 +342,8 @@ type HeadlineResult struct {
 	L3FBest                float64
 }
 
-// RunHeadline measures the paper's headline numbers.
-func RunHeadline(packets int, parallelism int) (HeadlineResult, error) {
-	return RunHeadlineWithConfig(DefaultConfig(), packets, parallelism)
-}
-
-// RunHeadlineWithConfig is RunHeadline on the system described by cfg.
+// RunHeadlineWithConfig measures the paper's headline numbers on the
+// system described by cfg.
 func RunHeadlineWithConfig(cfg Config, packets int, parallelism int) (_ HeadlineResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {

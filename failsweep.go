@@ -78,23 +78,17 @@ func FailSweepCSV(rows []FailSweepResult) string {
 	})
 }
 
-// RunFailSweep runs the failure sweep on the default configuration: for
-// each architecture and outage duration, 32 hosts on a 2-spine/4-leaf
-// clos exchange cluster-mix traffic at 30% offered load while one spine
-// is down for the given window, ECMP fails flows over to the surviving
-// spine, and every sender recovers lost frames through the NIC's
-// ack-timeout ARQ. outages is the duration axis (nil = {0, 5µs, 20µs,
-// 60µs}; 0 is the baseline), packets the total arrival count per cell
-// (0 = 2400).
-func RunFailSweep(outages []time.Duration, packets int, seed uint64, parallelism int) ([]FailSweepResult, error) {
-	return RunFailSweepWithConfig(DefaultConfig(), outages, packets, seed, parallelism)
-}
-
-// RunFailSweepWithConfig is RunFailSweep on the system described by cfg.
-// The traffic shape comes from cfg.Load (a zero Hosts means
-// 32), the clos shape from cfg.Fabric (zero = 2 spines × 4 leaves), and
-// any background failure schedule — extra outage windows, burst loss —
-// plus the ARQ retry knobs from cfg.Fault.
+// RunFailSweepWithConfig runs the failure sweep on the system described by
+// cfg: for each architecture and outage duration, 32 hosts on a
+// 2-spine/4-leaf clos exchange cluster-mix traffic at 30% offered load while
+// one spine is down for the given window, ECMP fails flows over to the
+// surviving spine, and every sender recovers lost frames through the NIC's
+// ack-timeout ARQ. outages is the duration axis (nil = {0, 5µs, 20µs, 60µs};
+// 0 is the baseline), packets the total arrival count per cell (0 = 2400).
+// The traffic shape comes from cfg.Load (a zero Hosts means 32), the clos
+// shape from cfg.Fabric (zero = 2 spines × 4 leaves), and any background
+// failure schedule — extra outage windows, burst loss — plus the ARQ retry
+// knobs from cfg.Fault.
 func RunFailSweepWithConfig(cfg Config, outages []time.Duration, packets int, seed uint64, parallelism int) (_ []FailSweepResult, err error) {
 	rows, _, err := RunFailSweepObserved(cfg, outages, packets, seed, parallelism)
 	return rows, err

@@ -9,7 +9,7 @@ import (
 
 func TestRunFailSweep(t *testing.T) {
 	outages := []time.Duration{0, 20 * time.Microsecond}
-	rows, err := RunFailSweep(outages, 300, 1, 0)
+	rows, err := RunFailSweepWithConfig(DefaultConfig(), outages, 300, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunFailSweepObservedMetrics(t *testing.T) {
 }
 
 func TestRunFailSweepRejectsInvalidInput(t *testing.T) {
-	if _, err := RunFailSweep([]time.Duration{-time.Microsecond}, 50, 0, 1); err == nil {
+	if _, err := RunFailSweepWithConfig(DefaultConfig(), []time.Duration{-time.Microsecond}, 50, 0, 1); err == nil {
 		t.Fatal("negative outage duration accepted")
 	}
 	cfg := DefaultConfig()

@@ -1,15 +1,15 @@
-// Package campaign is the reproducible experiment-campaign harness: it
-// turns a declarative grid — experiments × scenarios × repeats — into one
+// Package campaign is the reproducible experiment-campaign harness: it turns
+// a declarative grid — experiments × scenarios × repeats — into one
 // validated, versioned output directory.
 //
 // A campaign grid is a JSON document (see Grid) naming which experiment
 // families to run, under which scenarios, how many independent repeats of
 // each, and how wide to fan the cells out. Plan expands the grid into a
 // deterministic cell list with one derived seed per cell; Runner executes
-// the cells through an injected Executor (the root netdimm package binds
-// each family to its Run*WithConfig facade), validates every produced CSV
-// against the family's schema and expected row count, and writes a
-// timestamped directory:
+// the cells through an injected Executor (cmd/netdimm-sim binds each family
+// to the run function of its entry in the CLI's family table), validates
+// every produced CSV against the family's schema and expected row count, and
+// writes a timestamped directory:
 //
 //	campaigns/<stamp>/
 //	  manifest.json   host, go version, git revision, per-cell seed+config hash
@@ -22,7 +22,8 @@
 // Determinism contract: re-running the same grid with the same seeds
 // yields byte-identical csv/ and metrics/ contents at any parallelism (the
 // manifest and log record wall times and may differ). CI pins this by
-// running the default grid twice and diffing the directories.
+// running the default grid twice and diffing the directories, and
+// cmd/netdimm-sim's TestCampaignDefaultGridDigests pins their SHA-256s.
 package campaign
 
 import (
@@ -43,7 +44,7 @@ import (
 type Experiment struct {
 	// Experiment names the family: one of the keys of the schema registry
 	// passed to Validate (fig4, fig11, fig12a, ablation, faultsweep,
-	// loadsweep, racksweep, failsweep in the root binding).
+	// loadsweep, racksweep, failsweep, collsweep in cmd/netdimm-sim).
 	Experiment string
 	// Scenario selects the simulated system: a named preset or a JSON
 	// config file path, exactly as the -scenario CLI flag ("" = table1).
@@ -79,8 +80,9 @@ type Experiment struct {
 	// Payload overrides Collective.PayloadBytes for collsweep (0 =
 	// scenario, whose zero means 64KiB).
 	Payload int
-	// Metrics arms the metrics registry for the row's cells; the registry
-	// CSV is written next to the cell's result CSV.
+	// Metrics arms the metrics registry for the row's cells (observed
+	// families only); the registry CSV is written next to the cell's
+	// result CSV.
 	Metrics bool
 	// Trace arms per-packet lifecycle tracing for the row's cells (observed
 	// families only); the Chrome trace-event JSON is written under trace/.
@@ -112,6 +114,9 @@ type Grid struct {
 type Schema struct {
 	Header  []string
 	MinRows int
+	// Observed reports that the family records an Observation, so a
+	// grid row may arm its Metrics and Trace.
+	Observed bool
 }
 
 // ReadGrid decodes a campaign grid from JSON. Unknown fields are rejected
@@ -162,8 +167,12 @@ func (g Grid) Validate(known map[string]Schema) error {
 		if e.Experiment == "" {
 			return fmt.Errorf("campaign: experiments[%d]: missing Experiment family (known: %s)", i, familyList(known))
 		}
-		if _, ok := known[e.Experiment]; !ok {
+		schema, ok := known[e.Experiment]
+		if !ok {
 			return fmt.Errorf("campaign: experiments[%d]: unknown experiment family %q (known: %s)", i, e.Experiment, familyList(known))
+		}
+		if (e.Metrics || e.Trace) && !schema.Observed {
+			return at("Metrics and Trace need a family that records an observation (families that do: %s)", observedList(known))
 		}
 		if e.Repeats < 0 || e.Packets < 0 || e.Hosts < 0 || e.SwitchNs < 0 {
 			return at("Repeats/Packets/Hosts/SwitchNs must be non-negative")
@@ -225,6 +234,18 @@ func familyList(known map[string]Schema) string {
 	return strings.Join(names, ", ")
 }
 
+// observedList renders, sorted, the registry keys whose family records an
+// observation.
+func observedList(known map[string]Schema) string {
+	observed := map[string]Schema{}
+	for name, s := range known {
+		if s.Observed {
+			observed[name] = s
+		}
+	}
+	return familyList(observed)
+}
+
 // parseOutage accepts Go duration syntax plus a bare "0".
 func parseOutage(s string) (time.Duration, error) {
 	if strings.TrimSpace(s) == "0" {
@@ -242,9 +263,9 @@ type Cell struct {
 	Index int
 	// Name is the cell's file stem: <experiment>-<scenario-slug>-r<repeat>.
 	Name string
-	// Experiment and Scenario resolve exactly as in the grid row.
-	Experiment string
-	Scenario   string
+	// Row is the grid row the cell expands, verbatim: its family, scenario
+	// and axes.
+	Row Experiment
 	// Repeat numbers the independent repeat, from 0.
 	Repeat int
 	// Seed is the cell's derived seed: base + 1000*rowIndex + repeat
@@ -254,20 +275,8 @@ type Cell struct {
 	// is part of the reproducibility contract (golden-pinned), so two
 	// plans of the same grid always agree.
 	Seed uint64
-	// The remaining fields copy the grid row's axes verbatim, with
-	// Outages parsed to concrete durations.
-	Packets  int
-	Sizes    []int
-	SwitchNs int
-	Rates    []float64
-	Racks    []int
-	Outages  []time.Duration
-	Hosts    int
-	Ranks    []int
-	Ops      []string
-	Payload  int
-	Metrics  bool
-	Trace    bool
+	// Outages is Row.Outages parsed to concrete durations.
+	Outages []time.Duration
 }
 
 // Plan expands the grid into its deterministic cell list. The grid must
@@ -312,27 +321,14 @@ func (g Grid) Plan() ([]Cell, error) {
 				name = fmt.Sprintf("%s-%s-x%d-r%d", e.Experiment, scenarioSlug(e.Scenario), n, r)
 			}
 			used[name] = true
-			c := Cell{
-				Index:      len(cells),
-				Name:       name,
-				Experiment: e.Experiment,
-				Scenario:   e.Scenario,
-				Repeat:     r,
-				Seed:       base + uint64(maxRepeats*ri+r),
-				Packets:    e.Packets,
-				Sizes:      e.Sizes,
-				SwitchNs:   e.SwitchNs,
-				Rates:      e.Rates,
-				Racks:      e.Racks,
-				Outages:    outages,
-				Hosts:      e.Hosts,
-				Ranks:      e.Ranks,
-				Ops:        e.Ops,
-				Payload:    e.Payload,
-				Metrics:    e.Metrics,
-				Trace:      e.Trace,
-			}
-			cells = append(cells, c)
+			cells = append(cells, Cell{
+				Index:   len(cells),
+				Name:    name,
+				Row:     e,
+				Repeat:  r,
+				Seed:    base + uint64(maxRepeats*ri+r),
+				Outages: outages,
+			})
 		}
 	}
 	return cells, nil

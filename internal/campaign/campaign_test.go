@@ -9,8 +9,9 @@ import (
 // testSchemas is a minimal family registry for grid validation tests.
 func testSchemas() map[string]Schema {
 	return map[string]Schema{
-		"fig11":     {Header: []string{"a", "b"}, MinRows: 1},
-		"failsweep": {Header: []string{"a", "b"}, MinRows: 1},
+		"fig4":      {Header: []string{"a", "b"}, MinRows: 1},
+		"fig11":     {Header: []string{"a", "b"}, MinRows: 1, Observed: true},
+		"failsweep": {Header: []string{"a", "b"}, MinRows: 1, Observed: true},
 	}
 }
 
@@ -42,6 +43,11 @@ func TestGridValidate(t *testing.T) {
 		{"bad rack", Grid{Experiments: []Experiment{{Experiment: "fig11", Racks: []int{0}}}}, "rack count 0"},
 		{"bad outage", Grid{Experiments: []Experiment{{Experiment: "failsweep", Outages: []string{"5parsecs"}}}}, `bad outage duration "5parsecs"`},
 		{"zero outage ok", Grid{Experiments: []Experiment{{Experiment: "failsweep", Outages: []string{"0", "20us"}}}}, ""},
+		{"metrics on an observed family ok", Grid{Experiments: []Experiment{{Experiment: "fig11", Metrics: true, Trace: true}}}, ""},
+		{"metrics on an unobserved family", Grid{Experiments: []Experiment{{Experiment: "fig4", Metrics: true}}},
+			"experiments[0] (fig4): Metrics and Trace need a family that records an observation (families that do: failsweep, fig11)"},
+		{"trace on an unobserved family", Grid{Experiments: []Experiment{{Experiment: "fig11"}, {Experiment: "fig4", Trace: true}}},
+			"experiments[1] (fig4): Metrics and Trace need"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

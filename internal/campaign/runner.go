@@ -111,9 +111,9 @@ func (r *Runner) Run() (*RunReport, error) {
 		t0 := time.Now()
 		res, err := r.Exec(c)
 		if err == nil {
-			schema, ok := r.Schemas[c.Experiment]
+			schema, ok := r.Schemas[c.Row.Experiment]
 			if !ok {
-				err = fmt.Errorf("no schema registered for family %q", c.Experiment)
+				err = fmt.Errorf("no schema registered for family %q", c.Row.Experiment)
 			} else {
 				rows[i], err = ValidateCSV(res.CSV, schema, res.WantRows)
 			}
@@ -143,11 +143,11 @@ func (r *Runner) Run() (*RunReport, error) {
 	for i, c := range cells {
 		rec := CellRecord{
 			Name:       c.Name,
-			Experiment: c.Experiment,
-			Scenario:   c.Scenario,
+			Experiment: c.Row.Experiment,
+			Scenario:   c.Row.Scenario,
 			Repeat:     c.Repeat,
 			Seed:       c.Seed,
-			Packets:    c.Packets,
+			Packets:    c.Row.Packets,
 			ConfigHash: results[i].ConfigHash,
 			Rows:       rows[i],
 			WallMs:     walls[i],

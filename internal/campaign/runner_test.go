@@ -12,9 +12,9 @@ import (
 // fakeExec returns a deterministic two-row CSV derived from the cell's
 // seed, so runner tests can assert content without running simulations.
 func fakeExec(c Cell) (Result, error) {
-	doc := fmt.Sprintf("a,b\n%d,%s\n%d,%s\n", c.Seed, c.Name, c.Seed+1, c.Experiment)
-	res := Result{CSV: doc, WantRows: 2, ConfigHash: SHA256Hex([]byte(c.Scenario))}
-	if c.Metrics {
+	doc := fmt.Sprintf("a,b\n%d,%s\n%d,%s\n", c.Seed, c.Name, c.Seed+1, c.Row.Experiment)
+	res := Result{CSV: doc, WantRows: 2, ConfigHash: SHA256Hex([]byte(c.Row.Scenario))}
+	if c.Row.Metrics {
 		res.MetricsCSV = "cell,kind,metric,value,max,points\nx,counter,m,1,,\n"
 	}
 	return res, nil
@@ -120,7 +120,7 @@ func TestRunnerDeterministicCSVs(t *testing.T) {
 func TestRunnerRecordsFailures(t *testing.T) {
 	g := testGrid()
 	exec := func(c Cell) (Result, error) {
-		if c.Experiment == "failsweep" && c.Repeat == 1 {
+		if c.Row.Experiment == "failsweep" && c.Repeat == 1 {
 			return Result{}, fmt.Errorf("boom")
 		}
 		return fakeExec(c)

@@ -15,7 +15,9 @@ import (
 
 func pkt(size int) nic.Packet { return nic.Packet{Size: size} }
 
-func fabric() ethernet.Fabric { return ethernet.NewFabric(100 * sim.Nanosecond) }
+func fabric() ethernet.Fabric {
+	return ethernet.NewFabricWith(ethernet.LinkGbps(40), 100*sim.Nanosecond)
+}
 
 func TestCopyTimeScaling(t *testing.T) {
 	c := DefaultCosts()
@@ -287,7 +289,7 @@ func TestOrderingHoldsWithModelCosts(t *testing.T) {
 	costs := CostsFromParams(cpu.TableOne())
 	for _, size := range []int{64, 1514, 8000} {
 		p := pkt(size)
-		dn := &HWDriver{Dev: nic.NewDNIC(), Costs: costs}
+		dn := &HWDriver{Dev: NewDNICMachine(false).Dev, Costs: costs}
 		in := &HWDriver{Dev: nic.NewINIC(), Costs: costs}
 
 		nd, err := NewNetDIMMMachine(9)

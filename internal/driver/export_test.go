@@ -1,6 +1,20 @@
 package driver
 
-import "netdimm/internal/core"
+import (
+	"netdimm/internal/core"
+	"netdimm/internal/nic"
+	"netdimm/internal/pcie"
+)
+
+// NewDNICMachine returns the Table 1 discrete-NIC endpoint: x8 PCIe Gen4.
+func NewDNICMachine(zeroCopy bool) *HWDriver {
+	return NewMachine(nic.NewDNICWith(pcie.NewLink(pcie.Gen4, 8)), DefaultCosts(), zeroCopy)
+}
+
+// NewINICMachine returns the Table 1 integrated-NIC endpoint.
+func NewINICMachine(zeroCopy bool) *HWDriver {
+	return NewMachine(nic.NewINIC(), DefaultCosts(), zeroCopy)
+}
 
 // NewNetDIMMMachine builds a Table 1 NetDIMM endpoint with the given
 // device seed, its NET_0 zone right above the 16GB of host DDR (the base

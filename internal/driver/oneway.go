@@ -68,16 +68,6 @@ func NewMachine(dev nic.Device, costs Costs, zeroCopy bool) *HWDriver {
 	return &HWDriver{Dev: dev, Costs: costs, ZeroCopy: zeroCopy}
 }
 
-// NewDNICMachine returns the baseline discrete-PCIe-NIC configuration.
-func NewDNICMachine(zeroCopy bool) *HWDriver {
-	return NewMachine(nic.NewDNIC(), DefaultCosts(), zeroCopy)
-}
-
-// NewINICMachine returns the integrated-NIC configuration.
-func NewINICMachine(zeroCopy bool) *HWDriver {
-	return NewMachine(nic.NewINIC(), DefaultCosts(), zeroCopy)
-}
-
 // NewNetDIMMMachineWith builds a NetDIMM endpoint from an explicit device
 // configuration, NET_0 zone base and software cost set — the constructor a
 // derived system configuration uses.

@@ -21,11 +21,9 @@ type Link struct {
 	PHYLatency sim.Time
 }
 
-// Link40G returns the paper's 40GbE link with a typical short-reach PHY.
-func Link40G() Link { return LinkGbps(40) }
-
-// LinkGbps returns a link at the given line rate with the same short-reach
-// PHY as Link40G — the knob a system configuration's NetworkGbps drives.
+// LinkGbps returns a link at the given line rate with a typical
+// short-reach PHY — the knob a system configuration's NetworkGbps drives
+// (the paper's link is LinkGbps(40)).
 func LinkGbps(gbps float64) Link {
 	return Link{BitsPerSec: gbps * 1e9, PHYLatency: 50 * sim.Nanosecond}
 }
@@ -98,12 +96,6 @@ type Fabric struct {
 	// InterDCPropagation is the extra one-way propagation for
 	// inter-datacenter traffic.
 	InterDCPropagation sim.Time
-}
-
-// NewFabric returns a clos fabric of 40GbE links with the given switch
-// latency.
-func NewFabric(switchLatency sim.Time) Fabric {
-	return NewFabricWith(Link40G(), switchLatency)
 }
 
 // NewFabricWith returns a clos fabric built from the given link model —

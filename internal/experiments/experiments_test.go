@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"netdimm/internal/driver"
-	"netdimm/internal/ethernet"
 	"netdimm/internal/netfunc"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
@@ -271,7 +270,8 @@ func TestHeadlineNumbers(t *testing.T) {
 // memory-exhaustion / pinning problems (L1) and the on-chip pollution
 // (L3). This test pins that relationship.
 func TestNetDIMMVsIdealZeroCopy(t *testing.T) {
-	fabric := ethernet.NewFabric(100 * sim.Nanosecond)
+	d := spec.TableOne().MustDerive()
+	fabric := d.Fabric(100 * sim.Nanosecond)
 	for i, size := range []int{64, 256, 1514, 8000} {
 		ndTX, err := spec.TableOne().MustDerive().NewNetDIMM(uint64(60 + 2*i))
 		if err != nil {
@@ -283,7 +283,7 @@ func TestNetDIMMVsIdealZeroCopy(t *testing.T) {
 		}
 		p := nic.Packet{Size: size}
 		nd := driver.OneWay(ndTX, ndRX, p, fabric).Total()
-		iz := driver.OneWay(driver.NewINICMachine(true), driver.NewINICMachine(true), p, fabric).Total()
+		iz := driver.OneWay(d.NewINIC(true), d.NewINIC(true), p, fabric).Total()
 		ratio := float64(nd) / float64(iz)
 		if ratio > 1.40 {
 			t.Errorf("size %d: NetDIMM %v not in iNIC.zcpy's (%v) latency class (ratio %.2f)",

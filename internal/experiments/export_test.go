@@ -18,6 +18,18 @@ func RackSweep(sp spec.Spec, racks []int, loads []float64, cfg RackSweepConfig, 
 	return rows, knees, err
 }
 
+// FaultSweep is FaultSweepObserved without observability.
+func FaultSweep(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int) ([]FaultRow, error) {
+	rows, _, err := FaultSweepObserved(sp, rates, cfg, parallelism, obs.Spec{})
+	return rows, err
+}
+
+// MixedChannel is MixedChannelObserved without observability.
+func MixedChannel(sp spec.Spec, n int, seed uint64) (MixedChannelResult, error) {
+	res, _, err := MixedChannelObserved(sp, n, seed, obs.Spec{})
+	return res, err
+}
+
 // FailSweep is FailSweepObserved without observability.
 func FailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int) ([]FailRow, error) {
 	rows, _, err := FailSweepObserved(sp, outages, cfg, parallelism, obs.Spec{})

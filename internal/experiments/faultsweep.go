@@ -113,28 +113,23 @@ func FaultTails(rows []FaultRow) []FaultTail {
 	return tails
 }
 
-// FaultSweep measures one-way latency degradation under injected frame
-// loss for the three NIC architectures. For each (arch, rate) cell it runs
-// an event-driven delivery loop on a fresh engine: driver TX cost, then the
-// lossy wire with NIC retransmit/backoff recovery, then driver RX; on the
-// NetDIMM receive path an additional NVDIMM-P header read runs through the
-// RDY-timeout recovery machinery when the spec injects memory faults. The
-// sweep overrides only Spec.Fault.DropProb per cell — every other fault
-// knob (corruption, port drops, RDY loss, retry policy) comes from sp.
+// FaultSweepObserved measures one-way latency degradation under injected
+// frame loss for the three NIC architectures. For each (arch, rate) cell
+// it runs an event-driven delivery loop on a fresh engine: driver TX cost,
+// then the lossy wire with NIC retransmit/backoff recovery, then driver RX;
+// on the NetDIMM receive path an additional NVDIMM-P header read runs
+// through the RDY-timeout recovery machinery when the spec injects memory
+// faults. The sweep overrides only Spec.Fault.DropProb per cell — every
+// other fault knob (corruption, port drops, RDY loss, retry policy) comes
+// from sp.
 //
 // Cells are deterministic: each builds its own engine and injector from a
 // per-cell seed, so results are identical sequentially and in parallel.
-func FaultSweep(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int) ([]FaultRow, error) {
-	rows, _, err := FaultSweepObserved(sp, rates, cfg, parallelism, obs.Spec{})
-	return rows, err
-}
-
-// FaultSweepObserved is FaultSweep with the observability plane: when
-// ospec enables collection, each (arch, rate) cell gets a Cell labelled
-// "faultsweep/<arch>/loss=<rate>" with retransmit/backoff and NVDIMM-P
-// recovery spans, path outcome counters, engine probes and the cell's
-// fault tallies. A zero ospec yields a nil observer and the exact
-// FaultSweep behaviour.
+// When ospec enables collection, each (arch, rate) cell gets a Cell
+// labelled "faultsweep/<arch>/loss=<rate>" with retransmit/backoff and
+// NVDIMM-P recovery spans, path outcome counters, engine probes and the
+// cell's fault tallies. A zero ospec yields a nil observer and no
+// instrumentation.
 func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int, ospec obs.Spec) ([]FaultRow, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	axes := func(i int) (string, float64) { return FaultSweepArchs[i/len(rates)], rates[i%len(rates)] }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"netdimm/internal/driver"
-	"netdimm/internal/ethernet"
 	"netdimm/internal/netfunc"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
@@ -122,9 +121,10 @@ func TestNetDIMMForwardingPipeline(t *testing.T) {
 // One-way latency via the composed OneWay matches the sum of independent
 // TX + wire + RX (the composition is exact, not approximate).
 func TestOneWayComposition(t *testing.T) {
-	fabric := ethernet.NewFabric(100 * sim.Nanosecond)
+	d := spec.TableOne().MustDerive()
+	fabric := d.Fabric(100 * sim.Nanosecond)
 	p := nic.Packet{Size: 512}
-	dn := driver.NewDNICMachine(false)
+	dn := d.NewDNIC(false)
 	got := driver.OneWay(dn, dn, p, fabric).Total()
 	want := dn.TX(p).Total() + fabric.DirectWireTime(512) + dn.RX(p).Total()
 	if got != want {
@@ -138,7 +138,7 @@ func TestBreakdownAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := ethernet.NewFabric(50 * sim.Nanosecond)
+	fabric := spec.TableOne().MustDerive().Fabric(50 * sim.Nanosecond)
 	for _, size := range []int{64, 1514} {
 		b := driver.OneWay(nd, nd, nic.Packet{Size: size}, fabric)
 		var sum sim.Time

@@ -274,7 +274,7 @@ func TestLoadSweepHoldsWorkFixedAcrossLoads(t *testing.T) {
 func TestRunFabricCatchesFramesInFlight(t *testing.T) {
 	build := func() (*sim.Engine, *fabric.Topology) {
 		eng := sim.NewEngine()
-		topo := fabric.New(fabric.SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+		topo := fabric.New(fabric.SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 			fabric.Spec{Leaves: 2, Spines: 2}, 4, 8)
 		topo.Inject(0, 3, ethernet.Frame{ID: 1, Bytes: 1500}, func(ethernet.Frame) {})
 		return eng, topo

@@ -25,20 +25,14 @@ type MixedChannelResult struct {
 	MaxOutstandingIDs int
 }
 
-// MixedChannel interleaves DDR reads (served by a plain DDR4 rank) with
-// NetDIMM reads (served by the buffer device through nCache misses into
-// busy local DRAM) over one channel, tracking every transaction with the
-// NVDIMM-P request-ID machinery.
-func MixedChannel(sp spec.Spec, n int, seed uint64) (MixedChannelResult, error) {
-	res, _, err := MixedChannelObserved(sp, n, seed, obs.Spec{})
-	return res, err
-}
-
-// MixedChannelObserved is MixedChannel with the observability plane: one
+// MixedChannelObserved interleaves DDR reads (served by a plain DDR4 rank)
+// with NetDIMM reads (served by the buffer device through nCache misses
+// into busy local DRAM) over one channel, tracking every transaction with
+// the NVDIMM-P request-ID machinery. When ospec enables collection, one
 // cell ("mixed") collects DDR controller transaction spans and queue
 // depth, NetDIMM device metrics, an NVDIMM-P outstanding-transaction
-// series, and an engine probe. A zero ospec yields a nil observer and the
-// exact MixedChannel behaviour.
+// series, and an engine probe; a zero ospec yields a nil observer and no
+// instrumentation.
 func MixedChannelObserved(sp spec.Spec, n int, seed uint64, ospec obs.Spec) (MixedChannelResult, *obs.Observer, error) {
 	if n <= 0 {
 		n = 200

@@ -360,7 +360,7 @@ func runCase(t *testing.T, eng *sim.Engine, net fabricNet, hooks *Topology, upli
 // requires the same deliveries (ID, instant, ECN bit), refusals, fabric
 // and uplink statistics, and the same number of engine events.
 func TestFlightPathMatchesClosurePath(t *testing.T) {
-	link := ethernet.Link40G()
+	link := ethernet.LinkGbps(40)
 	lat := 100 * sim.Nanosecond
 	if link.SerializeTime(phyBytes) != link.PHYLatency {
 		t.Fatalf("%d B serialise in %v, not the %v PHY latency", phyBytes, link.SerializeTime(phyBytes), link.PHYLatency)

@@ -80,7 +80,7 @@ func TestFlowHashStability(t *testing.T) {
 	}
 
 	build := func() *Topology {
-		return New(SingleEngine(sim.NewEngine()), ethernet.Link40G(), 100*sim.Nanosecond,
+		return New(SingleEngine(sim.NewEngine()), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 			Spec{Leaves: 4, Spines: 3, Seed: 7}, 16, 32)
 	}
 	a, b := build(), build()
@@ -104,7 +104,7 @@ func TestLeafAssignment(t *testing.T) {
 	if lo, hi := RackBounds(9, 10, 4); lo != 9 || hi != 10 {
 		t.Fatalf("RackBounds(9) = [%d,%d)", lo, hi)
 	}
-	topo := New(SingleEngine(sim.NewEngine()), ethernet.Link40G(), 100*sim.Nanosecond,
+	topo := New(SingleEngine(sim.NewEngine()), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 		Spec{Leaves: 4}, 10, 32)
 	for h := 0; h < 10; h++ {
 		if topo.LeafOf(h) != want[h] {
@@ -123,7 +123,7 @@ func TestLeafAssignment(t *testing.T) {
 // Hop accounting on a single engine: an uncongested frame pays exactly the
 // modelled serialise+PHY per queue and one switch latency per switch.
 func TestRoutingHopLatency(t *testing.T) {
-	link := ethernet.Link40G()
+	link := ethernet.LinkGbps(40)
 	lat := 100 * sim.Nanosecond
 	hop := func(bytes int) sim.Time { return link.SerializeTime(bytes) + link.PHYLatency }
 
@@ -161,7 +161,7 @@ func TestRoutingHopLatency(t *testing.T) {
 // congested downlink and the mark survives to delivery.
 func TestECNMarkPropagates(t *testing.T) {
 	eng := sim.NewEngine()
-	topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+	topo := New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 		Spec{Leaves: 2, Spines: 2, ECNThreshold: 4}, 16, 64)
 	marked, clear := 0, 0
 	deliver := func(f ethernet.Frame) {
@@ -237,7 +237,7 @@ func TestPacerMarkAllocs(t *testing.T) {
 // cross-leaf frame dies at its first switch queue and never delivers.
 func TestInjectFaultsEveryHop(t *testing.T) {
 	eng := sim.NewEngine()
-	topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+	topo := New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 		Spec{Leaves: 2, Spines: 1}, 8, 32)
 	topo.InjectFaults(fault.NewInjector(fault.Spec{PortDropProb: 1}, 9))
 	delivered := false
@@ -265,7 +265,7 @@ type fabricForwardRig struct {
 
 func newFabricForwardRig() *fabricForwardRig {
 	eng := sim.NewEngine()
-	r := &fabricForwardRig{eng: eng, topo: New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+	r := &fabricForwardRig{eng: eng, topo: New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 		Spec{Leaves: 2, Spines: 2}, 8, 64)}
 	r.deliver = func(ethernet.Frame) { r.delivered++ }
 	return r
@@ -326,7 +326,7 @@ func TestNewTopologyAllocs(t *testing.T) {
 		{Spec{Leaves: 4, Spines: 3, ECNThreshold: 8}, 256, 588},
 	} {
 		n := testing.AllocsPerRun(10, func() {
-			New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond, c.spec, c.hosts, 64)
+			New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond, c.spec, c.hosts, 64)
 		})
 		if n > c.max {
 			t.Errorf("New(%+v, %d hosts) allocates %v times, want <= %v", c.spec, c.hosts, n, c.max)
@@ -336,7 +336,7 @@ func TestNewTopologyAllocs(t *testing.T) {
 
 // Inject to a host the topology does not have panics.
 func TestInjectBadHostPanics(t *testing.T) {
-	topo := New(SingleEngine(sim.NewEngine()), ethernet.Link40G(), 0, Spec{}, 2, 4)
+	topo := New(SingleEngine(sim.NewEngine()), ethernet.LinkGbps(40), 0, Spec{}, 2, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad host accepted")
@@ -349,7 +349,7 @@ func TestInjectBadHostPanics(t *testing.T) {
 // 2-frame downlink decides nothing until the frames have crossed the
 // leaf, then drops the overflow once, at the egress buffer.
 func TestSwitchLatencyThenEgress(t *testing.T) {
-	link := ethernet.Link40G()
+	link := ethernet.LinkGbps(40)
 	lat := 100 * sim.Nanosecond
 	eng := sim.NewEngine()
 	topo := New(SingleEngine(eng), link, lat, Spec{}, 9, 2)

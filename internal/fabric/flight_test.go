@@ -67,7 +67,7 @@ func TestNoFlightLeaks(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+			topo := New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 				Spec{Leaves: 3, Spines: 2}, 9, c.buffer)
 			if c.arm != nil {
 				c.arm(topo)
@@ -99,7 +99,7 @@ func TestNoFlightLeaks(t *testing.T) {
 // delivery just freed: a request/response ping-pong holds one record.
 func TestDeliveredMayInjectAgain(t *testing.T) {
 	eng := sim.NewEngine()
-	topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+	topo := New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 		Spec{Leaves: 2, Spines: 2}, 4, 8)
 	hops := 0
 	var bounce func(ethernet.Frame)

@@ -13,7 +13,7 @@ import (
 func failRig(t *testing.T) (*sim.Engine, *Topology) {
 	t.Helper()
 	eng := sim.NewEngine()
-	topo := New(SingleEngine(eng), ethernet.Link40G(), 100*sim.Nanosecond,
+	topo := New(SingleEngine(eng), ethernet.LinkGbps(40), 100*sim.Nanosecond,
 		Spec{Leaves: 2, Spines: 2}, 8, 32)
 	return eng, topo
 }
@@ -84,7 +84,7 @@ func TestSpineOutageFailsOver(t *testing.T) {
 // A frame already past its routing decision when the spine goes down is
 // eaten at the spine, not rerouted — the in-flight loss the ARQ recovers.
 func TestSpineOutageEatsInFlightFrame(t *testing.T) {
-	link := ethernet.Link40G()
+	link := ethernet.LinkGbps(40)
 	hop := link.SerializeTime(256) + link.PHYLatency
 	lat := 100 * sim.Nanosecond
 	eng := sim.NewEngine()

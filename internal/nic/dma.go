@@ -79,9 +79,6 @@ type DNIC struct {
 	HostMemLatency sim.Time
 }
 
-// NewDNIC returns the Table 1 dNIC: x8 PCIe Gen4.
-func NewDNIC() DNIC { return NewDNICWith(pcie.NewLink(pcie.Gen4, 8)) }
-
 // NewDNICWith returns a dNIC attached over the given PCIe link — the
 // constructor a derived system configuration uses.
 func NewDNICWith(link pcie.Link) DNIC {

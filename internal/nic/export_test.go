@@ -2,8 +2,12 @@ package nic
 
 import (
 	"netdimm/internal/nvdimmp"
+	"netdimm/internal/pcie"
 	"netdimm/internal/sim"
 )
+
+// NewDNIC returns the Table 1 dNIC: x8 PCIe Gen4.
+func NewDNIC() DNIC { return NewDNICWith(pcie.NewLink(pcie.Gen4, 8)) }
 
 // DefaultMemChannelBus returns NetDIMM register costs, as core.Device
 // builds them.

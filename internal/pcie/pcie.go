@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"netdimm/internal/sim"
 )
@@ -92,18 +93,25 @@ func (l Link) String() string { return fmt.Sprintf("PCIe Gen%d x%d", int(l.Gen),
 // ignored.
 func ParseLink(s string) (Link, error) {
 	gen, lanes := 0, 0
-	for _, tok := range strings.Fields(s) {
-		lower := strings.ToLower(tok)
+	// Walk the fields in place: a configuration is validated on every
+	// one-way packet of the public API, so parsing must not allocate.
+	for rest := strings.TrimLeftFunc(s, unicode.IsSpace); rest != ""; rest = strings.TrimLeftFunc(rest, unicode.IsSpace) {
+		tok := rest
+		if end := strings.IndexFunc(rest, unicode.IsSpace); end >= 0 {
+			tok, rest = rest[:end], rest[end:]
+		} else {
+			rest = ""
+		}
 		switch {
-		case lower == "pcie":
-		case strings.HasPrefix(lower, "gen"):
-			n, err := strconv.Atoi(lower[len("gen"):])
+		case strings.EqualFold(tok, "pcie"):
+		case len(tok) >= 3 && strings.EqualFold(tok[:3], "gen"):
+			n, err := strconv.Atoi(tok[3:])
 			if err != nil || gen != 0 {
 				return Link{}, parseLinkErr(s)
 			}
 			gen = n
-		case strings.HasPrefix(lower, "x"):
-			n, err := strconv.Atoi(lower[len("x"):])
+		case len(tok) >= 1 && (tok[0] == 'x' || tok[0] == 'X'):
+			n, err := strconv.Atoi(tok[1:])
 			if err != nil || lanes != 0 {
 				return Link{}, parseLinkErr(s)
 			}

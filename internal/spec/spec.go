@@ -199,7 +199,7 @@ func (s Spec) Derive() (*Derived, error) {
 		MC:            memctrl.DefaultConfig(),
 		HostTiming:    timing,
 		PCIe:          link,
-		Link:          ethernet.LinkGbps(float64(s.NetworkGbps)),
+		Link:          s.link(),
 		SwitchLatency: sim.Time(s.SwitchLatNs) * sim.Nanosecond,
 	}, nil
 }
@@ -246,8 +246,18 @@ func (d *Derived) ZoneBase(i int) int64 {
 // given switch latency (use d.SwitchLatency for the specification's own
 // value).
 func (d *Derived) Fabric(switchLatency sim.Time) ethernet.Fabric {
-	return ethernet.NewFabricWith(d.Link, switchLatency)
+	return d.Spec.AnalyticFabric(switchLatency)
 }
+
+// AnalyticFabric is Derived.Fabric without deriving the rest of the
+// specification, so a per-packet caller stays allocation-free. The
+// specification must be valid.
+func (s Spec) AnalyticFabric(switchLatency sim.Time) ethernet.Fabric {
+	return ethernet.NewFabricWith(s.link(), switchLatency)
+}
+
+// link is the Ethernet link model of the specification's NetworkGbps.
+func (s Spec) link() ethernet.Link { return ethernet.LinkGbps(float64(s.NetworkGbps)) }
 
 // NewTopology builds the event-driven switched topology of the Fabric
 // block — hosts' uplink ports, leaf and spine switches with per-hop

@@ -38,7 +38,7 @@ func TestTableOneDerivesDefaults(t *testing.T) {
 	if got, want := d.PCIe, pcie.NewLink(pcie.Gen4, 8); got != want {
 		t.Errorf("PCIe = %+v, want x8 Gen4 %+v", got, want)
 	}
-	if got, want := d.Link, ethernet.Link40G(); got != want {
+	if got, want := d.Link, ethernet.LinkGbps(40); got != want {
 		t.Errorf("Link = %+v, want 40GbE %+v", got, want)
 	}
 	// NET_0 sits right above the 16GB host DDR region — the base the

@@ -61,25 +61,19 @@ type LoadKneeResult struct {
 	Saturated bool
 }
 
-// RunLoadSweep runs the rack-scale open-loop load sweep on the default
-// configuration: for each architecture (dNIC, iNIC, NetDIMM) and each
-// offered load, eight sender hosts inject cluster-distributed traffic that
-// fans in to one receiver through an output-queued switch, and the
-// end-to-end latency distribution (mean/p50/p99/p999) is measured over
-// every delivered packet. loads are fractions of the line rate (nil uses a
-// default grid bracketing every architecture's knee); packets is the total
-// arrival count per cell (0 = 2000).
-func RunLoadSweep(loads []float64, packets int, seed uint64, parallelism int) ([]LoadSweepResult, []LoadKneeResult, error) {
-	return RunLoadSweepWithConfig(DefaultConfig(), loads, packets, seed, parallelism)
-}
-
-// RunLoadSweepWithConfig is RunLoadSweep on the system described by cfg.
-// The traffic shape — sender host count (incast), cluster distribution,
-// Poisson or fixed arrivals, egress buffering, knee factor — comes from
-// cfg.Load; a zero Load block selects the sweep defaults. A configuration
-// that cannot drain (for example a pathological buffer setting) is
-// terminated by the per-cell event-budget watchdog and reported as an
-// error rather than hanging.
+// RunLoadSweepWithConfig runs the rack-scale open-loop load sweep on the
+// system described by cfg: for each architecture (dNIC, iNIC, NetDIMM) and
+// each offered load, eight sender hosts inject cluster-distributed traffic
+// that fans in to one receiver through an output-queued switch, and the
+// end-to-end latency distribution (mean/p50/p99/p999) is measured over every
+// delivered packet. loads are fractions of the line rate (nil uses a default
+// grid bracketing every architecture's knee); packets is the total arrival
+// count per cell (0 = 2000). The traffic shape — sender host count (incast),
+// cluster distribution, Poisson or fixed arrivals, egress buffering, knee
+// factor — comes from cfg.Load; a zero Load block selects the sweep
+// defaults. A configuration that cannot drain (for example a pathological
+// buffer setting) is terminated by the per-cell event-budget watchdog and
+// reported as an error rather than hanging.
 func RunLoadSweepWithConfig(cfg Config, loads []float64, packets int, seed uint64, parallelism int) (_ []LoadSweepResult, _ []LoadKneeResult, err error) {
 	rows, knees, _, err := RunLoadSweepObserved(cfg, loads, packets, seed, parallelism)
 	return rows, knees, err

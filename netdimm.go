@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"netdimm/internal/driver"
-	"netdimm/internal/ethernet"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/stats"
@@ -22,14 +21,9 @@ type Machine struct {
 // "iNIC.zcpy", "NetDIMM").
 func (m *Machine) Name() string { return m.impl.Name() }
 
-// NewDNIC builds a Table 1 server with a discrete x8 PCIe Gen4 NIC,
-// optionally with a zero-copy driver.
-func NewDNIC(zeroCopy bool) *Machine {
-	return &Machine{impl: driver.NewDNICMachine(zeroCopy)}
-}
-
-// NewDNICWithConfig builds a discrete-NIC server from a configuration: the
-// PCIe attachment link and driver costs derive from cfg.
+// NewDNICWithConfig builds a discrete-NIC server from a configuration,
+// optionally with a zero-copy driver: the PCIe attachment link (x8 PCIe
+// Gen4 in Table 1) and driver costs derive from cfg.
 func NewDNICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	d, err := cfg.derive()
 	if err != nil {
@@ -38,13 +32,8 @@ func NewDNICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	return &Machine{impl: d.NewDNIC(zeroCopy)}, nil
 }
 
-// NewINIC builds a Table 1 server with a CPU-integrated NIC, optionally
-// with a zero-copy driver.
-func NewINIC(zeroCopy bool) *Machine {
-	return &Machine{impl: driver.NewINICMachine(zeroCopy)}
-}
-
-// NewINICWithConfig builds an integrated-NIC server from a configuration.
+// NewINICWithConfig builds a server with a CPU-integrated NIC from a
+// configuration, optionally with a zero-copy driver.
 func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	d, err := cfg.derive()
 	if err != nil {
@@ -53,17 +42,11 @@ func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	return &Machine{impl: d.NewINIC(zeroCopy)}, nil
 }
 
-// NewNetDIMM builds a Table 1 server with a 16GB NetDIMM: device, NET_0
-// memory zone, allocCache and the Algorithm 1 driver. The seed determines
-// nCache replacement randomness; distinct endpoints should use distinct
-// seeds.
-func NewNetDIMM(seed uint64) (*Machine, error) {
-	return NewNetDIMMWithConfig(DefaultConfig(), seed)
-}
-
-// NewNetDIMMWithConfig builds a NetDIMM server from a configuration: the
-// device geometry, local DRAM timing and NET_0 zone placement derive from
-// cfg.
+// NewNetDIMMWithConfig builds a NetDIMM server from a configuration:
+// device, NET_0 memory zone, allocCache and the Algorithm 1 driver (a 16GB
+// NetDIMM in Table 1). The device geometry, local DRAM timing and NET_0
+// zone placement derive from cfg. The seed determines nCache replacement
+// randomness; distinct endpoints should use distinct seeds.
 func NewNetDIMMWithConfig(cfg Config, seed uint64) (*Machine, error) {
 	d, err := cfg.derive()
 	if err != nil {
@@ -127,25 +110,11 @@ func (l LatencyBreakdown) String() string {
 	return s + fmt.Sprintf("total=%v", l.Total)
 }
 
-// OneWayLatency sends one packet of the given size from tx to rx through a
-// single switch with the given port-to-port latency, and returns the
+// OneWayLatencyWithConfig sends one packet of the given size from tx to rx
+// through a single switch with the given port-to-port latency, over a
+// fabric whose link rate and PHY model derive from cfg, and returns the
 // latency decomposition. Repeated calls on stateful machines (NetDIMM)
 // reflect warmed device state.
-func OneWayLatency(tx, rx *Machine, packetSize int, switchLatency time.Duration) (LatencyBreakdown, error) {
-	if packetSize <= 0 {
-		return LatencyBreakdown{}, fmt.Errorf("netdimm: packet size must be positive, got %d", packetSize)
-	}
-	if tx == nil || rx == nil {
-		return LatencyBreakdown{}, fmt.Errorf("netdimm: nil machine")
-	}
-	fabric := ethernet.NewFabric(sim.FromDuration(switchLatency))
-	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, fabric)
-	return fromBreakdown(b), nil
-}
-
-// OneWayLatencyWithConfig is OneWayLatency over a fabric derived from the
-// configuration (its link rate and PHY model come from cfg rather than the
-// Table 1 defaults).
 func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) (LatencyBreakdown, error) {
 	if packetSize <= 0 {
 		return LatencyBreakdown{}, fmt.Errorf("netdimm: packet size must be positive, got %d", packetSize)
@@ -153,11 +122,9 @@ func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switch
 	if tx == nil || rx == nil {
 		return LatencyBreakdown{}, fmt.Errorf("netdimm: nil machine")
 	}
-	d, err := cfg.derive()
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return LatencyBreakdown{}, err
 	}
-	fabric := d.Fabric(sim.FromDuration(switchLatency))
-	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, fabric)
+	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, cfg.spec().AnalyticFabric(sim.FromDuration(switchLatency)))
 	return fromBreakdown(b), nil
 }

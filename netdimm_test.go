@@ -6,26 +6,49 @@ import (
 	"time"
 )
 
-func TestMachineNames(t *testing.T) {
-	if NewDNIC(false).Name() != "dNIC" || NewDNIC(true).Name() != "dNIC.zcpy" {
-		t.Fatal("dNIC names wrong")
+// machine builds a Table 1 endpoint for the API tests: "dNIC", "iNIC" or
+// "NetDIMM" (seeded by seed).
+func machine(t *testing.T, arch string, seed uint64) *Machine {
+	t.Helper()
+	cfg := DefaultConfig()
+	var m *Machine
+	var err error
+	switch arch {
+	case "dNIC":
+		m, err = NewDNICWithConfig(cfg, false)
+	case "iNIC":
+		m, err = NewINICWithConfig(cfg, false)
+	default:
+		m, err = NewNetDIMMWithConfig(cfg, seed)
 	}
-	if NewINIC(false).Name() != "iNIC" {
-		t.Fatal("iNIC name wrong")
-	}
-	nd, err := NewNetDIMM(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nd.Name() != "NetDIMM" {
+	return m
+}
+
+func TestMachineNames(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		zeroCopy bool
+		want     string
+	}{{false, "dNIC"}, {true, "dNIC.zcpy"}} {
+		m, err := NewDNICWithConfig(cfg, tc.zeroCopy)
+		if err != nil || m.Name() != tc.want {
+			t.Fatalf("dNIC name = %v, %v; want %s", m, err, tc.want)
+		}
+	}
+	if machine(t, "iNIC", 0).Name() != "iNIC" {
+		t.Fatal("iNIC name wrong")
+	}
+	if machine(t, "NetDIMM", 1).Name() != "NetDIMM" {
 		t.Fatal("NetDIMM name wrong")
 	}
 }
 
 func TestOneWayLatencyAPI(t *testing.T) {
-	tx, _ := NewNetDIMM(1)
-	rx, _ := NewNetDIMM(2)
-	lat, err := OneWayLatency(tx, rx, 256, 100*time.Nanosecond)
+	tx, rx := machine(t, "NetDIMM", 1), machine(t, "NetDIMM", 2)
+	lat, err := OneWayLatencyWithConfig(DefaultConfig(), tx, rx, 256, 100*time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,23 +69,24 @@ func TestOneWayLatencyAPI(t *testing.T) {
 }
 
 func TestOneWayLatencyErrors(t *testing.T) {
-	tx := NewDNIC(false)
-	if _, err := OneWayLatency(tx, tx, 0, time.Microsecond); err == nil {
+	cfg := DefaultConfig()
+	tx := machine(t, "dNIC", 0)
+	if _, err := OneWayLatencyWithConfig(cfg, tx, tx, 0, time.Microsecond); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := OneWayLatency(nil, tx, 64, time.Microsecond); err == nil {
+	if _, err := OneWayLatencyWithConfig(cfg, nil, tx, 64, time.Microsecond); err == nil {
 		t.Error("nil machine accepted")
 	}
 }
 
 func TestOneWayOrderingViaAPI(t *testing.T) {
-	ndTX, _ := NewNetDIMM(1)
-	ndRX, _ := NewNetDIMM(2)
-	nd, _ := OneWayLatency(ndTX, ndRX, 1024, 100*time.Nanosecond)
-	in, _ := OneWayLatency(NewINIC(false), NewINIC(false), 1024, 100*time.Nanosecond)
-	dn, _ := OneWayLatency(NewDNIC(false), NewDNIC(false), 1024, 100*time.Nanosecond)
-	if !(nd.Total < in.Total && in.Total < dn.Total) {
-		t.Fatalf("ordering: ND %v iNIC %v dNIC %v", nd.Total, in.Total, dn.Total)
+	total := func(arch string) time.Duration {
+		b, _ := OneWayLatencyWithConfig(DefaultConfig(), machine(t, arch, 1), machine(t, arch, 2), 1024, 100*time.Nanosecond)
+		return b.Total
+	}
+	nd, in, dn := total("NetDIMM"), total("iNIC"), total("dNIC")
+	if !(nd < in && in < dn) {
+		t.Fatalf("ordering: ND %v iNIC %v dNIC %v", nd, in, dn)
 	}
 }
 
@@ -76,7 +100,10 @@ func TestConfigTable(t *testing.T) {
 }
 
 func TestRunFig4Defaults(t *testing.T) {
-	rows := RunFig4(nil, 100*time.Nanosecond, 0)
+	rows, err := RunFig4WithConfig(DefaultConfig(), nil, 100*time.Nanosecond, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want the 8 paper sizes", len(rows))
 	}
@@ -88,7 +115,7 @@ func TestRunFig4Defaults(t *testing.T) {
 }
 
 func TestRunFig11Defaults(t *testing.T) {
-	rows, err := RunFig11([]int{64, 1024}, 100*time.Nanosecond, 0)
+	rows, err := RunFig11WithConfig(DefaultConfig(), []int{64, 1024}, 100*time.Nanosecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +127,10 @@ func TestRunFig11Defaults(t *testing.T) {
 }
 
 func TestRunFig7(t *testing.T) {
-	pts := RunFig7()
+	pts, err := RunFig7WithConfig(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 144 {
 		t.Fatalf("points = %d", len(pts))
 	}

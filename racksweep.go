@@ -78,26 +78,20 @@ type RackKneeResult struct {
 	Saturated bool
 }
 
-// RunRackSweep runs the rack-count sweep on the default configuration: for
-// each architecture, rack count and ECN setting, 256 hosts spread over a
-// leaf/spine clos exchange cluster-mix traffic (destinations follow the
-// published flow-locality shares, so most database traffic crosses the
-// spine layer) and the end-to-end latency distribution is measured over
-// every delivered packet. racks is the leaf-count axis (nil = {2, 4, 8}),
-// loads are per-host fractions of the line rate (nil = a geometric grid
-// bracketing each architecture's knee), packets is the total arrival
-// count per cell (0 = 4000).
-func RunRackSweep(racks []int, loads []float64, packets int, seed uint64, parallelism int) ([]RackSweepResult, []RackKneeResult, error) {
-	return RunRackSweepWithConfig(DefaultConfig(), racks, loads, packets, seed, parallelism)
-}
-
-// RunRackSweepWithConfig is RunRackSweep on the system described by cfg.
-// The traffic shape — host count, cluster distribution, arrival process,
-// port buffering, knee factor — comes from cfg.Load (a zero
-// Hosts means 256); the clos shape and ECN tuning come from cfg.Fabric (a
-// pinned Leaves replaces the racks axis, a set ECNThreshold tunes the
-// sweep's ECN-on cells). A configuration that cannot drain is terminated
-// by the per-cell event-budget watchdog and reported as an error.
+// RunRackSweepWithConfig runs the rack-count sweep on the system described
+// by cfg: for each architecture, rack count and ECN setting, 256 hosts
+// spread over a leaf/spine clos exchange cluster-mix traffic (destinations
+// follow the published flow-locality shares, so most database traffic
+// crosses the spine layer) and the end-to-end latency distribution is
+// measured over every delivered packet. racks is the leaf-count axis (nil =
+// {2, 4, 8}), loads are per-host fractions of the line rate (nil = a
+// geometric grid bracketing each architecture's knee), packets is the total
+// arrival count per cell (0 = 4000). The traffic shape — host count, cluster
+// distribution, arrival process, port buffering, knee factor — comes from
+// cfg.Load (a zero Hosts means 256); the clos shape and ECN tuning come from
+// cfg.Fabric (a pinned Leaves replaces the racks axis, a set ECNThreshold
+// tunes the sweep's ECN-on cells). A configuration that cannot drain is
+// terminated by the per-cell event-budget watchdog and reported as an error.
 func RunRackSweepWithConfig(cfg Config, racks []int, loads []float64, packets int, seed uint64, parallelism int) (_ []RackSweepResult, _ []RackKneeResult, err error) {
 	rows, knees, _, err := RunRackSweepObserved(cfg, racks, loads, packets, seed, parallelism)
 	return rows, knees, err

@@ -16,15 +16,10 @@ type ReplayResult struct {
 	P99     time.Duration
 }
 
-// ReplayTraceFile replays a trace written by cmd/netdimm-trace through the
-// clos fabric under all three architectures. parallelism follows the
-// convention of RunFig4 (each architecture is one cell).
-func ReplayTraceFile(r io.Reader, switchLatency time.Duration, seed uint64, parallelism int) (cluster string, results []ReplayResult, err error) {
-	return ReplayTraceFileWithConfig(DefaultConfig(), r, switchLatency, seed, parallelism)
-}
-
-// ReplayTraceFileWithConfig is ReplayTraceFile on the system described by
-// cfg.
+// ReplayTraceFileWithConfig replays a trace written by cmd/netdimm-trace
+// through the clos fabric under all three architectures on the system
+// described by cfg. parallelism follows the convention of
+// RunFig4WithConfig (each architecture is one cell).
 func ReplayTraceFileWithConfig(cfg Config, r io.Reader, switchLatency time.Duration, seed uint64, parallelism int) (cluster string, results []ReplayResult, err error) {
 	if err := cfg.Validate(); err != nil {
 		return "", nil, err
@@ -56,30 +51,11 @@ type MixedChannelResult struct {
 	MaxOutstandingIDs int
 }
 
-// RunMixedChannel demonstrates that a NetDIMM's non-deterministic local
-// accesses coexist with deterministic DDR accesses on one channel (paper
-// Sec. 2.2/4.1).
-func RunMixedChannel(n int, seed uint64) (MixedChannelResult, error) {
-	return RunMixedChannelWithConfig(DefaultConfig(), n, seed)
-}
-
-// RunMixedChannelWithConfig is RunMixedChannel on the system described by
-// cfg.
-func RunMixedChannelWithConfig(cfg Config, n int, seed uint64) (_ MixedChannelResult, err error) {
-	defer guard(&err)
-	if err := cfg.Validate(); err != nil {
-		return MixedChannelResult{}, err
-	}
-	r, err := experiments.MixedChannel(cfg.spec(), n, seed)
-	if err != nil {
-		return MixedChannelResult{}, err
-	}
-	return MixedChannelResult{
-		DDRReads:          r.DDRReads,
-		NetDIMMReads:      r.NetDIMMReads,
-		DDRMean:           toDuration(r.DDRMeanLatency),
-		NetDIMMMean:       toDuration(r.NetDIMMMean),
-		OutOfOrder:        r.OutOfOrder,
-		MaxOutstandingIDs: r.MaxOutstandingIDs,
-	}, nil
+// RunMixedChannelWithConfig demonstrates, on the system described by cfg,
+// that a NetDIMM's non-deterministic local accesses coexist with
+// deterministic DDR accesses on one channel (paper Sec. 2.2/4.1). It is
+// RunMixedChannelObserved without the observation.
+func RunMixedChannelWithConfig(cfg Config, n int, seed uint64) (MixedChannelResult, error) {
+	r, _, err := RunMixedChannelObserved(cfg, n, seed)
+	return r, err
 }

@@ -177,10 +177,7 @@ func TestCommittedScenarioFiles(t *testing.T) {
 	}
 	for _, path := range paths {
 		if strings.HasPrefix(filepath.Base(path), "campaign-") {
-			if _, err := LoadCampaignGrid(path); err != nil {
-				t.Errorf("%s: %v", path, err)
-			}
-			continue
+			continue // a campaign grid; cmd/netdimm-sim's TestCommittedGridFiles loads it
 		}
 		if _, err := LoadScenario(path); err != nil {
 			t.Errorf("%s: %v", path, err)
