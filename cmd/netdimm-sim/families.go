@@ -104,6 +104,9 @@ func lookup(name string) (family, bool) {
 	return family{}, false
 }
 
+func observes(f family) bool { return f.observes }
+func hasCSV(f family) bool   { return f.csv }
+
 // familyNames lists, in table order, the families that satisfy keep.
 func familyNames(keep func(family) bool) string {
 	var names []string

@@ -34,7 +34,7 @@ var (
 	packets    = flag.Int("n", 1000, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
 	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11, replay)")
 	seed       = flag.Uint64("seed", 3, "trace generator seed")
-	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables (fig4, fig5, fig7, fig11, fig12a, fig12b, ablation, faultsweep, loadsweep, racksweep, failsweep, collsweep)")
+	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables ("+familyNames(hasCSV)+")")
 	parallel   = flag.Int("parallel", 0, "worker goroutines per sweep: 0 = all cores, 1 = sequential, N = at most N")
 	scenario   = flag.String("scenario", "", "system to simulate: a preset name or a JSON config file (default table1)")
 	lossRates  = flag.String("loss", "", "comma-separated frame-loss rates for faultsweep (default 0,0.001,0.01,0.05,0.1,0.2)")
@@ -43,8 +43,8 @@ var (
 	rackList   = flag.String("racks", "", "comma-separated rack (leaf) counts for racksweep (default 2,4,8; a scenario Fabric.Leaves pins one)")
 	outageList = flag.String("outage", "", "comma-separated spine-outage durations for failsweep, Go duration syntax (default 0,5µs,20µs,60µs; 0 is the baseline)")
 	cluster    = flag.String("cluster", "", "traffic distribution for loadsweep, racksweep and failsweep: database, webserver or hadoop (default scenario value or database)")
-	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (fig11, faultsweep, loadsweep, racksweep, failsweep, collsweep, mixed); open in ui.perfetto.dev")
-	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output (fig11, faultsweep, loadsweep, racksweep, failsweep, collsweep, mixed)")
+	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run ("+familyNames(observes)+"); open in ui.perfetto.dev")
+	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output ("+familyNames(observes)+")")
 	rankList   = flag.String("ranks", "", "comma-separated rank counts for collsweep (default 4,8,16,32,64,128; a scenario Collective.Ranks pins one)")
 	opsList    = flag.String("ops", "", "comma-separated collective ops for collsweep: allreduce, broadcast, reducescatter (default all three; a scenario Collective.Op pins one)")
 	payload    = flag.Int("payload", 0, "per-rank vector bytes for collsweep (0 = scenario value or 64KiB)")
@@ -154,15 +154,13 @@ func run(cfg netdimm.Config, exp string) error {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	if f := todo[0]; exp != "all" {
-		observes := func(f family) bool { return f.observes }
 		switch {
 		case *traceOut != "" && !f.observes:
 			return fmt.Errorf("-trace: %s records no trace (families that do: %s)", f.name, familyNames(observes))
 		case *metrics && !f.observes:
 			return fmt.Errorf("-metrics: %s records no metrics (families that do: %s)", f.name, familyNames(observes))
 		case *asCSV && !f.csv:
-			return fmt.Errorf("-csv: %s has no CSV form (families that do: %s)", f.name,
-				familyNames(func(f family) bool { return f.csv }))
+			return fmt.Errorf("-csv: %s has no CSV form (families that do: %s)", f.name, familyNames(hasCSV))
 		}
 	}
 	a, err := flagAxes()
