@@ -74,6 +74,8 @@ var goldenCases = []struct {
 	{"racksweep", "racksweep-default.txt", true, false},
 	{"failsweep", "failsweep-default.txt", false, false},
 	{"collsweep", "collsweep-default.txt", false, false},
+	{"-metrics collsweep", "collsweep-metrics.txt", false, false},
+	{"collsweep", "collsweep-trace.sha256", false, true},
 }
 
 // TestGoldens runs each golden command through the CLI and compares its
