@@ -180,6 +180,28 @@ func BenchmarkHeadline(b *testing.B) {
 	b.ReportMetric(h.AvgReductionVsINIC*100, "vs-iNIC-%")
 }
 
+// BenchmarkCollSweep times the collective path: a 16-rank ring allreduce
+// of 256KiB per rank over the fabric, one cell per architecture, reporting
+// its allocations and NetDIMM's completion time.
+func BenchmarkCollSweep(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Collective.PayloadBytes = 256 << 10
+	b.ReportAllocs()
+	var rows []CollSweepResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		rows, err = RunCollSweepWithConfig(cfg, []int{16}, []string{"allreduce"}, 3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		if r.Arch == "NetDIMM" {
+			b.ReportMetric(float64(r.Completion.Nanoseconds())/1e3, "NetDIMM-completion-us")
+		}
+	}
+}
+
 // BenchmarkOneWayPacket measures the simulator's own throughput on the
 // core single-packet path (not a paper figure; a harness health metric).
 func BenchmarkOneWayPacket(b *testing.B) {

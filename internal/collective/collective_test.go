@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"netdimm/internal/sim"
@@ -220,6 +221,56 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		if err := Verify(op, before, data); err == nil {
 			t.Fatalf("%v: corruption not detected", op)
 		}
+	}
+}
+
+// TestVerifyReferenceRejectsMismatchedShapes checks the reference form's
+// own shape checks: too few ranks, a root of the wrong length, and a rank
+// vector of the wrong length.
+func TestVerifyReferenceRejectsMismatchedShapes(t *testing.T) {
+	sum, root := []int64{3, 4}, []int64{1, 2}
+	ok := [][]int64{{3, 4}, {3, 4}}
+	if err := VerifyReference(AllReduce, sum, root, ok); err != nil {
+		t.Fatalf("matching shapes rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		root  []int64
+		after [][]int64
+	}{
+		"one rank":      {root, [][]int64{{3, 4}}},
+		"short root":    {[]int64{1}, ok},
+		"short vector":  {root, [][]int64{{3, 4}, {3}}},
+		"long vector":   {root, [][]int64{{3, 4, 0}, {3, 4}}},
+		"wrong element": {root, [][]int64{{3, 4}, {3, 5}}},
+	} {
+		if err := VerifyReference(AllReduce, sum, c.root, c.after); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestExecRecyclesPayloads checks that sent payloads are snapshots in
+// recycled buffers: a 16-rank allreduce over an instant transport
+// allocates far less than one copy of every message it sends.
+func TestExecRecyclesPayloads(t *testing.T) {
+	const ranks, elems = 16, 4096
+	data := randomVectors(sim.NewRand(13), ranks, elems)
+	sent := 0
+	e := NewExec(NewPlan(AllReduce, ranks), data,
+		func(src, dst, step, bytes int, deliver func()) { sent += bytes; deliver() },
+		func(rank int) sim.Time { return 0 })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < ranks; r++ {
+		e.Launch(r)
+	}
+	runtime.ReadMemStats(&after)
+	if e.DoneRanks() != ranks {
+		t.Fatalf("%d ranks done", e.DoneRanks())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(sent)/8 {
+		t.Fatalf("run allocated %d B for %d B of messages, want <= %d", got, sent, sent/8)
 	}
 }
 

@@ -31,6 +31,7 @@ type Exec struct {
 	early    []map[int][]int64 // step -> payload that arrived before its turn
 	ends     [][]sim.Time      // per-rank per-step completion instants
 	finished []bool            // rank completed its whole schedule
+	free     [][]int64         // payload buffers apply has folded in, for submit to reuse
 }
 
 // NewExec builds an executor for plan over data (one vector per rank, all
@@ -84,20 +85,36 @@ func (e *Exec) run(r int) {
 	e.finished[r] = true
 }
 
-// submit snapshots the outgoing chunk and hands it to the transport. The
-// copy pins the payload at send time; the ring schedules never write a
-// chunk after sending it, but the copy keeps that invariant local instead
-// of load-bearing across packages.
+// submit snapshots the outgoing chunk into a recycled payload buffer and
+// hands it to the transport. The copy pins the payload at send time; the
+// ring schedules never write a chunk after sending it, but the copy keeps
+// that invariant local instead of load-bearing across packages. The buffer
+// returns to the free list once apply has folded it in at the receiver, so
+// a run holds only the payloads in flight, not one copy per message.
 func (e *Exec) submit(r int, st Step) {
-	var pay []int64
+	lo, hi := 0, len(e.data[r])
 	if st.SendChunk >= 0 {
-		lo, hi := ChunkBounds(len(e.data[r]), e.plan.Ranks, st.SendChunk)
-		pay = append([]int64(nil), e.data[r][lo:hi]...)
-	} else {
-		pay = append([]int64(nil), e.data[r]...)
+		lo, hi = ChunkBounds(len(e.data[r]), e.plan.Ranks, st.SendChunk)
 	}
+	pay := e.take(hi - lo)
+	copy(pay, e.data[r][lo:hi])
 	dst, rstep := st.SendTo, st.RecvStep
 	e.send(r, dst, rstep, 8*len(pay), func() { e.deliver(dst, rstep, pay) })
+}
+
+// take returns an n-element payload buffer, reusing the last freed one
+// when it is large enough. A smaller one is dropped rather than kept: the
+// ring's chunks differ by at most one element, so the free list soon holds
+// only buffers that fit every chunk.
+func (e *Exec) take(n int) []int64 {
+	if k := len(e.free); k > 0 {
+		b := e.free[k-1]
+		e.free = e.free[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]int64, n)
 }
 
 // deliver lands a message at rank r's machine (on rank r's engine): apply
@@ -119,7 +136,8 @@ func (e *Exec) deliver(r, step int, pay []int64) {
 	e.early[r][step] = pay
 }
 
-// apply folds a received payload into rank r's vector.
+// apply folds a received payload into rank r's vector and frees its
+// buffer; the direct and the early-arrival paths both end here.
 func (e *Exec) apply(r int, st Step, pay []int64) {
 	lo, hi := 0, len(e.data[r])
 	if st.RecvChunk >= 0 {
@@ -135,6 +153,7 @@ func (e *Exec) apply(r int, st Step, pay []int64) {
 	} else {
 		copy(e.data[r][lo:hi], pay)
 	}
+	e.free = append(e.free, pay)
 }
 
 // finish stamps the current step's completion instant and moves on.

@@ -158,23 +158,40 @@ func ChunkBounds(elems, chunks, c int) (lo, hi int) {
 	return lo, lo + base
 }
 
-// Verify checks an executed collective's data plane against the
-// sequential reference: `before` is every rank's input vector, `after`
-// every rank's vector once the op completed. For AllReduce every element
-// of every rank must equal the element-wise sum; for Broadcast every rank
-// must equal rank 0's input; for ReduceScatter only rank r's owned chunk
-// (r+1) mod n is specified and checked.
+// Verify checks an executed collective's data plane against its inputs:
+// `before` is every rank's input vector, `after` every rank's vector once
+// the op completed. It folds the inputs into the reference
+// VerifyReference checks against.
 func Verify(op Op, before, after [][]int64) error {
 	n := len(before)
 	if n < 2 || len(after) != n {
 		return fmt.Errorf("collective: verify needs matching rank sets, got %d before / %d after", n, len(after))
 	}
-	elems := len(before[0])
-	sum := make([]int64, elems)
+	sum := make([]int64, len(before[0]))
 	for _, v := range before {
 		for i, x := range v {
 			sum[i] += x
 		}
+	}
+	return VerifyReference(op, sum, before[0], after)
+}
+
+// VerifyReference checks an executed collective's data plane against the
+// sequential reference: sum is the element-wise sum of every rank's input
+// vector, root is rank 0's input, and `after` is every rank's vector once
+// the op completed. For AllReduce every element of every rank must equal
+// sum; for Broadcast every rank must equal root; for ReduceScatter only
+// rank r's owned chunk (r+1) mod n is specified and checked. A caller that
+// draws the inputs can build sum and root as it goes instead of keeping a
+// copy of every rank's input.
+func VerifyReference(op Op, sum, root []int64, after [][]int64) error {
+	n := len(after)
+	if n < 2 {
+		return fmt.Errorf("collective: verify needs at least 2 ranks, got %d", n)
+	}
+	elems := len(sum)
+	if len(root) != elems {
+		return fmt.Errorf("collective: verify reference has %d sum elements but %d root elements", elems, len(root))
 	}
 	checkRange := func(r, lo, hi int, want []int64) error {
 		for i := lo; i < hi; i++ {
@@ -194,7 +211,7 @@ func Verify(op Op, before, after [][]int64) error {
 				return err
 			}
 		case Broadcast:
-			if err := checkRange(r, 0, elems, before[0]); err != nil {
+			if err := checkRange(r, 0, elems, root); err != nil {
 				return err
 			}
 		case ReduceScatter:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"netdimm/internal/collective"
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
 	"netdimm/internal/fabric"
@@ -20,7 +21,8 @@ import (
 // loadCell, rackCell and failCell, each nesting an arrival closure, a TX
 // completion, a fabric delivery and an RX completion per packet — with
 // their endpoint builders and knee detectors, as the reference the single
-// cell must match row for row and metric for metric.
+// cell must match row for row and metric for metric. refCollCell plays the
+// same part for the collective cell.
 
 func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	if kneeFactor <= 0 {
@@ -661,5 +663,165 @@ func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg F
 		P999After:       histAfter.Percentile(99.9),
 		TailInflation:   inflation,
 		Hist:            &histAll,
+	}, nil
+}
+
+// refCollCell is the collective cell that collCell replaced: its transport
+// nests a TX completion, a fabric delivery and an RX completion closure per
+// frame, and it keeps a copy of every rank's input for collective.Verify.
+// It is the reference collCell must match row for row, metric for metric
+// and in its stall error.
+func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg CollSweepConfig, oc *obs.Cell) (CollRow, error) {
+	op, err := collective.ParseOp(opName)
+	if err != nil {
+		return CollRow{}, err
+	}
+	d := sp.MustDerive()
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	link := d.Link
+
+	txs, rxs, err := endpoints(d, arch, ranks, false, cfg.Seed)
+	if err != nil {
+		return CollRow{}, err
+	}
+
+	reg := oc.Metrics()
+	deliveredC := reg.Counter(arch + ".delivered")
+	droppedC := reg.Counter(arch + ".dropped")
+	markedC := reg.Counter(arch + ".ecn_marked")
+	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+
+	topo := d.NewTopology(fabric.SingleEngine(eng), ranks, shape.portBuffer)
+
+	// Payloads: one vector per rank, contents drawn from per-rank streams
+	// so they are independent of op and architecture.
+	elems := shape.payload / 8
+	if elems < 1 {
+		elems = 1
+	}
+	before := make([][]int64, ranks)
+	data := make([][]int64, ranks)
+	for r := range data {
+		rng := sim.NewRand(cfg.Seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
+		before[r] = make([]int64, elems)
+		for i := range before[r] {
+			before[r][i] = rng.Int63n(1 << 40)
+		}
+		data[r] = append([]int64(nil), before[r]...)
+	}
+
+	// Per-rank TX and RX driver queues.
+	txSrvs := make([]*serialServer, ranks)
+	rxSrvs := make([]*serialServer, ranks)
+	for r := range txSrvs {
+		txSrvs[r] = &serialServer{eng: eng}
+		rxSrvs[r] = &serialServer{eng: eng}
+	}
+
+	// seqs numbers each rank's messages for the frame IDs.
+	seqs := make([]int, ranks)
+	frames, messages, dropped := 0, 0, 0
+	var bytesOnWire int64
+	var wireBusy sim.Time
+
+	// The transport: fragment the message into chunk-sized frames, pay
+	// TX serialization per frame, inject, pay RX per frame, and fire the
+	// executor's deliver once the last frame has cleared its RX queue.
+	send := func(src, dst, step, bytes int, deliver func()) {
+		tx, rxSrv := txs[src], rxSrvs[dst]
+		nf := (bytes + shape.chunk - 1) / shape.chunk
+		if nf < 1 {
+			nf = 1 // a zero-byte chunk still carries the dependency token
+		}
+		seq := seqs[src]
+		seqs[src]++
+		remaining := nf
+		for f := 0; f < nf; f++ {
+			sz := shareCount(bytes, nf, f)
+			if sz < minFrameBytes {
+				sz = minFrameBytes
+			}
+			p := nic.Packet{ID: uint64(src)<<40 | uint64(seq)<<20 | uint64(f), Size: sz, Born: eng.Now()}
+			txSrvs[src].Submit(tx.TX(p).Total(), func() {
+				ok := topo.Inject(src, dst, ethernet.Frame{ID: p.ID, Bytes: p.Size}, func(fr ethernet.Frame) {
+					rxSrv.Submit(rxs[dst].RX(p).Total(), func() {
+						frames++
+						bytesOnWire += int64(p.Size + nic.EthernetOverheadBytes)
+						wireBusy += link.SerializeTime(p.Size)
+						remaining--
+						if remaining == 0 {
+							messages++
+							topo.EchoMark(dst, deliver)
+						}
+					})
+				})
+				if !ok {
+					dropped++
+				}
+			})
+		}
+	}
+
+	plan := collective.NewPlan(op, ranks)
+	exec := collective.NewExec(plan, data, send, func(int) sim.Time { return eng.Now() })
+	for r := 0; r < ranks; r++ {
+		r := r
+		eng.At(0, func() { exec.Launch(r) })
+	}
+
+	if err := runFabric(eng, topo); err != nil {
+		return CollRow{}, err
+	}
+
+	fstats := topo.Stats()
+	dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
+	if exec.DoneRanks() != ranks {
+		rank, steps := exec.Progress()
+		return CollRow{}, fmt.Errorf("collective stalled: %d/%d ranks finished, rank %d stuck after %d/%d steps with %d dropped frames (raise Load.PortBuffer above %d to absorb the step burst)",
+			exec.DoneRanks(), ranks, rank, steps, plan.MaxSteps(), dropped, shape.portBuffer)
+	}
+	if err := collective.Verify(op, before, data); err != nil {
+		return CollRow{}, err
+	}
+
+	// Trace spans are emitted after the run from the executor's recorded
+	// step instants: one track per rank, one span per step.
+	if oc != nil {
+		for r := 0; r < ranks; r++ {
+			track := oc.Track(fmt.Sprintf("rank%03d", r))
+			var start sim.Time
+			for s, end := range exec.StepEnds(r) {
+				track.Span(fmt.Sprintf("step%d", s), start, end)
+				start = end
+			}
+		}
+	}
+
+	util := 0.0
+	if eng.Now() > 0 {
+		util = float64(wireBusy) / (float64(eng.Now()) * float64(ranks))
+	}
+	deliveredC.Add(int64(messages))
+	droppedC.Add(int64(dropped))
+	markedC.Add(int64(fstats.Marked))
+	reg.Gauge(arch + ".completion_ns").Set(int64(exec.Completion() / sim.Nanosecond))
+	reg.Gauge(arch + ".step_skew_ns").Set(int64(exec.StepSkew() / sim.Nanosecond))
+	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
+
+	return CollRow{
+		Arch:            arch,
+		Op:              op.String(),
+		Ranks:           ranks,
+		PayloadBytes:    shape.payload,
+		Steps:           plan.MaxSteps(),
+		Completion:      exec.Completion(),
+		StepSkew:        exec.StepSkew(),
+		BytesOnWire:     bytesOnWire,
+		Frames:          frames,
+		Delivered:       messages,
+		Dropped:         dropped,
+		Marked:          int(fstats.Marked),
+		LinkUtilization: util,
 	}, nil
 }

@@ -368,13 +368,16 @@ type cellCounts struct {
 	arq                         bool
 	failed, failedDelivered     int
 	retransmits, duplicates     int
+	// A collective cell also tallies step messages: sent, delivered once
+	// their last frame cleared RX, and still open, waiting on lost frames.
+	msgSent, msgDelivered, msgOpen int
 }
 
 // check enforces frame conservation. Without ARQ every offered packet is
 // delivered or dropped. With ARQ every packet is delivered or given up (a
 // copy still in flight at the give-up can do both), and every
 // transmission reaches an RX queue, is discarded as a duplicate, or is
-// dropped.
+// dropped. Every sent message is delivered or still open.
 func (n cellCounts) check() error {
 	switch {
 	case !n.arq && n.offered != n.delivered+n.dropped:
@@ -385,6 +388,8 @@ func (n cellCounts) check() error {
 	case n.arq && n.offered+n.retransmits != n.delivered+n.duplicates+n.dropped:
 		return fmt.Errorf("conservation: offered %d + retransmits %d != delivered %d + duplicates %d + dropped %d",
 			n.offered, n.retransmits, n.delivered, n.duplicates, n.dropped)
+	case n.msgSent != n.msgDelivered+n.msgOpen:
+		return fmt.Errorf("conservation: messages sent %d != delivered %d + open %d", n.msgSent, n.msgDelivered, n.msgOpen)
 	}
 	return nil
 }

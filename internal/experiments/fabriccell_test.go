@@ -286,8 +286,9 @@ func TestFabricCellAllocsPerPacket(t *testing.T) {
 	}
 }
 
-// TestCellCountsConservation checks the frame-conservation equations on
-// balanced tallies and on each of them with one frame lost.
+// TestCellCountsConservation checks the frame- and message-conservation
+// equations on balanced tallies and on each of them with one frame or
+// message lost.
 func TestCellCountsConservation(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -305,6 +306,12 @@ func TestCellCountsConservation(t *testing.T) {
 			retransmits: 4, duplicates: 2, dropped: 2}, false},
 		{"arq unseen duplicate", cellCounts{arq: true, offered: 10, delivered: 10,
 			retransmits: 1, duplicates: 0, dropped: 0}, false},
+		{"collective balanced", cellCounts{offered: 12, delivered: 11, dropped: 1,
+			msgSent: 4, msgDelivered: 3, msgOpen: 1}, true},
+		{"collective lost frame", cellCounts{offered: 12, delivered: 11, dropped: 0,
+			msgSent: 4, msgDelivered: 3, msgOpen: 1}, false},
+		{"collective lost message", cellCounts{offered: 12, delivered: 12, dropped: 0,
+			msgSent: 4, msgDelivered: 3, msgOpen: 0}, false},
 	} {
 		if err := c.n.check(); (err == nil) != c.ok {
 			t.Errorf("%s: check() = %v, want ok=%v", c.name, err, c.ok)
