@@ -143,6 +143,7 @@ type Engine struct {
 	live    int // scheduled and not cancelled
 	fired   uint64
 	stopped bool
+	limit   Time // the running Run/RunUntil call's deadline; -1 outside one
 
 	// Watchdog state (see watchdog.go). wdOn keeps the hot path to a
 	// single branch when no watchdog is armed.
@@ -170,7 +171,7 @@ type bucket struct {
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{limit: -1}
 }
 
 // Now returns the current simulated time.
@@ -236,6 +237,33 @@ func (e *Engine) Cancel(id EventID) bool {
 	e.live--
 	if e.probeOn {
 		e.probe.OnCancel(e.now)
+	}
+	return true
+}
+
+// Advance lets an event handler, as its last act, do the work of an event
+// at when inline instead of scheduling it. It succeeds only if that event
+// would fire next: nothing pending is due by when, when is within the
+// running Run/RunUntil deadline, Stop was not called and no watchdog is
+// armed. It then moves the clock to when, counts one fired event and gives
+// a probe the OnSchedule/OnFire pair, with the same Pending(), that the
+// event would; otherwise it returns false and the caller schedules.
+func (e *Engine) Advance(when Time) bool {
+	if when < e.now || when > e.limit || e.stopped || e.wdOn {
+		return false
+	}
+	// Bucket 0 holds events at base <= now; the lowest other non-empty
+	// bucket's lower bound is at or below every pending instant.
+	if e.mask&1 != 0 || e.mask != 0 && e.buckets[bits.TrailingZeros64(e.mask)].low <= when {
+		return false
+	}
+	e.now = when
+	e.fired++
+	if e.probeOn {
+		e.live++
+		e.probe.OnSchedule(when)
+		e.live--
+		e.probe.OnFire(when)
 	}
 	return true
 }
@@ -350,33 +378,32 @@ func (e *Engine) step(limit Time) bool {
 // Run executes events until the queue drains, Stop is called, or an armed
 // watchdog trips (see SetWatchdog; the diagnostic is then available from
 // Err).
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped {
-		if e.wdOn && !e.wdCheck() {
-			break
-		}
-		if !e.step(MaxTime) {
-			break
-		}
-	}
-}
+func (e *Engine) Run() { e.run(MaxTime) }
 
 // RunUntil executes events with timestamps <= deadline, advancing the clock
 // to exactly deadline when it returns (even if the queue drained earlier or
 // the next event lies beyond the deadline). An armed watchdog aborts the
 // run early, leaving the clock where the abort happened.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
+	if e.run(deadline) && e.now < deadline {
+		e.now = deadline
+	}
+}
+
+// run fires the events due by limit, which bounds Advance meanwhile, until
+// none is left or Stop is called. It reports false if the watchdog tripped.
+func (e *Engine) run(limit Time) (ok bool) {
+	prev := e.limit
+	e.limit, e.stopped, ok = limit, false, true
 	for !e.stopped {
 		if e.wdOn && !e.wdCheck() {
-			return // abort without the deadline clamp
+			ok = false
+			break
 		}
-		if !e.step(deadline) {
+		if !e.step(limit) {
 			break
 		}
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.limit = prev
+	return ok
 }
