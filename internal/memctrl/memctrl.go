@@ -396,11 +396,22 @@ func (c *Controller) schedulePick() {
 	c.eng.At(at, c.pickFn)
 }
 
-// pick selects and issues one request per invocation (FR-FCFS with
-// watermark-based write draining), then reschedules itself.
+// pick issues one request per issue slot while requests remain, the next
+// inline when the engine can advance straight to its slot, else from an
+// event (unless a completion already scheduled one).
 func (c *Controller) pick() {
 	c.pickQueued = false
+	for c.issue() && c.readQ.n+c.writeQ.n > 0 && !c.pickQueued {
+		if !c.eng.Advance(max(c.issueAt, c.eng.Now())) {
+			c.schedulePick()
+			return
+		}
+	}
+}
 
+// issue issues one request (FR-FCFS with watermark-based write draining),
+// or reports false when both queues are empty.
+func (c *Controller) issue() bool {
 	// Decide which queue to serve.
 	if c.draining {
 		if c.writeQ.n <= c.cfg.WriteLowWatermark {
@@ -418,7 +429,7 @@ func (c *Controller) pick() {
 	case c.writeQ.n > 0:
 		q = &c.writeQ
 	default:
-		return
+		return false
 	}
 
 	e := q.remove(c.frfcfs(q))
@@ -441,10 +452,7 @@ func (c *Controller) pick() {
 	} else {
 		c.eng.At(e.completed, e.completeFn)
 	}
-
-	if c.readQ.n+c.writeQ.n > 0 {
-		c.schedulePick()
-	}
+	return true
 }
 
 // retire accounts a transaction whose completion instant is known and
