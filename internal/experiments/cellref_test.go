@@ -22,7 +22,9 @@ import (
 // completion, a fabric delivery and an RX completion per packet — with
 // their endpoint builders and knee detectors, as the reference the single
 // cell must match row for row and metric for metric. refCollCell plays the
-// same part for the collective cell.
+// same part for the collective cell, and refFig12aCell, which measures one
+// (cluster, switch latency) point by running the whole driver path again,
+// for the Fig. 12(a) cell that runs it once per cluster.
 
 func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	if kneeFactor <= 0 {
@@ -823,5 +825,66 @@ func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, 
 		Dropped:         dropped,
 		Marked:          int(fstats.Marked),
 		LinkUtilization: util,
+	}, nil
+}
+
+// refFig12a is Fig12a with one cell per (cluster, switch latency).
+func refFig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n int, seed uint64, parallelism int) ([]Fig12aRow, error) {
+	rows := make([]Fig12aRow, len(clusters)*len(switchLats))
+	errs := make([]error, len(rows))
+	forEachCell(len(rows), parallelism, func(idx int) {
+		cl := clusters[idx/len(switchLats)]
+		sl := switchLats[idx%len(switchLats)]
+		rows[idx], errs[idx] = refFig12aCell(sp.MustDerive(), cl, sl, n, seed)
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// refFig12aCell measures one (cluster, switch latency) grid point. Every cell
+// regenerates its trace and machines from the same seed, so cells are
+// fully independent of each other.
+func refFig12aCell(d *spec.Derived, cl workload.Cluster, sl sim.Time, n int, seed uint64) (Fig12aRow, error) {
+	fabric := d.Fabric(sl)
+	fabric.Switch.CutThrough = false
+
+	events := workload.NewGenerator(cl, 0, seed).Generate(n)
+	ndTX, err := d.NewNetDIMM(seed*2 + 1)
+	if err != nil {
+		return Fig12aRow{}, err
+	}
+	ndRX, err := d.NewNetDIMM(seed*2 + 2)
+	if err != nil {
+		return Fig12aRow{}, err
+	}
+	dn := d.NewDNIC(false)
+	in := d.NewINIC(false)
+
+	var dnSum, inSum, ndSum sim.Time
+	for i, e := range events {
+		p := e.Packet(uint64(i))
+		wire := fabric.WireTime(e.Size, e.Locality)
+
+		dnB := dn.TX(p)
+		dnB.Add(stats.Wire, wire)
+		dnSum += dnB.Plus(dn.RX(p)).Total()
+
+		inB := in.TX(p)
+		inB.Add(stats.Wire, wire)
+		inSum += inB.Plus(in.RX(p)).Total()
+
+		ndB := ndTX.TX(p)
+		ndB.Add(stats.Wire, wire)
+		ndSum += ndB.Plus(ndRX.RX(p)).Total()
+	}
+	cnt := sim.Time(len(events))
+	return Fig12aRow{
+		Cluster:       cl,
+		SwitchLatency: sl,
+		DNICMean:      dnSum / cnt,
+		INICMean:      inSum / cnt,
+		NetDIMMMean:   ndSum / cnt,
 	}, nil
 }

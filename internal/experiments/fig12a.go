@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"netdimm/internal/ethernet"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
-	"netdimm/internal/stats"
 	"netdimm/internal/workload"
 )
 
@@ -47,11 +47,9 @@ var PaperSwitchLatencies = []sim.Time{
 // re-serialisation, reproducing the paper's cluster ordering.
 func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n int, seed uint64, parallelism int) ([]Fig12aRow, error) {
 	rows := make([]Fig12aRow, len(clusters)*len(switchLats))
-	errs := make([]error, len(rows))
-	forEachCell(len(rows), parallelism, func(idx int) {
-		cl := clusters[idx/len(switchLats)]
-		sl := switchLats[idx%len(switchLats)]
-		rows[idx], errs[idx] = fig12aCell(sp.MustDerive(), cl, sl, n, seed)
+	errs := make([]error, len(clusters))
+	forEachCell(len(clusters), parallelism, func(idx int) {
+		errs[idx] = fig12aCell(sp.MustDerive(), clusters[idx], switchLats, n, seed, rows[idx*len(switchLats):][:len(switchLats)])
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -59,50 +57,53 @@ func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n 
 	return rows, nil
 }
 
-// fig12aCell measures one (cluster, switch latency) grid point. Every cell
-// regenerates its trace and machines from the same seed, so cells are
-// fully independent of each other.
-func fig12aCell(d *spec.Derived, cl workload.Cluster, sl sim.Time, n int, seed uint64) (Fig12aRow, error) {
-	fabric := d.Fabric(sl)
-	fabric.Switch.CutThrough = false
+// fig12aCell measures one cluster at every switch latency into rows. The
+// switch model prices only the wire term (per-hop latency times hop
+// count), so the driver path runs each packet once per architecture and
+// each row adds its own summed wire time to the shared driver sums.
+// Every cell regenerates its trace and machines from the same seed, so
+// cells are fully independent of each other.
+func fig12aCell(d *spec.Derived, cl workload.Cluster, switchLats []sim.Time, n int, seed uint64, rows []Fig12aRow) error {
+	fabrics := make([]ethernet.Fabric, len(switchLats))
+	for i, sl := range switchLats {
+		fabrics[i] = d.Fabric(sl)
+		fabrics[i].Switch.CutThrough = false
+	}
 
 	events := workload.NewGenerator(cl, 0, seed).Generate(n)
 	ndTX, err := d.NewNetDIMM(seed*2 + 1)
 	if err != nil {
-		return Fig12aRow{}, err
+		return err
 	}
 	ndRX, err := d.NewNetDIMM(seed*2 + 2)
 	if err != nil {
-		return Fig12aRow{}, err
+		return err
 	}
 	dn := d.NewDNIC(false)
 	in := d.NewINIC(false)
 
 	var dnSum, inSum, ndSum sim.Time
+	wire := make([]sim.Time, len(switchLats))
 	for i, e := range events {
 		p := e.Packet(uint64(i))
-		wire := fabric.WireTime(e.Size, e.Locality)
-
-		dnB := dn.TX(p)
-		dnB.Add(stats.Wire, wire)
-		dnSum += dnB.Plus(dn.RX(p)).Total()
-
-		inB := in.TX(p)
-		inB.Add(stats.Wire, wire)
-		inSum += inB.Plus(in.RX(p)).Total()
-
-		ndB := ndTX.TX(p)
-		ndB.Add(stats.Wire, wire)
-		ndSum += ndB.Plus(ndRX.RX(p)).Total()
+		for j := range fabrics {
+			wire[j] += fabrics[j].WireTime(e.Size, e.Locality)
+		}
+		dnSum += dn.TX(p).Plus(dn.RX(p)).Total()
+		inSum += in.TX(p).Plus(in.RX(p)).Total()
+		ndSum += ndTX.TX(p).Plus(ndRX.RX(p)).Total()
 	}
 	cnt := sim.Time(len(events))
-	return Fig12aRow{
-		Cluster:       cl,
-		SwitchLatency: sl,
-		DNICMean:      dnSum / cnt,
-		INICMean:      inSum / cnt,
-		NetDIMMMean:   ndSum / cnt,
-	}, nil
+	for j, sl := range switchLats {
+		rows[j] = Fig12aRow{
+			Cluster:       cl,
+			SwitchLatency: sl,
+			DNICMean:      (dnSum + wire[j]) / cnt,
+			INICMean:      (inSum + wire[j]) / cnt,
+			NetDIMMMean:   (ndSum + wire[j]) / cnt,
+		}
+	}
+	return nil
 }
 
 // Fig12aAverages reduces rows to the paper's summary form: the average
