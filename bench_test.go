@@ -121,6 +121,7 @@ func BenchmarkFig12a(b *testing.B)    { benchmarkFig12a(b, 1) }
 func BenchmarkFig12aPar(b *testing.B) { benchmarkFig12a(b, 0) }
 
 func benchmarkFig12a(b *testing.B, parallelism int) {
+	b.ReportAllocs()
 	var rows []Fig12aResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -263,9 +264,10 @@ func TestOneWayPacketAllocs(t *testing.T) {
 
 // TestOneWayPacketEvents holds the device path to its event budget: a warm
 // 1514B NetDIMM→NetDIMM packet fires at most 26 events on the sender's
-// engine (TX) and 28 on the receiver's (RX). The nMC schedules one pick
-// per line but one completion per packet transfer, not one per line.
-// Event counts are deterministic, so the budget is exact.
+// engine (TX) and 28 on the receiver's (RX). The nMC issues one pick per
+// line, most of them inline through sim.Engine.Advance, which counts each
+// as a fired event, and schedules one completion per packet transfer, not
+// one per line. Event counts are deterministic, so the budget is exact.
 func TestOneWayPacketEvents(t *testing.T) {
 	tx, rx, send := warmOneWay(t)
 	txEng := tx.impl.(*driver.NetDIMMDriver).Eng
