@@ -263,11 +263,13 @@ func TestOneWayPacketAllocs(t *testing.T) {
 }
 
 // TestOneWayPacketEvents holds the device path to its event budget: a warm
-// 1514B NetDIMM→NetDIMM packet fires at most 26 events on the sender's
-// engine (TX) and 28 on the receiver's (RX). The nMC issues one pick per
+// 1514B NetDIMM→NetDIMM packet fires exactly 25 events on the sender's
+// engine (TX) and 27 on the receiver's (RX). The nMC issues one pick per
 // line, most of them inline through sim.Engine.Advance, which counts each
-// as a fired event, and schedules one completion per packet transfer, not
-// one per line. Event counts are deterministic, so the budget is exact.
+// as a fired event, and finishes each packet transfer with one done, also
+// inline when it can be, not one completion per line. Event counts are
+// deterministic, so the budget is exact: queueing a transfer's lines as
+// one record, or finishing it inline, must not change them.
 func TestOneWayPacketEvents(t *testing.T) {
 	tx, rx, send := warmOneWay(t)
 	txEng := tx.impl.(*driver.NetDIMMDriver).Eng
@@ -275,11 +277,11 @@ func TestOneWayPacketEvents(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		txFired, rxFired := txEng.Fired(), rxEng.Fired()
 		send()
-		if n := txEng.Fired() - txFired; n > 26 {
-			t.Fatalf("packet %d: %d device events on TX, want <= 26", i, n)
+		if n := txEng.Fired() - txFired; n != 25 {
+			t.Fatalf("packet %d: %d device events on TX, want 25", i, n)
 		}
-		if n := rxEng.Fired() - rxFired; n > 28 {
-			t.Fatalf("packet %d: %d device events on RX, want <= 28", i, n)
+		if n := rxEng.Fired() - rxFired; n != 27 {
+			t.Fatalf("packet %d: %d device events on RX, want 27", i, n)
 		}
 	}
 }

@@ -109,13 +109,56 @@ func TestNCacheBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestNCacheBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry accepted")
+// Property: the valid-line counter that lets a snoop skip an empty cache
+// equals Occupancy after every step of random Insert/Read/Invalidate
+// streams, and a range snoop leaves the cache and its statistics exactly
+// as the per-line Invalidate calls it stands for.
+func TestNCacheValidCountProperty(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c, ref := NewNCache(16, 2, 3), NewNCache(16, 2, 3)
+		for _, op := range ops {
+			addr := int64(op%48) * 64
+			switch op >> 8 % 4 {
+			case 0:
+				c.Insert(addr, op&1 == 0, false)
+				ref.Insert(addr, op&1 == 0, false)
+			case 1:
+				c.Read(addr)
+				ref.Read(addr)
+			case 2:
+				c.Invalidate(addr)
+				ref.Invalidate(addr)
+			default:
+				n := int64(op>>10) + 1
+				c.invalidateRange(addr, n)
+				for i := int64(0); i < n; i++ {
+					ref.Invalidate(addr + i*64)
+				}
+			}
+			if c.valid != c.Occupancy() || c.Occupancy() != ref.Occupancy() || c.Stats() != ref.Stats() {
+				return false
+			}
 		}
-	}()
-	NewNCache(10, 3, 1)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NewNCache rejects a line count that is not a whole number of sets and a
+// set count that is not a power of two (12 sets of 8 ways).
+func TestNCacheBadGeometryPanics(t *testing.T) {
+	for _, g := range [][2]int{{10, 3}, {96, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("bad geometry %d lines / %d ways accepted", g[0], g[1])
+				}
+			}()
+			NewNCache(g[0], g[1], 1)
+		}()
+	}
 }
 
 func newDevice(t *testing.T) (*sim.Engine, *Device) {

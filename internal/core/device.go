@@ -173,9 +173,7 @@ func (d *Device) ReceivePacketData(bufAddr int64, size int, data []byte, done fu
 		}
 	}
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
-	for i := int64(0); i < lines; i++ {
-		d.ncache.Invalidate(bufAddr + i*addrmap.CachelineSize) // snoop: stale copies must die
-	}
+	d.ncache.invalidateRange(bufAddr, lines) // snoop: stale copies must die
 	d.stats.NNICWrites += uint64(lines)
 	err := d.transfer(bufAddr, lines, true, done)
 	// Cache the header line: "the nController writes the first cacheline
@@ -288,9 +286,7 @@ func (d *Device) Clone(dst, src int64, size int, done func(dram.CloneMode)) sim.
 // it runs in; the caller schedules its own completion.
 func (d *Device) clone(dst, src int64, size int) (finish sim.Time, mode dram.CloneMode) {
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
-	for i := int64(0); i < lines; i++ {
-		d.ncache.Invalidate(dst + i*addrmap.CachelineSize)
-	}
+	d.ncache.invalidateRange(dst, lines)
 	d.mem.Clone(dst, src, size)
 	finish, mode = d.clones.Clone(d.eng.Now(), src, dst, int64(size))
 	d.stats.Clones[mode]++

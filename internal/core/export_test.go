@@ -3,7 +3,7 @@ package core
 import "netdimm/internal/dram"
 
 // Lines returns the capacity in cachelines.
-func (c *NCache) Lines() int { return int(c.setsN) * c.ways }
+func (c *NCache) Lines() int { return len(c.sets) * c.ways }
 
 // Occupancy returns the number of valid lines.
 func (c *NCache) Occupancy() int {

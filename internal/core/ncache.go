@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"netdimm/internal/addrmap"
 	"netdimm/internal/sim"
@@ -38,25 +39,26 @@ type nline struct {
 // and "is unlikely to be accessed in a near future"), all lines are clean,
 // and replacement is random (paper Sec. 4.1).
 type NCache struct {
-	ways  int
-	sets  [][]nline
-	setsN int64
-	rng   *sim.Rand
-	stats NCacheStats
+	ways     int
+	sets     [][]nline
+	setShift uint // log2 of the set count
+	valid    int  // valid lines, so a snoop of an empty cache costs nothing
+	rng      *sim.Rand
+	stats    NCacheStats
 }
 
 // NewNCache builds an nCache with the given total line count and
-// associativity. Replacement randomness is seeded deterministically.
+// associativity; the set count lines/ways must be a power of two.
+// Replacement randomness is seeded deterministically.
 func NewNCache(lines, ways int, seed uint64) *NCache {
-	if lines <= 0 || ways <= 0 || lines%ways != 0 {
-		panic(fmt.Sprintf("core: bad nCache geometry lines=%d ways=%d", lines, ways))
+	if lines <= 0 || ways <= 0 || lines%ways != 0 || bits.OnesCount(uint(lines/ways)) != 1 {
+		panic(fmt.Sprintf("core: bad nCache geometry lines=%d ways=%d: want a power-of-two set count", lines, ways))
 	}
-	setsN := lines / ways
-	sets := make([][]nline, setsN)
+	sets := make([][]nline, lines/ways)
 	for i := range sets {
 		sets[i] = make([]nline, ways)
 	}
-	return &NCache{ways: ways, sets: sets, setsN: int64(setsN), rng: sim.NewRand(seed)}
+	return &NCache{ways: ways, sets: sets, setShift: uint(bits.TrailingZeros(uint(len(sets)))), rng: sim.NewRand(seed)}
 }
 
 // Stats returns a copy of the statistics.
@@ -67,8 +69,8 @@ func (c *NCache) locate(addr int64) ([]nline, int64) {
 	// XOR-folded set index: RX ring slots sit at power-of-two strides, so
 	// a plain modulo would alias every packet header into the same one or
 	// two sets. Folding the tag bits in spreads strided streams.
-	set := (li ^ (li / c.setsN)) % c.setsN
-	return c.sets[set], li / c.setsN
+	tag := li >> c.setShift
+	return c.sets[(li^tag)&(int64(len(c.sets))-1)], tag
 }
 
 // Insert stores one cacheline. header marks the first cacheline of a newly
@@ -96,6 +98,8 @@ func (c *NCache) Insert(addr int64, header, prefetched bool) {
 	if v < 0 {
 		v = c.rng.Intn(c.ways)
 		c.stats.Replacements++
+	} else {
+		c.valid++
 	}
 	set[v] = nline{tag: tag, valid: true, header: header, prefetch: prefetched}
 	c.stats.Inserts++
@@ -118,6 +122,7 @@ func (c *NCache) Read(addr int64) (hit, wasHeader bool) {
 			}
 			wasHeader = set[i].header
 			set[i].valid = false // consume-on-read
+			c.valid--
 			c.stats.Consumed++
 			return true, wasHeader
 		}
@@ -146,9 +151,18 @@ func (c *NCache) Invalidate(addr int64) {
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].valid = false
+			c.valid--
 			c.stats.Invalidations++
 			return
 		}
+	}
+}
+
+// invalidateRange snoops the lines consecutive cachelines from addr, as
+// that many Invalidate calls would, and returns once nCache holds no line.
+func (c *NCache) invalidateRange(addr, lines int64) {
+	for i := int64(0); i < lines && c.valid > 0; i++ {
+		c.Invalidate(addr + i*addrmap.CachelineSize)
 	}
 }
 

@@ -51,11 +51,13 @@ func refFRFCFS(q []*refEntry, rs *RankSet, starvationCap int) (int, bool) {
 
 // The O(1) picker issues the same request as the reference at every step
 // of random submit/pick sequences: random addresses over a few rows per
-// bank (so hits, misses and conflicts all occur), rows opened behind the
-// scheduler's back, starvation caps 0–20, small queue caps and both
-// queues.
+// bank (so hits, misses and conflicts all occur), SubmitLines transfers
+// that the record queue holds as one record per row (some crossing a row
+// boundary), rows opened behind the scheduler's back, starvation caps
+// 0–20, small queue caps and both queues. The reference queues every line
+// of a transfer as an entry of its own.
 func TestFRFCFSMatchesReference(t *testing.T) {
-	var starved, hitsPastHead, picks int
+	var starved, hitsPastHead, linePicks, picks int
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		cfg := DefaultConfig()
@@ -78,6 +80,17 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 			w := rng.IntN(2)
 			write := w == 1
 			switch op := rng.IntN(10); {
+			case op < 5 && rng.IntN(3) == 0:
+				// A transfer's lines carry tag 0 and their own addresses.
+				a := addr() + int64(rng.IntN(112))*addrmap.CachelineSize
+				n := 1 + rng.IntN(16)
+				accepted := min(n, c.queue(write).cap-len(ref[w]))
+				if rejected := c.SubmitLines(a, n, write, nil); rejected != n-accepted {
+					t.Fatalf("seed %d step %d: SubmitLines rejected %d of %d lines, reference %d", seed, step, rejected, n, n-accepted)
+				}
+				for j := 0; j < accepted; j++ {
+					ref[w] = append(ref[w], &refEntry{addr: a + int64(j)*addrmap.CachelineSize})
+				}
 			case op < 5:
 				// Bytes doubles as a unique tag: the picker never reads it.
 				tag++
@@ -95,13 +108,22 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 				if q.n == 0 {
 					continue
 				}
-				got := q.remove(c.frfcfs(q))
+				i := c.frfcfs(q)
+				got := q.ring[q.slot(i)]
+				gotAddr, gotTag := got.req.Addr, got.req.Bytes
+				if got.xfer != nil {
+					gotTag = 0
+				}
+				last := q.take(i)
 				idx, forced := refFRFCFS(ref[w], rs, cfg.StarvationCap)
 				want := ref[w][idx]
 				ref[w] = append(ref[w][:idx], ref[w][idx+1:]...)
-				if got.req.Bytes != want.tag {
-					t.Fatalf("seed %d step %d (cap %d, %v queue): picked tag %d, reference picked tag %d (index %d, starvation %v)",
-						seed, step, cfg.StarvationCap, map[bool]string{false: "read", true: "write"}[write], got.req.Bytes, want.tag, idx, forced)
+				if gotTag != want.tag || gotAddr != want.addr {
+					t.Fatalf("seed %d step %d (cap %d, %v queue): picked tag %d at %#x, reference picked tag %d at %#x (index %d, starvation %v)",
+						seed, step, cfg.StarvationCap, map[bool]string{false: "read", true: "write"}[write], gotTag, gotAddr, want.tag, want.addr, idx, forced)
+				}
+				if gotTag != 0 && !last {
+					t.Fatalf("seed %d step %d: a Submit's record kept lines after its pick", seed, step)
 				}
 				picks++
 				if forced {
@@ -109,17 +131,25 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 				} else if idx > 0 {
 					hitsPastHead++
 				}
+				if gotTag == 0 {
+					linePicks++
+				}
 				// Issue it as pick does, so its row opens.
 				now += sim.Time(rng.IntN(50)) * sim.Nanosecond
 				got.rank.AccessRow(now, got.bank, got.row, write, addrmap.CachelineSize)
-				c.retire(got)
+				c.retire(got, last)
 			default:
 				rs.Access(now, addr(), false, addrmap.CachelineSize)
 			}
+			for w, q := range []*fifo{&c.readQ, &c.writeQ} {
+				if q.n != len(ref[w]) {
+					t.Fatalf("seed %d step %d: queue %d holds %d lines, reference %d", seed, step, w, q.n, len(ref[w]))
+				}
+			}
 		}
 	}
-	if starved == 0 || hitsPastHead == 0 {
-		t.Fatalf("%d picks covered %d starvation picks and %d row hits past the head; want both", picks, starved, hitsPastHead)
+	if starved == 0 || hitsPastHead == 0 || linePicks == 0 {
+		t.Fatalf("%d picks covered %d starvation picks, %d row hits past the head and %d transfer lines; want each", picks, starved, hitsPastHead, linePicks)
 	}
 }
 
@@ -153,10 +183,10 @@ type transferRun struct {
 	fired      uint64
 }
 
-// runTransfer submits background requests, an n-line transfer at 0 and a
-// second one from inside the first's done, through SubmitLines or through
-// submitCountdown.
-func runTransfer(useLines, observed bool, bgSame, bgOther, n int, write bool) transferRun {
+// runTransfer submits background requests, an n-line transfer at offset
+// into one row and a second one at offset into another from inside the
+// first's done, through SubmitLines or through submitCountdown.
+func runTransfer(useLines, observed bool, bgSame, bgOther, n int, write bool, offset int64) transferRun {
 	eng := sim.NewEngine()
 	c := New(eng, DefaultConfig(), NewRankSet(dram.DDR4_2400(), 2))
 	var trk *obs.Track
@@ -177,9 +207,9 @@ func runTransfer(useLines, observed bool, bgSame, bgOther, n int, write bool) tr
 			r.rejected = append(r.rejected, submitCountdown(c, addr, n, write, done))
 		}
 	}
-	submit(0x40000, func() {
+	submit(0x40000+offset, func() {
 		r.doneAt = append(r.doneAt, eng.Now())
-		submit(0x80000, func() { r.doneAt = append(r.doneAt, eng.Now()) })
+		submit(0x80000+offset, func() { r.doneAt = append(r.doneAt, eng.Now()) })
 	})
 	eng.Run()
 	r.stats, r.end, r.spans, r.fired = c.Stats(), eng.Now(), trk.Spans(), eng.Fired()
@@ -199,16 +229,19 @@ func TestSubmitLinesMatchesCountdown(t *testing.T) {
 		write           bool
 		rejected        int // of the first transfer
 		fires           int
+		offset          int64 // of each transfer into its 8 KiB row
 	}{
-		{"all accepted, 1514B RX write", 8, 6, 24, true, 0, 2},
-		{"partial, 9000B TX read", 0, 4, 141, false, 77, 2},
-		{"all rejected", 64, 3, 10, false, 10, 0},
+		{"all accepted, 1514B RX write", 8, 6, 24, true, 0, 2, 0},
+		{"partial, 9000B TX read", 0, 4, 141, false, 77, 2, 0},
+		{"all rejected", 64, 3, 10, false, 10, 0, 0},
+		{"mid-row, two rows, 1514B RX write", 8, 6, 24, true, 0, 2, addrmap.RankRowBytes - 9*addrmap.CachelineSize},
+		{"mid-row, two rows, 1514B TX read", 3, 5, 24, false, 0, 2, addrmap.RankRowBytes - 20*addrmap.CachelineSize},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, observed := range []bool{false, true} {
-				want := runTransfer(false, observed, tc.bgSame, tc.bgOther, tc.n, tc.write)
-				got := runTransfer(true, observed, tc.bgSame, tc.bgOther, tc.n, tc.write)
+				want := runTransfer(false, observed, tc.bgSame, tc.bgOther, tc.n, tc.write, tc.offset)
+				got := runTransfer(true, observed, tc.bgSame, tc.bgOther, tc.n, tc.write, tc.offset)
 				if got.rejected[0] != tc.rejected || len(got.doneAt) != tc.fires {
 					t.Fatalf("observed=%v: rejected %v, done fired %d times; want %d rejected first and %d fires",
 						observed, got.rejected, len(got.doneAt), tc.rejected, tc.fires)

@@ -20,6 +20,10 @@ type pickRun struct {
 	fired     uint64
 	end       sim.Time
 	spans     []obs.Span
+	depth     []obs.Sample
+	// crossings counts the transfers that start mid-row and run into the
+	// next row; it describes the stream and is not compared.
+	crossings int
 }
 
 type taggedResponse struct {
@@ -29,26 +33,32 @@ type taggedResponse struct {
 }
 
 // runPickStream drives a controller through a seeded random stream of
-// Submits, SubmitLines transfers, foreign events landing just before, at
-// and just after upcoming issue slots (some of which submit or Stop),
-// RunUntil deadlines, Runs and Stops. With refuse set, an armed watchdog
-// that never trips makes every Advance refuse, so every pick is an event.
-func runPickStream(seed uint64, observed, refuse bool) pickRun {
+// Submits, SubmitLines transfers from random line offsets (some crossing
+// an 8 KiB row boundary), foreign events landing just before, at and just
+// after upcoming issue slots (some of which submit or Stop), RunUntil
+// deadlines, Runs and Stops. With refuse set, an armed watchdog that never
+// trips makes every Advance refuse, so every pick and every transfer's
+// done is an event. With observed set, a span track and a read-queue
+// depth series are attached. With perLine set, every transfer is a submitCountdown
+// of per-line Submits in place of one SubmitLines.
+func runPickStream(seed uint64, observed, refuse, perLine bool) pickRun {
 	eng := sim.NewEngine()
 	if refuse {
 		eng.SetWatchdog(sim.Watchdog{MaxEvents: 1 << 62})
 	}
 	c := New(eng, DefaultConfig(), NewRankSet(dram.DDR4_2400(), 2))
 	var trk *obs.Track
+	var depth *obs.Series
 	if observed {
-		trk = obs.New(obs.Spec{Trace: true}, "cell").Cell(0).Track("nmc")
-		c.Observe(trk, nil)
+		cell := obs.New(obs.Spec{Trace: true, Metrics: true}, "cell").Cell(0)
+		trk, depth = cell.Track("nmc"), cell.Metrics().Series("nmc.readq")
+		c.Observe(trk, depth)
 	}
 	r := sim.NewRand(seed)
 	var out pickRun
 	tags := 0
 	addr := func() int64 {
-		return int64(r.Intn(6))*addrmap.SameSubarrayPageStride + int64(r.Intn(64))*addrmap.CachelineSize
+		return int64(r.Intn(6))*addrmap.SameSubarrayPageStride + int64(r.Intn(128))*addrmap.CachelineSize
 	}
 	submit := func() {
 		tag := tags
@@ -66,9 +76,18 @@ func runPickStream(seed uint64, observed, refuse bool) pickRun {
 	lines := func() {
 		tag := tags
 		tags++
-		out.rejected = append(out.rejected, c.SubmitLines(addr(), 1+r.Intn(80), r.Intn(2) == 0, func() {
+		a, n, write := addr(), 1+r.Intn(80), r.Intn(2) == 0
+		if a%addrmap.RankRowBytes != 0 && a/addrmap.RankRowBytes != (a+int64(n-1)*addrmap.CachelineSize)/addrmap.RankRowBytes {
+			out.crossings++
+		}
+		done := func() {
 			out.doneAt = append(out.doneAt, [2]int64{int64(tag), int64(eng.Now())})
-		}))
+		}
+		if perLine {
+			out.rejected = append(out.rejected, submitCountdown(c, a, n, write, done))
+		} else {
+			out.rejected = append(out.rejected, c.SubmitLines(a, n, write, done))
+		}
 	}
 	burst := c.timing.BurstTime(addrmap.CachelineSize)
 	foreign := func() {
@@ -105,27 +124,42 @@ func runPickStream(seed uint64, observed, refuse bool) pickRun {
 	for eng.Pending() > 0 {
 		eng.Run()
 	}
-	out.stats, out.fired, out.end, out.spans = c.Stats(), eng.Fired(), eng.Now(), trk.Spans()
+	out.stats, out.fired, out.end, out.spans, out.depth = c.Stats(), eng.Fired(), eng.Now(), trk.Spans(), depth.Samples()
 	return out
 }
 
-// TestInlinePicksMatchEventPicks holds the inline picks to the
-// event-per-pick scheduler they replace: the same responses at the same
-// instants, the same transfer completions and rejections, Stats, Fired
-// and, with a span track attached, the same spans.
+// TestInlinePicksMatchEventPicks holds the inline picks and inline
+// transfer dones to the event-per-pick scheduler they replace, and the
+// transfer records to the per-line Submits they replace: the same
+// responses at the same instants, the same transfer completions and
+// rejections, Stats, the same end instant and, with a span track attached,
+// the same spans and read-queue depth series. Fired must match too, except where per-line Submits
+// schedule a completion per line that an unobserved transfer does not.
 func TestInlinePicksMatchEventPicks(t *testing.T) {
+	crossings := 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		for _, observed := range []bool{false, true} {
-			got := runPickStream(seed, observed, false)
-			want := runPickStream(seed, observed, true)
-			if len(want.responses) == 0 || len(want.doneAt) == 0 {
-				t.Fatalf("seed %d: stream completed %d requests and %d transfers; want some of each",
-					seed, len(want.responses), len(want.doneAt))
+			got := runPickStream(seed, observed, false, false)
+			for _, ref := range []struct{ refuse, perLine bool }{{true, false}, {false, true}, {true, true}} {
+				want := runPickStream(seed, observed, ref.refuse, ref.perLine)
+				if len(want.responses) == 0 || len(want.doneAt) == 0 {
+					t.Fatalf("seed %d: stream completed %d requests and %d transfers; want some of each",
+						seed, len(want.responses), len(want.doneAt))
+				}
+				g := got
+				if ref.perLine && !observed {
+					g.fired, want.fired = 0, 0
+				}
+				if d := firstDiff(g, want); d != "" {
+					t.Fatalf("seed %d observed=%v: inline picks and records differ from event picks=%v, per-line submits=%v: %s",
+						seed, observed, ref.refuse, ref.perLine, d)
+				}
 			}
-			if d := firstDiff(got, want); d != "" {
-				t.Fatalf("seed %d observed=%v: inline picks differ from event picks: %s", seed, observed, d)
-			}
+			crossings += got.crossings
 		}
+	}
+	if crossings == 0 {
+		t.Fatal("no transfer started mid-row and crossed into the next row")
 	}
 }
 
@@ -143,6 +177,7 @@ func firstDiff(got, want pickRun) string {
 		{"fired", got.fired, want.fired},
 		{"end", got.end, want.end},
 		{"spans", got.spans, want.spans},
+		{"depth", got.depth, want.depth},
 	}
 	for _, p := range parts {
 		if reflect.DeepEqual(p.g, p.w) {

@@ -170,23 +170,27 @@ func New(eng *sim.Engine, cfg Config, ranks *RankSet) *Controller {
 	return c
 }
 
-// entry is one queued transaction: the controller's own copy of the
-// submitted Request plus its scheduling and completion state. Entries are
+// entry is one queue record: a run of consecutive lines in one (rank,
+// bank, row), submitted at one instant, with the controller's own copy of
+// the submitted Request for its first queued line. Submit queues a 1-line
+// record and SubmitLines one record per DRAM row of its transfer. An entry
+// also carries one issued line to its completion event. Entries are
 // recycled through Controller.free, and each binds its completion method
 // value once, so a steady-state submit-issue-complete cycle allocates
 // nothing.
 type entry struct {
 	c         *Controller
 	req       Request
+	lines     int // queued lines, from req.Addr on
 	submitted sim.Time
 	// rank, bank, row and burst are decoded once at submit: the target
 	// of the row-hit test and the issue, and the front end's burst slot.
 	rank      *dram.Rank
 	bank, row int
 	burst     sim.Time
-	enqPicks  uint64    // the queue's picks when the entry joined it
-	xfer      *transfer // the SubmitLines transfer the entry is a line of, or nil
-	// completed and kind are the rank's answer, set at issue.
+	enqPicks  uint64    // the queue's picks when the record joined it
+	xfer      *transfer // the SubmitLines transfer the lines belong to, or nil
+	// completed and kind are the rank's answer for an issued line.
 	completed  sim.Time
 	kind       dram.AccessKind
 	completeFn func() // e.complete
@@ -204,18 +208,19 @@ func (c *Controller) newEntry() *entry {
 	return e
 }
 
-// fifo is one scheduler queue: a ring of entries in submission order,
-// made at the queue's cap on first use. picks counts the FR-FCFS picks
-// served from the queue that bypassed every entry left behind, so an
-// entry has been bypassed picks-enqPicks times.
+// fifo is one scheduler queue: a ring of records in submission order,
+// made at the queue's cap on first use (a record holds at least one
+// line). n counts queued lines, recs records. picks counts the FR-FCFS
+// picks served from the queue that bypassed every line left behind, so a
+// record's lines have been bypassed picks-enqPicks times.
 type fifo struct {
-	ring    []*entry
-	head, n int
-	cap     int
-	picks   uint64
+	ring          []*entry
+	head, recs, n int
+	cap           int
+	picks         uint64
 }
 
-// slot maps queue position i (0 is the oldest) to its ring index.
+// slot maps queue position i (0 is the oldest record) to its ring index.
 func (q *fifo) slot(i int) int {
 	if i += q.head; i >= len(q.ring) {
 		i -= len(q.ring)
@@ -228,24 +233,32 @@ func (q *fifo) push(e *entry) {
 		q.ring = make([]*entry, q.cap)
 	}
 	e.enqPicks = q.picks
-	q.ring[q.slot(q.n)] = e
-	q.n++
+	q.ring[q.slot(q.recs)] = e
+	q.recs++
+	q.n += e.lines
 }
 
-// remove takes out the entry at position i and moves the older entries
-// up one slot, so the queue keeps its order. FR-FCFS picks the head or
-// the oldest row hit, so i is usually small.
-func (q *fifo) remove(i int) *entry {
+// take takes the first line off the record at position i and reports
+// whether it was the last. With its last line the record leaves the
+// queue, and the older records move up one slot, so the queue keeps its
+// order. FR-FCFS picks the head or the oldest row hit, so i is usually
+// small.
+func (q *fifo) take(i int) (last bool) {
+	q.n--
 	at := q.slot(i)
-	e := q.ring[at]
+	if e := q.ring[at]; e.lines > 1 {
+		e.lines--
+		e.req.Addr += addrmap.CachelineSize
+		return false
+	}
 	for ; i > 0; i-- {
 		prev := q.slot(i - 1)
 		q.ring[at] = q.ring[prev]
 		at = prev
 	}
 	q.head = q.slot(1)
-	q.n--
-	return e
+	q.recs--
+	return true
 }
 
 // transfer is one SubmitLines call in flight: the accepted lines not yet
@@ -260,19 +273,22 @@ type transfer struct {
 }
 
 // lineDone retires one line of the transfer, completing at the given
-// instant. The last line fires done at the latest completion: now if that
-// is the present, else from one event scheduled for it.
-func (x *transfer) lineDone(completed sim.Time) {
-	if completed > x.last {
-		x.last = completed
-	}
-	if x.pending--; x.pending > 0 {
-		return
-	}
-	if x.last > x.c.eng.Now() {
-		x.c.eng.At(x.last, x.fireFn)
-	} else {
+// instant, and reports whether it was the last.
+func (x *transfer) lineDone(completed sim.Time) bool {
+	x.last = max(x.last, completed)
+	x.pending--
+	return x.pending == 0
+}
+
+// finish fires done at the latest completion: at once if that is the
+// present or (with advance set) the engine can advance straight to it,
+// else from one event scheduled for it.
+func (x *transfer) finish(advance bool) {
+	eng := x.c.eng
+	if x.last <= eng.Now() || advance && eng.Advance(x.last) {
 		x.fire()
+	} else {
+		eng.At(x.last, x.fireFn)
 	}
 }
 
@@ -322,7 +338,7 @@ func (c *Controller) Submit(req *Request) error {
 		return fmt.Errorf("memctrl: read queue full (%d)", q.cap)
 	}
 	e := c.newEntry()
-	e.req = *req
+	e.req, e.lines = *req, 1
 	if e.req.Bytes <= 0 {
 		e.req.Bytes = addrmap.CachelineSize
 	}
@@ -336,10 +352,11 @@ func (c *Controller) Submit(req *Request) error {
 // once, at the completion instant of the last accepted line, and never if
 // every line was rejected.
 //
-// A line's completion instant is known when it issues. So unless a span
+// The accepted lines queue as one record per DRAM row they touch. A
+// line's completion instant is known when it issues. So unless a span
 // track is attached (Observe), which records each line at its completion,
-// a line retires at issue and the transfer schedules one engine event,
-// for done, in place of one per line.
+// a line retires at issue and the transfer's done needs at most one
+// engine event, in place of one per line.
 func (c *Controller) SubmitLines(addr int64, n int, write bool, done func()) (rejected int) {
 	if n <= 0 {
 		return 0
@@ -355,11 +372,15 @@ func (c *Controller) SubmitLines(addr int64, n int, write bool, done func()) (re
 			x.fireFn = x.fire
 		}
 		x.pending, x.last, x.done = accepted, 0, done
-		for i := 0; i < accepted; i++ {
+		for left := accepted; left > 0; {
+			// The lines up to the next row boundary share one decode.
+			inRow := (addrmap.RankRowBytes - addr%addrmap.RankRowBytes + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 			e := c.newEntry()
-			e.req = Request{Addr: addr + int64(i)*addrmap.CachelineSize, Write: write, Bytes: addrmap.CachelineSize}
-			e.xfer = x
+			e.req = Request{Addr: addr, Write: write, Bytes: addrmap.CachelineSize}
+			e.lines, e.xfer = min(left, int(inRow)), x
 			c.enqueue(q, e)
+			left -= e.lines
+			addr += int64(e.lines) * addrmap.CachelineSize
 		}
 	}
 	rejected = n - accepted
@@ -368,7 +389,7 @@ func (c *Controller) SubmitLines(addr int64, n int, write bool, done func()) (re
 }
 
 // enqueue decodes e's address, stamps e with this instant and appends it
-// to q.
+// to q. A depth series gets one sample per line, as if each joined alone.
 func (c *Controller) enqueue(q *fifo, e *entry) {
 	l := addrmap.DecodeRank(e.req.Addr)
 	e.rank, e.bank, e.row = c.ranks.rank(l), l.Bank, l.GlobalRow()
@@ -376,10 +397,10 @@ func (c *Controller) enqueue(q *fifo, e *entry) {
 	e.submitted = c.eng.Now()
 	q.push(e)
 	if !e.req.Write {
-		if q.n > c.stats.MaxReadQueueDepth {
-			c.stats.MaxReadQueueDepth = q.n
+		c.stats.MaxReadQueueDepth = max(c.stats.MaxReadQueueDepth, q.n)
+		for d := q.n - e.lines + 1; c.depth != nil && d <= q.n; d++ {
+			c.depth.Sample(e.submitted, int64(d))
 		}
-		c.depth.Sample(e.submitted, int64(q.n))
 	}
 	c.schedulePick()
 }
@@ -396,12 +417,24 @@ func (c *Controller) schedulePick() {
 	c.eng.At(at, c.pickFn)
 }
 
-// pick issues one request per issue slot while requests remain, the next
-// inline when the engine can advance straight to its slot, else from an
-// event (unless a completion already scheduled one).
+// pick issues one line per issue slot while lines remain, the next inline
+// when the engine can advance straight to its slot, else from an event.
+// When a transfer's last line leaves both queues empty, its done is the
+// pick's last act, inline if the engine can advance to it.
 func (c *Controller) pick() {
 	c.pickQueued = false
-	for c.issue() && c.readQ.n+c.writeQ.n > 0 && !c.pickQueued {
+	for {
+		issued, x := c.issue()
+		if !issued {
+			return
+		}
+		empty := c.readQ.n+c.writeQ.n == 0
+		if x != nil {
+			x.finish(empty)
+		}
+		if empty {
+			return
+		}
 		if !c.eng.Advance(max(c.issueAt, c.eng.Now())) {
 			c.schedulePick()
 			return
@@ -409,9 +442,10 @@ func (c *Controller) pick() {
 	}
 }
 
-// issue issues one request (FR-FCFS with watermark-based write draining),
-// or reports false when both queues are empty.
-func (c *Controller) issue() bool {
+// issue issues one line (FR-FCFS with watermark-based write draining), or
+// reports false when both queues are empty. It returns the transfer whose
+// last line it retired, if any, for the caller to finish.
+func (c *Controller) issue() (issued bool, finished *transfer) {
 	// Decide which queue to serve.
 	if c.draining {
 		if c.writeQ.n <= c.cfg.WriteLowWatermark {
@@ -429,16 +463,19 @@ func (c *Controller) issue() bool {
 	case c.writeQ.n > 0:
 		q = &c.writeQ
 	default:
-		return false
+		return false, nil
 	}
 
-	e := q.remove(c.frfcfs(q))
+	i := c.frfcfs(q)
+	e := q.ring[q.slot(i)]
+	addr := e.req.Addr
+	last := q.take(i)
 
 	now := c.eng.Now()
 	if !e.req.Write {
 		c.depth.Sample(now, int64(c.readQ.n))
 	}
-	e.completed, e.kind = e.rank.AccessRow(now+c.cfg.TCMD, e.bank, e.row, e.req.Write, e.req.Bytes)
+	completed, kind := e.rank.AccessRow(now+c.cfg.TCMD, e.bank, e.row, e.req.Write, e.req.Bytes)
 	// The front end issues one command per burst slot: command processing
 	// pipelines, so a row-friendly stream is bus-bound, not tCMD+tCL-bound.
 	// Bank and bus constraints are enforced inside the rank.
@@ -446,30 +483,41 @@ func (c *Controller) issue() bool {
 
 	// A transfer's line needs no completion event of its own unless a
 	// span track records it.
-	if x := e.xfer; x != nil && c.trk == nil {
-		x.lineDone(e.completed)
-		c.retire(e)
-	} else {
-		c.eng.At(e.completed, e.completeFn)
+	x := e.xfer
+	if x != nil && c.trk == nil {
+		c.retire(e, last)
+		if x.lineDone(completed) {
+			return true, x
+		}
+		return true, nil
 	}
-	return true
+	if !last { // the line leaves its record on an entry of its own
+		l := c.newEntry()
+		l.req, l.submitted, l.xfer = Request{Addr: addr, Write: e.req.Write, Bytes: e.req.Bytes}, e.submitted, x
+		e = l
+	}
+	e.completed, e.kind = completed, kind
+	c.eng.At(completed, e.completeFn)
+	return true, nil
 }
 
-// retire accounts a transaction whose completion instant is known and
-// recycles its entry.
-func (c *Controller) retire(e *entry) {
+// retire accounts one line of e whose completion instant is known, and
+// recycles e with its last line.
+func (c *Controller) retire(e *entry, last bool) {
 	if e.req.Write {
 		c.stats.WritesDone++
 	} else {
 		c.stats.ReadsDone++
 	}
 	c.stats.BytesTransferred += e.req.Bytes
-	e.req.Done, e.xfer = nil, nil // the free list pins no caller state
-	c.free = append(c.free, e)
+	if last {
+		e.req.Done, e.xfer = nil, nil // the free list pins no caller state
+		c.free = append(c.free, e)
+	}
 }
 
-// complete retires the transaction at its completion instant, records its
-// span, and then invokes the request's Done (or retires the line of its
+// complete retires the line at its completion instant, records its span,
+// and then invokes the request's Done (or retires the line of its
 // transfer), which may submit new requests.
 func (e *entry) complete() {
 	c := e.c
@@ -488,26 +536,29 @@ func (e *entry) complete() {
 		Kind:      e.kind,
 	}
 	done, x := e.req.Done, e.xfer
-	c.retire(e)
+	c.retire(e, true)
 	if x != nil {
-		x.lineDone(resp.Completed)
+		if x.lineDone(resp.Completed) {
+			x.finish(false)
+		}
 	} else if done != nil {
 		done(resp)
 	}
 }
 
-// frfcfs returns the position in q of the request to issue: the oldest
-// request if FR-FCFS has bypassed it StarvationCap times, else the oldest
-// row hit, else the oldest request. The queue is FIFO, so the oldest
-// request is also the most bypassed and the starvation test needs only
-// the head. Every pick but a starvation pick bypasses all the requests it
-// leaves queued.
+// frfcfs returns the position in q of the record whose first line to
+// issue: the oldest line if FR-FCFS has bypassed it StarvationCap times,
+// else the oldest row hit, else the oldest line. A record's lines share a
+// row and a bypass count, so its first line stands for all of them. The
+// queue is FIFO, so the oldest line is also the most bypassed and the
+// starvation test needs only the head. Every pick but a starvation pick
+// bypasses all the lines it leaves queued.
 func (c *Controller) frfcfs(q *fifo) int {
 	if q.picks-q.ring[q.head].enqPicks >= uint64(c.cfg.StarvationCap) {
 		return 0
 	}
 	q.picks++
-	for i, j := 0, q.head; i < q.n; i++ {
+	for i, j := 0, q.head; i < q.recs; i++ {
 		if e := q.ring[j]; e.rank.OpenRow(e.bank) == e.row {
 			return i
 		}

@@ -248,6 +248,22 @@ func BenchmarkControllerStream(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkControllerTransfer times a packet's worth of nMC work: a
+// 24-line (1514 B) read transfer and a 24-line write transfer, each
+// queued as one record, issued and finished.
+func BenchmarkControllerTransfer(b *testing.B) {
+	eng := sim.NewEngine()
+	c := New(eng, DefaultConfig(), NewRankSet(dram.DDR4_2400(), 2))
+	done := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf := int64(i%4096) * addrmap.PageSize
+		c.SubmitLines(buf, 24, false, done)
+		c.SubmitLines(buf+addrmap.SameSubarrayPageStride, 24, true, done)
+		eng.Run()
+	}
+}
+
 // Submit copies the request: a caller that mutates or reuses its Request
 // right after Submit does not change the transaction already queued.
 func TestSubmitCopiesRequest(t *testing.T) {
@@ -345,5 +361,35 @@ func TestControllerSubmitAllocs(t *testing.T) {
 	}
 	if done != 64+1001 {
 		t.Fatalf("Done fired %d times, want %d", done, 64+1001)
+	}
+}
+
+// A steady-state transfer allocates nothing: records, transfers and the
+// done event are recycled or bound once, so a warm 24-line read transfer
+// plus a 24-line write transfer and the Run that completes both allocate
+// 0.
+func TestControllerTransferAllocs(t *testing.T) {
+	eng, c, _ := newCtrl(t)
+	var done int
+	onDone := func() { done++ }
+	send := func(i int64) {
+		buf := i % 4096 * addrmap.PageSize
+		c.SubmitLines(buf, 24, false, onDone)
+		c.SubmitLines(buf+addrmap.SameSubarrayPageStride, 24, true, onDone)
+		eng.Run()
+	}
+	for i := int64(0); i < 8; i++ { // warm the pools and queue capacity
+		send(i)
+	}
+	i := int64(8)
+	avg := testing.AllocsPerRun(1000, func() {
+		send(i)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("allocs per read+write transfer = %v, want 0", avg)
+	}
+	if want := 2 * int(i); done != want {
+		t.Fatalf("done fired %d times, want %d", done, want)
 	}
 }
