@@ -75,6 +75,7 @@ var goldenCases = []struct {
 	{"failsweep", "failsweep-default.txt", false, false},
 	{"collsweep", "collsweep-default.txt", false, false},
 	{"-metrics collsweep", "collsweep-metrics.txt", false, false},
+	{"-metrics -csv -scenario ../../scenarios/clos-2x4.json -ranks 8,16 collsweep", "collsweep-clos-2x4-metrics.txt", false, false},
 	{"collsweep", "collsweep-trace.sha256", false, true},
 }
 
