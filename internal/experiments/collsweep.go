@@ -5,9 +5,6 @@ import (
 	"math"
 
 	"netdimm/internal/collective"
-	"netdimm/internal/driver"
-	"netdimm/internal/ethernet"
-	"netdimm/internal/fabric"
 	"netdimm/internal/nic"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
@@ -212,31 +209,18 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	if err != nil {
 		return CollRow{}, err
 	}
-	d := sp.MustDerive()
-	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
-
-	txs, rxs, err := endpoints(d, arch, ranks, false, cfg.Seed)
-	if err != nil {
-		return CollRow{}, err
-	}
-
+	// The counters are created before the transport's engine probe, as in
+	// refCollCell, so Registry.Counters lists them in the same order.
 	reg := oc.Metrics()
 	deliveredC := reg.Counter(arch + ".delivered")
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
-	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
-
-	t := &collTransport{eng: eng, link: d.Link, chunk: shape.chunk,
-		topo: d.NewTopology(fabric.SingleEngine(eng), ranks, shape.portBuffer),
-		txs:  make([]collQueue, ranks), rxs: make([]collQueue, ranks)}
-	t.deliverFn = t.deliver
-	for r := 0; r < ranks; r++ {
-		tx, rx := &t.txs[r], &t.rxs[r]
-		tx.eng, tx.t, tx.m, tx.rank = eng, t, txs[r], r
-		rx.eng, rx.t, rx.m, rx.rank = eng, t, rxs[r], r
-		tx.doneFn, rx.doneFn = tx.txDone, rx.rxDone
+	s := &collSource{chunk: shape.chunk, seq: make([]int, ranks)}
+	if err := s.init(sp.MustDerive(), arch, ranks, false, cfg.Seed, cfg.EventBudget, shape.portBuffer, reg); err != nil {
+		return CollRow{}, err
 	}
+	s.cleared = s.tally
+	eng := s.eng
 
 	// Payloads: one vector per rank, contents drawn from per-rank streams
 	// so they are independent of op and architecture. The verification
@@ -258,24 +242,21 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	root := append([]int64(nil), data[0]...)
 
 	plan := collective.NewPlan(op, ranks)
-	exec := collective.NewExec(plan, data, t.send, func(int) sim.Time { return eng.Now() })
+	exec := collective.NewExec(plan, data, s.send, func(int) sim.Time { return eng.Now() })
 	for r := 0; r < ranks; r++ {
 		eng.At(0, func() { exec.Launch(r) })
 	}
 
-	if err := runFabric(eng, t.topo); err != nil {
+	if err := s.run(); err != nil {
 		return CollRow{}, err
 	}
-
-	fstats := t.topo.Stats()
-	t.dropped += int(fstats.Dropped + fstats.OutageDrops + fstats.BurstDrops)
-	if err := t.counts().check(); err != nil {
+	if err := s.counts().check(); err != nil {
 		return CollRow{}, err
 	}
 	if exec.DoneRanks() != ranks {
 		rank, steps := exec.Progress()
 		return CollRow{}, fmt.Errorf("collective stalled: %d/%d ranks finished, rank %d stuck after %d/%d steps with %d dropped frames (raise Load.PortBuffer above %d to absorb the step burst)",
-			exec.DoneRanks(), ranks, rank, steps, plan.MaxSteps(), t.dropped, shape.portBuffer)
+			exec.DoneRanks(), ranks, rank, steps, plan.MaxSteps(), s.dropped, shape.portBuffer)
 	}
 	if err := collective.VerifyReference(op, sum, root, data); err != nil {
 		return CollRow{}, err
@@ -294,13 +275,10 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 		}
 	}
 
-	util := 0.0
-	if eng.Now() > 0 {
-		util = float64(t.wireBusy) / (float64(eng.Now()) * float64(ranks))
-	}
-	deliveredC.Add(int64(t.messages))
-	droppedC.Add(int64(t.dropped))
-	markedC.Add(int64(fstats.Marked))
+	util := s.utilization(ranks)
+	deliveredC.Add(int64(s.messages))
+	droppedC.Add(int64(s.dropped))
+	markedC.Add(int64(s.fstats.Marked))
 	reg.Gauge(arch + ".completion_ns").Set(int64(exec.Completion() / sim.Nanosecond))
 	reg.Gauge(arch + ".step_skew_ns").Set(int64(exec.StepSkew() / sim.Nanosecond))
 	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
@@ -313,46 +291,27 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 		Steps:           plan.MaxSteps(),
 		Completion:      exec.Completion(),
 		StepSkew:        exec.StepSkew(),
-		BytesOnWire:     t.bytesOnWire,
-		Frames:          t.frames,
-		Delivered:       t.messages,
-		Dropped:         t.dropped,
-		Marked:          int(fstats.Marked),
+		BytesOnWire:     s.bytesOnWire,
+		Frames:          s.delivered,
+		Delivered:       s.messages,
+		Dropped:         s.dropped,
+		Marked:          int(s.fstats.Marked),
 		LinkUtilization: util,
 	}, nil
 }
 
-// collTransport is the collective cell's SendFn: a step message fragments
-// into chunk-sized frames, each frame is served by its sender's TX driver
-// queue, crosses the fabric and is served by its receiver's RX driver
-// queue, and the message is delivered to the executor once its last frame
-// has cleared RX. Every handler is bound once, so a warm transport
-// allocates nothing per frame.
-type collTransport struct {
-	eng      *sim.Engine
-	topo     *fabric.Topology
-	link     ethernet.Link
-	chunk    int
-	txs, rxs []collQueue // per rank
-	// flights holds the frames crossing the fabric, and a frame carries
-	// its slot as its ID. A frame dropped past its uplink never calls
-	// back, so its slot is not reused.
-	flights   slab[collFrame]
-	deliverFn func(ethernet.Frame) // t.deliver, bound once
+// collSource is the collective cell's SendFn on its transport: a step
+// message fragments into chunk-sized frames, and the message is delivered
+// to the executor once its last frame has cleared RX.
+type collSource struct {
+	cellTransport
+	chunk int
+	seq   []int // per rank: messages sent so far, numbering the frame IDs
 	// msgs holds the messages in transit, each counting the frames it
 	// still waits for.
-	msgs slab[collMsg]
-
-	offered, frames, dropped int // frames
-	sent, messages           int // step messages
-	bytesOnWire              int64
-	wireBusy                 sim.Time
-}
-
-// collFrame is one frame of a step message.
-type collFrame struct {
-	p        nic.Packet
-	dst, msg int // destination rank and message slot
+	msgs           slab[collMsg]
+	sent, messages int // step messages
+	bytesOnWire    int64
 }
 
 // collMsg is one step message in transit.
@@ -361,106 +320,39 @@ type collMsg struct {
 	deliver func() // the executor's delivery
 }
 
-// slab holds values in numbered slots reused through a free list, so a
-// warm slab allocates nothing.
-type slab[T any] struct {
-	items []T
-	free  []int
-}
-
-// put stores v in a free slot and returns the slot.
-func (s *slab[T]) put(v T) int {
-	if n := len(s.free); n > 0 {
-		i := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.items[i] = v
-		return i
-	}
-	s.items = append(s.items, v)
-	return len(s.items) - 1
-}
-
-// take frees slot i and returns its value.
-func (s *slab[T]) take(i int) T {
-	v := s.items[i]
-	var zero T
-	s.items[i] = zero
-	s.free = append(s.free, i)
-	return v
-}
-
-// collQueue is one rank's serial TX or RX driver queue; its frames wait in
-// q and complete in order through doneFn, bound once.
-type collQueue struct {
-	serialServer
-	t      *collTransport
-	m      driver.Machine
-	rank   int
-	seq    int // TX: messages sent so far, numbering the frame IDs
-	q      sim.FIFO[collFrame]
-	doneFn func()
-}
-
 // send fragments one step message into frames and queues them, in order,
 // at src's TX driver.
-func (t *collTransport) send(src, dst, step, bytes int, deliver func()) {
-	nf := max((bytes+t.chunk-1)/t.chunk, 1) // a zero-byte chunk still carries the dependency token
-	msg := t.msgs.put(collMsg{left: nf, deliver: deliver})
-	t.sent++
-	t.offered += nf
-	tx := &t.txs[src]
+func (s *collSource) send(src, dst, step, bytes int, deliver func()) {
+	nf := max((bytes+s.chunk-1)/s.chunk, 1) // a zero-byte chunk still carries the dependency token
+	msg := s.msgs.put(collMsg{left: nf, deliver: deliver})
+	s.sent++
+	s.offered += nf
 	for f := 0; f < nf; f++ {
 		sz := max(shareCount(bytes, nf, f), minFrameBytes)
-		p := nic.Packet{ID: uint64(src)<<40 | uint64(tx.seq)<<20 | uint64(f), Size: sz, Born: t.eng.Now()}
-		tx.q.Push(collFrame{p: p, dst: dst, msg: msg})
-		tx.Submit(tx.m.TX(p).Total(), tx.doneFn)
+		p := nic.Packet{ID: uint64(src)<<40 | uint64(s.seq[src])<<20 | uint64(f), Size: sz, Born: s.eng.Now()}
+		s.cellTransport.send(frame{p: p, src: int32(src), dst: int32(dst), tag: msg})
 	}
-	tx.seq++
+	s.seq[src]++
 }
 
-// txDone puts the TX driver's finished frame on the rank's uplink.
-func (q *collQueue) txDone() {
-	t := q.t
-	fr := *q.q.Head()
-	q.q.Drop()
-	f := ethernet.Frame{ID: uint64(t.flights.put(fr)), Bytes: fr.p.Size}
-	if !t.topo.Inject(q.rank, fr.dst, f, t.deliverFn) {
-		t.dropped++
-		t.flights.take(int(f.ID))
-	}
-}
-
-// deliver queues a frame off the fabric at its destination's RX driver.
-func (t *collTransport) deliver(f ethernet.Frame) {
-	fr := t.flights.take(int(f.ID))
-	rx := &t.rxs[fr.dst]
-	rx.q.Push(fr)
-	rx.Submit(rx.m.RX(fr.p).Total(), rx.doneFn)
-}
-
-// rxDone tallies the RX driver's finished frame; the message's last frame
+// tally counts a frame that cleared RX; the message's last frame
 // echoes its delivery to the destination rank and frees its slot.
-func (q *collQueue) rxDone() {
-	t := q.t
-	fr := *q.q.Head()
-	q.q.Drop()
-	t.frames++
-	t.bytesOnWire += int64(fr.p.Size + nic.EthernetOverheadBytes)
-	t.wireBusy += t.link.SerializeTime(fr.p.Size)
-	if m := &t.msgs.items[fr.msg]; m.left > 1 {
+func (s *collSource) tally(fr *frame) {
+	s.bytesOnWire += int64(fr.p.Size + nic.EthernetOverheadBytes)
+	if m := &s.msgs.items[fr.tag]; m.left > 1 {
 		m.left--
 		return
 	}
-	t.messages++
-	t.topo.EchoMark(fr.dst, t.msgs.take(fr.msg).deliver)
+	s.messages++
+	s.topo.EchoMark(int(fr.dst), s.msgs.take(fr.tag).deliver)
 }
 
 // counts gathers the cell's conservation tallies: a message still counting
 // frames lost one of them.
-func (t *collTransport) counts() cellCounts {
-	n := cellCounts{offered: t.offered, delivered: t.frames, dropped: t.dropped,
-		msgSent: t.sent, msgDelivered: t.messages}
-	for _, m := range t.msgs.items {
+func (s *collSource) counts() cellCounts {
+	n := cellCounts{offered: s.offered, delivered: s.delivered, dropped: s.dropped,
+		msgSent: s.sent, msgDelivered: s.messages}
+	for _, m := range s.msgs.items {
 		if m.left > 0 {
 			n.msgOpen++
 		}

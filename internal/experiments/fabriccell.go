@@ -15,17 +15,190 @@ import (
 	"netdimm/internal/workload"
 )
 
-// The open-loop fabric cell behind the load, rack and failure sweeps: on
-// one engine every sending host runs an open-loop arrival stream into its
-// serial TX driver queue, each frame crosses the cell spec's fabric, and
-// each delivered frame queues at its destination's serial RX driver. The
-// families differ in three options: destination choice (cellOpts.incast),
-// ECN echo (the cell spec's Fabric.ECNThreshold: a marked delivery stalls
-// its sender through a fabric.Pacer) and the outage window with
-// ack-timeout ARQ (cellOpts.outage). Each family's row and metrics are a
-// projection of the finished cell.
+// The cell transport behind the load, rack, failure and collective
+// sweeps is the path the paper times for each packet: on one engine every
+// frame waits at its sender's serial TX driver queue, crosses the cell
+// spec's fabric and waits at its destination's serial RX driver queue.
+// Two sources feed it through two hooks bound once. The open-loop fabric
+// cell runs one arrival stream per sending host; its families differ in
+// destination choice (cellOpts.incast), ECN echo (the cell spec's
+// Fabric.ECNThreshold: a marked delivery stalls its sender's TX queue
+// through a fabric.Pacer) and the outage window with ack-timeout ARQ
+// (cellOpts.outage), and each family's row and metrics are a projection
+// of the finished cell. The collective source (collsweep.go) fragments
+// step messages into frames and delivers a message once its last frame
+// has cleared RX.
 
-// cellOpts parameterise one fabric cell.
+// cellTransport is a cell's engine, endpoints and fabric, and the
+// TX → fabric → RX path every frame takes. Every handler is bound once,
+// so a warm transport allocates nothing per frame.
+type cellTransport struct {
+	arch   string
+	eng    *sim.Engine
+	topo   *fabric.Topology
+	link   ethernet.Link
+	reg    *obs.Registry
+	tx, rx []driverQueue // one each per endpoint
+	// flights holds the frames crossing the fabric by slot, and a frame
+	// carries its slot as its ID (ports and the topology never read it). A
+	// frame dropped past its uplink never calls back, so its slot is not
+	// reused.
+	flights   slab[frame]
+	deliverFn func(ethernet.Frame) // t.deliver, bound once
+	// The source's hooks: admit, when set, decides whether a frame off the
+	// fabric queues at RX by its tag; cleared sees every frame that clears
+	// RX.
+	admit   func(tag int) bool
+	cleared func(fr *frame)
+
+	// offered is the source's tally: packets in an open-loop cell, frames
+	// in a collective one. delivered counts frames that cleared RX.
+	offered, delivered, dropped int
+	wireBusy                    sim.Time
+	fstats                      fabric.Stats
+}
+
+// frame is one transmitted frame: a copy of an open-loop packet, or one
+// fragment of a collective step message.
+type frame struct {
+	p        nic.Packet // Born is the instant the source offered it
+	src, dst int32      // endpoints
+	// tag is the packet's global number (host-major) in an open-loop cell,
+	// or its message's slot in a collective one.
+	tag, attempt int
+	ack          func() // the ARQ acknowledgement; nil without ARQ
+}
+
+// driverQueue is one endpoint's serial TX or RX driver queue: its frames
+// wait in q and complete in order through doneFn, bound once.
+type driverQueue struct {
+	serialServer
+	t      *cellTransport
+	m      driver.Machine
+	q      sim.FIFO[frame]
+	doneFn func()
+	markFn func() // TX: the ECN pacer's OnMark; nil without pacing
+}
+
+// init builds t's engine, arch's machines over n endpoints (see
+// endpoints), the engine probe and the cell spec's fabric. The caller
+// binds the hooks.
+func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, seed, eventBudget uint64, portBuffer int, reg *obs.Registry) error {
+	t.eng = sim.NewEngine()
+	t.eng.SetWatchdog(sim.Watchdog{MaxEvents: eventBudget})
+	txs, rxs, err := endpoints(d, arch, n, incast, seed)
+	if err != nil {
+		return err
+	}
+	t.arch, t.link, t.reg = arch, d.Link, reg
+	t.tx, t.rx = make([]driverQueue, n), make([]driverQueue, n)
+	t.deliverFn = t.deliver
+	for i := range t.tx {
+		tx, rx := &t.tx[i], &t.rx[i]
+		tx.eng, tx.t, tx.m = t.eng, t, txs[i]
+		rx.eng, rx.t, rx.m = t.eng, t, rxs[i]
+		tx.doneFn, rx.doneFn = tx.txDone, rx.rxDone
+	}
+	obs.NewEngineProbe(reg, arch+".engine").Attach(t.eng)
+	t.topo = d.NewTopology(fabric.SingleEngine(t.eng), n, portBuffer)
+	return nil
+}
+
+// send queues fr at its source's TX driver.
+func (t *cellTransport) send(fr frame) {
+	q := &t.tx[fr.src]
+	q.q.Push(fr)
+	q.Submit(q.m.TX(fr.p).Total(), q.doneFn)
+}
+
+// txDone puts the TX driver's finished frame on its endpoint's uplink.
+func (q *driverQueue) txDone() {
+	t := q.t
+	fr := *q.q.Head()
+	q.q.Drop()
+	f := ethernet.Frame{ID: uint64(t.flights.put(fr)), Bytes: fr.p.Size}
+	if !t.topo.Inject(int(fr.src), int(fr.dst), f, t.deliverFn) {
+		t.dropped++
+		t.flights.take(int(f.ID))
+	}
+}
+
+// deliver queues a frame off the fabric at its destination's RX driver
+// unless the source's admit refuses it, then echoes an ECN mark to a
+// pacing sender.
+func (t *cellTransport) deliver(f ethernet.Frame) {
+	fr := t.flights.take(int(f.ID))
+	if t.admit != nil && !t.admit(fr.tag) {
+		return
+	}
+	rx := &t.rx[fr.dst]
+	rx.q.Push(fr)
+	rx.Submit(rx.m.RX(fr.p).Total(), rx.doneFn)
+	if mark := t.tx[fr.src].markFn; mark != nil && f.ECN {
+		t.topo.EchoMark(int(fr.src), mark)
+	}
+}
+
+// rxDone tallies the RX driver's finished frame and hands it to the
+// source.
+func (q *driverQueue) rxDone() {
+	t := q.t
+	fr := q.q.Head()
+	t.delivered++
+	t.wireBusy += t.link.SerializeTime(fr.p.Size)
+	t.cleared(fr)
+	q.q.Drop()
+}
+
+// run runs the cell's engine dry, checks that it ended cleanly and folds
+// the fabric's drops into the tally.
+func (t *cellTransport) run() error {
+	if err := runFabric(t.eng, t.topo); err != nil {
+		return err
+	}
+	t.fstats = t.topo.Stats()
+	t.dropped += int(t.fstats.Dropped + t.fstats.OutageDrops + t.fstats.BurstDrops)
+	return nil
+}
+
+// utilization is delivered wire occupancy over the makespan, averaged
+// over the receiving links.
+func (t *cellTransport) utilization(receivers int) float64 {
+	if t.eng.Now() == 0 {
+		return 0
+	}
+	return float64(t.wireBusy) / (float64(t.eng.Now()) * float64(receivers))
+}
+
+// slab holds values in numbered slots reused through a free list, so a
+// warm slab allocates nothing.
+type slab[T any] struct {
+	items []T
+	free  []int
+}
+
+// put stores v in a free slot and returns the slot.
+func (s *slab[T]) put(v T) int {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[i] = v
+		return i
+	}
+	s.items = append(s.items, v)
+	return len(s.items) - 1
+}
+
+// take frees slot i and returns its value.
+func (s *slab[T]) take(i int) T {
+	v := s.items[i]
+	var zero T
+	s.items[i] = zero
+	s.free = append(s.free, i)
+	return v
+}
+
+// cellOpts parameterise one open-loop fabric cell.
 type cellOpts struct {
 	// load is the offered fraction of the receiver's line rate, shared by
 	// every sender, in an incast cell, and of each host's own otherwise.
@@ -52,29 +225,15 @@ type outageWindow struct {
 
 func (w *outageWindow) holds(t sim.Time) bool { return t >= w.start && t < w.end }
 
-// fabricCell is one cell: its wiring while it runs, then its tallies.
+// fabricCell is the open-loop source on its transport: its wiring while
+// it runs, then its tallies.
 type fabricCell struct {
-	arch   string
-	hosts  int // sending hosts; an incast cell has one more endpoint
-	incast bool
-	eng    *sim.Engine
-	topo   *fabric.Topology
-	link   ethernet.Link
-	reg    *obs.Registry
-	recvs  []driverQueue // one per endpoint
-	arq    *arqTally     // nil without cellOpts.outage
-	// flights holds the transmissions crossing the fabric by slot, and a
-	// frame carries its slot as its ID (ports and the topology never read
-	// it); free lists landed slots. A frame dropped past its uplink never
-	// calls back, so its slot is not reused.
-	flights   []transmission
-	free      []int
-	deliverFn func(ethernet.Frame) // c.deliver, bound once
+	cellTransport
+	hosts int       // sending hosts; an incast cell has one more endpoint
+	arq   *arqTally // nil without cellOpts.outage
 
-	hist                                          *stats.Histogram
-	offered, delivered, dropped, crossRack, rxMax int
-	wireBusy                                      sim.Time
-	fstats                                        fabric.Stats
+	hist             *stats.Histogram
+	crossRack, rxMax int
 }
 
 // arqTally is an ARQ cell's recovery state; seen and gaveUp are indexed
@@ -89,34 +248,12 @@ type arqTally struct {
 	before, during, after          stats.Histogram
 }
 
-// transmission is one transmitted copy of a packet.
-type transmission struct {
-	s       *cellSender
-	p       nic.Packet
-	dst, g  int
-	born    sim.Time
-	attempt int
-	ack     func() // the ARQ acknowledgement; nil without ARQ
-}
-
-// driverQueue is a serial driver queue whose transmissions wait in q and
-// complete in order through one handler bound once, so a warm queue
-// allocates nothing per packet.
-type driverQueue struct {
-	serialServer
-	c      *fabricCell
-	m      driver.Machine
-	q      sim.FIFO[transmission]
-	doneFn func()
-}
-
-// cellSender is one host's open-loop source and TX driver queue.
+// cellSender is one host's open-loop arrival stream.
 type cellSender struct {
-	driverQueue
+	c                 *fabricCell
 	h, i, count, base int // base: global number of the host's first packet
 	gen               *workload.OpenLoop
 	destR             *sim.Rand // nil in an incast cell
-	markFn            func()    // the pacer's OnMark, bound once; nil with ECN off
 	rt                nic.Retransmitter
 	next              workload.Event // the armed arrival
 	arriveFn          func()
@@ -125,38 +262,26 @@ type cellSender struct {
 // runFabricCell builds, runs and checks one cell of shape.hosts senders.
 func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc *obs.Cell) (*fabricCell, error) {
 	d := sp.MustDerive()
-	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: opts.eventBudget})
 	n, sources := shape.hosts, 1
 	if opts.incast {
 		n, sources = shape.hosts+1, shape.hosts
 	}
-	txs, rxs, err := endpoints(d, arch, n, opts.incast, opts.seed)
-	if err != nil {
+	c := &fabricCell{hosts: shape.hosts, hist: new(stats.Histogram)}
+	if err := c.init(d, arch, n, opts.incast, opts.seed, opts.eventBudget, shape.portBuffer, oc.Metrics()); err != nil {
 		return nil, err
 	}
 	perHostGap, err := shape.cluster.MeanGapForLoad(opts.load, sources, d.Link.BitsPerSec/1e9)
 	if err != nil {
 		return nil, err
 	}
+	c.cleared = c.observe
+	if d.Spec.Fault.PortDropProb > 0 {
+		c.topo.InjectFaults(fault.NewInjector(d.Spec.Fault, opts.seed))
+	}
 	sched := sp.Fault.Failure
 	if w := opts.outage; w != nil && w.end > w.start {
 		sched.Outages = append(append([]fault.Outage(nil), sched.Outages...), fault.Outage{Kind: fault.OutageSpine,
 			Index: w.spine, StartNs: int(w.start / sim.Nanosecond), EndNs: int(w.end / sim.Nanosecond)})
-	}
-
-	c := &fabricCell{arch: arch, hosts: shape.hosts, incast: opts.incast, eng: eng, link: d.Link,
-		reg: oc.Metrics(), recvs: make([]driverQueue, n), hist: new(stats.Histogram)}
-	c.deliverFn = c.deliver
-	for i := range c.recvs {
-		r := &c.recvs[i]
-		r.eng, r.c, r.m = eng, c, rxs[i]
-		r.doneFn = r.rxDone
-	}
-	obs.NewEngineProbe(c.reg, arch+".engine").Attach(eng)
-	c.topo = d.NewTopology(fabric.SingleEngine(eng), n, shape.portBuffer)
-	if d.Spec.Fault.PortDropProb > 0 {
-		c.topo.InjectFaults(fault.NewInjector(d.Spec.Fault, opts.seed))
 	}
 	if _, err := c.topo.ArmFailures(sched, opts.seed); err != nil {
 		return nil, err
@@ -165,15 +290,16 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 		// The receiver's RX queue and its downlink — the incast
 		// bottleneck on the wire side — are sampled with metrics on.
 		if s := c.reg.Series(arch + ".rx_queue_depth"); s != nil {
-			c.recvs[c.hosts].onDepth = func(at sim.Time, depth int) { s.Sample(at, int64(depth)) }
+			c.rx[c.hosts].onDepth = func(at sim.Time, depth int) { s.Sample(at, int64(depth)) }
 		}
 		if s := c.reg.Series(arch + ".egress_depth"); s != nil {
 			eg := c.topo.Downlink(c.hosts)
-			c.topo.OnUplinkDeliver = func(int, int) { s.Sample(eng.Now(), int64(eg.Depth())) }
+			c.topo.OnUplinkDeliver = func(int, int) { s.Sample(c.eng.Now(), int64(eg.Depth())) }
 		}
 	}
 	if w := opts.outage; w != nil {
 		c.arq = &arqTally{outageWindow: *w, seen: make([]bool, opts.packets), gaveUp: make([]bool, opts.packets)}
+		c.admit = c.arq.unseen
 	}
 
 	senders := make([]cellSender, shape.hosts)
@@ -193,26 +319,23 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 		if !opts.incast {
 			s.destR = sim.NewRand(opts.seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
 		}
-		s.eng, s.m = eng, txs[h]
-		s.doneFn, s.arriveFn = s.txDone, s.arrive
+		s.arriveFn = s.arrive
 		if c.topo.Spec().ECNThreshold > 0 {
 			// A mark stalls the sender by occupying its TX driver for one
 			// backoff — queued arrivals wait behind it.
-			s.markFn = (&fabric.Pacer{Backoff: c.topo.Spec().ECNBackoff(), Stall: s.Submit}).OnMark
+			c.tx[h].markFn = (&fabric.Pacer{Backoff: c.topo.Spec().ECNBackoff(), Stall: c.tx[h].Submit}).OnMark
 		}
 		if c.arq != nil {
-			s.rt = nic.Retransmitter{Eng: eng, Policy: failPolicy(d.Spec.Fault), Counters: &c.arq.ctrs}
+			s.rt = nic.Retransmitter{Eng: c.eng, Policy: failPolicy(d.Spec.Fault), Counters: &c.arq.ctrs}
 		}
 		s.arm()
 	}
 
-	if err := runFabric(eng, c.topo); err != nil {
+	if err := c.run(); err != nil {
 		return nil, err
 	}
-	c.fstats = c.topo.Stats()
-	c.dropped += int(c.fstats.Dropped + c.fstats.OutageDrops + c.fstats.BurstDrops)
-	for i := range c.recvs {
-		c.rxMax = max(c.rxMax, c.recvs[i].maxDepth)
+	for i := range c.rx {
+		c.rxMax = max(c.rxMax, c.rx[i].maxDepth)
 	}
 	c.reg.Counter(arch + ".delivered").Add(int64(c.delivered))
 	c.reg.Counter(arch + ".dropped").Add(int64(c.dropped))
@@ -223,7 +346,7 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 func (s *cellSender) arm() {
 	if s.i < s.count {
 		s.next = s.gen.Next()
-		s.eng.At(s.next.At, s.arriveFn)
+		s.c.eng.At(s.next.At, s.arriveFn)
 	}
 }
 
@@ -232,107 +355,60 @@ func (s *cellSender) arm() {
 // when the cell has one.
 func (s *cellSender) arrive() {
 	c, e := s.c, s.next
-	t := transmission{s: s, p: e.Packet(uint64(s.h)<<32 | uint64(s.i)), dst: c.hosts, g: s.base + s.i}
+	fr := frame{p: e.Packet(uint64(s.h)<<32 | uint64(s.i)), src: int32(s.h), dst: int32(c.hosts), tag: s.base + s.i}
 	s.i++
 	s.arm()
 	if s.destR != nil {
-		t.dst = workload.SampleDest(s.destR, e.Locality, s.h, c.hosts, c.topo.Leaves())
-		if c.topo.CrossesSpine(s.h, t.dst) {
+		dst := workload.SampleDest(s.destR, e.Locality, s.h, c.hosts, c.topo.Leaves())
+		if c.topo.CrossesSpine(s.h, dst) {
 			c.crossRack++
 		}
+		fr.dst = int32(dst)
 	}
-	t.born = c.eng.Now()
 	c.offered++
 	if c.arq == nil {
-		s.transmit(t)
+		c.send(fr)
 		return
 	}
-	if c.arq.holds(t.born) {
+	if c.arq.holds(fr.p.Born) {
 		c.arq.duringOffered++
 	}
-	s.sendARQ(t)
+	s.sendARQ(fr)
 }
 
-// sendARQ transmits the packet through the host's ARQ, one transmission
-// per attempt, and records a give-up.
-func (s *cellSender) sendARQ(t transmission) {
-	a := s.c.arq
+// sendARQ transmits the packet through the host's ARQ, one frame per
+// attempt, and records a give-up.
+func (s *cellSender) sendARQ(fr frame) {
+	c, a := s.c, s.c.arq
 	s.rt.SendAsync(func(n int, ack func()) {
-		t.attempt, t.ack = n, ack
-		s.transmit(t)
+		fr.attempt, fr.ack = n, ack
+		c.send(fr)
 	}, func(_ int, err error) {
 		if err != nil {
 			a.failed++
-			a.gaveUp[t.g] = true
+			a.gaveUp[fr.tag] = true
 		}
 	})
 }
 
-// transmit queues t at the host's TX driver.
-func (s *cellSender) transmit(t transmission) {
-	s.q.Push(t)
-	s.Submit(s.m.TX(t.p).Total(), s.doneFn)
+// unseen admits the first copy of packet g to RX; a later copy is
+// discarded at the NIC as a duplicate.
+func (a *arqTally) unseen(g int) bool {
+	if a.seen[g] {
+		a.dups++
+		return false
+	}
+	a.seen[g] = true
+	return true
 }
 
-// txDone puts the TX driver's finished transmission on the host's uplink.
-func (s *cellSender) txDone() {
-	c := s.c
-	t := s.q.Head()
-	f := ethernet.Frame{ID: uint64(len(c.flights)), Bytes: t.p.Size}
-	if n := len(c.free); n > 0 {
-		f.ID = uint64(c.free[n-1])
-		c.free = c.free[:n-1]
-		c.flights[f.ID] = *t
-	} else {
-		c.flights = append(c.flights, *t)
-	}
-	dst := t.dst
-	s.q.Drop()
-	if !c.topo.Inject(s.h, dst, f, c.deliverFn) {
-		c.dropped++
-		c.land(f)
-	}
-}
-
-// land frees frame f's flight slot and returns its transmission.
-func (c *fabricCell) land(f ethernet.Frame) transmission {
-	t := c.flights[f.ID]
-	c.flights[f.ID] = transmission{}
-	c.free = append(c.free, int(f.ID))
-	return t
-}
-
-// deliver queues the frame at its destination's RX driver, then echoes
-// an ECN mark to the sender. Under ARQ a copy of an already-delivered
-// packet is discarded at the NIC first.
-func (c *fabricCell) deliver(f ethernet.Frame) {
-	t := c.land(f)
-	if a := c.arq; a != nil {
-		if a.seen[t.g] {
-			a.dups++
-			return
-		}
-		a.seen[t.g] = true
-	}
-	r := &c.recvs[t.dst]
-	r.q.Push(t)
-	r.Submit(r.m.RX(t.p).Total(), r.doneFn)
-	if t.s.markFn != nil && f.ECN {
-		c.topo.EchoMark(t.s.h, t.s.markFn)
-	}
-}
-
-// rxDone records the finished transmission's end-to-end latency; under
+// observe records a frame's end-to-end latency as it clears RX; under
 // ARQ it also buckets the latency by delivery instant and echoes the
 // acknowledgement.
-func (r *driverQueue) rxDone() {
-	c, t := r.c, *r.q.Head()
-	r.q.Drop()
+func (c *fabricCell) observe(fr *frame) {
 	now := c.eng.Now()
-	lat := now - t.born
+	lat := now - fr.p.Born
 	c.hist.Observe(lat)
-	c.delivered++
-	c.wireBusy += c.link.SerializeTime(t.p.Size)
 	a := c.arq
 	if a == nil {
 		return
@@ -348,14 +424,14 @@ func (r *driverQueue) rxDone() {
 	default:
 		a.after.Observe(lat)
 	}
-	if a.holds(t.born) {
+	if a.holds(fr.p.Born) {
 		a.duringDelivered++
 	}
-	if t.attempt > 0 {
+	if fr.attempt > 0 {
 		a.recovered++
 		a.recoverySum += lat
 	}
-	c.topo.EchoMark(t.s.h, t.ack)
+	c.topo.EchoMark(int(fr.src), fr.ack)
 }
 
 // cellCounts are a finished cell's packet tallies. dropped counts frames
@@ -406,19 +482,6 @@ func (c *fabricCell) counts() cellCounts {
 		}
 	}
 	return n
-}
-
-// utilization is delivered wire occupancy over the makespan, averaged
-// over the receiving links (one in an incast cell).
-func (c *fabricCell) utilization() float64 {
-	receivers := c.hosts
-	if c.incast {
-		receivers = 1
-	}
-	if c.eng.Now() == 0 {
-		return 0
-	}
-	return float64(c.wireBusy) / (float64(c.eng.Now()) * float64(receivers))
 }
 
 // endpoints builds arch's driver machines over n fabric endpoints: a TX

@@ -220,7 +220,7 @@ func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, paral
 // every sender's traffic into the receiver's downlink.
 func (c *fabricCell) loadRow(load float64) LoadRow {
 	eg := c.topo.Downlink(c.hosts).Stats()
-	util := c.utilization()
+	util := c.utilization(1)
 	reg, arch := c.reg, c.arch
 	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
 	reg.Gauge(arch + ".egress_max_depth").Set(int64(eg.MaxDepth))

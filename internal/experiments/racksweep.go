@@ -275,7 +275,7 @@ func onOff(b bool) string {
 // rackRow projects a many-to-many cell onto its rack sweep row and
 // publishes the row's metrics.
 func (c *fabricCell) rackRow(load float64) RackRow {
-	util := c.utilization()
+	util := c.utilization(c.hosts)
 	reg, arch, fs := c.reg, c.arch, c.fstats
 	reg.Counter(arch + ".ecn_marked").Add(int64(fs.Marked))
 	reg.Gauge(arch + ".leaf_max_depth").Set(int64(fs.LeafMaxDepth))

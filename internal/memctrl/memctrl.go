@@ -389,7 +389,7 @@ func (c *Controller) SubmitLines(addr int64, n int, write bool, done func()) (re
 }
 
 // enqueue decodes e's address, stamps e with this instant and appends it
-// to q. A depth series gets one sample per line, as if each joined alone.
+// to q.
 func (c *Controller) enqueue(q *fifo, e *entry) {
 	l := addrmap.DecodeRank(e.req.Addr)
 	e.rank, e.bank, e.row = c.ranks.rank(l), l.Bank, l.GlobalRow()
@@ -398,9 +398,7 @@ func (c *Controller) enqueue(q *fifo, e *entry) {
 	q.push(e)
 	if !e.req.Write {
 		c.stats.MaxReadQueueDepth = max(c.stats.MaxReadQueueDepth, q.n)
-		for d := q.n - e.lines + 1; c.depth != nil && d <= q.n; d++ {
-			c.depth.Sample(e.submitted, int64(d))
-		}
+		c.depth.Sample(e.submitted, int64(q.n))
 	}
 	c.schedulePick()
 }
