@@ -48,6 +48,8 @@ var goldenCases = []struct {
 	{"ablation", "ablation.txt", false, false},
 	{"mixed", "mixed.txt", false, false},
 	{"mixed", "mixed-trace.sha256", false, true},
+	{"-metrics mixed", "mixed-metrics.txt", false, false},
+	{"-metrics -parallel 3 mixed", "mixed-metrics.txt", false, false},
 	{"headline", "headline.txt", false, false},
 	{"bandwidth", "bandwidth.txt", false, false},
 	{"-csv faultsweep", "faultsweep-default.csv", false, false},
@@ -65,6 +67,8 @@ var goldenCases = []struct {
 	{"fig5", "fig5-table1.txt", true, false},
 	{"fig7", "fig7-table1.txt", false, false},
 	{"fig11", "fig11-table1.txt", false, false},
+	{"-metrics fig11", "fig11-metrics.txt", false, false},
+	{"-metrics -parallel 3 fig11", "fig11-metrics.txt", false, false},
 	{"fig12a", "fig12a-table1.txt", false, false},
 	{"fig12b", "fig12b-table1.txt", false, false},
 	{"faultsweep", "faultsweep-default.txt", false, false},
