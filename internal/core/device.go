@@ -175,12 +175,12 @@ func (d *Device) ReceivePacketData(bufAddr int64, size int, data []byte, done fu
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	d.ncache.invalidateRange(bufAddr, lines) // snoop: stale copies must die
 	d.stats.NNICWrites += uint64(lines)
-	err := d.transfer(bufAddr, lines, true, done)
+	d.nmc.SubmitLines(bufAddr, int(lines), true, done)
 	// Cache the header line: "the nController writes the first cacheline
 	// of each received packet to nCache".
 	d.ncache.Insert(bufAddr, true, false)
 	d.Registers().noteRX()
-	return err
+	return nil
 }
 
 // TransmitFetch models the nController reading a TX packet out of local
@@ -191,27 +191,18 @@ func (d *Device) TransmitFetch(bufAddr int64, size int, done func()) error {
 	}
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	d.stats.NNICReads += uint64(lines)
-	return d.transfer(bufAddr, lines, false, done)
-}
-
-// transfer submits a packet's lines to the nMC as one transfer; done
-// fires when the last accepted line completes. Lines a full queue rejects
-// are dropped, and reported as an error.
-func (d *Device) transfer(bufAddr, lines int64, write bool, done func()) error {
-	if rejected := d.nmc.SubmitLines(bufAddr, int(lines), write, done); rejected > 0 {
-		return fmt.Errorf("core: nMC queue full, %d of %d lines dropped", rejected, lines)
-	}
+	d.nmc.SubmitLines(bufAddr, int(lines), false, done)
 	return nil
 }
 
 // HostReadLine serves one cacheline read arriving from the global memory
 // channel (the PHY path of Fig. 6a): nCache hit → data returns after the
 // protocol handshake plus SRAM access; miss → the request goes to the nMC
-// and returns asynchronously. Non-header accesses arm the nPrefetcher.
-// done receives whether the read hit nCache and the total latency.
+// and returns asynchronously, after waiting for a read-queue slot if the
+// nMC has none. Non-header accesses arm the nPrefetcher. done receives
+// whether the read hit nCache and the total latency from this call.
 func (d *Device) HostReadLine(addr int64, done func(hit bool, latency sim.Time)) {
 	d.stats.HostReads++
-	start := d.eng.Now()
 	hit, wasHeader := d.ncache.Read(addr)
 	if hit {
 		if !wasHeader {
@@ -227,39 +218,34 @@ func (d *Device) HostReadLine(addr int64, done func(hit bool, latency sim.Time))
 	// so the prefetcher runs (paper: the flag only inhibits prefetch for
 	// header lines resident in nCache).
 	d.prefetch(addr)
-	err := d.nmc.Submit(&memctrl.Request{
+	d.nmc.Submit(&memctrl.Request{
 		Addr:  addr,
 		Bytes: addrmap.CachelineSize,
 		Done: func(r memctrl.Response) {
-			lat := r.Completed - start + d.cfg.Protocol.ReadOverhead()
+			lat := r.Latency() + d.cfg.Protocol.ReadOverhead()
 			if done != nil {
 				d.eng.Schedule(d.cfg.Protocol.ReadOverhead(), func() { done(false, lat) })
 			}
 		},
 	})
-	if err != nil {
-		// Queue full: model back-pressure as a retry after one burst slot.
-		d.eng.Schedule(d.cfg.LocalTiming.TBL, func() { d.HostReadLine(addr, done) })
-		d.stats.HostReads--
-	}
 }
 
 // prefetch arms the nPrefetcher: the next PrefetchDegree cachelines are
-// read from local DRAM into nCache (skipping lines already present).
+// read from local DRAM into nCache (skipping lines already present). It
+// is best effort, the one nMC requester that does not wait: a line that
+// finds the read queue full is dropped rather than queued ahead of demand
+// reads.
 func (d *Device) prefetch(addr int64) {
 	if d.fillFn == nil {
 		d.fillFn = d.fill
 	}
 	for i := 1; i <= d.cfg.PrefetchDegree; i++ {
 		target := addr + int64(i)*addrmap.CachelineSize
-		if target >= d.Size() || d.ncache.Contains(target) {
+		if target >= d.Size() || d.ncache.Contains(target) || d.nmc.Full(false) {
 			continue
 		}
 		d.stats.Prefetches++
-		err := d.nmc.Submit(&memctrl.Request{Addr: target, Bytes: addrmap.CachelineSize, Done: d.fillFn})
-		if err != nil {
-			d.stats.Prefetches-- // dropped under pressure; prefetch is best effort
-		}
+		d.nmc.Submit(&memctrl.Request{Addr: target, Bytes: addrmap.CachelineSize, Done: d.fillFn})
 	}
 }
 

@@ -117,14 +117,10 @@ func runInterference(d *spec.Derived, cl workload.Cluster, kind netfunc.Kind, ne
 		if llc.Access(addr, write) {
 			appLat.Observe(hitLat)
 		} else if !write {
-			start := eng.Now()
-			err := mc.Submit(&memctrl.Request{
+			mc.Submit(&memctrl.Request{
 				Addr: addr, Bytes: addrmap.CachelineSize,
-				Done: func(r memctrl.Response) { appLat.Observe(hitLat + r.Completed - start) },
+				Done: func(r memctrl.Response) { appLat.Observe(hitLat + r.Latency()) },
 			})
-			if err != nil {
-				appLat.Observe(hitLat + 500*sim.Nanosecond) // back-pressure penalty
-			}
 		}
 		eng.Schedule(rng.Exp(cfg.AppGap), appTick)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"netdimm/internal/addrmap"
-	"netdimm/internal/fault"
 	"netdimm/internal/memctrl"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
@@ -100,7 +99,6 @@ func runFig5(d *spec.Derived, delay sim.Time, cfg Fig5Config) Fig5Row {
 		// large delay stands in for "no interference".
 		if delay < sim.Second {
 			in := workload.NewInjector(eng, mc, delay, 0.5, 1<<30, 512<<20, cfg.Seed+uint64(ch))
-			in.Retry = true
 			in.Parallelism = 8 // MLC load threads driving this channel
 			in.Start()
 			injectors = append(injectors, in)
@@ -155,20 +153,15 @@ const frameLines = (nic.MTU + 63) / 64
 func (r *fig5Rig) dmaPhase(frame int64) {
 	base := (frame % 1024) * 2048 // ring of 2KB buffers
 	remaining := frameLines
+	done := func(memctrl.Response) {
+		if remaining--; remaining == 0 {
+			r.copyQueue = append(r.copyQueue, frame)
+			r.dispatchCopies()
+		}
+	}
 	for i := 0; i < frameLines; i++ {
 		addr := base + int64(i)*addrmap.CachelineSize
-		r.submitRetry(r.mcOf(addr), &memctrl.Request{
-			Addr:  addr,
-			Write: true,
-			Bytes: addrmap.CachelineSize,
-			Done: func(memctrl.Response) {
-				remaining--
-				if remaining == 0 {
-					r.copyQueue = append(r.copyQueue, frame)
-					r.dispatchCopies()
-				}
-			},
-		})
+		r.mcOf(addr).Submit(&memctrl.Request{Addr: addr, Write: true, Bytes: addrmap.CachelineSize, Done: done})
 	}
 }
 
@@ -204,12 +197,12 @@ func (r *fig5Rig) copyChunk(frame int64, line int) {
 	for i := 0; i < n; i++ {
 		addr := base + int64(line+i)*addrmap.CachelineSize
 		dst := appBase + int64(line+i)*addrmap.CachelineSize
-		r.submitRetry(r.mcOf(addr), &memctrl.Request{
+		r.mcOf(addr).Submit(&memctrl.Request{
 			Addr:  addr,
 			Bytes: addrmap.CachelineSize,
 			Done: func(memctrl.Response) {
 				// Store the line to the app buffer (posted).
-				r.submitRetry(r.mcOf(dst), &memctrl.Request{
+				r.mcOf(dst).Submit(&memctrl.Request{
 					Addr: dst, Write: true, Bytes: addrmap.CachelineSize,
 				})
 				remaining--
@@ -223,21 +216,4 @@ func (r *fig5Rig) copyChunk(frame int64, line int) {
 
 func (r *fig5Rig) mcOf(addr int64) *memctrl.Controller {
 	return r.mcs[int(addr/addrmap.CachelineSize)%len(r.mcs)]
-}
-
-// fig5Backoff paces re-submission of rejected memory requests — the
-// hardware equivalent of waiting for a credit. The exponential cap keeps a
-// saturated controller from being hammered every 50ns while still probing
-// often enough that a freed credit is claimed quickly.
-var fig5Backoff = fault.Backoff{Base: 50 * sim.Nanosecond, Cap: 200 * sim.Nanosecond}
-
-// submitRetry retries a rejected request with capped exponential backoff.
-func (r *fig5Rig) submitRetry(mc *memctrl.Controller, req *memctrl.Request) {
-	r.submitAttempt(mc, req, 0)
-}
-
-func (r *fig5Rig) submitAttempt(mc *memctrl.Controller, req *memctrl.Request, attempt int) {
-	if err := mc.Submit(req); err != nil {
-		r.eng.Schedule(fig5Backoff.Delay(attempt), func() { r.submitAttempt(mc, req, attempt+1) })
-	}
 }

@@ -54,10 +54,12 @@ func refFRFCFS(q []*refEntry, rs *RankSet, starvationCap int) (int, bool) {
 // bank (so hits, misses and conflicts all occur), SubmitLines transfers
 // that the record queue holds as one record per row (some crossing a row
 // boundary), rows opened behind the scheduler's back, starvation caps
-// 0–20, small queue caps and both queues. The reference queues every line
-// of a transfer as an entry of its own.
+// 0–20, small queue caps (so lines wait for slots) and both queues. The
+// reference queues every line of a transfer as an entry of its own, and
+// holds the lines that find a queue full in a per-line FIFO that fills
+// each freed slot.
 func TestFRFCFSMatchesReference(t *testing.T) {
-	var starved, hitsPastHead, linePicks, picks int
+	var starved, hitsPastHead, linePicks, picks, waited int
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		cfg := DefaultConfig()
@@ -66,7 +68,14 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 		cfg.WriteQueueCap = 1 + rng.IntN(24)
 		rs := NewRankSet(dram.DDR4_2400(), 1+rng.IntN(2))
 		c := New(sim.NewEngine(), cfg, rs)
-		var ref [2][]*refEntry // read, write
+		var ref, wait [2][]*refEntry // read, write
+		caps := [2]int{cfg.ReadQueueCap, cfg.WriteQueueCap}
+		admit := func(w int) {
+			for len(ref[w]) < caps[w] && len(wait[w]) > 0 {
+				ref[w] = append(ref[w], wait[w][0])
+				wait[w] = wait[w][1:]
+			}
+		}
 		addr := func() int64 {
 			bank := int64(rng.IntN(3))
 			row := int64(rng.IntN(3))
@@ -84,25 +93,18 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 				// A transfer's lines carry tag 0 and their own addresses.
 				a := addr() + int64(rng.IntN(112))*addrmap.CachelineSize
 				n := 1 + rng.IntN(16)
-				accepted := min(n, c.queue(write).cap-len(ref[w]))
-				if rejected := c.SubmitLines(a, n, write, nil); rejected != n-accepted {
-					t.Fatalf("seed %d step %d: SubmitLines rejected %d of %d lines, reference %d", seed, step, rejected, n, n-accepted)
+				c.SubmitLines(a, n, write, nil)
+				for j := 0; j < n; j++ {
+					wait[w] = append(wait[w], &refEntry{addr: a + int64(j)*addrmap.CachelineSize})
 				}
-				for j := 0; j < accepted; j++ {
-					ref[w] = append(ref[w], &refEntry{addr: a + int64(j)*addrmap.CachelineSize})
-				}
+				admit(w)
 			case op < 5:
 				// Bytes doubles as a unique tag: the picker never reads it.
 				tag++
 				a := addr()
-				err := c.Submit(&Request{Addr: a, Write: write, Bytes: tag})
-				full := len(ref[w]) >= c.queue(write).cap
-				if (err != nil) != full {
-					t.Fatalf("seed %d step %d: Submit err = %v with reference queue full = %v", seed, step, err, full)
-				}
-				if err == nil {
-					ref[w] = append(ref[w], &refEntry{addr: a, tag: tag})
-				}
+				c.Submit(&Request{Addr: a, Write: write, Bytes: tag})
+				wait[w] = append(wait[w], &refEntry{addr: a, tag: tag})
+				admit(w)
 			case op < 9:
 				q := c.queue(write)
 				if q.n == 0 {
@@ -115,9 +117,11 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 					gotTag = 0
 				}
 				last := q.take(i)
+				c.admit(q)
 				idx, forced := refFRFCFS(ref[w], rs, cfg.StarvationCap)
 				want := ref[w][idx]
 				ref[w] = append(ref[w][:idx], ref[w][idx+1:]...)
+				admit(w)
 				if gotTag != want.tag || gotAddr != want.addr {
 					t.Fatalf("seed %d step %d (cap %d, %v queue): picked tag %d at %#x, reference picked tag %d at %#x (index %d, starvation %v)",
 						seed, step, cfg.StarvationCap, map[bool]string{false: "read", true: "write"}[write], gotTag, gotAddr, want.tag, want.addr, idx, forced)
@@ -141,21 +145,27 @@ func TestFRFCFSMatchesReference(t *testing.T) {
 			default:
 				rs.Access(now, addr(), false, addrmap.CachelineSize)
 			}
+			waitR, waitW := c.Waiting()
 			for w, q := range []*fifo{&c.readQ, &c.writeQ} {
-				if q.n != len(ref[w]) {
-					t.Fatalf("seed %d step %d: queue %d holds %d lines, reference %d", seed, step, w, q.n, len(ref[w]))
+				if n := [2]int{waitR, waitW}[w]; q.n != len(ref[w]) || n != len(wait[w]) {
+					t.Fatalf("seed %d step %d: queue %d holds %d lines with %d waiting, reference %d with %d",
+						seed, step, w, q.n, n, len(ref[w]), len(wait[w]))
+				}
+				if len(wait[w]) > 0 {
+					waited++
 				}
 			}
 		}
 	}
-	if starved == 0 || hitsPastHead == 0 || linePicks == 0 {
-		t.Fatalf("%d picks covered %d starvation picks, %d row hits past the head and %d transfer lines; want each", picks, starved, hitsPastHead, linePicks)
+	if starved == 0 || hitsPastHead == 0 || linePicks == 0 || waited == 0 {
+		t.Fatalf("%d picks covered %d starvation picks, %d row hits past the head, %d transfer lines and %d steps with lines waiting; want each",
+			picks, starved, hitsPastHead, linePicks, waited)
 	}
 }
 
 // submitCountdown is a transfer as n Submit calls sharing one countdown
 // callback: the reference SubmitLines must match.
-func submitCountdown(c *Controller, addr int64, n int, write bool, done func()) (rejected int) {
+func submitCountdown(c *Controller, addr int64, n int, write bool, done func()) {
 	remaining := n
 	line := func(Response) {
 		if remaining--; remaining == 0 && done != nil {
@@ -163,18 +173,13 @@ func submitCountdown(c *Controller, addr int64, n int, write bool, done func()) 
 		}
 	}
 	for i := 0; i < n; i++ {
-		req := &Request{Addr: addr + int64(i)*addrmap.CachelineSize, Write: write, Bytes: addrmap.CachelineSize, Done: line}
-		if c.Submit(req) != nil {
-			remaining--
-			rejected++
-		}
+		c.Submit(&Request{Addr: addr + int64(i)*addrmap.CachelineSize, Write: write, Bytes: addrmap.CachelineSize, Done: line})
 	}
-	return rejected
 }
 
 // transferRun is everything observable about one transfer scenario.
 type transferRun struct {
-	rejected   []int
+	waiting    []int // lines waiting right after each transfer's submit
 	doneAt     []sim.Time
 	background []sim.Time
 	stats      Stats
@@ -202,10 +207,12 @@ func runTransfer(useLines, observed bool, bgSame, bgOther, n int, write bool, of
 	}
 	submit := func(addr int64, done func()) {
 		if useLines {
-			r.rejected = append(r.rejected, c.SubmitLines(addr, n, write, done))
+			c.SubmitLines(addr, n, write, done)
 		} else {
-			r.rejected = append(r.rejected, submitCountdown(c, addr, n, write, done))
+			submitCountdown(c, addr, n, write, done)
 		}
+		reads, writes := c.Waiting()
+		r.waiting = append(r.waiting, reads+writes)
 	}
 	submit(0x40000+offset, func() {
 		r.doneAt = append(r.doneAt, eng.Now())
@@ -217,34 +224,33 @@ func runTransfer(useLines, observed bool, bgSame, bgOther, n int, write bool, of
 }
 
 // SubmitLines is n Submits with a countdown, minus the per-line completion
-// events: the same lines accepted and rejected, done fired once at the
-// same instant (never when every line is rejected), other requests and
-// statistics untouched, and — with a span track attached — the same spans
-// in the same order.
+// events: the same lines admitted at once and waiting, done fired once at
+// the same instant, other requests and statistics untouched, and — with a
+// span track attached — the same spans in the same order. A transfer
+// larger than the free slots is admitted in part and the rest waits.
 func TestSubmitLinesMatchesCountdown(t *testing.T) {
 	cases := []struct {
 		name            string
 		bgSame, bgOther int
 		n               int
 		write           bool
-		rejected        int // of the first transfer
-		fires           int
+		waiting         int   // lines of the first transfer that wait
 		offset          int64 // of each transfer into its 8 KiB row
 	}{
-		{"all accepted, 1514B RX write", 8, 6, 24, true, 0, 2, 0},
-		{"partial, 9000B TX read", 0, 4, 141, false, 77, 2, 0},
-		{"all rejected", 64, 3, 10, false, 10, 0, 0},
-		{"mid-row, two rows, 1514B RX write", 8, 6, 24, true, 0, 2, addrmap.RankRowBytes - 9*addrmap.CachelineSize},
-		{"mid-row, two rows, 1514B TX read", 3, 5, 24, false, 0, 2, addrmap.RankRowBytes - 20*addrmap.CachelineSize},
+		{"all accepted, 1514B RX write", 8, 6, 24, true, 0, 0},
+		{"partial, 9000B TX read", 0, 4, 141, false, 77, 0},
+		{"all waiting", 64, 3, 10, false, 10, 0},
+		{"mid-row, two rows, 1514B RX write", 8, 6, 24, true, 0, addrmap.RankRowBytes - 9*addrmap.CachelineSize},
+		{"mid-row, two rows, 1514B TX read", 3, 5, 24, false, 0, addrmap.RankRowBytes - 20*addrmap.CachelineSize},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, observed := range []bool{false, true} {
 				want := runTransfer(false, observed, tc.bgSame, tc.bgOther, tc.n, tc.write, tc.offset)
 				got := runTransfer(true, observed, tc.bgSame, tc.bgOther, tc.n, tc.write, tc.offset)
-				if got.rejected[0] != tc.rejected || len(got.doneAt) != tc.fires {
-					t.Fatalf("observed=%v: rejected %v, done fired %d times; want %d rejected first and %d fires",
-						observed, got.rejected, len(got.doneAt), tc.rejected, tc.fires)
+				if got.waiting[0] != tc.waiting || len(got.doneAt) != 2 {
+					t.Fatalf("observed=%v: %v lines waiting, done fired %d times; want %d waiting first and 2 fires",
+						observed, got.waiting, len(got.doneAt), tc.waiting)
 				}
 				wantFired, gotFired := want.fired, got.fired
 				want.fired, got.fired = 0, 0
@@ -254,7 +260,7 @@ func TestSubmitLinesMatchesCountdown(t *testing.T) {
 				switch {
 				case observed && gotFired != wantFired:
 					t.Fatalf("observed: %d events, want the per-line %d", gotFired, wantFired)
-				case !observed && tc.fires > 0 && gotFired >= wantFired:
+				case !observed && gotFired >= wantFired:
 					t.Fatalf("unobserved: %d events, want fewer than the per-line %d", gotFired, wantFired)
 				}
 			}

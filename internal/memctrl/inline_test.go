@@ -15,7 +15,6 @@ import (
 type pickRun struct {
 	responses []taggedResponse
 	doneAt    [][2]int64 // (transfer tag, instant) per SubmitLines done
-	rejected  []int
 	stats     Stats
 	fired     uint64
 	end       sim.Time
@@ -69,9 +68,7 @@ func runPickStream(seed uint64, observed, refuse, perLine bool) pickRun {
 				out.responses = append(out.responses, taggedResponse{tag, eng.Now(), resp})
 			}
 		}
-		if c.Submit(req) != nil {
-			out.rejected = append(out.rejected, -tag)
-		}
+		c.Submit(req)
 	}
 	lines := func() {
 		tag := tags
@@ -84,9 +81,9 @@ func runPickStream(seed uint64, observed, refuse, perLine bool) pickRun {
 			out.doneAt = append(out.doneAt, [2]int64{int64(tag), int64(eng.Now())})
 		}
 		if perLine {
-			out.rejected = append(out.rejected, submitCountdown(c, a, n, write, done))
+			submitCountdown(c, a, n, write, done)
 		} else {
-			out.rejected = append(out.rejected, c.SubmitLines(a, n, write, done))
+			c.SubmitLines(a, n, write, done)
 		}
 	}
 	burst := c.timing.BurstTime(addrmap.CachelineSize)
@@ -131,8 +128,7 @@ func runPickStream(seed uint64, observed, refuse, perLine bool) pickRun {
 // TestInlinePicksMatchEventPicks holds the inline picks and inline
 // transfer dones to the event-per-pick scheduler they replace, and the
 // transfer records to the per-line Submits they replace: the same
-// responses at the same instants, the same transfer completions and
-// rejections, Stats, the same end instant and, with a span track attached,
+// responses at the same instants, the same transfer completions, Stats, the same end instant and, with a span track attached,
 // the same spans and read-queue depth series. Fired must match too, except where per-line Submits
 // schedule a completion per line that an unobserved transfer does not.
 func TestInlinePicksMatchEventPicks(t *testing.T) {
@@ -172,7 +168,6 @@ func firstDiff(got, want pickRun) string {
 	}{
 		{"responses", got.responses, want.responses},
 		{"doneAt", got.doneAt, want.doneAt},
-		{"rejected", got.rejected, want.rejected},
 		{"stats", got.stats, want.stats},
 		{"fired", got.fired, want.fired},
 		{"end", got.end, want.end},

@@ -18,10 +18,7 @@ func newCtrl(t *testing.T) (*sim.Engine, *Controller, *RankSet) {
 func TestSingleReadLatency(t *testing.T) {
 	eng, c, _ := newCtrl(t)
 	var resp Response
-	err := c.Submit(&Request{Addr: 0, Done: func(r Response) { resp = r }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.Submit(&Request{Addr: 0, Done: func(r Response) { resp = r }})
 	eng.Run()
 	tm := dram.DDR4_2400()
 	want := DefaultConfig().TCMD + tm.TRCD + tm.TCL + tm.TBL
@@ -96,27 +93,39 @@ func TestNoStarvation(t *testing.T) {
 	}
 }
 
-func TestQueueFullRejects(t *testing.T) {
+// A full queue holds requests back and drops none: the requests past the
+// cap wait, the queue never holds more than its cap, and every request
+// completes, in arrival order for a row-hit stream.
+func TestQueueFullWaits(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.ReadQueueCap = 4
 	rs := NewRankSet(dram.DDR4_2400(), 1)
 	c := New(eng, cfg, rs)
-	var rejected int
-	for i := 0; i < 10; i++ {
-		if err := c.Submit(&Request{Addr: int64(i) * 64}); err != nil {
-			rejected++
-		}
+	var order []int64
+	var maxDepth int
+	done := func(r Response) {
+		order = append(order, r.Addr/64)
+		maxDepth = max(maxDepth, c.readQ.n)
 	}
-	if rejected != 6 {
-		t.Fatalf("rejected = %d, want 6", rejected)
+	for i := int64(0); i < 10; i++ {
+		c.Submit(&Request{Addr: i * 64, Done: done})
 	}
-	if c.Stats().Rejected != 6 {
-		t.Fatalf("stats.Rejected = %d", c.Stats().Rejected)
+	if r, _ := c.QueueDepths(); r != 4 {
+		t.Fatalf("read queue holds %d lines, want its cap 4", r)
+	}
+	if r, _ := c.Waiting(); r != 6 {
+		t.Fatalf("%d reads waiting, want 6", r)
 	}
 	eng.Run()
-	if c.Stats().ReadsDone != 4 {
-		t.Fatalf("ReadsDone = %d", c.Stats().ReadsDone)
+	if s := c.Stats(); s.ReadsDone != 10 || s.MaxReadQueueDepth != 4 || maxDepth > 4 {
+		t.Fatalf("ReadsDone = %d, MaxReadQueueDepth = %d, depth at a completion up to %d; want 10, 4 and at most 4",
+			s.ReadsDone, s.MaxReadQueueDepth, maxDepth)
+	}
+	for i, a := range order {
+		if a != int64(i) {
+			t.Fatalf("completion order %v, want arrival order", order)
+		}
 	}
 }
 
@@ -132,9 +141,7 @@ func TestWriteDraining(t *testing.T) {
 	c := New(eng, cfg, rs)
 
 	for i := 0; i < 16; i++ {
-		if err := c.Submit(&Request{Addr: int64(i) * 64, Write: true}); err != nil {
-			t.Fatal(err)
-		}
+		c.Submit(&Request{Addr: int64(i) * 64, Write: true})
 	}
 	eng.Run()
 	if c.Stats().WritesDone != 16 {
@@ -185,11 +192,9 @@ func TestThroughputBound(t *testing.T) {
 	const n = 2000
 	var last sim.Time
 	for i := 0; i < n; i++ {
-		if err := c.Submit(&Request{Addr: int64(i%128) * 64, Done: func(r Response) { last = r.Completed }}); err != nil {
-			t.Fatal(err)
-		}
+		c.Submit(&Request{Addr: int64(i%128) * 64, Done: func(r Response) { last = r.Completed }})
 		if i%32 == 31 {
-			eng.Run() // drain in batches so the read queue never overflows
+			eng.Run() // drain in batches so no read waits for a slot
 		}
 	}
 	eng.Run()
@@ -270,16 +275,12 @@ func TestSubmitCopiesRequest(t *testing.T) {
 	eng, c, _ := newCtrl(t)
 	var first, second []Response
 	req := &Request{Addr: 0x40, Done: func(r Response) { first = append(first, r) }}
-	if err := c.Submit(req); err != nil {
-		t.Fatal(err)
-	}
+	c.Submit(req)
 	// Reuse the same Request for a different transaction before the first
 	// one has even been issued.
 	req.Addr, req.Write, req.Bytes = 0x8000, true, 4*addrmap.CachelineSize
 	req.Done = func(r Response) { second = append(second, r) }
-	if err := c.Submit(req); err != nil {
-		t.Fatal(err)
-	}
+	c.Submit(req)
 	req.Addr, req.Done = 0x1234, nil
 	eng.Run()
 	if len(first) != 1 || first[0].Addr != 0x40 || first[0].Write {
@@ -297,44 +298,43 @@ func TestSubmitCopiesRequest(t *testing.T) {
 	}
 }
 
-// A rejected request resubmitted later — the retry-with-backoff pattern of
-// Fig. 5's copy rig and the workload injector — completes exactly once,
-// stamped with the instant of the submit that was accepted.
-func TestRejectedResubmitCompletesOnce(t *testing.T) {
+// A request that finds its queue full waits and completes exactly once,
+// stamped with its arrival instant. It is admitted, once, when the pick
+// ahead of it frees the slot.
+func TestWaitingRequestCompletesOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.ReadQueueCap = 1
 	c := New(eng, cfg, NewRankSet(dram.DDR4_2400(), 1))
-	if err := c.Submit(&Request{Addr: 0}); err != nil {
-		t.Fatal(err)
-	}
 	var resps []Response
-	req := &Request{Addr: 0x10000, Done: func(r Response) { resps = append(resps, r) }}
-	var accepted sim.Time
-	attempts := 0
-	var try func()
-	try = func() {
-		attempts++
-		if err := c.Submit(req); err != nil {
-			eng.Schedule(3*sim.Nanosecond, try)
-			return
+	var admitted []sim.Time
+	arrival := 3 * sim.Nanosecond
+	eng.At(arrival, func() {
+		// The first read issues at once, the second takes its slot then and
+		// issues one burst later, which frees the slot for the third.
+		c.Submit(&Request{Addr: 0})
+		c.Submit(&Request{Addr: 0x8000})
+		c.Submit(&Request{
+			Addr:     0x10000,
+			Done:     func(r Response) { resps = append(resps, r) },
+			Admitted: func() { admitted = append(admitted, eng.Now()) },
+		})
+		if r, _ := c.Waiting(); r != 2 {
+			t.Errorf("%d reads waiting behind a full 1-entry queue, want 2", r)
 		}
-		accepted = eng.Now()
-	}
-	try()
+	})
 	eng.Run()
-	if attempts < 2 {
-		t.Fatalf("request accepted on attempt %d; the test needs at least one rejection", attempts)
+	if len(resps) != 1 || len(admitted) != 1 {
+		t.Fatalf("Done fired %d times and Admitted %d times, want once each", len(resps), len(admitted))
 	}
-	if len(resps) != 1 {
-		t.Fatalf("Done fired %d times, want once", len(resps))
+	if resps[0].Submitted != arrival {
+		t.Fatalf("Submitted = %v, want the arrival at %v", resps[0].Submitted, arrival)
 	}
-	if resps[0].Submitted != accepted || accepted == 0 {
-		t.Fatalf("Submitted = %v, want the accepted submit at %v", resps[0].Submitted, accepted)
+	if want := arrival + c.timing.BurstTime(addrmap.CachelineSize); admitted[0] != want {
+		t.Fatalf("admitted at %v, want %v, when the second read issued", admitted[0], want)
 	}
-	s := c.Stats()
-	if s.ReadsDone != 2 || s.Rejected != uint64(attempts-1) {
-		t.Fatalf("ReadsDone = %d, Rejected = %d; want 2 and %d", s.ReadsDone, s.Rejected, attempts-1)
+	if s := c.Stats(); s.ReadsDone != 3 {
+		t.Fatalf("ReadsDone = %d, want 3", s.ReadsDone)
 	}
 }
 

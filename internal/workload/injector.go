@@ -13,8 +13,10 @@ import (
 // memory subsystem at different rates. We set the ratio of memory read to
 // write requests to 1.").
 //
-// It doubles as the co-running-application generator of Fig. 12(b) with a
-// different read fraction and working set.
+// Each of its Parallelism threads behaves like an MLC load thread: it
+// issues its next request one Delay after its previous one entered the
+// controller's queue, so a thread whose request waits behind a full queue
+// stalls with it.
 type Injector struct {
 	Eng *sim.Engine
 	MC  *memctrl.Controller
@@ -26,11 +28,6 @@ type Injector struct {
 	// Base and WorkingSet bound the address range touched.
 	Base       int64
 	WorkingSet int64
-	// Retry makes the injector behave like a stalled CPU thread: a request
-	// rejected by a full controller queue is retried until accepted (the
-	// MLC tool's load threads block on outstanding requests; they do not
-	// drop them).
-	Retry bool
 	// Parallelism is the number of independent load threads (MLC spawns
 	// one per core); each runs its own issue loop at Delay.
 	Parallelism int
@@ -39,7 +36,9 @@ type Injector struct {
 	stopped bool
 	lat     stats.Histogram
 	issued  uint64
-	dropped uint64
+	tickFn  func()                 // in.tick
+	nextFn  func()                 // in.next, a request's Admitted
+	observe func(memctrl.Response) // records a read's latency
 }
 
 // NewInjector returns a seeded injector over [base, base+workingSet).
@@ -47,10 +46,13 @@ func NewInjector(eng *sim.Engine, mc *memctrl.Controller, delay sim.Time, readFr
 	if workingSet < addrmap.CachelineSize {
 		workingSet = addrmap.CachelineSize
 	}
-	return &Injector{
+	in := &Injector{
 		Eng: eng, MC: mc, Delay: delay, ReadFraction: readFrac,
 		Base: base, WorkingSet: workingSet, rng: sim.NewRand(seed),
 	}
+	in.tickFn, in.nextFn = in.tick, in.next
+	in.observe = func(r memctrl.Response) { in.lat.Observe(r.Latency()) }
+	return in
 }
 
 // Start begins injecting; requests continue until Stop.
@@ -71,13 +73,11 @@ func (in *Injector) Stop() { in.stopped = true }
 // Issued returns the number of requests issued.
 func (in *Injector) Issued() uint64 { return in.issued }
 
-// Dropped returns requests rejected by a full controller queue (the
-// back-pressure signal at maximum pressure).
-func (in *Injector) Dropped() uint64 { return in.dropped }
-
-// ReadLatency exposes the read-latency histogram.
+// ReadLatency exposes the read-latency histogram: each read's latency
+// from its issue, queue wait included.
 func (in *Injector) ReadLatency() *stats.Histogram { return &in.lat }
 
+// tick issues one thread's next request.
 func (in *Injector) tick() {
 	if in.stopped {
 		return
@@ -85,41 +85,19 @@ func (in *Injector) tick() {
 	lines := in.WorkingSet / addrmap.CachelineSize
 	addr := in.Base + in.rng.Int63n(lines)*addrmap.CachelineSize
 	write := in.rng.Float64() >= in.ReadFraction
-	req := &memctrl.Request{Addr: addr, Write: write, Bytes: addrmap.CachelineSize}
+	req := memctrl.Request{Addr: addr, Write: write, Bytes: addrmap.CachelineSize, Admitted: in.nextFn}
 	if !write {
-		req.Done = func(r memctrl.Response) { in.lat.Observe(r.Latency()) }
+		req.Done = in.observe
 	}
+	in.issued++
+	in.MC.Submit(&req)
+}
+
+// next schedules the thread's next request once its last one is queued.
+func (in *Injector) next() {
 	gap := in.Delay
 	if gap <= 0 {
 		gap = sim.Nanosecond // max pressure: one request per ns of CPU issue
 	}
-	if err := in.MC.Submit(req); err != nil {
-		in.dropped++
-		if in.Retry {
-			// Stall: re-attempt this request instead of generating a new
-			// one, like a blocked load/store in the MLC thread.
-			in.Eng.Schedule(gap, func() { in.retry(req) })
-			return
-		}
-	} else {
-		in.issued++
-	}
-	in.Eng.Schedule(gap, in.tick)
-}
-
-func (in *Injector) retry(req *memctrl.Request) {
-	if in.stopped {
-		return
-	}
-	gap := in.Delay
-	if gap <= 0 {
-		gap = sim.Nanosecond
-	}
-	if err := in.MC.Submit(req); err != nil {
-		in.dropped++
-		in.Eng.Schedule(gap, func() { in.retry(req) })
-		return
-	}
-	in.issued++
-	in.Eng.Schedule(gap, in.tick)
+	in.Eng.Schedule(gap, in.tickFn)
 }
