@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netdimm/internal/nic"
+	"netdimm/internal/sim"
 	"netdimm/internal/stats"
 )
 
@@ -104,6 +105,28 @@ func TestNetDIMMRXSizeSlope(t *testing.T) {
 	if slope >= memcpySlope {
 		t.Fatalf("NetDIMM RX slope %.1f ps/B should be below memcpy slope %.1f ps/B",
 			slope, memcpySlope)
+	}
+}
+
+// A NetDIMM packet's DMA time grows with its size past the nMC queue
+// cap: a jumbo frame's lines beyond the 64 a queue holds wait for slots
+// instead of being dropped.
+func TestNetDIMMDMAGrowsPastQueueCap(t *testing.T) {
+	var prevTX, prevRX sim.Time
+	for i, size := range []int{4096, 8000, 9000} {
+		tx, err := NewNetDIMMMachine(uint64(70 + 2*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx, err := NewNetDIMMMachine(uint64(71 + 2*i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		txDMA, rxDMA := tx.TX(pkt(size))[stats.TxDMA], rx.RX(pkt(size))[stats.RxDMA]
+		if txDMA <= prevTX || rxDMA <= prevRX {
+			t.Fatalf("%d B: txDMA %v, rxDMA %v; want both above the smaller size's %v and %v", size, txDMA, rxDMA, prevTX, prevRX)
+		}
+		prevTX, prevRX = txDMA, rxDMA
 	}
 }
 

@@ -125,6 +125,11 @@ func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switch
 	if err := cfg.Validate(); err != nil {
 		return LatencyBreakdown{}, err
 	}
+	return oneWay(cfg, tx, rx, packetSize, switchLatency), nil
+}
+
+// oneWay is OneWayLatencyWithConfig on arguments it has checked.
+func oneWay(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) LatencyBreakdown {
 	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, cfg.spec().AnalyticFabric(sim.FromDuration(switchLatency)))
-	return fromBreakdown(b), nil
+	return fromBreakdown(b)
 }
