@@ -29,7 +29,9 @@ func TestMain(m *testing.M) {
 // goldenCases are the pinned CLI outputs. The -parallel cases diff against
 // the same golden as their default run: output must not depend on it. A
 // trace case pins the SHA-256 digest of the run's -trace file instead of
-// its stdout, so a large trace costs one line of testdata.
+// its stdout, so a large trace costs one line of testdata. The replay case
+// reads testdata/hadoop-300.ndtr, written by
+// `netdimm-trace gen -cluster hadoop -n 300 -seed 5`.
 var goldenCases = []struct {
 	args   string
 	golden string
@@ -81,6 +83,7 @@ var goldenCases = []struct {
 	{"-metrics collsweep", "collsweep-metrics.txt", false, false},
 	{"-metrics -csv -scenario ../../scenarios/clos-2x4.json -ranks 8,16 collsweep", "collsweep-clos-2x4-metrics.txt", false, false},
 	{"collsweep", "collsweep-trace.sha256", false, true},
+	{"replay testdata/hadoop-300.ndtr", "replay-hadoop-300.txt", false, false},
 }
 
 // TestGoldens runs each golden command through the CLI and compares its
