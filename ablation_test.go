@@ -15,7 +15,7 @@ func TestRunBandwidth(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if !r.Sustained {
+		if !r.Sustained() {
 			t.Errorf("%s not sustained: %.1f/%.1f Gbps", r.Arch, r.AchievedGbps, r.OfferedGbps)
 		}
 		if r.PerPacketRx <= 0 {
@@ -47,14 +47,14 @@ func TestRunAblations(t *testing.T) {
 }
 
 func TestRunMixedChannel(t *testing.T) {
-	r, err := RunMixedChannelWithConfig(DefaultConfig(), 200, 5)
+	r, _, err := RunMixedChannelObserved(DefaultConfig(), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.DDRReads == 0 || r.NetDIMMReads == 0 {
 		t.Fatalf("degenerate mix: %+v", r)
 	}
-	if r.NetDIMMMean <= r.DDRMean {
+	if r.NetDIMMMean <= r.DDRMeanLatency {
 		t.Fatal("NetDIMM reads should be slower than DDR reads")
 	}
 }

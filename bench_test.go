@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"netdimm/internal/driver"
+	"netdimm/internal/netfunc"
 )
 
 // BenchmarkTable1 exercises constructing the paper's Table 1 system
@@ -77,7 +78,7 @@ func BenchmarkFig7(b *testing.B) {
 	}
 	// The span of the first burst, derived from the data rather than a
 	// hard-coded point index (the trace length depends on model detail).
-	first, last := time.Duration(-1), time.Duration(0)
+	first, last := Time(-1), Time(0)
 	for _, p := range pts {
 		if p.Burst != 0 {
 			continue
@@ -90,7 +91,7 @@ func BenchmarkFig7(b *testing.B) {
 	if first < 0 {
 		b.Fatal("Fig7 trace has no burst-0 points")
 	}
-	b.ReportMetric(float64((last - first).Nanoseconds()), "burst-span-ns")
+	b.ReportMetric((last - first).Nanoseconds(), "burst-span-ns")
 	b.ReportMetric(float64(len(pts)), "requests")
 }
 
@@ -100,15 +101,15 @@ func BenchmarkFig11(b *testing.B) {
 	var rows []Fig11Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFig11WithConfig(DefaultConfig(), []int{64, 256, 1024, 1514}, 100*time.Nanosecond, 1)
+		rows, _, err = RunFig11Observed(DefaultConfig(), []int{64, 256, 1024, 1514}, 100*time.Nanosecond, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	var vsD, vsI float64
 	for _, r := range rows {
-		vsD += r.ReductionVsDNIC
-		vsI += r.ReductionVsINIC
+		vsD += r.ReductionVsDNIC()
+		vsI += r.ReductionVsINIC()
 	}
 	b.ReportMetric(vsD/float64(len(rows))*100, "red-vs-dNIC-%")
 	b.ReportMetric(vsI/float64(len(rows))*100, "red-vs-iNIC-%")
@@ -157,11 +158,11 @@ func BenchmarkFig12b(b *testing.B) {
 	}
 	var dpiWorst, l3fBest float64
 	for _, r := range rows {
-		if r.Function == DeepInspect && r.Norm-1 > dpiWorst {
-			dpiWorst = r.Norm - 1
+		if r.Kind == netfunc.DPI && r.Norm()-1 > dpiWorst {
+			dpiWorst = r.Norm() - 1
 		}
-		if r.Function == L3Forwarding && 1-r.Norm > l3fBest {
-			l3fBest = 1 - r.Norm
+		if r.Kind == netfunc.L3F && 1-r.Norm() > l3fBest {
+			l3fBest = 1 - r.Norm()
 		}
 	}
 	b.ReportMetric(dpiWorst*100, "DPI-worst-%")

@@ -96,23 +96,50 @@ func TestRejectsFlagsAFamilyCannotHonour(t *testing.T) {
 		{[]string{"campaign", "-grid", "g.json", "-metrics"}, "campaign: -csv, -trace and -metrics do not apply"},
 	}
 	for _, tc := range cases {
-		cmd := exec.Command(os.Args[0], tc.args...)
-		cmd.Env = append(os.Environ(), cliEnv+"=1")
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("netdimm-sim %v: err = %v, want exit status 1", tc.args, err)
-		}
-		if !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("netdimm-sim %v: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("netdimm-sim %v printed %q before failing", tc.args, stdout.String())
-		}
+		expectCLIError(t, tc.args, tc.want)
 	}
 	if _, err := os.Stat(trace); !os.IsNotExist(err) {
 		t.Errorf("a rejected -trace run left a trace file (stat: %v)", err)
+	}
+}
+
+// TestRejectsNegativePacketsAndSwitch: -n below 1 is an error naming the
+// flag, not a silent fallback to a default under a wrong header, and a
+// negative switch latency is rejected instead of shortening every path.
+func TestRejectsNegativePacketsAndSwitch(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "-7", "fig12a"}, "-n: packets per cell must be at least 1, got -7"},
+		{[]string{"-n", "0", "fig12a"}, "-n: packets per cell must be at least 1, got 0"},
+		{[]string{"-n", "0", "racksweep"}, "-n: packets per cell must be at least 1, got 0"},
+		{[]string{"-switch", "-100ns", "fig4"}, "switch latency must not be negative, got -100ns"},
+		{[]string{"-switch", "-1ns", "fig11"}, "switch latency must not be negative, got -1ns"},
+		{[]string{"-switch", "-1ns", "replay", "testdata/hadoop-300.ndtr"}, "switch latency must not be negative, got -1ns"},
+	}
+	for _, tc := range cases {
+		expectCLIError(t, tc.args, tc.want)
+	}
+}
+
+// expectCLIError runs netdimm-sim with args and checks that it exits with
+// status 1, names want on stderr and prints nothing to stdout.
+func expectCLIError(t *testing.T, args []string, want string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("netdimm-sim %v: err = %v, want exit status 1", args, err)
+	}
+	if !strings.Contains(stderr.String(), want) {
+		t.Errorf("netdimm-sim %v: stderr %q does not contain %q", args, stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("netdimm-sim %v printed %q before failing", args, stdout.String())
 	}
 }

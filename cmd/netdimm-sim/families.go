@@ -159,7 +159,7 @@ func fig4(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintln(w, "  size        dNIC   dNIC.zcpy        iNIC   iNIC.zcpy  pcie.overh   pcie.zcpy")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6d  %10v  %10v  %10v  %10v  %9.1f%%  %9.1f%%\n",
-			r.Size, r.DNIC, r.DNICZcpy, r.INIC, r.INICZcpy,
+			r.Size, r.DNIC.Duration(), r.DNICZcpy.Duration(), r.INIC.Duration(), r.INICZcpy.Duration(),
 			r.PCIeShare*100, r.PCIeShareZcpy*100)
 	}
 	return output{csv: netdimm.Fig4CSV(rows), table: w.String(),
@@ -176,10 +176,11 @@ func fig5(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintln(w, "Fig. 5 — iperf bandwidth vs MLC memory pressure")
 	fmt.Fprintln(w, "  inject delay        Gbps   mem read ns")
 	for _, r := range rows {
-		out = append(out, []string{fmt.Sprint(r.InjectDelay.Nanoseconds()),
+		d := r.InjectDelay.Duration()
+		out = append(out, []string{fmt.Sprint(d.Nanoseconds()),
 			fmt.Sprintf("%.2f", r.BandwidthGbps), fmt.Sprintf("%.1f", r.MemReadNs)})
-		delay := r.InjectDelay.String()
-		if r.InjectDelay >= time.Second {
+		delay := d.String()
+		if d >= time.Second {
 			delay = "none"
 		}
 		fmt.Fprintf(w, "%14s  %10.1f  %12.0f\n", delay, r.BandwidthGbps, r.MemReadNs)
@@ -196,8 +197,9 @@ func fig7(cfg netdimm.Config, _ axes) (output, error) {
 	w := new(strings.Builder)
 	fmt.Fprintln(w, "Fig. 7 — DMA request trace, six 1514B receptions (rel line, rel ns, burst)")
 	for i, p := range pts {
-		out = append(out, []string{fmt.Sprint(p.RelCacheline), fmt.Sprint(p.RelTime.Nanoseconds()), fmt.Sprint(p.Burst)})
-		fmt.Fprintf(w, "%4d %8.1f %d", p.RelCacheline, float64(p.RelTime.Nanoseconds()), p.Burst)
+		relNs := p.RelTime.Duration().Nanoseconds()
+		out = append(out, []string{fmt.Sprint(p.RelLine), fmt.Sprint(relNs), fmt.Sprint(p.Burst)})
+		fmt.Fprintf(w, "%4d %8.1f %d", p.RelLine, float64(relNs), p.Burst)
 		if (i+1)%4 == 0 {
 			fmt.Fprintln(w)
 		} else {
@@ -217,11 +219,11 @@ func fig11(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintf(w, "Fig. 11 — one-way latency breakdown (switch %v)\n", a.switchLat)
 	for _, r := range rows {
 		fmt.Fprintf(w, "size %dB:\n", r.Size)
-		fmt.Fprintf(w, "  dNIC    %v\n", r.DNIC)
-		fmt.Fprintf(w, "  iNIC    %v\n", r.INIC)
-		fmt.Fprintf(w, "  NetDIMM %v\n", r.NetDIMM)
+		fmt.Fprintf(w, "  dNIC    %v\n", netdimm.NewLatencyBreakdown(r.DNIC))
+		fmt.Fprintf(w, "  iNIC    %v\n", netdimm.NewLatencyBreakdown(r.INIC))
+		fmt.Fprintf(w, "  NetDIMM %v\n", netdimm.NewLatencyBreakdown(r.NetDIMM))
 		fmt.Fprintf(w, "  reduction: %.1f%% vs dNIC, %.1f%% vs iNIC\n",
-			r.ReductionVsDNIC*100, r.ReductionVsINIC*100)
+			r.ReductionVsDNIC()*100, r.ReductionVsINIC()*100)
 	}
 	return output{csv: netdimm.Fig11CSV(rows), table: w.String(), ob: ob,
 		rows: 3 * lenOr(len(a.sizes), len(experiments.PaperSizes))}, nil
@@ -253,10 +255,10 @@ func fig12b(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintln(w, "Fig. 12b — co-running app memory latency (normalized to iNIC)")
 	fmt.Fprintln(w, "cluster     nf       iNIC ns       ND ns      norm")
 	for _, r := range rows {
-		out = append(out, []string{string(r.Cluster), string(r.Function),
-			fmt.Sprintf("%.2f", r.INICNs), fmt.Sprintf("%.2f", r.NetDIMMNs), fmt.Sprintf("%.4f", r.Norm)})
+		out = append(out, []string{r.Cluster.String(), r.Kind.String(),
+			fmt.Sprintf("%.2f", r.INICAppNs), fmt.Sprintf("%.2f", r.NetDIMMNs), fmt.Sprintf("%.4f", r.Norm())})
 		fmt.Fprintf(w, "%-10s  %-4s  %10.1f  %10.1f  %8.3f\n",
-			r.Cluster, r.Function, r.INICNs, r.NetDIMMNs, r.Norm)
+			r.Cluster, r.Kind, r.INICAppNs, r.NetDIMMNs, r.Norm())
 	}
 	return output{csv: stats.CSV([]string{"cluster", "nf", "inic_ns", "netdimm_ns", "norm"}, out), table: w.String()}, nil
 }
@@ -275,7 +277,7 @@ func bandwidth(cfg netdimm.Config, a axes) (output, error) {
 			head = fmt.Sprintf("%.0f%%", r.ChannelHeadroom*100)
 		}
 		fmt.Fprintf(w, "%-8s  %7.1fG  %8.1fG  %11v  %9s  %v\n",
-			r.Arch, r.OfferedGbps, r.AchievedGbps, r.PerPacketRx, head, r.Sustained)
+			r.Arch, r.OfferedGbps, r.AchievedGbps, r.PerPacketRx.Duration(), head, r.Sustained())
 	}
 	return output{table: w.String()}, nil
 }
@@ -283,7 +285,7 @@ func bandwidth(cfg netdimm.Config, a axes) (output, error) {
 // ablationCSV renders an ablation report as CSV, one record per variant,
 // section by section.
 func ablationCSV(rep netdimm.AblationReport) string {
-	ns := func(d time.Duration) string { return fmt.Sprint(d.Nanoseconds()) }
+	ns := func(t netdimm.Time) string { return fmt.Sprint(t.Duration().Nanoseconds()) }
 	fixed4 := func(x float64) string { return fmt.Sprintf("%.4f", x) }
 	var out [][]string
 	for _, r := range rep.Prefetch {
@@ -311,21 +313,21 @@ func ablation(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintln(w, "\nnPrefetcher degree vs payload-read behaviour:")
 	for _, r := range rep.Prefetch {
 		fmt.Fprintf(w, "  degree %d: nCache hit rate %5.1f%%, mean read %v\n",
-			r.Degree, r.HitRate*100, r.MeanReadLat)
+			r.Degree, r.HitRate*100, r.MeanReadLat.Duration())
 	}
 	fmt.Fprintln(w, "\nBuffer copy strategy (one MTU packet):")
 	for _, r := range rep.Clone {
-		fmt.Fprintf(w, "  %-38s %v\n", r.Strategy, r.PerClone)
+		fmt.Fprintf(w, "  %-38s %v\n", r.Strategy, r.PerClone.Duration())
 	}
 	fmt.Fprintln(w, "\nDMA-buffer allocation strategy:")
 	for _, r := range rep.Alloc {
 		fmt.Fprintf(w, "  %-38s %8v critical-path, FPM rate %5.1f%%\n",
-			r.Strategy, r.PerAlloc, r.FPMRate*100)
+			r.Strategy, r.PerAlloc.Duration(), r.FPMRate*100)
 	}
 	fmt.Fprintln(w, "\nHeader caching (L3F-style access):")
 	for _, r := range rep.HeaderCache {
 		fmt.Fprintf(w, "  %-28s header read %v, hit rate %5.1f%%\n",
-			r.Strategy, r.HeaderRead, r.HitRate*100)
+			r.Strategy, r.HeaderRead.Duration(), r.HitRate*100)
 	}
 	return output{csv: ablationCSV(rep), table: w.String()}, nil
 }
@@ -337,9 +339,9 @@ func mixed(cfg netdimm.Config, a axes) (output, error) {
 	}
 	w := new(strings.Builder)
 	fmt.Fprintln(w, "Mixed channel — DDR + NetDIMM on one DDR5 channel (Sec. 2.2)")
-	fmt.Fprintf(w, "  DDR reads:      %5d  mean %v\n", r.DDRReads, r.DDRMean)
+	fmt.Fprintf(w, "  DDR reads:      %5d  mean %v\n", r.DDRReads, r.DDRMeanLatency.Duration())
 	fmt.Fprintf(w, "  NetDIMM reads:  %5d  mean %v (asynchronous, non-deterministic)\n",
-		r.NetDIMMReads, r.NetDIMMMean)
+		r.NetDIMMReads, r.NetDIMMMean.Duration())
 	fmt.Fprintf(w, "  out-of-order completions: %d, max outstanding request IDs: %d\n",
 		r.OutOfOrder, r.MaxOutstandingIDs)
 	return output{table: w.String(), ob: ob}, nil
@@ -362,7 +364,8 @@ func replay(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintf(w, "Replay of %s (%s trace)\n", a.file, cluster)
 	fmt.Fprintln(w, "arch       packets        mean         p50         p99")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s  %8d  %10v  %10v  %10v\n", r.Arch, r.Packets, r.Mean, r.P50, r.P99)
+		fmt.Fprintf(w, "%-8s  %8d  %10v  %10v  %10v\n",
+			r.Arch, r.Packets, r.Mean.Duration(), r.P50.Duration(), r.P99.Duration())
 	}
 	return output{table: w.String()}, nil
 }
@@ -377,10 +380,11 @@ func faultSweep(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintln(w, "arch          loss        mean         p50         p99  delivered  failed  retrans")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s  %8g  %10v  %10v  %10v  %9d  %6d  %7d\n",
-			r.Arch, r.LossRate, r.Mean, r.P50, r.P99, r.Delivered, r.Failed, r.Counters.Retransmits)
+			r.Arch, r.LossRate, r.Mean.Duration(), r.P50.Duration(), r.P99.Duration(),
+			r.Delivered, r.Failed, r.Counters.Retransmits)
 	}
 	return output{csv: netdimm.FaultSweepCSV(rows), table: w.String(), tails: faultTails(tails), ob: ob,
-		rows: 3 * lenOr(len(a.loss), 6)}, nil
+		rows: 3 * lenOr(len(a.loss), len(experiments.DefaultLossGrid))}, nil
 }
 
 // faultTails renders the per-architecture cross-rate latency tails of a
@@ -393,7 +397,8 @@ func faultTails(tails []netdimm.FaultTailResult) string {
 	fmt.Fprintln(w, "\nLatency tails across all loss rates")
 	fmt.Fprintln(w, "arch       samples        mean         p50         p99")
 	for _, t := range tails {
-		fmt.Fprintf(w, "%-8s  %8d  %10v  %10v  %10v\n", t.Arch, t.Count, t.Mean, t.P50, t.P99)
+		fmt.Fprintf(w, "%-8s  %8d  %10v  %10v  %10v\n",
+			t.Arch, t.Count, t.Mean.Duration(), t.P50.Duration(), t.P99.Duration())
 	}
 	return w.String()
 }
@@ -467,18 +472,18 @@ func failSweep(cfg netdimm.Config, a axes) (output, error) {
 	for _, r := range rows {
 		reroute := "-"
 		if r.TimeToReroute >= 0 {
-			reroute = r.TimeToReroute.String()
+			reroute = r.TimeToReroute.Duration().String()
 		}
 		inflation := "-"
 		if r.TailInflation > 0 {
 			inflation = fmt.Sprintf("%.2fx", r.TailInflation)
 		}
 		fmt.Fprintf(w, "%-8s  %7v  %9d  %7d  %8d  %8d  %7d  %9s  %10v  %10v  %10v  %9s\n",
-			r.Arch, r.Outage, r.Delivered, r.Dropped, r.Rerouted, r.Retransmits, r.Recovered,
-			reroute, r.MeanRecovery, r.P99Before, r.P99After, inflation)
+			r.Arch, r.Outage.Duration(), r.Delivered, r.Dropped, r.Rerouted, r.Retransmits, r.Recovered,
+			reroute, r.MeanRecovery.Duration(), r.P99Before.Duration(), r.P99After.Duration(), inflation)
 	}
 	return output{csv: netdimm.FailSweepCSV(rows), table: w.String(), ob: ob,
-		rows: 3 * lenOr(len(a.outages), 4)}, nil
+		rows: 3 * lenOr(len(a.outages), len(experiments.DefaultOutageGrid))}, nil
 }
 
 func collSweep(cfg netdimm.Config, a axes) (output, error) {
@@ -510,7 +515,7 @@ func headline(cfg netdimm.Config, a axes) (output, error) {
 	fmt.Fprintln(w, "Headline numbers (paper values in parentheses)")
 	fmt.Fprintf(w, "  avg one-way latency reduction vs dNIC: %.1f%% (49.9%%)\n", h.AvgReductionVsDNIC*100)
 	fmt.Fprintf(w, "  avg one-way latency reduction vs iNIC: %.1f%% (25.9%%)\n", h.AvgReductionVsINIC*100)
-	var keys []time.Duration
+	var keys []netdimm.Time
 	for k := range h.TraceReductionBySwitch {
 		keys = append(keys, k)
 	}
@@ -523,7 +528,7 @@ func headline(cfg netdimm.Config, a axes) (output, error) {
 	}
 	for _, k := range keys {
 		fmt.Fprintf(w, "  trace replay reduction @%v switch: %.1f%% (%s)\n",
-			k, h.TraceReductionBySwitch[k]*100, paper[k])
+			k.Duration(), h.TraceReductionBySwitch[k]*100, paper[k.Duration()])
 	}
 	fmt.Fprintf(w, "  DPI worst-case app-latency increase vs iNIC: +%.1f%% (+15.4%%)\n", h.DPIWorst*100)
 	fmt.Fprintf(w, "  L3F best-case app-latency reduction vs iNIC: -%.1f%% (-30.9%%)\n", h.L3FBest*100)

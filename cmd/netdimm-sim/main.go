@@ -180,6 +180,9 @@ func run(cfg netdimm.Config, exp string) error {
 
 // flagAxes collects the family parameters from the command line.
 func flagAxes() (axes, error) {
+	if *packets < 1 {
+		return axes{}, fmt.Errorf("-n: packets per cell must be at least 1, got %d", *packets)
+	}
 	a := axes{packets: *packets, seed: *seed, parallel: *parallel, switchLat: *switchLat,
 		hosts: *hosts, cluster: *cluster, payload: *payload, file: flag.Arg(1)}
 	var err error

@@ -86,9 +86,7 @@ func RunCollSweepObserved(cfg Config, ranks []int, ops []string, seed uint64, pa
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	ccfg := experiments.DefaultCollSweepConfig()
-	ccfg.Seed = seed
-	rows, o, err := experiments.CollSweepObserved(cfg.spec(), ranks, ops, ccfg, parallelism, cfg.Obs)
+	rows, o, err := experiments.CollSweepObserved(cfg.spec(), ranks, ops, experiments.CollSweepConfig{Seed: seed}, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,8 +98,8 @@ func RunCollSweepObserved(cfg Config, ranks []int, ops []string, seed uint64, pa
 			Ranks:           r.Ranks,
 			PayloadBytes:    r.PayloadBytes,
 			Steps:           r.Steps,
-			Completion:      toDuration(r.Completion),
-			StepSkew:        toDuration(r.StepSkew),
+			Completion:      r.Completion.Duration(),
+			StepSkew:        r.StepSkew.Duration(),
 			BytesOnWire:     r.BytesOnWire,
 			Frames:          r.Frames,
 			Delivered:       r.Delivered,

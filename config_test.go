@@ -15,7 +15,7 @@ import (
 func TestEveryConfigFieldChangesOutput(t *testing.T) {
 	runs := map[string]func(Config) (string, error){
 		"fig11": func(cfg Config) (string, error) {
-			rows, err := RunFig11WithConfig(cfg, []int{64, 1514}, 100*time.Nanosecond, 1)
+			rows, _, err := RunFig11Observed(cfg, []int{64, 1514}, 100*time.Nanosecond, 1)
 			return Fig11CSV(rows), err
 		},
 		// The metrics name every NetDIMM rank, so they see the capacity.

@@ -35,11 +35,19 @@
 //
 // Each experiment family has one entry point that takes the Config it
 // runs on: RunFig4WithConfig, RunFig5WithConfig, RunFig7WithConfig,
-// RunFig11WithConfig, RunFig12aWithConfig, RunFig12bWithConfig,
-// RunBandwidthWithConfig, RunAblationsWithConfig, RunMixedChannelWithConfig,
-// ReplayTraceFileWithConfig, RunHeadlineWithConfig and the fault, load,
-// rack, failure and collective sweeps. A family that records spans and
-// metrics has an Observed twin returning an Observation as well.
+// RunFig12aWithConfig, RunFig12bWithConfig, RunBandwidthWithConfig,
+// RunAblationsWithConfig, ReplayTraceFileWithConfig, RunHeadlineWithConfig,
+// and, for the families that record spans and metrics, RunFig11Observed,
+// RunMixedChannelObserved, RunFaultSweepObserved and RunFailSweepObserved,
+// which also return an Observation (nil when Config.Obs is zero). The
+// load, rack and collective sweeps have both a WithConfig entry point and
+// an Observed twin.
+//
+// A family's result type is its internal row, aliased (Fig4Result,
+// FailSweepResult, ...): latencies stay simulated picoseconds of type
+// Time, whose Duration method truncates to whole nanoseconds. Fig11Result
+// holds one breakdown per architecture; NewLatencyBreakdown converts one
+// to the LatencyBreakdown that OneWayLatencyWithConfig returns.
 // cmd/netdimm-sim declares every family once, in one table that drives
 // both its command-line verbs and its campaign cells.
 package netdimm

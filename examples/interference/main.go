@@ -38,11 +38,11 @@ func main() {
 	}
 	for _, r := range rows {
 		meaning := "NetDIMM interferes less"
-		if r.Norm > 1 {
+		if r.Norm() > 1 {
 			meaning = "NetDIMM interferes more"
 		}
 		fmt.Printf("%-10s  %-4s  %8.1fns  %8.1fns  %8.3f  %s\n",
-			r.Cluster, r.Function, r.INICNs, r.NetDIMMNs, r.Norm, meaning)
+			r.Cluster, r.Kind, r.INICAppNs, r.NetDIMMNs, r.Norm(), meaning)
 	}
 	fmt.Println("\nMechanism: an iNIC DDIOs every packet into the LLC (pollution +")
 	fmt.Println("writeback traffic for untouched payload), while a NetDIMM keeps")

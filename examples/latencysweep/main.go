@@ -32,11 +32,12 @@ func main() {
 	}
 	for _, r := range fig4 {
 		fmt.Printf("%6d  %9v  %9v  %9v  %9v  %9.1f%%\n",
-			r.Size, r.DNIC, r.DNICZcpy, r.INIC, r.INICZcpy, r.PCIeShare*100)
+			r.Size, r.DNIC.Duration(), r.DNICZcpy.Duration(), r.INIC.Duration(), r.INICZcpy.Duration(),
+			r.PCIeShare*100)
 	}
 
 	fmt.Println("\nNetDIMM vs the baselines (Fig. 11):")
-	rows, err := netdimm.RunFig11WithConfig(cfg, sizes, switchLatency, 0)
+	rows, _, err := netdimm.RunFig11Observed(cfg, sizes, switchLatency, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func main() {
 	var sumD, sumI float64
 	for _, r := range rows {
 		fmt.Printf("%6d  %9v  %9v  %9v  %8.1f%%  %8.1f%%\n",
-			r.Size, r.DNIC.Total, r.INIC.Total, r.NetDIMM.Total,
-			r.ReductionVsDNIC*100, r.ReductionVsINIC*100)
-		sumD += r.ReductionVsDNIC
-		sumI += r.ReductionVsINIC
+			r.Size, r.DNIC.Total().Duration(), r.INIC.Total().Duration(), r.NetDIMM.Total().Duration(),
+			r.ReductionVsDNIC()*100, r.ReductionVsINIC()*100)
+		sumD += r.ReductionVsDNIC()
+		sumI += r.ReductionVsINIC()
 	}
 	n := float64(len(rows))
 	fmt.Printf("\naverage reduction: %.1f%% vs dNIC (paper: 49.9%%), %.1f%% vs iNIC (paper: 25.9%%)\n",
@@ -57,8 +58,9 @@ func main() {
 	// Where does NetDIMM's time go for an MTU packet?
 	for _, r := range rows {
 		if r.Size == 2000 {
-			fmt.Printf("\n2000B NetDIMM breakdown: %v\n", r.NetDIMM)
-			flushShare := float64(r.NetDIMM.TxFlush+r.NetDIMM.RxInvalidate) / float64(r.NetDIMM.Total)
+			nd := netdimm.NewLatencyBreakdown(r.NetDIMM)
+			fmt.Printf("\n2000B NetDIMM breakdown: %v\n", nd)
+			flushShare := float64(nd.TxFlush+nd.RxInvalidate) / float64(nd.Total)
 			fmt.Printf("flush+invalidate overhead: %.1f%% of the total (paper: 9.7-15.8%%)\n", flushShare*100)
 		}
 	}

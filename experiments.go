@@ -36,30 +36,28 @@ func (c ClusterName) internal() workload.Cluster {
 	}
 }
 
-// NFKind identifies a network function for the interference study.
-type NFKind string
-
-// The two functions bracketing the packet-processing spectrum.
-const (
-	L3Forwarding NFKind = "L3F"
-	DeepInspect  NFKind = "DPI"
-)
-
-func (k NFKind) internal() netfunc.Kind {
-	if k == DeepInspect {
-		return netfunc.DPI
-	}
-	return netfunc.L3F
-}
+// Time is a simulated instant or duration in integer picoseconds, the unit
+// every result row reports. Its Duration method truncates it to whole
+// nanoseconds.
+type Time = sim.Time
 
 func simT(d time.Duration) sim.Time { return sim.FromDuration(d) }
 
+// checkSwitch rejects a negative switch latency, which would shorten every
+// path it is added to.
+func checkSwitch(d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("netdimm: switch latency must not be negative, got %v", d)
+	}
+	return nil
+}
+
 // guard converts a panic escaping an experiment into an error, so the
-// public WithConfig entry points never panic on caller input: a
-// configuration that passes Validate but trips a deeper invariant (an
-// address-map or derivation panic) surfaces as a returned error instead of
-// crashing the caller. Every Run*WithConfig defers it over a named error
-// return.
+// public Run* entry points never panic on caller input: a configuration
+// that passes Validate but trips a deeper invariant (an address-map or
+// derivation panic) surfaces as a returned error instead of crashing the
+// caller. Every Run*WithConfig and Run*Observed defers it over a named
+// error return.
 func guard(err *error) {
 	r := recover()
 	if r == nil {
@@ -93,15 +91,7 @@ func ns(d time.Duration) string { return fmt.Sprint(d.Nanoseconds()) }
 func fixed4(x float64) string { return fmt.Sprintf("%.4f", x) }
 
 // Fig4Result is one row of the Fig. 4 motivation experiment.
-type Fig4Result struct {
-	Size          int
-	DNIC          time.Duration
-	DNICZcpy      time.Duration
-	INIC          time.Duration
-	INICZcpy      time.Duration
-	PCIeShare     float64
-	PCIeShareZcpy float64
-}
+type Fig4Result = experiments.Fig4Row
 
 var fig4Header = []string{"size", "dnic_ns", "dnic_zcpy_ns", "inic_ns", "inic_zcpy_ns",
 	"pcie_share", "pcie_share_zcpy"}
@@ -109,7 +99,8 @@ var fig4Header = []string{"size", "dnic_ns", "dnic_zcpy_ns", "inic_ns", "inic_zc
 // Fig4CSV renders Fig. 4 rows as plot-ready CSV, one record per size.
 func Fig4CSV(rows []Fig4Result) string {
 	return encodeCSV(fig4Header, rows, func(r Fig4Result) []string {
-		return []string{fmt.Sprint(r.Size), ns(r.DNIC), ns(r.DNICZcpy), ns(r.INIC), ns(r.INICZcpy),
+		return []string{fmt.Sprint(r.Size), ns(r.DNIC.Duration()), ns(r.DNICZcpy.Duration()),
+			ns(r.INIC.Duration()), ns(r.INICZcpy.Duration()),
 			fixed4(r.PCIeShare), fixed4(r.PCIeShareZcpy)}
 	})
 }
@@ -127,71 +118,36 @@ func RunFig4WithConfig(cfg Config, sizes []int, switchLatency time.Duration, par
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkSwitch(switchLatency); err != nil {
+		return nil, err
+	}
 	if len(sizes) == 0 {
 		sizes = experiments.PaperSizes
 	}
-	rows := experiments.Fig4(cfg.spec(), sizes, simT(switchLatency), parallelism)
-	out := make([]Fig4Result, len(rows))
-	for i, r := range rows {
-		out[i] = Fig4Result{
-			Size:          r.Size,
-			DNIC:          toDuration(r.DNIC),
-			DNICZcpy:      toDuration(r.DNICZcpy),
-			INIC:          toDuration(r.INIC),
-			INICZcpy:      toDuration(r.INICZcpy),
-			PCIeShare:     r.PCIeShare,
-			PCIeShareZcpy: r.PCIeShareZcpy,
-		}
-	}
-	return out, nil
+	return experiments.Fig4(cfg.spec(), sizes, simT(switchLatency), parallelism), nil
 }
 
 // Fig5Result is one memory-pressure level of Fig. 5.
-type Fig5Result struct {
-	InjectDelay   time.Duration
-	BandwidthGbps float64
-	MemReadNs     float64
-}
+type Fig5Result = experiments.Fig5Row
 
 // RunFig5WithConfig regenerates Fig. 5 on the system described by cfg
 // (its DRAM timing, memory-controller config and link rate): iperf
-// bandwidth under MLC-style memory pressure. A nil delay slice uses a
-// representative sweep from idle to maximum pressure.
+// bandwidth under MLC-style memory pressure. A nil delay slice uses
+// experiments.DefaultFig5Delays, from idle to maximum pressure.
 func RunFig5WithConfig(cfg Config, delays []time.Duration, parallelism int) (_ []Fig5Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var ds []sim.Time
-	if len(delays) == 0 {
-		ds = []sim.Time{
-			sim.Second, // no interference
-			2 * sim.Microsecond, 500 * sim.Nanosecond, 100 * sim.Nanosecond,
-			50 * sim.Nanosecond, 20 * sim.Nanosecond, 10 * sim.Nanosecond, 5 * sim.Nanosecond,
-		}
-	} else {
-		for _, d := range delays {
-			ds = append(ds, simT(d))
-		}
+	for _, d := range delays {
+		ds = append(ds, simT(d))
 	}
-	rows := experiments.Fig5(cfg.spec(), ds, experiments.DefaultFig5Config(), parallelism)
-	out := make([]Fig5Result, len(rows))
-	for i, r := range rows {
-		out[i] = Fig5Result{
-			InjectDelay:   toDuration(r.InjectDelay),
-			BandwidthGbps: r.BandwidthGbps,
-			MemReadNs:     r.MemReadNs,
-		}
-	}
-	return out, nil
+	return experiments.Fig5(cfg.spec(), ds, experiments.DefaultFig5Config(), parallelism), nil
 }
 
 // Fig7Result is one DMA memory request of the Fig. 7 locality study.
-type Fig7Result struct {
-	RelCacheline int
-	RelTime      time.Duration
-	Burst        int
-}
+type Fig7Result = experiments.Fig7Point
 
 // RunFig7WithConfig regenerates Fig. 7 on the system described by cfg
 // (its link rate and PCIe DMA bandwidth): the per-cacheline DMA request
@@ -201,23 +157,12 @@ func RunFig7WithConfig(cfg Config) (_ []Fig7Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pts := experiments.Fig7(cfg.spec())
-	out := make([]Fig7Result, len(pts))
-	for i, p := range pts {
-		out[i] = Fig7Result{RelCacheline: p.RelLine, RelTime: toDuration(p.RelTime), Burst: p.Burst}
-	}
-	return out, nil
+	return experiments.Fig7(cfg.spec()), nil
 }
 
-// Fig11Result is one packet size's breakdown comparison.
-type Fig11Result struct {
-	Size            int
-	DNIC            LatencyBreakdown
-	INIC            LatencyBreakdown
-	NetDIMM         LatencyBreakdown
-	ReductionVsDNIC float64
-	ReductionVsINIC float64
-}
+// Fig11Result is one packet size's breakdown comparison; NewLatencyBreakdown
+// converts each architecture's breakdown for rendering.
+type Fig11Result = experiments.Fig11Row
 
 var fig11Header = []string{"size", "arch", "txCopy_ns", "rxCopy_ns", "txDMA_ns", "rxDMA_ns",
 	"wire_ns", "ioReg_ns", "txFlush_ns", "rxInvalidate_ns", "total_ns"}
@@ -229,23 +174,15 @@ func Fig11CSV(rows []Fig11Result) string {
 	for _, r := range rows {
 		for _, a := range []struct {
 			name string
-			b    LatencyBreakdown
+			b    stats.Breakdown
 		}{{"dNIC", r.DNIC}, {"iNIC", r.INIC}, {"NetDIMM", r.NetDIMM}} {
-			b := a.b
+			b := NewLatencyBreakdown(a.b)
 			out = append(out, []string{fmt.Sprint(r.Size), a.name,
 				ns(b.TxCopy), ns(b.RxCopy), ns(b.TxDMA), ns(b.RxDMA), ns(b.Wire),
 				ns(b.IOReg), ns(b.TxFlush), ns(b.RxInvalidate), ns(b.Total)})
 		}
 	}
 	return stats.CSV(fig11Header, out)
-}
-
-// RunFig11WithConfig regenerates Fig. 11 on the system described by cfg:
-// the one-way latency breakdown of dNIC, iNIC and NetDIMM across packet
-// sizes. It is RunFig11Observed without the observation.
-func RunFig11WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) ([]Fig11Result, error) {
-	rows, _, err := RunFig11Observed(cfg, sizes, switchLatency, parallelism)
-	return rows, err
 }
 
 // Fig12aResult is one (cluster, switch latency) cell of Fig. 12(a).
@@ -290,10 +227,10 @@ func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) 
 	for i, r := range rows {
 		out[i] = Fig12aResult{
 			Cluster:       ClusterName(r.Cluster.String()),
-			SwitchLatency: toDuration(r.SwitchLatency),
-			DNICMean:      toDuration(r.DNICMean),
-			INICMean:      toDuration(r.INICMean),
-			NetDIMMMean:   toDuration(r.NetDIMMMean),
+			SwitchLatency: r.SwitchLatency.Duration(),
+			DNICMean:      r.DNICMean.Duration(),
+			INICMean:      r.INICMean.Duration(),
+			NetDIMMMean:   r.NetDIMMMean.Duration(),
 			NormVsDNIC:    r.NormVsDNIC(),
 			NormVsINIC:    r.NormVsINIC(),
 		}
@@ -302,13 +239,7 @@ func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) 
 }
 
 // Fig12bResult is one (cluster, function) cell of Fig. 12(b).
-type Fig12bResult struct {
-	Cluster   ClusterName
-	Function  NFKind
-	INICNs    float64
-	NetDIMMNs float64
-	Norm      float64
-}
+type Fig12bResult = experiments.Fig12bRow
 
 // RunFig12bWithConfig regenerates Fig. 12(b) on the system described by
 // cfg: co-running application memory latency under DPI and L3F, NetDIMM
@@ -318,29 +249,12 @@ func RunFig12bWithConfig(cfg Config, parallelism int) (_ []Fig12bResult, err err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rows := experiments.Fig12b(cfg.spec(), workload.Clusters,
-		[]netfunc.Kind{netfunc.DPI, netfunc.L3F}, experiments.DefaultFig12bConfig(), parallelism)
-	out := make([]Fig12bResult, len(rows))
-	for i, r := range rows {
-		out[i] = Fig12bResult{
-			Cluster:   ClusterName(r.Cluster.String()),
-			Function:  NFKind(r.Kind.String()),
-			INICNs:    r.INICAppNs,
-			NetDIMMNs: r.NetDIMMNs,
-			Norm:      r.Norm(),
-		}
-	}
-	return out, nil
+	return experiments.Fig12b(cfg.spec(), workload.Clusters,
+		[]netfunc.Kind{netfunc.DPI, netfunc.L3F}, experiments.DefaultFig12bConfig(), parallelism), nil
 }
 
 // HeadlineResult carries the abstract's summary numbers as measured.
-type HeadlineResult struct {
-	AvgReductionVsDNIC     float64
-	AvgReductionVsINIC     float64
-	TraceReductionBySwitch map[time.Duration]float64
-	DPIWorst               float64
-	L3FBest                float64
-}
+type HeadlineResult = experiments.Headline
 
 // RunHeadlineWithConfig measures the paper's headline numbers on the
 // system described by cfg.
@@ -352,21 +266,7 @@ func RunHeadlineWithConfig(cfg Config, packets int, parallelism int) (_ Headline
 	if packets <= 0 {
 		packets = 500
 	}
-	h, err := experiments.RunHeadline(cfg.spec(), packets, parallelism)
-	if err != nil {
-		return HeadlineResult{}, err
-	}
-	out := HeadlineResult{
-		AvgReductionVsDNIC:     h.AvgReductionVsDNIC,
-		AvgReductionVsINIC:     h.AvgReductionVsINIC,
-		TraceReductionBySwitch: make(map[time.Duration]float64, len(h.TraceReductionBySwitch)),
-		DPIWorst:               h.DPIWorst,
-		L3FBest:                h.L3FBest,
-	}
-	for k, v := range h.TraceReductionBySwitch {
-		out.TraceReductionBySwitch[toDuration(k)] = v
-	}
-	return out, nil
+	return experiments.RunHeadline(cfg.spec(), packets, parallelism)
 }
 
 // GenerateTrace produces a deterministic synthetic trace for a cluster:
@@ -377,7 +277,7 @@ func GenerateTrace(cluster ClusterName, n int, seed uint64) []TraceEvent {
 	out := make([]TraceEvent, len(events))
 	for i, e := range events {
 		out[i] = TraceEvent{
-			At:       toDuration(e.At),
+			At:       e.At.Duration(),
 			Size:     e.Size,
 			Locality: e.Locality.String(),
 		}

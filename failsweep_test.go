@@ -9,7 +9,7 @@ import (
 
 func TestRunFailSweep(t *testing.T) {
 	outages := []time.Duration{0, 20 * time.Microsecond}
-	rows, err := RunFailSweepWithConfig(DefaultConfig(), outages, 300, 1, 0)
+	rows, _, err := RunFailSweepObserved(DefaultConfig(), outages, 300, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRunFailSweepScenarioConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Load = LoadConfig{Hosts: 8}
 	cfg.Fabric = FabricConfig{Leaves: 2, Spines: 2}
-	rows, err := RunFailSweepWithConfig(cfg, []time.Duration{10 * time.Microsecond}, 120, 0, 1)
+	rows, _, err := RunFailSweepObserved(cfg, []time.Duration{10 * time.Microsecond}, 120, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +67,17 @@ func TestRunFailSweepObservedMetrics(t *testing.T) {
 }
 
 func TestRunFailSweepRejectsInvalidInput(t *testing.T) {
-	if _, err := RunFailSweepWithConfig(DefaultConfig(), []time.Duration{-time.Microsecond}, 50, 0, 1); err == nil {
+	if _, _, err := RunFailSweepObserved(DefaultConfig(), []time.Duration{-time.Microsecond}, 50, 0, 1); err == nil {
 		t.Fatal("negative outage duration accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.CoreGHz = 0
-	if _, err := RunFailSweepWithConfig(cfg, nil, 50, 0, 1); err == nil {
+	if _, _, err := RunFailSweepObserved(cfg, nil, 50, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Fault.Failure.Outages = []fault.Outage{{Kind: fault.OutageSpine, Index: 42, StartNs: 0, EndNs: 100}}
-	if _, err := RunFailSweepWithConfig(cfg, []time.Duration{0}, 50, 0, 1); err == nil {
+	if _, _, err := RunFailSweepObserved(cfg, []time.Duration{0}, 50, 0, 1); err == nil {
 		t.Fatal("schedule naming a nonexistent spine accepted")
 	}
 }

@@ -2,8 +2,8 @@ package netdimm
 
 import (
 	"fmt"
-	"time"
 
+	"netdimm/internal/experiments"
 	"netdimm/internal/stats"
 )
 
@@ -14,16 +14,11 @@ type FaultCounters = stats.FaultCounters
 // FaultSweepResult is one (architecture, loss rate) cell of the fault
 // sweep: one-way latency statistics over delivered packets plus the cell's
 // fault and recovery counters.
-type FaultSweepResult struct {
-	Arch      string
-	LossRate  float64
-	Mean      time.Duration
-	P50       time.Duration
-	P99       time.Duration
-	Delivered int
-	Failed    int
-	Counters  FaultCounters
-}
+type FaultSweepResult = experiments.FaultRow
+
+// FaultTailResult is one architecture's latency tail over every loss rate
+// of a fault sweep, merged from the per-cell sample sets.
+type FaultTailResult = experiments.FaultTail
 
 var faultSweepHeader = []string{"arch", "loss_rate", "mean_ns", "p50_ns", "p99_ns",
 	"delivered", "failed", "retransmits", "frames_dropped", "frames_corrupted", "mem_retries"}
@@ -32,25 +27,41 @@ var faultSweepHeader = []string{"arch", "loss_rate", "mean_ns", "p50_ns", "p99_n
 // (architecture, loss rate) cell.
 func FaultSweepCSV(rows []FaultSweepResult) string {
 	return encodeCSV(faultSweepHeader, rows, func(r FaultSweepResult) []string {
-		return []string{r.Arch, fmt.Sprintf("%g", r.LossRate), ns(r.Mean), ns(r.P50), ns(r.P99),
+		return []string{r.Arch, fmt.Sprintf("%g", r.LossRate),
+			ns(r.Mean.Duration()), ns(r.P50.Duration()), ns(r.P99.Duration()),
 			fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed),
 			fmt.Sprint(r.Counters.Retransmits), fmt.Sprint(r.Counters.FramesDropped),
 			fmt.Sprint(r.Counters.FramesCorrupted), fmt.Sprint(r.Counters.MemRetries)}
 	})
 }
 
-// RunFaultSweepWithConfig measures one-way latency degradation under
+// RunFaultSweepObserved measures one-way latency degradation under
 // injected frame loss for dNIC, iNIC and NetDIMM on the system described
 // by cfg. rates are the injected per-traversal loss probabilities (nil
-// uses a representative sweep from lossless to 20%); packets is the
+// uses experiments.DefaultLossGrid, from lossless to 20%); packets is the
 // delivery count per cell (0 = 200). Only the drop probability is swept;
 // every other fault knob — corruption, port drops, NVDIMM-P RDY loss, the
 // retry/backoff policy — comes from cfg.Fault, so a lossy scenario shapes
 // the whole sweep. A configuration that cannot make progress (for example
 // 100% loss with an unlimited retry budget) is terminated by the per-cell
-// event-budget watchdog and reported as an error rather than hanging. It
-// is RunFaultSweepObserved without the tails and the observation.
-func RunFaultSweepWithConfig(cfg Config, rates []float64, packets int, seed uint64, parallelism int) ([]FaultSweepResult, error) {
-	rows, _, _, err := RunFaultSweepObserved(cfg, rates, packets, seed, parallelism)
-	return rows, err
+// event-budget watchdog and reported as an error rather than hanging.
+//
+// It also returns the per-architecture cross-rate latency tails merged
+// from every cell's histogram, whatever cfg.Obs says. The observability
+// plane is armed per cfg.Obs (retransmit/backoff and NVDIMM-P recovery
+// spans, path outcome counters, fault tallies, engine probes); a zero
+// cfg.Obs returns a nil Observation.
+func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64, parallelism int) (_ []FaultSweepResult, _ []FaultTailResult, _ *Observation, err error) {
+	defer guard(&err)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	fcfg := experiments.DefaultFaultSweepConfig()
+	fcfg.Packets = packets
+	fcfg.Seed = seed
+	rows, o, err := experiments.FaultSweepObserved(cfg.spec(), rates, fcfg, parallelism, cfg.Obs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rows, experiments.FaultTails(rows), newObservation(o), nil
 }

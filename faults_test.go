@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunFaultSweep(t *testing.T) {
-	rows, err := RunFaultSweepWithConfig(DefaultConfig(), []float64{0, 0.05}, 60, 1, 0)
+	rows, _, _, err := RunFaultSweepObserved(DefaultConfig(), []float64{0, 0.05}, 60, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunFaultSweepScenarioConfig(t *testing.T) {
 	if !cfg.Fault.Enabled() {
 		t.Fatal("lossy-1pct scenario has faults disabled")
 	}
-	rows, err := RunFaultSweepWithConfig(cfg, []float64{0.01}, 40, 0, 1)
+	rows, _, _, err := RunFaultSweepObserved(cfg, []float64{0.01}, 40, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestRunFaultSweepScenarioConfig(t *testing.T) {
 func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault.DropProb = 1.5
-	if _, err := RunFaultSweepWithConfig(cfg, nil, 10, 0, 1); err == nil {
+	if _, _, _, err := RunFaultSweepObserved(cfg, nil, 10, 0, 1); err == nil {
 		t.Fatal("DropProb 1.5 accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.CoreGHz = 0
-	if _, err := RunFaultSweepWithConfig(cfg, nil, 10, 0, 1); err == nil {
+	if _, _, _, err := RunFaultSweepObserved(cfg, nil, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 func TestRunFaultSweepWatchdogError(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunFaultSweepWithConfig(DefaultConfig(), []float64{1}, 30, 0, 1)
+		_, _, _, err := RunFaultSweepObserved(DefaultConfig(), []float64{1}, 30, 0, 1)
 		done <- err
 	}()
 	select {
@@ -78,7 +78,7 @@ func TestRunFaultSweepWatchdogError(t *testing.T) {
 			t.Errorf("err = %v, want a watchdog diagnostic", err)
 		}
 	case <-time.After(120 * time.Second):
-		t.Fatal("RunFaultSweepWithConfig hung on a livelock configuration")
+		t.Fatal("RunFaultSweepObserved hung on a livelock configuration")
 	}
 }
 

@@ -70,7 +70,7 @@ func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg LoadSweepConfig, oc *obs.Cell) (LoadRow, error) {
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: loadEventBudget})
 	link := d.Link
 
 	txs, rx, err := refLoadEndpoints(d, arch, shape.hosts, cfg.Seed)
@@ -281,7 +281,7 @@ func refDetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg RackSweepConfig, oc *obs.Cell) (RackRow, error) {
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: rackEventBudget})
 	link := d.Link
 
 	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, cfg.Seed)
@@ -457,7 +457,7 @@ func refRackEndpoints(d *spec.Derived, arch string, hosts int, seed uint64) ([]d
 func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg FailSweepConfig, oc *obs.Cell) (FailRow, error) {
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: failEventBudget})
 
 	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, cfg.Seed)
 	if err != nil {
@@ -680,7 +680,7 @@ func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, 
 	}
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: collEventBudget})
 	link := d.Link
 
 	txs, rxs, err := endpoints(d, arch, ranks, false, cfg.Seed)

@@ -41,25 +41,14 @@ const DefaultCollPortBuffer = 256
 // and chunking come from the specification's Collective block, buffering
 // from its Load block.
 type CollSweepConfig struct {
-	// EventBudget bounds each cell's engine via the watchdog (default
-	// 8,000,000).
-	EventBudget uint64
 	// Seed perturbs the NetDIMM device seeds and every rank's payload
 	// contents.
 	Seed uint64
 }
 
-// DefaultCollSweepConfig returns the sweep defaults.
-func DefaultCollSweepConfig() CollSweepConfig {
-	return CollSweepConfig{EventBudget: 8_000_000}
-}
-
-func (c CollSweepConfig) withDefaults() CollSweepConfig {
-	if c.EventBudget == 0 {
-		c.EventBudget = DefaultCollSweepConfig().EventBudget
-	}
-	return c
-}
+// collEventBudget bounds each collective-sweep cell's engine via the
+// watchdog.
+const collEventBudget = 8_000_000
 
 // CollRow is one (architecture, operation, ranks) cell of the collective
 // sweep.
@@ -114,7 +103,6 @@ type CollRow struct {
 // spans), delivery/drop/mark counters, completion and skew gauges and
 // engine probes. A zero ospec yields a nil observer.
 func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepConfig, parallelism int, ospec obs.Spec) ([]CollRow, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
 	if len(ops) == 0 {
 		if sp.Collective.Op != "" {
 			ops = []string{sp.Collective.Op}
@@ -216,7 +204,7 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
 	s := &collSource{chunk: shape.chunk, seq: make([]int, ranks)}
-	if err := s.init(sp.MustDerive(), arch, ranks, false, cfg.Seed, cfg.EventBudget, shape.portBuffer, reg); err != nil {
+	if err := s.init(sp.MustDerive(), arch, ranks, false, cfg.Seed, collEventBudget, shape.portBuffer, reg); err != nil {
 		return CollRow{}, err
 	}
 	s.cleared = s.tally

@@ -80,7 +80,7 @@ func TestCollCellMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, op := range []string{"allreduce", "broadcast", "reducescatter"} {
-			row, err := collCell(sp, arch, op, ranks, shape, CollSweepConfig{EventBudget: 8_000_000, Seed: uint64(trial)}, nil)
+			row, err := collCell(sp, arch, op, ranks, shape, CollSweepConfig{Seed: uint64(trial)}, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s/%s/%d (payload %d chunk %d): %v",
 					trial, arch, op, ranks, shape.payload, shape.chunk, err)
@@ -124,7 +124,7 @@ func TestCollCellMatchesClosureReference(t *testing.T) {
 		op := collective.Ops[r.Intn(len(collective.Ops))].String()
 		ranks := r.Range(2, 16)
 		arch := LoadSweepArchs[r.Intn(len(LoadSweepArchs))]
-		cfg := CollSweepConfig{EventBudget: 8_000_000, Seed: r.Uint64() >> 40}
+		cfg := CollSweepConfig{Seed: r.Uint64() >> 40}
 		shape, err := resolveColl(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestCollCellAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() CollRow {
-			row, err := collCell(sp, "dNIC", "allreduce", ranks, shape, CollSweepConfig{EventBudget: 8_000_000, Seed: 1}, nil)
+			row, err := collCell(sp, "dNIC", "allreduce", ranks, shape, CollSweepConfig{Seed: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,8 +21,8 @@ import (
 // fixed offered load; every row reports the failover record (rerouted
 // flows, outage drops, time-to-reroute), the recovery record
 // (retransmits, packets recovered, mean recovery time), and the latency
-// tail split by when the packet was born — before, during or after the
-// window — so post-recovery tail inflation is read directly off the row.
+// tail split by when the packet was delivered — before, during or after
+// the window — so post-recovery tail inflation is read directly off the row.
 
 // DefaultOutageGrid is the default outage-duration axis. Zero is the
 // baseline cell every other duration is compared against.
@@ -56,9 +56,6 @@ type FailSweepConfig struct {
 	// (default 2400 — 75 per host at the default 32, a makespan several
 	// times the longest default outage).
 	Packets int
-	// EventBudget bounds each cell's engine via the watchdog (default
-	// 8,000,000).
-	EventBudget uint64
 	// Seed perturbs every host's arrival and destination streams.
 	Seed uint64
 	// Load is each host's offered fraction of its own line rate (default
@@ -79,19 +76,19 @@ type FailSweepConfig struct {
 func DefaultFailSweepConfig() FailSweepConfig {
 	return FailSweepConfig{
 		Packets:     2400,
-		EventBudget: 8_000_000,
 		Load:        0.08,
 		OutageStart: 20 * sim.Microsecond,
 	}
 }
 
+// failEventBudget bounds each failure-sweep cell's engine via the
+// watchdog.
+const failEventBudget = 8_000_000
+
 func (c FailSweepConfig) withDefaults() FailSweepConfig {
 	def := DefaultFailSweepConfig()
 	if c.Packets <= 0 {
 		c.Packets = def.Packets
-	}
-	if c.EventBudget == 0 {
-		c.EventBudget = def.EventBudget
 	}
 	if c.Load == 0 {
 		c.Load = def.Load
@@ -103,7 +100,7 @@ func (c FailSweepConfig) withDefaults() FailSweepConfig {
 }
 
 // FailRow is one (architecture, outage duration) cell of the failure
-// sweep. Latency percentiles are split by the packet's birth instant
+// sweep. Latency percentiles are split by the packet's delivery instant
 // relative to the outage window; the failover and recovery tallies
 // describe how the cell absorbed the outage.
 type FailRow struct {
@@ -212,7 +209,7 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 	}, func(i int, oc *obs.Cell) (FailRow, error) {
 		arch, dur := axes(i)
 		c, err := runFabricCell(sp, arch, shape, cellOpts{load: cfg.Load, packets: cfg.Packets,
-			eventBudget: cfg.EventBudget, seed: cfg.Seed,
+			eventBudget: failEventBudget, seed: cfg.Seed,
 			outage: &outageWindow{start: cfg.OutageStart, end: cfg.OutageStart + dur, spine: cfg.Spine}}, oc)
 		if err != nil {
 			return FailRow{}, fmt.Errorf("failsweep: %s outage=%v: %w", arch, dur, err)

@@ -20,10 +20,15 @@ import (
 // output order.
 var FaultSweepArchs = []string{"dNIC", "iNIC", "NetDIMM"}
 
+// DefaultLossGrid is the default frame-loss axis: per-traversal drop
+// probabilities from lossless to 20%.
+var DefaultLossGrid = []float64{0, 0.001, 0.01, 0.05, 0.1, 0.2}
+
+// faultPacketSize is the payload size of every fault-sweep packet.
+const faultPacketSize = nic.MTU
+
 // FaultSweepConfig parameterises one fault sweep.
 type FaultSweepConfig struct {
-	// Size is the packet payload size in bytes (default nic.MTU).
-	Size int
 	// Packets is how many packets each cell delivers (default 200).
 	Packets int
 	// EventBudget bounds each cell's engine via the watchdog, so a
@@ -36,14 +41,11 @@ type FaultSweepConfig struct {
 
 // DefaultFaultSweepConfig returns the sweep defaults.
 func DefaultFaultSweepConfig() FaultSweepConfig {
-	return FaultSweepConfig{Size: nic.MTU, Packets: 200, EventBudget: 2_000_000}
+	return FaultSweepConfig{Packets: 200, EventBudget: 2_000_000}
 }
 
 func (c FaultSweepConfig) withDefaults() FaultSweepConfig {
 	def := DefaultFaultSweepConfig()
-	if c.Size <= 0 {
-		c.Size = def.Size
-	}
 	if c.Packets <= 0 {
 		c.Packets = def.Packets
 	}
@@ -121,7 +123,7 @@ func FaultTails(rows []FaultRow) []FaultTail {
 // through the RDY-timeout recovery machinery when the spec injects memory
 // faults. The sweep overrides only Spec.Fault.DropProb per cell — every
 // other fault knob (corruption, port drops, RDY loss, retry policy) comes
-// from sp.
+// from sp. Empty rates select DefaultLossGrid.
 //
 // Cells are deterministic: each builds its own engine and injector from a
 // per-cell seed, so results are identical sequentially and in parallel.
@@ -132,6 +134,9 @@ func FaultTails(rows []FaultRow) []FaultTail {
 // instrumentation.
 func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int, ospec obs.Spec) ([]FaultRow, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
+	if len(rates) == 0 {
+		rates = DefaultLossGrid
+	}
 	axes := func(i int) (string, float64) { return FaultSweepArchs[i/len(rates)], rates[i%len(rates)] }
 	return runCells(len(FaultSweepArchs)*len(rates), parallelism, ospec, func(i int) string {
 		arch, rate := axes(i)
@@ -162,7 +167,7 @@ func faultCell(sp spec.Spec, arch string, rate float64, cfg FaultSweepConfig, ce
 		return FaultRow{}, err
 	}
 
-	p := nic.Packet{Size: cfg.Size}
+	p := nic.Packet{Size: faultPacketSize}
 	txCost := tx.TX(p).Total()
 	rxCost := rx.RX(p).Total()
 	path := ethernet.LossyPath{Fabric: d.Fabric(d.SwitchLatency), Inj: inj,

@@ -49,13 +49,25 @@ func DefaultFig5Config() Fig5Config {
 	}
 }
 
+// DefaultFig5Delays is the default injector-delay axis, from no
+// interference (one request a second) to maximum pressure.
+var DefaultFig5Delays = []sim.Time{
+	sim.Second,
+	2 * sim.Microsecond, 500 * sim.Nanosecond, 100 * sim.Nanosecond,
+	50 * sim.Nanosecond, 20 * sim.Nanosecond, 10 * sim.Nanosecond, 5 * sim.Nanosecond,
+}
+
 // Fig5 sweeps the injector delay and reports achieved bandwidth on the
 // system described by sp (host DRAM timing, controller config and link
 // rate all derive from it): the paper's observation is that at maximum
 // memory pressure iperf delivers only ~28% of its uncontended bandwidth.
 // Each pressure level is an independent cell (its own engine, controllers
-// and injectors), fanned out over `parallelism` workers.
+// and injectors), fanned out over `parallelism` workers. Empty delays
+// select DefaultFig5Delays.
 func Fig5(sp spec.Spec, delays []sim.Time, cfg Fig5Config, parallelism int) []Fig5Row {
+	if len(delays) == 0 {
+		delays = DefaultFig5Delays
+	}
 	rows := make([]Fig5Row, len(delays))
 	forEachCell(len(delays), parallelism, func(i int) {
 		rows[i] = runFig5(sp.MustDerive(), delays[i], cfg)

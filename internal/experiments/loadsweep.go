@@ -41,25 +41,22 @@ type LoadSweepConfig struct {
 	// sender hosts (default 2000 — enough for a stable p99 and a defined
 	// p999).
 	Packets int
-	// EventBudget bounds each cell's engine via the watchdog (default
-	// 4,000,000).
-	EventBudget uint64
 	// Seed perturbs every host's arrival stream.
 	Seed uint64
 }
 
 // DefaultLoadSweepConfig returns the sweep defaults.
 func DefaultLoadSweepConfig() LoadSweepConfig {
-	return LoadSweepConfig{Packets: 2000, EventBudget: 4_000_000}
+	return LoadSweepConfig{Packets: 2000}
 }
+
+// loadEventBudget bounds each load-sweep cell's engine via the watchdog.
+const loadEventBudget = 4_000_000
 
 func (c LoadSweepConfig) withDefaults() LoadSweepConfig {
 	def := DefaultLoadSweepConfig()
 	if c.Packets <= 0 {
 		c.Packets = def.Packets
-	}
-	if c.EventBudget == 0 {
-		c.EventBudget = def.EventBudget
 	}
 	return c
 }
@@ -202,7 +199,7 @@ func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, paral
 	}, func(i int, oc *obs.Cell) (LoadRow, error) {
 		arch, load := axes(i)
 		c, err := runFabricCell(sp, arch, shape, cellOpts{load: load, packets: cfg.Packets,
-			eventBudget: cfg.EventBudget, seed: cfg.Seed, incast: true}, oc)
+			eventBudget: loadEventBudget, seed: cfg.Seed, incast: true}, oc)
 		if err != nil {
 			return LoadRow{}, fmt.Errorf("loadsweep: %s at load %g: %w", arch, load, err)
 		}

@@ -46,25 +46,23 @@ type RackSweepConfig struct {
 	// enough a host's open-loop backlog can push the tail past the knee
 	// factor instead of draining before the queue matters).
 	Packets int
-	// EventBudget bounds each cell's engine via the watchdog (default
-	// 8,000,000 — the clos pays several queue hops per packet).
-	EventBudget uint64
 	// Seed perturbs every host's arrival and destination streams.
 	Seed uint64
 }
 
 // DefaultRackSweepConfig returns the sweep defaults.
 func DefaultRackSweepConfig() RackSweepConfig {
-	return RackSweepConfig{Packets: 4000, EventBudget: 8_000_000}
+	return RackSweepConfig{Packets: 4000}
 }
+
+// rackEventBudget bounds each rack-sweep cell's engine via the watchdog;
+// the clos pays several queue hops per packet.
+const rackEventBudget = 8_000_000
 
 func (c RackSweepConfig) withDefaults() RackSweepConfig {
 	def := DefaultRackSweepConfig()
 	if c.Packets <= 0 {
 		c.Packets = def.Packets
-	}
-	if c.EventBudget == 0 {
-		c.EventBudget = def.EventBudget
 	}
 	return c
 }
@@ -239,7 +237,7 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 			cell.Fabric.ECNBackoffNs = 0
 		}
 		c, err := runFabricCell(cell, arch, shape, cellOpts{load: load, packets: cfg.Packets,
-			eventBudget: cfg.EventBudget, seed: cfg.Seed}, oc)
+			eventBudget: rackEventBudget, seed: cfg.Seed}, oc)
 		if err != nil {
 			return RackRow{}, fmt.Errorf("racksweep: %s racks=%d ecn=%s at load %g: %w", arch, rk, onOff(ecn), load, err)
 		}

@@ -61,6 +61,10 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 // Seconds returns t as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
+// Duration converts t to a time.Duration, truncating toward zero to whole
+// nanoseconds (a Duration cannot hold the picoseconds).
+func (t Time) Duration() time.Duration { return time.Duration(int64(t) / int64(Nanosecond)) }
+
 // String renders the time with an adaptive unit, e.g. "1.234us". A negative
 // time renders with the same adaptive unit and a leading sign.
 func (t Time) String() string {

@@ -396,6 +396,32 @@ func TestFromDuration(t *testing.T) {
 	}
 }
 
+// Duration truncates toward zero to whole nanoseconds, and inverts
+// FromDuration exactly.
+func TestTimeDuration(t *testing.T) {
+	cases := []struct {
+		t    Time
+		want time.Duration
+	}{
+		{0, 0},
+		{999, 0},
+		{1500 * Picosecond, time.Nanosecond},
+		{2538 * Nanosecond, 2538 * time.Nanosecond},
+		{-1, 0},
+		{-1500 * Picosecond, -time.Nanosecond},
+	}
+	for _, c := range cases {
+		if got := c.t.Duration(); got != c.want {
+			t.Errorf("Time(%d).Duration() = %v, want %v", int64(c.t), got, c.want)
+		}
+	}
+	for _, d := range []time.Duration{0, time.Nanosecond, -7 * time.Nanosecond, time.Hour} {
+		if got := FromDuration(d).Duration(); got != d {
+			t.Errorf("FromDuration(%v).Duration() = %v", d, got)
+		}
+	}
+}
+
 // FromDuration must agree with the naive conversion everywhere the naive
 // conversion is exact — the paper's experiments live in this range.
 func TestFromDurationMatchesNaive(t *testing.T) {

@@ -101,14 +101,14 @@ func RunLoadSweepObserved(cfg Config, loads []float64, packets int, seed uint64,
 		out[i] = LoadSweepResult{
 			Arch:             r.Arch,
 			OfferedLoad:      r.Load,
-			Mean:             toDuration(r.Mean),
-			P50:              toDuration(r.P50),
-			P99:              toDuration(r.P99),
-			P999:             toDuration(r.P999),
+			Mean:             r.Mean.Duration(),
+			P50:              r.P50.Duration(),
+			P99:              r.P99.Duration(),
+			P999:             r.P999.Duration(),
 			Delivered:        r.Delivered,
 			Dropped:          r.Dropped,
 			EgressMaxDepth:   r.EgressMaxDepth,
-			EgressQueueDelay: toDuration(r.EgressQueueDelay),
+			EgressQueueDelay: r.EgressQueueDelay.Duration(),
 			RxMaxDepth:       r.RxMaxDepth,
 			LinkUtilization:  r.LinkUtilization,
 		}

@@ -73,21 +73,19 @@ type LatencyBreakdown struct {
 	Total        time.Duration
 }
 
-func toDuration(t sim.Time) time.Duration {
-	return time.Duration(int64(t) / int64(sim.Nanosecond))
-}
-
-func fromBreakdown(b stats.Breakdown) LatencyBreakdown {
+// NewLatencyBreakdown converts a simulated breakdown, such as a
+// Fig11Result's DNIC, INIC or NetDIMM, to whole nanoseconds.
+func NewLatencyBreakdown(b stats.Breakdown) LatencyBreakdown {
 	return LatencyBreakdown{
-		TxCopy:       toDuration(b[stats.TxCopy]),
-		RxCopy:       toDuration(b[stats.RxCopy]),
-		TxDMA:        toDuration(b[stats.TxDMA]),
-		RxDMA:        toDuration(b[stats.RxDMA]),
-		Wire:         toDuration(b[stats.Wire]),
-		IOReg:        toDuration(b[stats.IOReg]),
-		TxFlush:      toDuration(b[stats.TxFlush]),
-		RxInvalidate: toDuration(b[stats.RxInvalidate]),
-		Total:        toDuration(b.Total()),
+		TxCopy:       b[stats.TxCopy].Duration(),
+		RxCopy:       b[stats.RxCopy].Duration(),
+		TxDMA:        b[stats.TxDMA].Duration(),
+		RxDMA:        b[stats.RxDMA].Duration(),
+		Wire:         b[stats.Wire].Duration(),
+		IOReg:        b[stats.IOReg].Duration(),
+		TxFlush:      b[stats.TxFlush].Duration(),
+		RxInvalidate: b[stats.RxInvalidate].Duration(),
+		Total:        b.Total().Duration(),
 	}
 }
 
@@ -125,11 +123,14 @@ func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switch
 	if err := cfg.Validate(); err != nil {
 		return LatencyBreakdown{}, err
 	}
+	if err := checkSwitch(switchLatency); err != nil {
+		return LatencyBreakdown{}, err
+	}
 	return oneWay(cfg, tx, rx, packetSize, switchLatency), nil
 }
 
 // oneWay is OneWayLatencyWithConfig on arguments it has checked.
 func oneWay(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) LatencyBreakdown {
 	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, cfg.spec().AnalyticFabric(sim.FromDuration(switchLatency)))
-	return fromBreakdown(b)
+	return NewLatencyBreakdown(b)
 }

@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,30 @@ func TestOneWayLatencyErrors(t *testing.T) {
 	}
 }
 
+// A negative switch latency would shorten every path it is added to, so
+// each entry point that takes one rejects it.
+func TestNegativeSwitchLatencyRejected(t *testing.T) {
+	cfg := DefaultConfig()
+	const neg = -100 * time.Nanosecond
+	tx := machine(t, "dNIC", 0)
+	if _, err := OneWayLatencyWithConfig(cfg, tx, tx, 64, neg); err == nil {
+		t.Error("OneWayLatencyWithConfig accepted a negative switch latency")
+	}
+	if _, err := RunFig4WithConfig(cfg, []int{64}, neg, 1); err == nil {
+		t.Error("RunFig4WithConfig accepted a negative switch latency")
+	}
+	if _, _, err := RunFig11Observed(cfg, []int{64}, neg, 1); err == nil {
+		t.Error("RunFig11Observed accepted a negative switch latency")
+	}
+	var buf bytes.Buffer
+	if err := writeTraceForTest(&buf, Hadoop, 3, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReplayTraceFileWithConfig(cfg, &buf, neg, 1, 1); err == nil {
+		t.Error("ReplayTraceFileWithConfig accepted a negative switch latency")
+	}
+}
+
 func TestOneWayOrderingViaAPI(t *testing.T) {
 	total := func(arch string) time.Duration {
 		b, _ := OneWayLatencyWithConfig(DefaultConfig(), machine(t, arch, 1), machine(t, arch, 2), 1024, 100*time.Nanosecond)
@@ -115,13 +140,13 @@ func TestRunFig4Defaults(t *testing.T) {
 }
 
 func TestRunFig11Defaults(t *testing.T) {
-	rows, err := RunFig11WithConfig(DefaultConfig(), []int{64, 1024}, 100*time.Nanosecond, 0)
+	rows, _, err := RunFig11Observed(DefaultConfig(), []int{64, 1024}, 100*time.Nanosecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.ReductionVsDNIC < 0.35 || r.ReductionVsDNIC > 0.65 {
-			t.Errorf("size %d: reduction %.2f", r.Size, r.ReductionVsDNIC)
+		if r.ReductionVsDNIC() < 0.35 || r.ReductionVsDNIC() > 0.65 {
+			t.Errorf("size %d: reduction %.2f", r.Size, r.ReductionVsDNIC())
 		}
 	}
 }
@@ -134,7 +159,7 @@ func TestRunFig7(t *testing.T) {
 	if len(pts) != 144 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	if pts[0].RelCacheline != 0 || pts[0].RelTime != 0 {
+	if pts[0].RelLine != 0 || pts[0].RelTime != 0 {
 		t.Fatal("first point should be the origin")
 	}
 }

@@ -58,16 +58,20 @@ func (ob *Observation) MetricsCSV() string {
 	return ob.o.MetricsCSV()
 }
 
-// RunFig11Observed is RunFig11WithConfig with the observability plane
-// armed per cfg.Obs: with tracing on, each packet size becomes one trace
-// process whose per-component span sums reconstruct the reported Fig. 11
-// breakdown; with metrics on, substrate counters and series (PCIe link
-// activity, NetDIMM rank occupancy, nMC queue depth, engine event volume)
-// fold into the observation. A zero cfg.Obs returns a nil Observation and
-// output identical to RunFig11WithConfig.
+// RunFig11Observed regenerates Fig. 11 on the system described by cfg:
+// the one-way latency breakdown of dNIC, iNIC and NetDIMM across packet
+// sizes. The observability plane is armed per cfg.Obs: with tracing on,
+// each packet size becomes one trace process whose per-component span
+// sums reconstruct the reported Fig. 11 breakdown; with metrics on,
+// substrate counters and series (PCIe link activity, NetDIMM rank
+// occupancy, nMC queue depth, engine event volume) fold into the
+// observation. A zero cfg.Obs returns a nil Observation.
 func RunFig11Observed(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig11Result, _ *Observation, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := checkSwitch(switchLatency); err != nil {
 		return nil, nil, err
 	}
 	if len(sizes) == 0 {
@@ -77,98 +81,5 @@ func RunFig11Observed(cfg Config, sizes []int, switchLatency time.Duration, para
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]Fig11Result, len(rows))
-	for i, r := range rows {
-		out[i] = Fig11Result{
-			Size:            r.Size,
-			DNIC:            fromBreakdown(r.DNIC),
-			INIC:            fromBreakdown(r.INIC),
-			NetDIMM:         fromBreakdown(r.NetDIMM),
-			ReductionVsDNIC: r.ReductionVsDNIC(),
-			ReductionVsINIC: r.ReductionVsINIC(),
-		}
-	}
-	return out, newObservation(o), nil
-}
-
-// FaultTailResult is one architecture's latency tail over every loss rate
-// of a fault sweep, merged from the per-cell sample sets.
-type FaultTailResult struct {
-	Arch  string
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-}
-
-// RunFaultSweepObserved is RunFaultSweepWithConfig with the observability
-// plane armed per cfg.Obs (retransmit/backoff and NVDIMM-P recovery spans,
-// path outcome counters, fault tallies, engine probes), plus the
-// per-architecture cross-rate latency tails merged from every cell's
-// histogram. Tails are returned regardless of cfg.Obs; the Observation is
-// nil when cfg.Obs is zero.
-func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64, parallelism int) (_ []FaultSweepResult, _ []FaultTailResult, _ *Observation, err error) {
-	defer guard(&err)
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	if len(rates) == 0 {
-		rates = []float64{0, 0.001, 0.01, 0.05, 0.1, 0.2}
-	}
-	fcfg := experiments.DefaultFaultSweepConfig()
-	fcfg.Packets = packets
-	fcfg.Seed = seed
-	rows, o, err := experiments.FaultSweepObserved(cfg.spec(), rates, fcfg, parallelism, cfg.Obs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out := make([]FaultSweepResult, len(rows))
-	for i, r := range rows {
-		out[i] = FaultSweepResult{
-			Arch:      r.Arch,
-			LossRate:  r.LossRate,
-			Mean:      toDuration(r.Mean),
-			P50:       toDuration(r.P50),
-			P99:       toDuration(r.P99),
-			Delivered: r.Delivered,
-			Failed:    r.Failed,
-			Counters:  r.Counters,
-		}
-	}
-	var tails []FaultTailResult
-	for _, t := range experiments.FaultTails(rows) {
-		tails = append(tails, FaultTailResult{
-			Arch:  t.Arch,
-			Count: t.Count,
-			Mean:  toDuration(t.Mean),
-			P50:   toDuration(t.P50),
-			P99:   toDuration(t.P99),
-		})
-	}
-	return out, tails, newObservation(o), nil
-}
-
-// RunMixedChannelObserved is RunMixedChannelWithConfig with the
-// observability plane armed per cfg.Obs: DDR controller transaction spans
-// and queue depth, NetDIMM device metrics, the NVDIMM-P
-// outstanding-transaction series and an engine probe, all under one
-// "mixed" cell. A zero cfg.Obs returns a nil Observation and output
-// identical to RunMixedChannelWithConfig.
-func RunMixedChannelObserved(cfg Config, n int, seed uint64) (_ MixedChannelResult, _ *Observation, err error) {
-	defer guard(&err)
-	if err := cfg.Validate(); err != nil {
-		return MixedChannelResult{}, nil, err
-	}
-	r, o, err := experiments.MixedChannelObserved(cfg.spec(), n, seed, cfg.Obs)
-	if err != nil {
-		return MixedChannelResult{}, nil, err
-	}
-	return MixedChannelResult{
-		DDRReads:          r.DDRReads,
-		NetDIMMReads:      r.NetDIMMReads,
-		DDRMean:           toDuration(r.DDRMeanLatency),
-		NetDIMMMean:       toDuration(r.NetDIMMMean),
-		OutOfOrder:        r.OutOfOrder,
-		MaxOutstandingIDs: r.MaxOutstandingIDs,
-	}, newObservation(o), nil
+	return rows, newObservation(o), nil
 }

@@ -121,10 +121,10 @@ func RunRackSweepObserved(cfg Config, racks []int, loads []float64, packets int,
 			Racks:           r.Racks,
 			ECN:             r.ECN,
 			OfferedLoad:     r.Load,
-			Mean:            toDuration(r.Mean),
-			P50:             toDuration(r.P50),
-			P99:             toDuration(r.P99),
-			P999:            toDuration(r.P999),
+			Mean:            r.Mean.Duration(),
+			P50:             r.P50.Duration(),
+			P99:             r.P99.Duration(),
+			P999:            r.P999.Duration(),
 			Delivered:       r.Delivered,
 			Dropped:         r.Dropped,
 			Marked:          r.Marked,

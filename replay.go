@@ -8,54 +8,46 @@ import (
 )
 
 // ReplayResult summarises one architecture over a replayed trace file.
-type ReplayResult struct {
-	Arch    string
-	Packets int
-	Mean    time.Duration
-	P50     time.Duration
-	P99     time.Duration
-}
+type ReplayResult = experiments.ReplayResult
 
 // ReplayTraceFileWithConfig replays a trace written by cmd/netdimm-trace
 // through the clos fabric under all three architectures on the system
 // described by cfg. parallelism follows the convention of
 // RunFig4WithConfig (each architecture is one cell).
 func ReplayTraceFileWithConfig(cfg Config, r io.Reader, switchLatency time.Duration, seed uint64, parallelism int) (cluster string, results []ReplayResult, err error) {
+	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
+		return "", nil, err
+	}
+	if err := checkSwitch(switchLatency); err != nil {
 		return "", nil, err
 	}
 	h, rows, err := experiments.ReplayTraceFile(cfg.spec(), r, simT(switchLatency), seed, parallelism)
 	if err != nil {
 		return "", nil, err
 	}
-	for _, row := range rows {
-		results = append(results, ReplayResult{
-			Arch:    row.Arch,
-			Packets: row.Packets,
-			Mean:    toDuration(row.Mean),
-			P50:     toDuration(row.P50),
-			P99:     toDuration(row.P99),
-		})
-	}
-	return h.Cluster.String(), results, nil
+	return h.Cluster.String(), rows, nil
 }
 
 // MixedChannelResult reports the DDR5 mixed-channel demonstration: DDR and
 // NetDIMM transactions sharing one channel via the asynchronous protocol.
-type MixedChannelResult struct {
-	DDRReads          int
-	NetDIMMReads      int
-	DDRMean           time.Duration
-	NetDIMMMean       time.Duration
-	OutOfOrder        uint64
-	MaxOutstandingIDs int
-}
+type MixedChannelResult = experiments.MixedChannelResult
 
-// RunMixedChannelWithConfig demonstrates, on the system described by cfg,
+// RunMixedChannelObserved demonstrates, on the system described by cfg,
 // that a NetDIMM's non-deterministic local accesses coexist with
-// deterministic DDR accesses on one channel (paper Sec. 2.2/4.1). It is
-// RunMixedChannelObserved without the observation.
-func RunMixedChannelWithConfig(cfg Config, n int, seed uint64) (MixedChannelResult, error) {
-	r, _, err := RunMixedChannelObserved(cfg, n, seed)
-	return r, err
+// deterministic DDR accesses on one channel (paper Sec. 2.2/4.1). The
+// observability plane is armed per cfg.Obs: DDR controller transaction
+// spans and queue depth, NetDIMM device metrics, the NVDIMM-P
+// outstanding-transaction series and an engine probe, all under one
+// "mixed" cell. A zero cfg.Obs returns a nil Observation.
+func RunMixedChannelObserved(cfg Config, n int, seed uint64) (_ MixedChannelResult, _ *Observation, err error) {
+	defer guard(&err)
+	if err := cfg.Validate(); err != nil {
+		return MixedChannelResult{}, nil, err
+	}
+	r, o, err := experiments.MixedChannelObserved(cfg.spec(), n, seed, cfg.Obs)
+	if err != nil {
+		return MixedChannelResult{}, nil, err
+	}
+	return r, newObservation(o), nil
 }

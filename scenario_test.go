@@ -146,7 +146,7 @@ func TestScenarioFig11Ordering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := RunFig11WithConfig(cfg, []int{64, 1500}, 100*time.Nanosecond, 0)
+			rows, _, err := RunFig11Observed(cfg, []int{64, 1500}, 100*time.Nanosecond, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,9 +154,9 @@ func TestScenarioFig11Ordering(t *testing.T) {
 				t.Fatal("no rows")
 			}
 			for _, r := range rows {
-				if !(r.NetDIMM.Total < r.INIC.Total && r.INIC.Total < r.DNIC.Total) {
+				if !(r.NetDIMM.Total() < r.INIC.Total() && r.INIC.Total() < r.DNIC.Total()) {
 					t.Errorf("size %d: want NetDIMM < iNIC < dNIC, got %v %v %v",
-						r.Size, r.NetDIMM.Total, r.INIC.Total, r.DNIC.Total)
+						r.Size, r.NetDIMM.Total(), r.INIC.Total(), r.DNIC.Total())
 				}
 			}
 		})
