@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"netdimm/internal/experiments"
 )
 
 func TestParseLists(t *testing.T) {
@@ -141,5 +146,79 @@ func expectCLIError(t *testing.T, args []string, want string) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("netdimm-sim %v printed %q before failing", args, stdout.String())
+	}
+}
+
+// TestHelpShowsDefaultGrids: -help renders the default loss, outage, rack
+// and rank axes from the grids the sweeps use, so the two cannot drift.
+func TestHelpShowsDefaultGrids(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-help")
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("netdimm-sim -help: %v\n%s", err, stderr.String())
+	}
+	join := func(n int, elem func(int) string) string {
+		s := make([]string, n)
+		for i := range s {
+			s[i] = elem(i)
+		}
+		return "(default " + strings.Join(s, ",")
+	}
+	grids := map[string]string{
+		"-loss": join(len(experiments.DefaultLossGrid), func(i int) string { return fmt.Sprint(experiments.DefaultLossGrid[i]) }),
+		"-outage": join(len(experiments.DefaultOutageGrid), func(i int) string {
+			return experiments.DefaultOutageGrid[i].Duration().String()
+		}),
+		"-racks": join(len(experiments.DefaultRackGrid), func(i int) string { return fmt.Sprint(experiments.DefaultRackGrid[i]) }),
+		"-ranks": join(len(experiments.DefaultCollRankGrid), func(i int) string { return fmt.Sprint(experiments.DefaultCollRankGrid[i]) }),
+	}
+	help := stderr.String()
+	for name, want := range grids {
+		at := strings.Index(help, "  "+name+" ")
+		if at < 0 {
+			t.Fatalf("-help does not list %s:\n%s", name, help)
+		}
+		entry, _, _ := strings.Cut(help[at+len(name)+3:], "\n  -")
+		if !strings.Contains(entry, want) {
+			t.Errorf("-help entry for %s %q does not contain %q", name, entry, want)
+		}
+	}
+}
+
+// TestPacketsDefaultIsReplayDefault: the -n default is the library's
+// default trace length per replay cell, so `netdimm-sim headline` and a
+// library call that leaves packets at 0 replay the same traces.
+func TestPacketsDefaultIsReplayDefault(t *testing.T) {
+	if got, want := flag.Lookup("n").DefValue, strconv.Itoa(experiments.DefaultReplayPackets); got != want {
+		t.Fatalf("-n defaults to %s, experiments.DefaultReplayPackets is %s", got, want)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// profile and leave stdout as it is without them.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmd := exec.Command(os.Args[0], "-cpuprofile", cpu, "-memprofile", mem, "fig11")
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("netdimm-sim -cpuprofile -memprofile fig11: %v\n%s", err, stderr.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "fig11-table1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stdout differs from fig11-table1.txt: %s", firstDiff(got, want))
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", p, err)
+		}
 	}
 }

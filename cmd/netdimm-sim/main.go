@@ -23,32 +23,50 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"netdimm"
+	"netdimm/internal/experiments"
+	"netdimm/internal/sim"
 )
 
 var (
-	packets    = flag.Int("n", 1000, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
+	packets    = flag.Int("n", experiments.DefaultReplayPackets, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
 	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11, replay)")
 	seed       = flag.Uint64("seed", 3, "trace generator seed")
 	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables ("+familyNames(hasCSV)+")")
 	parallel   = flag.Int("parallel", 0, "worker goroutines per sweep: 0 = all cores, 1 = sequential, N = at most N")
 	scenario   = flag.String("scenario", "", "system to simulate: a preset name or a JSON config file (default table1)")
-	lossRates  = flag.String("loss", "", "comma-separated frame-loss rates for faultsweep (default 0,0.001,0.01,0.05,0.1,0.2)")
+	lossRates  = flag.String("loss", "", "comma-separated frame-loss rates for faultsweep (default "+grid(experiments.DefaultLossGrid, formatFloat)+")")
 	loadRates  = flag.String("rate", "", "comma-separated offered loads (fractions of line rate) for loadsweep and racksweep (default a grid bracketing each knee)")
 	hosts      = flag.Int("hosts", 0, "sender hosts for loadsweep (0 = scenario value or 8), racksweep (or 256) and failsweep (or 32)")
-	rackList   = flag.String("racks", "", "comma-separated rack (leaf) counts for racksweep (default 2,4,8; a scenario Fabric.Leaves pins one)")
-	outageList = flag.String("outage", "", "comma-separated spine-outage durations for failsweep, Go duration syntax (default 0,5µs,20µs,60µs; 0 is the baseline)")
+	rackList   = flag.String("racks", "", "comma-separated rack (leaf) counts for racksweep (default "+grid(experiments.DefaultRackGrid, strconv.Itoa)+"; a scenario Fabric.Leaves pins one)")
+	outageList = flag.String("outage", "", "comma-separated spine-outage durations for failsweep, Go duration syntax (default "+grid(experiments.DefaultOutageGrid, formatDuration)+"; 0 is the baseline)")
 	cluster    = flag.String("cluster", "", "traffic distribution for loadsweep, racksweep and failsweep: database, webserver or hadoop (default scenario value or database)")
 	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run ("+familyNames(observes)+"); open in ui.perfetto.dev")
 	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output ("+familyNames(observes)+")")
-	rankList   = flag.String("ranks", "", "comma-separated rank counts for collsweep (default 4,8,16,32,64,128; a scenario Collective.Ranks pins one)")
+	rankList   = flag.String("ranks", "", "comma-separated rank counts for collsweep (default "+grid(experiments.DefaultCollRankGrid, strconv.Itoa)+"; a scenario Collective.Ranks pins one)")
 	opsList    = flag.String("ops", "", "comma-separated collective ops for collsweep: allreduce, broadcast, reducescatter (default all three; a scenario Collective.Op pins one)")
 	payload    = flag.Int("payload", 0, "per-rank vector bytes for collsweep (0 = scenario value or 64KiB)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file after the run (go tool pprof)")
 )
+
+// grid renders a default axis in the comma-separated form its flag takes.
+func grid[T any](values []T, format func(T) string) string {
+	s := make([]string, len(values))
+	for i, v := range values {
+		s[i] = format(v)
+	}
+	return strings.Join(s, ",")
+}
+
+func formatFloat(v float64) string     { return strconv.FormatFloat(v, 'g', -1, 64) }
+func formatDuration(t sim.Time) string { return t.Duration().String() }
 
 // flagWasSet reports whether the named flag was given explicitly on the
 // command line (flag.Visit walks only the flags that were set).
@@ -118,12 +136,47 @@ func main() {
 	}
 	cfg, err := netdimm.LoadScenario(*scenario)
 	if err == nil {
-		err = run(cfg, exp)
+		err = profiled(func() error { return run(cfg, exp) })
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "netdimm-sim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// profiled runs fn under the -cpuprofile and -memprofile flags: a CPU
+// profile covers fn, and the heap profile is written after it returns.
+// Neither writes to stdout.
+func profiled(fn func() error) (err error) {
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if err := fn(); err != nil || *memProfile == "" {
+		return err
+	}
+	f, err := os.Create(*memProfile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile shows the heap as of the last collection
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func usage() {
@@ -210,9 +263,10 @@ func flagAxes() (axes, error) {
 // tails, writes its -trace file and prints its metrics registry.
 func runFamily(f family, cfg netdimm.Config, a axes) error {
 	if f.ownPackets && !flagWasSet("n") {
-		// The -n default of 1000 suits single-switch cells; the clos-scale
-		// sweeps split it across hundreds of hosts, so unless -n is given
-		// they apply their own per-cell default.
+		// The -n default (experiments.DefaultReplayPackets) suits
+		// single-switch cells; the clos-scale sweeps split it across
+		// hundreds of hosts, so unless -n is given they apply their own
+		// per-cell default.
 		a.packets = 0
 	}
 	if f.observes {

@@ -146,12 +146,14 @@ func (e *Exec) apply(r int, st Step, pay []int64) {
 	if hi-lo != len(pay) {
 		panic(fmt.Sprintf("collective: rank %d step payload %d elements, want %d", r, len(pay), hi-lo))
 	}
+	dst := e.data[r][lo:hi]
 	if st.Reduce {
+		dst = dst[:len(pay)]
 		for i, x := range pay {
-			e.data[r][lo+i] += x
+			dst[i] += x
 		}
 	} else {
-		copy(e.data[r][lo:hi], pay)
+		copy(dst, pay)
 	}
 	e.free = append(e.free, pay)
 }

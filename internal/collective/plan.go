@@ -194,9 +194,11 @@ func VerifyReference(op Op, sum, root []int64, after [][]int64) error {
 		return fmt.Errorf("collective: verify reference has %d sum elements but %d root elements", elems, len(root))
 	}
 	checkRange := func(r, lo, hi int, want []int64) error {
-		for i := lo; i < hi; i++ {
-			if after[r][i] != want[i] {
-				return fmt.Errorf("collective: %v rank %d element %d = %d, want %d", op, r, i, after[r][i], want[i])
+		got, want := after[r][lo:hi], want[lo:hi]
+		want = want[:len(got)]
+		for i, x := range got {
+			if x != want[i] {
+				return fmt.Errorf("collective: %v rank %d element %d = %d, want %d", op, r, lo+i, x, want[i])
 			}
 		}
 		return nil

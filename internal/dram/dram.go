@@ -278,3 +278,46 @@ func (r *Rank) AccessRow(now sim.Time, bankIdx, row int, write bool, bytes int64
 	b.readyAt = start + t.TBL
 	return done, kind
 }
+
+// AccessRun performs n accesses of bytes each to one bank and row, the
+// k-th arriving at now+k*gap, exactly as n AccessRow calls would, and
+// returns the last one's completion and the first one's kind. This is how
+// a controller issuing one command per burst slot presents a run of lines
+// in one row.
+//
+// The first access is AccessRow's; the other n-1 are row hits. While gap
+// is at most TBL and the burst is at least TBL (a burst is whole
+// cachelines), each hit starts one TBL after the previous, since it
+// arrives no later than the bank is ready, and its data follows the
+// previous burst on the bus, since that burst ends at least tCL+burst
+// after the previous start. So the last completion is the first plus
+// (n-1) bursts, and the bank's readyAt, the bus, Hits, Reads or Writes
+// and BusBusy advance by n-1 steps in closed form. A wider gap, or an
+// attached occupancy series, which samples every access, takes the n
+// calls.
+func (r *Rank) AccessRun(now, gap sim.Time, bankIdx, row int, write bool, bytes int64, n int) (done sim.Time, kind AccessKind) {
+	done, kind = r.AccessRow(now, bankIdx, row, write, bytes)
+	if n <= 1 {
+		return done, kind
+	}
+	t := &r.timing
+	if r.occ != nil || gap > t.TBL {
+		for k := 1; k < n; k++ {
+			done, _ = r.AccessRow(now+sim.Time(k)*gap, bankIdx, row, write, bytes)
+		}
+		return done, kind
+	}
+	hits := sim.Time(n - 1)
+	burst := t.BurstTime(bytes)
+	done += hits * burst
+	r.bus.freeAt = done
+	r.banks[bankIdx].readyAt += hits * t.TBL
+	r.stats.Hits += uint64(n - 1)
+	r.stats.BusBusy += hits * burst
+	if write {
+		r.stats.Writes += uint64(n - 1)
+	} else {
+		r.stats.Reads += uint64(n - 1)
+	}
+	return done, kind
+}

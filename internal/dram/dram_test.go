@@ -1,10 +1,12 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"netdimm/internal/addrmap"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 )
 
@@ -259,5 +261,88 @@ func BenchmarkRankAccess(b *testing.B) {
 	var now sim.Time
 	for i := 0; i < b.N; i++ {
 		now, _ = r.Access(now, int64(i%1024)*64, i%4 == 0, 64)
+	}
+}
+
+// TestAccessRunMatchesAccessRow holds AccessRun to the n AccessRow calls
+// it stands for, from random bank and bus states: two ranks sharing a bus
+// take the same random warm-up accesses (hits, misses and conflicts, with
+// the other rank pushing the bus out), then one runs AccessRun and its
+// twin the per-line calls. Runs draw the timing, the bank and row (often
+// the open one), the direction, 1–128 lines of 1–192 bytes, the arrival
+// gap from 0 to 2 TBL (past TBL the run takes the per-line calls) and
+// sometimes an occupancy series. The last completion, the first kind,
+// both ranks' banks and stats, the bus and the samples must match.
+func TestAccessRunMatchesAccessRow(t *testing.T) {
+	closed := 0
+	for seed := uint64(1); seed <= 400; seed++ {
+		r := sim.NewRand(seed)
+		timing := []Timing{DDR4_2400(), DDR5_4800()}[r.Intn(2)]
+		build := func() (*Rank, *Rank, *obs.Series) {
+			bus := &Bus{}
+			a, b := NewRank(timing), NewRank(timing)
+			a.ShareBus(bus)
+			b.ShareBus(bus)
+			var occ *obs.Series
+			if seed%4 == 0 {
+				occ = obs.New(obs.Spec{Metrics: true}, "dram").Cell(0).Metrics().Series("occ")
+				a.Observe(occ)
+			}
+			return a, b, occ
+		}
+		run, other, runOcc := build()
+		ref, refOther, refOcc := build()
+		// Warm-up: the same random accesses on both pairs.
+		w := sim.NewRand(seed ^ 0xd7a)
+		var now sim.Time
+		for i, n := 0, w.Intn(40); i < n; i++ {
+			now += sim.Time(w.Intn(60)) * sim.Nanosecond
+			bank, row, write := w.Intn(4), w.Intn(3), w.Intn(2) == 0
+			rk, rkRef := run, ref
+			if w.Intn(3) == 0 {
+				rk, rkRef = other, refOther
+			}
+			rk.AccessRow(now, bank, row, write, 64)
+			rkRef.AccessRow(now, bank, row, write, 64)
+		}
+		bank, row := r.Intn(4), r.Intn(3)
+		if r.Intn(2) == 0 && run.OpenRow(bank) >= 0 {
+			row = run.OpenRow(bank)
+		}
+		write, n := r.Intn(2) == 0, 1+r.Intn(128)
+		bytes := []int64{64, 64, 64, 1 + int64(r.Intn(192))}[r.Intn(4)]
+		gap := sim.Time(r.Intn(int(2*timing.TBL) + 1))
+		if r.Intn(2) == 0 {
+			gap = timing.TBL
+		}
+		at := now + sim.Time(r.Intn(80))*sim.Nanosecond
+		if runOcc == nil && gap <= timing.TBL && n > 1 {
+			closed++
+		}
+
+		done, kind := run.AccessRun(at, gap, bank, row, write, bytes, n)
+		var wantDone sim.Time
+		var wantKind AccessKind
+		for k := 0; k < n; k++ {
+			d, kd := ref.AccessRow(at+sim.Time(k)*gap, bank, row, write, bytes)
+			if k == 0 {
+				wantKind = kd
+			}
+			wantDone = d
+		}
+		if done != wantDone || kind != wantKind {
+			t.Fatalf("seed %d: AccessRun = (%v, %v), %d AccessRow calls = (%v, %v)", seed, done, kind, n, wantDone, wantKind)
+		}
+		if run.banks != ref.banks || run.stats != ref.stats || *run.bus != *ref.bus ||
+			other.banks != refOther.banks || other.stats != refOther.stats {
+			t.Fatalf("seed %d (n=%d gap=%v bytes=%d): rank state after AccessRun\n%+v %+v %+v\nper-line\n%+v %+v %+v",
+				seed, n, gap, bytes, run.banks, run.stats, *run.bus, ref.banks, ref.stats, *ref.bus)
+		}
+		if !reflect.DeepEqual(runOcc.Samples(), refOcc.Samples()) {
+			t.Fatalf("seed %d: occupancy samples differ", seed)
+		}
+	}
+	if closed < 100 {
+		t.Fatalf("only %d runs took the closed form", closed)
 	}
 }

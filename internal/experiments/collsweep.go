@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"netdimm/internal/collective"
 	"netdimm/internal/nic"
@@ -157,11 +158,52 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 }
 
 // collShape is the resolved per-sweep geometry from the spec's Collective
-// and Load blocks.
+// and Load blocks, with the sweep's vector free list.
 type collShape struct {
 	payload    int // bytes per rank vector
 	chunk      int // max frame payload bytes
 	portBuffer int
+	vecs       *vecPool
+}
+
+// vecPool is a sweep's free list of int64 vectors, shared by its cells
+// under a mutex. A cell takes its rank vectors and its verification
+// references from it and puts them back when it ends, so a sweep holds
+// about one cell's vectors per worker instead of allocating them per cell.
+// A cell writes every element before it reads it, so what a vector held
+// in an earlier cell never shows, and results stay the same at any
+// parallelism.
+type vecPool struct {
+	mu   sync.Mutex
+	free [][]int64
+}
+
+// get returns an n-element vector: the smallest free one that holds n
+// elements, else a new one.
+func (p *vecPool) get(n int) []int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, v := range p.free {
+		if cap(v) >= n && (best < 0 || cap(v) < cap(p.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]int64, n)
+	}
+	v := p.free[best]
+	last := len(p.free) - 1
+	p.free[best], p.free[last] = p.free[last], nil
+	p.free = p.free[:last]
+	return v[:n]
+}
+
+// put returns vectors to the free list.
+func (p *vecPool) put(vs ...[]int64) {
+	p.mu.Lock()
+	p.free = append(p.free, vs...)
+	p.mu.Unlock()
 }
 
 func resolveColl(sp spec.Spec) (collShape, error) {
@@ -172,6 +214,7 @@ func resolveColl(sp spec.Spec) (collShape, error) {
 		payload:    sp.Collective.PayloadBytes,
 		chunk:      sp.Collective.ChunkBytes,
 		portBuffer: sp.Load.PortBuffer,
+		vecs:       &vecPool{},
 	}
 	if s.payload == 0 {
 		s.payload = collective.DefaultPayloadBytes
@@ -213,21 +256,32 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	// Payloads: one vector per rank, contents drawn from per-rank streams
 	// so they are independent of op and architecture. The verification
 	// reference is built as they are drawn: the element-wise sum of every
-	// rank's input and a copy of rank 0's.
+	// rank's input and a copy of rank 0's. Rank 0's draw writes every
+	// element of the pooled vectors, so none of their old contents is read.
 	elems := max(shape.payload/8, 1)
 	data := make([][]int64, ranks)
-	backing := make([]int64, ranks*elems)
-	sum := make([]int64, elems)
+	backing, sum, root := shape.vecs.get(ranks*elems), shape.vecs.get(elems), shape.vecs.get(elems)
+	defer shape.vecs.put(backing, sum, root)
 	for r := range data {
-		rng := sim.NewRand(cfg.Seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
+		// A 40-bit mask of the generator's output is Int63n(1 << 40).
+		rng := *sim.NewRand(cfg.Seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
 		v := backing[r*elems : (r+1)*elems : (r+1)*elems]
-		for i := range v {
-			v[i] = rng.Int63n(1 << 40)
-			sum[i] += v[i]
+		if r == 0 {
+			sum, root := sum[:len(v)], root[:len(v)]
+			for i := range v {
+				x := int64(rng.Uint64() & (1<<40 - 1))
+				v[i], sum[i], root[i] = x, x, x
+			}
+		} else {
+			sum := sum[:len(v)]
+			for i := range v {
+				x := int64(rng.Uint64() & (1<<40 - 1))
+				v[i] = x
+				sum[i] += x
+			}
 		}
 		data[r] = v
 	}
-	root := append([]int64(nil), data[0]...)
 
 	plan := collective.NewPlan(op, ranks)
 	exec := collective.NewExec(plan, data, s.send, func(int) sim.Time { return eng.Now() })

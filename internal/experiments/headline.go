@@ -26,6 +26,11 @@ type Headline struct {
 	L3FBest  float64 // max 1-Norm over L3F cells
 }
 
+// DefaultReplayPackets is the trace length per cell of the Fig. 12(a)
+// replays, which the headline numbers average, when the caller leaves it
+// unset; netdimm-sim's -n flag defaults to it too.
+const DefaultReplayPackets = 1000
+
 // RunHeadline executes the summary measurement suite. n controls the
 // trace-replay length per cell; parallelism is the worker knob passed to
 // each underlying sweep (the three studies themselves run in sequence —

@@ -148,7 +148,7 @@ func (c *AllocCache) Refill() error {
 			if idx < 0 {
 				break
 			}
-			c.refilled.push(len(c.count), key, idx)
+			c.refilled.push(key, idx)
 			c.count[key]++
 		}
 		if c.count[key] > 0 {

@@ -340,10 +340,8 @@ func (p *densePair) checkContents() {
 	p.t.Helper()
 	for key, want := range p.rc.cache {
 		var top []int64
-		if p.c.refilled.top != nil {
-			for n := p.c.refilled.top[key]; n != 0; n = p.c.refilled.slab[n].next {
-				top = append(top, p.z.bucketPage(key, int(p.c.refilled.slab[n].idx)))
-			}
+		for n := p.c.refilled.head(key); n != 0; n = p.c.refilled.slab[n].next {
+			top = append(top, p.z.bucketPage(key, int(p.c.refilled.slab[n].idx)))
 		}
 		got := make([]int64, 0, int(p.c.count[key]))
 		for i := 0; i < int(p.c.count[key])-len(top); i++ {

@@ -166,7 +166,7 @@ func (z *Zone) FreePage(addr int64) error {
 	if idx >= int(z.fresh[key]) || z.freed.contains(key, idx) {
 		return fmt.Errorf("kalloc: double free of %#x in zone %s", addr, z.Name)
 	}
-	z.freed.push(len(z.fresh), key, idx)
+	z.freed.push(key, idx)
 	z.allocCount--
 	z.stats.Frees++
 	return nil
@@ -187,24 +187,45 @@ func (z *Zone) Buckets() int { return len(z.fresh) }
 
 // pageStacks is one LIFO stack of in-bucket page indices per bucket, all
 // threaded through one shared node slab. Nothing is allocated until the
-// first push, and popped nodes are recycled, so a stack costs only the
-// pages on it.
+// first push, the per-bucket tops are made a chunk of buckets at a time on
+// a chunk's first push, and popped nodes are recycled, so a stack costs
+// only the pages on it and the chunks its pushes touched. An RX path frees
+// into the few hundred buckets after its cursor, so it touches a chunk or
+// two of a zone's 16K buckets; a drain that walks every bucket makes each
+// chunk once rather than regrowing one slice.
 type pageStacks struct {
-	top  []int32    // per bucket, the slab index of its top node; 0 is empty
+	top  [][]int32  // per bucket, the slab index of its top node, 0 when empty, in chunks of topChunk buckets
 	slab []pageNode // slab[0] is the nil link and holds no page
 	idle int32      // first recycled node, 0 when none
 }
+
+// topChunk is how many buckets' tops one chunk holds.
+const topChunk = 256
 
 type pageNode struct {
 	next int32  // the node below, 0 at the bottom of the stack
 	idx  uint16 // in-bucket page index
 }
 
-// push puts page idx on bucket key's stack; buckets sizes the stacks on
-// first use.
-func (s *pageStacks) push(buckets, key, idx int) {
-	if s.top == nil {
-		s.top = make([]int32, buckets)
+// head returns the slab index of bucket key's top node, 0 when the stack
+// is empty; a bucket whose chunk was never pushed to is empty.
+func (s *pageStacks) head(key int) int32 {
+	if c := key / topChunk; c < len(s.top) && s.top[c] != nil {
+		return s.top[c][key%topChunk]
+	}
+	return 0
+}
+
+// push puts page idx on bucket key's stack.
+func (s *pageStacks) push(key, idx int) {
+	c := key / topChunk
+	if c >= len(s.top) {
+		s.top = append(s.top, make([][]int32, c+1-len(s.top))...)
+	}
+	if s.top[c] == nil {
+		s.top[c] = make([]int32, topChunk)
+	}
+	if s.slab == nil {
 		s.slab = make([]pageNode, 1)
 	}
 	n := s.idle
@@ -214,18 +235,19 @@ func (s *pageStacks) push(buckets, key, idx int) {
 		n = int32(len(s.slab))
 		s.slab = append(s.slab, pageNode{})
 	}
-	s.slab[n] = pageNode{next: s.top[key], idx: uint16(idx)}
-	s.top[key] = n
+	top := &s.top[c][key%topChunk]
+	s.slab[n] = pageNode{next: *top, idx: uint16(idx)}
+	*top = n
 }
 
 // pop removes and returns the top page of bucket key's stack.
 func (s *pageStacks) pop(key int) (idx int, ok bool) {
-	if s.top == nil || s.top[key] == 0 {
+	n := s.head(key)
+	if n == 0 {
 		return 0, false
 	}
-	n := s.top[key]
 	node := s.slab[n]
-	s.top[key] = node.next
+	s.top[key/topChunk][key%topChunk] = node.next
 	s.slab[n].next = s.idle
 	s.idle = n
 	return int(node.idx), true
@@ -234,10 +256,7 @@ func (s *pageStacks) pop(key int) (idx int, ok bool) {
 // contains reports whether page idx is on bucket key's stack. A stack
 // never holds more than pagesPerBucket pages.
 func (s *pageStacks) contains(key, idx int) bool {
-	if s.top == nil {
-		return false
-	}
-	for n := s.top[key]; n != 0; n = s.slab[n].next {
+	for n := s.head(key); n != 0; n = s.slab[n].next {
 		if int(s.slab[n].idx) == idx {
 			return true
 		}

@@ -19,3 +19,8 @@ func (c *Controller) Waiting() (reads, writes int) {
 	}
 	return count(&c.readQ), count(&c.writeQ)
 }
+
+// take and retire are takeLines and retireLines for one line, as a
+// single pick issues it.
+func (q *fifo) take(i int) bool                  { return q.takeLines(i, 1) }
+func (c *Controller) retire(e *entry, last bool) { c.retireLines(e, 1, last) }

@@ -250,17 +250,17 @@ func (q *fifo) push(e *entry) {
 	q.n += e.lines
 }
 
-// take takes the first line off the record at position i and reports
-// whether it was the last. With its last line the record leaves the
+// takeLines takes the first n lines off the record at position i and reports
+// whether they were its last. With its last line the record leaves the
 // queue, and the older records move up one slot, so the queue keeps its
 // order. FR-FCFS picks the head or the oldest row hit, so i is usually
 // small.
-func (q *fifo) take(i int) (last bool) {
-	q.n--
+func (q *fifo) takeLines(i, n int) (last bool) {
+	q.n -= n
 	at := q.slot(i)
-	if e := q.ring[at]; e.lines > 1 {
-		e.lines--
-		e.req.Addr += addrmap.CachelineSize
+	if e := q.ring[at]; e.lines > n {
+		e.lines -= n
+		e.req.Addr += int64(n) * addrmap.CachelineSize
 		return false
 	}
 	for ; i > 0; i-- {
@@ -284,11 +284,11 @@ type transfer struct {
 	fireFn  func() // x.fire
 }
 
-// lineDone retires one line of the transfer, completing at the given
-// instant, and reports whether it was the last.
-func (x *transfer) lineDone(completed sim.Time) bool {
+// lineDone retires n lines of the transfer, the latest completing at the
+// given instant, and reports whether they were the last.
+func (x *transfer) lineDone(completed sim.Time, n int) bool {
 	x.last = max(x.last, completed)
-	x.pending--
+	x.pending -= n
 	return x.pending == 0
 }
 
@@ -444,7 +444,8 @@ func (c *Controller) schedulePick() {
 }
 
 // pick issues one line per issue slot while lines remain, the next inline
-// when the engine can advance straight to its slot, else from an event.
+// when the engine can advance straight to its slot, else from an event
+// (issue may take a run of slots at once).
 // When a transfer's last line leaves both queues empty, its done is the
 // pick's last act, inline if the engine can advance to it.
 func (c *Controller) pick() {
@@ -468,18 +469,12 @@ func (c *Controller) pick() {
 	}
 }
 
-// issue issues one line (FR-FCFS with watermark-based write draining), or
-// reports false when both queues are empty. It returns the transfer whose
-// last line it retired, if any, for the caller to finish.
+// issue issues the next line (FR-FCFS with watermark-based write
+// draining), or the run of lines runLength allows, or reports false when
+// both queues are empty. It returns the transfer whose last line it
+// retired, if any, for the caller to finish.
 func (c *Controller) issue() (issued bool, finished *transfer) {
-	// Decide which queue to serve.
-	if c.draining {
-		if c.writeQ.n <= c.cfg.WriteLowWatermark {
-			c.draining = false
-		}
-	} else if c.writeQ.n >= c.cfg.WriteHighWatermark {
-		c.draining = true
-	}
+	c.steer(c.writeQ.n) // decide which queue to serve
 	var q *fifo
 	switch {
 	case c.draining && c.writeQ.n > 0:
@@ -495,17 +490,18 @@ func (c *Controller) issue() (issued bool, finished *transfer) {
 	i := c.frfcfs(q)
 	e := q.ring[q.slot(i)]
 	addr := e.req.Addr
-	last := q.take(i)
-
 	now := c.eng.Now()
+	n := c.runLength(q, e, now)
+	last := q.takeLines(i, n)
+
 	if !e.req.Write {
 		c.depth.Sample(now, int64(c.readQ.n))
 	}
-	completed, kind := e.rank.AccessRow(now+c.cfg.TCMD, e.bank, e.row, e.req.Write, e.req.Bytes)
 	// The front end issues one command per burst slot: command processing
 	// pipelines, so a row-friendly stream is bus-bound, not tCMD+tCL-bound.
 	// Bank and bus constraints are enforced inside the rank.
-	c.issueAt = now + e.burst
+	completed, kind := e.rank.AccessRun(now+c.cfg.TCMD, e.burst, e.bank, e.row, e.req.Write, e.req.Bytes, n)
+	c.issueAt = now + sim.Time(n)*e.burst
 	if q.wait.Len() > 0 {
 		c.admit(q) // the freed slot goes to the oldest waiting line
 	}
@@ -514,8 +510,8 @@ func (c *Controller) issue() (issued bool, finished *transfer) {
 	// event of its own unless a span track records it.
 	x := e.xfer
 	if c.trk == nil && (x != nil || e.req.Done == nil) {
-		c.retire(e, last)
-		if x != nil && x.lineDone(completed) {
+		c.retireLines(e, n, last)
+		if x != nil && x.lineDone(completed, n) {
 			return true, x
 		}
 		return true, nil
@@ -530,15 +526,58 @@ func (c *Controller) issue() (issued bool, finished *transfer) {
 	return true, nil
 }
 
-// retire accounts one line of e whose completion instant is known, and
-// recycles e with its last line.
-func (c *Controller) retire(e *entry, last bool) {
-	if e.req.Write {
-		c.stats.WritesDone++
-	} else {
-		c.stats.ReadsDone++
+// runLength returns how many lines of e, the record FR-FCFS picked from q
+// at now, issue at once: one, or every line of e when e is the only
+// record in either queue, nothing waits for admission, no span track or
+// depth series records lines one by one, and the engine can advance
+// straight to the last line's issue slot, one burst per line on. Then
+// nothing else runs before that slot and each pick would take e's next
+// line, so runLength advances the engine there, counting the picks it
+// stands for as fired, and replays on the controller what those picks
+// would do: steer the write drain as the write queue falls, and bypass
+// up to StarvationCap picks. Every line of a record shares its row, so
+// the rank times them in closed form (dram.Rank.AccessRun).
+func (c *Controller) runLength(q *fifo, e *entry, now sim.Time) int {
+	n := e.lines
+	if n == 1 || c.readQ.n+c.writeQ.n != n || q.wait.Len() > 0 || c.trk != nil || c.depth != nil ||
+		!c.eng.AdvanceN(now+sim.Time(n-1)*e.burst, uint64(n-1)) {
+		return 1
 	}
-	c.stats.BytesTransferred += e.req.Bytes
+	w := c.writeQ.n
+	for k := 1; k < n; k++ {
+		if e.req.Write {
+			w--
+		}
+		c.steer(w)
+	}
+	if lim := e.enqPicks + uint64(c.cfg.StarvationCap); q.picks < lim {
+		q.picks = min(q.picks+uint64(n-1), lim)
+	}
+	return n
+}
+
+// steer sets the write-drain mode for a pick that finds w lines in the
+// write queue: draining starts at the high watermark and stops at the low
+// one.
+func (c *Controller) steer(w int) {
+	if c.draining {
+		if w <= c.cfg.WriteLowWatermark {
+			c.draining = false
+		}
+	} else if w >= c.cfg.WriteHighWatermark {
+		c.draining = true
+	}
+}
+
+// retireLines accounts n lines of e whose completion instants are known, and
+// recycles e with its last line.
+func (c *Controller) retireLines(e *entry, n int, last bool) {
+	if e.req.Write {
+		c.stats.WritesDone += uint64(n)
+	} else {
+		c.stats.ReadsDone += uint64(n)
+	}
+	c.stats.BytesTransferred += int64(n) * e.req.Bytes
 	if last {
 		e.req, e.xfer = Request{}, nil // the free list pins no caller state
 		c.free = append(c.free, e)
@@ -565,9 +604,9 @@ func (e *entry) complete() {
 		Kind:      e.kind,
 	}
 	done, x := e.req.Done, e.xfer
-	c.retire(e, true)
+	c.retireLines(e, 1, true)
 	if x != nil {
-		if x.lineDone(resp.Completed) {
+		if x.lineDone(resp.Completed, 1) {
 			x.finish(false)
 		}
 	} else if done != nil {

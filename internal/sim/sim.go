@@ -246,14 +246,22 @@ func (e *Engine) Cancel(id EventID) bool {
 }
 
 // Advance lets an event handler, as its last act, do the work of an event
-// at when inline instead of scheduling it. It succeeds only if that event
-// would fire next: nothing pending is due by when, when is within the
-// running Run/RunUntil deadline, Stop was not called and no watchdog is
-// armed. It then moves the clock to when, counts one fired event and gives
-// a probe the OnSchedule/OnFire pair, with the same Pending(), that the
-// event would; otherwise it returns false and the caller schedules.
-func (e *Engine) Advance(when Time) bool {
-	if when < e.now || when > e.limit || e.stopped || e.wdOn {
+// at when inline instead of scheduling it. It is AdvanceN's one-event
+// case.
+func (e *Engine) Advance(when Time) bool { return e.AdvanceN(when, 1) }
+
+// AdvanceN lets an event handler, as its last act, do inline the work of
+// n events that would fire in a row, the last at when, instead of
+// scheduling them. It succeeds only if those events would fire next:
+// nothing pending is due by when, when is within the running
+// Run/RunUntil deadline, Stop was not called and no watchdog is armed.
+// It then moves the clock to when and counts n fired events. A probe
+// would see each of the n events, but the engine knows only the last
+// one's instant, so with a probe attached AdvanceN refuses for n > 1; for
+// n == 1 it gives the probe the OnSchedule/OnFire pair, with the same
+// Pending(), that the event would. When it refuses, the caller schedules.
+func (e *Engine) AdvanceN(when Time, n uint64) bool {
+	if when < e.now || when > e.limit || e.stopped || e.wdOn || n > 1 && e.probeOn {
 		return false
 	}
 	// Bucket 0 holds events at base <= now; the lowest other non-empty
@@ -262,7 +270,7 @@ func (e *Engine) Advance(when Time) bool {
 		return false
 	}
 	e.now = when
-	e.fired++
+	e.fired += n
 	if e.probeOn {
 		e.live++
 		e.probe.OnSchedule(when)

@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"netdimm/internal/sim"
@@ -142,7 +142,7 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 		return 0
 	}
 	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
+		slices.Sort(h.samples)
 		h.sorted = true
 	}
 	if p <= 0 {
