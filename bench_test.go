@@ -304,10 +304,11 @@ func BenchmarkNewNetDIMM(b *testing.B) {
 }
 
 // TestNewNetDIMMAllocs holds BenchmarkNewNetDIMM to its budget: at most
-// 128KB in at most 100 heap allocations per endpoint. The zone and the
-// allocCache keep a few bytes per (rank, bank, sub-array) bucket and
-// nothing per page, so the prefilled 32K pages cost no host memory; the
-// device alone is about 25KB.
+// 16KB in at most 32 heap allocations per endpoint. Building stores
+// nothing per (rank, bank, sub-array) bucket or per page: the zone, the
+// allocCache, the nCache lines and the descriptor rings are made as a cell
+// first touches them, so the prefilled 32K pages and the 16K buckets cost
+// no host memory until used.
 func TestNewNetDIMMAllocs(t *testing.T) {
 	const runs = 20
 	build := func() {
@@ -316,7 +317,7 @@ func TestNewNetDIMMAllocs(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	build()
+	allocs := testing.AllocsPerRun(runs, build)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -324,9 +325,8 @@ func TestNewNetDIMMAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	t.Logf("NewNetDIMM: %d B, %d allocs", bytes, allocs)
-	if bytes > 128<<10 || allocs > 100 {
-		t.Fatalf("NewNetDIMM costs %d B in %d allocs, want <= %d B and <= 100 allocs", bytes, allocs, 128<<10)
+	t.Logf("NewNetDIMM: %d B, %.0f allocs", bytes, allocs)
+	if bytes > 16<<10 || allocs > 32 {
+		t.Fatalf("NewNetDIMM costs %d B in %.0f allocs, want <= %d B and <= 32 allocs", bytes, allocs, 16<<10)
 	}
 }

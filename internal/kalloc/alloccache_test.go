@@ -17,13 +17,13 @@ func linearGet(c *AllocCache, hint int64) (addr int64, fast bool, err error) {
 		if kerr != nil {
 			return 0, false, kerr
 		}
-		if c.count[key] > 0 {
+		if c.count(int(key)) > 0 {
 			return c.pop(int(key)), true, nil
 		}
 	} else {
-		n := len(c.count)
+		n := c.zone.Buckets()
 		for i := 0; i < n; i++ {
-			if key := (c.cursor + i) % n; c.count[key] > 0 {
+			if key := (c.cursor + i) % n; c.count(key) > 0 {
 				c.cursor = (key + 1) % n
 				return c.pop(key), true, nil
 			}
@@ -104,8 +104,8 @@ func (p *cachePair) keep(keep ...int) {
 	for _, k := range keep {
 		kept[k] = true
 	}
-	for key := range p.got.count {
-		for !kept[key] && p.got.count[key] > 0 {
+	for key := 0; key < p.got.zone.Buckets(); key++ {
+		for !kept[key] && p.got.count(key) > 0 {
 			p.get(p.hint(key))
 		}
 	}
@@ -115,10 +115,25 @@ func (p *cachePair) keep(keep ...int) {
 // holds a page.
 func (p *cachePair) checkBitmap() {
 	p.t.Helper()
-	for key, n := range p.got.count {
-		if set := p.got.nonEmpty[key>>6]&(1<<uint(key&63)) != 0; set != (n > 0) {
-			p.t.Fatalf("nonEmpty bit %d = %v with %d pages in the bucket", key, set, n)
+	checkBitmap(p.t, p.got)
+}
+
+// checkBitmap asserts that c's non-empty bitmap and filled count agree with
+// its per-bucket counts.
+func checkBitmap(t *testing.T, c *AllocCache) {
+	t.Helper()
+	filled := 0
+	for key := 0; key < c.zone.Buckets(); key++ {
+		n := c.count(key)
+		if set := c.nonEmpty(key>>6)&(1<<uint(key&63)) != 0; set != (n > 0) {
+			t.Fatalf("nonEmpty bit %d = %v with %d pages in the bucket", key, set, n)
 		}
+		if n > 0 {
+			filled++
+		}
+	}
+	if filled != c.filled {
+		t.Fatalf("filled = %d, %d buckets hold a page", c.filled, filled)
 	}
 }
 

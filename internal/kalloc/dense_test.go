@@ -343,8 +343,8 @@ func (p *densePair) checkContents() {
 		for n := p.c.refilled.head(key); n != 0; n = p.c.refilled.slab[n].next {
 			top = append(top, p.z.bucketPage(key, int(p.c.refilled.slab[n].idx)))
 		}
-		got := make([]int64, 0, int(p.c.count[key]))
-		for i := 0; i < int(p.c.count[key])-len(top); i++ {
+		got := make([]int64, 0, p.c.count(key))
+		for i := 0; i < p.c.count(key)-len(top); i++ {
 			got = append(got, p.z.bucketPage(key, i))
 		}
 		for i := len(top) - 1; i >= 0; i-- {
@@ -353,10 +353,8 @@ func (p *densePair) checkContents() {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			p.t.Fatalf("bucket %d holds %#x, reference %#x", key, got, want)
 		}
-		if set := p.c.nonEmpty[key>>6]&(1<<uint(key&63)) != 0; set != (len(want) > 0) {
-			p.t.Fatalf("nonEmpty bit %d = %v with %d pages in the bucket", key, set, len(want))
-		}
 	}
+	checkBitmap(p.t, p.c)
 }
 
 // unowned reports whether page a is neither held nor in the reference
@@ -474,6 +472,74 @@ func TestAllocCacheMatchesDenseReference(t *testing.T) {
 					p.checkContents()
 				})
 			}
+		}
+	}
+}
+
+// fullDrain empties both caches through Get(NoHint), then takes a few
+// more pages from the drained caches, which must all be slow-path.
+func (p *densePair) fullDrain() {
+	p.t.Helper()
+	for n := p.rc.pinnedPages(); n > 0; n-- {
+		p.get(NoHint)
+	}
+	if p.c.PinnedPages() != 0 || p.c.filled != 0 {
+		p.t.Fatalf("drained cache pins %d pages in %d filled buckets", p.c.PinnedPages(), p.c.filled)
+	}
+	_, slow := p.c.Stats()
+	for i := 0; i < 8; i++ {
+		p.get(NoHint)
+		p.get(p.hint())
+	}
+	if _, s := p.c.Stats(); s != slow+16 {
+		p.t.Fatalf("%d of 16 gets on a drained cache took the slow path", s-slow)
+	}
+	p.check("full drain")
+	p.checkContents()
+}
+
+// TestAllocCacheLazyChunksMatchDenseReference holds the lazy per-chunk
+// state to the dense reference from a never-touched cache: building it
+// makes no chunk, then the first touch of every chunk (a hinted Get, a
+// zone allocation and a free in each, chunks in random order), a full
+// drain to the slow path, frees and a Refill on the used zone, and a
+// random walk after it.
+func TestAllocCacheLazyChunksMatchDenseReference(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		for _, per := range []int{1, 2} {
+			t.Run(fmt.Sprintf("ranks=%d/per=%d", ranks, per), func(t *testing.T) {
+				p := newDensePair(t, int64(ranks*10+per), ranks)
+				p.buildCache(per)
+				if len(p.c.chunks) != 0 || len(p.z.past) != 0 || len(p.z.freed.top) != 0 {
+					t.Fatalf("a fresh cache made chunks: cache %d, zone %d, free stacks %d",
+						len(p.c.chunks), len(p.z.past), len(p.z.freed.top))
+				}
+				for _, c := range p.rng.Perm(p.z.Buckets() / chunk) {
+					bucket := func() int64 {
+						return p.z.bucketPage(c*chunk+p.rng.Intn(chunk), p.rng.Intn(pagesPerBucket))
+					}
+					p.get(bucket())
+					p.alloc(bucket())
+					p.freeHeld(p.rng.Intn(2) == 0)
+					p.check("a first touch")
+				}
+				p.checkContents()
+				p.fullDrain()
+				for i := len(p.held) / 2; i > 0; i-- {
+					p.freeHeld(true)
+				}
+				if err := p.c.Refill(); err != nil {
+					t.Fatal(err)
+				}
+				p.rc.refill()
+				p.check("Refill on a used zone")
+				p.checkContents()
+				for i := 0; i < 500; i++ {
+					p.step()
+					p.check("a step")
+				}
+				p.checkContents()
+			})
 		}
 	}
 }

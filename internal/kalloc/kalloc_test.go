@@ -358,19 +358,3 @@ func TestZonePanicsOnBadGeometry(t *testing.T) {
 		}()
 	}
 }
-
-func TestFill(t *testing.T) {
-	for n := 0; n <= 70; n++ {
-		s := make([]uint16, n+1)
-		s[n] = 7 // past the filled prefix: must survive
-		fill(s[:n], 3)
-		for i, v := range s[:n] {
-			if v != 3 {
-				t.Fatalf("len %d: s[%d] = %d, want 3", n, i, v)
-			}
-		}
-		if s[n] != 7 {
-			t.Fatalf("len %d: fill wrote past the slice", n)
-		}
-	}
-}
