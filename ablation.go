@@ -11,8 +11,9 @@ type BandwidthResult = experiments.BandwidthResult
 // RunBandwidthWithConfig streams MTU frames at the line rate of the system
 // described by cfg through each architecture and reports whether it
 // sustains the offered rate (paper Sec. 5.2: at 40GbE all three do; the
-// NetDIMM's single local channel has ample headroom). parallelism follows
-// the convention of RunFig4WithConfig.
+// NetDIMM's single local channel has ample headroom). packets is the
+// frame count per architecture (0 = experiments.DefaultPackets, 1000);
+// parallelism follows the convention of RunFig4WithConfig.
 func RunBandwidthWithConfig(cfg Config, packets int, parallelism int) (_ []BandwidthResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {

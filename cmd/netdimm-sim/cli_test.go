@@ -188,11 +188,11 @@ func TestHelpShowsDefaultGrids(t *testing.T) {
 }
 
 // TestPacketsDefaultIsReplayDefault: the -n default is the library's
-// default trace length per replay cell, so `netdimm-sim headline` and a
-// library call that leaves packets at 0 replay the same traces.
+// default packets per cell, so `netdimm-sim headline` and a library call
+// that leaves packets at 0 replay the same traces.
 func TestPacketsDefaultIsReplayDefault(t *testing.T) {
-	if got, want := flag.Lookup("n").DefValue, strconv.Itoa(experiments.DefaultReplayPackets); got != want {
-		t.Fatalf("-n defaults to %s, experiments.DefaultReplayPackets is %s", got, want)
+	if got, want := flag.Lookup("n").DefValue, strconv.Itoa(experiments.DefaultPackets); got != want {
+		t.Fatalf("-n defaults to %s, experiments.DefaultPackets is %s", got, want)
 	}
 }
 

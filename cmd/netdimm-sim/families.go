@@ -234,8 +234,12 @@ func fig12a(cfg netdimm.Config, a axes) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
+	n := a.packets
+	if n <= 0 {
+		n = experiments.DefaultPackets
+	}
 	w := new(strings.Builder)
-	fmt.Fprintf(w, "Fig. 12a — normalized per-packet latency, %d packets/cell\n", a.packets)
+	fmt.Fprintf(w, "Fig. 12a — normalized per-packet latency, %d packets/cell\n", n)
 	fmt.Fprintln(w, "cluster       switch   dNIC mean     ND mean    norm(dNIC)    norm(iNIC)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s  %8v  %10v  %10v  %12.3f  %12.3f\n",

@@ -141,6 +141,59 @@ func TestGoldens(t *testing.T) {
 	}
 }
 
+// TestZeroPacketsRenderDefaultGoldens: for every family, its run with
+// packets left at 0 — each facade call's documented default — renders the
+// bytes of the golden that `netdimm-sim <family>` pins at the -n default,
+// so a library default that drifts from the command line's fails here. A
+// family whose command-line run passes packets 0 already (ownPackets) or
+// takes no packet count (fig5) is left to TestGoldens.
+func TestZeroPacketsRenderDefaultGoldens(t *testing.T) {
+	cfg, err := netdimm.LoadScenario("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, tc := range goldenCases {
+		args := strings.Fields(tc.args)
+		f, ok := lookup(args[0])
+		// The default run of a family: its bare verb, or replay and its
+		// trace file.
+		if !ok || tc.trace || len(args) > 1 && f.name != "replay" {
+			continue
+		}
+		seen[f.name] = true
+		if f.ownPackets || f.name == "fig5" {
+			continue
+		}
+		t.Run(f.name, func(t *testing.T) {
+			a, err := flagAxes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.packets = 0
+			if len(args) > 1 {
+				a.file = args[1]
+			}
+			out, err := f.run(cfg, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.table != string(want) {
+				t.Fatalf("%s with packets 0 differs from golden %s\n%s", f.name, tc.golden, firstDiff([]byte(out.table), want))
+			}
+		})
+	}
+	for _, f := range families {
+		if !seen[f.name] {
+			t.Errorf("family %s has no default golden", f.name)
+		}
+	}
+}
+
 // firstDiff renders the first differing line of two outputs.
 func firstDiff(got, want []byte) string {
 	g := strings.Split(string(got), "\n")

@@ -35,7 +35,7 @@ import (
 )
 
 var (
-	packets    = flag.Int("n", experiments.DefaultReplayPackets, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
+	packets    = flag.Int("n", experiments.DefaultPackets, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
 	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11, replay)")
 	seed       = flag.Uint64("seed", 3, "trace generator seed")
 	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables ("+familyNames(hasCSV)+")")
@@ -263,7 +263,7 @@ func flagAxes() (axes, error) {
 // tails, writes its -trace file and prints its metrics registry.
 func runFamily(f family, cfg netdimm.Config, a axes) error {
 	if f.ownPackets && !flagWasSet("n") {
-		// The -n default (experiments.DefaultReplayPackets) suits
+		// The -n default (experiments.DefaultPackets) suits
 		// single-switch cells; the clos-scale sweeps split it across
 		// hundreds of hosts, so unless -n is given they apply their own
 		// per-cell default.

@@ -210,14 +210,14 @@ func Fig12aCSV(rows []Fig12aResult) string {
 
 // RunFig12aWithConfig regenerates Fig. 12(a) on the system described by
 // cfg: cluster trace replay across switch latencies. packets controls the
-// trace length per cell (0 = experiments.DefaultReplayPackets, 1000).
+// trace length per cell (0 = experiments.DefaultPackets, 1000).
 func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) (_ []Fig12aResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if packets <= 0 {
-		packets = experiments.DefaultReplayPackets
+		packets = experiments.DefaultPackets
 	}
 	rows, err := experiments.Fig12a(cfg.spec(), workload.Clusters, experiments.PaperSwitchLatencies, packets, seed, parallelism)
 	if err != nil {
@@ -258,14 +258,14 @@ type HeadlineResult = experiments.Headline
 
 // RunHeadlineWithConfig measures the paper's headline numbers on the
 // system described by cfg; packets is the trace length per replay cell
-// (0 = experiments.DefaultReplayPackets, 1000).
+// (0 = experiments.DefaultPackets, 1000).
 func RunHeadlineWithConfig(cfg Config, packets int, parallelism int) (_ HeadlineResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
 		return HeadlineResult{}, err
 	}
 	if packets <= 0 {
-		packets = experiments.DefaultReplayPackets
+		packets = experiments.DefaultPackets
 	}
 	return experiments.RunHeadline(cfg.spec(), packets, parallelism)
 }

@@ -41,7 +41,7 @@ const RSSCores = 4
 // 40GbE deployment; NIC DMA and the wire pipeline with the CPU.
 func Bandwidth(sp spec.Spec, packets int, parallelism int) ([]BandwidthResult, error) {
 	if packets <= 0 {
-		packets = 2000
+		packets = DefaultPackets
 	}
 
 	// Each architecture is an independent cell with its own machine.

@@ -92,6 +92,9 @@ func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg L
 	deliveredC := reg.Counter(arch + ".delivered")
 	droppedC := reg.Counter(arch + ".dropped")
 	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+	if cellProbe != nil {
+		eng.SetProbe(cellProbe)
+	}
 
 	// The receiver is the fabric's last endpoint; every sender's traffic
 	// funnels into its downlink (the incast bottleneck on the wire side).
@@ -301,6 +304,9 @@ func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg R
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
 	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+	if cellProbe != nil {
+		eng.SetProbe(cellProbe)
+	}
 
 	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
@@ -490,6 +496,9 @@ func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg F
 	reroutedC := reg.Counter(arch + ".rerouted")
 	outageDropsC := reg.Counter(arch + ".outage_drops")
 	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+	if cellProbe != nil {
+		eng.SetProbe(cellProbe)
+	}
 
 	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
@@ -693,6 +702,9 @@ func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, 
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
 	obs.NewEngineProbe(reg, arch+".engine").Attach(eng)
+	if cellProbe != nil {
+		eng.SetProbe(cellProbe)
+	}
 
 	topo := d.NewTopology(fabric.SingleEngine(eng), ranks, shape.portBuffer)
 

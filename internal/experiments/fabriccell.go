@@ -80,6 +80,10 @@ type driverQueue struct {
 	markFn func() // TX: the ECN pacer's OnMark; nil without pacing
 }
 
+// cellProbe, when set, replaces the engine probe of every cell engine a
+// transport builds; tests record a cell's event sequence through it.
+var cellProbe sim.Probe
+
 // init builds t's engine, arch's machines over n endpoints (see
 // endpoints), the engine probe and the cell spec's fabric. The caller
 // binds the hooks.
@@ -100,6 +104,9 @@ func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, s
 		tx.doneFn, rx.doneFn = tx.txDone, rx.rxDone
 	}
 	obs.NewEngineProbe(reg, arch+".engine").Attach(t.eng)
+	if cellProbe != nil {
+		t.eng.SetProbe(cellProbe)
+	}
 	t.topo = d.NewTopology(fabric.SingleEngine(t.eng), n, portBuffer)
 	return nil
 }

@@ -41,7 +41,7 @@ type FaultSweepConfig struct {
 
 // DefaultFaultSweepConfig returns the sweep defaults.
 func DefaultFaultSweepConfig() FaultSweepConfig {
-	return FaultSweepConfig{Packets: 200, EventBudget: 2_000_000}
+	return FaultSweepConfig{Packets: DefaultPackets, EventBudget: 2_000_000}
 }
 
 func (c FaultSweepConfig) withDefaults() FaultSweepConfig {

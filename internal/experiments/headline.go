@@ -26,10 +26,12 @@ type Headline struct {
 	L3FBest  float64 // max 1-Norm over L3F cells
 }
 
-// DefaultReplayPackets is the trace length per cell of the Fig. 12(a)
-// replays, which the headline numbers average, when the caller leaves it
-// unset; netdimm-sim's -n flag defaults to it too.
-const DefaultReplayPackets = 1000
+// DefaultPackets is the packets per cell of every family that does not
+// size its own cells — the Fig. 12(a) replays the headline numbers
+// average, bandwidth, mixed, faultsweep and loadsweep — when the caller
+// leaves it unset; netdimm-sim's -n flag defaults to it too, so a library
+// call and the command line run the same cells.
+const DefaultPackets = 1000
 
 // RunHeadline executes the summary measurement suite. n controls the
 // trace-replay length per cell; parallelism is the worker knob passed to

@@ -47,7 +47,7 @@ type LoadSweepConfig struct {
 
 // DefaultLoadSweepConfig returns the sweep defaults.
 func DefaultLoadSweepConfig() LoadSweepConfig {
-	return LoadSweepConfig{Packets: 2000}
+	return LoadSweepConfig{Packets: DefaultPackets}
 }
 
 // loadEventBudget bounds each load-sweep cell's engine via the watchdog.

@@ -35,7 +35,7 @@ type MixedChannelResult struct {
 // instrumentation.
 func MixedChannelObserved(sp spec.Spec, n int, seed uint64, ospec obs.Spec) (MixedChannelResult, *obs.Observer, error) {
 	if n <= 0 {
-		n = 200
+		n = DefaultPackets
 	}
 	var o *obs.Observer
 	if ospec.Enabled() {

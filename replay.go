@@ -39,7 +39,8 @@ type MixedChannelResult = experiments.MixedChannelResult
 // observability plane is armed per cfg.Obs: DDR controller transaction
 // spans and queue depth, NetDIMM device metrics, the NVDIMM-P
 // outstanding-transaction series and an engine probe, all under one
-// "mixed" cell. A zero cfg.Obs returns a nil Observation.
+// "mixed" cell. A zero cfg.Obs returns a nil Observation. n is the number
+// of reads (0 = experiments.DefaultPackets, 1000).
 func RunMixedChannelObserved(cfg Config, n int, seed uint64) (_ MixedChannelResult, _ *Observation, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
