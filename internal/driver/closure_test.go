@@ -36,10 +36,6 @@ func closureMeasure(d *NetDIMMDriver, op func(done func())) sim.Time {
 func closureTXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
 	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
-	if d.txRing.Full() {
-		d.stats.RingFull++
-		d.cleanTxRing()
-	}
 	d.add(&b, stats.TxCopy, "skb+allocLookup+desc", d.Costs.SKBAlloc+d.Costs.AllocCacheLookup+d.Costs.DescWrite)
 	dmaBuf := d.appBuf
 	if d.CopyNeeded {
