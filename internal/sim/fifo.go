@@ -40,6 +40,15 @@ func (q *FIFO[T]) Head() *T {
 	return &q.ring[q.head]
 }
 
+// Last returns a pointer to the newest value, valid until the queue next
+// grows. It panics on an empty queue.
+func (q *FIFO[T]) Last() *T {
+	if q.n == 0 {
+		panic("sim: Last of an empty FIFO")
+	}
+	return &q.ring[(q.head+q.n-1)%len(q.ring)]
+}
+
 // Drop removes the head. It panics on an empty queue.
 func (q *FIFO[T]) Drop() {
 	if q.n == 0 {

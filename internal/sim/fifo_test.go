@@ -15,6 +15,9 @@ func TestFIFOOrderAcrossGrowth(t *testing.T) {
 	for round := 1; round <= 40; round++ {
 		for i := 0; i < round%7+1; i++ {
 			q.Push(next)
+			if *q.Last() != next {
+				t.Fatalf("round %d: last %d, want %d", round, *q.Last(), next)
+			}
 			next++
 		}
 		for i := 0; i < round%5 && q.Len() > 0; i++ {
