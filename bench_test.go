@@ -118,16 +118,22 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkFig12a regenerates a scaled cluster replay and reports the
 // average per-packet reduction at 25ns and 200ns switch latency. The Seq
 // and Par variants pin the worker count so `go test -bench Fig12a` shows
-// the fan-out speedup on multi-core hosts.
-func BenchmarkFig12a(b *testing.B)    { benchmarkFig12a(b, 1) }
-func BenchmarkFig12aPar(b *testing.B) { benchmarkFig12a(b, 0) }
+// the fan-out speedup on multi-core hosts. At 200 packets per cell
+// endpoint construction is about a third of the time; the Default variant
+// runs the CLI's default packet count on one worker, where the per-packet
+// path dominates.
+func BenchmarkFig12a(b *testing.B)        { benchmarkFig12a(b, 200, 1) }
+func BenchmarkFig12aPar(b *testing.B)     { benchmarkFig12a(b, 200, 0) }
+func BenchmarkFig12aDefault(b *testing.B) { benchmarkFig12a(b, 0, 1) }
 
-func benchmarkFig12a(b *testing.B, parallelism int) {
+// benchmarkFig12a runs Fig. 12(a) at packets per cell (0 for the default)
+// on parallelism workers.
+func benchmarkFig12a(b *testing.B, packets, parallelism int) {
 	b.ReportAllocs()
 	var rows []Fig12aResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFig12aWithConfig(DefaultConfig(), 200, 3, parallelism)
+		rows, err = RunFig12aWithConfig(DefaultConfig(), packets, 3, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}

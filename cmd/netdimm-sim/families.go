@@ -272,8 +272,10 @@ func bandwidth(cfg netdimm.Config, a axes) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
+	// The header takes the count from the NetDIMM row, the one cell that
+	// runs per packet, so a drift in Bandwidth's own default shows.
 	w := new(strings.Builder)
-	fmt.Fprintf(w, "Bandwidth — sustained %dGbE line-rate check (Sec. 5.2)\n", cfg.NetworkGbps)
+	fmt.Fprintf(w, "Bandwidth — sustained %dGbE line-rate check (Sec. 5.2), %d NetDIMM packets/cell\n", cfg.NetworkGbps, rows[0].Packets)
 	fmt.Fprintln(w, "arch       offered   achieved   per-pkt RX   headroom  sustained")
 	for _, r := range rows {
 		head := "-"

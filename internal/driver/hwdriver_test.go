@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netdimm/internal/nic"
+	"netdimm/internal/pcie"
 	"netdimm/internal/sim"
 	"netdimm/internal/stats"
 )
@@ -145,6 +146,53 @@ func TestHWDriverAllocs(t *testing.T) {
 		}
 		if sink.Total() <= 0 {
 			t.Fatalf("%s: empty breakdown", m.Name())
+		}
+	}
+}
+
+// TestHWDriverPureInSize checks the precondition of pricing a dNIC or iNIC
+// endpoint once per packet size instead of once per packet (the Fig. 12(a)
+// cell does): with no recorder and a PCIe link with no observer, TX and RX
+// breakdowns depend on the packet's size alone. A second machine is called
+// over sizes 0–9000 in shuffled order, with random IDs and birth times,
+// RX before TX on every other pass, and must match a reference machine
+// called once per size in ascending order with zero IDs and birth times.
+func TestHWDriverPureInSize(t *testing.T) {
+	const maxSize = 9000
+	gen3 := func(zeroCopy bool) *HWDriver {
+		return NewMachine(nic.NewDNICWith(pcie.NewLink(pcie.Gen3, 8)), DefaultCosts(), zeroCopy)
+	}
+	r := sim.NewRand(7)
+	for _, zeroCopy := range []bool{false, true} {
+		for _, mk := range []func(bool) *HWDriver{NewDNICMachine, gen3, NewINICMachine} {
+			ref, m := mk(zeroCopy), mk(zeroCopy)
+			want := make([][2]stats.Breakdown, maxSize+1)
+			for size := range want {
+				want[size] = [2]stats.Breakdown{ref.TX(pkt(size)), ref.RX(pkt(size))}
+			}
+			order := make([]int, maxSize+1)
+			for i := range order {
+				order[i] = i
+			}
+			for pass := 0; pass < 3; pass++ {
+				for i := len(order) - 1; i > 0; i-- {
+					j := r.Intn(i + 1)
+					order[i], order[j] = order[j], order[i]
+				}
+				for _, size := range order {
+					p := nic.Packet{ID: r.Uint64(), Size: size, Born: sim.Time(r.Int63n(1 << 50))}
+					var tx, rx stats.Breakdown
+					if pass%2 == 0 {
+						tx, rx = m.TX(p), m.RX(p)
+					} else {
+						rx, tx = m.RX(p), m.TX(p)
+					}
+					if tx != want[size][0] || rx != want[size][1] {
+						t.Fatalf("%s pass %d size %d ID %d born %v: TX %v RX %v, want TX %v RX %v",
+							m.Name(), pass, size, p.ID, p.Born, tx, rx, want[size][0], want[size][1])
+					}
+				}
+			}
 		}
 	}
 }

@@ -22,6 +22,10 @@ type BandwidthResult struct {
 	PerPacketRx sim.Time
 	// ChannelHeadroom is offered NIC bandwidth / local channel bandwidth.
 	ChannelHeadroom float64
+	// Packets is the number of MTU packets the RX path ran: the requested
+	// count for NetDIMM, one for dNIC and iNIC, whose cost is a pure
+	// function of size.
+	Packets int
 }
 
 // Sustained reports whether the architecture keeps up with line rate.
@@ -68,20 +72,17 @@ func Bandwidth(sp spec.Spec, packets int, parallelism int) ([]BandwidthResult, e
 				busy += driverSerial(nd.RX(nic.Packet{Size: nic.MTU}))
 			}
 			out[i] = result("NetDIMM", gap, busy/sim.Time(packets), wireBytes,
-				d.Core.LocalTiming.BandwidthBytesPerSec)
+				d.Core.LocalTiming.BandwidthBytesPerSec, packets)
 		default:
-			// dNIC and iNIC: analytic per-packet RX costs.
+			// dNIC and iNIC: the analytic RX cost is a pure function of
+			// size, so one MTU packet prices them all.
 			var m driver.Machine
 			if i == 1 {
 				m = d.NewDNIC(false)
 			} else {
 				m = d.NewINIC(false)
 			}
-			var sum sim.Time
-			for p := 0; p < 32; p++ {
-				sum += driverSerial(m.RX(nic.Packet{Size: nic.MTU}))
-			}
-			out[i] = result(m.Name(), gap, sum/32, wireBytes, 0)
+			out[i] = result(m.Name(), gap, driverSerial(m.RX(nic.Packet{Size: nic.MTU})), wireBytes, 0, 1)
 		}
 	})
 	if err := firstError(errs); err != nil {
@@ -98,7 +99,7 @@ func driverSerial(b stats.Breakdown) sim.Time {
 	return b.Total() - b[stats.Wire] - b[stats.RxDMA] - b[stats.TxDMA]
 }
 
-func result(arch string, gap, perPkt sim.Time, wireBytes, channelBW float64) BandwidthResult {
+func result(arch string, gap, perPkt sim.Time, wireBytes, channelBW float64, packets int) BandwidthResult {
 	offered := wireBytes * 8 / gap.Seconds() / 1e9
 	achieved := offered
 	effective := perPkt / RSSCores
@@ -112,6 +113,7 @@ func result(arch string, gap, perPkt sim.Time, wireBytes, channelBW float64) Ban
 		OfferedGbps:  offered,
 		AchievedGbps: achieved,
 		PerPacketRx:  perPkt,
+		Packets:      packets,
 	}
 	if channelBW > 0 {
 		r.ChannelHeadroom = offered * 1e9 / 8 / channelBW

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"netdimm/internal/collective"
@@ -138,6 +139,7 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 	if err != nil {
 		return nil, nil, fmt.Errorf("collsweep: %w", err)
 	}
+	shape.maxRanks = slices.Max(ranks)
 
 	axes := func(i int) (arch, op string, rk int) {
 		arch = LoadSweepArchs[i/(len(ops)*len(ranks))]
@@ -164,6 +166,10 @@ type collShape struct {
 	chunk      int // max frame payload bytes
 	portBuffer int
 	vecs       *vecPool
+	// maxRanks is the sweep's largest rank count. A cell's rank backing
+	// is made large enough for it, so the sweep's cells share one backing
+	// per worker whatever order their rank counts come in.
+	maxRanks int
 }
 
 // vecPool is a sweep's free list of int64 vectors, shared by its cells
@@ -179,8 +185,8 @@ type vecPool struct {
 }
 
 // get returns an n-element vector: the smallest free one that holds n
-// elements, else a new one.
-func (p *vecPool) get(n int) []int64 {
+// elements, else a new one with capacity for max(n, capacity).
+func (p *vecPool) get(n, capacity int) []int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	best := -1
@@ -190,7 +196,7 @@ func (p *vecPool) get(n int) []int64 {
 		}
 	}
 	if best < 0 {
-		return make([]int64, n)
+		return make([]int64, n, max(n, capacity))
 	}
 	v := p.free[best]
 	last := len(p.free) - 1
@@ -260,7 +266,7 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	// element of the pooled vectors, so none of their old contents is read.
 	elems := max(shape.payload/8, 1)
 	data := make([][]int64, ranks)
-	backing, sum, root := shape.vecs.get(ranks*elems), shape.vecs.get(elems), shape.vecs.get(elems)
+	backing, sum, root := shape.vecs.get(ranks*elems, shape.maxRanks*elems), shape.vecs.get(elems, 0), shape.vecs.get(elems, 0)
 	defer shape.vecs.put(backing, sum, root)
 	for r := range data {
 		// A 40-bit mask of the generator's output is Int63n(1 << 40).

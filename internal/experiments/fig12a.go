@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"netdimm/internal/ethernet"
+	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/workload"
@@ -57,20 +58,22 @@ func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n 
 	return rows, nil
 }
 
-// fig12aCell measures one cluster at every switch latency into rows. The
-// switch model prices only the wire term (per-hop latency times hop
-// count), so the driver path runs each packet once per architecture and
-// each row adds its own summed wire time to the shared driver sums.
-// Every cell regenerates its trace and machines from the same seed, so
-// cells are fully independent of each other.
-func fig12aCell(d *spec.Derived, cl workload.Cluster, switchLats []sim.Time, n int, seed uint64, rows []Fig12aRow) error {
-	fabrics := make([]ethernet.Fabric, len(switchLats))
-	for i, sl := range switchLats {
-		fabrics[i] = d.Fabric(sl)
-		fabrics[i].Switch.CutThrough = false
-	}
+// fig12aLocalities is the number of ethernet.Locality values.
+const fig12aLocalities = int(ethernet.InterDatacenter) + 1
 
-	events := workload.NewGenerator(cl, 0, seed).Generate(n)
+// fig12aCell measures one cluster at every switch latency into rows. Only
+// the two NetDIMM endpoints hold state, so only they run per packet. A
+// dNIC or iNIC driver with no recorder, over a PCIe link with no observer,
+// prices a packet from its size alone, and the switch model prices only
+// the wire term, per-hop latency times hop count, from size and locality.
+// So the cell streams the cluster's trace, counts each packet into a
+// (size, locality) table, and afterwards adds count × cost for every
+// non-empty entry to the dNIC and iNIC driver sums and to each switch
+// latency's wire sum. The sums are integers, so this equals pricing every
+// packet. Each row is a driver sum plus its wire sum over the packet
+// count. Every cell regenerates its trace and machines from the same seed,
+// so cells are fully independent of each other.
+func fig12aCell(d *spec.Derived, cl workload.Cluster, switchLats []sim.Time, n int, seed uint64, rows []Fig12aRow) error {
 	ndTX, err := d.NewNetDIMM(seed*2 + 1)
 	if err != nil {
 		return err
@@ -79,21 +82,49 @@ func fig12aCell(d *spec.Derived, cl workload.Cluster, switchLats []sim.Time, n i
 	if err != nil {
 		return err
 	}
-	dn := d.NewDNIC(false)
-	in := d.NewINIC(false)
 
-	var dnSum, inSum, ndSum sim.Time
-	wire := make([]sim.Time, len(switchLats))
-	for i, e := range events {
+	// Every cluster draws sizes up to the MTU (workload.Cluster.SampleSize).
+	// Rows outside [lo, hi] are empty.
+	var counts [nic.MTU + 1][fig12aLocalities]int
+	lo, hi := len(counts), 0
+	gen := workload.NewGenerator(cl, 0, seed)
+	var ndSum sim.Time
+	for i := 0; i < n; i++ {
+		e := gen.Next()
+		counts[e.Size][e.Locality]++
+		lo, hi = min(lo, e.Size), max(hi, e.Size)
 		p := e.Packet(uint64(i))
-		for j := range fabrics {
-			wire[j] += fabrics[j].WireTime(e.Size, e.Locality)
-		}
-		dnSum += dn.TX(p).Plus(dn.RX(p)).Total()
-		inSum += in.TX(p).Plus(in.RX(p)).Total()
 		ndSum += ndTX.TX(p).Plus(ndRX.RX(p)).Total()
 	}
-	cnt := sim.Time(len(events))
+
+	fabrics := make([]ethernet.Fabric, len(switchLats))
+	for i, sl := range switchLats {
+		fabrics[i] = d.Fabric(sl)
+		fabrics[i].Switch.CutThrough = false
+	}
+	dn := d.NewDNIC(false)
+	in := d.NewINIC(false)
+	var dnSum, inSum sim.Time
+	wire := make([]sim.Time, len(switchLats))
+	for size := lo; size <= hi; size++ {
+		var all int
+		for loc, c := range counts[size] {
+			if c == 0 {
+				continue
+			}
+			all += c
+			for j := range fabrics {
+				wire[j] += sim.Time(c) * fabrics[j].WireTime(size, ethernet.Locality(loc))
+			}
+		}
+		if all == 0 {
+			continue
+		}
+		p := nic.Packet{Size: size}
+		dnSum += sim.Time(all) * dn.TX(p).Plus(dn.RX(p)).Total()
+		inSum += sim.Time(all) * in.TX(p).Plus(in.RX(p)).Total()
+	}
+	cnt := sim.Time(n)
 	for j, sl := range switchLats {
 		rows[j] = Fig12aRow{
 			Cluster:       cl,
