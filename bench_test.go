@@ -14,6 +14,7 @@ import (
 
 	"netdimm/internal/driver"
 	"netdimm/internal/netfunc"
+	"netdimm/internal/nic"
 )
 
 // BenchmarkTable1 exercises constructing the paper's Table 1 system
@@ -231,6 +232,36 @@ func BenchmarkOneWayPacket(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		oneWay(cfg, tx, rx, 1514, 100*time.Nanosecond)
+	}
+}
+
+// BenchmarkNetDIMMPacket times the NetDIMM device path alone at 64B,
+// 512B and 1514B: one warm packet's driver TX on one endpoint and driver
+// RX on another, without the wire term OneWay adds. 200 packets warm the
+// pair first, so an op is the steady state and allocates nothing.
+func BenchmarkNetDIMMPacket(b *testing.B) {
+	for _, size := range []int{64, 512, 1514} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			tx, err := NewNetDIMMWithConfig(DefaultConfig(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rx, err := NewNetDIMMWithConfig(DefaultConfig(), 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := nic.Packet{Size: size}
+			for i := 0; i < 200; i++ {
+				tx.impl.TX(p)
+				rx.impl.RX(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx.impl.TX(p)
+				rx.impl.RX(p)
+			}
+		})
 	}
 }
 

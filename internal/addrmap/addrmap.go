@@ -74,12 +74,6 @@ type Location struct {
 	Column   int64 // byte offset within the 8KB rank row
 }
 
-// GlobalRow is the flat row index within the rank (bank-major), useful for
-// row-buffer bookkeeping in the DRAM model.
-func (l Location) GlobalRow() int {
-	return ((l.Bank*SubarraysPerBank)+l.Subarray)*RowsPerSubarray + l.Row
-}
-
 // String renders the location compactly for traces and test failures.
 func (l Location) String() string {
 	return fmt.Sprintf("r%d/b%d/s%d/row%d+%d", l.Rank, l.Bank, l.Subarray, l.Row, l.Column)
@@ -100,6 +94,24 @@ func DecodeRank(dimmLocal int64) Location {
 	}
 }
 
+// BankRow returns the rank, the bank and the flat row within the rank
+// (bank-major: (bank*SubarraysPerBank + sub-array)*RowsPerSubarray + row,
+// the row-buffer key of the DRAM model) of a DIMM-local address. It reads
+// them off the address bits without building a Location, which at five
+// fields the compiler keeps in memory rather than in registers.
+func BankRow(dimmLocal int64) (rank, bank, row int) {
+	return int(dimmLocal >> rankShift), int(dimmLocal >> bankShift & (1<<bankBits - 1)),
+		int(dimmLocal>>bankShift&(1<<bankBits-1)<<(subarrayBits+rowBits) |
+			dimmLocal>>subarrayShift&(1<<subarrayBits-1)<<rowBits |
+			dimmLocal>>rowShift&(1<<rowBits-1))
+}
+
+// PageIndex returns the index of the 4KB page holding a DIMM-local address
+// among its sub-array's pages: Row*2 plus the half-row selector.
+func PageIndex(dimmLocal int64) int {
+	return int(dimmLocal>>rowShift&(1<<rowBits-1))<<1 | int(dimmLocal>>PageShift&1)
+}
+
 // EncodeRank is the inverse of DecodeRank.
 func EncodeRank(l Location) int64 {
 	pageHalf := (l.Column >> PageShift) & 1
@@ -116,15 +128,21 @@ func EncodeRank(l Location) int64 {
 // Sec. 4.2.2). Keys are dense in [0, ranks*SubarraysPerRank).
 type SubarrayKey int32
 
-// SubarrayOf returns the SubarrayKey of a DIMM-local address.
+// SubarrayOf returns the SubarrayKey of a DIMM-local address:
+// (rank*BanksPerRank + bank)*SubarraysPerBank + sub-array, read straight
+// off the address bits.
 func SubarrayOf(dimmLocal int64) SubarrayKey {
-	l := DecodeRank(dimmLocal)
-	return SubarrayKey((l.Rank*BanksPerRank+l.Bank)*SubarraysPerBank + l.Subarray)
+	return SubarrayKey(dimmLocal>>rankShift<<(bankBits+subarrayBits) |
+		dimmLocal>>bankShift&(1<<bankBits-1)<<subarrayBits |
+		dimmLocal>>subarrayShift&(1<<subarrayBits-1))
 }
+
+// subarrayBitsMask covers the address bits SubarrayOf reads.
+const subarrayBitsMask = -1<<rankShift | (1<<bankBits-1)<<bankShift | (1<<subarrayBits-1)<<subarrayShift
 
 // SameSubarray reports whether two DIMM-local addresses share a rank, bank
 // and sub-array — the prerequisite for RowClone fast parallel mode (FPM).
-func SameSubarray(a, b int64) bool { return SubarrayOf(a) == SubarrayOf(b) }
+func SameSubarray(a, b int64) bool { return (a^b)&subarrayBitsMask == 0 }
 
 // SameRank reports whether two DIMM-local addresses are in the same rank —
 // the prerequisite for RowClone pipeline serial mode (PSM) when the bank

@@ -121,12 +121,43 @@ func TestGlobalRowUnique(t *testing.T) {
 		for sub := 0; sub < SubarraysPerBank; sub += 37 {
 			for row := 0; row < RowsPerSubarray; row += 11 {
 				l := Location{Bank: bank, Subarray: sub, Row: row}
-				gr := l.GlobalRow()
+				_, _, gr := BankRow(EncodeRank(l))
 				if seen[gr] {
-					t.Fatalf("GlobalRow collision at %v", l)
+					t.Fatalf("BankRow's flat row collides at %v", l)
 				}
 				seen[gr] = true
 			}
 		}
+	}
+}
+
+// SubarrayOf and SameSubarray read the key straight off the address bits;
+// both must agree with the key DecodeRank's fields give, for any address.
+func TestSubarrayOfMatchesDecode(t *testing.T) {
+	f := func(a, b int64, near uint32) bool {
+		la := DecodeRank(a)
+		want := SubarrayKey((la.Rank*BanksPerRank+la.Bank)*SubarraysPerBank + la.Subarray)
+		b2 := a ^ int64(near) // shares a's high bits, often its key
+		return SubarrayOf(a) == want &&
+			SameSubarray(a, b) == (SubarrayOf(a) == SubarrayOf(b)) &&
+			SameSubarray(a, b2) == (SubarrayOf(a) == SubarrayOf(b2))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BankRow and PageIndex read DecodeRank's fields straight off the address
+// bits; both must agree with DecodeRank for any address.
+func TestBankRowMatchesDecode(t *testing.T) {
+	f := func(a int64) bool {
+		l := DecodeRank(a)
+		rank, bank, row := BankRow(a)
+		return rank == l.Rank && bank == l.Bank &&
+			row == (l.Bank*SubarraysPerBank+l.Subarray)*RowsPerSubarray+l.Row &&
+			PageIndex(a) == l.Row<<1|int(l.Column>>PageShift)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
 	}
 }

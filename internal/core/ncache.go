@@ -45,8 +45,12 @@ type NCache struct {
 	lines    []nline
 	setShift uint // log2 of the set count
 	valid    int  // valid lines, so a snoop of an empty cache costs nothing
-	rng      *sim.Rand
-	stats    NCacheStats
+	// lo and hi bound the line indices (address / CachelineSize) of every
+	// line inserted since the cache was last empty, so every valid line
+	// lies in [lo, hi] and a snoop probes only that span.
+	lo, hi int64
+	rng    *sim.Rand
+	stats  NCacheStats
 }
 
 // NewNCache builds an nCache with the given total line count and
@@ -63,10 +67,14 @@ func NewNCache(lines, ways int, seed uint64) *NCache {
 func (c *NCache) Stats() NCacheStats { return c.stats }
 
 func (c *NCache) locate(addr int64) ([]nline, int64) {
+	return c.locateLine(addr / addrmap.CachelineSize)
+}
+
+// locateLine returns the set holding line index li and li's tag.
+func (c *NCache) locateLine(li int64) ([]nline, int64) {
 	if c.lines == nil {
 		return nil, 0
 	}
-	li := addr / addrmap.CachelineSize
 	// XOR-folded set index: RX ring slots sit at power-of-two strides, so
 	// a plain modulo would alias every packet header into the same one or
 	// two sets. Folding the tag bits in spreads strided streams.
@@ -83,7 +91,13 @@ func (c *NCache) Insert(addr int64, header, prefetched bool) {
 	if c.lines == nil {
 		c.lines = make([]nline, c.ways<<c.setShift)
 	}
-	set, tag := c.locate(addr)
+	li := addr / addrmap.CachelineSize
+	if c.valid == 0 {
+		c.lo, c.hi = li, li
+	} else {
+		c.lo, c.hi = min(c.lo, li), max(c.hi, li)
+	}
+	set, tag := c.locateLine(li)
 	// Refresh in place if present.
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -162,11 +176,13 @@ func (c *NCache) drop(set []nline, tag int64) {
 	}
 }
 
-// invalidateRange snoops the lines consecutive cachelines from addr and
+// invalidateRange snoops the lines consecutive cachelines from addr. It
+// probes only those inside [lo, hi], where every valid line lies, and
 // returns once nCache holds no line.
 func (c *NCache) invalidateRange(addr, lines int64) {
-	for i := int64(0); i < lines && c.valid > 0; i++ {
-		c.drop(c.locate(addr + i*addrmap.CachelineSize))
+	first := addr / addrmap.CachelineSize
+	for li, last := max(first, c.lo), min(first+lines-1, c.hi); li <= last && c.valid > 0; li++ {
+		c.drop(c.locateLine(li))
 	}
 }
 

@@ -198,12 +198,12 @@ func (r *Rank) OpenRow(bankIdx int) int { return r.banks[bankIdx].openRow }
 // rank-local address, starting no earlier than now. It returns the instant
 // the data transfer completes and the access classification.
 func (r *Rank) Access(now sim.Time, local int64, write bool, bytes int64) (done sim.Time, kind AccessKind) {
-	l := addrmap.DecodeRank(local)
-	return r.AccessRow(now, l.Bank, l.GlobalRow(), write, bytes)
+	_, bank, row := addrmap.BankRow(local)
+	return r.AccessRow(now, bank, row, write, bytes)
 }
 
 // AccessRow is Access for an address already decoded to its bank and
-// global row (addrmap.Location.GlobalRow).
+// flat row (addrmap.BankRow).
 func (r *Rank) AccessRow(now sim.Time, bankIdx, row int, write bool, bytes int64) (done sim.Time, kind AccessKind) {
 	if r.occ != nil {
 		var busy int64

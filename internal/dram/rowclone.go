@@ -140,7 +140,7 @@ func (e *CloneEngine) Latency(src, dst int64, bytes int64) sim.Time {
 }
 
 func (e *CloneEngine) rankOf(local int64) *Rank {
-	idx := addrmap.DecodeRank(local).Rank
+	idx, _, _ := addrmap.BankRow(local)
 	if idx >= len(e.ranks) {
 		idx = len(e.ranks) - 1
 	}
@@ -151,9 +151,9 @@ func (e *CloneEngine) rankOf(local int64) *Rank {
 // controller accesses observe the clone's bank-state footprint.
 func (e *CloneEngine) touchRow(local int64, done sim.Time) {
 	r := e.rankOf(local)
-	l := addrmap.DecodeRank(local)
-	b := &r.banks[l.Bank]
-	b.openRow = l.GlobalRow()
+	_, bank, row := addrmap.BankRow(local)
+	b := &r.banks[bank]
+	b.openRow = row
 	if b.readyAt < done {
 		b.readyAt = done
 	}

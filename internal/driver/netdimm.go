@@ -123,7 +123,9 @@ func (d *NetDIMMDriver) local(phys int64) int64 { return phys - d.Zone.Base }
 // recorder is attached, records it as a lifecycle span (see HWDriver.add).
 func (d *NetDIMMDriver) add(b *stats.Breakdown, c stats.Component, phase string, t sim.Time) {
 	b.Add(c, t)
-	d.Rec.Advance(c.String(), phase, t)
+	if d.Rec != nil { // naming the span costs more than the phase itself
+		d.Rec.Advance(c.String(), phase, t)
+	}
 }
 
 // TX implements Machine, following Alg. 1 lines 1–10.

@@ -40,9 +40,8 @@ type cellTransport struct {
 	reg    *obs.Registry
 	tx, rx []driverQueue // one each per endpoint
 	// flights holds the frames crossing the fabric by slot, and a frame
-	// carries its slot as its ID (ports and the topology never read it). A
-	// frame dropped past its uplink never calls back, so its slot is not
-	// reused.
+	// carries its slot as its ID (ports and the topology never read it).
+	// Delivery, an uplink refusal or the topology's OnDrop frees the slot.
 	flights   slab[frame]
 	deliverFn func(ethernet.Frame) // t.deliver, bound once
 	// The source's hooks: admit, when set, decides whether a frame off the
@@ -108,6 +107,7 @@ func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, s
 		t.eng.SetProbe(cellProbe)
 	}
 	t.topo = d.NewTopology(fabric.SingleEngine(t.eng), n, portBuffer)
+	t.topo.OnDrop = t.lost
 	return nil
 }
 
@@ -129,6 +129,9 @@ func (q *driverQueue) txDone() {
 		t.flights.take(int(f.ID))
 	}
 }
+
+// lost frees the slot of a frame the fabric dropped past its uplink.
+func (t *cellTransport) lost(f ethernet.Frame) { t.flights.take(int(f.ID)) }
 
 // deliver queues a frame off the fabric at its destination's RX driver
 // unless the source's admit refuses it, then echoes an ECN mark to a

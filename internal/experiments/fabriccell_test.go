@@ -393,3 +393,44 @@ func TestCellCountsConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestCellFreesDroppedFlights runs a many-to-many cell that tail-drops in
+// its switches and one whose spine goes down mid-run, and checks that the
+// cell's flight slab ends with every slot free. The slab grows only when
+// every slot holds a live frame, so its length is then the peak count of
+// frames in flight; a frame dropped past its uplink that kept its slot
+// would leave the slab at least as long as the fabric's drops.
+func TestCellFreesDroppedFlights(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		outage *outageWindow
+	}{
+		{"tail drops", nil},
+		{"spine outage", &outageWindow{start: 20 * sim.Microsecond, end: 60 * sim.Microsecond}},
+	} {
+		sp := spec.TableOne()
+		sp.Load.Hosts, sp.Load.PortBuffer = 16, 4
+		sp.Fabric.Leaves, sp.Fabric.Spines = 2, 1
+		shape, err := resolveLoad(sp.Load, nil, 16, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := runFabricCell(sp, "NetDIMM", shape, cellOpts{load: 0.9, packets: 3000,
+			eventBudget: 4_000_000, seed: 5, outage: c.outage}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, slab := cell.fstats, &cell.flights
+		fabricDrops := int(fs.Dropped + fs.OutageDrops + fs.BurstDrops)
+		t.Logf("%s: %d fabric drops, slab of %d slots", c.name, fabricDrops, len(slab.items))
+		if fabricDrops == 0 {
+			t.Fatalf("%s: the cell dropped nothing in the fabric", c.name)
+		}
+		if len(slab.free) != len(slab.items) {
+			t.Errorf("%s: %d of %d flight slots still held after the cell drained", c.name, len(slab.items)-len(slab.free), len(slab.items))
+		}
+		if len(slab.items) >= fabricDrops {
+			t.Errorf("%s: slab of %d slots for %d fabric drops: dropped frames kept their slots", c.name, len(slab.items), fabricDrops)
+		}
+	}
+}

@@ -66,6 +66,11 @@ type Topology struct {
 	// delivers a frame toward the fabric (before the switch latency to
 	// its leaf). The load sweep uses it to sample queue depths.
 	OnUplinkDeliver func(src, dst int)
+	// OnDrop, when set, runs for every frame Inject accepted that the
+	// fabric then drops: a switch port's tail drop, a down element or a
+	// burst loss. Such a frame never calls its delivered, so OnDrop is
+	// where its sender frees what the frame holds.
+	OnDrop func(ethernet.Frame)
 }
 
 // New builds the topology described by s (resolved with its defaults)
@@ -193,7 +198,11 @@ func (t *Topology) Inject(src, dst int, f ethernet.Frame, delivered func(etherne
 		t.bind()
 	}
 	f.Flight = t.take(flight{src: src, dst: dst, delivered: delivered})
-	return t.send(t.uplinks[src], f, t.uplinkDoneFn)
+	if !t.uplinks[src].Send(f, t.uplinkDoneFn) {
+		t.release(f.Flight)
+		return false
+	}
+	return true
 }
 
 // flight is the routing state of one frame between Inject and its delivery
@@ -249,15 +258,24 @@ func (t *Topology) release(i int32) {
 // fabric lost track of.
 func (t *Topology) InFlight() int { return len(t.flights) - len(t.free) }
 
-// send queues f at port p with the continuation next, freeing its flight
-// when the port drops it. A nil next (a destination nobody listens on)
-// ends the flight once the port has taken the frame.
-func (t *Topology) send(p *ethernet.Port, f ethernet.Frame, next func(ethernet.Frame)) bool {
-	ok := p.Send(f, next)
-	if !ok || next == nil {
+// send queues f at switch port p with the continuation next, and loses
+// the frame when the port drops it. A nil next (a destination nobody
+// listens on) ends the flight once the port has taken the frame.
+func (t *Topology) send(p *ethernet.Port, f ethernet.Frame, next func(ethernet.Frame)) {
+	if !p.Send(f, next) {
+		t.lose(f)
+	} else if next == nil {
 		t.release(f.Flight)
 	}
-	return ok
+}
+
+// lose ends the flight of a frame the fabric dropped and reports it to
+// OnDrop.
+func (t *Topology) lose(f ethernet.Frame) {
+	t.release(f.Flight)
+	if t.OnDrop != nil {
+		t.OnDrop(f)
+	}
 }
 
 // toHost queues f at the downlink port p toward its destination host.
@@ -272,7 +290,7 @@ func (t *Topology) toHost(p *ethernet.Port, f ethernet.Frame) {
 // drop ends a frame's flight at a down fabric element.
 func (t *Topology) drop(f ethernet.Frame) {
 	t.health.stats.OutageDrops++
-	t.release(f.Flight)
+	t.lose(f)
 }
 
 // uplinkDone runs when a frame leaves its host's uplink; the far end is
@@ -308,7 +326,7 @@ func (t *Topology) fromLeaf(f ethernet.Frame) {
 	sl := t.LeafOf(r.src)
 	r.dl = t.LeafOf(r.dst)
 	if t.burst != nil && t.burst.Lose() {
-		t.release(f.Flight) // Gilbert–Elliott ingress loss; the process keeps the tally
+		t.lose(f) // Gilbert–Elliott ingress loss; the process keeps the tally
 		return
 	}
 	if t.health != nil && !t.health.LeafUp(sl) {

@@ -340,8 +340,8 @@ func (p *densePair) checkContents() {
 	p.t.Helper()
 	for key, want := range p.rc.cache {
 		var top []int64
-		for n := p.c.refilled.head(key); n != 0; n = p.c.refilled.slab[n].next {
-			top = append(top, p.z.bucketPage(key, int(p.c.refilled.slab[n].idx)))
+		for n := p.c.refilled.head(key); n != 0; n = p.c.refilled.node(n).next {
+			top = append(top, p.z.bucketPage(key, int(p.c.refilled.node(n).idx)))
 		}
 		got := make([]int64, 0, p.c.count(key))
 		for i := 0; i < p.c.count(key)-len(top); i++ {

@@ -10,6 +10,7 @@ package kalloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"netdimm/internal/addrmap"
 )
@@ -144,9 +145,7 @@ func (z *Zone) bucketPage(key, idx int) int64 {
 
 // locate returns the bucket and in-bucket index of a page of the zone.
 func (z *Zone) locate(addr int64) (key, idx int) {
-	l := addrmap.DecodeRank(addr - z.Base)
-	return (l.Rank*addrmap.BanksPerRank+l.Bank)*addrmap.SubarraysPerBank + l.Subarray,
-		l.Row<<1 | int(l.Column>>addrmap.PageShift)
+	return int(addrmap.SubarrayOf(addr - z.Base)), addrmap.PageIndex(addr - z.Base)
 }
 
 // FreePage returns a page to the zone. Double frees, foreign and unaligned
@@ -213,11 +212,16 @@ func (l *lazy[C]) make(key int) *C {
 // threaded through one shared node slab. Nothing is allocated until the
 // first push, the per-bucket tops are a lazy table, and popped nodes are
 // recycled, so a stack costs only the pages on it and the chunks its
-// pushes touched.
+// pushes touched. A receiver frees two pages a packet to its zone, so the
+// slab grows for as long as a cell runs; it grows by segments of doubling
+// size that never move, so growth copies nothing and leaves no garbage.
 type pageStacks struct {
-	top  lazy[[chunk]int32] // per bucket, the slab index of its top node, 0 when empty
-	slab []pageNode         // slab[0] is the nil link and holds no page
-	idle int32              // first recycled node, 0 when none
+	top lazy[[chunk]int32] // per bucket, the slab index of its top node, 0 when empty
+	// segs[k] holds nodes [8<<k - 8, 16<<k - 8); node 0 is the nil link
+	// and holds no page.
+	segs  [][]pageNode
+	nodes int32 // nodes made, the nil link included
+	idle  int32 // first recycled node, 0 when none
 }
 
 type pageNode struct {
@@ -234,20 +238,26 @@ func (s *pageStacks) head(key int) int32 {
 	return 0
 }
 
+// node returns slab node n: n+8 lies in [8<<k, 16<<k) for segment k.
+func (s *pageStacks) node(n int32) *pageNode {
+	k := bits.Len32(uint32(n+8)>>3) - 1
+	return &s.segs[k][n+8-8<<k]
+}
+
 // push puts page idx on bucket key's stack.
 func (s *pageStacks) push(key, idx int) {
 	top := &s.top.make(key)[key%chunk]
-	if s.slab == nil {
-		s.slab = make([]pageNode, 1)
-	}
 	n := s.idle
 	if n != 0 {
-		s.idle = s.slab[n].next
+		s.idle = s.node(n).next
 	} else {
-		n = int32(len(s.slab))
-		s.slab = append(s.slab, pageNode{})
+		n = max(s.nodes, 1) // node 0 is the nil link
+		if n+8 >= 8<<len(s.segs) {
+			s.segs = append(s.segs, make([]pageNode, 8<<len(s.segs)))
+		}
+		s.nodes = n + 1
 	}
-	s.slab[n] = pageNode{next: *top, idx: uint16(idx)}
+	*s.node(n) = pageNode{next: *top, idx: uint16(idx)}
 	*top = n
 }
 
@@ -257,20 +267,23 @@ func (s *pageStacks) pop(key int) (idx int, ok bool) {
 	if n == 0 {
 		return 0, false
 	}
-	node := s.slab[n]
+	node := s.node(n)
 	s.top.peek(key)[key%chunk] = node.next
-	s.slab[n].next = s.idle
+	idx = int(node.idx)
+	node.next = s.idle
 	s.idle = n
-	return int(node.idx), true
+	return idx, true
 }
 
 // contains reports whether page idx is on bucket key's stack. A stack
 // never holds more than pagesPerBucket pages.
 func (s *pageStacks) contains(key, idx int) bool {
-	for n := s.head(key); n != 0; n = s.slab[n].next {
-		if int(s.slab[n].idx) == idx {
+	for n := s.head(key); n != 0; {
+		node := s.node(n)
+		if int(node.idx) == idx {
 			return true
 		}
+		n = node.next
 	}
 	return false
 }

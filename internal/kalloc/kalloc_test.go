@@ -358,3 +358,41 @@ func TestZonePanicsOnBadGeometry(t *testing.T) {
 		}()
 	}
 }
+
+// pageStacks keeps each bucket's pages LIFO across the slab's segment
+// boundaries, recycles popped nodes and finds exactly the pages on a
+// stack.
+func TestPageStacksAcrossSegments(t *testing.T) {
+	var s pageStacks
+	ref := map[int][]int{}
+	r := uint64(1)
+	for step := 0; step < 5000; step++ {
+		r = r*6364136223846793005 + 1442695040888963407
+		key := int(r>>33) % 3 * 300 // three buckets in two chunks
+		if r>>62 != 0 && len(ref[key]) < pagesPerBucket {
+			idx := int(r>>40) % pagesPerBucket
+			s.push(key, idx)
+			ref[key] = append(ref[key], idx)
+		} else {
+			idx, ok := s.pop(key)
+			if want := ref[key]; ok != (len(want) > 0) || ok && idx != want[len(want)-1] {
+				t.Fatalf("step %d: pop(%d) = %d, %v; reference stack %v", step, key, idx, ok, want)
+			}
+			if ok {
+				ref[key] = ref[key][:len(ref[key])-1]
+			}
+		}
+		for _, idx := range []int{0, int(r>>20) % pagesPerBucket} {
+			on := false
+			for _, p := range ref[key] {
+				on = on || p == idx
+			}
+			if s.contains(key, idx) != on {
+				t.Fatalf("step %d: contains(%d, %d) = %v, want %v", step, key, idx, !on, on)
+			}
+		}
+	}
+	if s.nodes < 100 {
+		t.Fatalf("the stream made only %d nodes: it crossed too few segments", s.nodes)
+	}
+}

@@ -32,7 +32,7 @@ func refFRFCFS(q []*refEntry, rs *RankSet, starvationCap int) (int, bool) {
 	}
 	hit := -1
 	for i, e := range q {
-		if l := addrmap.DecodeRank(e.addr); rs.rank(l).OpenRow(l.Bank) == l.GlobalRow() {
+		if rank, bank, row := addrmap.BankRow(e.addr); rs.rank(rank).OpenRow(bank) == row {
 			hit = i
 			break
 		}

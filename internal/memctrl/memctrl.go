@@ -36,9 +36,8 @@ func NewRankSet(t dram.Timing, n int) *RankSet {
 	return rs
 }
 
-// rank returns the rank a decoded address selects.
-func (rs *RankSet) rank(l addrmap.Location) *dram.Rank {
-	idx := l.Rank
+// rank returns the rank an address's rank field idx selects.
+func (rs *RankSet) rank(idx int) *dram.Rank {
 	if idx >= len(rs.Ranks) {
 		idx = idx % len(rs.Ranks)
 	}
@@ -49,7 +48,7 @@ func (rs *RankSet) rank(l addrmap.Location) *dram.Rank {
 // the address decodes to, and returns the completion instant and the
 // row-buffer outcome.
 func (rs *RankSet) Access(now sim.Time, local int64, write bool, bytes int64) (sim.Time, dram.AccessKind) {
-	return rs.rank(addrmap.DecodeRank(local)).Access(now, local, write, bytes)
+	return rs.rank(addrmap.DecodeRank(local).Rank).Access(now, local, write, bytes)
 }
 
 // Stats reduces all rank statistics to one.
@@ -421,8 +420,8 @@ func (c *Controller) admit(q *fifo) bool {
 
 // enqueue decodes e's address and appends it to q.
 func (c *Controller) enqueue(q *fifo, e *entry) {
-	l := addrmap.DecodeRank(e.req.Addr)
-	e.rank, e.bank, e.row = c.ranks.rank(l), l.Bank, l.GlobalRow()
+	rank, bank, row := addrmap.BankRow(e.req.Addr)
+	e.rank, e.bank, e.row = c.ranks.rank(rank), bank, row
 	e.burst = c.timing.BurstTime(e.req.Bytes)
 	q.push(e)
 	if !e.req.Write {
@@ -543,17 +542,41 @@ func (c *Controller) runLength(q *fifo, e *entry, now sim.Time) int {
 		!c.eng.AdvanceN(now+sim.Time(n-1)*e.burst, uint64(n-1)) {
 		return 1
 	}
-	w := c.writeQ.n
-	for k := 1; k < n; k++ {
-		if e.req.Write {
-			w--
-		}
-		c.steer(w)
-	}
+	c.steerRun(c.writeQ.n, n, e.req.Write)
 	if lim := e.enqPicks + uint64(c.cfg.StarvationCap); q.picks < lim {
 		q.picks = min(q.picks+uint64(n-1), lim)
 	}
 	return n
+}
+
+// steerRun leaves the write-drain mode where the n-1 picks after a lone
+// record's first would: each steers by the write queue's count, w before
+// the run, falling by one per pick for a write record and fixed for a
+// read. With WriteLowWatermark < WriteHighWatermark those picks change the
+// mode at most twice, so the result has a closed form. A read record
+// settles on its first pick: the mode steer sets for a fixed count is
+// steer's fixed point. A write record can start draining only on its first
+// pick, where the count is highest, and then stops if any pick's count,
+// so the last and lowest, reaches the low watermark. Once stopped, the
+// count stays below the high watermark. Equal watermarks can toggle the
+// mode on every pick, so they replay the picks one by one.
+func (c *Controller) steerRun(w, n int, write bool) {
+	switch {
+	case c.cfg.WriteLowWatermark >= c.cfg.WriteHighWatermark:
+		for k := 1; k < n; k++ {
+			if write {
+				w--
+			}
+			c.steer(w)
+		}
+	case !write:
+		c.steer(w)
+	default:
+		c.steer(w - 1)
+		if c.draining && w-(n-1) <= c.cfg.WriteLowWatermark {
+			c.draining = false
+		}
+	}
 }
 
 // steer sets the write-drain mode for a pick that finds w lines in the

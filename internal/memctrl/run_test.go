@@ -48,10 +48,11 @@ const (
 )
 
 // runEpisodes drives a controller with a random configuration through a
-// seeded stream of episodes and snapshots it after each. An episode is
-// one of: a lone transfer into an idle controller (random direction and
-// length, some past the queue cap or across a row boundary), a starvation
-// setup (a transfer to a closed row queued together with row hits that
+// seeded stream of episodes and snapshots it after each. The stream opens
+// with a lone write record that fills the write queue; every later
+// episode is one of: a lone transfer into an idle controller (random
+// direction and length, some past the queue cap or across a row
+// boundary), a starvation setup (a transfer to a closed row queued together with row hits that
 // FR-FCFS serves first, so it is left alone with its bypass count near or
 // at StarvationCap), or a burst of random Submits (some with Done) and
 // transfers cut by a RunUntil deadline.
@@ -104,6 +105,24 @@ func runEpisodes(seed uint64, mode int) runStream {
 		}
 		return cfg.ReadQueueCap
 	}
+	snap := func() {
+		out.snaps = append(out.snaps, runSnapshot{
+			now: eng.Now(), issueAt: c.issueAt, fired: eng.Fired(), draining: c.draining,
+			readPicks: c.readQ.picks, writePick: c.writeQ.picks,
+			stats: c.Stats(), ranks: ranks.Stats(),
+		})
+	}
+	// The opening episode is a lone write record that fills the write
+	// queue from a row's start: its picks start the drain at the high
+	// watermark and, whenever the low watermark is at least 1, stop it
+	// again within the same run.
+	out.lone++
+	if cfg.WriteLowWatermark >= 1 {
+		out.drainCross++
+	}
+	lines(addr(0, 0, 0), cfg.WriteQueueCap, true)
+	eng.Run()
+	snap()
 	for ep := 0; ep < 40; ep++ {
 		rank, bank, row := r.Intn(len(ranks.Ranks)), r.Intn(4), r.Intn(4)
 		write := r.Intn(2) == 0
@@ -123,7 +142,7 @@ func runEpisodes(seed uint64, mode int) runStream {
 			lines(addr(rank, bank, row)+int64(first)*addrmap.CachelineSize, n, write)
 			eng.Run()
 		case 2: // a transfer left alone after row hits bypass it
-			open := ranks.rank(addrmap.DecodeRank(addr(rank, bank, 0))).OpenRow(bank)
+			open := ranks.rank(rank).OpenRow(bank)
 			if open < 0 {
 				submit(addr(rank, bank, 1), write) // opens row 1
 				eng.Run()
@@ -157,11 +176,7 @@ func runEpisodes(seed uint64, mode int) runStream {
 			}
 			eng.RunUntil(eng.Now() + sim.Time(r.Intn(400))*sim.Nanosecond)
 		}
-		out.snaps = append(out.snaps, runSnapshot{
-			now: eng.Now(), issueAt: c.issueAt, fired: eng.Fired(), draining: c.draining,
-			readPicks: c.readQ.picks, writePick: c.writeQ.picks,
-			stats: c.Stats(), ranks: ranks.Stats(),
-		})
+		snap()
 	}
 	return out
 }
@@ -196,5 +211,43 @@ func TestRunMatchesPerLine(t *testing.T) {
 	t.Logf("lone transfers %d, crossing both watermarks %d, reaching StarvationCap %d", lone, drainCross, capped)
 	if lone < 500 || drainCross < 50 || capped < 200 {
 		t.Fatalf("streams left a case thin: lone %d, watermark crossings %d, capped %d", lone, drainCross, capped)
+	}
+}
+
+// TestSteerRunMatchesPerPick holds steerRun's closed form to the per-pick
+// steer calls it replaces, for read and write records of several lengths,
+// entered with the drain off and on, under ordinary and degenerate
+// watermarks and from every write-queue count a lone record can leave.
+func TestSteerRunMatchesPerPick(t *testing.T) {
+	for _, wm := range [][2]int{{16, 48}, {0, 64}, {5, 5}, {0, 0}} {
+		cfg := DefaultConfig()
+		cfg.WriteLowWatermark, cfg.WriteHighWatermark = wm[0], wm[1]
+		c := New(sim.NewEngine(), cfg, NewRankSet(dram.DDR4_2400(), 1))
+		for _, n := range []int{2, 3, 24, 128} {
+			for _, write := range []bool{false, true} {
+				// A lone record is the only work queued: a write record
+				// finds its own n lines in the write queue, a read record
+				// none. Other counts cover the closed form beyond that.
+				for w := 0; w <= n+cfg.WriteHighWatermark+1; w++ {
+					for _, draining := range []bool{false, true} {
+						want := draining
+						for k, wk := 1, w; k < n; k++ {
+							if write {
+								wk--
+							}
+							c.draining = want
+							c.steer(wk)
+							want = c.draining
+						}
+						c.draining = draining
+						c.steerRun(w, n, write)
+						if c.draining != want {
+							t.Errorf("watermarks %v, n %d, write %v, w %d, draining %v: steerRun leaves draining %v, per-pick %v",
+								wm, n, write, w, draining, c.draining, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
