@@ -19,7 +19,7 @@ func RunBandwidthWithConfig(cfg Config, packets int, parallelism int) (_ []Bandw
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return experiments.Bandwidth(cfg.spec(), packets, parallelism)
+	return experiments.Bandwidth(cfg, packets, parallelism)
 }
 
 // AblationReport bundles the design-choice ablation studies: what each
@@ -44,12 +44,11 @@ func RunAblationsWithConfig(cfg Config, parallelism int) (_ AblationReport, err 
 	if err := cfg.Validate(); err != nil {
 		return rep, err
 	}
-	sp := cfg.spec()
-	rep.Prefetch = experiments.PrefetchAblation(sp, nil, 0, parallelism)
-	rep.Clone = experiments.CloneAblation(sp)
-	if rep.Alloc, err = experiments.AllocAblation(sp, 0); err != nil {
+	rep.Prefetch = experiments.PrefetchAblation(cfg, nil, 0, parallelism)
+	rep.Clone = experiments.CloneAblation(cfg)
+	if rep.Alloc, err = experiments.AllocAblation(cfg, 0); err != nil {
 		return rep, err
 	}
-	rep.HeaderCache = experiments.HeaderCacheAblation(sp, 0, parallelism)
+	rep.HeaderCache = experiments.HeaderCacheAblation(cfg, 0, parallelism)
 	return rep, nil
 }

@@ -71,7 +71,7 @@ func TestReplayTraceFileAPI(t *testing.T) {
 	if err := writeTraceForTest(&buf, Hadoop, 3, 100); err != nil {
 		t.Fatal(err)
 	}
-	cluster, rows, err := ReplayTraceFileWithConfig(DefaultConfig(), &buf, 100*time.Nanosecond, 1, 0)
+	cluster, rows, err := ReplayTraceFileWithConfig(DefaultConfig(), &buf, 100*time.Nanosecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func replay(cfg netdimm.Config, a axes) (output, error) {
 		return output{}, err
 	}
 	defer f.Close()
-	cluster, rows, err := netdimm.ReplayTraceFileWithConfig(cfg, f, a.switchLat, a.seed, a.parallel)
+	cluster, rows, err := netdimm.ReplayTraceFileWithConfig(cfg, f, a.switchLat, a.seed)
 	if err != nil {
 		return output{}, err
 	}

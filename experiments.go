@@ -124,7 +124,7 @@ func RunFig4WithConfig(cfg Config, sizes []int, switchLatency time.Duration, par
 	if len(sizes) == 0 {
 		sizes = experiments.PaperSizes
 	}
-	return experiments.Fig4(cfg.spec(), sizes, simT(switchLatency), parallelism), nil
+	return experiments.Fig4(cfg, sizes, simT(switchLatency), parallelism), nil
 }
 
 // Fig5Result is one memory-pressure level of Fig. 5.
@@ -143,7 +143,7 @@ func RunFig5WithConfig(cfg Config, delays []time.Duration, parallelism int) (_ [
 	for _, d := range delays {
 		ds = append(ds, simT(d))
 	}
-	return experiments.Fig5(cfg.spec(), ds, experiments.DefaultFig5Config(), parallelism), nil
+	return experiments.Fig5(cfg, ds, experiments.DefaultFig5Config(), parallelism), nil
 }
 
 // Fig7Result is one DMA memory request of the Fig. 7 locality study.
@@ -157,7 +157,7 @@ func RunFig7WithConfig(cfg Config) (_ []Fig7Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return experiments.Fig7(cfg.spec()), nil
+	return experiments.Fig7(cfg), nil
 }
 
 // Fig11Result is one packet size's breakdown comparison; NewLatencyBreakdown
@@ -219,7 +219,7 @@ func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) 
 	if packets <= 0 {
 		packets = experiments.DefaultPackets
 	}
-	rows, err := experiments.Fig12a(cfg.spec(), workload.Clusters, experiments.PaperSwitchLatencies, packets, seed, parallelism)
+	rows, err := experiments.Fig12a(cfg, workload.Clusters, experiments.PaperSwitchLatencies, packets, seed, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +249,7 @@ func RunFig12bWithConfig(cfg Config, parallelism int) (_ []Fig12bResult, err err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return experiments.Fig12b(cfg.spec(), workload.Clusters,
+	return experiments.Fig12b(cfg, workload.Clusters,
 		[]netfunc.Kind{netfunc.DPI, netfunc.L3F}, experiments.DefaultFig12bConfig(), parallelism), nil
 }
 
@@ -267,7 +267,7 @@ func RunHeadlineWithConfig(cfg Config, packets int, parallelism int) (_ Headline
 	if packets <= 0 {
 		packets = experiments.DefaultPackets
 	}
-	return experiments.RunHeadline(cfg.spec(), packets, parallelism)
+	return experiments.RunHeadline(cfg, packets, parallelism)
 }
 
 // GenerateTrace produces a deterministic synthetic trace for a cluster:

@@ -69,7 +69,7 @@ func RunFailSweepObserved(cfg Config, outages []time.Duration, packets int, seed
 	fcfg := experiments.DefaultFailSweepConfig()
 	fcfg.Packets = packets
 	fcfg.Seed = seed
-	rows, o, err := experiments.FailSweepObserved(cfg.spec(), axis, fcfg, parallelism, cfg.Obs)
+	rows, o, err := experiments.FailSweepObserved(cfg, axis, fcfg, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -59,7 +59,7 @@ func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64
 	fcfg := experiments.DefaultFaultSweepConfig()
 	fcfg.Packets = packets
 	fcfg.Seed = seed
-	rows, o, err := experiments.FaultSweepObserved(cfg.spec(), rates, fcfg, parallelism, cfg.Obs)
+	rows, o, err := experiments.FaultSweepObserved(cfg, rates, fcfg, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

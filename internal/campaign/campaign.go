@@ -189,6 +189,9 @@ func (g Grid) Validate(known map[string]Schema) error {
 			if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 				return at("rate %g must be a finite non-negative fraction of line rate", r)
 			}
+			if r == 0 && (e.Experiment == "loadsweep" || e.Experiment == "racksweep") {
+				return at("offered load 0 must be positive (only a faultsweep loss rate may be 0)")
+			}
 		}
 		for _, r := range e.Racks {
 			if r < 1 {

@@ -65,6 +65,35 @@ func TestGridValidate(t *testing.T) {
 	}
 }
 
+// A load or rack sweep's rate is an offered load, which must be positive;
+// a fault sweep's rate is a loss rate, whose 0 is the lossless baseline.
+func TestGridValidateRates(t *testing.T) {
+	known := testSchemas()
+	for _, fam := range []string{"loadsweep", "racksweep", "faultsweep"} {
+		known[fam] = Schema{Header: []string{"a"}}
+	}
+	cases := []struct {
+		row  Experiment
+		want string // substring of the error, "" = valid
+	}{
+		{Experiment{Experiment: "loadsweep", Rates: []float64{0.1, 0}}, "experiments[0] (loadsweep): offered load 0 must be positive"},
+		{Experiment{Experiment: "racksweep", Rates: []float64{0}}, "experiments[0] (racksweep): offered load 0 must be positive"},
+		{Experiment{Experiment: "loadsweep", Rates: []float64{-0.2}}, "rate -0.2"},
+		{Experiment{Experiment: "loadsweep", Rates: []float64{0.05, 0.2}}, ""},
+		{Experiment{Experiment: "faultsweep", Rates: []float64{0, 0.1}}, ""},
+	}
+	for _, tc := range cases {
+		err := Grid{Experiments: []Experiment{tc.row}}.Validate(known)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s %v: want valid, got %v", tc.row.Experiment, tc.row.Rates, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: want error containing %q, got %v", tc.row.Experiment, tc.row.Rates, tc.want, err)
+		}
+	}
+}
+
 func TestValidateUnknownFamilyListsKnown(t *testing.T) {
 	g := Grid{Experiments: []Experiment{{Experiment: "nope"}}}
 	err := g.Validate(testSchemas())

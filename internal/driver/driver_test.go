@@ -94,7 +94,7 @@ func TestINICCheaperIOReg(t *testing.T) {
 func TestPCIeShare(t *testing.T) {
 	d := NewDNICMachine(false)
 	p := pkt(64)
-	total := OneWay(d, d, p, fabric()).Total()
+	total := OneWay(d, d, p, fabric(), nil).Total()
 	share := d.PCIeShare(p, total)
 	if share < 0.3 || share > 0.95 {
 		t.Fatalf("PCIe share = %v, want a dominant fraction", share)
@@ -249,9 +249,9 @@ func TestOneWayOrdering(t *testing.T) {
 	// dNIC.
 	for _, size := range []int{10, 64, 256, 1024, 1514, 4000, 8000} {
 		nd := newND(t)
-		ndB := OneWay(nd, newND(t), pkt(size), fabric())
-		inB := OneWay(NewINICMachine(false), NewINICMachine(false), pkt(size), fabric())
-		dnB := OneWay(NewDNICMachine(false), NewDNICMachine(false), pkt(size), fabric())
+		ndB := OneWay(nd, newND(t), pkt(size), fabric(), nil)
+		inB := OneWay(NewINICMachine(false), NewINICMachine(false), pkt(size), fabric(), nil)
+		dnB := OneWay(NewDNICMachine(false), NewDNICMachine(false), pkt(size), fabric(), nil)
 		if !(ndB.Total() < inB.Total() && inB.Total() < dnB.Total()) {
 			t.Errorf("size %d: NetDIMM %v, iNIC %v, dNIC %v — ordering violated",
 				size, ndB.Total(), inB.Total(), dnB.Total())
@@ -264,7 +264,7 @@ func TestNetDIMMFlushInvalidateShare(t *testing.T) {
 	var shares []float64
 	for _, size := range []int{64, 256, 1024, 1514} {
 		nd := newND(t)
-		b := OneWay(nd, newND(t), pkt(size), fabric())
+		b := OneWay(nd, newND(t), pkt(size), fabric(), nil)
 		share := float64(b[stats.TxFlush]+b[stats.RxInvalidate]) / float64(b.Total())
 		shares = append(shares, share)
 		if share < 0.02 || share > 0.25 {
@@ -303,9 +303,9 @@ func TestOrderingHoldsWithModelCosts(t *testing.T) {
 		}
 		ndRX.Costs = costs
 
-		ndB := OneWay(nd, ndRX, p, fabric())
-		inB := OneWay(in, in, p, fabric())
-		dnB := OneWay(dn, dn, p, fabric())
+		ndB := OneWay(nd, ndRX, p, fabric(), nil)
+		inB := OneWay(in, in, p, fabric(), nil)
+		dnB := OneWay(dn, dn, p, fabric(), nil)
 		if !(ndB.Total() < inB.Total() && inB.Total() < dnB.Total()) {
 			t.Errorf("size %d with model costs: ND %v iNIC %v dNIC %v",
 				size, ndB.Total(), inB.Total(), dnB.Total())

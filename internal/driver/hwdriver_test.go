@@ -18,7 +18,7 @@ func TestPCIeShareDeclinesWithSize(t *testing.T) {
 	var prev float64 = 1.1
 	for _, size := range []int{10, 200, 2000, 8000} {
 		p := pkt(size)
-		total := OneWay(d, d, p, fabric()).Total()
+		total := OneWay(d, d, p, fabric(), nil).Total()
 		share := d.PCIeShare(p, total)
 		if share >= prev {
 			t.Fatalf("size %d: share %.3f did not decline from %.3f", size, share, prev)

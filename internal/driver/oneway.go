@@ -14,25 +14,18 @@ import (
 // OneWay composes the full one-way latency of sending packet p from the tx
 // machine to the rx machine over the fabric's point-to-point path: driver
 // TX, wire, driver RX (the structure of the paper's Fig. 4 and Fig. 11
-// experiments).
-func OneWay(tx, rx Machine, p nic.Packet, fabric ethernet.Fabric) stats.Breakdown {
-	b := tx.TX(p)
-	b.Add(stats.Wire, fabric.DirectWireTime(p.Size))
-	return b.Plus(rx.RX(p))
-}
-
-// OneWayObserved is OneWay with the observability plane attached: driver
-// phases become lifecycle spans on cell c's per-component tracks, PCIe
-// links and NetDIMM devices publish their counters and series, and sim
-// engines get event probes. A nil cell is exactly OneWay; per-component
-// track sums equal the returned breakdown's components by construction.
-func OneWayObserved(tx, rx Machine, p nic.Packet, fabric ethernet.Fabric, c *obs.Cell) stats.Breakdown {
-	if c == nil {
-		return OneWay(tx, rx, p, fabric)
+// experiments). A non-nil cell c attaches the observability plane: driver
+// phases become lifecycle spans on c's per-component tracks, PCIe links
+// and NetDIMM devices publish their counters and series, and sim engines
+// get event probes. Per-component track sums equal the returned
+// breakdown's components by construction.
+func OneWay(tx, rx Machine, p nic.Packet, fabric ethernet.Fabric, c *obs.Cell) stats.Breakdown {
+	var rec *obs.Recorder
+	if c != nil {
+		rec = c.Recorder(tx.Name())
+		attachObs(tx, c, rec, "tx")
+		attachObs(rx, c, rec, "rx")
 	}
-	rec := c.Recorder(tx.Name())
-	attachObs(tx, c, rec, "tx")
-	attachObs(rx, c, rec, "rx")
 	b := tx.TX(p)
 	wire := fabric.DirectWireTime(p.Size)
 	b.Add(stats.Wire, wire)

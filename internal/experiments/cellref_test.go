@@ -24,7 +24,9 @@ import (
 // cell must match row for row and metric for metric. refCollCell plays the
 // same part for the collective cell, and refFig12aCell, which measures one
 // (cluster, switch latency) point by running the whole driver path again,
-// for the Fig. 12(a) cell that runs it once per cluster.
+// for the Fig. 12(a) cell that runs it once per cluster. refReplayTrace
+// prices every packet of a trace once per architecture, for the replay
+// that runs on the Fig. 12(a) cell.
 
 func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	if kneeFactor <= 0 {
@@ -35,7 +37,7 @@ func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 		byArch[r.Arch] = append(byArch[r.Arch], r)
 	}
 	var knees []LoadKnee
-	for _, arch := range LoadSweepArchs {
+	for _, arch := range Archs {
 		rs := byArch[arch]
 		if len(rs) == 0 {
 			continue
@@ -899,4 +901,45 @@ func refFig12aCell(d *spec.Derived, cl workload.Cluster, sl sim.Time, n int, see
 		INICMean:      inSum / cnt,
 		NetDIMMMean:   ndSum / cnt,
 	}, nil
+}
+
+// refReplayTrace replays events once per architecture, each on its own
+// machines, pricing every packet's driver path and wire term.
+func refReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, seed uint64) ([]ReplayResult, error) {
+	if len(events) == 0 {
+		return nil, fmt.Errorf("experiments: empty trace")
+	}
+	out := make([]ReplayResult, len(Archs))
+	for i, arch := range Archs {
+		d := sp.MustDerive()
+		fabric := d.Fabric(switchLatency)
+		fabric.Switch.CutThrough = false
+		var tx, rx driver.Machine
+		switch arch {
+		case "dNIC":
+			m := d.NewDNIC(false)
+			tx, rx = m, m
+		case "iNIC":
+			m := d.NewINIC(false)
+			tx, rx = m, m
+		default:
+			ndTX, err := d.NewNetDIMM(seed + 1)
+			if err != nil {
+				return nil, err
+			}
+			ndRX, err := d.NewNetDIMM(seed + 2)
+			if err != nil {
+				return nil, err
+			}
+			tx, rx = ndTX, ndRX
+		}
+		var h stats.Histogram
+		for j, e := range events {
+			p := e.Packet(uint64(j))
+			wire := fabric.WireTime(e.Size, e.Locality)
+			h.Observe(tx.TX(p).Total() + wire + rx.RX(p).Total())
+		}
+		out[i] = ReplayResult{Arch: arch, Packets: h.Count(), Mean: h.Mean(), P50: h.Percentile(50), P99: h.Percentile(99)}
+	}
+	return out, nil
 }

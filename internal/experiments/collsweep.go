@@ -142,11 +142,11 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 	shape.maxRanks = slices.Max(ranks)
 
 	axes := func(i int) (arch, op string, rk int) {
-		arch = LoadSweepArchs[i/(len(ops)*len(ranks))]
+		arch = Archs[i/(len(ops)*len(ranks))]
 		i %= len(ops) * len(ranks)
 		return arch, ops[i/len(ranks)], ranks[i%len(ranks)]
 	}
-	return runCells(len(LoadSweepArchs)*len(ops)*len(ranks), parallelism, ospec, func(i int) string {
+	return runCells(len(Archs)*len(ops)*len(ranks), parallelism, ospec, func(i int) string {
 		arch, op, rk := axes(i)
 		return fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, rk)
 	}, func(i int, oc *obs.Cell) (CollRow, error) {

@@ -27,8 +27,8 @@ func TestCollSweepRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(LoadSweepArchs)*3*2 {
-		t.Fatalf("got %d rows, want %d", len(rows), len(LoadSweepArchs)*3*2)
+	if len(rows) != len(Archs)*3*2 {
+		t.Fatalf("got %d rows, want %d", len(rows), len(Archs)*3*2)
 	}
 	for _, r := range rows {
 		if r.Completion <= 0 {
@@ -74,7 +74,7 @@ func TestCollCellMatchesReference(t *testing.T) {
 		sp.Collective.PayloadBytes = 8 * (1 + int(rng.Intn(2000)))
 		sp.Collective.ChunkBytes = []int{128, 512, 1514}[rng.Intn(3)]
 		ranks := 2 + int(rng.Intn(8))
-		arch := LoadSweepArchs[rng.Intn(len(LoadSweepArchs))]
+		arch := Archs[rng.Intn(len(Archs))]
 		shape, err := resolveColl(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestCollCellMatchesClosureReference(t *testing.T) {
 		}
 		op := collective.Ops[r.Intn(len(collective.Ops))].String()
 		ranks := r.Range(2, 16)
-		arch := LoadSweepArchs[r.Intn(len(LoadSweepArchs))]
+		arch := Archs[r.Intn(len(Archs))]
 		cfg := CollSweepConfig{Seed: r.Uint64() >> 40}
 		shape, err := resolveColl(sp)
 		if err != nil {
@@ -262,8 +262,8 @@ func TestCollSweepPinnedSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(LoadSweepArchs) {
-		t.Fatalf("pinned spec gave %d rows, want %d", len(rows), len(LoadSweepArchs))
+	if len(rows) != len(Archs) {
+		t.Fatalf("pinned spec gave %d rows, want %d", len(rows), len(Archs))
 	}
 	for _, r := range rows {
 		if r.Op != "broadcast" || r.Ranks != 4 {
@@ -292,10 +292,10 @@ func TestCollSweepObserved(t *testing.T) {
 	if o == nil {
 		t.Fatal("enabled ospec returned nil observer")
 	}
-	if len(rows) != len(LoadSweepArchs) {
+	if len(rows) != len(Archs) {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for i, arch := range LoadSweepArchs {
+	for i, arch := range Archs {
 		c := o.Cell(i)
 		wantLabel := fmt.Sprintf("collsweep/%s/op=allreduce/ranks=4", arch)
 		if c.Label() != wantLabel {

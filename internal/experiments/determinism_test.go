@@ -52,10 +52,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{"Bandwidth", func(p int) (any, error) {
 			return Bandwidth(spec.TableOne(), 100, p)
 		}},
-		{"ReplayTrace", func(p int) (any, error) {
-			gen := workload.NewGenerator(workload.Hadoop, 0, 5)
-			return ReplayTrace(spec.TableOne(), gen.Generate(150), 100*sim.Nanosecond, 9, p)
-		}},
 		{"LoadSweep", func(p int) (any, error) {
 			cfg := DefaultLoadSweepConfig()
 			cfg.Packets = 120

@@ -292,8 +292,8 @@ func TestNetDIMMVsIdealZeroCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := nic.Packet{Size: size}
-		nd := driver.OneWay(ndTX, ndRX, p, fabric).Total()
-		iz := driver.OneWay(d.NewINIC(true), d.NewINIC(true), p, fabric).Total()
+		nd := driver.OneWay(ndTX, ndRX, p, fabric, nil).Total()
+		iz := driver.OneWay(d.NewINIC(true), d.NewINIC(true), p, fabric, nil).Total()
 		ratio := float64(nd) / float64(iz)
 		if size == 8000 {
 			// Recorded deviation (EXPERIMENTS.md, Fig. 11): a jumbo frame's

@@ -494,29 +494,35 @@ func (c *fabricCell) counts() cellCounts {
 	return n
 }
 
+// Archs are the NIC architectures every sweep compares, in output order.
+var Archs = []string{"dNIC", "iNIC", "NetDIMM"}
+
+// newMachine builds one endpoint of arch; seed is the NetDIMM device seed,
+// which the analytic dNIC and iNIC endpoints do not use.
+func newMachine(d *spec.Derived, arch string, seed uint64) (driver.Machine, error) {
+	switch arch {
+	case "dNIC":
+		return d.NewDNIC(false), nil
+	case "iNIC":
+		return d.NewINIC(false), nil
+	case "NetDIMM":
+		return d.NewNetDIMM(seed)
+	}
+	return nil, fmt.Errorf("unknown architecture %q", arch)
+}
+
 // endpoints builds arch's driver machines over n fabric endpoints: a TX
 // and an RX machine on each, or, in an incast cell, TX machines on the
 // first n-1 and the only RX machine on the last. Endpoint h's NetDIMMs
 // are seeded seed+2h+1 (TX) and seed+2h+2 (RX) either way.
 func endpoints(d *spec.Derived, arch string, n int, incast bool, seed uint64) (txs, rxs []driver.Machine, err error) {
-	var mk func(seed uint64) (driver.Machine, error)
-	switch arch {
-	case "dNIC":
-		mk = func(uint64) (driver.Machine, error) { return d.NewDNIC(false), nil }
-	case "iNIC":
-		mk = func(uint64) (driver.Machine, error) { return d.NewINIC(false), nil }
-	case "NetDIMM":
-		mk = func(s uint64) (driver.Machine, error) { return d.NewNetDIMM(s) }
-	default:
-		return nil, nil, fmt.Errorf("unknown architecture %q", arch)
-	}
 	txs, rxs = make([]driver.Machine, n), make([]driver.Machine, n)
 	for h := 0; h < n && err == nil; h++ {
 		if !incast || h < n-1 {
-			txs[h], err = mk(seed + 2*uint64(h) + 1)
+			txs[h], err = newMachine(d, arch, seed+2*uint64(h)+1)
 		}
 		if err == nil && (!incast || h == n-1) {
-			rxs[h], err = mk(seed + 2*uint64(h) + 2)
+			rxs[h], err = newMachine(d, arch, seed+2*uint64(h)+2)
 		}
 	}
 	if err != nil {

@@ -23,7 +23,7 @@ func refLoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, ospec obs.
 		return nil, nil, nil, err
 	}
 	var labels []string
-	for _, arch := range LoadSweepArchs {
+	for _, arch := range Archs {
 		for _, l := range loads {
 			labels = append(labels, fmt.Sprintf("loadsweep/%s/load=%g", arch, l))
 		}
@@ -31,7 +31,7 @@ func refLoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, ospec obs.
 	o := obs.New(ospec, labels...)
 	var rows []LoadRow
 	for i, label := range labels {
-		arch, load := LoadSweepArchs[i/len(loads)], loads[i%len(loads)]
+		arch, load := Archs[i/len(loads)], loads[i%len(loads)]
 		row, err := refLoadCell(sp, arch, load, shape, cfg, o.Cell(i))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%s: %w", label, err)
@@ -58,7 +58,7 @@ func refRackSweep(sp spec.Spec, rk int, loads []float64, cfg RackSweepConfig, os
 	}
 	var cells []cell
 	var labels []string
-	for _, arch := range LoadSweepArchs {
+	for _, arch := range Archs {
 		for _, ecn := range []bool{false, true} {
 			for _, l := range loads {
 				cells = append(cells, cell{arch, ecn, l})
@@ -102,7 +102,7 @@ func refFailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, ospec o
 		sp.Fabric.Spines = defaultFailSpines
 	}
 	var labels []string
-	for _, arch := range LoadSweepArchs {
+	for _, arch := range Archs {
 		for _, d := range outages {
 			labels = append(labels, fmt.Sprintf("failsweep/%s/outage=%v", arch, d))
 		}
@@ -110,7 +110,7 @@ func refFailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, ospec o
 	o := obs.New(ospec, labels...)
 	var rows []FailRow
 	for i, label := range labels {
-		arch, dur := LoadSweepArchs[i/len(outages)], outages[i%len(outages)]
+		arch, dur := Archs[i/len(outages)], outages[i%len(outages)]
 		row, err := refFailCell(sp, arch, dur, shape, cfg, o.Cell(i))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", label, err)

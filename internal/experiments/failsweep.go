@@ -202,8 +202,8 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 		return nil, nil, fmt.Errorf("failsweep: offered load must be positive and finite, got %g", cfg.Load)
 	}
 
-	axes := func(i int) (string, sim.Time) { return LoadSweepArchs[i/len(outages)], outages[i%len(outages)] }
-	return runCells(len(LoadSweepArchs)*len(outages), parallelism, ospec, func(i int) string {
+	axes := func(i int) (string, sim.Time) { return Archs[i/len(outages)], outages[i%len(outages)] }
+	return runCells(len(Archs)*len(outages), parallelism, ospec, func(i int) string {
 		arch, dur := axes(i)
 		return fmt.Sprintf("failsweep/%s/outage=%v", arch, dur)
 	}, func(i int, oc *obs.Cell) (FailRow, error) {

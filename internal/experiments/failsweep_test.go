@@ -28,7 +28,7 @@ func testFailSweep(t *testing.T, sp spec.Spec, outages []sim.Time) []FailRow {
 func TestFailSweepBaselineAndFailover(t *testing.T) {
 	outages := []sim.Time{0, 20 * sim.Microsecond}
 	rows := testFailSweep(t, spec.TableOne(), outages)
-	if want := len(LoadSweepArchs) * len(outages); len(rows) != want {
+	if want := len(Archs) * len(outages); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, r := range rows {

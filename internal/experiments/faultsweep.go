@@ -16,10 +16,6 @@ import (
 	"netdimm/internal/stats"
 )
 
-// FaultSweepArchs are the architectures compared by the fault sweep, in
-// output order.
-var FaultSweepArchs = []string{"dNIC", "iNIC", "NetDIMM"}
-
 // DefaultLossGrid is the default frame-loss axis: per-traversal drop
 // probabilities from lossless to 20%.
 var DefaultLossGrid = []float64{0, 0.001, 0.01, 0.05, 0.1, 0.2}
@@ -77,7 +73,7 @@ type FaultRow struct {
 
 // FaultTails merges every rate's sample set per architecture (via
 // stats.Histogram.Merge) and reports the cross-rate latency tail, in
-// FaultSweepArchs order. Architectures with no delivered packets are
+// Archs order. Architectures with no delivered packets are
 // skipped.
 type FaultTail struct {
 	Arch     string
@@ -99,7 +95,7 @@ func FaultTails(rows []FaultRow) []FaultTail {
 		merged[r.Arch].Merge(r.Hist)
 	}
 	var tails []FaultTail
-	for _, arch := range FaultSweepArchs {
+	for _, arch := range Archs {
 		h := merged[arch]
 		if h == nil || h.Count() == 0 {
 			continue
@@ -137,8 +133,8 @@ func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, par
 	if len(rates) == 0 {
 		rates = DefaultLossGrid
 	}
-	axes := func(i int) (string, float64) { return FaultSweepArchs[i/len(rates)], rates[i%len(rates)] }
-	return runCells(len(FaultSweepArchs)*len(rates), parallelism, ospec, func(i int) string {
+	axes := func(i int) (string, float64) { return Archs[i/len(rates)], rates[i%len(rates)] }
+	return runCells(len(Archs)*len(rates), parallelism, ospec, func(i int) string {
 		arch, rate := axes(i)
 		return fmt.Sprintf("faultsweep/%s/loss=%g", arch, rate)
 	}, func(i int, oc *obs.Cell) (FaultRow, error) {
@@ -245,33 +241,22 @@ func faultCell(sp spec.Spec, arch string, rate float64, cfg FaultSweepConfig, ce
 // architecture with memory faults injected, the recovering NVDIMM-P reader
 // used on the receive path.
 func faultEndpoints(d *spec.Derived, arch string, fspec fault.Spec, eng *sim.Engine, inj *fault.Injector, seed uint64) (tx, rx driver.Machine, reader *memctrl.AsyncReader, err error) {
-	switch arch {
-	case "dNIC":
-		return d.NewDNIC(false), d.NewDNIC(false), nil, nil
-	case "iNIC":
-		return d.NewINIC(false), d.NewINIC(false), nil, nil
-	case "NetDIMM":
-		ndTX, err := d.NewNetDIMM(2*seed + 1)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ndRX, err := d.NewNetDIMM(2*seed + 2)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if fspec.MemEnabled() {
-			cfg := d.Core
-			cfg.Seed = seed
-			dev := core.NewDevice(eng, cfg)
-			tracker := nvdimmp.NewTracker(cfg.Protocol, 64)
-			tracker.SetTimeout(fspec.MemDeadline())
-			reader = memctrl.NewAsyncReader(eng, tracker,
-				func(addr int64, done func()) {
-					dev.HostReadLine(addr, func(bool, sim.Time) { done() })
-				}, inj, fspec.MemPolicy())
-		}
-		return ndTX, ndRX, reader, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown architecture %q", arch)
+	if tx, err = newMachine(d, arch, 2*seed+1); err != nil {
+		return nil, nil, nil, err
 	}
+	if rx, err = newMachine(d, arch, 2*seed+2); err != nil {
+		return nil, nil, nil, err
+	}
+	if arch == "NetDIMM" && fspec.MemEnabled() {
+		cfg := d.Core
+		cfg.Seed = seed
+		dev := core.NewDevice(eng, cfg)
+		tracker := nvdimmp.NewTracker(cfg.Protocol, 64)
+		tracker.SetTimeout(fspec.MemDeadline())
+		reader = memctrl.NewAsyncReader(eng, tracker,
+			func(addr int64, done func()) {
+				dev.HostReadLine(addr, func(bool, sim.Time) { done() })
+			}, inj, fspec.MemPolicy())
+	}
+	return tx, rx, reader, nil
 }

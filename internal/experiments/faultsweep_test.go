@@ -33,8 +33,8 @@ func TestFaultSweepZeroLossMatchesAnalytic(t *testing.T) {
 	fabric := d.Fabric(d.SwitchLatency)
 	p := nic.Packet{Size: nic.MTU}
 	want := map[string]sim.Time{
-		"dNIC": driver.OneWay(d.NewDNIC(false), d.NewDNIC(false), p, fabric).Total(),
-		"iNIC": driver.OneWay(d.NewINIC(false), d.NewINIC(false), p, fabric).Total(),
+		"dNIC": driver.OneWay(d.NewDNIC(false), d.NewDNIC(false), p, fabric, nil).Total(),
+		"iNIC": driver.OneWay(d.NewINIC(false), d.NewINIC(false), p, fabric, nil).Total(),
 	}
 	for _, r := range rows {
 		if r.Delivered != 120 || r.Failed != 0 {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+
 	"netdimm/internal/ethernet"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
+	"netdimm/internal/stats"
 	"netdimm/internal/workload"
 )
 
@@ -48,9 +51,13 @@ var PaperSwitchLatencies = []sim.Time{
 // re-serialisation, reproducing the paper's cluster ordering.
 func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n int, seed uint64, parallelism int) ([]Fig12aRow, error) {
 	rows := make([]Fig12aRow, len(clusters)*len(switchLats))
+	for i := range rows {
+		rows[i].Cluster, rows[i].SwitchLatency = clusters[i/len(switchLats)], switchLats[i%len(switchLats)]
+	}
 	errs := make([]error, len(clusters))
 	forEachCell(len(clusters), parallelism, func(idx int) {
-		errs[idx] = fig12aCell(sp.MustDerive(), clusters[idx], switchLats, n, seed, rows[idx*len(switchLats):][:len(switchLats)])
+		gen := workload.NewGenerator(clusters[idx], 0, seed)
+		errs[idx] = fig12aCell(sp.MustDerive(), gen.Next, n, 2*seed, rows[idx*len(switchLats):][:len(switchLats)], nil)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -61,78 +68,94 @@ func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n 
 // fig12aLocalities is the number of ethernet.Locality values.
 const fig12aLocalities = int(ethernet.InterDatacenter) + 1
 
-// fig12aCell measures one cluster at every switch latency into rows. Only
-// the two NetDIMM endpoints hold state, so only they run per packet. A
-// dNIC or iNIC driver with no recorder, over a PCIe link with no observer,
-// prices a packet from its size alone, and the switch model prices only
-// the wire term, per-hop latency times hop count, from size and locality.
-// So the cell streams the cluster's trace, counts each packet into a
-// (size, locality) table, and afterwards adds count × cost for every
-// non-empty entry to the dNIC and iNIC driver sums and to each switch
-// latency's wire sum. The sums are integers, so this equals pricing every
-// packet. Each row is a driver sum plus its wire sum over the packet
-// count. Every cell regenerates its trace and machines from the same seed,
-// so cells are fully independent of each other.
-func fig12aCell(d *spec.Derived, cl workload.Cluster, switchLats []sim.Time, n int, seed uint64, rows []Fig12aRow) error {
-	ndTX, err := d.NewNetDIMM(seed*2 + 1)
+// fig12aCell replays n packets drawn from next through the clos fabric at
+// every row's switch latency and fills in the row's three means, or
+// returns the first event that fails workload.Event.Validate. The NetDIMM
+// endpoints are seeded ndSeed+1 (TX) and ndSeed+2 (RX).
+//
+// Only the two NetDIMM endpoints hold state, so only they run per packet.
+// A dNIC or iNIC driver with no recorder, over a PCIe link with no
+// observer, prices a packet from its size alone, and the switch model
+// prices only the wire term, per-hop latency times hop count, from size
+// and locality. So the cell counts each packet into a (size, locality)
+// table, and afterwards adds count × cost for every non-empty entry to the
+// dNIC and iNIC driver sums and to each switch latency's wire sum. The
+// sums are integers, so this equals pricing every packet. Each mean is a
+// driver sum plus its wire sum over the packet count.
+//
+// When hists is not nil it receives every packet's one-way latency at
+// rows[0]'s switch latency, per architecture in Archs order: a table entry
+// observes its price count times, which is the sample set pricing each
+// packet gives.
+func fig12aCell(d *spec.Derived, next func() workload.Event, n int, ndSeed uint64, rows []Fig12aRow, hists *[3]stats.Histogram) error {
+	ndTX, err := d.NewNetDIMM(ndSeed + 1)
 	if err != nil {
 		return err
 	}
-	ndRX, err := d.NewNetDIMM(seed*2 + 2)
+	ndRX, err := d.NewNetDIMM(ndSeed + 2)
 	if err != nil {
 		return err
+	}
+	fabrics := make([]ethernet.Fabric, len(rows))
+	for i, r := range rows {
+		fabrics[i] = d.Fabric(r.SwitchLatency)
+		fabrics[i].Switch.CutThrough = false
 	}
 
-	// Every cluster draws sizes up to the MTU (workload.Cluster.SampleSize).
-	// Rows outside [lo, hi] are empty.
+	// A valid event's size lies in [1, nic.MTU]. Rows outside [lo, hi] are
+	// empty.
 	var counts [nic.MTU + 1][fig12aLocalities]int
 	lo, hi := len(counts), 0
-	gen := workload.NewGenerator(cl, 0, seed)
 	var ndSum sim.Time
 	for i := 0; i < n; i++ {
-		e := gen.Next()
+		e := next()
+		if err := e.Validate(); err != nil {
+			return fmt.Errorf("experiments: event %d: %w", i, err)
+		}
 		counts[e.Size][e.Locality]++
 		lo, hi = min(lo, e.Size), max(hi, e.Size)
 		p := e.Packet(uint64(i))
-		ndSum += ndTX.TX(p).Plus(ndRX.RX(p)).Total()
+		nd := ndTX.TX(p).Plus(ndRX.RX(p)).Total()
+		ndSum += nd
+		if hists != nil {
+			hists[2].Observe(nd + fabrics[0].WireTime(e.Size, e.Locality))
+		}
 	}
 
-	fabrics := make([]ethernet.Fabric, len(switchLats))
-	for i, sl := range switchLats {
-		fabrics[i] = d.Fabric(sl)
-		fabrics[i].Switch.CutThrough = false
-	}
 	dn := d.NewDNIC(false)
 	in := d.NewINIC(false)
 	var dnSum, inSum sim.Time
-	wire := make([]sim.Time, len(switchLats))
+	wire := make([]sim.Time, len(rows))
 	for size := lo; size <= hi; size++ {
-		var all int
+		if counts[size] == [fig12aLocalities]int{} {
+			continue
+		}
+		p := nic.Packet{Size: size}
+		dnCost := dn.TX(p).Plus(dn.RX(p)).Total()
+		inCost := in.TX(p).Plus(in.RX(p)).Total()
 		for loc, c := range counts[size] {
 			if c == 0 {
 				continue
 			}
-			all += c
+			dnSum += sim.Time(c) * dnCost
+			inSum += sim.Time(c) * inCost
 			for j := range fabrics {
 				wire[j] += sim.Time(c) * fabrics[j].WireTime(size, ethernet.Locality(loc))
 			}
+			if hists != nil {
+				w := fabrics[0].WireTime(size, ethernet.Locality(loc))
+				for ; c > 0; c-- {
+					hists[0].Observe(dnCost + w)
+					hists[1].Observe(inCost + w)
+				}
+			}
 		}
-		if all == 0 {
-			continue
-		}
-		p := nic.Packet{Size: size}
-		dnSum += sim.Time(all) * dn.TX(p).Plus(dn.RX(p)).Total()
-		inSum += sim.Time(all) * in.TX(p).Plus(in.RX(p)).Total()
 	}
 	cnt := sim.Time(n)
-	for j, sl := range switchLats {
-		rows[j] = Fig12aRow{
-			Cluster:       cl,
-			SwitchLatency: sl,
-			DNICMean:      (dnSum + wire[j]) / cnt,
-			INICMean:      (inSum + wire[j]) / cnt,
-			NetDIMMMean:   (ndSum + wire[j]) / cnt,
-		}
+	for j := range rows {
+		rows[j].DNICMean = (dnSum + wire[j]) / cnt
+		rows[j].INICMean = (inSum + wire[j]) / cnt
+		rows[j].NetDIMMMean = (ndSum + wire[j]) / cnt
 	}
 	return nil
 }

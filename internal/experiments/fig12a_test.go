@@ -83,10 +83,13 @@ func TestFig12aCellAllocs(t *testing.T) {
 	const packets, limit = 1000, 100 << 10
 	d := spec.TableOne().MustDerive()
 	rows := make([]Fig12aRow, len(PaperSwitchLatencies))
+	for i, sl := range PaperSwitchLatencies {
+		rows[i].SwitchLatency = sl
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, cl := range workload.Clusters {
 		run := func() {
-			if err := fig12aCell(d, cl, PaperSwitchLatencies, packets, 3, rows); err != nil {
+			if err := fig12aCell(d, workload.NewGenerator(cl, 0, 3).Next, packets, 6, rows, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

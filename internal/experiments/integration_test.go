@@ -125,7 +125,7 @@ func TestOneWayComposition(t *testing.T) {
 	fabric := d.Fabric(100 * sim.Nanosecond)
 	p := nic.Packet{Size: 512}
 	dn := d.NewDNIC(false)
-	got := driver.OneWay(dn, dn, p, fabric).Total()
+	got := driver.OneWay(dn, dn, p, fabric, nil).Total()
 	want := dn.TX(p).Total() + fabric.DirectWireTime(512) + dn.RX(p).Total()
 	if got != want {
 		t.Fatalf("OneWay %v != composed %v", got, want)
@@ -140,7 +140,7 @@ func TestBreakdownAccounting(t *testing.T) {
 	}
 	fabric := spec.TableOne().MustDerive().Fabric(50 * sim.Nanosecond)
 	for _, size := range []int{64, 1514} {
-		b := driver.OneWay(nd, nd, nic.Packet{Size: size}, fabric)
+		b := driver.OneWay(nd, nd, nic.Packet{Size: size}, fabric, nil)
 		var sum sim.Time
 		for _, c := range stats.Components {
 			sum += b[c]

@@ -60,10 +60,10 @@ func Fig4(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int) []
 		in := d.NewINIC(false)
 		iz := d.NewINIC(true)
 
-		dnB := driver.OneWay(dn, d.NewDNIC(false), p, fabric)
-		dzB := driver.OneWay(dz, d.NewDNIC(true), p, fabric)
-		inB := driver.OneWay(in, d.NewINIC(false), p, fabric)
-		izB := driver.OneWay(iz, d.NewINIC(true), p, fabric)
+		dnB := driver.OneWay(dn, d.NewDNIC(false), p, fabric, nil)
+		dzB := driver.OneWay(dz, d.NewDNIC(true), p, fabric, nil)
+		inB := driver.OneWay(in, d.NewINIC(false), p, fabric, nil)
+		izB := driver.OneWay(iz, d.NewINIC(true), p, fabric, nil)
 
 		rows[i] = Fig4Row{
 			Size:          size,
@@ -130,9 +130,9 @@ func Fig11Observed(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelis
 		}
 		return Fig11Row{
 			Size:    size,
-			DNIC:    driver.OneWayObserved(d.NewDNIC(false), d.NewDNIC(false), p, fabric, cell),
-			INIC:    driver.OneWayObserved(d.NewINIC(false), d.NewINIC(false), p, fabric, cell),
-			NetDIMM: driver.OneWayObserved(ndTX, ndRX, p, fabric, cell),
+			DNIC:    driver.OneWay(d.NewDNIC(false), d.NewDNIC(false), p, fabric, cell),
+			INIC:    driver.OneWay(d.NewINIC(false), d.NewINIC(false), p, fabric, cell),
+			NetDIMM: driver.OneWay(ndTX, ndRX, p, fabric, cell),
 		}, nil
 	})
 }

@@ -25,10 +25,6 @@ import (
 // before its tail departs — the evaluation style of Alian et al.'s
 // kernel-bypass gem5 study, applied to the NetDIMM comparison.
 
-// LoadSweepArchs are the architectures compared by the load sweep, in
-// output order.
-var LoadSweepArchs = []string{"dNIC", "iNIC", "NetDIMM"}
-
 // DefaultLoadGrid is the default offered-load axis, as fractions of the
 // receiver's line rate. It brackets every architecture's knee on the
 // default (Table 1, database-cluster) scenario.
@@ -146,7 +142,7 @@ type LoadKnee struct {
 }
 
 // DetectKnees reduces sweep rows to one saturation knee per architecture,
-// in LoadSweepArchs order. Rows must carry at least one load per
+// in Archs order. Rows must carry at least one load per
 // architecture; loads are evaluated in ascending order and the lowest load
 // is the tail baseline. Each architecture is one DetectRackKnees curve.
 func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
@@ -156,7 +152,7 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	}
 	rk := DetectRackKnees(curves, kneeFactor)
 	var knees []LoadKnee
-	for _, arch := range LoadSweepArchs {
+	for _, arch := range Archs {
 		for _, k := range rk {
 			if k.Arch == arch {
 				knees = append(knees, LoadKnee{Arch: arch, Knee: k.Knee, Saturated: k.Saturated})
@@ -192,8 +188,8 @@ func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, paral
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("loadsweep: %w", err)
 	}
-	axes := func(i int) (string, float64) { return LoadSweepArchs[i/len(loads)], loads[i%len(loads)] }
-	rows, o, err := runCells(len(LoadSweepArchs)*len(loads), parallelism, ospec, func(i int) string {
+	axes := func(i int) (string, float64) { return Archs[i/len(loads)], loads[i%len(loads)] }
+	rows, o, err := runCells(len(Archs)*len(loads), parallelism, ospec, func(i int) string {
 		arch, load := axes(i)
 		return fmt.Sprintf("loadsweep/%s/load=%g", arch, load)
 	}, func(i int, oc *obs.Cell) (LoadRow, error) {

@@ -33,7 +33,7 @@ func TestLoadSweepP99MonotoneInLoad(t *testing.T) {
 	for _, r := range rows {
 		byArch[r.Arch] = append(byArch[r.Arch], r)
 	}
-	for _, arch := range LoadSweepArchs {
+	for _, arch := range Archs {
 		rs := byArch[arch]
 		if len(rs) != len(DefaultLoadGrid) {
 			t.Fatalf("%s: got %d rows, want %d", arch, len(rs), len(DefaultLoadGrid))

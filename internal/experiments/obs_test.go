@@ -175,8 +175,8 @@ func TestFaultTailsMergeAcrossRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tails := FaultTails(rows)
-	if len(tails) != len(FaultSweepArchs) {
-		t.Fatalf("tails = %d archs, want %d", len(tails), len(FaultSweepArchs))
+	if len(tails) != len(Archs) {
+		t.Fatalf("tails = %d archs, want %d", len(tails), len(Archs))
 	}
 	perArch := make(map[string]int)
 	for _, r := range rows {

@@ -214,13 +214,13 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 
 	ecns := []bool{false, true}
 	axes := func(i int) (arch string, rk int, ecn bool, load float64) {
-		arch = LoadSweepArchs[i/(len(racks)*len(ecns)*len(loads))]
+		arch = Archs[i/(len(racks)*len(ecns)*len(loads))]
 		i %= len(racks) * len(ecns) * len(loads)
 		rk = racks[i/(len(ecns)*len(loads))]
 		i %= len(ecns) * len(loads)
 		return arch, rk, ecns[i/len(loads)], loads[i%len(loads)]
 	}
-	rows, o, err := runCells(len(LoadSweepArchs)*len(racks)*len(ecns)*len(loads), parallelism, ospec, func(i int) string {
+	rows, o, err := runCells(len(Archs)*len(racks)*len(ecns)*len(loads), parallelism, ospec, func(i int) string {
 		arch, rk, ecn, load := axes(i)
 		return fmt.Sprintf("racksweep/%s/racks=%d/ecn=%s/load=%g", arch, rk, onOff(ecn), load)
 	}, func(i int, oc *obs.Cell) (RackRow, error) {

@@ -30,10 +30,10 @@ func testRackSweep(t *testing.T, sp spec.Spec, racks []int, loads []float64) ([]
 func TestRackSweepShapes(t *testing.T) {
 	racks, loads := []int{2}, []float64{0.1, 0.6}
 	rows, knees := testRackSweep(t, spec.TableOne(), racks, loads)
-	if want := len(LoadSweepArchs) * len(racks) * 2 * len(loads); len(rows) != want {
+	if want := len(Archs) * len(racks) * 2 * len(loads); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
-	if want := len(LoadSweepArchs) * len(racks) * 2; len(knees) != want {
+	if want := len(Archs) * len(racks) * 2; len(knees) != want {
 		t.Fatalf("got %d knees, want %d", len(knees), want)
 	}
 	for _, r := range rows {
@@ -226,7 +226,7 @@ func TestRackSweepSpecPinsLeaves(t *testing.T) {
 	sp.Load.Hosts = 12
 	sp.Fabric.Leaves = 3
 	rows, _ := testRackSweep(t, sp, nil, []float64{0.1})
-	if want := len(LoadSweepArchs) * 2; len(rows) != want {
+	if want := len(Archs) * 2; len(rows) != want {
 		t.Fatalf("got %d rows, want %d (pinned rack axis)", len(rows), want)
 	}
 	for _, r := range rows {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"netdimm/internal/driver"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
@@ -24,71 +23,33 @@ type ReplayResult struct {
 // ReplayTrace runs a recorded packet trace (from cmd/netdimm-trace, or any
 // events slice) through the clos fabric under all three architectures and
 // reports per-packet one-way latency statistics — the file-driven variant
-// of Fig. 12(a).
-func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, seed uint64, parallelism int) ([]ReplayResult, error) {
+// of Fig. 12(a), run as one Fig. 12(a) cell whose NetDIMM endpoints are
+// seeded seed+1 and seed+2.
+func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, seed uint64) ([]ReplayResult, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("experiments: empty trace")
 	}
-
-	// Each architecture replays the whole trace on its own machines — an
-	// independent cell; machines never interact across architectures.
-	names := []string{"dNIC", "iNIC", "NetDIMM"}
-	hists := make([]stats.Histogram, len(names))
-	errs := make([]error, len(names))
-	forEachCell(len(names), parallelism, func(i int) {
-		d := sp.MustDerive()
-		fabric := d.Fabric(switchLatency)
-		fabric.Switch.CutThrough = false
-		var tx, rx driver.Machine
-		switch names[i] {
-		case "dNIC":
-			m := d.NewDNIC(false)
-			tx, rx = m, m
-		case "iNIC":
-			m := d.NewINIC(false)
-			tx, rx = m, m
-		default:
-			ndTX, err := d.NewNetDIMM(seed + 1)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ndRX, err := d.NewNetDIMM(seed + 2)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			tx, rx = ndTX, ndRX
-		}
-		for j, e := range events {
-			p := e.Packet(uint64(j))
-			wire := fabric.WireTime(e.Size, e.Locality)
-			hists[i].Observe(tx.TX(p).Total() + wire + rx.RX(p).Total())
-		}
-	})
-	if err := firstError(errs); err != nil {
+	next := 0
+	src := func() workload.Event { next++; return events[next-1] }
+	var hists [3]stats.Histogram
+	rows := []Fig12aRow{{SwitchLatency: switchLatency}}
+	if err := fig12aCell(sp.MustDerive(), src, len(events), seed, rows, &hists); err != nil {
 		return nil, err
 	}
-	out := make([]ReplayResult, len(names))
-	for i, name := range names {
+	out := make([]ReplayResult, len(Archs))
+	for i, arch := range Archs {
 		h := &hists[i]
-		out[i] = ReplayResult{
-			Arch:    name,
-			Packets: h.Count(),
-			Mean:    h.Mean(),
-			P50:     h.Percentile(50),
-			P99:     h.Percentile(99),
-		}
+		out[i] = ReplayResult{Arch: arch, Packets: h.Count(), Mean: h.Mean(), P50: h.Percentile(50), P99: h.Percentile(99)}
 	}
 	return out, nil
 }
 
 // ReplayTraceFile reads a trace stream and replays it.
-func ReplayTraceFile(sp spec.Spec, r io.Reader, switchLatency sim.Time, seed uint64, parallelism int) (trace.Header, []ReplayResult, error) {
+func ReplayTraceFile(sp spec.Spec, r io.Reader, switchLatency sim.Time, seed uint64) (trace.Header, []ReplayResult, error) {
 	h, events, err := trace.Read(r)
 	if err != nil {
 		return trace.Header{}, nil, err
 	}
-	res, err := ReplayTrace(sp, events, switchLatency, seed, parallelism)
+	res, err := ReplayTrace(sp, events, switchLatency, seed)
 	return h, res, err
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,7 +17,7 @@ import (
 
 func TestReplayTrace(t *testing.T) {
 	events := workload.NewGenerator(workload.Webserver, 0, 5).Generate(300)
-	rows, err := ReplayTrace(spec.TableOne(), events, 100*sim.Nanosecond, 1, 0)
+	rows, err := ReplayTrace(spec.TableOne(), events, 100*sim.Nanosecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +40,78 @@ func TestReplayTrace(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesPerPacketReference holds ReplayTrace, which runs on the
+// Fig. 12(a) cell and prices dNIC, iNIC and the wire term once per (size,
+// locality), to the reference that prices every packet once per
+// architecture, field for field: every cluster at two seeds and switch
+// latencies of 25 and 200 ns, on Table 1 and the pcie-gen3 system, whose
+// dNIC costs differ, at 1 packet and at 1200 (where NetDIMM's receive DMA
+// sees more than one DRAM state), and the checked-in hadoop-300 trace.
+func TestReplayMatchesPerPacketReference(t *testing.T) {
+	gen3 := spec.TableOne()
+	gen3.PCIe = "x8 PCIe Gen3"
+	check := func(name string, sp spec.Spec, events []workload.Event, sl sim.Time, seed uint64) {
+		t.Helper()
+		want, err := refReplayTrace(sp, events, sl, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReplayTrace(sp, events, sl, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replay %+v\nwant %+v", name, got, want)
+		}
+	}
+	for _, sp := range []spec.Spec{spec.TableOne(), gen3} {
+		for _, cl := range workload.Clusters {
+			for _, seed := range []uint64{1, 7} {
+				for _, n := range []int{1, 1200} {
+					events := workload.NewGenerator(cl, 0, seed+3).Generate(n)
+					for _, sl := range []sim.Time{25 * sim.Nanosecond, 200 * sim.Nanosecond} {
+						check(fmt.Sprintf("%s %s seed %d n %d at %v", sp.PCIe, cl, seed, n, sl), sp, events, sl, seed)
+					}
+				}
+			}
+		}
+	}
+	f, err := os.Open("../../cmd/netdimm-sim/testdata/hadoop-300.ndtr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, events, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{1, 42} {
+		for _, sl := range []sim.Time{25 * sim.Nanosecond, 100 * sim.Nanosecond, 200 * sim.Nanosecond} {
+			check(fmt.Sprintf("hadoop-300 seed %d at %v", seed, sl), spec.TableOne(), events, sl, seed)
+		}
+	}
+}
+
+// ReplayTrace rejects an event a generator cannot draw, which the cell's
+// size-indexed count table cannot hold, naming the event.
+func TestReplayRejectsInvalidEvent(t *testing.T) {
+	events := workload.NewGenerator(workload.Hadoop, 0, 2).Generate(5)
+	events[3].Size = 9000
+	if _, err := ReplayTrace(spec.TableOne(), events, 100*sim.Nanosecond, 1); err == nil ||
+		!strings.Contains(err.Error(), "event 3: packet size 9000") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestReplayEmptyTrace(t *testing.T) {
-	if _, err := ReplayTrace(spec.TableOne(), nil, 100*sim.Nanosecond, 1, 0); err == nil {
+	if _, err := ReplayTrace(spec.TableOne(), nil, 100*sim.Nanosecond, 1); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
 
 func TestReplayTraceFileBadStream(t *testing.T) {
 	r := bytes.NewReader([]byte("this is not a trace stream"))
-	if _, _, err := ReplayTraceFile(spec.TableOne(), r, 100*sim.Nanosecond, 1, 0); err == nil {
+	if _, _, err := ReplayTraceFile(spec.TableOne(), r, 100*sim.Nanosecond, 1); err == nil {
 		t.Fatal("malformed stream accepted")
 	}
 }
@@ -67,7 +133,7 @@ func TestReplayTraceFileRoundTrip(t *testing.T) {
 	if err := trace.Write(&buf, h, events); err != nil {
 		t.Fatal(err)
 	}
-	gotH, rows, err := ReplayTraceFile(spec.TableOne(), &buf, 100*sim.Nanosecond, 2, 0)
+	gotH, rows, err := ReplayTraceFile(spec.TableOne(), &buf, 100*sim.Nanosecond, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,15 @@
 // device config, memory-controller config, DRAM timing, PCIe link,
 // Ethernet fabric and the NET_i zone bases.
 //
-// The root netdimm package's Config converts to Spec one-to-one; the
-// internal experiment runners consume the derived form, so every model
-// constant in an experiment flows from one validated specification instead
-// of per-package defaults.
+// The root netdimm package's Config is Spec itself; the internal
+// experiment runners consume the derived form, so every model constant in
+// an experiment flows from one validated specification instead of
+// per-package defaults.
 package spec
 
 import (
 	"fmt"
+	"strings"
 
 	"netdimm/internal/addrmap"
 	"netdimm/internal/collective"
@@ -30,31 +31,8 @@ import (
 	"netdimm/internal/workload"
 )
 
-// FaultSpec is the fault-injection block of a specification. It aliases
-// fault.Spec so the root Config, this package and the fault plane share one
-// underlying type and Spec↔Config struct conversion stays direct.
-type FaultSpec = fault.Spec
-
-// ObsSpec is the observability block of a specification; it aliases
-// obs.Spec for the same direct-conversion reason as FaultSpec.
-type ObsSpec = obs.Spec
-
-// LoadSpec is the load-generation block of a specification; it aliases
-// workload.LoadSpec for the same direct-conversion reason as FaultSpec.
-type LoadSpec = workload.LoadSpec
-
-// FabricSpec is the network-topology block of a specification; it aliases
-// fabric.Spec for the same direct-conversion reason as FaultSpec.
-type FabricSpec = fabric.Spec
-
-// CollectiveSpec is the collective-communication block of a specification;
-// it aliases collective.Spec for the same direct-conversion reason as
-// FaultSpec.
-type CollectiveSpec = collective.Spec
-
-// Spec is the full simulated-system specification. Its fields mirror the
-// root netdimm.Config exactly (same names, types and order), so the two
-// structs convert directly.
+// Spec is the full simulated-system specification. The root package
+// exports it as netdimm.Config.
 type Spec struct {
 	CoreGHz       float64
 	SuperscalarW  int
@@ -69,24 +47,24 @@ type Spec struct {
 	// Fault configures deterministic fault injection; the zero value
 	// disables every fault and leaves all experiments bit-identical to a
 	// fault-free run.
-	Fault FaultSpec
+	Fault fault.Spec
 	// Obs selects observability collection (span tracing, metrics); the
 	// zero value disables instrumentation entirely and keeps every hot
 	// path allocation-free.
-	Obs ObsSpec
+	Obs obs.Spec
 	// Load shapes the rack-scale load sweep's traffic (incast fan-in,
 	// cluster distribution, arrival process, port buffering); the zero
 	// value selects the sweep defaults and affects no other experiment.
-	Load LoadSpec
+	Load workload.LoadSpec
 	// Fabric shapes the switched network topology (leaf/spine clos shape,
 	// ECMP seed, ECN congestion signal); the zero value is the degenerate
 	// single-switch fabric every pre-fabric experiment built, changing no
 	// output.
-	Fabric FabricSpec
+	Fabric fabric.Spec
 	// Collective shapes the collective-communication sweep (operation,
 	// rank count, payload and chunk sizes); the zero value selects the
 	// sweep defaults and affects no other experiment.
-	Collective CollectiveSpec
+	Collective collective.Spec
 }
 
 // TableOne returns the paper's Table 1 specification.
@@ -144,6 +122,62 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("spec: %w", err)
 	}
 	return nil
+}
+
+// Table renders the specification as the paper's Table 1.
+func (s Spec) Table() string {
+	var sb strings.Builder
+	row := func(k, v string) { fmt.Fprintf(&sb, "%-34s %s\n", k, v) }
+	sb.WriteString("Table 1: System configuration.\n")
+	row("Cores (# cores, freq):", fmt.Sprintf("(8, %.1fGHz)", s.CoreGHz))
+	row("Superscalar", fmt.Sprintf("%d ways", s.SuperscalarW))
+	row("ROB/IQ/LQ/SQ entries", fmt.Sprintf("%d/32/16/16", s.ROBEntries))
+	row("Caches (size): I/D/L2", "32KB/64KB/2MB")
+	row("L1I/L1D/L2 latency", fmt.Sprintf("1/%d/%d cycles", s.L1DLatCycles, s.L2LatCycles))
+	row("DRAM", s.DRAM+"/16GB/2 channels")
+	row("Network/Switch latency/#NetDIMM", fmt.Sprintf("%dGbE/%dns/1", s.NetworkGbps, s.SwitchLatNs))
+	row("PCIe performance", s.PCIe)
+	row("NetDIMM capacity", fmt.Sprintf("%dGB (two 8GB ranks)", s.NetDIMMSizeGB))
+	if s.Fault.Enabled() {
+		row("Fault injection", s.Fault.String())
+	}
+	if s.Load != (workload.LoadSpec{}) {
+		hosts := s.Load.Hosts
+		if hosts == 0 {
+			hosts = 8
+		}
+		row("Load sweep", fmt.Sprintf("%d hosts incast, %s/%s traffic",
+			hosts, orDefault(s.Load.Cluster, "database"), orDefault(s.Load.Process, "poisson")))
+	}
+	if s.Fabric != (fabric.Spec{}) {
+		f := s.Fabric.Resolved()
+		ecn := "off"
+		if f.ECNThreshold > 0 {
+			ecn = fmt.Sprintf("mark@%d, backoff %dns", f.ECNThreshold, f.ECNBackoffNs)
+		}
+		row("Fabric", fmt.Sprintf("%d leaves x %d spines, ECN %s", f.Leaves, f.Spines, ecn))
+	}
+	if s.Collective != (collective.Spec{}) {
+		payload := s.Collective.PayloadBytes
+		if payload == 0 {
+			payload = collective.DefaultPayloadBytes
+		}
+		ranks := "4-128 ranks"
+		if s.Collective.Ranks != 0 {
+			ranks = fmt.Sprintf("%d ranks", s.Collective.Ranks)
+		}
+		row("Collective", fmt.Sprintf("%s, %s, %dB payload",
+			orDefault(s.Collective.Op, "all ops"), ranks, payload))
+	}
+	return sb.String()
+}
+
+// orDefault substitutes def for an empty string.
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return s
 }
 
 // Derived is a Spec resolved into every per-package parameter set. It is

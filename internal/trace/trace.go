@@ -32,10 +32,15 @@ type Header struct {
 // 1B locality.
 const recordBytes = 11
 
-// Write serialises a trace.
+// Write serialises a trace. It rejects what Read would: an unknown
+// cluster, and events that fail workload.Event.Validate or have a negative
+// timestamp.
 func Write(w io.Writer, h Header, events []workload.Event) error {
 	if int(h.Count) != len(events) {
 		return fmt.Errorf("trace: header count %d != %d events", h.Count, len(events))
+	}
+	if err := checkCluster(h.Cluster); err != nil {
+		return err
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(Magic); err != nil {
@@ -49,8 +54,8 @@ func Write(w io.Writer, h Header, events []workload.Event) error {
 	}
 	var buf [recordBytes]byte
 	for i, e := range events {
-		if e.Size < 0 || e.Size > 0xffff {
-			return fmt.Errorf("trace: event %d size %d out of range", i, e.Size)
+		if err := e.Validate(); err != nil {
+			return fmt.Errorf("trace: event %d: %w", i, err)
 		}
 		if e.At < 0 {
 			return fmt.Errorf("trace: event %d negative timestamp", i)
@@ -88,13 +93,18 @@ func Read(r io.Reader) (Header, []workload.Event, error) {
 		return Header{}, nil, err
 	}
 	h.Cluster = workload.Cluster(cluster)
+	if err := checkCluster(h.Cluster); err != nil {
+		return Header{}, nil, err
+	}
 	if err := binary.Read(br, binary.LittleEndian, &h.Seed); err != nil {
 		return Header{}, nil, err
 	}
 	if err := binary.Read(br, binary.LittleEndian, &h.Count); err != nil {
 		return Header{}, nil, err
 	}
-	events := make([]workload.Event, 0, h.Count)
+	// The count is untrusted until the records arrive: reserve at most
+	// maxReserve events up front.
+	events := make([]workload.Event, 0, min(h.Count, maxReserve))
 	var buf [recordBytes]byte
 	var prev sim.Time
 	for i := uint32(0); i < h.Count; i++ {
@@ -106,6 +116,9 @@ func Read(r io.Reader) (Header, []workload.Event, error) {
 			Size:     int(binary.LittleEndian.Uint16(buf[8:10])),
 			Locality: ethernet.Locality(buf[10]),
 		}
+		if err := e.Validate(); err != nil {
+			return Header{}, nil, fmt.Errorf("trace: event %d: %w", i, err)
+		}
 		if e.At < prev {
 			return Header{}, nil, fmt.Errorf("trace: event %d out of order", i)
 		}
@@ -113,4 +126,15 @@ func Read(r io.Reader) (Header, []workload.Event, error) {
 		events = append(events, e)
 	}
 	return h, events, nil
+}
+
+// maxReserve bounds the events Read allocates before reading them.
+const maxReserve = 1 << 16
+
+// checkCluster rejects a cluster byte no generator writes.
+func checkCluster(c workload.Cluster) error {
+	if c < 0 || int(c) >= len(workload.Clusters) {
+		return fmt.Errorf("trace: unknown cluster %d (want 0..%d)", c, len(workload.Clusters)-1)
+	}
+	return nil
 }

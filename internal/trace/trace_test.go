@@ -2,10 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"netdimm/internal/ethernet"
+	"netdimm/internal/nic"
 	"netdimm/internal/workload"
 )
 
@@ -45,6 +49,79 @@ func TestWriteValidation(t *testing.T) {
 	}
 	if err := Write(&buf, Header{Count: 1}, []workload.Event{{At: -1, Size: 64}}); err == nil {
 		t.Error("negative timestamp accepted")
+	}
+	for _, tc := range []struct {
+		name string
+		h    Header
+		e    workload.Event
+		want string
+	}{
+		{"empty packet", Header{Count: 1}, workload.Event{Size: 0}, "event 0: packet size 0"},
+		{"jumbo packet", Header{Count: 1}, workload.Event{Size: 9000}, "event 0: packet size 9000"},
+		{"past the MTU", Header{Count: 1}, workload.Event{Size: nic.MTU + 1}, "packet size 1515"},
+		{"unknown locality", Header{Count: 1}, workload.Event{Size: 64, Locality: 9}, "event 0: locality 9"},
+		{"unknown cluster", Header{Cluster: 77, Count: 1}, workload.Event{Size: 64}, "unknown cluster 77"},
+	} {
+		err := Write(&buf, tc.h, []workload.Event{tc.e})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestReadRejectsValuesNoGeneratorWrites patches a valid one-record stream
+// to hold a size outside [1, MTU], a locality outside the four classes or
+// an unknown cluster; Read must reject each with an error naming the
+// record (or the header's cluster) instead of replaying it.
+func TestReadRejectsValuesNoGeneratorWrites(t *testing.T) {
+	var buf bytes.Buffer
+	events := []workload.Event{{At: 5, Size: 64, Locality: ethernet.IntraCluster}}
+	if err := Write(&buf, Header{Cluster: workload.Hadoop, Seed: 3, Count: 1}, events); err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic 4, version 2, cluster 1, seed 8, count 4; then the
+	// record: timestamp 8, size 2, locality 1.
+	const clusterAt, sizeAt, localityAt = 6, 19 + 8, 19 + 10
+	for _, tc := range []struct {
+		name  string
+		patch func(raw []byte)
+		want  string
+	}{
+		{"empty packet", func(raw []byte) { binary.LittleEndian.PutUint16(raw[sizeAt:], 0) }, "event 0: packet size 0"},
+		{"jumbo packet", func(raw []byte) { binary.LittleEndian.PutUint16(raw[sizeAt:], 9000) }, "event 0: packet size 9000"},
+		{"unknown locality", func(raw []byte) { raw[localityAt] = 9 }, "event 0: locality 9"},
+		{"unknown cluster", func(raw []byte) { raw[clusterAt] = 77 }, "unknown cluster 77"},
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		tc.patch(raw)
+		if _, _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("unpatched stream rejected: %v", err)
+	}
+}
+
+// TestReadHugeCountFailsCleanly gives a header that promises 2^32-1
+// records and holds none; Read must fail on the missing first record
+// without reserving room for the promised ones.
+func TestReadHugeCountFailsCleanly(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[15:], 0xffffffff)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "event 0") {
+		t.Fatalf("err = %v, want a read error at event 0", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("Read allocated %d B for a stream of %d B", got, len(raw))
 	}
 }
 

@@ -123,6 +123,18 @@ type Event struct {
 	Locality ethernet.Locality
 }
 
+// Validate checks that the event is one a generator can draw: a size in
+// [1, nic.MTU] and one of the four localities.
+func (e Event) Validate() error {
+	if e.Size < 1 || e.Size > nic.MTU {
+		return fmt.Errorf("packet size %d is outside [1, %d]", e.Size, nic.MTU)
+	}
+	if e.Locality < ethernet.IntraRack || e.Locality > ethernet.InterDatacenter {
+		return fmt.Errorf("locality %d is not one of the four classes (0..%d)", e.Locality, ethernet.InterDatacenter)
+	}
+	return nil
+}
+
 // Packet converts the event to a nic.Packet.
 func (e Event) Packet(id uint64) nic.Packet {
 	return nic.Packet{ID: id, Size: e.Size, Born: e.At}

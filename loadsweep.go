@@ -93,7 +93,7 @@ func RunLoadSweepObserved(cfg Config, loads []float64, packets int, seed uint64,
 	lcfg := experiments.DefaultLoadSweepConfig()
 	lcfg.Packets = packets
 	lcfg.Seed = seed
-	rows, knees, o, err := experiments.LoadSweepObserved(cfg.spec(), loads, lcfg, parallelism, cfg.Obs)
+	rows, knees, o, err := experiments.LoadSweepObserved(cfg, loads, lcfg, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

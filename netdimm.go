@@ -25,7 +25,7 @@ func (m *Machine) Name() string { return m.impl.Name() }
 // optionally with a zero-copy driver: the PCIe attachment link (x8 PCIe
 // Gen4 in Table 1) and driver costs derive from cfg.
 func NewDNICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
-	d, err := cfg.derive()
+	d, err := cfg.Derive()
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func NewDNICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 // NewINICWithConfig builds a server with a CPU-integrated NIC from a
 // configuration, optionally with a zero-copy driver.
 func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
-	d, err := cfg.derive()
+	d, err := cfg.Derive()
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 // zone placement derive from cfg. The seed determines nCache replacement
 // randomness; distinct endpoints should use distinct seeds.
 func NewNetDIMMWithConfig(cfg Config, seed uint64) (*Machine, error) {
-	d, err := cfg.derive()
+	d, err := cfg.Derive()
 	if err != nil {
 		return nil, err
 	}
@@ -131,6 +131,6 @@ func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switch
 
 // oneWay is OneWayLatencyWithConfig on arguments it has checked.
 func oneWay(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) LatencyBreakdown {
-	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, cfg.spec().AnalyticFabric(sim.FromDuration(switchLatency)))
+	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, cfg.AnalyticFabric(sim.FromDuration(switchLatency)), nil)
 	return NewLatencyBreakdown(b)
 }

@@ -99,7 +99,7 @@ func TestNegativeSwitchLatencyRejected(t *testing.T) {
 	if err := writeTraceForTest(&buf, Hadoop, 3, 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayTraceFileWithConfig(cfg, &buf, neg, 1, 1); err == nil {
+	if _, _, err := ReplayTraceFileWithConfig(cfg, &buf, neg, 1); err == nil {
 		t.Error("ReplayTraceFileWithConfig accepted a negative switch latency")
 	}
 }

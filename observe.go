@@ -77,7 +77,7 @@ func RunFig11Observed(cfg Config, sizes []int, switchLatency time.Duration, para
 	if len(sizes) == 0 {
 		sizes = experiments.PaperSizes
 	}
-	rows, o, err := experiments.Fig11Observed(cfg.spec(), sizes, simT(switchLatency), parallelism, cfg.Obs)
+	rows, o, err := experiments.Fig11Observed(cfg, sizes, simT(switchLatency), parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -110,7 +110,7 @@ func RunRackSweepObserved(cfg Config, racks []int, loads []float64, packets int,
 	rcfg := experiments.DefaultRackSweepConfig()
 	rcfg.Packets = packets
 	rcfg.Seed = seed
-	rows, knees, o, err := experiments.RackSweepObserved(cfg.spec(), racks, loads, rcfg, parallelism, cfg.Obs)
+	rows, knees, o, err := experiments.RackSweepObserved(cfg, racks, loads, rcfg, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

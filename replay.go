@@ -12,9 +12,8 @@ type ReplayResult = experiments.ReplayResult
 
 // ReplayTraceFileWithConfig replays a trace written by cmd/netdimm-trace
 // through the clos fabric under all three architectures on the system
-// described by cfg. parallelism follows the convention of
-// RunFig4WithConfig (each architecture is one cell).
-func ReplayTraceFileWithConfig(cfg Config, r io.Reader, switchLatency time.Duration, seed uint64, parallelism int) (cluster string, results []ReplayResult, err error) {
+// described by cfg, as one sequential cell.
+func ReplayTraceFileWithConfig(cfg Config, r io.Reader, switchLatency time.Duration, seed uint64) (cluster string, results []ReplayResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
 		return "", nil, err
@@ -22,7 +21,7 @@ func ReplayTraceFileWithConfig(cfg Config, r io.Reader, switchLatency time.Durat
 	if err := checkSwitch(switchLatency); err != nil {
 		return "", nil, err
 	}
-	h, rows, err := experiments.ReplayTraceFile(cfg.spec(), r, simT(switchLatency), seed, parallelism)
+	h, rows, err := experiments.ReplayTraceFile(cfg, r, simT(switchLatency), seed)
 	if err != nil {
 		return "", nil, err
 	}
@@ -46,7 +45,7 @@ func RunMixedChannelObserved(cfg Config, n int, seed uint64) (_ MixedChannelResu
 	if err := cfg.Validate(); err != nil {
 		return MixedChannelResult{}, nil, err
 	}
-	r, o, err := experiments.MixedChannelObserved(cfg.spec(), n, seed, cfg.Obs)
+	r, o, err := experiments.MixedChannelObserved(cfg, n, seed, cfg.Obs)
 	if err != nil {
 		return MixedChannelResult{}, nil, err
 	}
