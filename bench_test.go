@@ -235,33 +235,53 @@ func BenchmarkOneWayPacket(b *testing.B) {
 	}
 }
 
+// warmNetDIMMPacket builds a NetDIMM endpoint pair and returns one
+// size-byte packet's driver TX on one endpoint and driver RX on the
+// other, without the wire term OneWay adds. 200 packets warm the pair
+// first, so each further call is the steady state.
+func warmNetDIMMPacket(tb testing.TB, size int) (send func()) {
+	tx, err := NewNetDIMMWithConfig(DefaultConfig(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rx, err := NewNetDIMMWithConfig(DefaultConfig(), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := nic.Packet{Size: size}
+	send = func() {
+		tx.impl.TX(p)
+		rx.impl.RX(p)
+	}
+	for i := 0; i < 200; i++ {
+		send()
+	}
+	return send
+}
+
 // BenchmarkNetDIMMPacket times the NetDIMM device path alone at 64B,
-// 512B and 1514B: one warm packet's driver TX on one endpoint and driver
-// RX on another, without the wire term OneWay adds. 200 packets warm the
-// pair first, so an op is the steady state and allocates nothing.
+// 512B and 1514B. An op is one warm packet and allocates nothing.
 func BenchmarkNetDIMMPacket(b *testing.B) {
 	for _, size := range []int{64, 512, 1514} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			tx, err := NewNetDIMMWithConfig(DefaultConfig(), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rx, err := NewNetDIMMWithConfig(DefaultConfig(), 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := nic.Packet{Size: size}
-			for i := 0; i < 200; i++ {
-				tx.impl.TX(p)
-				rx.impl.RX(p)
-			}
+			send := warmNetDIMMPacket(b, size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tx.impl.TX(p)
-				rx.impl.RX(p)
+				send()
 			}
 		})
+	}
+}
+
+// TestNetDIMMPacketAllocs holds BenchmarkNetDIMMPacket to zero heap
+// allocations per warm packet at the small sizes; TestOneWayPacketAllocs
+// holds the 1514B packet.
+func TestNetDIMMPacketAllocs(t *testing.T) {
+	for _, size := range []int{64, 512} {
+		if avg := testing.AllocsPerRun(200, warmNetDIMMPacket(t, size)); avg != 0 {
+			t.Errorf("%dB: %v allocs per TX+RX, want 0", size, avg)
+		}
 	}
 }
 

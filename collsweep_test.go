@@ -64,7 +64,7 @@ func TestRunCollSweepRejectsInvalidInput(t *testing.T) {
 		t.Fatal("unknown op accepted")
 	}
 	cfg := DefaultConfig()
-	cfg.CoreGHz = 0
+	cfg.NetworkGbps = 0
 	if _, err := RunCollSweepWithConfig(cfg, []int{4}, nil, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}

@@ -43,11 +43,11 @@ type CollectiveConfig = collective.Spec
 // Collective block selects its sweep's defaults and affects no other.
 //
 // Only the knobs that change some output are fields. The CPU enters the
-// model through its driver cost set alone (clock, issue width, ROB and the
-// L1D/L2 latencies), and every experiment places one NetDIMM behind
-// Table 1's 16GB of two-channel host DDR, so Table 1's core count,
-// IQ/LQ/SQ sizes, cache capacities, L1I latency, host DDR size, channel
-// count and NetDIMM count are fixed and printed as such by Table.
+// model through one driver cost set, calibrated to Fig. 11 for Table 1's
+// core, and every experiment places one NetDIMM behind Table 1's 16GB of
+// two-channel host DDR, so Table 1's core rows (count, clock, issue width,
+// ROB/IQ/LQ/SQ sizes, cache capacities and latencies), host DDR size,
+// channel count and NetDIMM count are fixed and printed as such by Table.
 type Config = spec.Spec
 
 // DefaultConfig returns Table 1 of the paper.

@@ -33,11 +33,6 @@ func TestEveryConfigFieldChangesOutput(t *testing.T) {
 		set func(*Config)
 		run string
 	}{
-		"CoreGHz":       {func(c *Config) { c.CoreGHz = 2.0 }, "fig11"},
-		"SuperscalarW":  {func(c *Config) { c.SuperscalarW = 4 }, "fig11"},
-		"ROBEntries":    {func(c *Config) { c.ROBEntries = 80 }, "fig11"},
-		"L1DLatCycles":  {func(c *Config) { c.L1DLatCycles = 4 }, "fig11"},
-		"L2LatCycles":   {func(c *Config) { c.L2LatCycles = 20 }, "fig11"},
 		"DRAM":          {func(c *Config) { c.DRAM = "DDR5-4800" }, "fig11"},
 		"NetworkGbps":   {func(c *Config) { c.NetworkGbps = 100 }, "fig11"},
 		"PCIe":          {func(c *Config) { c.PCIe = "x8 PCIe Gen3" }, "fig11"},

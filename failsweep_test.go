@@ -71,7 +71,7 @@ func TestRunFailSweepRejectsInvalidInput(t *testing.T) {
 		t.Fatal("negative outage duration accepted")
 	}
 	cfg := DefaultConfig()
-	cfg.CoreGHz = 0
+	cfg.NetworkGbps = 0
 	if _, _, err := RunFailSweepObserved(cfg, nil, 50, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}

@@ -55,7 +55,7 @@ func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 		t.Fatal("DropProb 1.5 accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.CoreGHz = 0
+	cfg.NetworkGbps = 0
 	if _, _, _, err := RunFaultSweepObserved(cfg, nil, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}

@@ -7,8 +7,8 @@
 // Injector draws every fault decision from a sim.Rand stream so sequential
 // and parallel experiment fan-out see identical fault traces; and Backoff /
 // RetryPolicy are the shared recovery primitives (capped exponential
-// backoff, bounded retries) used by the NIC retransmit engine, the
-// NVDIMM-P timeout path and the fig5 rig's credit-wait loop.
+// backoff, bounded retries) used by the NIC retransmit engine and the
+// NVDIMM-P timeout path.
 //
 // The zero Spec injects nothing: every component consults the injector
 // only when the relevant probability is positive, so default-configuration

@@ -218,51 +218,72 @@ func TestAllocCacheBitmapMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// BenchmarkAllocCacheGet times one NetDIMM receive's allocations —
-// Get(NoHint), Get(hint) on that page, then two Releases — at the paper's
-// two-rank zone, on a full cache and on a drained one. It is the op the
-// host-time benchmark's kalloc.get_ns.fresh/drained replay.
+// receiveCache builds the paper's two-rank NET_0 zone's allocCache, two
+// pages per sub-array.
+func receiveCache(tb testing.TB) *AllocCache {
+	c, err := NewAllocCache(NewNetDIMMZone("NET_0", testBase, 16<<30), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// receive makes one NetDIMM receive's allocations: Get(NoHint), Get(hint)
+// on that page, then two Releases. It reports whether the first Get hit
+// the cache.
+func receive(tb testing.TB, c *AllocCache) (fast bool) {
+	a, fast, err := c.Get(NoHint)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, _, err := c.Get(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Release(a); err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Release(p); err != nil {
+		tb.Fatal(err)
+	}
+	return fast
+}
+
+func refill(tb testing.TB, c *AllocCache) {
+	if err := c.Refill(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// freshCache is receiveCache after one drain-and-refill pass, which sizes
+// the zone's free-stack slab and the cache's refilled slab for the pages
+// Release and Refill move between them. Each receive empties one bucket,
+// so the cache stays fresh for n more receives.
+func freshCache(tb testing.TB) (c *AllocCache, n int) {
+	c = receiveCache(tb)
+	n = c.zone.Buckets()
+	for i := 0; i < n; i++ {
+		receive(tb, c)
+	}
+	refill(tb, c)
+	return c, n
+}
+
+// drainedCache is receiveCache with every bucket emptied, so each further
+// receive takes the slow path.
+func drainedCache(tb testing.TB) *AllocCache {
+	c := receiveCache(tb)
+	for receive(tb, c) {
+	}
+	return c
+}
+
+// BenchmarkAllocCacheGet times one receive at the paper's two-rank zone,
+// on a full cache and on a drained one. It is the op the host-time
+// benchmark's kalloc.get_ns.fresh/drained replay.
 func BenchmarkAllocCacheGet(b *testing.B) {
-	build := func(b *testing.B) *AllocCache {
-		c, err := NewAllocCache(NewNetDIMMZone("NET_0", testBase, 16<<30), 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	receive := func(b *testing.B, c *AllocCache) (fast bool) {
-		a, fast, err := c.Get(NoHint)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, _, err := c.Get(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Release(a); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Release(p); err != nil {
-			b.Fatal(err)
-		}
-		return fast
-	}
-	refill := func(b *testing.B, c *AllocCache) {
-		if err := c.Refill(); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.Run("fresh", func(b *testing.B) {
-		c := build(b)
-		n := c.zone.Buckets()
-		// Each receive empties one bucket, so the cache is refilled every
-		// n receives off the clock. One untimed drain-and-refill pass first
-		// sizes the zone's free-stack slab and the cache's refilled slab
-		// for the pages Release and Refill move between them.
-		for i := 0; i < n; i++ {
-			receive(b, c)
-		}
-		refill(b, c)
+		c, n := freshCache(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -275,13 +296,26 @@ func BenchmarkAllocCacheGet(b *testing.B) {
 		}
 	})
 	b.Run("drained", func(b *testing.B) {
-		c := build(b)
-		for receive(b, c) {
-		}
+		c := drainedCache(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			receive(b, c)
 		}
 	})
+}
+
+// TestAllocCacheGetAllocs holds BenchmarkAllocCacheGet to zero allocations
+// per receive on a fresh cache and on a drained one.
+func TestAllocCacheGetAllocs(t *testing.T) {
+	c, _ := freshCache(t) // 200 receives leave most of its 16K buckets full
+	const runs = 200
+	var fast bool
+	if avg := testing.AllocsPerRun(runs, func() { fast = receive(t, c) }); avg != 0 || !fast {
+		t.Errorf("fresh cache: %v allocs per receive (fast %v), want 0 on the fast path", avg, fast)
+	}
+	c = drainedCache(t)
+	if avg := testing.AllocsPerRun(runs, func() { fast = receive(t, c) }); avg != 0 || fast {
+		t.Errorf("drained cache: %v allocs per receive (fast %v), want 0 on the slow path", avg, fast)
+	}
 }

@@ -233,33 +233,54 @@ func BenchmarkEngineScheduleDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineHold is the hold model at a fixed queue depth: every
-// fired event reschedules itself 1-1000ps ahead, so each op pays one pop
-// from a queue of the given depth, the cost BenchmarkEngineSchedule's
-// drained queue never sees. Run with -benchmem: the target is 0 allocs/op.
+// holdModel builds the hold model at a fixed queue depth: every fired
+// event reschedules itself 1-1000ps ahead, so each fired event pays one
+// pop from a queue of the given depth. It fires 4×depth events to warm
+// the engine and returns a function that fires n more.
+func holdModel(depth int) (fire func(n int)) {
+	e := NewEngine()
+	x := uint64(0x9e3779b97f4a7c15)
+	left := 0
+	var hold func()
+	hold = func() {
+		x = x*6364136223846793005 + 1442695040888963407
+		e.Schedule(Time(1+(x>>33)%1000), hold)
+		if left--; left == 0 {
+			e.Stop()
+		}
+	}
+	for i := 0; i < depth; i++ {
+		e.Schedule(Time(1+i%1000), hold)
+	}
+	fire = func(n int) {
+		left = n
+		e.Run()
+	}
+	fire(4 * depth)
+	return fire
+}
+
+// BenchmarkEngineHold times one hold-model event, the cost
+// BenchmarkEngineSchedule's drained queue never sees. Run with -benchmem:
+// the target is 0 allocs/op.
 func BenchmarkEngineHold(b *testing.B) {
 	for _, depth := range []int{16, 512, 4096} {
 		b.Run(strconv.Itoa(depth), func(b *testing.B) {
-			e := NewEngine()
-			x := uint64(0x9e3779b97f4a7c15)
-			left := 4 * depth // warm-up fires before the timed run
-			var hold func()
-			hold = func() {
-				x = x*6364136223846793005 + 1442695040888963407
-				e.Schedule(Time(1+(x>>33)%1000), hold)
-				if left--; left == 0 {
-					e.Stop()
-				}
-			}
-			for i := 0; i < depth; i++ {
-				e.Schedule(Time(1+i%1000), hold)
-			}
-			e.Run()
-			left = b.N
+			fire := holdModel(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
-			e.Run()
+			fire(b.N)
 		})
+	}
+}
+
+// TestEngineHoldAllocs holds BenchmarkEngineHold/512 to zero allocations:
+// at the rack cell engine's queue depth, popping and rescheduling reuses
+// pooled slots.
+func TestEngineHoldAllocs(t *testing.T) {
+	fire := holdModel(512)
+	if avg := testing.AllocsPerRun(100, func() { fire(1000) }); avg != 0 {
+		t.Fatalf("allocs per 1000 hold events at depth 512 = %v, want 0", avg)
 	}
 }
 

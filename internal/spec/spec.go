@@ -17,7 +17,6 @@ import (
 	"netdimm/internal/addrmap"
 	"netdimm/internal/collective"
 	"netdimm/internal/core"
-	"netdimm/internal/cpu"
 	"netdimm/internal/dram"
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
@@ -34,11 +33,6 @@ import (
 // Spec is the full simulated-system specification. The root package
 // exports it as netdimm.Config.
 type Spec struct {
-	CoreGHz       float64
-	SuperscalarW  int
-	ROBEntries    int
-	L1DLatCycles  int
-	L2LatCycles   int
 	DRAM          string
 	NetworkGbps   int
 	SwitchLatNs   int
@@ -70,11 +64,6 @@ type Spec struct {
 // TableOne returns the paper's Table 1 specification.
 func TableOne() Spec {
 	return Spec{
-		CoreGHz:       3.4,
-		SuperscalarW:  3,
-		ROBEntries:    40,
-		L1DLatCycles:  2,
-		L2LatCycles:   12,
 		DRAM:          "DDR4-2400",
 		NetworkGbps:   40,
 		SwitchLatNs:   100,
@@ -87,15 +76,6 @@ func TableOne() Spec {
 // an actionable error for the first violation found.
 func (s Spec) Validate() error {
 	switch {
-	case s.CoreGHz <= 0:
-		return fmt.Errorf("spec: CoreGHz must be positive, got %g", s.CoreGHz)
-	case s.SuperscalarW < 1:
-		return fmt.Errorf("spec: SuperscalarW must be at least 1, got %d", s.SuperscalarW)
-	case s.ROBEntries < 1:
-		return fmt.Errorf("spec: ROBEntries must be at least 1, got %d", s.ROBEntries)
-	case s.L1DLatCycles < 1 || s.L2LatCycles < 1:
-		return fmt.Errorf("spec: cache latencies must be at least 1 cycle, got L1D=%d L2=%d",
-			s.L1DLatCycles, s.L2LatCycles)
 	case s.NetworkGbps < 1:
 		return fmt.Errorf("spec: NetworkGbps must be at least 1, got %d", s.NetworkGbps)
 	case s.SwitchLatNs < 0:
@@ -129,11 +109,11 @@ func (s Spec) Table() string {
 	var sb strings.Builder
 	row := func(k, v string) { fmt.Fprintf(&sb, "%-34s %s\n", k, v) }
 	sb.WriteString("Table 1: System configuration.\n")
-	row("Cores (# cores, freq):", fmt.Sprintf("(8, %.1fGHz)", s.CoreGHz))
-	row("Superscalar", fmt.Sprintf("%d ways", s.SuperscalarW))
-	row("ROB/IQ/LQ/SQ entries", fmt.Sprintf("%d/32/16/16", s.ROBEntries))
+	row("Cores (# cores, freq):", "(8, 3.4GHz)")
+	row("Superscalar", "3 ways")
+	row("ROB/IQ/LQ/SQ entries", "40/32/16/16")
 	row("Caches (size): I/D/L2", "32KB/64KB/2MB")
-	row("L1I/L1D/L2 latency", fmt.Sprintf("1/%d/%d cycles", s.L1DLatCycles, s.L2LatCycles))
+	row("L1I/L1D/L2 latency", "1/2/12 cycles")
 	row("DRAM", s.DRAM+"/16GB/2 channels")
 	row("Network/Switch latency/#NetDIMM", fmt.Sprintf("%dGbE/%dns/1", s.NetworkGbps, s.SwitchLatNs))
 	row("PCIe performance", s.PCIe)
@@ -186,9 +166,8 @@ func orDefault(s, def string) string {
 type Derived struct {
 	Spec Spec
 
-	// Costs is the driver software cost set. A Table 1 core uses the
-	// hand-calibrated driver.DefaultCosts; any other core derives its
-	// costs from the first-order cpu model.
+	// Costs is the driver software cost set: driver.DefaultCosts, the
+	// constants calibrated to Fig. 11 for Table 1's core.
 	Costs driver.Costs
 	// Core is the NetDIMM device configuration with the base seed;
 	// endpoint constructors override Seed per machine.
@@ -228,7 +207,7 @@ func (s Spec) Derive() (*Derived, error) {
 
 	return &Derived{
 		Spec:          s,
-		Costs:         s.costs(),
+		Costs:         driver.DefaultCosts(),
 		Core:          coreCfg,
 		MC:            memctrl.DefaultConfig(),
 		HostTiming:    timing,
@@ -246,22 +225,6 @@ func (s Spec) MustDerive() *Derived {
 		panic(err)
 	}
 	return d
-}
-
-// costs selects the software cost set: the calibrated constants anchor the
-// Table 1 core exactly (so default-spec figures are bit-identical to the
-// calibrated baseline); a deviating core falls back to the cpu model.
-func (s Spec) costs() driver.Costs {
-	p := cpu.TableOne()
-	p.FreqGHz = s.CoreGHz
-	p.IssueWidth = s.SuperscalarW
-	p.ROBEntries = s.ROBEntries
-	p.L1DLat = s.L1DLatCycles
-	p.L2Lat = s.L2LatCycles
-	if p == cpu.TableOne() {
-		return driver.DefaultCosts()
-	}
-	return driver.CostsFromParams(p)
 }
 
 // hostDDRBytes is Table 1's 16GB of conventional host DDR, the bottom of

@@ -7,7 +7,6 @@ import (
 
 	"netdimm/internal/addrmap"
 	"netdimm/internal/core"
-	"netdimm/internal/cpu"
 	"netdimm/internal/dram"
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
@@ -77,25 +76,6 @@ func TestDerivePCIeGen3(t *testing.T) {
 	}
 }
 
-func TestDeriveNonTableOneCosts(t *testing.T) {
-	s := TableOne()
-	s.CoreGHz = 2.0
-	d, err := s.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Costs == driver.DefaultCosts() {
-		t.Fatal("a slower core must not reuse the calibrated Table 1 costs")
-	}
-	// Lowering the clock inflates the modelled pure-CPU driver stages
-	// relative to the same model at the Table 1 clock.
-	model34 := driver.CostsFromParams(cpu.TableOne())
-	if d.Costs.AllocCacheLookup <= model34.AllocCacheLookup {
-		t.Errorf("2GHz AllocCacheLookup %v not above modelled 3.4GHz %v",
-			d.Costs.AllocCacheLookup, model34.AllocCacheLookup)
-	}
-}
-
 // NET_i zones stack above the 16GB host DDR region, NetDIMMSizeGB each.
 func TestDeriveMultiNetDIMMZoneBases(t *testing.T) {
 	s := TableOne()
@@ -134,10 +114,6 @@ func TestValidateErrors(t *testing.T) {
 		s    Spec
 		frag string
 	}{
-		{"freq", mut(func(s *Spec) { s.CoreGHz = -1 }), "CoreGHz"},
-		{"superscalar", mut(func(s *Spec) { s.SuperscalarW = 0 }), "SuperscalarW"},
-		{"rob", mut(func(s *Spec) { s.ROBEntries = 0 }), "ROB"},
-		{"cachelat", mut(func(s *Spec) { s.L1DLatCycles = 0 }), "cache latencies"},
 		{"network", mut(func(s *Spec) { s.NetworkGbps = 0 }), "NetworkGbps"},
 		{"switch", mut(func(s *Spec) { s.SwitchLatNs = -1 }), "SwitchLatNs"},
 		{"ndsize", mut(func(s *Spec) { s.NetDIMMSizeGB = 12 }), "rank size"},
@@ -167,7 +143,7 @@ func TestMustDerivePanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	s := TableOne()
-	s.CoreGHz = 0
+	s.NetworkGbps = 0
 	s.MustDerive()
 }
 

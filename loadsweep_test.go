@@ -52,7 +52,7 @@ func TestRunLoadSweepRejectsInvalidInput(t *testing.T) {
 		t.Fatal("unknown cluster accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.CoreGHz = 0
+	cfg.NetworkGbps = 0
 	if _, _, err := RunLoadSweepWithConfig(cfg, []float64{0.1}, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}

@@ -10,14 +10,14 @@ import (
 // Validate — never a panic, and never an invalid Config leaking through.
 func FuzzReadScenario(f *testing.F) {
 	f.Add(`{}`)
-	f.Add(`{"ROBEntries": 4}`)
+	f.Add(`{"SwitchLatNs": 500}`)
 	f.Add(`{"DRAM": "DDR5-4800", "NetworkGbps": 100}`)
 	f.Add(`{"Fault": {"DropProb": 0.01, "MaxRetries": 8}}`)
 	f.Add(`{"Fault": {"DropProb": 2}}`)
-	f.Add(`{"ROBEntries": -1}`)
+	f.Add(`{"NetworkGbps": -1}`)
 	f.Add(`{"Unknown": true}`)
 	f.Add(`[1,2,3]`)
-	f.Add(`{"SuperscalarW": 1e309}`)
+	f.Add(`{"SwitchLatNs": 1e309}`)
 	f.Add("{\"PCIe\": \"x16 PCIe Gen5\", \"Fault\": {\"MemTimeoutProb\": 0.5, \"MemTimeoutNs\": 100}}")
 	f.Add(`{"Fault": {"Failure": {"Outages": [{"Kind": "spine", "Index": 0, "StartNs": 1000, "EndNs": 5000}], "Burst": {"BadLossProb": 0.5, "GoodToBad": 0.01, "BadToGood": 0.1}}}}`)
 	f.Add(`{"Fault": {"Failure": {"Outages": [{"Kind": "bogus", "StartNs": 5, "EndNs": 5}]}}}`)

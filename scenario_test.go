@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netdimm/internal/driver"
 )
 
 func TestLoadScenarioPresets(t *testing.T) {
@@ -83,8 +85,9 @@ func TestScenarioPartialJSONFillsDefaults(t *testing.T) {
 // A misspelt field, and each Table 1 field that changes no output and so
 // is not a Config field, fails with an error naming it.
 func TestScenarioRejectsUnknownField(t *testing.T) {
-	for _, field := range []string{"DARM", "Cores", "IQEntries", "LQEntries", "SQEntries",
-		"L1ISizeKB", "L1DSizeKB", "L2SizeMB", "L1ILatCycles", "DRAMSizeGB", "MemChannels", "NetDIMMs"} {
+	for _, field := range []string{"DARM", "Cores", "CoreGHz", "SuperscalarW", "ROBEntries",
+		"IQEntries", "LQEntries", "SQEntries", "L1ISizeKB", "L1DSizeKB", "L2SizeMB",
+		"L1ILatCycles", "L1DLatCycles", "L2LatCycles", "DRAMSizeGB", "MemChannels", "NetDIMMs"} {
 		_, err := ReadScenario(strings.NewReader(`{"` + field + `": 16}`))
 		if err == nil {
 			t.Errorf("unknown field %s accepted", field)
@@ -95,11 +98,11 @@ func TestScenarioRejectsUnknownField(t *testing.T) {
 }
 
 func TestScenarioRejectsInvalidConfig(t *testing.T) {
-	_, err := ReadScenario(strings.NewReader(`{"CoreGHz": 0}`))
+	_, err := ReadScenario(strings.NewReader(`{"NetworkGbps": 0}`))
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	if !strings.Contains(err.Error(), "CoreGHz") {
+	if !strings.Contains(err.Error(), "NetworkGbps") {
 		t.Errorf("error %q does not name the offending field", err)
 	}
 }
@@ -116,8 +119,8 @@ func TestLoadScenarioFile(t *testing.T) {
 	if cfg.PCIe != "x8 PCIe Gen3" {
 		t.Errorf("PCIe = %q", cfg.PCIe)
 	}
-	if cfg.CoreGHz != DefaultConfig().CoreGHz {
-		t.Errorf("unset fields not defaulted: CoreGHz = %g", cfg.CoreGHz)
+	if cfg.NetworkGbps != DefaultConfig().NetworkGbps {
+		t.Errorf("unset fields not defaulted: NetworkGbps = %d", cfg.NetworkGbps)
 	}
 }
 
@@ -181,6 +184,31 @@ func TestCommittedScenarioFiles(t *testing.T) {
 		}
 		if _, err := LoadScenario(path); err != nil {
 			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+// Every preset and every committed scenario file derives exactly the one
+// driver cost set, the constants calibrated to Fig. 11.
+func TestScenariosDeriveDefaultCosts(t *testing.T) {
+	paths, err := filepath.Glob("scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append(Scenarios(), paths...) {
+		if strings.HasPrefix(filepath.Base(name), "campaign-") {
+			continue // a campaign grid, not a scenario
+		}
+		cfg, err := LoadScenario(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d, err := cfg.Derive()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d.Costs != driver.DefaultCosts() {
+			t.Errorf("%s: Costs = %+v, want driver.DefaultCosts %+v", name, d.Costs, driver.DefaultCosts())
 		}
 	}
 }
