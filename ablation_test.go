@@ -3,7 +3,6 @@ package netdimm
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 func TestRunBandwidth(t *testing.T) {
@@ -71,7 +70,7 @@ func TestReplayTraceFileAPI(t *testing.T) {
 	if err := writeTraceForTest(&buf, Hadoop, 3, 100); err != nil {
 		t.Fatal(err)
 	}
-	cluster, rows, err := ReplayTraceFileWithConfig(DefaultConfig(), &buf, 100*time.Nanosecond, 1)
+	cluster, rows, err := ReplayTraceFileWithConfig(DefaultConfig(), &buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"netdimm"
 	"netdimm/internal/campaign"
@@ -110,6 +109,9 @@ func runCell(c campaign.Cell) (campaign.Result, error) {
 	if e.Hosts > 0 {
 		cfg.Load.Hosts = e.Hosts
 	}
+	if e.SwitchNs > 0 {
+		cfg.SwitchLatNs = e.SwitchNs
+	}
 	cfg.Obs.Metrics = cfg.Obs.Metrics || e.Metrics
 	cfg.Obs.Trace = cfg.Obs.Trace || e.Trace
 	res := campaign.Result{ConfigHash: configHash(cfg)}
@@ -117,11 +119,7 @@ func runCell(c campaign.Cell) (campaign.Result, error) {
 	if !ok || f.schema == nil {
 		return res, fmt.Errorf("unknown experiment family %q", e.Experiment)
 	}
-	switchLat := 100 * time.Nanosecond
-	if e.SwitchNs > 0 {
-		switchLat = time.Duration(e.SwitchNs) * time.Nanosecond
-	}
-	out, err := f.run(cfg, axes{packets: e.Packets, seed: c.Seed, parallel: 1, switchLat: switchLat,
+	out, err := f.run(cfg, axes{packets: e.Packets, seed: c.Seed, parallel: 1,
 		sizes: e.Sizes, loss: e.Rates, loads: e.Rates, racks: e.Racks, outages: c.Outages,
 		ranks: e.Ranks, ops: e.Ops, payload: e.Payload})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"netdimm/internal/campaign"
 	"netdimm/internal/experiments"
 )
 
@@ -119,13 +120,65 @@ func TestRejectsNegativePacketsAndSwitch(t *testing.T) {
 		{[]string{"-n", "-7", "fig12a"}, "-n: packets per cell must be at least 1, got -7"},
 		{[]string{"-n", "0", "fig12a"}, "-n: packets per cell must be at least 1, got 0"},
 		{[]string{"-n", "0", "racksweep"}, "-n: packets per cell must be at least 1, got 0"},
-		{[]string{"-switch", "-100ns", "fig4"}, "switch latency must not be negative, got -100ns"},
-		{[]string{"-switch", "-1ns", "fig11"}, "switch latency must not be negative, got -1ns"},
-		{[]string{"-switch", "-1ns", "replay", "testdata/hadoop-300.ndtr"}, "switch latency must not be negative, got -1ns"},
+		{[]string{"-switch", "-100ns", "fig4"}, "-switch -100ns: spec: SwitchLatNs must not be negative, got -100"},
+		{[]string{"-switch", "-1ns", "fig11"}, "-switch -1ns: spec: SwitchLatNs must not be negative, got -1"},
+		{[]string{"-switch", "-1ns", "replay", "testdata/hadoop-300.ndtr"}, "-switch -1ns: spec: SwitchLatNs must not be negative, got -1"},
+		{[]string{"-switch", "2s", "loadsweep"}, "-switch 2s: spec: SwitchLatNs must be at most 1000000000"},
 	}
 	for _, tc := range cases {
 		expectCLIError(t, tc.args, tc.want)
 	}
+}
+
+// TestSwitchLatencyHasOneSource: the scenario's SwitchLatNs, the -switch
+// flag and a campaign row's SwitchNs all set the one switch latency, so a
+// scenario reaches fig11 as -switch does, -switch reaches the fabric
+// sweeps, and campaign rows that differ only in SwitchNs record different
+// configurations.
+func TestSwitchLatencyHasOneSource(t *testing.T) {
+	dir := t.TempDir()
+	scen := filepath.Join(dir, "switch500.json")
+	if err := os.WriteFile(scen, []byte(`{"SwitchLatNs": 500}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromScenario := runCLI(t, "-csv", "-scenario", scen, "fig11")
+	if fromFlag := runCLI(t, "-csv", "-switch", "500ns", "fig11"); fromScenario != fromFlag {
+		t.Errorf("fig11 under a SwitchLatNs 500 scenario differs from -switch 500ns:\n%s",
+			firstDiff([]byte(fromScenario), []byte(fromFlag)))
+	}
+	if fromScenario == runCLI(t, "-csv", "fig11") {
+		t.Error("fig11 under a SwitchLatNs 500 scenario prints the default bytes")
+	}
+	load := []string{"-csv", "-n", "200", "-rate", "0.5", "loadsweep"}
+	if runCLI(t, append([]string{"-switch", "500ns"}, load...)...) == runCLI(t, load...) {
+		t.Error("-switch 500ns does not change loadsweep")
+	}
+
+	grid := campaign.Grid{Name: "switch", Seed: 3, Experiments: []campaign.Experiment{
+		{Experiment: "fig4", Sizes: []int{64}},
+		{Experiment: "fig4", Sizes: []int{64}, SwitchNs: 500},
+	}}
+	rep, err := runGrid(grid, "", dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := rep.Manifest.Cells; len(cells) != 2 || cells[0].ConfigHash == cells[1].ConfigHash {
+		t.Errorf("campaign rows differing only in SwitchNs share a config hash: %+v", cells)
+	}
+}
+
+// runCLI runs netdimm-sim with args and returns its stdout.
+func runCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("netdimm-sim %v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
 }
 
 // expectCLIError runs netdimm-sim with args and checks that it exits with
@@ -201,20 +254,13 @@ func TestPacketsDefaultIsReplayDefault(t *testing.T) {
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	cmd := exec.Command(os.Args[0], "-cpuprofile", cpu, "-memprofile", mem, "fig11")
-	cmd.Env = append(os.Environ(), cliEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	got, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("netdimm-sim -cpuprofile -memprofile fig11: %v\n%s", err, stderr.String())
-	}
+	got := runCLI(t, "-cpuprofile", cpu, "-memprofile", mem, "fig11")
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "fig11-table1.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("stdout differs from fig11-table1.txt: %s", firstDiff(got, want))
+	if got != string(want) {
+		t.Errorf("stdout differs from fig11-table1.txt: %s", firstDiff([]byte(got), want))
 	}
 	for _, p := range []string{cpu, mem} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

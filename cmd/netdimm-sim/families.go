@@ -17,21 +17,20 @@ import (
 // flags and a campaign cell from its grid row; each family reads the axes
 // it sweeps, and a zero axis selects the family's default.
 type axes struct {
-	packets   int
-	seed      uint64
-	parallel  int
-	switchLat time.Duration
-	sizes     []int           // fig4, fig11 (nil = the paper's sizes)
-	loss      []float64       // faultsweep loss rates
-	loads     []float64       // loadsweep and racksweep offered loads
-	racks     []int           // racksweep leaf counts
-	outages   []time.Duration // failsweep spine-outage windows
-	ranks     []int           // collsweep rank counts
-	ops       []string        // collsweep operations
-	hosts     int             // Load.Hosts override (loadsweep, racksweep, failsweep)
-	cluster   string          // Load.Cluster override (loadsweep, racksweep, failsweep)
-	payload   int             // Collective.PayloadBytes override (collsweep)
-	file      string          // replay's trace file
+	packets  int
+	seed     uint64
+	parallel int
+	sizes    []int           // fig4, fig11 (nil = the paper's sizes)
+	loss     []float64       // faultsweep loss rates
+	loads    []float64       // loadsweep and racksweep offered loads
+	racks    []int           // racksweep leaf counts
+	outages  []time.Duration // failsweep spine-outage windows
+	ranks    []int           // collsweep rank counts
+	ops      []string        // collsweep operations
+	hosts    int             // Load.Hosts override (loadsweep, racksweep, failsweep)
+	cluster  string          // Load.Cluster override (loadsweep, racksweep, failsweep)
+	payload  int             // Collective.PayloadBytes override (collsweep)
+	file     string          // replay's trace file
 }
 
 // output is what one family run produces: the CLI prints the table (or the
@@ -150,12 +149,12 @@ func table1(cfg netdimm.Config, _ axes) (output, error) {
 }
 
 func fig4(cfg netdimm.Config, a axes) (output, error) {
-	rows, err := netdimm.RunFig4WithConfig(cfg, a.sizes, a.switchLat, a.parallel)
+	rows, err := netdimm.RunFig4WithConfig(cfg, a.sizes, a.parallel)
 	if err != nil {
 		return output{}, err
 	}
 	w := new(strings.Builder)
-	fmt.Fprintf(w, "Fig. 4 — one-way latency, baseline NICs (switch %v)\n", a.switchLat)
+	fmt.Fprintf(w, "Fig. 4 — one-way latency, baseline NICs (switch %v)\n", time.Duration(cfg.SwitchLatNs)*time.Nanosecond)
 	fmt.Fprintln(w, "  size        dNIC   dNIC.zcpy        iNIC   iNIC.zcpy  pcie.overh   pcie.zcpy")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6d  %10v  %10v  %10v  %10v  %9.1f%%  %9.1f%%\n",
@@ -211,12 +210,12 @@ func fig7(cfg netdimm.Config, _ axes) (output, error) {
 }
 
 func fig11(cfg netdimm.Config, a axes) (output, error) {
-	rows, ob, err := netdimm.RunFig11Observed(cfg, a.sizes, a.switchLat, a.parallel)
+	rows, ob, err := netdimm.RunFig11Observed(cfg, a.sizes, a.parallel)
 	if err != nil {
 		return output{}, err
 	}
 	w := new(strings.Builder)
-	fmt.Fprintf(w, "Fig. 11 — one-way latency breakdown (switch %v)\n", a.switchLat)
+	fmt.Fprintf(w, "Fig. 11 — one-way latency breakdown (switch %v)\n", time.Duration(cfg.SwitchLatNs)*time.Nanosecond)
 	for _, r := range rows {
 		fmt.Fprintf(w, "size %dB:\n", r.Size)
 		fmt.Fprintf(w, "  dNIC    %v\n", netdimm.NewLatencyBreakdown(r.DNIC))
@@ -362,7 +361,7 @@ func replay(cfg netdimm.Config, a axes) (output, error) {
 		return output{}, err
 	}
 	defer f.Close()
-	cluster, rows, err := netdimm.ReplayTraceFileWithConfig(cfg, f, a.switchLat, a.seed)
+	cluster, rows, err := netdimm.ReplayTraceFileWithConfig(cfg, f, a.seed)
 	if err != nil {
 		return output{}, err
 	}

@@ -36,7 +36,7 @@ import (
 
 var (
 	packets    = flag.Int("n", experiments.DefaultPackets, "packets per cell (fig12a, headline, bandwidth, mixed, faultsweep, loadsweep; racksweep and failsweep only when set, else their own defaults)")
-	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11, replay)")
+	switchLat  = flag.Duration("switch", 0, "switch port-to-port latency, overriding the scenario's SwitchLatNs (Table 1: 100ns) in table1, fig4, fig11, replay, faultsweep, loadsweep, racksweep, failsweep, collsweep and headline's Fig. 11 part; fig12a sweeps the paper's 25-200ns axis")
 	seed       = flag.Uint64("seed", 3, "trace generator seed")
 	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables ("+familyNames(hasCSV)+")")
 	parallel   = flag.Int("parallel", 0, "worker goroutines per sweep: 0 = all cores, 1 = sequential, N = at most N")
@@ -135,6 +135,12 @@ func main() {
 		os.Exit(2)
 	}
 	cfg, err := netdimm.LoadScenario(*scenario)
+	if err == nil && flagWasSet("switch") {
+		cfg.SwitchLatNs = int(*switchLat / time.Nanosecond)
+		if err = cfg.Validate(); err != nil {
+			err = fmt.Errorf("-switch %v: %w", *switchLat, err)
+		}
+	}
 	if err == nil {
 		err = profiled(func() error { return run(cfg, exp) })
 	}
@@ -236,7 +242,7 @@ func flagAxes() (axes, error) {
 	if *packets < 1 {
 		return axes{}, fmt.Errorf("-n: packets per cell must be at least 1, got %d", *packets)
 	}
-	a := axes{packets: *packets, seed: *seed, parallel: *parallel, switchLat: *switchLat,
+	a := axes{packets: *packets, seed: *seed, parallel: *parallel,
 		hosts: *hosts, cluster: *cluster, payload: *payload, file: flag.Arg(1)}
 	var err error
 	if a.loss, err = parseFloats("-loss", *lossRates); err != nil {

@@ -3,25 +3,24 @@ package netdimm
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestEveryConfigFieldChangesOutput keeps Config to knobs that do
 // something: every top-level scalar field needs an entry below with a
-// second valid value and a cheap run whose output that value changes. A
+// second valid value and cheap runs whose output that value changes. A
 // new field without an entry fails, and so does an entry whose run prints
 // the same bytes as DefaultConfig. The struct blocks (Fault, Obs, Load,
 // Fabric, Collective) have their own tests.
 func TestEveryConfigFieldChangesOutput(t *testing.T) {
 	runs := map[string]func(Config) (string, error){
 		"fig11": func(cfg Config) (string, error) {
-			rows, _, err := RunFig11Observed(cfg, []int{64, 1514}, 100*time.Nanosecond, 1)
+			rows, _, err := RunFig11Observed(cfg, []int{64, 1514}, 1)
 			return Fig11CSV(rows), err
 		},
 		// The metrics name every NetDIMM rank, so they see the capacity.
 		"fig11 -metrics": func(cfg Config) (string, error) {
 			cfg.Obs.Metrics = true
-			rows, ob, err := RunFig11Observed(cfg, []int{64}, 100*time.Nanosecond, 1)
+			rows, ob, err := RunFig11Observed(cfg, []int{64}, 1)
 			return Fig11CSV(rows) + ob.MetricsCSV(), err
 		},
 		"loadsweep": func(cfg Config) (string, error) {
@@ -29,15 +28,17 @@ func TestEveryConfigFieldChangesOutput(t *testing.T) {
 			return LoadSweepCSV(rows), err
 		},
 	}
+	// The switch latency reaches both the analytic single-switch path
+	// (fig11) and the event-driven fabric (loadsweep).
 	knobs := map[string]struct {
-		set func(*Config)
-		run string
+		set  func(*Config)
+		runs []string
 	}{
-		"DRAM":          {func(c *Config) { c.DRAM = "DDR5-4800" }, "fig11"},
-		"NetworkGbps":   {func(c *Config) { c.NetworkGbps = 100 }, "fig11"},
-		"PCIe":          {func(c *Config) { c.PCIe = "x8 PCIe Gen3" }, "fig11"},
-		"SwitchLatNs":   {func(c *Config) { c.SwitchLatNs = 500 }, "loadsweep"},
-		"NetDIMMSizeGB": {func(c *Config) { c.NetDIMMSizeGB = 32 }, "fig11 -metrics"},
+		"DRAM":          {func(c *Config) { c.DRAM = "DDR5-4800" }, []string{"fig11"}},
+		"NetworkGbps":   {func(c *Config) { c.NetworkGbps = 100 }, []string{"fig11"}},
+		"PCIe":          {func(c *Config) { c.PCIe = "x8 PCIe Gen3" }, []string{"fig11"}},
+		"SwitchLatNs":   {func(c *Config) { c.SwitchLatNs = 500 }, []string{"fig11", "loadsweep"}},
+		"NetDIMMSizeGB": {func(c *Config) { c.NetDIMMSizeGB = 32 }, []string{"fig11 -metrics"}},
 	}
 
 	base := map[string]string{}
@@ -72,11 +73,13 @@ func TestEveryConfigFieldChangesOutput(t *testing.T) {
 			t.Errorf("Config.%s: the entry's value is invalid: %v", f.Name, err)
 			continue
 		}
-		if _, ok := base[k.run]; !ok {
-			base[k.run] = output(k.run, DefaultConfig())
-		}
-		if output(k.run, cfg) == base[k.run] {
-			t.Errorf("Config.%s changes no %s output: it is not a knob", f.Name, k.run)
+		for _, run := range k.runs {
+			if _, ok := base[run]; !ok {
+				base[run] = output(run, DefaultConfig())
+			}
+			if output(run, cfg) == base[run] {
+				t.Errorf("Config.%s changes no %s output: it is not a knob", f.Name, run)
+			}
 		}
 	}
 	for name := range knobs {

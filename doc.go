@@ -30,7 +30,7 @@
 //	cfg := netdimm.DefaultConfig() // Table 1, or netdimm.LoadScenario("ddr5")
 //	tx, _ := netdimm.NewNetDIMMWithConfig(cfg, 1)
 //	rx, _ := netdimm.NewNetDIMMWithConfig(cfg, 2)
-//	lat, _ := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, 256, 100*time.Nanosecond)
+//	lat, _ := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, 256) // one cfg.SwitchLatNs switch
 //	fmt.Println(lat.Total, lat.IOReg, lat.TxFlush)
 //
 // Each experiment family has one entry point that takes the Config it

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"netdimm"
 )
@@ -20,13 +19,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	const switchLatency = 100 * time.Nanosecond
 	sizes := []int{10, 60, 200, 500, 1000, 2000, 4000, 8000}
 
 	fmt.Println("Baseline NIC architectures (Fig. 4):")
 	fmt.Printf("%6s  %9s  %9s  %9s  %9s  %10s\n",
 		"size", "dNIC", "dNIC.zcpy", "iNIC", "iNIC.zcpy", "pcie.overh")
-	fig4, err := netdimm.RunFig4WithConfig(cfg, sizes, switchLatency, 0)
+	fig4, err := netdimm.RunFig4WithConfig(cfg, sizes, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +35,7 @@ func main() {
 	}
 
 	fmt.Println("\nNetDIMM vs the baselines (Fig. 11):")
-	rows, _, err := netdimm.RunFig11Observed(cfg, sizes, switchLatency, 0)
+	rows, _, err := netdimm.RunFig11Observed(cfg, sizes, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

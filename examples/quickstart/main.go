@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"netdimm"
 )
@@ -30,10 +29,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The servers sit one switch apart; its latency is the scenario's
+	// SwitchLatNs (100ns in Table 1).
 	const packet = 256 // bytes
-	const switchLatency = 100 * time.Nanosecond
-
-	nd, err := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, packet, switchLatency)
+	nd, err := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, packet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dn, err := netdimm.OneWayLatencyWithConfig(cfg, txN, rxN, packet, switchLatency)
+	dn, err := netdimm.OneWayLatencyWithConfig(cfg, txN, rxN, packet)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,15 +43,6 @@ type Time = sim.Time
 
 func simT(d time.Duration) sim.Time { return sim.FromDuration(d) }
 
-// checkSwitch rejects a negative switch latency, which would shorten every
-// path it is added to.
-func checkSwitch(d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("netdimm: switch latency must not be negative, got %v", d)
-	}
-	return nil
-}
-
 // guard converts a panic escaping an experiment into an error, so the
 // public Run* entry points never panic on caller input: a configuration
 // that passes Validate but trips a deeper invariant (an address-map or
@@ -113,18 +104,15 @@ func Fig4CSV(rows []Fig4Result) string {
 // <= 0 uses all cores (runtime.GOMAXPROCS), 1 runs sequentially, N uses at
 // most N workers. Results are identical for every setting. The same knob
 // appears on every Run* sweep below.
-func RunFig4WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig4Result, err error) {
+func RunFig4WithConfig(cfg Config, sizes []int, parallelism int) (_ []Fig4Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkSwitch(switchLatency); err != nil {
 		return nil, err
 	}
 	if len(sizes) == 0 {
 		sizes = experiments.PaperSizes
 	}
-	return experiments.Fig4(cfg, sizes, simT(switchLatency), parallelism), nil
+	return experiments.Fig4(cfg, sizes, parallelism), nil
 }
 
 // Fig5Result is one memory-pressure level of Fig. 5.

@@ -59,8 +59,9 @@ type Experiment struct {
 	Packets int
 	// Sizes is the packet-size axis of fig4/fig11 (nil = paper sizes).
 	Sizes []int
-	// SwitchNs overrides the switch port-to-port latency in nanoseconds
-	// for fig4/fig11 (0 = 100ns, the CLI default).
+	// SwitchNs overrides the scenario's SwitchLatNs, the switch
+	// port-to-port latency in nanoseconds (0 = the scenario's value);
+	// fig12a sweeps the paper's axis instead.
 	SwitchNs int
 	// Rates is the loss-rate axis of faultsweep or the offered-load axis
 	// of loadsweep/racksweep (nil = family default grid).

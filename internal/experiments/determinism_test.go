@@ -29,13 +29,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 		run  func(parallelism int) (any, error)
 	}{
 		{"Fig4", func(p int) (any, error) {
-			return Fig4(spec.TableOne(), []int{10, 200, 2000}, 100*sim.Nanosecond, p), nil
+			return Fig4(spec.TableOne(), []int{10, 200, 2000}, p), nil
 		}},
 		{"Fig5", func(p int) (any, error) {
 			return Fig5(spec.TableOne(), []sim.Time{sim.Second, 100 * sim.Nanosecond, 5 * sim.Nanosecond}, fig5cfg, p), nil
 		}},
 		{"Fig11", func(p int) (any, error) {
-			return Fig11(spec.TableOne(), []int{64, 1024}, 100*sim.Nanosecond, p)
+			rows, _, err := Fig11Observed(spec.TableOne(), []int{64, 1024}, p, obs.Spec{})
+			return rows, err
 		}},
 		{"Fig12a", func(p int) (any, error) {
 			return Fig12a(spec.TableOne(), workload.Clusters, PaperSwitchLatencies[:2], 60, 3, p)

@@ -6,6 +6,7 @@ import (
 	"netdimm/internal/driver"
 	"netdimm/internal/netfunc"
 	"netdimm/internal/nic"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
@@ -15,7 +16,7 @@ import (
 // ---- Fig. 4 ----
 
 func TestFig4Shapes(t *testing.T) {
-	rows := Fig4(spec.TableOne(), []int{10, 60, 200, 500, 1000, 2000}, 100*sim.Nanosecond, 1)
+	rows := Fig4(spec.TableOne(), []int{10, 60, 200, 500, 1000, 2000}, 1)
 	for i, r := range rows {
 		// iNIC beats dNIC; zero copy beats copying on each architecture.
 		if !(r.INIC < r.DNIC) {
@@ -51,7 +52,7 @@ func TestFig4Shapes(t *testing.T) {
 // ---- Fig. 11 / headline latency ----
 
 func TestFig11PaperShape(t *testing.T) {
-	rows, err := Fig11(spec.TableOne(), Fig11Sizes, 100*sim.Nanosecond, 1)
+	rows, _, err := Fig11Observed(spec.TableOne(), Fig11Sizes, 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"netdimm/internal/netfunc"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/workload"
@@ -40,7 +41,7 @@ const DefaultPackets = 1000
 func RunHeadline(sp spec.Spec, n int, parallelism int) (Headline, error) {
 	var h Headline
 
-	fig11, err := Fig11(sp, Fig11Sizes, 100*sim.Nanosecond, parallelism)
+	fig11, _, err := Fig11Observed(sp, Fig11Sizes, parallelism, obs.Spec{})
 	if err != nil {
 		return h, err
 	}

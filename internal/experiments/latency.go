@@ -48,11 +48,11 @@ type Fig4Row struct {
 // directly connected nodes for the four baseline configurations, on the
 // system described by sp. Each size is an independent cell (fresh machines
 // and derived parameters per cell), fanned out over `parallelism` workers.
-func Fig4(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int) []Fig4Row {
+func Fig4(sp spec.Spec, sizes []int, parallelism int) []Fig4Row {
 	rows := make([]Fig4Row, len(sizes))
 	forEachCell(len(sizes), parallelism, func(i int) {
 		d := sp.MustDerive()
-		fabric := d.Fabric(switchLatency)
+		fabric := d.Fabric(d.SwitchLatency)
 		size := sizes[i]
 		p := nic.Packet{Size: size}
 		dn := d.NewDNIC(false)
@@ -97,27 +97,21 @@ func (r Fig11Row) ReductionVsINIC() float64 {
 	return stats.Reduction(r.INIC.Total(), r.NetDIMM.Total())
 }
 
-// Fig11 reproduces the central latency experiment: per-component one-way
-// latency for dNIC, iNIC and NetDIMM across packet sizes, on the system
-// described by sp. Each size uses fresh machines so bank and cache state do
-// not leak across rows; seeds vary per side so TX and RX devices differ.
-func Fig11(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int) ([]Fig11Row, error) {
-	rows, _, err := Fig11Observed(sp, sizes, switchLatency, parallelism, obs.Spec{})
-	return rows, err
-}
-
-// Fig11Observed is Fig11 with the observability plane: when ospec enables
-// tracing or metrics, every size gets its own cell (labelled
-// "fig11/size=<n>") holding per-architecture lifecycle spans whose
-// per-component track sums equal the reported breakdowns, plus substrate
-// metrics. With a zero ospec the returned observer is nil and the run is
-// identical to Fig11 — same cells, same event order, same numbers.
-func Fig11Observed(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int, ospec obs.Spec) ([]Fig11Row, *obs.Observer, error) {
+// Fig11Observed reproduces the central latency experiment: per-component
+// one-way latency for dNIC, iNIC and NetDIMM across packet sizes, on the
+// system described by sp. Each size uses fresh machines so bank and cache
+// state do not leak across rows; seeds vary per side so TX and RX devices
+// differ. When ospec enables tracing or metrics, every size gets its own
+// cell (labelled "fig11/size=<n>") holding per-architecture lifecycle
+// spans whose per-component track sums equal the reported breakdowns,
+// plus substrate metrics. With a zero ospec the returned observer is nil;
+// the cells, their event order and the rows are the same either way.
+func Fig11Observed(sp spec.Spec, sizes []int, parallelism int, ospec obs.Spec) ([]Fig11Row, *obs.Observer, error) {
 	return runCells(len(sizes), parallelism, ospec, func(i int) string {
 		return fmt.Sprintf("fig11/size=%d", sizes[i])
 	}, func(i int, cell *obs.Cell) (Fig11Row, error) {
 		d := sp.MustDerive()
-		fabric := d.Fabric(switchLatency)
+		fabric := d.Fabric(d.SwitchLatency)
 		size := sizes[i]
 		p := nic.Packet{Size: size}
 		ndTX, err := d.NewNetDIMM(uint64(2*i + 1))

@@ -18,7 +18,7 @@ import (
 // reported breakdown, so the Perfetto view reconstructs Fig. 11.
 func TestFig11SpanSumsMatchBreakdown(t *testing.T) {
 	sizes := []int{64, 1024, 1514}
-	rows, o, err := Fig11Observed(spec.TableOne(), sizes, 100*sim.Nanosecond, 1,
+	rows, o, err := Fig11Observed(spec.TableOne(), sizes, 1,
 		obs.Spec{Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +71,11 @@ func TestFig11SpanSumsMatchBreakdown(t *testing.T) {
 func TestFig11ObservedDeterministicTrace(t *testing.T) {
 	sizes := []int{64, 256, 1024, 1514}
 	ospec := obs.Spec{Trace: true, Metrics: true}
-	rowsSeq, oSeq, err := Fig11Observed(spec.TableOne(), sizes, 100*sim.Nanosecond, 1, ospec)
+	rowsSeq, oSeq, err := Fig11Observed(spec.TableOne(), sizes, 1, ospec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsPar, oPar, err := Fig11Observed(spec.TableOne(), sizes, 100*sim.Nanosecond, 8, ospec)
+	rowsPar, oPar, err := Fig11Observed(spec.TableOne(), sizes, 8, ospec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,25 +110,25 @@ func TestFig11ObservedDeterministicTrace(t *testing.T) {
 
 // TestFig11ObservedDisabledIdentical checks the zero-overhead contract at
 // the experiment level: a run with a zero obs.Spec returns a nil observer
-// and the exact numbers of the uninstrumented path.
+// and the exact numbers of a fully instrumented run.
 func TestFig11ObservedDisabledIdentical(t *testing.T) {
 	sizes := []int{64, 1514}
-	plain, err := Fig11(spec.TableOne(), sizes, 100*sim.Nanosecond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, o, err := Fig11Observed(spec.TableOne(), sizes, 100*sim.Nanosecond, 1, obs.Spec{})
+	plain, o, err := Fig11Observed(spec.TableOne(), sizes, 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o != nil {
 		t.Error("zero spec returned a non-nil observer")
 	}
+	rows, _, err := Fig11Observed(spec.TableOne(), sizes, 1, obs.Spec{Trace: true, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range plain {
 		if plain[i].DNIC.Total() != rows[i].DNIC.Total() ||
 			plain[i].INIC.Total() != rows[i].INIC.Total() ||
 			plain[i].NetDIMM.Total() != rows[i].NetDIMM.Total() {
-			t.Errorf("row %d: observed-disabled run differs from plain run", i)
+			t.Errorf("row %d: observed-disabled run differs from instrumented run", i)
 		}
 	}
 }

@@ -21,19 +21,20 @@ type ReplayResult struct {
 }
 
 // ReplayTrace runs a recorded packet trace (from cmd/netdimm-trace, or any
-// events slice) through the clos fabric under all three architectures and
-// reports per-packet one-way latency statistics — the file-driven variant
-// of Fig. 12(a), run as one Fig. 12(a) cell whose NetDIMM endpoints are
-// seeded seed+1 and seed+2.
-func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, seed uint64) ([]ReplayResult, error) {
+// events slice) through the clos fabric at sp's switch latency under all
+// three architectures and reports per-packet one-way latency statistics —
+// the file-driven variant of Fig. 12(a), run as one Fig. 12(a) cell whose
+// NetDIMM endpoints are seeded seed+1 and seed+2.
+func ReplayTrace(sp spec.Spec, events []workload.Event, seed uint64) ([]ReplayResult, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("experiments: empty trace")
 	}
 	next := 0
 	src := func() workload.Event { next++; return events[next-1] }
 	var hists [3]stats.Histogram
-	rows := []Fig12aRow{{SwitchLatency: switchLatency}}
-	if err := fig12aCell(sp.MustDerive(), src, len(events), seed, rows, &hists); err != nil {
+	d := sp.MustDerive()
+	rows := []Fig12aRow{{SwitchLatency: d.SwitchLatency}}
+	if err := fig12aCell(d, src, len(events), seed, rows, &hists); err != nil {
 		return nil, err
 	}
 	out := make([]ReplayResult, len(Archs))
@@ -45,11 +46,11 @@ func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, 
 }
 
 // ReplayTraceFile reads a trace stream and replays it.
-func ReplayTraceFile(sp spec.Spec, r io.Reader, switchLatency sim.Time, seed uint64) (trace.Header, []ReplayResult, error) {
+func ReplayTraceFile(sp spec.Spec, r io.Reader, seed uint64) (trace.Header, []ReplayResult, error) {
 	h, events, err := trace.Read(r)
 	if err != nil {
 		return trace.Header{}, nil, err
 	}
-	res, err := ReplayTrace(sp, events, switchLatency, seed)
+	res, err := ReplayTrace(sp, events, seed)
 	return h, res, err
 }

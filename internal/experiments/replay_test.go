@@ -17,7 +17,7 @@ import (
 
 func TestReplayTrace(t *testing.T) {
 	events := workload.NewGenerator(workload.Webserver, 0, 5).Generate(300)
-	rows, err := ReplayTrace(spec.TableOne(), events, 100*sim.Nanosecond, 1)
+	rows, err := ReplayTrace(spec.TableOne(), events, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,8 @@ func TestReplayMatchesPerPacketReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReplayTrace(sp, events, sl, seed)
+		sp.SwitchLatNs = int(sl / sim.Nanosecond)
+		got, err := ReplayTrace(sp, events, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,21 +98,21 @@ func TestReplayMatchesPerPacketReference(t *testing.T) {
 func TestReplayRejectsInvalidEvent(t *testing.T) {
 	events := workload.NewGenerator(workload.Hadoop, 0, 2).Generate(5)
 	events[3].Size = 9000
-	if _, err := ReplayTrace(spec.TableOne(), events, 100*sim.Nanosecond, 1); err == nil ||
+	if _, err := ReplayTrace(spec.TableOne(), events, 1); err == nil ||
 		!strings.Contains(err.Error(), "event 3: packet size 9000") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
-	if _, err := ReplayTrace(spec.TableOne(), nil, 100*sim.Nanosecond, 1); err == nil {
+	if _, err := ReplayTrace(spec.TableOne(), nil, 1); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
 
 func TestReplayTraceFileBadStream(t *testing.T) {
 	r := bytes.NewReader([]byte("this is not a trace stream"))
-	if _, _, err := ReplayTraceFile(spec.TableOne(), r, 100*sim.Nanosecond, 1); err == nil {
+	if _, _, err := ReplayTraceFile(spec.TableOne(), r, 1); err == nil {
 		t.Fatal("malformed stream accepted")
 	}
 }
@@ -133,7 +134,7 @@ func TestReplayTraceFileRoundTrip(t *testing.T) {
 	if err := trace.Write(&buf, h, events); err != nil {
 		t.Fatal(err)
 	}
-	gotH, rows, err := ReplayTraceFile(spec.TableOne(), &buf, 100*sim.Nanosecond, 2)
+	gotH, rows, err := ReplayTraceFile(spec.TableOne(), &buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,6 +72,10 @@ func TableOne() Spec {
 	}
 }
 
+// maxSwitchLatNs bounds SwitchLatNs at 1 s, far above any switch and far
+// below the ~9.2e6 s at which its picosecond sim.Time wraps.
+const maxSwitchLatNs = int(sim.Second / sim.Nanosecond)
+
 // Validate checks the specification for internal consistency and returns
 // an actionable error for the first violation found.
 func (s Spec) Validate() error {
@@ -80,6 +84,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("spec: NetworkGbps must be at least 1, got %d", s.NetworkGbps)
 	case s.SwitchLatNs < 0:
 		return fmt.Errorf("spec: SwitchLatNs must not be negative, got %d", s.SwitchLatNs)
+	case s.SwitchLatNs > maxSwitchLatNs:
+		return fmt.Errorf("spec: SwitchLatNs must be at most %d (1s): no switch is that slow, "+
+			"and far larger values overflow the picosecond clock; got %d", maxSwitchLatNs, s.SwitchLatNs)
 	case s.NetDIMMSizeGB < 8 || s.NetDIMMSizeGB%8 != 0:
 		return fmt.Errorf("spec: NetDIMMSizeGB must be a positive multiple of the 8GB rank size, got %d", s.NetDIMMSizeGB)
 	}

@@ -116,6 +116,8 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"network", mut(func(s *Spec) { s.NetworkGbps = 0 }), "NetworkGbps"},
 		{"switch", mut(func(s *Spec) { s.SwitchLatNs = -1 }), "SwitchLatNs"},
+		{"switch wraps", mut(func(s *Spec) { s.SwitchLatNs = 18446744073709552 }), "at most 1000000000"},
+		{"switch too slow", mut(func(s *Spec) { s.SwitchLatNs = 1e9 + 1 }), "SwitchLatNs must be at most"},
 		{"ndsize", mut(func(s *Spec) { s.NetDIMMSizeGB = 12 }), "rank size"},
 		{"dram", mut(func(s *Spec) { s.DRAM = "DDR3-1600" }), "DDR4-2400"},
 		{"pcie", mut(func(s *Spec) { s.PCIe = "x8 AGP" }), "cannot parse"},

@@ -109,11 +109,11 @@ func (l LatencyBreakdown) String() string {
 }
 
 // OneWayLatencyWithConfig sends one packet of the given size from tx to rx
-// through a single switch with the given port-to-port latency, over a
-// fabric whose link rate and PHY model derive from cfg, and returns the
-// latency decomposition. Repeated calls on stateful machines (NetDIMM)
-// reflect warmed device state.
-func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) (LatencyBreakdown, error) {
+// through a single switch, over a fabric whose link rate, PHY model and
+// switch latency derive from cfg, and returns the latency decomposition.
+// Repeated calls on stateful machines (NetDIMM) reflect warmed device
+// state.
+func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int) (LatencyBreakdown, error) {
 	if packetSize <= 0 {
 		return LatencyBreakdown{}, fmt.Errorf("netdimm: packet size must be positive, got %d", packetSize)
 	}
@@ -123,14 +123,6 @@ func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switch
 	if err := cfg.Validate(); err != nil {
 		return LatencyBreakdown{}, err
 	}
-	if err := checkSwitch(switchLatency); err != nil {
-		return LatencyBreakdown{}, err
-	}
-	return oneWay(cfg, tx, rx, packetSize, switchLatency), nil
-}
-
-// oneWay is OneWayLatencyWithConfig on arguments it has checked.
-func oneWay(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) LatencyBreakdown {
-	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, cfg.AnalyticFabric(sim.FromDuration(switchLatency)), nil)
-	return NewLatencyBreakdown(b)
+	fabric := cfg.AnalyticFabric(sim.Time(cfg.SwitchLatNs) * sim.Nanosecond)
+	return NewLatencyBreakdown(driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, fabric, nil)), nil
 }

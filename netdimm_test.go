@@ -49,7 +49,7 @@ func TestMachineNames(t *testing.T) {
 
 func TestOneWayLatencyAPI(t *testing.T) {
 	tx, rx := machine(t, "NetDIMM", 1), machine(t, "NetDIMM", 2)
-	lat, err := OneWayLatencyWithConfig(DefaultConfig(), tx, rx, 256, 100*time.Nanosecond)
+	lat, err := OneWayLatencyWithConfig(DefaultConfig(), tx, rx, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,41 +72,45 @@ func TestOneWayLatencyAPI(t *testing.T) {
 func TestOneWayLatencyErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	tx := machine(t, "dNIC", 0)
-	if _, err := OneWayLatencyWithConfig(cfg, tx, tx, 0, time.Microsecond); err == nil {
+	if _, err := OneWayLatencyWithConfig(cfg, tx, tx, 0); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := OneWayLatencyWithConfig(cfg, nil, tx, 64, time.Microsecond); err == nil {
+	if _, err := OneWayLatencyWithConfig(cfg, nil, tx, 64); err == nil {
 		t.Error("nil machine accepted")
 	}
 }
 
 // A negative switch latency would shorten every path it is added to, so
-// each entry point that takes one rejects it.
+// each entry point that prices a one-way path through the switch rejects
+// a config with one, naming the field.
 func TestNegativeSwitchLatencyRejected(t *testing.T) {
 	cfg := DefaultConfig()
-	const neg = -100 * time.Nanosecond
+	cfg.SwitchLatNs = -100
+	const want = "SwitchLatNs must not be negative, got -100"
+	check := func(entry string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", entry, err, want)
+		}
+	}
 	tx := machine(t, "dNIC", 0)
-	if _, err := OneWayLatencyWithConfig(cfg, tx, tx, 64, neg); err == nil {
-		t.Error("OneWayLatencyWithConfig accepted a negative switch latency")
-	}
-	if _, err := RunFig4WithConfig(cfg, []int{64}, neg, 1); err == nil {
-		t.Error("RunFig4WithConfig accepted a negative switch latency")
-	}
-	if _, _, err := RunFig11Observed(cfg, []int{64}, neg, 1); err == nil {
-		t.Error("RunFig11Observed accepted a negative switch latency")
-	}
+	_, err := OneWayLatencyWithConfig(cfg, tx, tx, 64)
+	check("OneWayLatencyWithConfig", err)
+	_, err = RunFig4WithConfig(cfg, []int{64}, 1)
+	check("RunFig4WithConfig", err)
+	_, _, err = RunFig11Observed(cfg, []int{64}, 1)
+	check("RunFig11Observed", err)
 	var buf bytes.Buffer
 	if err := writeTraceForTest(&buf, Hadoop, 3, 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayTraceFileWithConfig(cfg, &buf, neg, 1); err == nil {
-		t.Error("ReplayTraceFileWithConfig accepted a negative switch latency")
-	}
+	_, _, err = ReplayTraceFileWithConfig(cfg, &buf, 1)
+	check("ReplayTraceFileWithConfig", err)
 }
 
 func TestOneWayOrderingViaAPI(t *testing.T) {
 	total := func(arch string) time.Duration {
-		b, _ := OneWayLatencyWithConfig(DefaultConfig(), machine(t, arch, 1), machine(t, arch, 2), 1024, 100*time.Nanosecond)
+		b, _ := OneWayLatencyWithConfig(DefaultConfig(), machine(t, arch, 1), machine(t, arch, 2), 1024)
 		return b.Total
 	}
 	nd, in, dn := total("NetDIMM"), total("iNIC"), total("dNIC")
@@ -125,7 +129,7 @@ func TestConfigTable(t *testing.T) {
 }
 
 func TestRunFig4Defaults(t *testing.T) {
-	rows, err := RunFig4WithConfig(DefaultConfig(), nil, 100*time.Nanosecond, 0)
+	rows, err := RunFig4WithConfig(DefaultConfig(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +144,7 @@ func TestRunFig4Defaults(t *testing.T) {
 }
 
 func TestRunFig11Defaults(t *testing.T) {
-	rows, _, err := RunFig11Observed(DefaultConfig(), []int{64, 1024}, 100*time.Nanosecond, 0)
+	rows, _, err := RunFig11Observed(DefaultConfig(), []int{64, 1024}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package netdimm
 
 import (
 	"io"
-	"time"
 
 	"netdimm/internal/experiments"
 	"netdimm/internal/obs"
@@ -66,18 +65,15 @@ func (ob *Observation) MetricsCSV() string {
 // substrate counters and series (PCIe link activity, NetDIMM rank
 // occupancy, nMC queue depth, engine event volume) fold into the
 // observation. A zero cfg.Obs returns a nil Observation.
-func RunFig11Observed(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig11Result, _ *Observation, err error) {
+func RunFig11Observed(cfg Config, sizes []int, parallelism int) (_ []Fig11Result, _ *Observation, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := checkSwitch(switchLatency); err != nil {
 		return nil, nil, err
 	}
 	if len(sizes) == 0 {
 		sizes = experiments.PaperSizes
 	}
-	rows, o, err := experiments.Fig11Observed(cfg, sizes, simT(switchLatency), parallelism, cfg.Obs)
+	rows, o, err := experiments.Fig11Observed(cfg, sizes, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, err
 	}

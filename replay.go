@@ -2,7 +2,6 @@ package netdimm
 
 import (
 	"io"
-	"time"
 
 	"netdimm/internal/experiments"
 )
@@ -13,15 +12,12 @@ type ReplayResult = experiments.ReplayResult
 // ReplayTraceFileWithConfig replays a trace written by cmd/netdimm-trace
 // through the clos fabric under all three architectures on the system
 // described by cfg, as one sequential cell.
-func ReplayTraceFileWithConfig(cfg Config, r io.Reader, switchLatency time.Duration, seed uint64) (cluster string, results []ReplayResult, err error) {
+func ReplayTraceFileWithConfig(cfg Config, r io.Reader, seed uint64) (cluster string, results []ReplayResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
 		return "", nil, err
 	}
-	if err := checkSwitch(switchLatency); err != nil {
-		return "", nil, err
-	}
-	h, rows, err := experiments.ReplayTraceFile(cfg, r, simT(switchLatency), seed)
+	h, rows, err := experiments.ReplayTraceFile(cfg, r, seed)
 	if err != nil {
 		return "", nil, err
 	}

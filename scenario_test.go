@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"netdimm/internal/driver"
 )
@@ -149,7 +148,7 @@ func TestScenarioFig11Ordering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, _, err := RunFig11Observed(cfg, []int{64, 1500}, 100*time.Nanosecond, 0)
+			rows, _, err := RunFig11Observed(cfg, []int{64, 1500}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
