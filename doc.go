@@ -21,7 +21,7 @@
 //	core      — the NetDIMM buffer device: nController, nCache, nPrefetcher
 //	ethernet  — 40GbE links, switches, clos fabric
 //	driver    — software-stack models incl. Algorithm 1
-//	netfunc   — L3 forwarding (LPM trie) and DPI (Aho-Corasick)
+//	netfunc   — L3 forwarding and DPI memory footprints (Fig. 12b)
 //	workload  — cluster trace generators, MLC-style injector
 //	experiments — one entry point per paper figure
 //

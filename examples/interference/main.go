@@ -2,12 +2,8 @@
 // traffic disturb a co-running application's memory latency under an
 // integrated NIC vs a NetDIMM, for the two extremes of the packet
 // processing spectrum — L3 forwarding (header only) and deep packet
-// inspection (full payload)?
-//
-// It also demonstrates that the two network functions are real
-// implementations, not just cost models: an LPM routing table and an
-// Aho-Corasick scanner from internal/netfunc drive a tiny functional demo
-// before the timing study.
+// inspection (full payload)? Each function enters the study as its
+// memory footprint: how many cachelines of every packet the CPU reads.
 package main
 
 import (
@@ -16,7 +12,6 @@ import (
 	"log"
 
 	"netdimm"
-	"netdimm/internal/netfunc"
 )
 
 func main() {
@@ -27,9 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	functionalDemo()
-
-	fmt.Println("\nFig. 12(b) — co-running app memory latency, NetDIMM normalized to iNIC:")
+	fmt.Println("Fig. 12(b) — co-running app memory latency, NetDIMM normalized to iNIC:")
 	fmt.Printf("%-10s  %-4s  %10s  %10s  %8s  %s\n",
 		"cluster", "nf", "iNIC", "NetDIMM", "norm", "meaning")
 	rows, err := netdimm.RunFig12bWithConfig(cfg, 0)
@@ -49,53 +42,4 @@ func main() {
 	fmt.Println("packets in its local DRAM — L3F reads one header line per packet")
 	fmt.Println("(served by nCache), DPI must pull whole payloads over the shared")
 	fmt.Println("memory channel (paper: DPI +5.7-15.4%, L3F -9.8-30.9% vs iNIC).")
-}
-
-// functionalDemo runs the actual L3F and DPI engines on a few frames.
-func functionalDemo() {
-	table := netfunc.NewTable()
-	table.Insert(netfunc.Route{Prefix: ip(10, 0, 0, 0), Bits: 8, NextHop: 1})
-	table.Insert(netfunc.Route{Prefix: ip(10, 1, 0, 0), Bits: 16, NextHop: 2})
-	matcher, err := netfunc.NewMatcher("exploit", "malware")
-	if err != nil {
-		panic(err)
-	}
-	dpi := &netfunc.Inspector{Matcher: matcher, Table: table}
-
-	fmt.Println("Functional demo — the two network functions at work:")
-	for _, f := range []struct {
-		dst     netfunc.IPv4
-		payload string
-	}{
-		{ip(10, 0, 9, 9), "GET /index.html"},
-		{ip(10, 1, 2, 3), "POST /login user=alice"},
-		{ip(10, 1, 2, 3), "this payload carries malware bytes"},
-	} {
-		frame := buildFrame(f.dst, f.payload)
-		hop, err := table.Forward(frame)
-		if err != nil {
-			fmt.Printf("  L3F: %v -> error %v\n", f.dst, err)
-			continue
-		}
-		d, _ := dpi.Inspect(frame)
-		fmt.Printf("  L3F: %v -> port %d   DPI: %v\n", f.dst, hop, verdict(d))
-	}
-}
-
-func verdict(d netfunc.Decision) string {
-	if d.Verdict == netfunc.Dropped {
-		return fmt.Sprintf("DROP (matched %d pattern(s))", len(d.Matches))
-	}
-	return fmt.Sprintf("forward to port %d", d.NextHop)
-}
-
-func ip(a, b, c, d byte) netfunc.IPv4 {
-	return netfunc.IPv4(a)<<24 | netfunc.IPv4(b)<<16 | netfunc.IPv4(c)<<8 | netfunc.IPv4(d)
-}
-
-func buildFrame(dst netfunc.IPv4, payload string) []byte {
-	f := make([]byte, 34+len(payload))
-	f[30], f[31], f[32], f[33] = byte(dst>>24), byte(dst>>16), byte(dst>>8), byte(dst)
-	copy(f[34:], payload)
-	return f
 }

@@ -5,7 +5,6 @@ import (
 
 	"netdimm/internal/addrmap"
 	"netdimm/internal/dram"
-	"netdimm/internal/membank"
 	"netdimm/internal/memctrl"
 	"netdimm/internal/nic"
 	"netdimm/internal/nvdimmp"
@@ -66,17 +65,13 @@ type Stats struct {
 // logic, nCache, nPrefetcher, nMC and clone engine of Fig. 6a. Addresses
 // are DIMM-local (the system map's NetDIMM region offset).
 type Device struct {
-	cfg    Config
-	eng    *sim.Engine
-	nmc    *memctrl.Controller
-	ranks  *memctrl.RankSet
-	ncache *NCache
-	clones *dram.CloneEngine
-	bus    nic.MemChannelBus
-	// mem is the functional data plane: the bytes in local DRAM. Timing
-	// and data are updated together, so the simulated machine's contents
-	// are always consistent with its event history.
-	mem     *membank.Store
+	cfg     Config
+	eng     *sim.Engine
+	nmc     *memctrl.Controller
+	ranks   *memctrl.RankSet
+	ncache  *NCache
+	clones  *dram.CloneEngine
+	bus     nic.MemChannelBus
 	regfile *RegisterFile
 	stats   Stats
 
@@ -109,7 +104,6 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		ncache: NewNCache(cfg.NCacheLines, cfg.NCacheWays, cfg.Seed),
 		clones: dram.NewCloneEngine(cfg.Clone, cfg.LocalTiming, ranks.Ranks),
 		bus:    nic.MemChannelBus{Protocol: cfg.Protocol, Media: 15 * sim.Nanosecond},
-		mem:    membank.New(),
 	}
 	d.hits.Init(eng, cfg.Protocol.ReadLatency(cfg.SRAMLatency), func(h hitRead) { h.done(true, h.latency) })
 	return d
@@ -154,23 +148,8 @@ func (d *Device) RegisterBus() nic.RegisterBus { return d.bus }
 // submission order) and writes the first cacheline — the packet header —
 // into nCache (paper Sec. 4.1). done fires when the last write retires.
 func (d *Device) ReceivePacket(bufAddr int64, size int, done func()) error {
-	return d.ReceivePacketData(bufAddr, size, nil, done)
-}
-
-// ReceivePacketData is ReceivePacket with the frame's bytes: the data
-// lands in the functional store at the DMA buffer address as the timing
-// path retires.
-func (d *Device) ReceivePacketData(bufAddr int64, size int, data []byte, done func()) error {
 	if size <= 0 {
 		return fmt.Errorf("core: ReceivePacket size %d", size)
-	}
-	if data != nil {
-		if len(data) > size {
-			data = data[:size]
-		}
-		if err := d.mem.Write(bufAddr, data); err != nil {
-			return err
-		}
 	}
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	d.ncache.invalidateRange(bufAddr, lines) // snoop: stale copies must die
@@ -273,7 +252,6 @@ func (d *Device) Clone(dst, src int64, size int, done func(dram.CloneMode)) sim.
 func (d *Device) clone(dst, src int64, size int) (finish sim.Time, mode dram.CloneMode) {
 	lines := (int64(size) + addrmap.CachelineSize - 1) / addrmap.CachelineSize
 	d.ncache.invalidateRange(dst, lines)
-	d.mem.Clone(dst, src, size)
 	finish, mode = d.clones.Clone(d.eng.Now(), src, dst, int64(size))
 	d.stats.Clones[mode]++
 	return finish, mode
@@ -282,16 +260,4 @@ func (d *Device) clone(dst, src int64, size int) (finish sim.Time, mode dram.Clo
 // CloneLatency predicts the cost of a clone without running it.
 func (d *Device) CloneLatency(dst, src int64, size int) sim.Time {
 	return d.clones.Latency(src, dst, int64(size))
-}
-
-// ReadData returns the bytes at a DIMM-local address from the functional
-// store (no timing side effects; the timing path is HostReadLine).
-func (d *Device) ReadData(addr int64, n int) ([]byte, error) {
-	return d.mem.Read(addr, n)
-}
-
-// WriteData stores bytes at a DIMM-local address (the functional effect of
-// host writes, with no timing side effects).
-func (d *Device) WriteData(addr int64, data []byte) error {
-	return d.mem.Write(addr, data)
 }

@@ -1,51 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"netdimm/internal/sim"
 )
-
-func TestDataPlaneWriteRead(t *testing.T) {
-	_, d := newDevice(t)
-	if err := d.WriteData(0x5000, []byte("device data plane")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.ReadData(0x5000, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "device data plane" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestReceivePacketDataStoresBytes(t *testing.T) {
-	eng, d := newDevice(t)
-	payload := bytes.Repeat([]byte{0x5A}, 300)
-	if err := d.ReceivePacketData(0x7000, 300, payload, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	got, _ := d.ReadData(0x7000, 300)
-	if !bytes.Equal(got, payload) {
-		t.Fatal("DMA data corrupted")
-	}
-}
-
-func TestReceivePacketDataClips(t *testing.T) {
-	eng, d := newDevice(t)
-	long := bytes.Repeat([]byte{1}, 200)
-	if err := d.ReceivePacketData(0x8000, 100, long, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	got, _ := d.ReadData(0x8000, 101)
-	if got[100] != 0 {
-		t.Fatal("data written beyond the frame size")
-	}
-}
 
 func TestPrefetchStopsAtDeviceEnd(t *testing.T) {
 	eng, d := newDevice(t)
@@ -94,16 +53,5 @@ func TestHostReadsUnderNNICTraffic(t *testing.T) {
 	}
 	if lat <= 0 {
 		t.Fatal("missing latency")
-	}
-}
-
-func TestCloneDataPlane(t *testing.T) {
-	eng, d := newDevice(t)
-	d.WriteData(0, []byte("clone me through registers or calls"))
-	d.Clone(1<<20, 0, 35, nil)
-	eng.Run()
-	got, _ := d.ReadData(1<<20, 35)
-	if string(got) != "clone me through registers or calls" {
-		t.Fatalf("clone data = %q", got)
 	}
 }

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -33,7 +32,7 @@ func closureMeasure(d *NetDIMMDriver, op func(done func())) sim.Time {
 	return end - start
 }
 
-func closureTXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
+func closureTX(d *NetDIMMDriver, p nic.Packet) stats.Breakdown {
 	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
 	d.add(&b, stats.TxCopy, "skb+allocLookup+desc", d.Costs.SKBAlloc+d.Costs.AllocCacheLookup+d.Costs.DescWrite)
@@ -53,16 +52,10 @@ func closureTXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakd
 		}
 		d.add(&b, stats.TxCopy, "cpuCopy", d.Costs.CopyTime(p.Size))
 		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
-		if payload != nil {
-			d.Dev.WriteData(d.local(dmaBuf), clip(payload, p.Size))
-		}
 	} else {
 		d.stats.TxFast++
 		d.stats.AllocFast++
 		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
-		if payload != nil {
-			d.Dev.WriteData(d.local(d.appBuf), clip(payload, p.Size))
-		}
 	}
 	d.txRing.Push(nic.Descriptor{BufAddr: dmaBuf, Len: p.Size, Owned: true})
 	d.add(&b, stats.TxFlush, "descFlush", d.Costs.FlushTime(nic.DescriptorBytes))
@@ -74,14 +67,10 @@ func closureTXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakd
 	if d.txRing.Len() >= d.txRing.Cap()/2 {
 		d.cleanTxRing()
 	}
-	var wire []byte
-	if payload != nil {
-		wire, _ = d.Dev.ReadData(d.local(dmaBuf), p.Size)
-	}
-	return b, wire
+	return b
 }
 
-func closureRXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
+func closureRX(d *NetDIMMDriver, p nic.Packet) stats.Breakdown {
 	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
 	d.stats.RxPackets++
@@ -91,7 +80,7 @@ func closureRXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakd
 		rxBuf = d.appBuf
 	}
 	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+closureMeasure(d, func(done func()) {
-		d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, done)
+		d.Dev.ReceivePacket(d.local(rxBuf), p.Size, done)
 	}))
 	d.rxRing.Push(nic.Descriptor{BufAddr: rxBuf, Len: p.Size, Done: true})
 	rf := d.Dev.Registers()
@@ -150,17 +139,13 @@ func closureRXData(d *NetDIMMDriver, p nic.Packet, payload []byte) (stats.Breakd
 		})
 	}))
 	d.rxRing.Pop()
-	var delivered []byte
-	if payload != nil {
-		delivered, _ = d.Dev.ReadData(d.local(skbBuf), p.Size)
-	}
 	if rxBuf != d.appBuf {
 		d.Cache.Release(rxBuf)
 	}
 	if skbBuf != rxBuf {
 		d.Cache.Release(skbBuf)
 	}
-	return b, delivered
+	return b
 }
 
 // floodNCache inserts eight lines per nCache line at the top of the
@@ -210,13 +195,12 @@ func newPair(t *testing.T, seed uint64, exhausted bool) pair {
 
 // TestStepChainMatchesClosureChain drives the driver and the closure
 // reference, each on its own endpoint pair, with the same random packet
-// sequences and requires identical breakdowns, frame bytes, driver,
-// device and nCache counters, engine clocks and fired-event counts. The
-// sequences mix sizes from 64 B to 9000 B (above 4 KiB a transfer has
-// more lines than the nMC queue holds, and the rest wait), CopyNeeded
-// sends, headers
-// evicted between delivery and the header read, and, in one case, zones
-// with no free page.
+// sequences and requires identical breakdowns, driver, device and nCache
+// counters, engine clocks and fired-event counts. The sequences mix sizes
+// from 64 B to 9000 B (above 4 KiB a transfer has more lines than the nMC
+// queue holds, and the rest wait), CopyNeeded sends, headers evicted
+// between delivery and the header read, and, in one case, zones with no
+// free page.
 func TestStepChainMatchesClosureChain(t *testing.T) {
 	var txOverCap, txSlow, headerMiss, exhaustedRX uint64
 	queueCap := core.DefaultConfig().MC.ReadQueueCap
@@ -236,28 +220,19 @@ func TestStepChainMatchesClosureChain(t *testing.T) {
 					txOverCap++
 				}
 				copyNeeded := rng.Intn(4) == 0
-				var payload []byte
-				if rng.Intn(2) == 0 {
-					payload = make([]byte, size)
-					for j := range payload {
-						payload[j] = byte(rng.Uint64())
-					}
-				}
 				evict := rng.Intn(5) == 0
 
 				got.tx.CopyNeeded, want.tx.CopyNeeded = copyNeeded, copyNeeded
-				gb, gWire := got.tx.TXData(p, payload)
-				wb, wWire := closureTXData(want.tx, p, payload)
-				if gb != wb || !bytes.Equal(gWire, wWire) {
+				gb, wb := got.tx.TX(p), closureTX(want.tx, p)
+				if gb != wb {
 					t.Fatalf("packet %d (%d B): TX breakdown %v, reference %v", i, size, gb, wb)
 				}
 				if evict {
 					got.rx.Eng.Schedule(1, func() { floodNCache(got.rx.Dev) })
 					want.rx.Eng.Schedule(1, func() { floodNCache(want.rx.Dev) })
 				}
-				gb, gDel := got.rx.RXData(p, gWire)
-				wb, wDel := closureRXData(want.rx, p, wWire)
-				if gb != wb || !bytes.Equal(gDel, wDel) {
+				gb, wb = got.rx.RX(p), closureRX(want.rx, p)
+				if gb != wb {
 					t.Fatalf("packet %d (%d B): RX breakdown %v, reference %v", i, size, gb, wb)
 				}
 				for side, ds := range [2][2]*NetDIMMDriver{{got.tx, want.tx}, {got.rx, want.rx}} {

@@ -130,14 +130,6 @@ func (d *NetDIMMDriver) add(b *stats.Breakdown, c stats.Component, phase string,
 
 // TX implements Machine, following Alg. 1 lines 1–10.
 func (d *NetDIMMDriver) TX(p nic.Packet) stats.Breakdown {
-	b, _ := d.TXData(p, nil)
-	return b
-}
-
-// TXData is TX carrying the frame's bytes: payload is the application's
-// buffer contents; wire is what the nNIC fetched from local DRAM for
-// transmission.
-func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
 	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
 
@@ -164,20 +156,12 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 		}
 		d.add(&b, stats.TxCopy, "cpuCopy", d.Costs.CopyTime(p.Size))
 		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
-		if payload != nil {
-			// The CPU copy: payload lands in the DMA buffer.
-			d.Dev.WriteData(d.local(dmaBuf), clip(payload, p.Size))
-		}
 	} else {
 		// Line 8, fast path: the SKB already lives in the NetDIMM zone;
 		// flush its cachelines so the nNIC reads fresh data.
 		d.stats.TxFast++
 		d.stats.AllocFast++
 		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
-		if payload != nil {
-			// The application wrote straight into its NET_i buffer.
-			d.Dev.WriteData(d.local(d.appBuf), clip(payload, p.Size))
-		}
 	}
 	// Lines 9–10: set and flush size+flags — the 64-bit posted write that
 	// kicks off transmission, travelling the memory channel.
@@ -200,12 +184,7 @@ func (d *NetDIMMDriver) TXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	if d.txRing.Len() >= d.txRing.Cap()/2 {
 		d.cleanTxRing()
 	}
-
-	var wire []byte
-	if payload != nil {
-		wire, _ = d.Dev.ReadData(d.local(dmaBuf), p.Size)
-	}
-	return b, wire
+	return b
 }
 
 // cleanTxRing reclaims completed TX descriptors (Alg. 1 line 17).
@@ -219,25 +198,8 @@ func (d *NetDIMMDriver) cleanTxRing() {
 	}
 }
 
-// clip bounds payload to the frame size.
-func clip(payload []byte, size int) []byte {
-	if len(payload) > size {
-		return payload[:size]
-	}
-	return payload
-}
-
 // RX implements Machine, following Alg. 1 lines 11–19.
 func (d *NetDIMMDriver) RX(p nic.Packet) stats.Breakdown {
-	b, _ := d.RXData(p, nil)
-	return b
-}
-
-// RXData is RX carrying the frame's bytes: payload is what the nNIC
-// received from the wire; delivered is what the upper network layer gets
-// after the in-memory clone — byte-identical to payload when the data
-// plane is intact.
-func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, []byte) {
 	var b stats.Breakdown
 	bus := d.Dev.RegisterBus()
 	d.stats.RxPackets++
@@ -252,7 +214,7 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	start := d.begin()
 	// As for the TX fetch: the delivery fails only on a non-positive size
 	// (rxBuf lies in the zone) and then queues nothing.
-	_ = d.Dev.ReceivePacketData(d.local(rxBuf), p.Size, payload, d.doneFn)
+	_ = d.Dev.ReceivePacket(d.local(rxBuf), p.Size, d.doneFn)
 	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.wait(start))
 	// The nController filled the next RX descriptor.
 	d.rxRing.Push(nic.Descriptor{BufAddr: rxBuf, Len: p.Size, Done: true})
@@ -321,12 +283,6 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	// The descriptor is consumed; return the slot to the ring.
 	d.rxRing.Pop()
 
-	// The upper layer's view: the cloned bytes at the SKB buffer.
-	var delivered []byte
-	if payload != nil {
-		delivered, _ = d.Dev.ReadData(d.local(skbBuf), p.Size)
-	}
-
 	// Buffers recycle: the DMA buffer returns to the cache's zone, the SKB
 	// buffer is handed to the application (freed later, off the critical
 	// path). On an exhausted zone the app buffer stood in for the DMA
@@ -337,7 +293,7 @@ func (d *NetDIMMDriver) RXData(p nic.Packet, payload []byte) (stats.Breakdown, [
 	if skbBuf != rxBuf {
 		d.Cache.Release(skbBuf)
 	}
-	return b, delivered
+	return b
 }
 
 // begin starts timing an event-driven device operation and returns its

@@ -1,120 +1,34 @@
 package experiments
 
-// Integration tests: end-to-end flows across the driver, core device,
-// functional memory, network functions and fabric — the "does the whole
-// machine behave like a machine" suite, complementing the per-figure
-// shape tests.
+// Integration tests: end-to-end flows across the driver, core device and
+// fabric — the "does the whole machine behave like a machine" suite,
+// complementing the per-figure shape tests.
 
 import (
-	"bytes"
 	"testing"
 
 	"netdimm/internal/driver"
-	"netdimm/internal/netfunc"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
 )
 
-// buildFrame makes an Ethernet+IPv4-ish frame with the given destination
-// address and payload.
-func buildFrame(dst uint32, payload string, size int) []byte {
-	f := make([]byte, size)
-	f[30], f[31], f[32], f[33] = byte(dst>>24), byte(dst>>16), byte(dst>>8), byte(dst)
-	copy(f[34:], payload)
-	return f
-}
-
-// A frame transmitted by one NetDIMM machine and received by another must
-// arrive byte-identical after DMA into local DRAM, the in-memory clone,
-// and delivery to the application.
-func TestEndToEndDataIntegrity(t *testing.T) {
-	tx, err := spec.TableOne().MustDerive().NewNetDIMM(31)
-	if err != nil {
-		t.Fatal(err)
-	}
+// A NetDIMM receive runs Alg. 1 end to end on the device: every clone
+// from the RX DMA buffer to its sub-array-affine SKB buffer runs in FPM,
+// and the header read that follows hits nCache, so the clone neither
+// lands on nor evicts the header it just delivered.
+func TestRXClonesFPMAndHitsHeader(t *testing.T) {
 	rx, err := spec.TableOne().MustDerive().NewNetDIMM(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, size := range []int{64, 256, 1024, 1514} {
-		frame := buildFrame(0x0a000001, "payload-integrity-check", size)
-		for j := 34 + 23; j < size; j++ {
-			frame[j] = byte(i*7 + j) // deterministic filler
-		}
-		p := nic.Packet{ID: uint64(i), Size: size}
-
-		_, wire := tx.TXData(p, frame)
-		if !bytes.Equal(wire, frame) {
-			t.Fatalf("size %d: TX corrupted the frame", size)
-		}
-		_, delivered := rx.RXData(p, wire)
-		if !bytes.Equal(delivered, frame) {
-			t.Fatalf("size %d: RX clone corrupted the frame", size)
-		}
+		rx.RX(nic.Packet{ID: uint64(i), Size: size})
 	}
-	// The receiving driver's clones were all FPM and the headers hit
-	// nCache — the timing machinery ran alongside the data.
 	s := rx.Stats()
 	if s.ClonesFPM != 4 || s.HeaderCacheHits != 4 {
 		t.Fatalf("rx stats = %+v", s)
-	}
-}
-
-// The COPY_NEEDED slow path must also preserve data.
-func TestSlowPathDataIntegrity(t *testing.T) {
-	tx, err := spec.TableOne().MustDerive().NewNetDIMM(33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.CopyNeeded = true
-	frame := buildFrame(0x0a000001, "slow path bytes", 200)
-	_, wire := tx.TXData(nic.Packet{Size: 200}, frame)
-	if !bytes.Equal(wire, frame) {
-		t.Fatal("COPY_NEEDED path corrupted the frame")
-	}
-}
-
-// A full forwarding pipeline: frames received on a NetDIMM, inspected by
-// the real DPI engine, and forwarded or dropped by the real LPM table.
-func TestNetDIMMForwardingPipeline(t *testing.T) {
-	rx, err := spec.TableOne().MustDerive().NewNetDIMM(34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := netfunc.NewTable()
-	table.Insert(netfunc.Route{Prefix: 0x0a000000, Bits: 8, NextHop: 1})
-	table.Insert(netfunc.Route{Prefix: 0x0a010000, Bits: 16, NextHop: 2})
-	matcher, err := netfunc.NewMatcher("forbidden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpi := &netfunc.Inspector{Matcher: matcher, Table: table}
-
-	cases := []struct {
-		dst     uint32
-		payload string
-		drop    bool
-		hop     int
-	}{
-		{0x0a000005, "normal traffic", false, 1},
-		{0x0a010005, "more normal traffic", false, 2},
-		{0x0a000005, "carries forbidden content", true, 0},
-	}
-	for i, c := range cases {
-		frame := buildFrame(c.dst, c.payload, 128)
-		_, delivered := rx.RXData(nic.Packet{ID: uint64(i), Size: 128}, frame)
-		dec, err := dpi.Inspect(delivered)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if c.drop && dec.Verdict != netfunc.Dropped {
-			t.Fatalf("case %d: should have dropped", i)
-		}
-		if !c.drop && (dec.Verdict != netfunc.Forwarded || dec.NextHop != c.hop) {
-			t.Fatalf("case %d: decision %+v, want hop %d", i, dec, c.hop)
-		}
 	}
 }
 

@@ -28,12 +28,6 @@ type Packet struct {
 	ID   uint64
 	Size int // frame bytes excluding preamble/FCS/IFG
 	Born sim.Time
-	// Hops is the number of switches the packet traverses (set by the
-	// fabric model / trace generator).
-	Hops int
-	// Payload-processing hint for network functions: true if the consumer
-	// needs only the header (e.g. L3 forwarding).
-	HeaderOnly bool
 }
 
 // Cachelines returns the number of 64B cachelines the packet occupies in
