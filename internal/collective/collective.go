@@ -11,7 +11,11 @@
 // transport to check the data plane against a sequential reference.
 package collective
 
-import "fmt"
+import (
+	"fmt"
+
+	"netdimm/internal/nic"
+)
 
 // Op identifies one collective operation.
 type Op int
@@ -97,8 +101,8 @@ func (s Spec) Validate() error {
 	if s.PayloadBytes < 0 {
 		return fmt.Errorf("collective: PayloadBytes must not be negative, got %d", s.PayloadBytes)
 	}
-	if s.ChunkBytes < 0 {
-		return fmt.Errorf("collective: ChunkBytes must not be negative, got %d", s.ChunkBytes)
+	if s.ChunkBytes < 0 || s.ChunkBytes > nic.MTU {
+		return fmt.Errorf("collective: ChunkBytes must be between 0 (meaning the MTU) and the MTU, %d, got %d: no receive buffer holds a larger frame", nic.MTU, s.ChunkBytes)
 	}
 	return nil
 }

@@ -36,6 +36,8 @@ func TestSpecValidate(t *testing.T) {
 		{"too many ranks", Spec{Ranks: MaxRanks + 1}, false},
 		{"negative payload", Spec{PayloadBytes: -1}, false},
 		{"negative chunk", Spec{ChunkBytes: -1}, false},
+		{"MTU chunk", Spec{ChunkBytes: 1514}, true},
+		{"chunk above the MTU", Spec{ChunkBytes: 1515}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {

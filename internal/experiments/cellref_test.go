@@ -26,7 +26,9 @@ import (
 // (cluster, switch latency) point by running the whole driver path again,
 // for the Fig. 12(a) cell that runs it once per cluster. refReplayTrace
 // prices every packet of a trace once per architecture, for the replay
-// that runs on the Fig. 12(a) cell.
+// that runs on the Fig. 12(a) cell. The open-loop and collective
+// references queue at serialServer, the closure-per-job driver queue the
+// cell transport's single ring of frame jobs replaced.
 
 func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	if kneeFactor <= 0 {
@@ -942,4 +944,63 @@ func refReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Tim
 		out[i] = ReplayResult{Arch: arch, Packets: h.Count(), Mean: h.Mean(), P50: h.Percentile(50), P99: h.Percentile(99)}
 	}
 	return out, nil
+}
+
+// serialServer is the reference cells' FIFO single-server queue on the
+// cell's engine — the model of one driver core draining packets one at a
+// time, with a completion closure per job. The queue is a ring whose head
+// is the job in service.
+type serialServer struct {
+	eng      *sim.Engine
+	queue    sim.FIFO[serialJob]
+	finishFn func() // s.finish, bound on the first Submit
+	maxDepth int
+	// onDepth, when set, samples the queue depth after every change.
+	onDepth func(at sim.Time, depth int)
+}
+
+type serialJob struct {
+	service sim.Time
+	done    func()
+}
+
+// Depth returns queued jobs including the one in service.
+func (s *serialServer) Depth() int { return s.queue.Len() }
+
+func (s *serialServer) sample() {
+	if d := s.Depth(); d > s.maxDepth {
+		s.maxDepth = d
+	}
+	if s.onDepth != nil {
+		s.onDepth(s.eng.Now(), s.Depth())
+	}
+}
+
+// Submit enqueues one job; done fires when its service completes.
+func (s *serialServer) Submit(service sim.Time, done func()) {
+	s.queue.Push(serialJob{service: service, done: done})
+	s.sample()
+	if s.queue.Len() == 1 { // the server was idle
+		s.serve()
+	}
+}
+
+// serve starts the head job's service.
+func (s *serialServer) serve() {
+	if s.finishFn == nil {
+		s.finishFn = s.finish
+	}
+	s.eng.Schedule(s.queue.Head().service, s.finishFn)
+}
+
+// finish completes the head job: its done runs while it still counts as in
+// service, then the next job starts.
+func (s *serialServer) finish() {
+	s.queue.Head().done()
+	s.queue.Drop()
+	if s.queue.Len() == 0 {
+		s.sample()
+		return
+	}
+	s.serve()
 }

@@ -39,6 +39,9 @@ type cellTransport struct {
 	link   ethernet.Link
 	reg    *obs.Registry
 	tx, rx []driverQueue // one each per endpoint
+	// prices, in a cell of stateless analytic drivers, holds their TX and
+	// RX totals by frame size, each filled on its first use; nil otherwise.
+	prices *[2][nic.MTU + 1]sim.Time
 	// flights holds the frames crossing the fabric by slot, and a frame
 	// carries its slot as its ID (ports and the topology never read it).
 	// Delivery, an uplink refusal or the topology's OnDrop frees the slot.
@@ -58,25 +61,37 @@ type cellTransport struct {
 }
 
 // frame is one transmitted frame: a copy of an open-loop packet, or one
-// fragment of a collective step message.
+// fragment of a collective step message. It holds no pointer.
 type frame struct {
 	p        nic.Packet // Born is the instant the source offered it
 	src, dst int32      // endpoints
 	// tag is the packet's global number (host-major) in an open-loop cell,
 	// or its message's slot in a collective one.
 	tag, attempt int
-	ack          func() // the ARQ acknowledgement; nil without ARQ
 }
 
-// driverQueue is one endpoint's serial TX or RX driver queue: its frames
-// wait in q and complete in order through doneFn, bound once.
+// driverQueue is one endpoint's serial TX or RX driver core: its ring's
+// head is the job in service, and finish, bound once, completes each job.
 type driverQueue struct {
-	serialServer
-	t      *cellTransport
-	m      driver.Machine
-	q      sim.FIFO[frame]
-	doneFn func()
-	markFn func() // TX: the ECN pacer's OnMark; nil without pacing
+	t         *cellTransport
+	m         driver.Machine
+	rx        bool
+	price     *[nic.MTU + 1]sim.Time // this direction's row of t.prices
+	jobs      sim.FIFO[job]
+	finishFn  func()
+	stallDone func() // the ECN pacer's end of stall
+	markFn    func() // TX: the ECN pacer's OnMark; nil without pacing
+	maxDepth  int
+	// onDepth, when set, samples the queue depth after every change.
+	onDepth func(at sim.Time, depth int)
+}
+
+// job is a frame and its driver service time, or an ECN-pacer stall that
+// occupies the driver for service.
+type job struct {
+	fr      frame
+	service sim.Time
+	stall   bool
 }
 
 // cellProbe, when set, replaces the engine probe of every cell engine a
@@ -93,14 +108,24 @@ func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, s
 	if err != nil {
 		return err
 	}
+	// A dNIC or iNIC driver with no recorder, over a PCIe link with no
+	// observer, prices a frame from its size alone (TestHWDriverPureInSize).
+	if hw, ok := rxs[n-1].(*driver.HWDriver); ok && hw.Rec == nil {
+		if dn, ok := hw.Dev.(nic.DNIC); !ok || dn.Link.Obs == nil {
+			t.prices = new([2][nic.MTU + 1]sim.Time)
+		}
+	}
 	t.arch, t.link, t.reg = arch, d.Link, reg
 	t.tx, t.rx = make([]driverQueue, n), make([]driverQueue, n)
 	t.deliverFn = t.deliver
 	for i := range t.tx {
 		tx, rx := &t.tx[i], &t.rx[i]
-		tx.eng, tx.t, tx.m = t.eng, t, txs[i]
-		rx.eng, rx.t, rx.m = t.eng, t, rxs[i]
-		tx.doneFn, rx.doneFn = tx.txDone, rx.rxDone
+		*tx = driverQueue{t: t, m: txs[i]}
+		*rx = driverQueue{t: t, m: rxs[i], rx: true}
+		tx.finishFn, rx.finishFn = tx.finish, rx.finish
+		if t.prices != nil {
+			tx.price, rx.price = &t.prices[0], &t.prices[1]
+		}
 	}
 	obs.NewEngineProbe(reg, arch+".engine").Attach(t.eng)
 	if cellProbe != nil {
@@ -114,15 +139,73 @@ func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, s
 // send queues fr at its source's TX driver.
 func (t *cellTransport) send(fr frame) {
 	q := &t.tx[fr.src]
-	q.q.Push(fr)
-	q.Submit(q.m.TX(fr.p).Total(), q.doneFn)
+	q.push(job{fr: fr, service: q.cost(fr.p)})
 }
 
-// txDone puts the TX driver's finished frame on its endpoint's uplink.
-func (q *driverQueue) txDone() {
-	t := q.t
-	fr := *q.q.Head()
-	q.q.Drop()
+// cost is q's driver service time for p, from t.prices when it is set.
+func (q *driverQueue) cost(p nic.Packet) sim.Time {
+	if q.price != nil && q.price[p.Size] != 0 {
+		return q.price[p.Size]
+	}
+	var c sim.Time
+	if q.rx {
+		c = q.m.RX(p).Total()
+	} else {
+		c = q.m.TX(p).Total()
+	}
+	if q.price != nil {
+		q.price[p.Size] = c
+	}
+	return c
+}
+
+// stall is the ECN pacer's Stall, which has at most one stall outstanding
+// and always passes the same done.
+func (q *driverQueue) stall(d sim.Time, done func()) {
+	q.stallDone = done
+	q.push(job{service: d, stall: true})
+}
+
+// push queues j and starts it if the driver was idle.
+func (q *driverQueue) push(j job) {
+	q.jobs.Push(j)
+	q.sample()
+	if q.jobs.Len() == 1 {
+		q.t.eng.Schedule(j.service, q.finishFn)
+	}
+}
+
+// sample records the queue's depth, the job in service included.
+func (q *driverQueue) sample() {
+	q.maxDepth = max(q.maxDepth, q.jobs.Len())
+	if q.onDepth != nil {
+		q.onDepth(q.t.eng.Now(), q.jobs.Len())
+	}
+}
+
+// finish completes the head job, which still counts as in service while
+// it is handed on, then starts the next.
+func (q *driverQueue) finish() {
+	switch j := q.jobs.Head(); {
+	case j.stall:
+		q.stallDone()
+	case q.rx: // tally the frame and hand it to the source
+		q.t.delivered++
+		q.t.wireBusy += q.t.link.SerializeTime(j.fr.p.Size)
+		q.t.cleared(&j.fr)
+	default:
+		q.t.txDone(j.fr)
+	}
+	q.jobs.Drop()
+	if q.jobs.Len() == 0 {
+		q.sample()
+		return
+	}
+	q.t.eng.Schedule(q.jobs.Head().service, q.finishFn)
+}
+
+// txDone puts a frame its TX driver finished on its endpoint's uplink.
+func (t *cellTransport) txDone(fr frame) {
 	f := ethernet.Frame{ID: uint64(t.flights.put(fr)), Bytes: fr.p.Size}
 	if !t.topo.Inject(int(fr.src), int(fr.dst), f, t.deliverFn) {
 		t.dropped++
@@ -142,22 +225,10 @@ func (t *cellTransport) deliver(f ethernet.Frame) {
 		return
 	}
 	rx := &t.rx[fr.dst]
-	rx.q.Push(fr)
-	rx.Submit(rx.m.RX(fr.p).Total(), rx.doneFn)
+	rx.push(job{fr: fr, service: rx.cost(fr.p)})
 	if mark := t.tx[fr.src].markFn; mark != nil && f.ECN {
 		t.topo.EchoMark(int(fr.src), mark)
 	}
-}
-
-// rxDone tallies the RX driver's finished frame and hands it to the
-// source.
-func (q *driverQueue) rxDone() {
-	t := q.t
-	fr := q.q.Head()
-	t.delivered++
-	t.wireBusy += t.link.SerializeTime(fr.p.Size)
-	t.cleared(fr)
-	q.q.Drop()
 }
 
 // run runs the cell's engine dry, checks that it ended cleanly and folds
@@ -252,6 +323,7 @@ type arqTally struct {
 	outageWindow
 	ctrs                           stats.FaultCounters
 	seen, gaveUp                   []bool
+	acks                           [][]func() // by packet, then attempt
 	failed, dups, recovered        int
 	duringOffered, duringDelivered int
 	recoverySum                    sim.Time
@@ -276,7 +348,7 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 	if opts.incast {
 		n, sources = shape.hosts+1, shape.hosts
 	}
-	c := &fabricCell{hosts: shape.hosts, hist: new(stats.Histogram)}
+	c := &fabricCell{hosts: shape.hosts, hist: stats.NewHistogram(opts.packets)}
 	if err := c.init(d, arch, n, opts.incast, opts.seed, opts.eventBudget, shape.portBuffer, oc.Metrics()); err != nil {
 		return nil, err
 	}
@@ -308,7 +380,8 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 		}
 	}
 	if w := opts.outage; w != nil {
-		c.arq = &arqTally{outageWindow: *w, seen: make([]bool, opts.packets), gaveUp: make([]bool, opts.packets)}
+		c.arq = &arqTally{outageWindow: *w, seen: make([]bool, opts.packets), gaveUp: make([]bool, opts.packets),
+			acks: make([][]func(), opts.packets)}
 		c.admit = c.arq.unseen
 	}
 
@@ -333,7 +406,7 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 		if c.topo.Spec().ECNThreshold > 0 {
 			// A mark stalls the sender by occupying its TX driver for one
 			// backoff — queued arrivals wait behind it.
-			c.tx[h].markFn = (&fabric.Pacer{Backoff: c.topo.Spec().ECNBackoff(), Stall: c.tx[h].Submit}).OnMark
+			c.tx[h].markFn = (&fabric.Pacer{Backoff: c.topo.Spec().ECNBackoff(), Stall: c.tx[h].stall}).OnMark
 		}
 		if c.arq != nil {
 			s.rt = nic.Retransmitter{Eng: c.eng, Policy: failPolicy(d.Spec.Fault), Counters: &c.arq.ctrs}
@@ -391,7 +464,8 @@ func (s *cellSender) arrive() {
 func (s *cellSender) sendARQ(fr frame) {
 	c, a := s.c, s.c.arq
 	s.rt.SendAsync(func(n int, ack func()) {
-		fr.attempt, fr.ack = n, ack
+		fr.attempt = n
+		a.acks[fr.tag] = append(a.acks[fr.tag], ack)
 		c.send(fr)
 	}, func(_ int, err error) {
 		if err != nil {
@@ -441,7 +515,7 @@ func (c *fabricCell) observe(fr *frame) {
 		a.recovered++
 		a.recoverySum += lat
 	}
-	c.topo.EchoMark(int(fr.src), fr.ack)
+	c.topo.EchoMark(int(fr.src), a.acks[fr.tag][fr.attempt])
 }
 
 // cellCounts are a finished cell's packet tallies. dropped counts frames
@@ -514,9 +588,17 @@ func newMachine(d *spec.Derived, arch string, seed uint64) (driver.Machine, erro
 // endpoints builds arch's driver machines over n fabric endpoints: a TX
 // and an RX machine on each, or, in an incast cell, TX machines on the
 // first n-1 and the only RX machine on the last. Endpoint h's NetDIMMs
-// are seeded seed+2h+1 (TX) and seed+2h+2 (RX) either way.
+// are seeded seed+2h+1 (TX) and seed+2h+2 (RX) either way. A dNIC or
+// iNIC driver holds no state, so one serves every endpoint.
 func endpoints(d *spec.Derived, arch string, n int, incast bool, seed uint64) (txs, rxs []driver.Machine, err error) {
 	txs, rxs = make([]driver.Machine, n), make([]driver.Machine, n)
+	if arch != "NetDIMM" {
+		m, err := newMachine(d, arch, 0)
+		for h := range txs {
+			txs[h], rxs[h] = m, m
+		}
+		return txs, rxs, err
+	}
 	for h := 0; h < n && err == nil; h++ {
 		if !incast || h < n-1 {
 			txs[h], err = newMachine(d, arch, seed+2*uint64(h)+1)
@@ -529,66 +611,6 @@ func endpoints(d *spec.Derived, arch string, n int, incast bool, seed uint64) (t
 		return nil, nil, err
 	}
 	return txs, rxs, nil
-}
-
-// serialServer is a FIFO single-server queue on the cell's engine — the
-// model of one driver core draining packets one at a time. It is where
-// load above the stage's capacity turns into waiting time. The queue is a
-// ring whose head is the job in service, and every completion event is one
-// method value, so serving a job allocates nothing.
-type serialServer struct {
-	eng      *sim.Engine
-	queue    sim.FIFO[serialJob]
-	finishFn func() // s.finish, bound on the first Submit
-	maxDepth int
-	// onDepth, when set, samples the queue depth after every change.
-	onDepth func(at sim.Time, depth int)
-}
-
-type serialJob struct {
-	service sim.Time
-	done    func()
-}
-
-// Depth returns queued jobs including the one in service.
-func (s *serialServer) Depth() int { return s.queue.Len() }
-
-func (s *serialServer) sample() {
-	if d := s.Depth(); d > s.maxDepth {
-		s.maxDepth = d
-	}
-	if s.onDepth != nil {
-		s.onDepth(s.eng.Now(), s.Depth())
-	}
-}
-
-// Submit enqueues one job; done fires when its service completes.
-func (s *serialServer) Submit(service sim.Time, done func()) {
-	s.queue.Push(serialJob{service: service, done: done})
-	s.sample()
-	if s.queue.Len() == 1 { // the server was idle
-		s.serve()
-	}
-}
-
-// serve starts the head job's service.
-func (s *serialServer) serve() {
-	if s.finishFn == nil {
-		s.finishFn = s.finish
-	}
-	s.eng.Schedule(s.queue.Head().service, s.finishFn)
-}
-
-// finish completes the head job: its done runs while it still counts as in
-// service, then the next job starts.
-func (s *serialServer) finish() {
-	s.queue.Head().done()
-	s.queue.Drop()
-	if s.queue.Len() == 0 {
-		s.sample()
-		return
-	}
-	s.serve()
 }
 
 // runFabric runs a fabric cell's engine dry and checks that it ended

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"netdimm/internal/fabric"
 	"netdimm/internal/fault"
+	"netdimm/internal/nic"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
@@ -324,20 +326,22 @@ func TestFabricCellEventsMatchReference(t *testing.T) {
 
 // TestFabricCellAllocsPerPacket holds the warm per-packet chain of a
 // non-ARQ cell to (almost) no allocations: the mallocs a cell adds when
-// its packet count doubles, per added packet, stay at or below 0.05 for a
+// its packet count doubles, per added packet, stay at or below 0.03 for a
 // many-to-many cell with ECN pacing and for two incast cells: one below
 // the knee and one past it, whose RX queue backs up by hundreds of frames.
-// What remains is set-up and the histograms' and queues' amortised growth.
+// The one past the knee also adds at most 80 B per added packet. What
+// remains is set-up and the queues' amortised growth.
 func TestFabricCellAllocsPerPacket(t *testing.T) {
 	const n = 2000
 	for _, c := range []struct {
-		name   string
-		incast bool
-		load   float64
+		name     string
+		incast   bool
+		load     float64
+		maxBytes float64 // per added packet; 0 leaves bytes unchecked
 	}{
-		{"rack", false, 0.3},
-		{"incast", true, 0.15},
-		{"incast backlog", true, 0.3},
+		{"rack", false, 0.3, 0},
+		{"incast", true, 0.15, 0},
+		{"incast backlog", true, 0.3, 80},
 	} {
 		sp := spec.TableOne()
 		sp.Load.Hosts = 8
@@ -347,16 +351,30 @@ func TestFabricCellAllocsPerPacket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := func(packets int) float64 {
-			return testing.AllocsPerRun(1, func() {
-				if _, err := runFabricCell(sp, "NetDIMM", shape, cellOpts{load: c.load, packets: packets,
-					eventBudget: 4_000_000, seed: 1, incast: c.incast}, nil); err != nil {
-					t.Fatal(err)
-				}
-			})
+		run := func(packets int) {
+			if _, err := runFabricCell(sp, "NetDIMM", shape, cellOpts{load: c.load, packets: packets,
+				eventBudget: 4_000_000, seed: 1, incast: c.incast}, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if per := (allocs(2*n) - allocs(n)) / n; per > 0.05 {
-			t.Errorf("%s: %.3f mallocs per added packet, want <= 0.05", c.name, per)
+		allocs := func(packets int) float64 { return testing.AllocsPerRun(1, func() { run(packets) }) }
+		if per := (allocs(2*n) - allocs(n)) / n; per > 0.03 {
+			t.Errorf("%s: %.3f mallocs per added packet, want <= 0.03", c.name, per)
+		}
+		if c.maxBytes == 0 {
+			continue
+		}
+		bytes := func(packets int) float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			run(packets) // warm, as AllocsPerRun does
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(packets)
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		if per := (bytes(2*n) - bytes(n)) / n; per > c.maxBytes {
+			t.Errorf("%s: %.1f B per added packet, want <= %g", c.name, per, c.maxBytes)
 		}
 	}
 }
@@ -431,6 +449,138 @@ func TestCellFreesDroppedFlights(t *testing.T) {
 		}
 		if len(slab.items) >= fabricDrops {
 			t.Errorf("%s: slab of %d slots for %d fabric drops: dropped frames kept their slots", c.name, len(slab.items), fabricDrops)
+		}
+	}
+}
+
+// TestCellPricesMatchPerFrame holds an analytic cell's price table to
+// pricing every frame: for dNIC and iNIC under table1 and pcie-gen3, the
+// service time each TX and RX queue charges for sizes 1..MTU, in shuffled
+// order with random IDs and birth times, equals a fresh machine's TX or RX
+// total, and so do the table's TX and RX rows. A NetDIMM cell, whose
+// drivers hold state, builds no table.
+func TestCellPricesMatchPerFrame(t *testing.T) {
+	gen3 := spec.TableOne()
+	gen3.PCIe = "x8 PCIe Gen3"
+	r := sim.NewRand(38)
+	sizes := make([]int, nic.MTU)
+	for i := range sizes {
+		sizes[i] = i + 1
+	}
+	for _, sp := range []spec.Spec{spec.TableOne(), gen3} {
+		d := sp.MustDerive()
+		for _, arch := range Archs {
+			var c cellTransport
+			if err := c.init(d, arch, 4, false, 1, 1000, 4, nil); err != nil {
+				t.Fatal(err)
+			}
+			if arch == "NetDIMM" {
+				if c.prices != nil || c.tx[0].price != nil || c.rx[0].price != nil {
+					t.Errorf("%s %s: the cell built a price table", sp.PCIe, arch)
+				}
+				continue
+			}
+			ref, err := newMachine(d, arch, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				for i := len(sizes) - 1; i > 0; i-- {
+					j := r.Intn(i + 1)
+					sizes[i], sizes[j] = sizes[j], sizes[i]
+				}
+				for _, size := range sizes {
+					p := nic.Packet{ID: r.Uint64(), Size: size, Born: sim.Time(r.Int63n(1 << 50))}
+					tx, rx := &c.tx[r.Intn(len(c.tx))], &c.rx[r.Intn(len(c.rx))]
+					var gotTX, gotRX sim.Time
+					if r.Intn(2) == 0 {
+						gotTX, gotRX = tx.cost(p), rx.cost(p)
+					} else {
+						gotRX, gotTX = rx.cost(p), tx.cost(p)
+					}
+					wantTX, wantRX := ref.TX(p).Total(), ref.RX(p).Total()
+					if gotTX != wantTX || gotRX != wantRX {
+						t.Fatalf("%s %s pass %d size %d: TX %v RX %v, want TX %v RX %v", sp.PCIe, arch, pass, size, gotTX, gotRX, wantTX, wantRX)
+					}
+					if c.prices[0][size] != wantTX || c.prices[1][size] != wantRX {
+						t.Fatalf("%s %s size %d: table TX %v RX %v, want TX %v RX %v",
+							sp.PCIe, arch, size, c.prices[0][size], c.prices[1][size], wantTX, wantRX)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDriverQueueOrderAndDepth serves frames and an ECN-pacer stall on one
+// driver queue: in order, one at a time, with the job in service counted
+// in the depth until it has been handed on.
+func TestDriverQueueOrderAndDepth(t *testing.T) {
+	c := &cellTransport{eng: sim.NewEngine(), link: spec.TableOne().MustDerive().Link}
+	q := &driverQueue{t: c, rx: true}
+	q.finishFn = q.finish
+	var log []string
+	var depths []int
+	q.onDepth = func(_ sim.Time, d int) { depths = append(depths, d) }
+	c.cleared = func(fr *frame) {
+		log = append(log, fmt.Sprintf("%d@%d/%d", fr.tag, c.eng.Now(), q.jobs.Len()))
+		if fr.tag == 0 {
+			q.stall(5, func() { log = append(log, fmt.Sprintf("stall@%d/%d", c.eng.Now(), q.jobs.Len())) })
+		}
+	}
+	for i := 0; i < 3; i++ {
+		q.push(job{fr: frame{p: nic.Packet{Size: 64}, tag: i}, service: 10})
+	}
+	c.eng.Run()
+	want := []string{"0@10/3", "1@20/3", "2@30/2", "stall@35/1"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("served %v, want %v", log, want)
+	}
+	if fmt.Sprint(depths) != "[1 2 3 4 0]" || q.maxDepth != 4 || c.delivered != 3 {
+		t.Fatalf("depth samples %v (max %d), %d delivered, want [1 2 3 4 0] (max 4), 3", depths, q.maxDepth, c.delivered)
+	}
+}
+
+// BenchmarkFabricCell times one cell of the transport's two bench shapes
+// per iteration and architecture at seed 3: a 32-to-1 incast past the
+// knee, and a 128-host two-rack clos with ECN pacing.
+func BenchmarkFabricCell(b *testing.B) {
+	const packets = 4000
+	rack := spec.TableOne()
+	rack.Load.Hosts = 128
+	rack.Fabric.Leaves, rack.Fabric.Spines = 2, rackSpines(128, 2)
+	rack.Fabric.ECNThreshold = fabric.DefaultECNThreshold
+	incast := spec.TableOne()
+	incast.Load.Hosts = 32
+	for _, w := range []struct {
+		name   string
+		sp     spec.Spec
+		load   float64
+		incast bool
+	}{
+		{"incast", incast, 0.22, true},
+		{"rack", rack, 0.2, false},
+	} {
+		shape, err := resolveLoad(w.sp.Load, nil, 8, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := cellOpts{load: w.load, packets: packets, eventBudget: rackEventBudget, seed: 3, incast: w.incast}
+		for _, arch := range Archs {
+			b.Run(w.name+"/"+arch, func(b *testing.B) {
+				b.ReportAllocs()
+				run := func() {
+					if _, err := runFabricCell(w.sp, arch, shape, opts, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				run() // warm
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/pkt")
+			})
 		}
 	}
 }

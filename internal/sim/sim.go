@@ -153,6 +153,8 @@ type Engine struct {
 	// single branch when no watchdog is armed.
 	wd          Watchdog
 	wdOn        bool
+	wdSlow      bool   // MaxNoProgress or MaxWall is set
+	wdMaxFired  uint64 // MaxEvents-1: past it, run calls wdCheck
 	wdErr       *WatchdogError
 	wdBaseFired uint64
 	wdSameTime  uint64
@@ -408,7 +410,7 @@ func (e *Engine) run(limit Time) (ok bool) {
 	prev := e.limit
 	e.limit, e.stopped, ok = limit, false, true
 	for !e.stopped {
-		if e.wdOn && !e.wdCheck() {
+		if e.wdOn && (e.wdSlow || e.fired-e.wdBaseFired > e.wdMaxFired) && !e.wdCheck() {
 			ok = false
 			break
 		}

@@ -47,6 +47,9 @@ func (e *Engine) SetWatchdog(w Watchdog) {
 	e.wd = w
 	e.wdOn = w != Watchdog{}
 	e.wdBaseFired = e.fired
+	// run calls wdCheck per event only for MaxNoProgress or MaxWall.
+	e.wdSlow = w.MaxNoProgress > 0 || w.MaxWall > 0
+	e.wdMaxFired = w.MaxEvents - 1 // wraps to "never" when MaxEvents is 0
 	e.wdSameTime = 0
 	e.wdLastNow = e.now
 	e.wdErr = nil

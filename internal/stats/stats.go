@@ -101,6 +101,9 @@ type Histogram struct {
 	sum     sim.Time
 }
 
+// NewHistogram returns an empty histogram with room for n samples.
+func NewHistogram(n int) *Histogram { return &Histogram{samples: make([]sim.Time, 0, n)} }
+
 // Observe records one sample.
 func (h *Histogram) Observe(v sim.Time) {
 	h.samples = append(h.samples, v)

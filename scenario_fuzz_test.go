@@ -25,6 +25,7 @@ func FuzzReadScenario(f *testing.F) {
 	f.Add("{\"PCIe\": \"x16 PCIe Gen5\", \"Fault\": {\"MemTimeoutProb\": 0.5, \"MemTimeoutNs\": 100}}")
 	f.Add(`{"Fault": {"Failure": {"Outages": [{"Kind": "spine", "Index": 0, "StartNs": 1000, "EndNs": 5000}], "Burst": {"BadLossProb": 0.5, "GoodToBad": 0.01, "BadToGood": 0.1}}}}`)
 	f.Add(`{"Fault": {"Failure": {"Outages": [{"Kind": "bogus", "StartNs": 5, "EndNs": 5}]}}}`)
+	f.Add(`{"Collective": {"ChunkBytes": 70000}}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		cfg, err := ReadScenario(strings.NewReader(data))
 		if err != nil {
