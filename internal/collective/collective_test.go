@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"netdimm/internal/sim"
@@ -247,6 +248,42 @@ func TestVerifyReferenceRejectsMismatchedShapes(t *testing.T) {
 	} {
 		if err := VerifyReference(AllReduce, sum, c.root, c.after); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestVerifyReferenceNamesFirstMismatch checks the error that names a
+// data-plane mismatch: the first wrong element of the first wrong rank in
+// the range the op specifies, with its value and the reference's; an
+// element outside a reduce-scatter rank's owned chunk is not checked.
+func TestVerifyReferenceNamesFirstMismatch(t *testing.T) {
+	const ranks, elems = 3, 9
+	sum, root := make([]int64, elems), make([]int64, elems)
+	for i := range sum {
+		sum[i], root[i] = int64(100+i), int64(i)
+	}
+	for _, c := range []struct {
+		op      Op
+		want    []int64
+		corrupt []int // rank 1's elements, each set to -1
+		err     string
+	}{
+		{AllReduce, sum, nil, ""},
+		{AllReduce, sum, []int{5, 6}, "collective: allreduce rank 1 element 5 = -1, want 105"},
+		{Broadcast, root, []int{8}, "collective: broadcast rank 1 element 8 = -1, want 8"},
+		{ReduceScatter, sum, []int{0}, ""}, // rank 1 owns chunk 2, elements 6..8
+		{ReduceScatter, sum, []int{0, 7, 8}, "collective: reducescatter rank 1 element 7 = -1, want 107"},
+	} {
+		after := make([][]int64, ranks)
+		for r := range after {
+			after[r] = slices.Clone(c.want)
+		}
+		for _, i := range c.corrupt {
+			after[1][i] = -1
+		}
+		err := VerifyReference(c.op, sum, root, after)
+		if got := fmt.Sprint(err); (err == nil) != (c.err == "") || err != nil && got != c.err {
+			t.Errorf("%v corrupting %v: got %v, want %q", c.op, c.corrupt, err, c.err)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package collective
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Step is one entry of a rank's schedule. A rank executes its steps
 // strictly in order: the step's send (if any) is submitted as soon as the
@@ -195,6 +198,9 @@ func VerifyReference(op Op, sum, root []int64, after [][]int64) error {
 	}
 	checkRange := func(r, lo, hi int, want []int64) error {
 		got, want := after[r][lo:hi], want[lo:hi]
+		if slices.Equal(got, want) {
+			return nil
+		}
 		want = want[:len(got)]
 		for i, x := range got {
 			if x != want[i] {

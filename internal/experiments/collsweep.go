@@ -160,12 +160,13 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 }
 
 // collShape is the resolved per-sweep geometry from the spec's Collective
-// and Load blocks, with the sweep's vector free list.
+// and Load blocks, with the sweep's vector and job-chunk free lists.
 type collShape struct {
 	payload    int // bytes per rank vector
 	chunk      int // max frame payload bytes
 	portBuffer int
 	vecs       *vecPool
+	jobs       *jobPool
 	// maxRanks is the sweep's largest rank count. A cell's rank backing
 	// is made large enough for it, so the sweep's cells share one backing
 	// per worker whatever order their rank counts come in.
@@ -221,6 +222,7 @@ func resolveColl(sp spec.Spec) (collShape, error) {
 		chunk:      sp.Collective.ChunkBytes,
 		portBuffer: sp.Load.PortBuffer,
 		vecs:       &vecPool{},
+		jobs:       &jobPool{},
 	}
 	if s.payload == 0 {
 		s.payload = collective.DefaultPayloadBytes
@@ -253,41 +255,23 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
 	s := &collSource{chunk: shape.chunk, seq: make([]int, ranks)}
-	if err := s.init(sp.MustDerive(), arch, ranks, false, cfg.Seed, collEventBudget, shape.portBuffer, reg); err != nil {
+	if err := s.init(sp.MustDerive(), arch, ranks, false, cfg.Seed, collEventBudget, shape.portBuffer, shape.jobs, reg); err != nil {
 		return CollRow{}, err
 	}
 	s.cleared = s.tally
 	eng := s.eng
 
 	// Payloads: one vector per rank, contents drawn from per-rank streams
-	// so they are independent of op and architecture. The verification
-	// reference is built as they are drawn: the element-wise sum of every
-	// rank's input and a copy of rank 0's. Rank 0's draw writes every
-	// element of the pooled vectors, so none of their old contents is read.
+	// so they are independent of op and architecture, with the
+	// verification reference built as they are drawn.
 	elems := max(shape.payload/8, 1)
 	data := make([][]int64, ranks)
 	backing, sum, root := shape.vecs.get(ranks*elems, shape.maxRanks*elems), shape.vecs.get(elems, 0), shape.vecs.get(elems, 0)
 	defer shape.vecs.put(backing, sum, root)
 	for r := range data {
-		// A 40-bit mask of the generator's output is Int63n(1 << 40).
-		rng := *sim.NewRand(cfg.Seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
-		v := backing[r*elems : (r+1)*elems : (r+1)*elems]
-		if r == 0 {
-			sum, root := sum[:len(v)], root[:len(v)]
-			for i := range v {
-				x := int64(rng.Uint64() & (1<<40 - 1))
-				v[i], sum[i], root[i] = x, x, x
-			}
-		} else {
-			sum := sum[:len(v)]
-			for i := range v {
-				x := int64(rng.Uint64() & (1<<40 - 1))
-				v[i] = x
-				sum[i] += x
-			}
-		}
-		data[r] = v
+		data[r] = backing[r*elems : (r+1)*elems : (r+1)*elems]
 	}
+	drawPayloads(cfg.Seed, data, sum, root)
 
 	plan := collective.NewPlan(op, ranks)
 	exec := collective.NewExec(plan, data, s.send, func(int) sim.Time { return eng.Now() })
@@ -346,6 +330,47 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 		Marked:          int(s.fstats.Marked),
 		LinkUtilization: util,
 	}, nil
+}
+
+// payloadMask keeps 40 bits of a payload stream's output, which is
+// Int63n(1 << 40).
+const payloadMask = 1<<40 - 1
+
+// payloadStream is rank r's payload generator.
+func payloadStream(seed uint64, r int) sim.Rand {
+	return *sim.NewRand(seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
+}
+
+// drawPayloads fills every rank's vector from its own stream, sum with
+// their element-wise sum and root with a copy of rank 0's. Each stream is
+// a serial chain of xorshifts, so four ranks are drawn in one loop for
+// the core to overlap their chains; the values and sums are the ones a
+// loop over single ranks gives. It writes every element of sum and root,
+// so their old contents never show.
+func drawPayloads(seed uint64, data [][]int64, sum, root []int64) {
+	clear(sum)
+	r := 0
+	for ; r+4 <= len(data); r += 4 {
+		ga, gb, gc, gd := payloadStream(seed, r), payloadStream(seed, r+1), payloadStream(seed, r+2), payloadStream(seed, r+3)
+		va := data[r]
+		vb, vc, vd, sum := data[r+1][:len(va)], data[r+2][:len(va)], data[r+3][:len(va)], sum[:len(va)]
+		for i := range va {
+			a, b := int64(ga.Uint64()&payloadMask), int64(gb.Uint64()&payloadMask)
+			c, d := int64(gc.Uint64()&payloadMask), int64(gd.Uint64()&payloadMask)
+			va[i], vb[i], vc[i], vd[i] = a, b, c, d
+			sum[i] += a + b + c + d
+		}
+	}
+	for ; r < len(data); r++ {
+		g, v := payloadStream(seed, r), data[r]
+		sum := sum[:len(v)]
+		for i := range v {
+			x := int64(g.Uint64() & payloadMask)
+			v[i] = x
+			sum[i] += x
+		}
+	}
+	copy(root, data[0])
 }
 
 // collSource is the collective cell's SendFn on its transport: a step

@@ -220,6 +220,45 @@ func TestCollCellAllocs(t *testing.T) {
 	}
 }
 
+// TestDrawPayloadsMatchesPerRank holds the four-stream payload draw to
+// a loop over single ranks, element by element: every rank's vector, the
+// sum and rank 0's copy, at rank counts that fill the four-rank groups
+// and that leave one to three ranks over. The reference vectors start
+// out dirty, as pooled ones do.
+func TestDrawPayloadsMatchesPerRank(t *testing.T) {
+	const seed, elems = 41, 1001
+	for _, ranks := range []int{2, 5, 16, 17, 64} {
+		data, want := make([][]int64, ranks), make([][]int64, ranks)
+		wantSum := make([]int64, elems)
+		for r := range data {
+			data[r] = make([]int64, elems)
+			want[r] = make([]int64, elems)
+			rng := sim.NewRand(seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
+			for i := range want[r] {
+				want[r][i] = rng.Int63n(1 << 40)
+				wantSum[i] += want[r][i]
+			}
+		}
+		sum, root := make([]int64, elems), make([]int64, elems)
+		for i := range sum {
+			sum[i], root[i] = -1, -1
+		}
+		drawPayloads(seed, data, sum, root)
+		for r := range data {
+			for i, x := range data[r] {
+				if x != want[r][i] {
+					t.Fatalf("%d ranks: rank %d element %d = %d, want %d", ranks, r, i, x, want[r][i])
+				}
+			}
+		}
+		for i := range sum {
+			if sum[i] != wantSum[i] || root[i] != want[0][i] {
+				t.Fatalf("%d ranks: element %d sum %d root %d, want %d and %d", ranks, i, sum[i], root[i], wantSum[i], want[0][i])
+			}
+		}
+	}
+}
+
 // TestCollSweepParallelDeterminism pins the cell-parallelism contract.
 func TestCollSweepParallelDeterminism(t *testing.T) {
 	sp := collTestSpec()

@@ -47,6 +47,10 @@ type cellTransport struct {
 	// Delivery, an uplink refusal or the topology's OnDrop frees the slot.
 	flights   slab[frame]
 	deliverFn func(ethernet.Frame) // t.deliver, bound once
+	// spare is the free list of job chunks the driver queues share, taken
+	// from the sweep's pool in init and given back to it in run.
+	pool  *jobPool
+	spare *chunkList
 	// The source's hooks: admit, when set, decides whether a frame off the
 	// fabric queues at RX by its tag; cleared sees every frame that clears
 	// RX.
@@ -70,14 +74,14 @@ type frame struct {
 	tag, attempt int
 }
 
-// driverQueue is one endpoint's serial TX or RX driver core: its ring's
+// driverQueue is one endpoint's serial TX or RX driver core: its queue's
 // head is the job in service, and finish, bound once, completes each job.
 type driverQueue struct {
 	t         *cellTransport
 	m         driver.Machine
 	rx        bool
 	price     *[nic.MTU + 1]sim.Time // this direction's row of t.prices
-	jobs      sim.FIFO[job]
+	jobs      jobQueue
 	finishFn  func()
 	stallDone func() // the ECN pacer's end of stall
 	markFn    func() // TX: the ECN pacer's OnMark; nil without pacing
@@ -99,9 +103,10 @@ type job struct {
 var cellProbe sim.Probe
 
 // init builds t's engine, arch's machines over n endpoints (see
-// endpoints), the engine probe and the cell spec's fabric. The caller
+// endpoints), the engine probe and the cell spec's fabric; the driver
+// queues keep their jobs in chunks from a free list of pool's. The caller
 // binds the hooks.
-func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, seed, eventBudget uint64, portBuffer int, reg *obs.Registry) error {
+func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, seed, eventBudget uint64, portBuffer int, pool *jobPool, reg *obs.Registry) error {
 	t.eng = sim.NewEngine()
 	t.eng.SetWatchdog(sim.Watchdog{MaxEvents: eventBudget})
 	txs, rxs, err := endpoints(d, arch, n, incast, seed)
@@ -116,12 +121,13 @@ func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, s
 		}
 	}
 	t.arch, t.link, t.reg = arch, d.Link, reg
+	t.pool, t.spare = pool, pool.take()
 	t.tx, t.rx = make([]driverQueue, n), make([]driverQueue, n)
 	t.deliverFn = t.deliver
 	for i := range t.tx {
 		tx, rx := &t.tx[i], &t.rx[i]
-		*tx = driverQueue{t: t, m: txs[i]}
-		*rx = driverQueue{t: t, m: rxs[i], rx: true}
+		*tx = driverQueue{t: t, m: txs[i], jobs: jobQueue{spare: t.spare}}
+		*rx = driverQueue{t: t, m: rxs[i], rx: true, jobs: jobQueue{spare: t.spare}}
 		tx.finishFn, rx.finishFn = tx.finish, rx.finish
 		if t.prices != nil {
 			tx.price, rx.price = &t.prices[0], &t.prices[1]
@@ -231,12 +237,14 @@ func (t *cellTransport) deliver(f ethernet.Frame) {
 	}
 }
 
-// run runs the cell's engine dry, checks that it ended cleanly and folds
-// the fabric's drops into the tally.
+// run runs the cell's engine dry, checks that it ended cleanly, gives the
+// drained queues' chunks back to the sweep and folds the fabric's drops
+// into the tally.
 func (t *cellTransport) run() error {
 	if err := runFabric(t.eng, t.topo); err != nil {
 		return err
 	}
+	t.pool.give(t.spare)
 	t.fstats = t.topo.Stats()
 	t.dropped += int(t.fstats.Dropped + t.fstats.OutageDrops + t.fstats.BurstDrops)
 	return nil
@@ -349,7 +357,7 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 		n, sources = shape.hosts+1, shape.hosts
 	}
 	c := &fabricCell{hosts: shape.hosts, hist: stats.NewHistogram(opts.packets)}
-	if err := c.init(d, arch, n, opts.incast, opts.seed, opts.eventBudget, shape.portBuffer, oc.Metrics()); err != nil {
+	if err := c.init(d, arch, n, opts.incast, opts.seed, opts.eventBudget, shape.portBuffer, shape.jobs, oc.Metrics()); err != nil {
 		return nil, err
 	}
 	perHostGap, err := shape.cluster.MeanGapForLoad(opts.load, sources, d.Link.BitsPerSec/1e9)

@@ -57,13 +57,15 @@ func (c LoadSweepConfig) withDefaults() LoadSweepConfig {
 	return c
 }
 
-// loadShape is the resolved Load block of a specification.
+// loadShape is the resolved Load block of a specification, with the
+// sweep's job-chunk free list.
 type loadShape struct {
 	hosts      int
 	cluster    workload.Cluster
 	process    workload.ArrivalProcess
 	portBuffer int
 	kneeFactor float64
+	jobs       *jobPool
 }
 
 // resolveLoad checks a sweep's offered-load axis, then applies the sweep
@@ -81,7 +83,7 @@ func resolveLoad(l workload.LoadSpec, loads []float64, defHosts, minHosts int) (
 	cl, _ := workload.ParseCluster(l.Cluster)
 	proc, _ := workload.ParseProcess(l.Process)
 	sh := loadShape{hosts: l.Hosts, cluster: cl, process: proc,
-		portBuffer: l.PortBuffer, kneeFactor: l.KneeFactor}
+		portBuffer: l.PortBuffer, kneeFactor: l.KneeFactor, jobs: &jobPool{}}
 	if sh.hosts == 0 {
 		sh.hosts = defHosts
 	}
