@@ -44,11 +44,11 @@ func RunAblationsWithConfig(cfg Config, parallelism int) (_ AblationReport, err 
 	if err := cfg.Validate(); err != nil {
 		return rep, err
 	}
-	rep.Prefetch = experiments.PrefetchAblation(cfg, nil, 0, parallelism)
+	rep.Prefetch = experiments.PrefetchAblation(cfg, parallelism)
 	rep.Clone = experiments.CloneAblation(cfg)
-	if rep.Alloc, err = experiments.AllocAblation(cfg, 0); err != nil {
+	if rep.Alloc, err = experiments.AllocAblation(cfg); err != nil {
 		return rep, err
 	}
-	rep.HeaderCache = experiments.HeaderCacheAblation(cfg, 0, parallelism)
+	rep.HeaderCache = experiments.HeaderCacheAblation(cfg, parallelism)
 	return rep, nil
 }

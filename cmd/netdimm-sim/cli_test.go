@@ -110,8 +110,10 @@ func TestRejectsFlagsAFamilyCannotHonour(t *testing.T) {
 }
 
 // TestRejectsNegativePacketsAndSwitch: -n below 1 is an error naming the
-// flag, not a silent fallback to a default under a wrong header, and a
-// negative switch latency is rejected instead of shortening every path.
+// flag, not a silent fallback to a default under a wrong header, a
+// negative switch latency is rejected instead of shortening every path,
+// and a -loss rate outside [0,1] is rejected instead of running a
+// mislabelled lossless row or spinning until the event budget trips.
 func TestRejectsNegativePacketsAndSwitch(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -124,6 +126,8 @@ func TestRejectsNegativePacketsAndSwitch(t *testing.T) {
 		{[]string{"-switch", "-1ns", "fig11"}, "-switch -1ns: spec: SwitchLatNs must not be negative, got -1"},
 		{[]string{"-switch", "-1ns", "replay", "testdata/hadoop-300.ndtr"}, "-switch -1ns: spec: SwitchLatNs must not be negative, got -1"},
 		{[]string{"-switch", "2s", "loadsweep"}, "-switch 2s: spec: SwitchLatNs must be at most 1000000000"},
+		{[]string{"-loss", "-0.5", "faultsweep"}, "faultsweep: loss rate -0.5 must be a probability in [0,1]"},
+		{[]string{"-loss", "2", "faultsweep"}, "faultsweep: loss rate 2 must be a probability in [0,1]"},
 	}
 	for _, tc := range cases {
 		expectCLIError(t, tc.args, tc.want)

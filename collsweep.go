@@ -86,7 +86,7 @@ func RunCollSweepObserved(cfg Config, ranks []int, ops []string, seed uint64, pa
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rows, o, err := experiments.CollSweepObserved(cfg, ranks, ops, experiments.CollSweepConfig{Seed: seed}, parallelism, cfg.Obs)
+	rows, o, err := experiments.CollSweepObserved(cfg, ranks, ops, seed, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"netdimm/internal/experiments"
-	"netdimm/internal/netfunc"
 	"netdimm/internal/sim"
 	"netdimm/internal/stats"
 	"netdimm/internal/workload"
@@ -131,7 +130,7 @@ func RunFig5WithConfig(cfg Config, delays []time.Duration, parallelism int) (_ [
 	for _, d := range delays {
 		ds = append(ds, simT(d))
 	}
-	return experiments.Fig5(cfg, ds, experiments.DefaultFig5Config(), parallelism), nil
+	return experiments.Fig5(cfg, ds, parallelism), nil
 }
 
 // Fig7Result is one DMA memory request of the Fig. 7 locality study.
@@ -207,7 +206,7 @@ func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) 
 	if packets <= 0 {
 		packets = experiments.DefaultPackets
 	}
-	rows, err := experiments.Fig12a(cfg, workload.Clusters, experiments.PaperSwitchLatencies, packets, seed, parallelism)
+	rows, err := experiments.Fig12a(cfg, packets, seed, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -237,8 +236,7 @@ func RunFig12bWithConfig(cfg Config, parallelism int) (_ []Fig12bResult, err err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return experiments.Fig12b(cfg, workload.Clusters,
-		[]netfunc.Kind{netfunc.DPI, netfunc.L3F}, experiments.DefaultFig12bConfig(), parallelism), nil
+	return experiments.Fig12b(cfg, parallelism), nil
 }
 
 // HeadlineResult carries the abstract's summary numbers as measured.

@@ -66,10 +66,7 @@ func RunFailSweepObserved(cfg Config, outages []time.Duration, packets int, seed
 	for _, d := range outages {
 		axis = append(axis, simT(d))
 	}
-	fcfg := experiments.DefaultFailSweepConfig()
-	fcfg.Packets = packets
-	fcfg.Seed = seed
-	rows, o, err := experiments.FailSweepObserved(cfg, axis, fcfg, parallelism, cfg.Obs)
+	rows, o, err := experiments.FailSweepObserved(cfg, axis, packets, seed, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, err
 	}

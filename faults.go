@@ -56,10 +56,7 @@ func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	fcfg := experiments.DefaultFaultSweepConfig()
-	fcfg.Packets = packets
-	fcfg.Seed = seed
-	rows, o, err := experiments.FaultSweepObserved(cfg, rates, fcfg, parallelism, cfg.Obs)
+	rows, o, err := experiments.FaultSweepObserved(cfg, rates, packets, seed, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -2,6 +2,8 @@ package netdimm
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -50,9 +52,15 @@ func TestRunFaultSweepScenarioConfig(t *testing.T) {
 
 func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Fault.DropProb = 1.5
+	cfg.Fault.CorruptProb = 1.5
 	if _, _, _, err := RunFaultSweepObserved(cfg, nil, 10, 0, 1); err == nil {
-		t.Fatal("DropProb 1.5 accepted")
+		t.Fatal("CorruptProb 1.5 accepted")
+	}
+	for _, rate := range []float64{-0.5, 2, math.NaN()} {
+		_, _, _, err := RunFaultSweepObserved(DefaultConfig(), []float64{0, rate}, 10, 0, 1)
+		if want := fmt.Sprintf("loss rate %g must be a probability in [0,1]", rate); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("loss rate %g: err = %v, want %q", rate, err, want)
+		}
 	}
 	cfg = DefaultConfig()
 	cfg.NetworkGbps = 0
@@ -108,7 +116,7 @@ func TestTableShowsFaultRowOnlyWhenEnabled(t *testing.T) {
 		t.Error("default Table() mentions fault injection")
 	}
 	cfg := DefaultConfig()
-	cfg.Fault.DropProb = 0.01
+	cfg.Fault.CorruptProb = 0.01
 	if !strings.Contains(cfg.Table(), "Fault injection") {
 		t.Error("Table() missing the fault row with faults enabled")
 	}

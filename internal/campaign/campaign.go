@@ -193,6 +193,9 @@ func (g Grid) Validate(known map[string]Schema) error {
 			if r == 0 && (e.Experiment == "loadsweep" || e.Experiment == "racksweep") {
 				return at("offered load 0 must be positive (only a faultsweep loss rate may be 0)")
 			}
+			if r > 1 && e.Experiment == "faultsweep" {
+				return at("loss rate %g must be a probability in [0,1]", r)
+			}
 		}
 		for _, r := range e.Racks {
 			if r < 1 {

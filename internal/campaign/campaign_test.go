@@ -81,6 +81,8 @@ func TestGridValidateRates(t *testing.T) {
 		{Experiment{Experiment: "loadsweep", Rates: []float64{-0.2}}, "rate -0.2"},
 		{Experiment{Experiment: "loadsweep", Rates: []float64{0.05, 0.2}}, ""},
 		{Experiment{Experiment: "faultsweep", Rates: []float64{0, 0.1}}, ""},
+		{Experiment{Experiment: "faultsweep", Rates: []float64{0.1, 2}}, "experiments[0] (faultsweep): loss rate 2 must be a probability in [0,1]"},
+		{Experiment{Experiment: "loadsweep", Rates: []float64{2}}, ""},
 	}
 	for _, tc := range cases {
 		err := Grid{Experiments: []Experiment{tc.row}}.Validate(known)

@@ -12,9 +12,14 @@ import (
 // drop/corrupt trace sequentially and under parallel fan-out.
 type LossyPath struct {
 	Fabric Fabric
-	// Inj supplies the fault decisions; nil (or a zero Spec) makes every
-	// attempt a loss-free delivery at exactly the fabric's wire time.
+	// Inj supplies the fault decisions; nil (or a zero Spec and LossRate)
+	// makes every attempt a loss-free delivery at exactly the fabric's
+	// wire time.
 	Inj *fault.Injector
+	// LossRate is the probability a transmitted frame vanishes on the
+	// wire, drawn from Inj's stream before its port-drop and corruption
+	// decisions.
+	LossRate float64
 	// Obs, if non-nil, tallies attempt outcomes and wire occupancy. The
 	// pointer survives value copies of the path.
 	Obs *PathObs
@@ -38,7 +43,7 @@ func (lp LossyPath) Attempt(n int) (fault.Outcome, sim.Time) {
 
 func (lp LossyPath) attempt(n int) (fault.Outcome, sim.Time) {
 	if lp.Inj != nil {
-		if lp.Inj.DropFrame() {
+		if lp.Inj.DropFrame(lp.LossRate) {
 			return fault.Dropped, 0
 		}
 		if lp.Inj.PortDrop() {

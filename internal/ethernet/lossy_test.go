@@ -38,16 +38,17 @@ func TestLossyPathOutcomeCosts(t *testing.T) {
 	cases := []struct {
 		name string
 		spec fault.Spec
+		loss float64
 		want fault.Outcome
 		wire sim.Time
 	}{
-		{"drop", fault.Spec{DropProb: 1}, fault.Dropped, 0},
-		{"portDrop", fault.Spec{PortDropProb: 1}, fault.Dropped, fab.Link.TransferTime(1514)},
-		{"corrupt", fault.Spec{CorruptProb: 1}, fault.Corrupted, fab.DirectWireTime(1514)},
+		{"drop", fault.Spec{}, 1, fault.Dropped, 0},
+		{"portDrop", fault.Spec{PortDropProb: 1}, 0, fault.Dropped, fab.Link.TransferTime(1514)},
+		{"corrupt", fault.Spec{CorruptProb: 1}, 0, fault.Corrupted, fab.DirectWireTime(1514)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lp := LossyPath{Fabric: fab, Inj: fault.NewInjector(tc.spec, 1)}
+			lp := LossyPath{Fabric: fab, Inj: fault.NewInjector(tc.spec, 1), LossRate: tc.loss}
 			out, wire := lp.Attempt(1514)
 			if out != tc.want || wire != tc.wire {
 				t.Errorf("Attempt = (%v, %v), want (%v, %v)", out, wire, tc.want, tc.wire)
@@ -60,9 +61,8 @@ func TestLossyPathOutcomeCosts(t *testing.T) {
 // configured probability (the stream is uniform), and identical seeds must
 // reproduce the identical trace.
 func TestLossyPathRateAndDeterminism(t *testing.T) {
-	spec := fault.Spec{DropProb: 0.2}
-	a := LossyPath{Fabric: testFabric(), Inj: fault.NewInjector(spec, 11)}
-	b := LossyPath{Fabric: testFabric(), Inj: fault.NewInjector(spec, 11)}
+	a := LossyPath{Fabric: testFabric(), Inj: fault.NewInjector(fault.Spec{}, 11), LossRate: 0.2}
+	b := LossyPath{Fabric: testFabric(), Inj: fault.NewInjector(fault.Spec{}, 11), LossRate: 0.2}
 	const n = 5000
 	drops := 0
 	for i := 0; i < n; i++ {

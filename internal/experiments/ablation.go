@@ -22,17 +22,19 @@ type PrefetchAblationRow struct {
 	MeanReadLat sim.Time // mean host payload-read latency
 }
 
+// Each ablation's packet count.
+const (
+	prefetchAblationPackets    = 50
+	allocAblationPackets       = 300
+	headerCacheAblationPackets = 200
+)
+
 // PrefetchAblation receives MTU packets and reads their full payload
-// through the memory channel for several nPrefetcher degrees. The paper's
-// claim: with the next-line prefetcher, "reading an entire RX packet may
-// only experience one nCache miss" (Sec. 4.1).
-func PrefetchAblation(sp spec.Spec, degrees []int, packets int, parallelism int) []PrefetchAblationRow {
-	if len(degrees) == 0 {
-		degrees = []int{0, 1, 2, 4, 8}
-	}
-	if packets <= 0 {
-		packets = 50
-	}
+// through the memory channel for nPrefetcher degrees 0, 1, 2, 4 and 8. The
+// paper's claim: with the next-line prefetcher, "reading an entire RX
+// packet may only experience one nCache miss" (Sec. 4.1).
+func PrefetchAblation(sp spec.Spec, parallelism int) []PrefetchAblationRow {
+	degrees := []int{0, 1, 2, 4, 8}
 	rows := make([]PrefetchAblationRow, len(degrees))
 	forEachCell(len(degrees), parallelism, func(cell int) {
 		deg := degrees[cell]
@@ -43,7 +45,7 @@ func PrefetchAblation(sp spec.Spec, degrees []int, packets int, parallelism int)
 
 		var hits, total int
 		var latSum sim.Time
-		for p := 0; p < packets; p++ {
+		for p := 0; p < prefetchAblationPackets; p++ {
 			buf := int64(p%256) * 2048
 			dev.ReceivePacket(buf, nic.MTU, nil)
 			eng.Run()
@@ -114,10 +116,7 @@ type AllocAblationRow struct {
 //
 // AllocAblation stays sequential: strategy 2 reuses the FPM rate measured
 // by strategy 1, so the strategies are not independent cells.
-func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
-	if packets <= 0 {
-		packets = 300
-	}
+func AllocAblation(sp spec.Spec) ([]AllocAblationRow, error) {
 	d := sp.MustDerive()
 	costs := d.Costs
 
@@ -127,7 +126,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < packets; i++ {
+	for i := 0; i < allocAblationPackets; i++ {
 		nd.RX(nic.Packet{Size: nic.MTU})
 	}
 	s := nd.Stats()
@@ -152,7 +151,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 	zone := kalloc.NewNetDIMMZone("NET_x", d.ZoneBase(0), int64(d.Spec.NetDIMMSizeGB)<<30)
 	var fpmCount, total int
 	rxBuf, _ := zone.AllocPage()
-	for i := 0; i < packets; i++ {
+	for i := 0; i < allocAblationPackets; i++ {
 		skb := zone.Base + int64(i+2)*addrmap.PageSize // sequential pages
 		if dram.CloneModeFor(rxBuf-zone.Base, skb-zone.Base) == dram.FPM {
 			fpmCount++
@@ -178,10 +177,7 @@ type HeaderCacheAblationRow struct {
 // HeaderCacheAblation measures the nCache contribution to header
 // processing (the L3F-style access pattern): header reads with the nCache
 // enabled vs a device with a zero-line cache.
-func HeaderCacheAblation(sp spec.Spec, packets int, parallelism int) []HeaderCacheAblationRow {
-	if packets <= 0 {
-		packets = 200
-	}
+func HeaderCacheAblation(sp spec.Spec, parallelism int) []HeaderCacheAblationRow {
 	run := func(lines int) HeaderCacheAblationRow {
 		eng := sim.NewEngine()
 		cfg := sp.MustDerive().Core
@@ -199,7 +195,7 @@ func HeaderCacheAblation(sp spec.Spec, packets int, parallelism int) []HeaderCac
 		dev := core.NewDevice(eng, cfg)
 		var latSum sim.Time
 		var hits, total int
-		for p := 0; p < packets; p++ {
+		for p := 0; p < headerCacheAblationPackets; p++ {
 			buf := int64(p%256) * 2048
 			dev.ReceivePacket(buf, nic.MTU, nil)
 			// A second packet arrives before the header read (burstiness),

@@ -8,11 +8,11 @@ import (
 )
 
 func TestPrefetchAblation(t *testing.T) {
-	rows := PrefetchAblation(spec.TableOne(), []int{0, 4}, 20, 1)
-	if len(rows) != 2 {
+	rows := PrefetchAblation(spec.TableOne(), 1)
+	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	off, on := rows[0], rows[1]
+	off, on := rows[0], rows[3]
 	if off.Degree != 0 || on.Degree != 4 {
 		t.Fatal("degrees wrong")
 	}
@@ -30,7 +30,7 @@ func TestPrefetchAblation(t *testing.T) {
 }
 
 func TestPrefetchAblationMonotone(t *testing.T) {
-	rows := PrefetchAblation(spec.TableOne(), []int{1, 2, 4}, 15, 0)
+	rows := PrefetchAblation(spec.TableOne(), 0)
 	for i := 1; i < len(rows); i++ {
 		if rows[i].HitRate+0.02 < rows[i-1].HitRate {
 			t.Fatalf("hit rate fell with degree: %+v", rows)
@@ -54,7 +54,7 @@ func TestCloneAblationOrdering(t *testing.T) {
 }
 
 func TestAllocAblation(t *testing.T) {
-	rows, err := AllocAblation(spec.TableOne(), 200)
+	rows, err := AllocAblation(spec.TableOne())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAllocAblation(t *testing.T) {
 }
 
 func TestHeaderCacheAblation(t *testing.T) {
-	rows := HeaderCacheAblation(spec.TableOne(), 100, 0)
+	rows := HeaderCacheAblation(spec.TableOne(), 0)
 	on, off := rows[0], rows[1]
 	if on.HitRate < 0.9 {
 		t.Fatalf("nCache header hit rate = %.2f, want ~1", on.HitRate)

@@ -71,13 +71,13 @@ func refDetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	return knees
 }
 
-func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg LoadSweepConfig, oc *obs.Cell) (LoadRow, error) {
+func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, packets int, seed uint64, oc *obs.Cell) (LoadRow, error) {
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
 	eng.SetWatchdog(sim.Watchdog{MaxEvents: loadEventBudget})
 	link := d.Link
 
-	txs, rx, err := refLoadEndpoints(d, arch, shape.hosts, cfg.Seed)
+	txs, rx, err := refLoadEndpoints(d, arch, shape.hosts, seed)
 	if err != nil {
 		return LoadRow{}, err
 	}
@@ -105,9 +105,9 @@ func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg L
 	rcv := shape.hosts
 	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts+1, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
-		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
+		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, seed))
 	}
-	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, cfg.Seed); err != nil {
+	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, seed); err != nil {
 		return LoadRow{}, err
 	}
 	egPort := topo.Downlink(rcv)
@@ -121,14 +121,14 @@ func refLoadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg L
 	var wireBusy sim.Time
 
 	for h := 0; h < shape.hosts; h++ {
-		count := shareCount(cfg.Packets, shape.hosts, h)
+		count := shareCount(packets, shape.hosts, h)
 		if count == 0 {
 			continue
 		}
 		// Per-host seeds are independent of the offered load, so the
 		// packet sequence is identical along the load axis.
 		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
-			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
+			seed+uint64(h)*0x9e3779b97f4a7c15)
 		txSrv := &serialServer{eng: eng}
 		tx := txs[h]
 		src := h
@@ -285,13 +285,13 @@ func refDetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 	return knees
 }
 
-func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg RackSweepConfig, oc *obs.Cell) (RackRow, error) {
+func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, packets int, seed uint64, oc *obs.Cell) (RackRow, error) {
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
 	eng.SetWatchdog(sim.Watchdog{MaxEvents: rackEventBudget})
 	link := d.Link
 
-	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, cfg.Seed)
+	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, seed)
 	if err != nil {
 		return RackRow{}, err
 	}
@@ -314,9 +314,9 @@ func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg R
 
 	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
-		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
+		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, seed))
 	}
-	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, cfg.Seed); err != nil {
+	if _, err := topo.ArmFailures(d.Spec.Fault.Failure, seed); err != nil {
 		return RackRow{}, err
 	}
 	ecn := topo.Spec().ECNThreshold > 0
@@ -332,7 +332,7 @@ func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg R
 	var wireBusy sim.Time
 
 	for h := 0; h < shape.hosts; h++ {
-		count := shareCount(cfg.Packets, shape.hosts, h)
+		count := shareCount(packets, shape.hosts, h)
 		if count == 0 {
 			continue
 		}
@@ -341,8 +341,8 @@ func refRackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg R
 		// axis; the destination stream is separate from the arrival stream
 		// so the fabric shape cannot perturb the traffic.
 		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
-			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
-		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
+			seed+uint64(h)*0x9e3779b97f4a7c15)
+		destR := sim.NewRand(seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
 		txSrv := &serialServer{eng: eng}
 		tx := txs[h]
 		src := h
@@ -464,30 +464,30 @@ func refRackEndpoints(d *spec.Derived, arch string, hosts int, seed uint64) ([]d
 	return txs, rxs, nil
 }
 
-func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg FailSweepConfig, oc *obs.Cell) (FailRow, error) {
+func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, packets int, seed uint64, load float64, outageStart sim.Time, oc *obs.Cell) (FailRow, error) {
 	d := sp.MustDerive()
 	eng := sim.NewEngine()
 	eng.SetWatchdog(sim.Watchdog{MaxEvents: failEventBudget})
 
-	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, cfg.Seed)
+	txs, rxs, err := refRackEndpoints(d, arch, shape.hosts, seed)
 	if err != nil {
 		return FailRow{}, err
 	}
 	link := d.Link
-	perHostGap, err := shape.cluster.MeanGapForLoad(cfg.Load, 1, link.BitsPerSec/1e9)
+	perHostGap, err := shape.cluster.MeanGapForLoad(load, 1, link.BitsPerSec/1e9)
 	if err != nil {
 		return FailRow{}, err
 	}
 
 	sched := sp.Fault.Failure
-	winStart := cfg.OutageStart
+	winStart := outageStart
 	winEnd := winStart + dur
 	if dur > 0 {
 		outs := make([]fault.Outage, 0, len(sched.Outages)+1)
 		outs = append(outs, sched.Outages...)
 		outs = append(outs, fault.Outage{
 			Kind:    fault.OutageSpine,
-			Index:   cfg.Spine,
+			Index:   failSpine,
 			StartNs: int(winStart / sim.Nanosecond),
 			EndNs:   int(winEnd / sim.Nanosecond),
 		})
@@ -506,9 +506,9 @@ func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg F
 
 	topo := d.NewTopology(fabric.SingleEngine(eng), shape.hosts, shape.portBuffer)
 	if d.Spec.Fault.PortDropProb > 0 {
-		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, cfg.Seed))
+		topo.InjectFaults(fault.NewInjector(d.Spec.Fault, seed))
 	}
-	if _, err := topo.ArmFailures(sched, cfg.Seed); err != nil {
+	if _, err := topo.ArmFailures(sched, seed); err != nil {
 		return FailRow{}, err
 	}
 	ecn := topo.Spec().ECNThreshold > 0
@@ -526,9 +526,9 @@ func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg F
 	acc := 0
 	for h := range base {
 		base[h] = acc
-		acc += shareCount(cfg.Packets, shape.hosts, h)
+		acc += shareCount(packets, shape.hosts, h)
 	}
-	seen := make([]bool, cfg.Packets)
+	seen := make([]bool, packets)
 
 	var histAll, histBefore, histDuring, histAfter stats.Histogram
 	delivered, duringDelivered, recovered := 0, 0, 0
@@ -537,13 +537,13 @@ func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg F
 	var ctrs stats.FaultCounters
 
 	for h := 0; h < shape.hosts; h++ {
-		count := shareCount(cfg.Packets, shape.hosts, h)
+		count := shareCount(packets, shape.hosts, h)
 		if count == 0 {
 			continue
 		}
 		gen := workload.NewOpenLoop(shape.cluster, shape.process, perHostGap,
-			cfg.Seed+uint64(h)*0x9e3779b97f4a7c15)
-		destR := sim.NewRand(cfg.Seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
+			seed+uint64(h)*0x9e3779b97f4a7c15)
+		destR := sim.NewRand(seed ^ 0x5eed0fde57 + uint64(h)*0x9e3779b97f4a7c15)
 		txSrv := &serialServer{eng: eng}
 		rt := &nic.Retransmitter{Eng: eng, Policy: policy, Counters: &ctrs}
 		tx := txs[h]
@@ -686,7 +686,7 @@ func refFailCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg F
 // frame, and it keeps a copy of every rank's input for collective.Verify.
 // It is the reference collCell must match row for row, metric for metric
 // and in its stall error.
-func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg CollSweepConfig, oc *obs.Cell) (CollRow, error) {
+func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, seed uint64, oc *obs.Cell) (CollRow, error) {
 	op, err := collective.ParseOp(opName)
 	if err != nil {
 		return CollRow{}, err
@@ -696,7 +696,7 @@ func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, 
 	eng.SetWatchdog(sim.Watchdog{MaxEvents: collEventBudget})
 	link := d.Link
 
-	txs, rxs, err := endpoints(d, arch, ranks, false, cfg.Seed)
+	txs, rxs, err := endpoints(d, arch, ranks, false, seed)
 	if err != nil {
 		return CollRow{}, err
 	}
@@ -721,7 +721,7 @@ func refCollCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, 
 	before := make([][]int64, ranks)
 	data := make([][]int64, ranks)
 	for r := range data {
-		rng := sim.NewRand(cfg.Seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
+		rng := sim.NewRand(seed ^ 0xc0_11ec_71fe + uint64(r)*0x9e3779b97f4a7c15)
 		before[r] = make([]int64, elems)
 		for i := range before[r] {
 			before[r][i] = rng.Int63n(1 << 40)

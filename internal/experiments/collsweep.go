@@ -39,15 +39,6 @@ const minFrameBytes = 64
 // dependency graph.
 const DefaultCollPortBuffer = 256
 
-// CollSweepConfig parameterises one collective sweep; operation, payload
-// and chunking come from the specification's Collective block, buffering
-// from its Load block.
-type CollSweepConfig struct {
-	// Seed perturbs the NetDIMM device seeds and every rank's payload
-	// contents.
-	Seed uint64
-}
-
 // collEventBudget bounds each collective-sweep cell's engine via the
 // watchdog.
 const collEventBudget = 8_000_000
@@ -92,7 +83,8 @@ type CollRow struct {
 // operation, ranks) cell it executes the operation's full dependency graph
 // over the spec's fabric and reports completion-time rows. Nil axes use all
 // three operations and DefaultCollRankGrid; a spec whose Collective block
-// pins Op or Ranks sweeps only that value. Each cell verifies the executed
+// pins Op or Ranks sweeps only that value. seed perturbs the NetDIMM device
+// seeds and every rank's payload contents. Each cell verifies the executed
 // data plane against the sequential reference, so a sweep that returns rows
 // has also proven the collective computed the right answer.
 //
@@ -104,7 +96,7 @@ type CollRow struct {
 // "collsweep/<arch>/op=<op>/ranks=<n>" with one trace track per rank (step
 // spans), delivery/drop/mark counters, completion and skew gauges and
 // engine probes. A zero ospec yields a nil observer.
-func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepConfig, parallelism int, ospec obs.Spec) ([]CollRow, *obs.Observer, error) {
+func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, seed uint64, parallelism int, ospec obs.Spec) ([]CollRow, *obs.Observer, error) {
 	if len(ops) == 0 {
 		if sp.Collective.Op != "" {
 			ops = []string{sp.Collective.Op}
@@ -151,7 +143,7 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 		return fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, rk)
 	}, func(i int, oc *obs.Cell) (CollRow, error) {
 		arch, opName, rk := axes(i)
-		row, err := collCell(sp, arch, opName, rk, shape, cfg, oc)
+		row, err := collCell(sp, arch, opName, rk, shape, seed, oc)
 		if err != nil {
 			return CollRow{}, fmt.Errorf("collsweep: %s op=%s ranks=%d: %w", arch, opName, rk, err)
 		}
@@ -243,7 +235,7 @@ func resolveColl(sp spec.Spec) (collShape, error) {
 // the message's delivery notification rides the echo path back to the
 // destination rank one switch latency later. After the drain the cell
 // checks frame and message conservation, then the data plane.
-func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg CollSweepConfig, oc *obs.Cell) (CollRow, error) {
+func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, seed uint64, oc *obs.Cell) (CollRow, error) {
 	op, err := collective.ParseOp(opName)
 	if err != nil {
 		return CollRow{}, err
@@ -255,7 +247,7 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	droppedC := reg.Counter(arch + ".dropped")
 	markedC := reg.Counter(arch + ".ecn_marked")
 	s := &collSource{chunk: shape.chunk, seq: make([]int, ranks)}
-	if err := s.init(sp.MustDerive(), arch, ranks, false, cfg.Seed, collEventBudget, shape.portBuffer, shape.jobs, reg); err != nil {
+	if err := s.init(sp.MustDerive(), arch, ranks, false, seed, collEventBudget, shape.portBuffer, shape.jobs, reg); err != nil {
 		return CollRow{}, err
 	}
 	s.cleared = s.tally
@@ -271,7 +263,7 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 	for r := range data {
 		data[r] = backing[r*elems : (r+1)*elems : (r+1)*elems]
 	}
-	drawPayloads(cfg.Seed, data, sum, root)
+	drawPayloads(seed, data, sum, root)
 
 	plan := collective.NewPlan(op, ranks)
 	exec := collective.NewExec(plan, data, s.send, func(int) sim.Time { return eng.Now() })

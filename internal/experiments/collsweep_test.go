@@ -23,7 +23,7 @@ func collTestSpec() spec.Spec {
 
 func TestCollSweepRows(t *testing.T) {
 	sp := collTestSpec()
-	rows, err := CollSweep(sp, []int{4, 8}, nil, CollSweepConfig{Seed: 3}, 4)
+	rows, err := CollSweep(sp, []int{4, 8}, nil, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCollCellMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, op := range []string{"allreduce", "broadcast", "reducescatter"} {
-			row, err := collCell(sp, arch, op, ranks, shape, CollSweepConfig{Seed: uint64(trial)}, nil)
+			row, err := collCell(sp, arch, op, ranks, shape, uint64(trial), nil)
 			if err != nil {
 				t.Fatalf("trial %d %s/%s/%d (payload %d chunk %d): %v",
 					trial, arch, op, ranks, shape.payload, shape.chunk, err)
@@ -124,7 +124,7 @@ func TestCollCellMatchesClosureReference(t *testing.T) {
 		op := collective.Ops[r.Intn(len(collective.Ops))].String()
 		ranks := r.Range(2, 16)
 		arch := Archs[r.Intn(len(Archs))]
-		cfg := CollSweepConfig{Seed: r.Uint64() >> 40}
+		seed := r.Uint64() >> 40
 		shape, err := resolveColl(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -134,8 +134,8 @@ func TestCollCellMatchesClosureReference(t *testing.T) {
 			sp.Fabric.ECNThreshold, shape.portBuffer, sp.NetworkGbps)
 		label := fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, ranks)
 		gotO, wantO := obs.New(ospec, label), obs.New(ospec, label)
-		got, gotErr := collCell(sp, arch, op, ranks, shape, cfg, gotO.Cell(0))
-		want, wantErr := refCollCell(sp, arch, op, ranks, shape, cfg, wantO.Cell(0))
+		got, gotErr := collCell(sp, arch, op, ranks, shape, seed, gotO.Cell(0))
+		want, wantErr := refCollCell(sp, arch, op, ranks, shape, seed, wantO.Cell(0))
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: err = %v, reference err = %v", name, gotErr, wantErr)
 		}
@@ -189,7 +189,7 @@ func TestCollCellAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() CollRow {
-			row, err := collCell(sp, "dNIC", "allreduce", ranks, shape, CollSweepConfig{Seed: 1}, nil)
+			row, err := collCell(sp, "dNIC", "allreduce", ranks, shape, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,11 +262,11 @@ func TestDrawPayloadsMatchesPerRank(t *testing.T) {
 // TestCollSweepParallelDeterminism pins the cell-parallelism contract.
 func TestCollSweepParallelDeterminism(t *testing.T) {
 	sp := collTestSpec()
-	seq, err := CollSweep(sp, []int{4, 8}, []string{"allreduce"}, CollSweepConfig{Seed: 5}, 1)
+	seq, err := CollSweep(sp, []int{4, 8}, []string{"allreduce"}, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CollSweep(sp, []int{4, 8}, []string{"allreduce"}, CollSweepConfig{Seed: 5}, 8)
+	par, err := CollSweep(sp, []int{4, 8}, []string{"allreduce"}, 5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCollSweepStallDiagnostic(t *testing.T) {
 	sp.NetworkGbps = 1
 	sp.Load.PortBuffer = 1
 	sp.Collective.PayloadBytes = 64 << 10
-	_, err := CollSweep(sp, []int{4}, []string{"broadcast"}, CollSweepConfig{Seed: 1}, 2)
+	_, err := CollSweep(sp, []int{4}, []string{"broadcast"}, 1, 2)
 	if err == nil {
 		t.Fatal("1-deep port buffer produced no stall")
 	}
@@ -297,7 +297,7 @@ func TestCollSweepPinnedSpec(t *testing.T) {
 	sp := collTestSpec()
 	sp.Collective.Op = "broadcast"
 	sp.Collective.Ranks = 4
-	rows, err := CollSweep(sp, nil, nil, CollSweepConfig{Seed: 2}, 2)
+	rows, err := CollSweep(sp, nil, nil, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +313,10 @@ func TestCollSweepPinnedSpec(t *testing.T) {
 
 func TestCollSweepRejectsBadAxes(t *testing.T) {
 	sp := collTestSpec()
-	if _, err := CollSweep(sp, []int{1}, nil, CollSweepConfig{}, 1); err == nil {
+	if _, err := CollSweep(sp, []int{1}, nil, 0, 1); err == nil {
 		t.Fatal("rank count 1 accepted")
 	}
-	if _, err := CollSweep(sp, nil, []string{"alltoall"}, CollSweepConfig{}, 1); err == nil {
+	if _, err := CollSweep(sp, nil, []string{"alltoall"}, 0, 1); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -324,7 +324,7 @@ func TestCollSweepRejectsBadAxes(t *testing.T) {
 func TestCollSweepObserved(t *testing.T) {
 	sp := collTestSpec()
 	rows, o, err := CollSweepObserved(sp, []int{4}, []string{"allreduce"},
-		CollSweepConfig{Seed: 3}, 2, obs.Spec{Trace: true, Metrics: true})
+		3, 2, obs.Spec{Trace: true, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"netdimm/internal/netfunc"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
-	"netdimm/internal/workload"
 )
 
 // The parallel fan-out must be invisible in the results: every sweep runs
@@ -19,11 +17,6 @@ import (
 // introduces shared mutable state across cells, one of these cases fails
 // (and `go test -race ./internal/experiments/...` pinpoints the write).
 func TestParallelMatchesSequential(t *testing.T) {
-	fig5cfg := DefaultFig5Config()
-	fig5cfg.Duration = 200 * sim.Microsecond
-	fig12bcfg := DefaultFig12bConfig()
-	fig12bcfg.Duration = 100 * sim.Microsecond
-
 	cases := []struct {
 		name string
 		run  func(parallelism int) (any, error)
@@ -32,39 +25,37 @@ func TestParallelMatchesSequential(t *testing.T) {
 			return Fig4(spec.TableOne(), []int{10, 200, 2000}, p), nil
 		}},
 		{"Fig5", func(p int) (any, error) {
-			return Fig5(spec.TableOne(), []sim.Time{sim.Second, 100 * sim.Nanosecond, 5 * sim.Nanosecond}, fig5cfg, p), nil
+			// Two cells that both run injectors, at the lightest
+			// pressures, which simulate the fewest memory events.
+			return Fig5(spec.TableOne(), []sim.Time{2 * sim.Microsecond, 500 * sim.Nanosecond}, p), nil
 		}},
 		{"Fig11", func(p int) (any, error) {
 			rows, _, err := Fig11Observed(spec.TableOne(), []int{64, 1024}, p, obs.Spec{})
 			return rows, err
 		}},
 		{"Fig12a", func(p int) (any, error) {
-			return Fig12a(spec.TableOne(), workload.Clusters, PaperSwitchLatencies[:2], 60, 3, p)
+			return Fig12a(spec.TableOne(), 60, 3, p)
 		}},
 		{"Fig12b", func(p int) (any, error) {
-			return Fig12b(spec.TableOne(), workload.Clusters[:2], []netfunc.Kind{netfunc.DPI, netfunc.L3F}, fig12bcfg, p), nil
+			return Fig12b(spec.TableOne(), p), nil
 		}},
 		{"PrefetchAblation", func(p int) (any, error) {
-			return PrefetchAblation(spec.TableOne(), []int{0, 2, 4}, 15, p), nil
+			return PrefetchAblation(spec.TableOne(), p), nil
 		}},
 		{"HeaderCacheAblation", func(p int) (any, error) {
-			return HeaderCacheAblation(spec.TableOne(), 60, p), nil
+			return HeaderCacheAblation(spec.TableOne(), p), nil
 		}},
 		{"Bandwidth", func(p int) (any, error) {
 			return Bandwidth(spec.TableOne(), 100, p)
 		}},
 		{"LoadSweep", func(p int) (any, error) {
-			cfg := DefaultLoadSweepConfig()
-			cfg.Packets = 120
-			rows, knees, err := LoadSweep(spec.TableOne(), []float64{0.05, 0.14, 0.2}, cfg, p)
+			rows, knees, err := LoadSweep(spec.TableOne(), []float64{0.05, 0.14, 0.2}, 120, 0, p)
 			return []any{rows, knees}, err
 		}},
 		{"RackSweep", func(p int) (any, error) {
 			sp := spec.TableOne()
 			sp.Load.Hosts = 12
-			cfg := DefaultRackSweepConfig()
-			cfg.Packets = 240
-			rows, knees, err := RackSweep(sp, []int{2}, []float64{0.1, 0.5}, cfg, p)
+			rows, knees, err := RackSweep(sp, []int{2}, []float64{0.1, 0.5}, 240, 0, p)
 			return []any{rows, knees}, err
 		}},
 		{"RackSweepECNMetrics", func(p int) (any, error) {
@@ -73,9 +64,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			// Mark on any queued frame so the ECN echo path carries real
 			// load in this small configuration.
 			sp.Fabric.ECNThreshold = 1
-			cfg := DefaultRackSweepConfig()
-			cfg.Packets = 240
-			rows, knees, o, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.5}, cfg, p,
+			rows, knees, o, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.5}, 240, 0, p,
 				obs.Spec{Metrics: true})
 			if err != nil {
 				return nil, err
@@ -90,9 +79,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{"FailSweep", func(p int) (any, error) {
 			sp := spec.TableOne()
 			sp.Load.Hosts = 12
-			cfg := DefaultFailSweepConfig()
-			cfg.Packets = 240
-			return FailSweep(sp, []sim.Time{0, 20 * sim.Microsecond}, cfg, p)
+			return FailSweep(sp, []sim.Time{0, 20 * sim.Microsecond}, 240, 0, p)
 		}},
 		{"FaultSweep", func(p int) (any, error) {
 			sp := spec.TableOne()
@@ -100,9 +87,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sp.Fault.MaxRetries = 8
 			sp.Fault.MemTimeoutProb = 0.05
 			sp.Fault.MemMaxRetries = 4
-			cfg := DefaultFaultSweepConfig()
-			cfg.Packets = 80
-			return FaultSweep(sp, []float64{0, 0.02, 0.1}, cfg, p)
+			return FaultSweep(sp, []float64{0, 0.02, 0.1}, 80, 0, p)
 		}},
 	}
 	for _, tc := range cases {

@@ -103,9 +103,7 @@ func TestFig11PaperShape(t *testing.T) {
 // ---- Fig. 5 ----
 
 func TestFig5BandwidthCollapse(t *testing.T) {
-	cfg := DefaultFig5Config()
-	cfg.Duration = 1 * sim.Millisecond
-	rows := Fig5(spec.TableOne(), []sim.Time{sim.Second, 500 * sim.Nanosecond, 20 * sim.Nanosecond, 5 * sim.Nanosecond}, cfg, 0)
+	rows := Fig5(spec.TableOne(), []sim.Time{sim.Second, 500 * sim.Nanosecond, 20 * sim.Nanosecond, 5 * sim.Nanosecond}, 0)
 	base := rows[0].BandwidthGbps
 	if base < 35 || base > 41 {
 		t.Fatalf("uncontended bandwidth = %.1f Gbps, want ~40", base)
@@ -169,7 +167,7 @@ func TestFig7BurstStructure(t *testing.T) {
 // ---- Fig. 12a ----
 
 func TestFig12aPaperShape(t *testing.T) {
-	rows, err := Fig12a(spec.TableOne(), workload.Clusters, PaperSwitchLatencies, 400, 3, 0)
+	rows, err := Fig12a(spec.TableOne(), 400, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +210,7 @@ func TestFig12aPaperShape(t *testing.T) {
 // ---- Fig. 12b ----
 
 func TestFig12bPaperShape(t *testing.T) {
-	cfg := DefaultFig12bConfig()
-	cfg.Duration = 300 * sim.Microsecond
-	rows := Fig12b(spec.TableOne(), workload.Clusters, []netfunc.Kind{netfunc.DPI, netfunc.L3F}, cfg, 0)
+	rows := Fig12b(spec.TableOne(), 0)
 	norms := map[workload.Cluster]map[netfunc.Kind]float64{}
 	for _, r := range rows {
 		if norms[r.Cluster] == nil {

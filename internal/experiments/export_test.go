@@ -7,20 +7,20 @@ import (
 )
 
 // LoadSweep is LoadSweepObserved without observability.
-func LoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, parallelism int) ([]LoadRow, []LoadKnee, error) {
-	rows, knees, _, err := LoadSweepObserved(sp, loads, cfg, parallelism, obs.Spec{})
+func LoadSweep(sp spec.Spec, loads []float64, packets int, seed uint64, parallelism int) ([]LoadRow, []LoadKnee, error) {
+	rows, knees, _, err := LoadSweepObserved(sp, loads, packets, seed, parallelism, obs.Spec{})
 	return rows, knees, err
 }
 
 // RackSweep is RackSweepObserved without observability.
-func RackSweep(sp spec.Spec, racks []int, loads []float64, cfg RackSweepConfig, parallelism int) ([]RackRow, []RackKnee, error) {
-	rows, knees, _, err := RackSweepObserved(sp, racks, loads, cfg, parallelism, obs.Spec{})
+func RackSweep(sp spec.Spec, racks []int, loads []float64, packets int, seed uint64, parallelism int) ([]RackRow, []RackKnee, error) {
+	rows, knees, _, err := RackSweepObserved(sp, racks, loads, packets, seed, parallelism, obs.Spec{})
 	return rows, knees, err
 }
 
 // FaultSweep is FaultSweepObserved without observability.
-func FaultSweep(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int) ([]FaultRow, error) {
-	rows, _, err := FaultSweepObserved(sp, rates, cfg, parallelism, obs.Spec{})
+func FaultSweep(sp spec.Spec, rates []float64, packets int, seed uint64, parallelism int) ([]FaultRow, error) {
+	rows, _, err := FaultSweepObserved(sp, rates, packets, seed, parallelism, obs.Spec{})
 	return rows, err
 }
 
@@ -31,14 +31,14 @@ func MixedChannel(sp spec.Spec, n int, seed uint64) (MixedChannelResult, error) 
 }
 
 // FailSweep is FailSweepObserved without observability.
-func FailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int) ([]FailRow, error) {
-	rows, _, err := FailSweepObserved(sp, outages, cfg, parallelism, obs.Spec{})
+func FailSweep(sp spec.Spec, outages []sim.Time, packets int, seed uint64, parallelism int) ([]FailRow, error) {
+	rows, _, err := FailSweepObserved(sp, outages, packets, seed, parallelism, obs.Spec{})
 	return rows, err
 }
 
 // CollSweep is CollSweepObserved without observability.
-func CollSweep(sp spec.Spec, ranks []int, ops []string, cfg CollSweepConfig, parallelism int) ([]CollRow, error) {
-	rows, _, err := CollSweepObserved(sp, ranks, ops, cfg, parallelism, obs.Spec{})
+func CollSweep(sp spec.Spec, ranks []int, ops []string, seed uint64, parallelism int) ([]CollRow, error) {
+	rows, _, err := CollSweepObserved(sp, ranks, ops, seed, parallelism, obs.Spec{})
 	return rows, err
 }
 

@@ -306,11 +306,8 @@ type cellOpts struct {
 	outage *outageWindow
 }
 
-// outageWindow is the swept spine outage [start, end).
-type outageWindow struct {
-	start, end sim.Time
-	spine      int
-}
+// outageWindow is the swept outage [start, end) of spine failSpine.
+type outageWindow struct{ start, end sim.Time }
 
 func (w *outageWindow) holds(t sim.Time) bool { return t >= w.start && t < w.end }
 
@@ -371,7 +368,7 @@ func runFabricCell(sp spec.Spec, arch string, shape loadShape, opts cellOpts, oc
 	sched := sp.Fault.Failure
 	if w := opts.outage; w != nil && w.end > w.start {
 		sched.Outages = append(append([]fault.Outage(nil), sched.Outages...), fault.Outage{Kind: fault.OutageSpine,
-			Index: w.spine, StartNs: int(w.start / sim.Nanosecond), EndNs: int(w.end / sim.Nanosecond)})
+			Index: failSpine, StartNs: int(w.start / sim.Nanosecond), EndNs: int(w.end / sim.Nanosecond)})
 	}
 	if _, err := c.topo.ArmFailures(sched, opts.seed); err != nil {
 		return nil, err

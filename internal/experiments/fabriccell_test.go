@@ -18,8 +18,7 @@ import (
 // cellref_test.go over the same axes, labels and per-cell specs as the
 // sweeps, sequentially.
 
-func refLoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, ospec obs.Spec) ([]LoadRow, []LoadKnee, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+func refLoadSweep(sp spec.Spec, loads []float64, packets int, seed uint64, ospec obs.Spec) ([]LoadRow, []LoadKnee, *obs.Observer, error) {
 	shape, err := resolveLoad(sp.Load, loads, 8, 1)
 	if err != nil {
 		return nil, nil, nil, err
@@ -34,7 +33,7 @@ func refLoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, ospec obs.
 	var rows []LoadRow
 	for i, label := range labels {
 		arch, load := Archs[i/len(loads)], loads[i%len(loads)]
-		row, err := refLoadCell(sp, arch, load, shape, cfg, o.Cell(i))
+		row, err := refLoadCell(sp, arch, load, shape, packets, seed, o.Cell(i))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%s: %w", label, err)
 		}
@@ -43,8 +42,7 @@ func refLoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, ospec obs.
 	return rows, refDetectKnees(rows, shape.kneeFactor), o, nil
 }
 
-func refRackSweep(sp spec.Spec, rk int, loads []float64, cfg RackSweepConfig, ospec obs.Spec) ([]RackRow, []RackKnee, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+func refRackSweep(sp spec.Spec, rk int, loads []float64, packets int, seed uint64, ospec obs.Spec) ([]RackRow, []RackKnee, *obs.Observer, error) {
 	shape, err := resolveLoad(sp.Load, loads, DefaultRackHosts, 2)
 	if err != nil {
 		return nil, nil, nil, err
@@ -82,7 +80,7 @@ func refRackSweep(sp spec.Spec, rk int, loads []float64, cfg RackSweepConfig, os
 			csp.Fabric.ECNThreshold = 0
 			csp.Fabric.ECNBackoffNs = 0
 		}
-		row, err := refRackCell(csp, c.arch, c.load, shape, cfg, o.Cell(i))
+		row, err := refRackCell(csp, c.arch, c.load, shape, packets, seed, o.Cell(i))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("%s: %w", labels[i], err)
 		}
@@ -91,8 +89,10 @@ func refRackSweep(sp spec.Spec, rk int, loads []float64, cfg RackSweepConfig, os
 	return rows, refDetectRackKnees(rows, shape.kneeFactor), o, nil
 }
 
-func refFailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, ospec obs.Spec) ([]FailRow, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+// refFailSweep runs cell, the reference cell or the sweep's, over the
+// failure sweep's axes, labels and fabric defaults.
+func refFailSweep(sp spec.Spec, outages []sim.Time, ospec obs.Spec,
+	cell func(sp spec.Spec, arch string, dur sim.Time, shape loadShape, oc *obs.Cell) (FailRow, error)) ([]FailRow, *obs.Observer, error) {
 	shape, err := resolveLoad(sp.Load, nil, DefaultFailHosts, 2)
 	if err != nil {
 		return nil, nil, err
@@ -113,7 +113,7 @@ func refFailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, ospec o
 	var rows []FailRow
 	for i, label := range labels {
 		arch, dur := Archs[i/len(outages)], outages[i%len(outages)]
-		row, err := refFailCell(sp, arch, dur, shape, cfg, o.Cell(i))
+		row, err := cell(sp, arch, dur, shape, o.Cell(i))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", label, err)
 		}
@@ -191,35 +191,50 @@ func TestFabricCellMatchesReference(t *testing.T) {
 		switch c % 3 {
 		case 0:
 			loads := []float64{0.05 + r.Float64()*0.3, 0.1 + r.Float64()}
-			cfg := LoadSweepConfig{Packets: packets, Seed: seed}
-			rows, knees, o, err := LoadSweepObserved(sp, loads, cfg, 1, ospec)
+			rows, knees, o, err := LoadSweepObserved(sp, loads, packets, seed, 1, ospec)
 			got, gotO, gotErr = []any{rows, knees}, o, err
 			for _, row := range rows {
 				seen.dropped += row.Dropped
 			}
-			rows, knees, o, err = refLoadSweep(sp, loads, cfg, ospec)
+			rows, knees, o, err = refLoadSweep(sp, loads, packets, seed, ospec)
 			want, wantO, wantErr = []any{rows, knees}, o, err
 		case 1:
 			rk := r.Range(1, 3)
 			sp.Fabric.Leaves = 0
 			loads := []float64{0.05 + r.Float64()*0.3, 0.2 + r.Float64()}
-			cfg := RackSweepConfig{Packets: packets, Seed: seed}
-			rows, knees, o, err := RackSweepObserved(sp, []int{rk}, loads, cfg, 1, ospec)
+			rows, knees, o, err := RackSweepObserved(sp, []int{rk}, loads, packets, seed, 1, ospec)
 			got, gotO, gotErr = []any{rows, knees}, o, err
 			for _, row := range rows {
 				seen.marked += row.Marked
 				seen.dropped += row.Dropped
 			}
-			rows, knees, o, err = refRackSweep(sp, rk, loads, cfg, ospec)
+			rows, knees, o, err = refRackSweep(sp, rk, loads, packets, seed, ospec)
 			want, wantO, wantErr = []any{rows, knees}, o, err
 		case 2:
 			if sp.Fabric.Leaves < 2 {
 				sp.Fabric.Leaves, sp.Fabric.Spines = 0, 0
 			}
 			outages := []sim.Time{0, sim.Time(r.Range(1, 40)) * sim.Microsecond}
-			cfg := FailSweepConfig{Packets: packets, Seed: seed, Load: 0.05 + r.Float64()*0.3,
-				OutageStart: sim.Time(r.Range(1, 20)) * sim.Microsecond}
-			rows, o, err := FailSweepObserved(sp, outages, cfg, 1, ospec)
+			// Every other fail configuration runs the sweep at its fixed
+			// load and outage start; the rest drive its cell at a random
+			// load and start.
+			load, start := 0.05+r.Float64()*0.3, sim.Time(r.Range(1, 20))*sim.Microsecond
+			var rows []FailRow
+			var o *obs.Observer
+			var err error
+			if c%6 == 2 {
+				load, start = failLoad, failOutageStart
+				rows, o, err = FailSweepObserved(sp, outages, packets, seed, 1, ospec)
+			} else {
+				rows, o, err = refFailSweep(sp, outages, ospec, func(sp spec.Spec, arch string, dur sim.Time, shape loadShape, oc *obs.Cell) (FailRow, error) {
+					fc, err := runFabricCell(sp, arch, shape, cellOpts{load: load, packets: packets,
+						eventBudget: failEventBudget, seed: seed, outage: &outageWindow{start: start, end: start + dur}}, oc)
+					if err != nil {
+						return FailRow{}, err
+					}
+					return fc.failRow(dur), nil
+				})
+			}
 			got, gotO, gotErr = []any{rows}, o, err
 			for _, row := range rows {
 				seen.outage += int(row.OutageDrops)
@@ -227,7 +242,9 @@ func TestFabricCellMatchesReference(t *testing.T) {
 				seen.retransmits += int(row.Retransmits)
 				seen.failed += row.Failed
 			}
-			rows, o, err = refFailSweep(sp, outages, cfg, ospec)
+			rows, o, err = refFailSweep(sp, outages, ospec, func(sp spec.Spec, arch string, dur sim.Time, shape loadShape, oc *obs.Cell) (FailRow, error) {
+				return refFailCell(sp, arch, dur, shape, packets, seed, load, start, oc)
+			})
 			want, wantO, wantErr = []any{rows}, o, err
 		}
 		if (gotErr == nil) != (wantErr == nil) {
@@ -288,21 +305,21 @@ func TestFabricCellEventsMatchReference(t *testing.T) {
 		var gotErr, wantErr error
 		cellProbe = &got
 		if c%2 == 0 {
-			cfg := LoadSweepConfig{Packets: r.Range(40, 120), Seed: seed}
-			_, _, _, gotErr = LoadSweepObserved(sp, loads, cfg, 1, obs.Spec{})
+			packets := r.Range(40, 120)
+			_, _, _, gotErr = LoadSweepObserved(sp, loads, packets, seed, 1, obs.Spec{})
 			cellProbe = &want
-			_, _, _, wantErr = refLoadSweep(sp, loads, cfg, obs.Spec{})
+			_, _, _, wantErr = refLoadSweep(sp, loads, packets, seed, obs.Spec{})
 		} else {
 			rk := r.Range(1, 3)
 			sp.Fabric.Leaves = 0
-			cfg := RackSweepConfig{Packets: r.Range(40, 120), Seed: seed}
+			packets := r.Range(40, 120)
 			var rows []RackRow
-			rows, _, _, gotErr = RackSweepObserved(sp, []int{rk}, loads, cfg, 1, obs.Spec{})
+			rows, _, _, gotErr = RackSweepObserved(sp, []int{rk}, loads, packets, seed, 1, obs.Spec{})
 			for _, row := range rows {
 				marked += row.Marked
 			}
 			cellProbe = &want
-			_, _, _, wantErr = refRackSweep(sp, rk, loads, cfg, obs.Spec{})
+			_, _, _, wantErr = refRackSweep(sp, rk, loads, packets, seed, obs.Spec{})
 		}
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("config %d: err = %v, reference err = %v", c, gotErr, wantErr)

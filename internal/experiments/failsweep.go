@@ -47,57 +47,28 @@ const (
 // end-to-end tail instead.
 const defaultFailRetryBase = 30 * sim.Microsecond
 
-// FailSweepConfig parameterises one failure sweep; traffic shape and
-// buffering come from the specification's Load block, the
-// clos shape from its Fabric block, and any background failure schedule
-// (extra outages, burst loss) from its Fault.Failure block.
-type FailSweepConfig struct {
-	// Packets is the total arrival count per cell, split across all hosts
-	// (default 2400 — 75 per host at the default 32, a makespan several
-	// times the longest default outage).
-	Packets int
-	// Seed perturbs every host's arrival and destination streams.
-	Seed uint64
-	// Load is each host's offered fraction of its own line rate (default
-	// 0.08 — busy enough that queues exist, below every architecture's
-	// saturation knee so tail inflation is attributable to the outage,
-	// and light enough that the loaded tail sits well under the
-	// retransmit timer, keeping the baseline free of spurious
-	// retransmissions).
-	Load float64
-	// OutageStart is when the swept outage window opens (default 20µs,
-	// past the cold-start transient).
-	OutageStart sim.Time
-	// Spine is the spine the swept outage takes down (default 0).
-	Spine int
-}
-
-// DefaultFailSweepConfig returns the sweep defaults.
-func DefaultFailSweepConfig() FailSweepConfig {
-	return FailSweepConfig{
-		Packets:     2400,
-		Load:        0.08,
-		OutageStart: 20 * sim.Microsecond,
-	}
-}
+// The failure sweep's fixed rig: the offered load, the swept outage's
+// start and spine, and the default arrival count.
+const (
+	// failLoad is each host's offered fraction of its own line rate: busy
+	// enough that queues exist, below every architecture's saturation knee
+	// so tail inflation is attributable to the outage, and light enough
+	// that the loaded tail sits well under the retransmit timer, keeping
+	// the baseline free of spurious retransmissions.
+	failLoad = 0.08
+	// failOutageStart is when the swept outage window opens, past the
+	// cold-start transient.
+	failOutageStart = 20 * sim.Microsecond
+	failSpine       = 0
+	// failPackets is the default total arrival count per cell, split
+	// across all hosts: 75 per host at the default 32, a makespan several
+	// times the longest default outage.
+	failPackets = 2400
+)
 
 // failEventBudget bounds each failure-sweep cell's engine via the
 // watchdog.
 const failEventBudget = 8_000_000
-
-func (c FailSweepConfig) withDefaults() FailSweepConfig {
-	def := DefaultFailSweepConfig()
-	if c.Packets <= 0 {
-		c.Packets = def.Packets
-	}
-	if c.Load == 0 {
-		c.Load = def.Load
-	}
-	if c.OutageStart == 0 {
-		c.OutageStart = def.OutageStart
-	}
-	return c
-}
 
 // FailRow is one (architecture, outage duration) cell of the failure
 // sweep. Latency percentiles are split by the packet's delivery instant
@@ -162,10 +133,11 @@ type FailRow struct {
 
 // FailSweepObserved runs the failure sweep: for every (architecture, outage
 // duration) cell, the spec's hosts (default 32 on a 2-spine/4-leaf clos)
-// exchange cluster-mix traffic at a fixed offered load while spine
-// cfg.Spine is down for [cfg.OutageStart, cfg.OutageStart+duration), and
-// every sender recovers lost frames through the NIC's ack-timeout ARQ. A
-// nil durations axis uses DefaultOutageGrid; duration 0 is the baseline.
+// exchange packets packets (failPackets when not positive) of cluster-mix
+// traffic at failLoad while spine 0 is down for [20µs, 20µs+duration),
+// and every sender recovers lost frames through the NIC's ack-timeout
+// ARQ. A nil durations axis uses DefaultOutageGrid; duration 0 is the
+// baseline.
 //
 // Cells are deterministic: each builds its own engine, fabric, health
 // schedule and streams from per-cell seeds, so results are identical
@@ -175,8 +147,10 @@ type FailRow struct {
 // "failsweep/<arch>/outage=<dur>" with delivery, drop, reroute and
 // retransmit counters, the merged fault-counter block and engine probes. A
 // zero ospec yields a nil observer.
-func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int, ospec obs.Spec) ([]FailRow, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+func FailSweepObserved(sp spec.Spec, outages []sim.Time, packets int, seed uint64, parallelism int, ospec obs.Spec) ([]FailRow, *obs.Observer, error) {
+	if packets <= 0 {
+		packets = failPackets
+	}
 	if len(outages) == 0 {
 		outages = DefaultOutageGrid
 	}
@@ -195,12 +169,6 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 	if sp.Fabric.Spines == 0 {
 		sp.Fabric.Spines = defaultFailSpines
 	}
-	if cfg.Spine < 0 || cfg.Spine >= sp.Fabric.Spines {
-		return nil, nil, fmt.Errorf("failsweep: swept spine %d outside the fabric's %d spines", cfg.Spine, sp.Fabric.Spines)
-	}
-	if cfg.Load < 0 || cfg.Load != cfg.Load {
-		return nil, nil, fmt.Errorf("failsweep: offered load must be positive and finite, got %g", cfg.Load)
-	}
 
 	axes := func(i int) (string, sim.Time) { return Archs[i/len(outages)], outages[i%len(outages)] }
 	return runCells(len(Archs)*len(outages), parallelism, ospec, func(i int) string {
@@ -208,9 +176,9 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 		return fmt.Sprintf("failsweep/%s/outage=%v", arch, dur)
 	}, func(i int, oc *obs.Cell) (FailRow, error) {
 		arch, dur := axes(i)
-		c, err := runFabricCell(sp, arch, shape, cellOpts{load: cfg.Load, packets: cfg.Packets,
-			eventBudget: failEventBudget, seed: cfg.Seed,
-			outage: &outageWindow{start: cfg.OutageStart, end: cfg.OutageStart + dur, spine: cfg.Spine}}, oc)
+		c, err := runFabricCell(sp, arch, shape, cellOpts{load: failLoad, packets: packets,
+			eventBudget: failEventBudget, seed: seed,
+			outage: &outageWindow{start: failOutageStart, end: failOutageStart + dur}}, oc)
 		if err != nil {
 			return FailRow{}, fmt.Errorf("failsweep: %s outage=%v: %w", arch, dur, err)
 		}

@@ -23,33 +23,10 @@ var DefaultLossGrid = []float64{0, 0.001, 0.01, 0.05, 0.1, 0.2}
 // faultPacketSize is the payload size of every fault-sweep packet.
 const faultPacketSize = nic.MTU
 
-// FaultSweepConfig parameterises one fault sweep.
-type FaultSweepConfig struct {
-	// Packets is how many packets each cell delivers (default 200).
-	Packets int
-	// EventBudget bounds each cell's engine via the watchdog, so a
-	// pathological configuration (unlimited retries at 100% loss) aborts
-	// with a diagnostic error instead of spinning (default 2,000,000).
-	EventBudget uint64
-	// Seed perturbs every cell's fault stream.
-	Seed uint64
-}
-
-// DefaultFaultSweepConfig returns the sweep defaults.
-func DefaultFaultSweepConfig() FaultSweepConfig {
-	return FaultSweepConfig{Packets: DefaultPackets, EventBudget: 2_000_000}
-}
-
-func (c FaultSweepConfig) withDefaults() FaultSweepConfig {
-	def := DefaultFaultSweepConfig()
-	if c.Packets <= 0 {
-		c.Packets = def.Packets
-	}
-	if c.EventBudget == 0 {
-		c.EventBudget = def.EventBudget
-	}
-	return c
-}
+// faultEventBudget bounds each fault-sweep cell's engine via the
+// watchdog, so a pathological configuration (unlimited retries at 100%
+// loss) aborts with a diagnostic error instead of spinning.
+const faultEventBudget = 2_000_000
 
 // FaultRow is one (architecture, loss rate) cell of the fault sweep:
 // one-way latency statistics over the delivered packets, plus the fault and
@@ -117,9 +94,10 @@ func FaultTails(rows []FaultRow) []FaultTail {
 // then the lossy wire with NIC retransmit/backoff recovery, then driver RX;
 // on the NetDIMM receive path an additional NVDIMM-P header read runs
 // through the RDY-timeout recovery machinery when the spec injects memory
-// faults. The sweep overrides only Spec.Fault.DropProb per cell — every
-// other fault knob (corruption, port drops, RDY loss, retry policy) comes
-// from sp. Empty rates select DefaultLossGrid.
+// faults. Each cell delivers packets packets (DefaultPackets when not
+// positive) and draws its frame loss at its swept rate; every other fault
+// knob (corruption, port drops, RDY loss, retry policy) comes from sp.
+// Empty rates select DefaultLossGrid; a rate outside [0,1] is an error.
 //
 // Cells are deterministic: each builds its own engine and injector from a
 // per-cell seed, so results are identical sequentially and in parallel.
@@ -128,10 +106,17 @@ func FaultTails(rows []FaultRow) []FaultTail {
 // NVDIMM-P recovery spans, path outcome counters, engine probes and the
 // cell's fault tallies. A zero ospec yields a nil observer and no
 // instrumentation.
-func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, parallelism int, ospec obs.Spec) ([]FaultRow, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+func FaultSweepObserved(sp spec.Spec, rates []float64, packets int, seed uint64, parallelism int, ospec obs.Spec) ([]FaultRow, *obs.Observer, error) {
+	if packets <= 0 {
+		packets = DefaultPackets
+	}
 	if len(rates) == 0 {
 		rates = DefaultLossGrid
+	}
+	for _, r := range rates {
+		if !(r >= 0 && r <= 1) {
+			return nil, nil, fmt.Errorf("faultsweep: loss rate %g must be a probability in [0,1]", r)
+		}
 	}
 	axes := func(i int) (string, float64) { return Archs[i/len(rates)], rates[i%len(rates)] }
 	return runCells(len(Archs)*len(rates), parallelism, ospec, func(i int) string {
@@ -139,7 +124,7 @@ func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, par
 		return fmt.Sprintf("faultsweep/%s/loss=%g", arch, rate)
 	}, func(i int, oc *obs.Cell) (FaultRow, error) {
 		arch, rate := axes(i)
-		row, err := faultCell(sp, arch, rate, cfg, uint64(i), oc)
+		row, err := faultCell(sp, arch, rate, packets, seed+uint64(i)*0x9e3779b97f4a7c15, oc)
 		if err != nil {
 			return FaultRow{}, fmt.Errorf("faultsweep: %s at loss %g: %w", arch, rate, err)
 		}
@@ -147,16 +132,13 @@ func FaultSweepObserved(sp spec.Spec, rates []float64, cfg FaultSweepConfig, par
 	})
 }
 
-// faultCell runs one (arch, rate) cell.
-func faultCell(sp spec.Spec, arch string, rate float64, cfg FaultSweepConfig, cell uint64, oc *obs.Cell) (FaultRow, error) {
+// faultCell runs one (arch, rate) cell from its own seed.
+func faultCell(sp spec.Spec, arch string, rate float64, packets int, cellSeed uint64, oc *obs.Cell) (FaultRow, error) {
 	d := sp.MustDerive()
 	fspec := d.Spec.Fault
-	fspec.DropProb = rate
-
-	cellSeed := cfg.Seed + cell*0x9e3779b97f4a7c15
 	inj := fault.NewInjector(fspec, cellSeed)
 	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.Watchdog{MaxEvents: cfg.EventBudget})
+	eng.SetWatchdog(sim.Watchdog{MaxEvents: faultEventBudget})
 
 	tx, rx, reader, err := faultEndpoints(d, arch, fspec, eng, inj, cellSeed)
 	if err != nil {
@@ -166,7 +148,7 @@ func faultCell(sp spec.Spec, arch string, rate float64, cfg FaultSweepConfig, ce
 	p := nic.Packet{Size: faultPacketSize}
 	txCost := tx.TX(p).Total()
 	rxCost := rx.RX(p).Total()
-	path := ethernet.LossyPath{Fabric: d.Fabric(d.SwitchLatency), Inj: inj,
+	path := ethernet.LossyPath{Fabric: d.Fabric(d.SwitchLatency), Inj: inj, LossRate: rate,
 		Obs: ethernet.NewPathObs(oc.Metrics(), arch+".path")}
 	rt := &nic.Retransmitter{Eng: eng, Policy: fspec.NetPolicy(), Counters: &inj.Counters,
 		Trace: oc.Track(arch + "/retrans")}
@@ -184,7 +166,7 @@ func faultCell(sp spec.Spec, arch string, rate float64, cfg FaultSweepConfig, ce
 	var send func(i int)
 	next := func(i int) { eng.Schedule(gap, func() { send(i + 1) }) }
 	send = func(i int) {
-		if i >= cfg.Packets {
+		if i >= packets {
 			return
 		}
 		start := eng.Now()

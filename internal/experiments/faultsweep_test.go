@@ -11,18 +11,15 @@ import (
 	"netdimm/internal/spec"
 )
 
-func fsTestConfig() FaultSweepConfig {
-	cfg := DefaultFaultSweepConfig()
-	cfg.Packets = 120
-	return cfg
-}
+// fsTestPackets is the packets per cell of the fault-sweep tests.
+const fsTestPackets = 120
 
 // At zero loss with a zero fault spec, the sweep's per-packet samples must
 // equal the analytic OneWay latency exactly — the event-driven path adds
 // nothing when nothing is injected.
 func TestFaultSweepZeroLossMatchesAnalytic(t *testing.T) {
 	sp := spec.TableOne()
-	rows, err := FaultSweep(sp, []float64{0}, fsTestConfig(), 1)
+	rows, err := FaultSweep(sp, []float64{0}, fsTestPackets, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +56,7 @@ func TestFaultSweepLatencyDegradesMonotonically(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Fault.MaxRetries = 16
 	rates := []float64{0, 0.02, 0.1, 0.3}
-	rows, err := FaultSweep(sp, rates, fsTestConfig(), 0)
+	rows, err := FaultSweep(sp, rates, fsTestPackets, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +93,7 @@ func TestFaultSweepLatencyDegradesMonotonically(t *testing.T) {
 // diagnostic error, not hang.
 func TestFaultSweepLivelockTripsWatchdog(t *testing.T) {
 	sp := spec.TableOne() // Fault zero: MaxRetries 0 = unlimited
-	cfg := fsTestConfig()
-	cfg.EventBudget = 50_000
-	_, err := FaultSweep(sp, []float64{1}, cfg, 1)
+	_, err := FaultSweep(sp, []float64{1}, fsTestPackets, 0, 0)
 	if err == nil {
 		t.Fatal("100% loss with unlimited retries returned no error")
 	}
@@ -116,7 +111,7 @@ func TestFaultSweepLivelockTripsWatchdog(t *testing.T) {
 func TestFaultSweepTotalLossBoundedRetries(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Fault.MaxRetries = 3
-	rows, err := FaultSweep(sp, []float64{1}, fsTestConfig(), 1)
+	rows, err := FaultSweep(sp, []float64{1}, fsTestPackets, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +133,7 @@ func TestFaultSweepMemoryFaults(t *testing.T) {
 	sp.Fault.MemTimeoutProb = 0.3
 	sp.Fault.MemMaxRetries = 16
 	sp.Fault.MaxRetries = 8
-	rows, err := FaultSweep(sp, []float64{0.01}, fsTestConfig(), 1)
+	rows, err := FaultSweep(sp, []float64{0.01}, fsTestPackets, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +154,7 @@ func TestFaultSweepMemoryFaults(t *testing.T) {
 }
 
 func TestFaultSweepValidatesArch(t *testing.T) {
-	if _, err := faultCell(spec.TableOne(), "quantum", 0, fsTestConfig(), 0, nil); err == nil {
+	if _, err := faultCell(spec.TableOne(), "quantum", 0, fsTestPackets, 0, nil); err == nil {
 		t.Fatal("unknown architecture accepted")
 	}
 }

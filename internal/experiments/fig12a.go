@@ -45,11 +45,12 @@ var PaperSwitchLatencies = []sim.Time{
 }
 
 // Fig12a replays n packets of each cluster's synthetic trace through the
-// clos fabric for every switch latency, measuring the mean one-way
-// per-packet latency under each NIC architecture. The clos switches are
-// store-and-forward, so MTU-heavy traffic (hadoop) pays per-hop
-// re-serialisation, reproducing the paper's cluster ordering.
-func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n int, seed uint64, parallelism int) ([]Fig12aRow, error) {
+// clos fabric for every switch latency of PaperSwitchLatencies, measuring
+// the mean one-way per-packet latency under each NIC architecture. The
+// clos switches are store-and-forward, so MTU-heavy traffic (hadoop) pays
+// per-hop re-serialisation, reproducing the paper's cluster ordering.
+func Fig12a(sp spec.Spec, n int, seed uint64, parallelism int) ([]Fig12aRow, error) {
+	clusters, switchLats := workload.Clusters, PaperSwitchLatencies
 	rows := make([]Fig12aRow, len(clusters)*len(switchLats))
 	for i := range rows {
 		rows[i].Cluster, rows[i].SwitchLatency = clusters[i/len(switchLats)], switchLats[i%len(switchLats)]

@@ -13,14 +13,15 @@ import (
 // TestFig12aMatchesPerCellReference holds the one-cell-per-cluster Fig12a,
 // which prices dNIC, iNIC and the wire term once per (size, locality), to
 // the per-(cluster, switch latency) cells that price every packet, row for
-// row. It covers Table 1, the pcie-gen3 system, whose dNIC costs differ,
-// and the ddr5 system, whose NetDIMM DRAM timing differs; random cluster
-// subsets; unsorted, duplicated, single and 0ns switch latency lists; 1 to
-// 400 packets, plus each system at exactly 1 and at 1200; several seeds;
-// and parallelism 1 and 3. A NetDIMM endpoint's cost is not a function of
-// size alone: the receives of packets 512 and 1024 find a different DRAM
-// state and their RX DMA is cheaper, so at 1200 packets a NetDIMM priced
-// once per size would not match.
+// row. Its cell runs Table 1, the pcie-gen3 system, whose dNIC costs
+// differ, and the ddr5 system, whose NetDIMM DRAM timing differs; every
+// cluster; unsorted, duplicated, single and 0ns switch latency lists; 1 to
+// 400 packets, plus each system at exactly 1 and at 1200; and several
+// seeds. The sweep itself runs each system at 1 and 1200 packets, at
+// parallelism 1 and 3. A NetDIMM endpoint's cost is not a function of size
+// alone: the receives of packets 512 and 1024 find a different DRAM state
+// and their RX DMA is cheaper, so at 1200 packets a NetDIMM priced once per
+// size would not match.
 func TestFig12aMatchesPerCellReference(t *testing.T) {
 	gen3 := spec.TableOne()
 	gen3.PCIe = "x8 PCIe Gen3"
@@ -34,18 +35,7 @@ func TestFig12aMatchesPerCellReference(t *testing.T) {
 	r := sim.NewRand(12)
 	for trial := 0; trial < 48; trial++ {
 		sys := systems[trial%len(systems)]
-		var clusters []workload.Cluster
-		for len(clusters) == 0 {
-			for _, cl := range workload.Clusters {
-				if r.Intn(2) == 0 {
-					clusters = append(clusters, cl)
-				}
-			}
-		}
-		for i := len(clusters) - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			clusters[i], clusters[j] = clusters[j], clusters[i]
-		}
+		cl := workload.Clusters[r.Intn(len(workload.Clusters))]
 		sls := make([]sim.Time, 1+r.Intn(5))
 		for i := range sls {
 			sls[i] = latencies[r.Intn(len(latencies))]
@@ -58,18 +48,37 @@ func TestFig12aMatchesPerCellReference(t *testing.T) {
 			n = 1
 		}
 		seed := uint64(1 + r.Intn(1000))
-		parallelism := 1 + 2*(trial%2)
-		want, err := refFig12a(sys.sp, clusters, sls, n, seed, parallelism)
-		if err != nil {
-			t.Fatal(err)
+		d := sys.sp.MustDerive()
+		got := make([]Fig12aRow, len(sls))
+		want := make([]Fig12aRow, len(sls))
+		for i, sl := range sls {
+			got[i].Cluster, got[i].SwitchLatency = cl, sl
+			var err error
+			if want[i], err = refFig12aCell(d, cl, sl, n, seed); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := Fig12a(sys.sp, clusters, sls, n, seed, parallelism)
-		if err != nil {
+		if err := fig12aCell(d, workload.NewGenerator(cl, 0, seed).Next, n, 2*seed, got, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s, clusters %v, switch latencies %v, n=%d, seed %d, parallelism %d:\n got %+v\nwant %+v",
-				sys.name, clusters, sls, n, seed, parallelism, got, want)
+			t.Fatalf("%s, cluster %v, switch latencies %v, n=%d, seed %d:\n got %+v\nwant %+v",
+				sys.name, cl, sls, n, seed, got, want)
+		}
+		if n == 1 || n == 1200 {
+			parallelism := 1 + 2*(trial%2)
+			want, err := refFig12a(sys.sp, workload.Clusters, PaperSwitchLatencies, n, seed, parallelism)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Fig12a(sys.sp, n, seed, parallelism)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s sweep, n=%d, seed %d, parallelism %d:\n got %+v\nwant %+v",
+					sys.name, n, seed, parallelism, got, want)
+			}
 		}
 	}
 }

@@ -30,36 +30,25 @@ func (r Fig12bRow) Norm() float64 {
 	return r.NetDIMMNs / r.INICAppNs
 }
 
-// Fig12bConfig parameterises the interference rig.
-type Fig12bConfig struct {
-	Duration sim.Time
-	// AppGap is the co-running application's mean time between memory
-	// accesses.
-	AppGap sim.Time
-	// AppWorkingSet sizes the application's footprint; around the LLC
-	// size, so losing the DDIO ways to iNIC traffic is visible.
-	AppWorkingSet int64
-	// PacketGap is the mean inter-arrival of the replayed traffic.
-	PacketGap sim.Time
-	Seed      uint64
-}
-
-// DefaultFig12bConfig returns the rig parameters used for the reported
-// numbers.
-func DefaultFig12bConfig() Fig12bConfig {
-	return Fig12bConfig{
-		Duration:      400 * sim.Microsecond,
-		AppGap:        60 * sim.Nanosecond,
-		AppWorkingSet: 2 << 20,
-		// Near line rate for the clusters' mean packet size (~5GB/s of
-		// 40GbE traffic).
-		PacketGap: 160 * sim.Nanosecond,
-		Seed:      1,
-	}
-}
+// The Fig. 12(b) interference rig (Sec. 5.3's co-run).
+const (
+	fig12bDuration = 400 * sim.Microsecond
+	// fig12bAppGap is the co-running application's mean time between
+	// memory accesses.
+	fig12bAppGap = 60 * sim.Nanosecond
+	// fig12bAppWorkingSet sizes the application's footprint; around the
+	// LLC size, so losing the DDIO ways to iNIC traffic is visible.
+	fig12bAppWorkingSet int64 = 2 << 20
+	// fig12bPacketGap is the mean inter-arrival of the replayed traffic:
+	// near line rate for the clusters' mean packet size (~5GB/s of 40GbE
+	// traffic).
+	fig12bPacketGap = 160 * sim.Nanosecond
+	fig12bSeed      = 1
+)
 
 // Fig12b measures co-running application memory latency under each
-// (cluster, function, architecture) combination.
+// (cluster, function, architecture) combination: every cluster of
+// workload.Clusters under DPI and L3F.
 //
 // The mechanism being compared (Sec. 5.3): an iNIC injects every received
 // packet into the LLC via DDIO — no memory-channel traffic while the
@@ -72,14 +61,15 @@ func DefaultFig12bConfig() Fig12bConfig {
 // Each (cluster, function, architecture) run is its own cell — the finest
 // grain available, 2 cells per output row — fanned out over `parallelism`
 // workers and reassembled in grid order.
-func Fig12b(sp spec.Spec, clusters []workload.Cluster, kinds []netfunc.Kind, cfg Fig12bConfig, parallelism int) []Fig12bRow {
+func Fig12b(sp spec.Spec, parallelism int) []Fig12bRow {
+	clusters, kinds := workload.Clusters, []netfunc.Kind{netfunc.DPI, netfunc.L3F}
 	nRows := len(clusters) * len(kinds)
 	vals := make([]float64, 2*nRows) // [2*row] = iNIC, [2*row+1] = NetDIMM
 	forEachCell(2*nRows, parallelism, func(idx int) {
 		row := idx / 2
 		cl := clusters[row/len(kinds)]
 		k := kinds[row%len(kinds)]
-		vals[idx] = runInterference(sp.MustDerive(), cl, k, idx%2 == 1, cfg)
+		vals[idx] = runInterference(sp.MustDerive(), cl, k, idx%2 == 1)
 	})
 	rows := make([]Fig12bRow, nRows)
 	for row := range rows {
@@ -94,7 +84,7 @@ func Fig12b(sp spec.Spec, clusters []workload.Cluster, kinds []netfunc.Kind, cfg
 }
 
 // runInterference returns the app's mean memory access latency in ns.
-func runInterference(d *spec.Derived, cl workload.Cluster, kind netfunc.Kind, netdimm bool, cfg Fig12bConfig) float64 {
+func runInterference(d *spec.Derived, cl workload.Cluster, kind netfunc.Kind, netdimm bool) float64 {
 	eng := sim.NewEngine()
 	rs := memctrl.NewRankSet(d.HostTiming, 2)
 	mc := memctrl.New(eng, d.MC, rs)
@@ -104,13 +94,13 @@ func runInterference(d *spec.Derived, cl workload.Cluster, kind netfunc.Kind, ne
 	}
 
 	var appLat stats.Histogram
-	rng := sim.NewRand(cfg.Seed)
+	rng := sim.NewRand(fig12bSeed)
 
 	// The co-running application: a pointer-chasing workload over its
 	// working set in rank 0, measured through the LLC.
 	var appTick func()
 	appTick = func() {
-		lines := cfg.AppWorkingSet / addrmap.CachelineSize
+		lines := fig12bAppWorkingSet / addrmap.CachelineSize
 		addr := rng.Int63n(lines) * addrmap.CachelineSize
 		write := rng.Float64() < 0.3
 		hitLat := llc.Config().HitLatency
@@ -122,12 +112,12 @@ func runInterference(d *spec.Derived, cl workload.Cluster, kind netfunc.Kind, ne
 				Done: func(r memctrl.Response) { appLat.Observe(hitLat + r.Latency()) },
 			})
 		}
-		eng.Schedule(rng.Exp(cfg.AppGap), appTick)
+		eng.Schedule(rng.Exp(fig12bAppGap), appTick)
 	}
 	appTick()
 
 	// The network function's traffic.
-	gen := workload.NewGenerator(cl, cfg.PacketGap, cfg.Seed+7)
+	gen := workload.NewGenerator(cl, fig12bPacketGap, fig12bSeed+7)
 	// NetDIMM-region reads target rank 1: a different DIMM on the same
 	// channel, sharing the data bus with the application's rank-0 DIMM.
 	netdimmBase := addrmap.RankBytes
@@ -182,10 +172,10 @@ func runInterference(d *spec.Derived, cl workload.Cluster, kind netfunc.Kind, ne
 				}
 			}
 		}
-		eng.Schedule(rng.Exp(cfg.PacketGap), pktTick)
+		eng.Schedule(rng.Exp(fig12bPacketGap), pktTick)
 	}
 	pktTick()
 
-	eng.RunUntil(cfg.Duration)
+	eng.RunUntil(fig12bDuration)
 	return appLat.Mean().Nanoseconds()
 }

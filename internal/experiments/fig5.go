@@ -18,36 +18,24 @@ type Fig5Row struct {
 	MemReadNs     float64 // observed memory read latency under this pressure
 }
 
-// Fig5Config parameterises the Fig. 5 rig, mirroring the paper's testbed:
-// a receiver with three DDR4 channels and a 40GbE stream, with an MLC-style
-// injector (1:1 read:write) loading every channel.
-type Fig5Config struct {
-	Channels   int
-	RingWindow int // RX frames in flight
-	// CopyCores bounds concurrent driver copies: each frame is copied
+// The Fig. 5 rig mirrors the paper's testbed (Sec. 3: Xeon E5-2660, three
+// DDR4 channels, 40GbE): a receiver with three channels and a 40GbE
+// stream, with an MLC-style injector (1:1 read:write) loading every
+// channel.
+const (
+	fig5Channels   = 3
+	fig5RingWindow = 128 // RX frames in flight
+	// fig5CopyCores bounds concurrent driver copies: each frame is copied
 	// serially by one core (chunked loads with limited MLP), so inflated
 	// memory latency directly slows the receiver — the mechanism that
 	// collapses iperf bandwidth under MLC pressure.
-	CopyCores int
-	// CopyMLP is the number of cacheline loads a copying core keeps in
+	fig5CopyCores = 8
+	// fig5CopyMLP is the number of cacheline loads a copying core keeps in
 	// flight (MSHR-bound).
-	CopyMLP  int
-	Duration sim.Time
-	Seed     uint64
-}
-
-// DefaultFig5Config matches Sec. 3's setup (Xeon E5-2660, three DDR4
-// channels, 40GbE).
-func DefaultFig5Config() Fig5Config {
-	return Fig5Config{
-		Channels:   3,
-		RingWindow: 128,
-		CopyCores:  8,
-		CopyMLP:    4,
-		Duration:   2 * sim.Millisecond,
-		Seed:       1,
-	}
-}
+	fig5CopyMLP  = 4
+	fig5Duration = 2 * sim.Millisecond
+	fig5Seed     = 1
+)
 
 // DefaultFig5Delays is the default injector-delay axis, from no
 // interference (one request a second) to maximum pressure.
@@ -64,13 +52,13 @@ var DefaultFig5Delays = []sim.Time{
 // Each pressure level is an independent cell (its own engine, controllers
 // and injectors), fanned out over `parallelism` workers. Empty delays
 // select DefaultFig5Delays.
-func Fig5(sp spec.Spec, delays []sim.Time, cfg Fig5Config, parallelism int) []Fig5Row {
+func Fig5(sp spec.Spec, delays []sim.Time, parallelism int) []Fig5Row {
 	if len(delays) == 0 {
 		delays = DefaultFig5Delays
 	}
 	rows := make([]Fig5Row, len(delays))
 	forEachCell(len(delays), parallelism, func(i int) {
-		rows[i] = runFig5(sp.MustDerive(), delays[i], cfg)
+		rows[i] = runFig5(sp.MustDerive(), delays[i])
 	})
 	return rows
 }
@@ -83,7 +71,6 @@ func Fig5(sp spec.Spec, delays []sim.Time, cfg Fig5Config, parallelism int) []Fi
 type fig5Rig struct {
 	eng       *sim.Engine
 	mcs       []*memctrl.Controller
-	cfg       Fig5Config
 	inflight  int
 	completed int64
 	frameGap  sim.Time
@@ -94,37 +81,36 @@ type fig5Rig struct {
 	activeCores int
 }
 
-func runFig5(d *spec.Derived, delay sim.Time, cfg Fig5Config) Fig5Row {
+func runFig5(d *spec.Derived, delay sim.Time) Fig5Row {
 	eng := sim.NewEngine()
 	rig := &fig5Rig{
 		eng: eng,
-		cfg: cfg,
 		// 1538 wire bytes per MTU frame at line rate.
 		frameGap: d.Link.SerializeTime(nic.MTU),
 	}
 	var injectors []*workload.Injector
-	for ch := 0; ch < cfg.Channels; ch++ {
+	for ch := 0; ch < fig5Channels; ch++ {
 		mc := memctrl.New(eng, d.MC, memctrl.NewRankSet(d.HostTiming, 2))
 		rig.mcs = append(rig.mcs, mc)
 		// MLC pressure: 1:1 read/write over a large working set on every
 		// channel. The injector is disabled with a non-positive... a very
 		// large delay stands in for "no interference".
 		if delay < sim.Second {
-			in := workload.NewInjector(eng, mc, delay, 0.5, 1<<30, 512<<20, cfg.Seed+uint64(ch))
+			in := workload.NewInjector(eng, mc, delay, 0.5, 1<<30, 512<<20, fig5Seed+uint64(ch))
 			in.Parallelism = 8 // MLC load threads driving this channel
 			in.Start()
 			injectors = append(injectors, in)
 		}
 	}
 	rig.arrive()
-	eng.RunUntil(cfg.Duration)
+	eng.RunUntil(fig5Duration)
 	rig.stopped = true
 	for _, in := range injectors {
 		in.Stop()
 	}
 
 	gbps := float64(rig.completed) * float64(nic.MTU+nic.EthernetOverheadBytes) * 8 /
-		cfg.Duration.Seconds() / 1e9
+		fig5Duration.Seconds() / 1e9
 	var latSum, latN float64
 	for _, in := range injectors {
 		if h := in.ReadLatency(); h.Count() > 0 {
@@ -144,7 +130,7 @@ func (r *fig5Rig) arrive() {
 	if r.stopped {
 		return
 	}
-	if r.inflight >= r.cfg.RingWindow {
+	if r.inflight >= fig5RingWindow {
 		// Window closed: re-check shortly (the sender's TCP stack clocks
 		// out new data as acknowledgements return).
 		r.eng.Schedule(r.frameGap, r.arrive)
@@ -179,7 +165,7 @@ func (r *fig5Rig) dmaPhase(frame int64) {
 
 // dispatchCopies starts queued frame copies on free cores.
 func (r *fig5Rig) dispatchCopies() {
-	for r.activeCores < r.cfg.CopyCores && len(r.copyQueue) > 0 {
+	for r.activeCores < fig5CopyCores && len(r.copyQueue) > 0 {
 		frame := r.copyQueue[0]
 		r.copyQueue = r.copyQueue[1:]
 		r.activeCores++
@@ -201,7 +187,7 @@ func (r *fig5Rig) copyChunk(frame int64, line int) {
 	}
 	base := (frame % 1024) * 2048
 	appBase := int64(8<<20) + (frame%4096)*2048
-	n := r.cfg.CopyMLP
+	n := fig5CopyMLP
 	if line+n > frameLines {
 		n = frameLines - line
 	}

@@ -5,7 +5,6 @@ import (
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
-	"netdimm/internal/workload"
 )
 
 // Headline collects the numbers the paper quotes in its abstract and
@@ -48,15 +47,13 @@ func RunHeadline(sp spec.Spec, n int, parallelism int) (Headline, error) {
 	h.AvgReductionVsDNIC = AverageReduction(fig11, false)
 	h.AvgReductionVsINIC = AverageReduction(fig11, true)
 
-	rows, err := Fig12a(sp, workload.Clusters, PaperSwitchLatencies, n, 3, parallelism)
+	rows, err := Fig12a(sp, n, 3, parallelism)
 	if err != nil {
 		return h, err
 	}
 	h.TraceReductionBySwitch = Fig12aAverages(rows)
 
-	cfg := DefaultFig12bConfig()
-	cells := Fig12b(sp, workload.Clusters, []netfunc.Kind{netfunc.DPI, netfunc.L3F}, cfg, parallelism)
-	for _, c := range cells {
+	for _, c := range Fig12b(sp, parallelism) {
 		switch c.Kind {
 		case netfunc.DPI:
 			if d := c.Norm() - 1; d > h.DPIWorst {

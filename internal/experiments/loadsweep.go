@@ -30,32 +30,8 @@ import (
 // default (Table 1, database-cluster) scenario.
 var DefaultLoadGrid = []float64{0.02, 0.05, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.22}
 
-// LoadSweepConfig parameterises one load sweep; traffic shape and fabric
-// buffering come from the specification's Load block.
-type LoadSweepConfig struct {
-	// Packets is the total arrival count per cell, split across the
-	// sender hosts (default 2000 — enough for a stable p99 and a defined
-	// p999).
-	Packets int
-	// Seed perturbs every host's arrival stream.
-	Seed uint64
-}
-
-// DefaultLoadSweepConfig returns the sweep defaults.
-func DefaultLoadSweepConfig() LoadSweepConfig {
-	return LoadSweepConfig{Packets: DefaultPackets}
-}
-
 // loadEventBudget bounds each load-sweep cell's engine via the watchdog.
 const loadEventBudget = 4_000_000
-
-func (c LoadSweepConfig) withDefaults() LoadSweepConfig {
-	def := DefaultLoadSweepConfig()
-	if c.Packets <= 0 {
-		c.Packets = def.Packets
-	}
-	return c
-}
 
 // loadShape is the resolved Load block of a specification, with the
 // sweep's job-chunk free list.
@@ -167,9 +143,10 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 // LoadSweepObserved runs the rack-scale open-loop load sweep: for every
 // (architecture, offered load) cell it simulates loads[i] of the line rate
 // fanning in from the spec's Load.Hosts senders to one receiver and
-// reports the end-to-end latency distribution, then reduces the rows to
-// one saturation knee per architecture. A nil loads slice uses
-// DefaultLoadGrid.
+// reports the end-to-end latency distribution over packets arrivals
+// (DefaultPackets when not positive) split across the senders, then
+// reduces the rows to one saturation knee per architecture. A nil loads
+// slice uses DefaultLoadGrid.
 //
 // Cells are deterministic: each builds its own engine, machines and
 // arrival streams from per-cell seeds, so results are identical
@@ -181,8 +158,10 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 // labelled "loadsweep/<arch>/load=<load>" with receiver queue-depth and
 // egress depth series, delivery/drop counters, link utilisation and engine
 // probes. A zero ospec yields a nil observer.
-func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, parallelism int, ospec obs.Spec) ([]LoadRow, []LoadKnee, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+func LoadSweepObserved(sp spec.Spec, loads []float64, packets int, seed uint64, parallelism int, ospec obs.Spec) ([]LoadRow, []LoadKnee, *obs.Observer, error) {
+	if packets <= 0 {
+		packets = DefaultPackets
+	}
 	if len(loads) == 0 {
 		loads = DefaultLoadGrid
 	}
@@ -196,8 +175,8 @@ func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, paral
 		return fmt.Sprintf("loadsweep/%s/load=%g", arch, load)
 	}, func(i int, oc *obs.Cell) (LoadRow, error) {
 		arch, load := axes(i)
-		c, err := runFabricCell(sp, arch, shape, cellOpts{load: load, packets: cfg.Packets,
-			eventBudget: loadEventBudget, seed: cfg.Seed, incast: true}, oc)
+		c, err := runFabricCell(sp, arch, shape, cellOpts{load: load, packets: packets,
+			eventBudget: loadEventBudget, seed: seed, incast: true}, oc)
 		if err != nil {
 			return LoadRow{}, fmt.Errorf("loadsweep: %s at load %g: %w", arch, load, err)
 		}

@@ -18,9 +18,7 @@ import (
 // dNIC knee, few enough packets to stay fast.
 func testLoadSweep(t *testing.T, sp spec.Spec, loads []float64) ([]LoadRow, []LoadKnee) {
 	t.Helper()
-	cfg := DefaultLoadSweepConfig()
-	cfg.Packets = 600
-	rows, knees, err := LoadSweep(sp, loads, cfg, 0)
+	rows, knees, err := LoadSweep(sp, loads, 600, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +97,8 @@ func TestLoadSweepNetDIMMSaturatesAfterDNIC(t *testing.T) {
 }
 
 func TestLoadSweepRejectsBadLoads(t *testing.T) {
-	cfg := DefaultLoadSweepConfig()
 	for _, loads := range [][]float64{{0}, {-0.1}, {math.NaN()}, {math.Inf(1)}, {0.1, 0}} {
-		if _, _, err := LoadSweep(spec.TableOne(), loads, cfg, 1); err == nil {
+		if _, _, err := LoadSweep(spec.TableOne(), loads, 0, 0, 1); err == nil {
 			t.Errorf("loads %v: no error", loads)
 		}
 	}
@@ -110,13 +107,13 @@ func TestLoadSweepRejectsBadLoads(t *testing.T) {
 func TestLoadSweepRejectsBadLoadBlock(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Load.Cluster = "mainframe"
-	if _, _, err := LoadSweep(sp, []float64{0.05}, DefaultLoadSweepConfig(), 1); err == nil ||
+	if _, _, err := LoadSweep(sp, []float64{0.05}, 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "unknown cluster") {
 		t.Errorf("bad cluster: err = %v", err)
 	}
 	sp = spec.TableOne()
 	sp.Load.Process = "bursty"
-	if _, _, err := LoadSweep(sp, []float64{0.05}, DefaultLoadSweepConfig(), 1); err == nil ||
+	if _, _, err := LoadSweep(sp, []float64{0.05}, 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "unknown arrival process") {
 		t.Errorf("bad process: err = %v", err)
 	}
@@ -202,9 +199,7 @@ func TestDetectKneesDegenerate(t *testing.T) {
 }
 
 func TestLoadSweepObservedMetrics(t *testing.T) {
-	cfg := DefaultLoadSweepConfig()
-	cfg.Packets = 120
-	rows, _, o, err := LoadSweepObserved(spec.TableOne(), []float64{0.05, 0.15}, cfg, 0, obs.Spec{Metrics: true})
+	rows, _, o, err := LoadSweepObserved(spec.TableOne(), []float64{0.05, 0.15}, 120, 0, 0, obs.Spec{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +245,7 @@ func TestLoadSweepObservedMetrics(t *testing.T) {
 // The open-loop generator must hold the packet sequence fixed along the
 // load axis — only spacing may change — so the sweep isolates queueing.
 func TestLoadSweepHoldsWorkFixedAcrossLoads(t *testing.T) {
-	cfg := DefaultLoadSweepConfig()
-	cfg.Packets = 200
-	rows, _, err := LoadSweep(spec.TableOne(), []float64{0.02, 0.2}, cfg, 0)
+	rows, _, err := LoadSweep(spec.TableOne(), []float64{0.02, 0.2}, 200, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

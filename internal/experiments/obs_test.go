@@ -139,14 +139,12 @@ func TestFig11ObservedDisabledIdentical(t *testing.T) {
 // worker scheduling.
 func TestFaultSweepObservedDeterministic(t *testing.T) {
 	rates := []float64{0, 0.05, 0.2}
-	cfg := DefaultFaultSweepConfig()
-	cfg.Packets = 60
 	ospec := obs.Spec{Trace: true, Metrics: true}
-	_, oSeq, err := FaultSweepObserved(spec.TableOne(), rates, cfg, 1, ospec)
+	_, oSeq, err := FaultSweepObserved(spec.TableOne(), rates, 60, 0, 1, ospec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, oPar, err := FaultSweepObserved(spec.TableOne(), rates, cfg, 8, ospec)
+	_, oPar, err := FaultSweepObserved(spec.TableOne(), rates, 60, 0, 8, ospec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +166,7 @@ func TestFaultSweepObservedDeterministic(t *testing.T) {
 // fall inside the per-rate extremes.
 func TestFaultTailsMergeAcrossRates(t *testing.T) {
 	rates := []float64{0, 0.1}
-	cfg := DefaultFaultSweepConfig()
-	cfg.Packets = 80
-	rows, err := FaultSweep(spec.TableOne(), rates, cfg, 1)
+	rows, err := FaultSweep(spec.TableOne(), rates, 80, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

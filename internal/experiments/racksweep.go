@@ -37,35 +37,15 @@ var DefaultRackLoadGrid = []float64{0.05, 0.1, 0.2, 0.4, 0.8}
 // layer, not any single queue, is the contended resource.
 const DefaultRackHosts = 256
 
-// RackSweepConfig parameterises one rack sweep; traffic shape and
-// buffering come from the specification's Load block, the clos shape
-// and ECN tuning from its Fabric block.
-type RackSweepConfig struct {
-	// Packets is the total arrival count per cell, split across all hosts
-	// (default 4000 — about sixteen per host at the default 256, deep
-	// enough a host's open-loop backlog can push the tail past the knee
-	// factor instead of draining before the queue matters).
-	Packets int
-	// Seed perturbs every host's arrival and destination streams.
-	Seed uint64
-}
-
-// DefaultRackSweepConfig returns the sweep defaults.
-func DefaultRackSweepConfig() RackSweepConfig {
-	return RackSweepConfig{Packets: 4000}
-}
+// rackPackets is the default total arrival count per cell, split across
+// all hosts: about sixteen per host at the default 256, deep enough a
+// host's open-loop backlog can push the tail past the knee factor instead
+// of draining before the queue matters.
+const rackPackets = 4000
 
 // rackEventBudget bounds each rack-sweep cell's engine via the watchdog;
 // the clos pays several queue hops per packet.
 const rackEventBudget = 8_000_000
-
-func (c RackSweepConfig) withDefaults() RackSweepConfig {
-	def := DefaultRackSweepConfig()
-	if c.Packets <= 0 {
-		c.Packets = def.Packets
-	}
-	return c
-}
 
 // RackRow is one (architecture, racks, ECN, offered load) cell of the rack
 // sweep: end-to-end latency statistics over delivered packets plus the
@@ -171,8 +151,9 @@ func DetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 
 // RackSweepObserved runs the rack-count sweep: for every (architecture,
 // racks, ECN, offered load) cell it simulates the spec's hosts (default
-// 256) exchanging cluster-mix traffic over a racks-leaf clos, with and
-// without ECN, and reduces the rows to saturation knees. Nil axes use
+// 256) exchanging packets packets (rackPackets when not positive) of
+// cluster-mix traffic over a racks-leaf clos, with and without ECN, and
+// reduces the rows to saturation knees. Nil axes use
 // DefaultRackGrid and DefaultRackLoadGrid; a spec whose Fabric block pins
 // Leaves sweeps only that rack count.
 //
@@ -184,8 +165,10 @@ func DetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 // "racksweep/<arch>/racks=<n>/ecn=<on|off>/load=<g>" with delivery, drop
 // and mark counters, fabric depth gauges and engine probes. A zero ospec
 // yields a nil observer.
-func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweepConfig, parallelism int, ospec obs.Spec) ([]RackRow, []RackKnee, *obs.Observer, error) {
-	cfg = cfg.withDefaults()
+func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, packets int, seed uint64, parallelism int, ospec obs.Spec) ([]RackRow, []RackKnee, *obs.Observer, error) {
+	if packets <= 0 {
+		packets = rackPackets
+	}
 	if len(racks) == 0 {
 		if sp.Fabric.Leaves > 0 {
 			racks = []int{sp.Fabric.Leaves}
@@ -236,8 +219,8 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 			cell.Fabric.ECNThreshold = 0
 			cell.Fabric.ECNBackoffNs = 0
 		}
-		c, err := runFabricCell(cell, arch, shape, cellOpts{load: load, packets: cfg.Packets,
-			eventBudget: rackEventBudget, seed: cfg.Seed}, oc)
+		c, err := runFabricCell(cell, arch, shape, cellOpts{load: load, packets: packets,
+			eventBudget: rackEventBudget, seed: seed}, oc)
 		if err != nil {
 			return RackRow{}, fmt.Errorf("racksweep: %s racks=%d ecn=%s at load %g: %w", arch, rk, onOff(ecn), load, err)
 		}

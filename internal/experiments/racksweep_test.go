@@ -18,9 +18,7 @@ func testRackSweep(t *testing.T, sp spec.Spec, racks []int, loads []float64) ([]
 	if sp.Load.Hosts == 0 {
 		sp.Load.Hosts = 16
 	}
-	cfg := DefaultRackSweepConfig()
-	cfg.Packets = 320
-	rows, knees, err := RackSweep(sp, racks, loads, cfg, 0)
+	rows, knees, err := RackSweep(sp, racks, loads, 320, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,25 +184,24 @@ func TestRackSpines(t *testing.T) {
 }
 
 func TestRackSweepRejectsBadInput(t *testing.T) {
-	cfg := DefaultRackSweepConfig()
-	if _, _, err := RackSweep(spec.TableOne(), []int{0}, nil, cfg, 1); err == nil ||
+	if _, _, err := RackSweep(spec.TableOne(), []int{0}, nil, 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "rack count") {
 		t.Errorf("racks {0}: err = %v", err)
 	}
 	for _, loads := range [][]float64{{0}, {-0.1}, {math.NaN()}, {math.Inf(1)}} {
-		if _, _, err := RackSweep(spec.TableOne(), []int{2}, loads, cfg, 1); err == nil {
+		if _, _, err := RackSweep(spec.TableOne(), []int{2}, loads, 0, 0, 1); err == nil {
 			t.Errorf("loads %v: no error", loads)
 		}
 	}
 	sp := spec.TableOne()
 	sp.Load.Hosts = 1
-	if _, _, err := RackSweep(sp, []int{2}, []float64{0.1}, cfg, 1); err == nil ||
+	if _, _, err := RackSweep(sp, []int{2}, []float64{0.1}, 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "at least 2 hosts") {
 		t.Errorf("hosts=1: err = %v", err)
 	}
 	sp = spec.TableOne()
 	sp.Load.Cluster = "mainframe"
-	if _, _, err := RackSweep(sp, []int{2}, []float64{0.1}, cfg, 1); err == nil ||
+	if _, _, err := RackSweep(sp, []int{2}, []float64{0.1}, 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "unknown cluster") {
 		t.Errorf("bad cluster: err = %v", err)
 	}
@@ -239,9 +236,7 @@ func TestRackSweepSpecPinsLeaves(t *testing.T) {
 func TestRackSweepObservedMetrics(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Load.Hosts = 16
-	cfg := DefaultRackSweepConfig()
-	cfg.Packets = 320
-	rows, _, o, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.6}, cfg, 0, obs.Spec{Metrics: true})
+	rows, _, o, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.6}, 320, 0, 0, obs.Spec{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // simulator. The paper's experiments assume a perfect world — links never
 // drop or corrupt frames and NVDIMM-P devices always raise RDY — which is
 // the best case the latency claims are made in. This package supplies the
-// other cases: a seed-driven Spec describes per-traversal frame loss and
+// other cases: a seed-driven Spec describes per-traversal frame
 // corruption, switch-port tail-drop injection and NVDIMM-P RDY loss; an
 // Injector draws every fault decision from a sim.Rand stream so sequential
 // and parallel experiment fan-out see identical fault traces; and Backoff /
@@ -25,13 +25,13 @@ import (
 )
 
 // Spec configures fault injection for one run. The zero value disables
-// every fault. Probabilities are per decision point: DropProb and
-// CorruptProb per link traversal, PortDropProb per switch-port enqueue,
-// MemTimeoutProb per NVDIMM-P transaction. Durations are plain nanosecond
-// integers so a scenario JSON file can address every field directly.
+// every fault. Probabilities are per decision point: CorruptProb per link
+// traversal, PortDropProb per switch-port enqueue, MemTimeoutProb per
+// NVDIMM-P transaction. Frame loss on the wire is not a Spec field: the
+// fault sweep sweeps it and passes each rate to Injector.DropFrame.
+// Durations are plain nanosecond integers so a scenario JSON file can
+// address every field directly.
 type Spec struct {
-	// DropProb is the probability a transmitted frame vanishes on the wire.
-	DropProb float64
 	// CorruptProb is the probability a frame arrives with a bit error; the
 	// receiving NIC detects it by FCS check and discards the frame, so a
 	// corrupted frame costs its full wire time before the sender times out.
@@ -72,7 +72,7 @@ func (s Spec) Enabled() bool { return s.NetEnabled() || s.MemEnabled() || s.Fail
 
 // NetEnabled reports whether any network fault is injected.
 func (s Spec) NetEnabled() bool {
-	return s.DropProb > 0 || s.CorruptProb > 0 || s.PortDropProb > 0
+	return s.CorruptProb > 0 || s.PortDropProb > 0
 }
 
 // MemEnabled reports whether NVDIMM-P RDY loss is injected.
@@ -85,7 +85,6 @@ func (s Spec) Validate() error {
 		name string
 		p    float64
 	}{
-		{"DropProb", s.DropProb},
 		{"CorruptProb", s.CorruptProb},
 		{"PortDropProb", s.PortDropProb},
 		{"MemTimeoutProb", s.MemTimeoutProb},
@@ -120,9 +119,6 @@ func (s Spec) String() string {
 			out += ", "
 		}
 		out += fmt.Sprintf(format, args...)
-	}
-	if s.DropProb > 0 {
-		add("drop %.2g", s.DropProb)
 	}
 	if s.CorruptProb > 0 {
 		add("corrupt %.2g", s.CorruptProb)
@@ -287,9 +283,6 @@ func NewInjector(spec Spec, seed uint64) *Injector {
 	return &Injector{spec: spec, rng: sim.NewRand(seed ^ (spec.Seed * 0x9e3779b97f4a7c15))}
 }
 
-// Spec returns the injector's configuration.
-func (j *Injector) Spec() Spec { return j.spec }
-
 func (j *Injector) draw(p float64) bool {
 	if p <= 0 {
 		return false
@@ -297,9 +290,9 @@ func (j *Injector) draw(p float64) bool {
 	return j.rng.Float64() < p
 }
 
-// DropFrame draws the per-traversal link-loss decision.
-func (j *Injector) DropFrame() bool {
-	if j.draw(j.spec.DropProb) {
+// DropFrame draws the per-traversal link-loss decision at probability p.
+func (j *Injector) DropFrame(p float64) bool {
+	if j.draw(p) {
 		j.Counters.FramesDropped++
 		return true
 	}

@@ -10,7 +10,7 @@ import (
 func TestSpecValidate(t *testing.T) {
 	good := []Spec{
 		{},
-		{DropProb: 0.5, CorruptProb: 1, PortDropProb: 0, MaxRetries: 3},
+		{CorruptProb: 1, PortDropProb: 0, MaxRetries: 3},
 		{MemTimeoutProb: 0.1, MemTimeoutNs: 500, MemMaxRetries: 2},
 		{RetryBaseNs: 100, RetryCapNs: 100},
 	}
@@ -20,7 +20,6 @@ func TestSpecValidate(t *testing.T) {
 		}
 	}
 	bad := []Spec{
-		{DropProb: -0.1},
 		{CorruptProb: 1.5},
 		{PortDropProb: 2},
 		{MemTimeoutProb: -1},
@@ -41,8 +40,8 @@ func TestSpecEnabled(t *testing.T) {
 	if (Spec{}).Enabled() {
 		t.Error("zero Spec must be disabled")
 	}
-	if !(Spec{DropProb: 0.1}).NetEnabled() || !(Spec{DropProb: 0.1}).Enabled() {
-		t.Error("DropProb must enable the network faults")
+	if !(Spec{CorruptProb: 0.1}).NetEnabled() || !(Spec{CorruptProb: 0.1}).Enabled() {
+		t.Error("CorruptProb must enable the network faults")
 	}
 	if !(Spec{MemTimeoutProb: 0.1}).MemEnabled() {
 		t.Error("MemTimeoutProb must enable the memory faults")
@@ -56,8 +55,8 @@ func TestSpecString(t *testing.T) {
 	if got := (Spec{}).String(); got != "disabled" {
 		t.Errorf("zero Spec String() = %q, want disabled", got)
 	}
-	s := Spec{DropProb: 0.01, MaxRetries: 8, MemTimeoutProb: 0.05}.String()
-	for _, want := range []string{"drop 0.01", "retries 8", "RDY loss 0.05"} {
+	s := Spec{CorruptProb: 0.01, MaxRetries: 8, MemTimeoutProb: 0.05}.String()
+	for _, want := range []string{"corrupt 0.01", "retries 8", "RDY loss 0.05"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
@@ -163,7 +162,7 @@ func TestSpecStringFailure(t *testing.T) {
 		t.Errorf("String() = %q, want failure schedule summary", str)
 	}
 	// The schedule must not leak into the summary when disabled.
-	if str := (Spec{DropProb: 0.1}).String(); strings.Contains(str, "failures") {
+	if str := (Spec{CorruptProb: 0.1}).String(); strings.Contains(str, "failures") {
 		t.Errorf("String() = %q mentions failures without a schedule", str)
 	}
 }
@@ -209,11 +208,11 @@ func TestPolicyDefaults(t *testing.T) {
 // Two injectors with the same spec and seed must draw identical decision
 // sequences — the foundation of the sweep's sequential/parallel identity.
 func TestInjectorDeterminism(t *testing.T) {
-	spec := Spec{DropProb: 0.3, CorruptProb: 0.1, PortDropProb: 0.05, MemTimeoutProb: 0.2}
+	spec := Spec{CorruptProb: 0.1, PortDropProb: 0.05, MemTimeoutProb: 0.2}
 	a := NewInjector(spec, 42)
 	b := NewInjector(spec, 42)
 	for i := 0; i < 2000; i++ {
-		if a.DropFrame() != b.DropFrame() || a.CorruptFrame() != b.CorruptFrame() ||
+		if a.DropFrame(0.3) != b.DropFrame(0.3) || a.CorruptFrame() != b.CorruptFrame() ||
 			a.PortDrop() != b.PortDrop() || a.LoseRDY() != b.LoseRDY() {
 			t.Fatalf("decision %d diverged between identical injectors", i)
 		}
@@ -228,14 +227,14 @@ func TestInjectorDeterminism(t *testing.T) {
 
 // Different cell seeds (and different spec seeds) must perturb the stream.
 func TestInjectorSeedsDiffer(t *testing.T) {
-	spec := Spec{DropProb: 0.5}
+	spec := Spec{}
 	a, b := NewInjector(spec, 1), NewInjector(spec, 2)
 	specB := spec
 	specB.Seed = 9
 	c := NewInjector(specB, 1)
 	same := func(x, y *Injector) bool {
 		for i := 0; i < 256; i++ {
-			if x.DropFrame() != y.DropFrame() {
+			if x.DropFrame(0.5) != y.DropFrame(0.5) {
 				return false
 			}
 		}
@@ -255,7 +254,7 @@ func TestInjectorSeedsDiffer(t *testing.T) {
 func TestZeroSpecDrawsNothing(t *testing.T) {
 	j := NewInjector(Spec{}, 7)
 	for i := 0; i < 100; i++ {
-		if j.DropFrame() || j.CorruptFrame() || j.PortDrop() || j.LoseRDY() {
+		if j.DropFrame(0) || j.CorruptFrame() || j.PortDrop() || j.LoseRDY() {
 			t.Fatal("zero spec injected a fault")
 		}
 	}
@@ -264,9 +263,9 @@ func TestZeroSpecDrawsNothing(t *testing.T) {
 	}
 	// The stream must be in its initial state: a probability-1 draw after
 	// 400 disabled decisions matches the very first value of a fresh stream.
-	fresh := NewInjector(Spec{DropProb: 1}, 7)
-	jj := NewInjector(Spec{DropProb: 1}, 7)
-	if fresh.DropFrame() != jj.DropFrame() {
+	fresh := NewInjector(Spec{}, 7)
+	jj := NewInjector(Spec{}, 7)
+	if fresh.DropFrame(1) != jj.DropFrame(1) {
 		t.Fatal("fresh injectors diverged") // sanity
 	}
 }

@@ -90,10 +90,7 @@ func RunLoadSweepObserved(cfg Config, loads []float64, packets int, seed uint64,
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	lcfg := experiments.DefaultLoadSweepConfig()
-	lcfg.Packets = packets
-	lcfg.Seed = seed
-	rows, knees, o, err := experiments.LoadSweepObserved(cfg, loads, lcfg, parallelism, cfg.Obs)
+	rows, knees, o, err := experiments.LoadSweepObserved(cfg, loads, packets, seed, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -107,10 +107,7 @@ func RunRackSweepObserved(cfg Config, racks []int, loads []float64, packets int,
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	rcfg := experiments.DefaultRackSweepConfig()
-	rcfg.Packets = packets
-	rcfg.Seed = seed
-	rows, knees, o, err := experiments.RackSweepObserved(cfg, racks, loads, rcfg, parallelism, cfg.Obs)
+	rows, knees, o, err := experiments.RackSweepObserved(cfg, racks, loads, packets, seed, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -21,7 +21,6 @@ func scenarioPresets() map[string]Config {
 
 	lossy := DefaultConfig()
 	lossy.Fault = FaultConfig{
-		DropProb:    0.01,
 		CorruptProb: 0.001,
 		MaxRetries:  8,
 		Seed:        1,

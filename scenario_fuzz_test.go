@@ -14,8 +14,8 @@ func FuzzReadScenario(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"SwitchLatNs": 500}`)
 	f.Add(`{"DRAM": "DDR5-4800", "NetworkGbps": 100}`)
-	f.Add(`{"Fault": {"DropProb": 0.01, "MaxRetries": 8}}`)
-	f.Add(`{"Fault": {"DropProb": 2}}`)
+	f.Add(`{"Fault": {"CorruptProb": 0.01, "MaxRetries": 8}}`)
+	f.Add(`{"Fault": {"CorruptProb": 2}}`)
 	f.Add(`{"NetworkGbps": -1}`)
 	f.Add(`{"Unknown": true}`)
 	f.Add(`[1,2,3]`)
