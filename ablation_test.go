@@ -59,13 +59,8 @@ func TestRunMixedChannel(t *testing.T) {
 }
 
 func TestReplayTraceFileAPI(t *testing.T) {
-	// Generate a trace in memory via the internal writer path used by the
+	// Write a trace in memory via the internal writer path used by the
 	// CLI, then replay it through the public API.
-	events := GenerateTrace(Hadoop, 100, 3)
-	if len(events) != 100 {
-		t.Fatal("trace generation failed")
-	}
-	// Round-trip through the binary format.
 	var buf bytes.Buffer
 	if err := writeTraceForTest(&buf, Hadoop, 3, 100); err != nil {
 		t.Fatal(err)

@@ -255,26 +255,3 @@ func RunHeadlineWithConfig(cfg Config, packets int, parallelism int) (_ Headline
 	}
 	return experiments.RunHeadline(cfg, packets, parallelism)
 }
-
-// GenerateTrace produces a deterministic synthetic trace for a cluster:
-// n events with the published size and locality distributions.
-func GenerateTrace(cluster ClusterName, n int, seed uint64) []TraceEvent {
-	gen := workload.NewGenerator(cluster.internal(), 0, seed)
-	events := gen.Generate(n)
-	out := make([]TraceEvent, len(events))
-	for i, e := range events {
-		out[i] = TraceEvent{
-			At:       e.At.Duration(),
-			Size:     e.Size,
-			Locality: e.Locality.String(),
-		}
-	}
-	return out
-}
-
-// TraceEvent is one packet arrival of a generated trace.
-type TraceEvent struct {
-	At       time.Duration
-	Size     int
-	Locality string
-}

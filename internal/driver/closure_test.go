@@ -57,15 +57,14 @@ func closureTX(d *NetDIMMDriver, p nic.Packet) stats.Breakdown {
 		d.stats.AllocFast++
 		d.add(&b, stats.TxFlush, "bufFlush", d.Costs.FlushTime(p.Size))
 	}
-	d.txRing.Push(nic.Descriptor{BufAddr: dmaBuf, Len: p.Size, Owned: true})
 	d.add(&b, stats.TxFlush, "descFlush", d.Costs.FlushTime(nic.DescriptorBytes))
 	d.add(&b, stats.IOReg, "sizeWrite", bus.WriteCost())
 	d.add(&b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+closureMeasure(d, func(done func()) {
 		d.Dev.TransmitFetch(d.local(dmaBuf), p.Size, done)
 	}))
-	d.txRing.MarkDone()
-	if d.txRing.Len() >= d.txRing.Cap()/2 {
-		d.cleanTxRing()
+	if d.txPending++; d.txPending == txReclaimBatch {
+		d.stats.TxCleaned += txReclaimBatch
+		d.txPending = 0
 	}
 	return b
 }
@@ -82,7 +81,6 @@ func closureRX(d *NetDIMMDriver, p nic.Packet) stats.Breakdown {
 	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+closureMeasure(d, func(done func()) {
 		d.Dev.ReceivePacket(d.local(rxBuf), p.Size, done)
 	}))
-	d.rxRing.Push(nic.Descriptor{BufAddr: rxBuf, Len: p.Size, Done: true})
 	rf := d.Dev.Registers()
 	if st, err := rf.Read(core.RegStatus); err != nil || st&0xffffffff == 0 {
 		d.stats.PollMisses++
@@ -138,7 +136,6 @@ func closureRX(d *NetDIMMDriver, p nic.Packet) stats.Breakdown {
 			done()
 		})
 	}))
-	d.rxRing.Pop()
 	if rxBuf != d.appBuf {
 		d.Cache.Release(rxBuf)
 	}

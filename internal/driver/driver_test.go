@@ -357,9 +357,9 @@ func TestTxRingCleaning(t *testing.T) {
 	}
 }
 
-// TestTxRingReclaimsBatch: each TX marks its own descriptor done, so the
+// TestTxRingReclaimsBatch: each TX completes its own descriptor, so the
 // polling agent reclaims the whole ring once it is half full — 128 TXs on
-// the 256-slot ring leave it empty.
+// the 256-slot ring leave none pending.
 func TestTxRingReclaimsBatch(t *testing.T) {
 	nd, err := NewNetDIMMMachine(17)
 	if err != nil {
@@ -367,8 +367,8 @@ func TestTxRingReclaimsBatch(t *testing.T) {
 	}
 	for i := 0; i < 128; i++ {
 		nd.TX(pkt(256))
-		if want := (i + 1) % 128; nd.txRing.Len() != want {
-			t.Fatalf("after %d TXs the ring holds %d descriptors, want %d", i+1, nd.txRing.Len(), want)
+		if want := (i + 1) % 128; nd.txPending != want {
+			t.Fatalf("after %d TXs %d descriptors are pending, want %d", i+1, nd.txPending, want)
 		}
 	}
 	if s := nd.Stats(); s.TxCleaned != 128 {
@@ -381,11 +381,15 @@ func TestRxRingBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := nd.Zone.Stats().Frees
 	for i := 0; i < 600; i++ {
 		nd.RX(pkt(512))
 	}
-	// Every RX consumed its descriptor: the ring is empty at rest.
-	if nd.rxRing.Len() != 0 {
-		t.Fatalf("rx ring holds %d stale descriptors", nd.rxRing.Len())
+	// Every RX gave back the DMA and SKB buffers it took.
+	if s := nd.Stats(); s.ZoneExhausted != 0 {
+		t.Fatalf("%d RXs found the zone exhausted", s.ZoneExhausted)
+	}
+	if freed := nd.Zone.Stats().Frees - before; freed != 2*600 {
+		t.Fatalf("600 RXs freed %d pages, want 1200", freed)
 	}
 }

@@ -37,8 +37,9 @@ type NetDIMMDriver struct {
 	// for connection-establishment packets and zone-exhaustion fallback).
 	CopyNeeded bool
 
-	txRing *nic.Ring
-	rxRing *nic.Ring
+	// txPending counts the TX descriptors the polling agent has not yet
+	// reclaimed.
+	txPending int
 	// appBuf is the steady-state application buffer page in the NetDIMM
 	// zone (skb_zone == NET_i after the first packet, Sec. 4.2.2).
 	appBuf int64
@@ -54,6 +55,11 @@ type NetDIMMDriver struct {
 	cloneDoneFn  func(dram.CloneMode)
 	headerDoneFn func(hit bool, latency sim.Time)
 }
+
+// txReclaimBatch is how many completed TX descriptors the polling agent
+// lets build up before it reclaims them: half the 256-slot TX ring, so
+// the ring never fills.
+const txReclaimBatch = 128
 
 // DriverStats counts NetDIMM driver events.
 type DriverStats struct {
@@ -78,20 +84,19 @@ type DriverStats struct {
 	ZoneExhausted uint64
 }
 
-// NewNetDIMMDriver wires a driver to a device and its NET_i zone. Ring
-// descriptors and the steady-state application buffer are allocated from
-// the zone (paper Sec. 4.2.2: descriptor rings must live on the NetDIMM).
+// NewNetDIMMDriver wires a driver to a device and its NET_i zone. The TX
+// and RX descriptor rings' pages and the steady-state application buffer
+// are allocated from the zone (paper Sec. 4.2.2: descriptor rings must
+// live on the NetDIMM).
 func NewNetDIMMDriver(eng *sim.Engine, dev *core.Device, zone *kalloc.Zone, costs Costs) (*NetDIMMDriver, error) {
 	ac, err := kalloc.NewAllocCache(zone, 2)
 	if err != nil {
 		return nil, err
 	}
-	txPage, err := zone.AllocPage()
-	if err != nil {
+	if _, err := zone.AllocPage(); err != nil {
 		return nil, fmt.Errorf("driver: tx ring: %w", err)
 	}
-	rxPage, err := zone.AllocPage()
-	if err != nil {
+	if _, err := zone.AllocPage(); err != nil {
 		return nil, fmt.Errorf("driver: rx ring: %w", err)
 	}
 	app, err := zone.AllocPage()
@@ -104,8 +109,6 @@ func NewNetDIMMDriver(eng *sim.Engine, dev *core.Device, zone *kalloc.Zone, cost
 		Zone:   zone,
 		Cache:  ac,
 		Costs:  costs,
-		txRing: nic.NewRing("tx", txPage, 256),
-		rxRing: nic.NewRing("rx", rxPage, 256),
 		appBuf: app,
 	}, nil
 }
@@ -165,7 +168,6 @@ func (d *NetDIMMDriver) TX(p nic.Packet) stats.Breakdown {
 	}
 	// Lines 9–10: set and flush size+flags — the 64-bit posted write that
 	// kicks off transmission, travelling the memory channel.
-	d.txRing.Push(nic.Descriptor{BufAddr: dmaBuf, Len: p.Size, Owned: true})
 	d.add(&b, stats.TxFlush, "descFlush", d.Costs.FlushTime(nic.DescriptorBytes))
 	d.add(&b, stats.IOReg, "sizeWrite", bus.WriteCost())
 
@@ -177,25 +179,13 @@ func (d *NetDIMMDriver) TX(p nic.Packet) stats.Breakdown {
 	_ = d.Dev.TransmitFetch(d.local(dmaBuf), p.Size, d.doneFn)
 	d.add(&b, stats.TxDMA, "fetch+macPipeline", nic.MACPipeline+d.wait(start))
 
-	// The nNIC completed the fetch: mark the descriptor done for the
-	// polling agent, which reclaims the ring once it is half full (Alg. 1
-	// line 17), so the ring never fills.
-	d.txRing.MarkDone()
-	if d.txRing.Len() >= d.txRing.Cap()/2 {
-		d.cleanTxRing()
+	// The nNIC completed the fetch, so its descriptor is done; the polling
+	// agent reclaims a batch of done descriptors at once (Alg. 1 line 17).
+	if d.txPending++; d.txPending == txReclaimBatch {
+		d.stats.TxCleaned += txReclaimBatch
+		d.txPending = 0
 	}
 	return b
-}
-
-// cleanTxRing reclaims completed TX descriptors (Alg. 1 line 17).
-func (d *NetDIMMDriver) cleanTxRing() {
-	for !d.txRing.Empty() {
-		if desc, _ := d.txRing.Peek(); !desc.Done {
-			break
-		}
-		d.txRing.Pop()
-		d.stats.TxCleaned++
-	}
 }
 
 // RX implements Machine, following Alg. 1 lines 11–19.
@@ -215,9 +205,8 @@ func (d *NetDIMMDriver) RX(p nic.Packet) stats.Breakdown {
 	// As for the TX fetch: the delivery fails only on a non-positive size
 	// (rxBuf lies in the zone) and then queues nothing.
 	_ = d.Dev.ReceivePacket(d.local(rxBuf), p.Size, d.doneFn)
+	// The delivery also fills the next RX descriptor, which line 12 reads.
 	d.add(&b, stats.RxDMA, "macPipeline+deliver", nic.MACPipeline+d.wait(start))
-	// The nController filled the next RX descriptor.
-	d.rxRing.Push(nic.Descriptor{BufAddr: rxBuf, Len: p.Size, Done: true})
 
 	// Lines 16–18: the polling agent notices the arrival — one RegStatus
 	// read over the memory channel ("polling NetDIMM is more efficient
@@ -279,9 +268,6 @@ func (d *NetDIMMDriver) RX(p nic.Packet) stats.Breakdown {
 	start = d.begin()
 	d.Dev.HostReadLine(d.local(rxBuf), d.headerDoneFn)
 	d.add(&b, stats.RxCopy, "headerRead", d.wait(start))
-
-	// The descriptor is consumed; return the slot to the ring.
-	d.rxRing.Pop()
 
 	// Buffers recycle: the DMA buffer returns to the cache's zone, the SKB
 	// buffer is handed to the application (freed later, off the critical

@@ -60,9 +60,10 @@ func (s PortStats) AvgQueueDelay() sim.Time {
 // link one at a time; arrivals beyond the buffer are tail-dropped.
 //
 // A frame's trip through the port allocates nothing once the port is warm:
-// the queue is a ring whose head is the frame on the wire, the wire-done
-// event is one method value, and frames off the wire wait out the link's
-// PHY latency — the same for every frame — in a DelayLine.
+// the queue is a sim.FIFO that reuses the chunks it drains and whose head
+// is the frame on the wire, the wire-done event is one method value, and
+// frames off the wire wait out the link's PHY latency — the same for
+// every frame — in a DelayLine.
 type Port struct {
 	eng      *sim.Engine
 	link     Link

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
@@ -50,7 +51,7 @@ type cellTransport struct {
 	// spare is the free list of job chunks the driver queues share, taken
 	// from the sweep's pool in init and given back to it in run.
 	pool  *jobPool
-	spare *chunkList
+	spare *sim.Chunks[job]
 	// The source's hooks: admit, when set, decides whether a frame off the
 	// fabric queues at RX by its tag; cleared sees every frame that clears
 	// RX.
@@ -81,7 +82,7 @@ type driverQueue struct {
 	m         driver.Machine
 	rx        bool
 	price     *[nic.MTU + 1]sim.Time // this direction's row of t.prices
-	jobs      jobQueue
+	jobs      sim.FIFO[job]
 	finishFn  func()
 	stallDone func() // the ECN pacer's end of stall
 	markFn    func() // TX: the ECN pacer's OnMark; nil without pacing
@@ -96,6 +97,37 @@ type job struct {
 	fr      frame
 	service sim.Time
 	stall   bool
+}
+
+// jobPool is a sweep's job chunks between cells: the free lists of the
+// cells that have run, shared by the sweep's cells under a mutex, as
+// collShape's vecPool is. A sweep so holds about one cell's peak of
+// queued jobs per worker. A drained queue leaves its chunks zeroed, so
+// what a chunk held in an earlier cell never shows, and results stay the
+// same at any parallelism.
+type jobPool struct {
+	mu    sync.Mutex
+	lists []*sim.Chunks[job]
+}
+
+// take hands a cell a free list an earlier cell gave back, or a new one.
+func (p *jobPool) take() *sim.Chunks[job] {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.lists)
+	if n == 0 {
+		return &sim.Chunks[job]{}
+	}
+	l := p.lists[n-1]
+	p.lists = p.lists[:n-1]
+	return l
+}
+
+// give takes back a free list no queue uses any more.
+func (p *jobPool) give(l *sim.Chunks[job]) {
+	p.mu.Lock()
+	p.lists = append(p.lists, l)
+	p.mu.Unlock()
 }
 
 // cellProbe, when set, replaces the engine probe of every cell engine a
@@ -126,8 +158,10 @@ func (t *cellTransport) init(d *spec.Derived, arch string, n int, incast bool, s
 	t.deliverFn = t.deliver
 	for i := range t.tx {
 		tx, rx := &t.tx[i], &t.rx[i]
-		*tx = driverQueue{t: t, m: txs[i], jobs: jobQueue{spare: t.spare}}
-		*rx = driverQueue{t: t, m: rxs[i], rx: true, jobs: jobQueue{spare: t.spare}}
+		*tx = driverQueue{t: t, m: txs[i]}
+		*rx = driverQueue{t: t, m: rxs[i], rx: true}
+		tx.jobs.Share(t.spare)
+		rx.jobs.Share(t.spare)
 		tx.finishFn, rx.finishFn = tx.finish, rx.finish
 		if t.prices != nil {
 			tx.price, rx.price = &t.prices[0], &t.prices[1]

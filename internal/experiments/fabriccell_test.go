@@ -611,3 +611,45 @@ func BenchmarkFabricCell(b *testing.B) {
 		}
 	}
 }
+
+// TestJobPoolSharedAcrossCells runs incast cells past the knee on one
+// sweep shape. The first cell's queues fill a free list that goes back to
+// the shape's pool when the cell ends; a later cell whose backlog is no
+// deeper takes that list and makes no new chunk (every chunk is free
+// again once a cell has run), so a sweep keeps one cell's peak of queued
+// jobs, not the sum over its cells.
+func TestJobPoolSharedAcrossCells(t *testing.T) {
+	sp := spec.TableOne()
+	sp.Load.Hosts = 8
+	shape, err := resolveLoad(sp.Load, nil, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(load float64) int {
+		c, err := runFabricCell(sp, "dNIC", shape, cellOpts{load: load, packets: 3000,
+			eventBudget: 4_000_000, seed: 2, incast: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.rxMax
+	}
+	chunks := func() int {
+		if len(shape.jobs.lists) != 1 {
+			t.Fatalf("pool holds %d free lists after a cell, want 1", len(shape.jobs.lists))
+		}
+		return shape.jobs.lists[0].Len()
+	}
+	peak := run(0.3)
+	first := chunks()
+	if peak < 128 || first == 0 {
+		t.Fatalf("first cell: RX backlog %d, %d chunks; want a backlog of 128 or more jobs, in chunks", peak, first)
+	}
+	for _, load := range []float64{0.3, 0.15} {
+		if p := run(load); p > peak {
+			t.Fatalf("load %g: RX backlog %d deeper than the first cell's %d", load, p, peak)
+		}
+		if got := chunks(); got != first {
+			t.Errorf("load %g: pool holds %d chunks after the cell, want the first cell's %d", load, got, first)
+		}
+	}
+}

@@ -88,7 +88,10 @@ func ForEachCell(n, parallelism int, cell func(i int)) { forEachCell(n, parallel
 // runCells runs n cells through forEachCell, handing cell i its
 // observability cell, labelled label(i), when ospec enables collection. It
 // returns the rows in cell order and the observer (nil with ospec off), or
-// the first cell's error.
+// the lowest-index cell's error. Once a cell has failed no further cell
+// starts: cells are claimed in index order, so every cell below a failed
+// one has already started, and the error returned is the same at any
+// parallelism.
 func runCells[R any](n, parallelism int, ospec obs.Spec, label func(i int) string, cell func(i int, oc *obs.Cell) (R, error)) ([]R, *obs.Observer, error) {
 	var o *obs.Observer
 	if ospec.Enabled() {
@@ -100,7 +103,15 @@ func runCells[R any](n, parallelism int, ospec obs.Spec, label func(i int) strin
 	}
 	rows := make([]R, n)
 	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) { rows[i], errs[i] = cell(i, o.Cell(i)) })
+	var failed atomic.Bool
+	forEachCell(n, parallelism, func(i int) {
+		if failed.Load() {
+			return
+		}
+		if rows[i], errs[i] = cell(i, o.Cell(i)); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
 	if err := firstError(errs); err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"netdimm/internal/obs"
 )
 
 func TestWorkers(t *testing.T) {
@@ -80,6 +83,32 @@ func TestForEachCellPanicReRaised(t *testing.T) {
 			})
 			t.Errorf("parallelism %d: no panic reached the caller", parallelism)
 		}()
+	}
+}
+
+// TestRunCellsStopsAfterFailure fails cell 0 slowly and cell 5 at once:
+// the error is cell 0's at any parallelism, and sequentially no cell runs
+// after the failed one.
+func TestRunCellsStopsAfterFailure(t *testing.T) {
+	for _, parallelism := range []int{1, 2, 4} {
+		var ran atomic.Int64
+		rows, o, err := runCells(20, parallelism, obs.Spec{}, nil, func(i int, _ *obs.Cell) (int, error) {
+			ran.Add(1)
+			switch i {
+			case 0:
+				time.Sleep(5 * time.Millisecond)
+				return 0, errors.New("cell 0 failed")
+			case 5:
+				return 0, errors.New("cell 5 failed")
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "cell 0 failed" || rows != nil || o != nil {
+			t.Errorf("parallelism %d: rows %v, observer %v, error %v; want cell 0's error alone", parallelism, rows, o, err)
+		}
+		if parallelism == 1 && ran.Load() != 1 {
+			t.Errorf("sequential: %d cells ran, want 1", ran.Load())
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package nic
 
 import (
 	"testing"
-	"testing/quick"
 
 	"netdimm/internal/sim"
 )
@@ -16,121 +15,6 @@ func TestPacketCachelines(t *testing.T) {
 			t.Errorf("Cachelines(%d) = %d, want %d", c.size, got, c.want)
 		}
 	}
-}
-
-func TestRingFIFO(t *testing.T) {
-	r := NewRing("tx", 0x1000, 4)
-	for i := 0; i < 4; i++ {
-		if err := r.Push(Descriptor{BufAddr: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.Full() {
-		t.Fatal("ring should be full")
-	}
-	if err := r.Push(Descriptor{}); err == nil {
-		t.Fatal("push to full ring accepted")
-	}
-	for i := 0; i < 4; i++ {
-		d, err := r.Pop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.BufAddr != int64(i) {
-			t.Fatalf("pop %d: got buf %d", i, d.BufAddr)
-		}
-	}
-	if !r.Empty() {
-		t.Fatal("ring should be empty")
-	}
-	if _, err := r.Pop(); err == nil {
-		t.Fatal("pop from empty ring accepted")
-	}
-}
-
-func TestRingWrapAround(t *testing.T) {
-	r := NewRing("rx", 0, 3)
-	for round := 0; round < 10; round++ {
-		if err := r.Push(Descriptor{BufAddr: int64(round)}); err != nil {
-			t.Fatal(err)
-		}
-		d, err := r.Pop()
-		if err != nil || d.BufAddr != int64(round) {
-			t.Fatalf("round %d: %v %v", round, d, err)
-		}
-	}
-}
-
-func TestRingMarkDone(t *testing.T) {
-	r := NewRing("rx", 0, 2)
-	if err := r.MarkDone(); err == nil {
-		t.Fatal("MarkDone on empty ring accepted")
-	}
-	r.Push(Descriptor{})
-	if err := r.MarkDone(); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := r.Peek()
-	if !d.Done {
-		t.Fatal("descriptor not marked done")
-	}
-}
-
-// TestRingMarkDoneMarksNewest: MarkDone flags the descriptor just pushed,
-// not the oldest one.
-func TestRingMarkDoneMarksNewest(t *testing.T) {
-	r := NewRing("tx", 0, 3)
-	for i := 0; i < 5; i++ {
-		r.Push(Descriptor{BufAddr: int64(i)})
-		if err := r.MarkDone(); err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			r.Push(Descriptor{BufAddr: int64(i) + 100})
-		}
-		// Every descriptor followed by MarkDone is done, the others not.
-		for r.Len() > 1 {
-			d, _ := r.Pop()
-			if d.Done != (d.BufAddr < 100) {
-				t.Fatalf("descriptor %d: Done = %v", d.BufAddr, d.Done)
-			}
-		}
-	}
-}
-
-// Property: count always equals pushes-pops and never exceeds capacity.
-func TestRingInvariantProperty(t *testing.T) {
-	f := func(ops []bool) bool {
-		r := NewRing("p", 0, 5)
-		pushed, popped := 0, 0
-		for _, push := range ops {
-			if push {
-				if err := r.Push(Descriptor{}); err == nil {
-					pushed++
-				}
-			} else {
-				if _, err := r.Pop(); err == nil {
-					popped++
-				}
-			}
-			if r.Len() != pushed-popped || r.Len() > r.Cap() || r.Len() < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZeroRingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero ring accepted")
-		}
-	}()
-	NewRing("bad", 0, 0)
 }
 
 func TestTraceTransferShape(t *testing.T) {

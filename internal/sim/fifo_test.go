@@ -5,19 +5,14 @@ import (
 	"testing"
 )
 
-// The ring keeps FIFO order across wrap-around and growth, and a warm
-// queue pushes and pops without allocating.
+// The queue keeps FIFO order as it grows and shrinks across chunk
+// boundaries, with the head walking through chunks of every fill.
 func TestFIFOOrderAcrossGrowth(t *testing.T) {
 	var q FIFO[int]
 	next, want := 0, 0
-	// Interleave pushes and pops so the head walks around the ring while
-	// it doubles from 4 to 64 slots.
 	for round := 1; round <= 40; round++ {
 		for i := 0; i < round%7+1; i++ {
 			q.Push(next)
-			if *q.Last() != next {
-				t.Fatalf("round %d: last %d, want %d", round, *q.Last(), next)
-			}
 			next++
 		}
 		for i := 0; i < round%5 && q.Len() > 0; i++ {
@@ -38,13 +33,159 @@ func TestFIFOOrderAcrossGrowth(t *testing.T) {
 	if want != next {
 		t.Fatalf("drained %d of %d values", want, next)
 	}
+}
+
+// item is a pointer-free queued value the size of the cell transport's
+// driver jobs.
+type item struct {
+	tag int
+	pad [7]int64
+}
+
+// TestFIFOSharedChunks drives two queues that share one free list through
+// random interleaved pushes and drops, against a slice per queue: every
+// Head and Len matches, order holds across chunk boundaries, and a queue
+// holds exactly the chunks its values span, the others being free. Once
+// both queues have drained, every chunk either made is free again.
+func TestFIFOSharedChunks(t *testing.T) {
+	var spare Chunks[item]
+	var qs [2]FIFO[item]
+	for k := range qs {
+		qs[k].Share(&spare)
+	}
+	var want [2][]int
+	r := NewRand(39)
+	made, next := 0, 0
+	check := func(step int) {
+		t.Helper()
+		held := 0
+		for k := range qs {
+			q := &qs[k]
+			if q.Len() != len(want[k]) {
+				t.Fatalf("step %d queue %d: Len %d, want %d", step, k, q.Len(), len(want[k]))
+			}
+			span := 0 // the chunks the values span, from slot hi of the first on
+			if q.Len() > 0 {
+				span = (q.hi + q.Len() + chunkLen - 1) / chunkLen
+				if q.Head().tag != want[k][0] {
+					t.Fatalf("step %d queue %d: Head %d, want %d", step, k, q.Head().tag, want[k][0])
+				}
+			}
+			if got := chunksFrom(q.head); got != span {
+				t.Fatalf("step %d queue %d: %d chunks for %d values from slot %d", step, k, got, q.Len(), q.hi)
+			}
+			if q.own.Len() != 0 {
+				t.Fatalf("step %d queue %d: %d chunks on its own list", step, k, q.own.Len())
+			}
+			held += span
+		}
+		made = max(made, held+spare.Len())
+		if held+spare.Len() != made {
+			t.Fatalf("step %d: %d chunks held + %d free, but %d were made", step, held, spare.Len(), made)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		k := r.Intn(2)
+		q := &qs[k]
+		// Drift towards deep queues, then drain: pushes win 3:2 in the
+		// first half and lose 2:3 in the second.
+		push := r.Intn(5) < 3
+		if step >= 10000 {
+			push = r.Intn(5) < 2
+		}
+		if push {
+			q.Push(item{tag: next, pad: [7]int64{int64(next)}})
+			want[k] = append(want[k], next)
+			next++
+		} else if q.Len() > 0 {
+			if v := q.Head(); v.tag != want[k][0] || v.pad[0] != int64(want[k][0]) {
+				t.Fatalf("step %d queue %d: head %+v, want tag %d", step, k, *v, want[k][0])
+			}
+			q.Drop()
+			want[k] = want[k][1:]
+		}
+		check(step)
+	}
+	for k := range qs {
+		for qs[k].Len() > 0 {
+			if got := qs[k].Head().tag; got != want[k][0] {
+				t.Fatalf("drain queue %d: Head %d, want %d", k, got, want[k][0])
+			}
+			qs[k].Drop()
+			want[k] = want[k][1:]
+		}
+	}
+	check(-1)
+	if made < 4 || spare.Len() != made {
+		t.Fatalf("%d chunks made, %d free after draining; want several, all free", made, spare.Len())
+	}
+	for c := spare.free; c != nil; c = c.next {
+		if c.v != [chunkLen]item{} {
+			t.Fatalf("free chunk holds %+v, want zero slots", c.v)
+		}
+	}
+}
+
+// chunksFrom counts the chunks linked from c on.
+func chunksFrom(c *chunk[item]) int {
+	n := 0
+	for ; c != nil; c = c.next {
+		n++
+	}
+	return n
+}
+
+// TestFIFOPrivateChunks checks that a queue with no shared list keeps the
+// chunks it drains on its own list and fills from them again.
+func TestFIFOPrivateChunks(t *testing.T) {
+	var q FIFO[item]
+	const depth = 3*chunkLen + 1
+	for round := 0; round < 2; round++ {
+		for i := 0; i < depth; i++ {
+			q.Push(item{tag: i})
+		}
+		for i := 0; i < depth; i++ {
+			if q.Head().tag != i {
+				t.Fatalf("round %d: Head %d, want %d", round, q.Head().tag, i)
+			}
+			q.Drop()
+		}
+		if q.Len() != 0 || q.head != nil || q.tail != nil {
+			t.Fatalf("round %d: drained queue holds Len %d, head %p, tail %p", round, q.Len(), q.head, q.tail)
+		}
+		if got := q.own.Len(); got != 4 {
+			t.Fatalf("round %d: %d chunks on the queue's list, want 4", round, got)
+		}
+	}
+}
+
+// A warm private queue adds and drops values without allocating, both
+// when it swings between empty and one value and when it holds a steady
+// depth that walks its head and tail across chunk boundaries.
+func TestFIFOWarmAllocs(t *testing.T) {
+	var swing FIFO[item]
+	swing.Push(item{})
+	swing.Drop()
 	if n := testing.AllocsPerRun(100, func() {
-		*q.Tail() = 1
-		q.Push(2)
-		q.Drop()
-		q.Drop()
+		swing.Tail().tag = 1
+		swing.Drop()
 	}); n != 0 {
-		t.Fatalf("warm FIFO allocates %v times per round", n)
+		t.Errorf("a queue swinging between 0 and 1 values allocates %v times per round", n)
+	}
+	var steady FIFO[*int]
+	v := new(int)
+	for i := 0; i < 2*chunkLen+1; i++ {
+		steady.Push(v)
+	}
+	// AllocsPerRun's warm-up round makes the chunk the depth needs from
+	// the worst head slot.
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < chunkLen+1; i++ {
+			steady.Push(v)
+			steady.Drop()
+		}
+	}); n != 0 {
+		t.Errorf("a queue at a steady depth allocates %v times per round", n)
 	}
 }
 

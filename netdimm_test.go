@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netdimm/internal/trace"
 )
 
 // machine builds a Table 1 endpoint for the API tests: "dNIC", "iNIC" or
@@ -168,8 +170,24 @@ func TestRunFig7(t *testing.T) {
 	}
 }
 
+// TestGenerateTrace checks the synthetic trace a replay reads: the
+// requested events, the webserver cluster's small-packet skew, a locality
+// on every event, and the same bytes from the same seed.
 func TestGenerateTrace(t *testing.T) {
-	evs := GenerateTrace(Webserver, 200, 9)
+	var buf, again bytes.Buffer
+	if err := writeTraceForTest(&buf, Webserver, 9, 200); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeTraceForTest(&again, Webserver, 9, 200); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("trace not deterministic")
+	}
+	_, evs, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(evs) != 200 {
 		t.Fatalf("events = %d", len(evs))
 	}
@@ -178,17 +196,12 @@ func TestGenerateTrace(t *testing.T) {
 		if e.Size < 300 {
 			small++
 		}
-		if e.Locality == "" {
+		if e.Locality.String() == "" {
 			t.Fatal("missing locality")
 		}
 	}
 	if small < 150 {
 		t.Fatalf("webserver trace small fraction = %d/200", small)
-	}
-	// Determinism across calls.
-	evs2 := GenerateTrace(Webserver, 200, 9)
-	if evs[100] != evs2[100] {
-		t.Fatal("trace not deterministic")
 	}
 }
 
